@@ -2,20 +2,32 @@ module Heap_file = Volcano_storage.Heap_file
 module Serial = Volcano_tuple.Serial
 module Iterator = Volcano.Iterator
 
-let heap_filtered ~pred file =
+(* Every heap scan decodes straight out of the pinned frame: [cols]
+   selects a projected decode that steps over the fields it drops, and
+   [slice = (rank, ranks)] restricts the cursor to the pages that rank
+   owns. *)
+let decoder = function
+  | None -> Serial.decode_slice
+  | Some cols -> Serial.decode_projected (Serial.projection cols)
+
+let open_cursor ?slice file =
+  match slice with
+  | None -> Heap_file.scan file
+  | Some (rank, ranks) -> Heap_file.slice file ~rank ~ranks
+
+let heap_filtered ?slice ?cols ~pred file =
+  let decode = decoder cols in
   let cursor = ref None in
   Iterator.make
-    ~open_:(fun () -> cursor := Some (Heap_file.scan file))
+    ~open_:(fun () -> cursor := Some (open_cursor ?slice file))
     ~next:(fun () ->
       match !cursor with
       | None -> invalid_arg "Scan.heap: not open"
       | Some c ->
           let rec step () =
-            match Heap_file.next c with
+            match Heap_file.next_in_frame c decode with
             | None -> None
-            | Some (_rid, record) ->
-                let tuple = Serial.decode_bytes (Bytes.of_string record) in
-                if pred tuple then Some tuple else step ()
+            | Some tuple as hit -> if pred tuple then hit else step ()
           in
           step ())
     ~close:(fun () ->
@@ -25,15 +37,17 @@ let heap_filtered ~pred file =
           Heap_file.close_cursor c;
           cursor := None)
 
-let heap file = heap_filtered ~pred:(fun _ -> true) file
+let heap ?slice ?cols file =
+  heap_filtered ?slice ?cols ~pred:(fun _ -> true) file
 
 (* The batch source for fused scan chains: the per-record decode stays
    (records are variable-length on the page), but the iterator protocol
    above it is gone — one [step] call refills a whole batch. *)
-let heap_cursor file =
+let heap_cursor ?slice ?cols file =
+  let decode = decoder cols in
   let cursor = ref None in
   {
-    Volcano.Batch.reset = (fun () -> cursor := Some (Heap_file.scan file));
+    Volcano.Batch.reset = (fun () -> cursor := Some (open_cursor ?slice file));
     step =
       (fun ~emit ~max ->
         match !cursor with
@@ -42,10 +56,10 @@ let heap_cursor file =
             let n = ref 0 in
             (try
                while !n < max do
-                 match Heap_file.next c with
+                 match Heap_file.next_in_frame c decode with
                  | None -> raise Exit
-                 | Some (_rid, record) ->
-                     emit (Serial.decode_bytes (Bytes.of_string record));
+                 | Some tuple ->
+                     emit tuple;
                      incr n
                done
              with Exit -> ());

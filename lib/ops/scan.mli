@@ -2,12 +2,24 @@
     algebra.  A scan deserializes stored records into tuples; everything
     above it is oblivious to storage ("anonymous inputs"). *)
 
-val heap : Volcano_storage.Heap_file.t -> Volcano.Iterator.t
-(** Full file scan in page order. *)
+val heap :
+  ?slice:int * int ->
+  ?cols:int list ->
+  Volcano_storage.Heap_file.t ->
+  Volcano.Iterator.t
+(** File scan in page order, decoding each record straight out of its
+    pinned page frame.  [~slice:(rank, ranks)] reads only the pages that
+    rank owns ({!Volcano_storage.Heap_file.slice}); [~cols] yields
+    [Tuple.project record cols] without allocating the dropped fields
+    (the columns must be distinct). *)
 
-val heap_cursor : Volcano_storage.Heap_file.t -> Volcano.Batch.cursor
+val heap_cursor :
+  ?slice:int * int ->
+  ?cols:int list ->
+  Volcano_storage.Heap_file.t ->
+  Volcano.Batch.cursor
 (** The batch source behind fused scan chains: a {!Volcano.Batch.cursor}
-    over the file in page order, for {!Volcano.Batch.fused}. *)
+    over the same records as {!heap}, for {!Volcano.Batch.fused}. *)
 
 val heap_prefetched :
   daemon:Volcano_storage.Daemon.t ->
@@ -17,6 +29,8 @@ val heap_prefetched :
     into the buffer pool at open time (paper, section 4.5). *)
 
 val heap_filtered :
+  ?slice:int * int ->
+  ?cols:int list ->
   pred:Volcano_tuple.Support.predicate ->
   Volcano_storage.Heap_file.t ->
   Volcano.Iterator.t

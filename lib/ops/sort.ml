@@ -50,11 +50,7 @@ let cursor_of_run run =
       c
   | Spilled file ->
       let scan = Heap_file.scan file in
-      let advance () =
-        match Heap_file.next scan with
-        | None -> None
-        | Some (_rid, record) -> Some (Serial.decode_bytes (Bytes.of_string record))
-      in
+      let advance () = Heap_file.next_in_frame scan Serial.decode_slice in
       let cleanup () =
         Heap_file.close_cursor scan;
         Heap_file.drop file
@@ -63,8 +59,8 @@ let cursor_of_run run =
       c.head <- advance ();
       c
 
-(* Failure-path cleanup.  Dropping twice is safe (an emptied file's chain
-   walk is a no-op), so best-effort cleanup may overlap. *)
+(* Failure-path cleanup.  Dropping twice is safe (an emptied file's page
+   directory is empty), so best-effort cleanup may overlap. *)
 let drop_run = function
   | Spilled file -> ( try Heap_file.drop file with _ -> ())
   | In_memory _ -> ()

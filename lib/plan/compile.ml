@@ -94,28 +94,33 @@ let exchange_obs obs plan =
   | None -> None
   | Some o -> Option.map (fun node -> (o.sink, node)) (o.node_of plan)
 
-(* Every Nth tuple, offset by the group rank — used by the slice leaves. *)
-let slice_iterator group inner =
-  let rank = Group.rank group and size = Group.size group in
-  if size = 1 then inner
-  else begin
-    let index = ref 0 in
-    Iterator.make
-      ~open_:(fun () ->
-        index := 0;
-        Iterator.open_ inner)
-      ~next:(fun () ->
-        let rec step () =
-          match Iterator.next inner with
-          | None -> None
-          | Some tuple ->
-              let i = !index in
-              incr index;
-              if i mod size = rank then Some tuple else step ()
-        in
-        step ())
-      ~close:(fun () -> Iterator.close inner)
-  end
+(* The one resolver for table leaves, shared by both compile paths:
+   [Some (file, slice)] is what this group member scans.  A sliced scan
+   reads the partition file its rank names when the table is
+   partitioned, and otherwise its own page range of the base file
+   ([slice = Some (rank, ranks)]), so no two members read a page twice. *)
+let table_leaf env group = function
+  | Plan.Scan_table name -> Some (fst (Env.table env name), None)
+  | Plan.Scan_table_slice name -> (
+      let rank = Group.rank group and ranks = Group.size group in
+      match
+        Env.table env (Volcano_storage.Shard.partition_name ~table:name ~part:rank)
+      with
+      | file, _ -> Some (file, None)
+      | exception Not_found -> Some (fst (Env.table env name), Some (rank, ranks)))
+  | _ -> None
+
+(* A column projection sitting directly on a table leaf compiles into the
+   scan's decode, which steps over the dropped fields instead of
+   allocating them.  Repeated columns keep the separate projection
+   stage: a decode fills each output field from one stored field. *)
+let projected_leaf env group = function
+  | Plan.Project_cols { cols; input }
+    when List.length (List.sort_uniq compare cols) = List.length cols ->
+      Option.map
+        (fun (file, slice) -> (input, cols, file, slice))
+        (table_leaf env group input)
+  | _ -> None
 
 let limit_iterator count inner =
   let remaining = ref count in
@@ -241,7 +246,7 @@ let instrumented_chain nodes pipeline =
    generic [Operator] fault site and the obs row count — becomes a tap
    stage per node, so faults fire and rows count inside the fused loop
    exactly as they would in the nested-closure tree.  Stateful pieces
-   (the slice counter, distinct's seen table) hang their
+   (distinct's seen table) hang their
    re-initialization on [cursor.reset], so reopening the pipeline
    replays from scratch like any iterator. *)
 type fused_chain = {
@@ -278,6 +283,14 @@ let fuse_chain env obs group plan =
     in
     let leaf plan cursor = Some (cursor, node_stages plan []) in
     let rec chain plan =
+      match projected_leaf env group plan with
+      | Some (scan, cols, file, slice) ->
+          (* both nodes keep their taps, as if the stages were separate *)
+          Some
+            ( Ops.Scan.heap_cursor ?slice ~cols file,
+              node_stages scan [] @ node_stages plan [] )
+      | None -> chain_node plan
+    and chain_node plan =
       match plan with
       | Plan.Generate { count; gen; _ } ->
           leaf plan (Batch.generator_cursor ~count ~f:gen)
@@ -295,26 +308,9 @@ let fuse_chain env obs group plan =
                  [| Volcano_tuple.Value.Int (start + (i * size) + rank) |]))
       | Plan.Scan_list { tuples; _ } ->
           leaf plan (Batch.array_cursor (Array.of_list tuples))
-      | Plan.Scan_table name ->
-          leaf plan (Ops.Scan.heap_cursor (fst (Env.table env name)))
-      | Plan.Scan_table_slice name -> (
-          let rank = Group.rank group and size = Group.size group in
-          let partition_name = Printf.sprintf "%s#%d" name rank in
-          match Env.table env partition_name with
-          | file, _ -> leaf plan (Ops.Scan.heap_cursor file)
-          | exception Not_found ->
-              let cursor = Ops.Scan.heap_cursor (fst (Env.table env name)) in
-              if size = 1 then leaf plan cursor
-              else begin
-                let index = ref 0 in
-                on_reset (fun () -> index := 0);
-                let slice k tuple =
-                  let i = !index in
-                  incr index;
-                  if i mod size = rank then k tuple
-                in
-                Some (cursor, node_stages plan [ slice ])
-              end)
+      | Plan.Scan_table _ | Plan.Scan_table_slice _ ->
+          Option.bind (table_leaf env group plan) (fun (file, slice) ->
+              leaf plan (Ops.Scan.heap_cursor ?slice file))
       | Plan.Filter { pred; mode; input } ->
           let pred =
             match mode with
@@ -449,6 +445,14 @@ let fused_drain env obs group plan =
                     if n = 0 then continue := false
                   done))
 
+(* The per-node decoration of the record path: the generic [Operator]
+   fault site and the node's obs counters. *)
+let decorate env obs plan inner =
+  let inner = guard (Env.faults env) inner in
+  match Option.bind obs (fun o -> o.node_of plan) with
+  | None -> inner
+  | Some node -> Iterator.instrumented ~node inner
+
 (* [scope] is the cancellation scope enclosing this node: exchange nodes
    register their port in it and open a child scope over their producer
    subtrees, so that shutting any exchange cancels everything below it.
@@ -457,13 +461,7 @@ let fused_drain env obs group plan =
 let rec compile_stream env ids obs group scope plan =
   match fuse env obs group plan with
   | Some pipeline -> Batches pipeline
-  | None ->
-      let faults = Env.faults env in
-      let inner = guard faults (compile_node env ids obs group scope plan) in
-      Rows
-        (match Option.bind obs (fun o -> o.node_of plan) with
-        | None -> inner
-        | Some node -> Iterator.instrumented ~node inner)
+  | None -> Rows (decorate env obs plan (compile_node env ids obs group scope plan))
 
 and compile_in env ids obs group scope plan =
   match compile_stream env ids obs group scope plan with
@@ -478,14 +476,9 @@ and compile_node env ids obs group scope plan =
       ~spill:(Env.spill env) ~cmp input
   in
   match plan with
-  | Plan.Scan_table name -> Ops.Scan.heap (fst (Env.table env name))
-  | Plan.Scan_table_slice name -> (
-      let rank = Group.rank group in
-      let partition_name = Printf.sprintf "%s#%d" name rank in
-      match Env.table env partition_name with
-      | file, _ -> Ops.Scan.heap file
-      | exception Not_found ->
-          slice_iterator group (Ops.Scan.heap (fst (Env.table env name))))
+  | Plan.Scan_table _ | Plan.Scan_table_slice _ ->
+      let file, slice = Option.get (table_leaf env group plan) in
+      Ops.Scan.heap ?slice file
   | Plan.Scan_index { index; lo; hi } ->
       let tree, file, _key = Env.index env index in
       let encode t = Bytes.to_string (Volcano_tuple.Serial.encode t) in
@@ -513,7 +506,12 @@ and compile_node env ids obs group scope plan =
         | `Interpreted -> Support.of_pred_interpreted pred
       in
       Ops.Filter.iterator ~pred (recur input)
-  | Plan.Project_cols { cols; input } -> Ops.Project.columns cols (recur input)
+  | Plan.Project_cols { cols; input } -> (
+      match projected_leaf env group plan with
+      | Some (scan, cols, file, slice) ->
+          (* the scan node is decorated here, the projection by the caller *)
+          decorate env obs scan (Ops.Scan.heap ?slice ~cols file)
+      | None -> Ops.Project.columns cols (recur input))
   | Plan.Project_exprs { exprs; input } -> Ops.Project.exprs exprs (recur input)
   | Plan.Sort { key; input } -> sorted ~cmp:(sort_cmp key) (recur input)
   | Plan.Match { algo; kind; left_key; right_key; left; right } -> (
@@ -567,6 +565,10 @@ and compile_node env ids obs group scope plan =
                 inner
             in
             match input with
+            | Plan.Project_cols _
+              when Option.is_some (projected_leaf env group input) ->
+                (* stays: the projection is cheaper inside the decode *)
+                (keys, aggs, input)
             | Plan.Project_cols { cols; input } ->
                 let arr = Array.of_list cols in
                 through (fun i -> Expr.Col arr.(i)) input

@@ -19,9 +19,10 @@ type t =
   | Scan_table_slice of string
       (** intra-operator parallel scan: in a group of size N, member r scans
           the registered partition file ["name#r"] if present, otherwise
-          every Nth record of ["name"] — the plan-level analogue of
-          "partitioning of stored datasets is achieved by using multiple
-          files" (section 4.2) *)
+          its own page range of ["name"] (directory entries
+          [\[r·P/N, (r+1)·P/N)] of the file's P pages) — the plan-level
+          analogue of "partitioning of stored datasets is achieved by
+          using multiple files" (section 4.2) *)
   | Scan_index of { index : string; lo : index_bound; hi : index_bound }
       (** secondary-index range scan + fetch from the base table *)
   | Scan_list of { arity : int; tuples : Volcano_tuple.Tuple.t list }

@@ -209,7 +209,47 @@ let xchg ~packet ~degree ?partition st =
     ovh = st.ovh +. (40.0 *. float_of_int degree) +. (0.3 *. st.rows);
   }
 
-let leaf ~parallel ~degree (s : B.select) singles eff i =
+(* --- leaf column pruning ------------------------------------------------ *)
+
+(* Every global column the query reads above its leaves: all conjuncts
+   (a leaf's own filter sits above its projection), and the select list,
+   or the group keys and aggregate arguments.  ORDER BY names output
+   positions, which the select list already covers. *)
+let used_columns (s : B.select) =
+  let of_num = Volcano_analysis.Ir.cols_of_num in
+  let of_agg = function
+    | Agg.Count -> []
+    | Agg.Sum e | Agg.Min e | Agg.Max e | Agg.Avg e -> of_num e
+  in
+  let shape =
+    match s.shape with
+    | B.Flat exprs -> List.concat_map of_num exprs
+    | B.Grouped { keys; aggs; _ } -> keys @ List.concat_map of_agg aggs
+  in
+  List.sort_uniq compare
+    (List.concat_map
+       (fun (cj : B.conjunct) -> Volcano_analysis.Ir.cols_of_pred cj.pred)
+       s.conjuncts
+    @ shape)
+
+(* Narrow a leaf to the columns the query uses: [Project_cols] right on
+   the scan (where the compiler folds it into the record decode), and the
+   stream's [cols] shrink with it, so every predicate and key above is
+   remapped through the narrowed layout.  No projection when every column
+   is used. *)
+let prune used (src : B.source) plan =
+  let width = Array.length src.schema in
+  let mine =
+    List.filter (fun g -> g >= src.offset && g < src.offset + width) used
+  in
+  if List.length mine = width then
+    (plan, Array.init width (fun j -> src.offset + j))
+  else
+    ( Plan.Project_cols
+        { cols = List.map (fun g -> g - src.offset) mine; input = plan },
+      Array.of_list mine )
+
+let leaf ~parallel ~degree (s : B.select) singles eff used i =
   let src = s.sources.(i) in
   let plan, prop =
     match src.kind with
@@ -229,9 +269,7 @@ let leaf ~parallel ~degree (s : B.select) singles eff i =
         if parallel then (W.plan_slice ?seed ~n:rows (), P_none)
         else (W.plan ?seed ~n:rows (), P_none)
   in
-  let cols =
-    Array.init (Array.length src.schema) (fun j -> src.offset + j)
-  in
+  let plan, cols = prune used src plan in
   let raw = float_of_int src.rows in
   match singles.(i) with
   | [] -> { plan; cols; rows = max 1.0 raw; work = raw; ovh = 0.0; prop }
@@ -707,11 +745,12 @@ let packet_for env =
 let build env (s : B.select) (first, steps) singles eff ~degree =
   let parallel = degree > 1 in
   let packet = packet_for env in
-  let l0 = leaf ~parallel ~degree s singles eff first in
+  let used = used_columns s in
+  let l0 = leaf ~parallel ~degree s singles eff used first in
   let stream =
     List.fold_left
       (fun l st ->
-        let r = leaf ~parallel ~degree s singles eff st.src in
+        let r = leaf ~parallel ~degree s singles eff used st.src in
         join ~parallel ~packet ~degree env l r st)
       l0 steps
   in

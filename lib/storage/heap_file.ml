@@ -7,6 +7,12 @@ type t = {
   mutable last_page : int;
   mutable pages : int;
   mutable records : int;
+  mutable directory : int array;
+      (* the page directory: entries [\[0, pages)] are the file's pages
+         in chain order.  Append-only — a full array is replaced by a
+         larger copy, never rewritten — so a cursor that snapshots
+         (directory, pages) under [lock] reads its prefix without
+         further locking. *)
 }
 
 let page_kind_heap = 1
@@ -25,12 +31,27 @@ let create ~buffer ~device ~name =
     last_page = -1;
     pages = 0;
     records = 0;
+    directory = [||];
   }
+
+(* Rebuild the directory once, from the on-disk chain. *)
+let chain_directory buffer device first_page =
+  let rec walk page acc =
+    if page = -1 then Array.of_list (List.rev acc)
+    else begin
+      let frame = Bufpool.fix buffer device page in
+      let next = Page.next_page (Bufpool.bytes frame) in
+      Bufpool.unfix buffer frame;
+      walk next (page :: acc)
+    end
+  in
+  walk first_page []
 
 let open_existing ~buffer ~device ~name =
   match Vtoc.find (Device.vtoc device) name with
   | None -> raise Not_found
   | Some e ->
+      let directory = chain_directory buffer device e.first_page in
       {
         name;
         device;
@@ -38,8 +59,9 @@ let open_existing ~buffer ~device ~name =
         lock = Mutex.create ();
         first_page = e.first_page;
         last_page = e.last_page;
-        pages = e.pages;
+        pages = Array.length directory;
         records = e.records;
+        directory;
       }
 
 let name t = t.name
@@ -83,6 +105,12 @@ let add_page t =
      raise exn);
   if t.first_page = -1 then t.first_page <- page_no;
   t.last_page <- page_no;
+  if t.pages = Array.length t.directory then begin
+    let grown = Array.make (max 8 (2 * t.pages)) (-1) in
+    Array.blit t.directory 0 grown 0 t.pages;
+    t.directory <- grown
+  end;
+  t.directory.(t.pages) <- page_no;
   t.pages <- t.pages + 1;
   (page_no, frame)
 
@@ -157,74 +185,108 @@ let update t rid record =
         updated)
   end
 
+(* The directory prefix as of now: (entries, count). *)
+let snapshot t =
+  Mutex.lock t.lock;
+  let snap = (t.directory, t.pages) in
+  Mutex.unlock t.lock;
+  snap
+
 let page_chain t =
-  let rec walk page acc =
-    if page = -1 then List.rev acc
-    else begin
-      let frame = Bufpool.fix t.buffer t.device page in
-      let next = Page.next_page (Bufpool.bytes frame) in
-      Bufpool.unfix t.buffer frame;
-      walk next (page :: acc)
-    end
-  in
-  walk t.first_page []
+  let directory, pages = snapshot t in
+  Array.to_list (Array.sub directory 0 pages)
 
 type cursor = {
   file : t;
+  directory : int array;
+  mutable index : int;  (* directory entry of the current page *)
+  stop : int;  (* one past this cursor's last directory entry *)
   mutable frame : Bufpool.frame option; (* currently pinned page *)
-  mutable page_no : int;
-  mutable slot : int;
-  mutable finished : bool;
+  mutable data : bytes;  (* the pinned frame's bytes *)
+  mutable slot : int;  (* the next slot to look at *)
+  mutable off : int;  (* the current record's range in [data] *)
+  mutable len : int;
 }
 
-let scan t = { file = t; frame = None; page_no = t.first_page; slot = 0; finished = t.first_page = -1 }
+let slice t ~rank ~ranks =
+  if ranks < 1 || rank < 0 || rank >= ranks then
+    invalid_arg "Heap_file.slice: rank out of range";
+  let directory, pages = snapshot t in
+  {
+    file = t;
+    directory;
+    index = rank * pages / ranks;
+    stop = (rank + 1) * pages / ranks;
+    frame = None;
+    data = Bytes.empty;
+    slot = 0;
+    off = 0;
+    len = 0;
+  }
+
+let scan t = slice t ~rank:0 ~ranks:1
 
 let release cursor =
   match cursor.frame with
   | Some f ->
       Bufpool.unfix cursor.file.buffer f;
-      cursor.frame <- None
+      cursor.frame <- None;
+      cursor.data <- Bytes.empty
   | None -> ()
 
 let close_cursor cursor =
   release cursor;
-  cursor.finished <- true
+  cursor.index <- cursor.stop
 
-let rec next cursor =
-  if cursor.finished then None
+(* Step to the next live slot, leaving its range in [off, len] of the
+   still-pinned frame; [false] at the end of the cursor's pages.  The
+   frame stays fixed until the cursor moves past it, so a record is
+   decoded where it lies — the paper's ownership protocol (section 3)
+   with the cursor as the owner. *)
+let rec advance cursor =
+  match cursor.frame with
+  | None ->
+      if cursor.index >= cursor.stop then false
+      else begin
+        let frame =
+          Bufpool.fix cursor.file.buffer cursor.file.device
+            cursor.directory.(cursor.index)
+        in
+        cursor.frame <- Some frame;
+        cursor.data <- Bufpool.bytes frame;
+        cursor.slot <- 0;
+        advance cursor
+      end
+  | Some _ ->
+      let slot = cursor.slot in
+      if slot >= Page.n_slots cursor.data then begin
+        release cursor;
+        cursor.index <- cursor.index + 1;
+        advance cursor
+      end
+      else begin
+        cursor.slot <- slot + 1;
+        let len = Page.slot_len cursor.data slot in
+        if len = 0 then advance cursor
+        else begin
+          cursor.off <- Page.slot_off cursor.data slot;
+          cursor.len <- len;
+          true
+        end
+      end
+
+let next cursor =
+  if not (advance cursor) then None
   else
-    match cursor.frame with
-    | None ->
-        if cursor.page_no = -1 then begin
-          cursor.finished <- true;
-          None
-        end
-        else begin
-          cursor.frame <-
-            Some (Bufpool.fix cursor.file.buffer cursor.file.device cursor.page_no);
-          cursor.slot <- 0;
-          next cursor
-        end
-    | Some frame ->
-        let data = Bufpool.bytes frame in
-        if cursor.slot >= Page.n_slots data then begin
-          let next_page = Page.next_page data in
-          release cursor;
-          cursor.page_no <- next_page;
-          next cursor
-        end
-        else begin
-          let slot = cursor.slot in
-          cursor.slot <- slot + 1;
-          match Page.read data slot with
-          | None -> next cursor
-          | Some record ->
-              let rid =
-                Rid.make ~device:(Device.id cursor.file.device)
-                  ~page:cursor.page_no ~slot
-              in
-              Some (rid, record)
-        end
+    let rid =
+      Rid.make ~device:(Device.id cursor.file.device)
+        ~page:cursor.directory.(cursor.index) ~slot:(cursor.slot - 1)
+    in
+    Some (rid, Bytes.sub_string cursor.data cursor.off cursor.len)
+
+let next_in_frame cursor decode =
+  if advance cursor then Some (decode cursor.data ~off:cursor.off ~len:cursor.len)
+  else None
 
 let iter t f =
   let cursor = scan t in
@@ -242,25 +304,15 @@ let drop t =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
-      (* Walk the chain collecting page numbers before purging frames. *)
-      let rec chain page acc =
-        if page = -1 then List.rev acc
-        else begin
-          let frame = Bufpool.fix t.buffer t.device page in
-          let next = Page.next_page (Bufpool.bytes frame) in
-          Bufpool.unfix t.buffer frame;
-          chain next (page :: acc)
-        end
-      in
-      let pages = chain t.first_page [] in
-      List.iter
-        (fun p ->
-          let _ = Bufpool.flush_page t.buffer t.device p in
-          Device.free t.device p)
-        pages;
+      for i = 0 to t.pages - 1 do
+        let p = t.directory.(i) in
+        let _ = Bufpool.flush_page t.buffer t.device p in
+        Device.free t.device p
+      done;
       t.first_page <- -1;
       t.last_page <- -1;
       t.pages <- 0;
       t.records <- 0;
+      t.directory <- [||];
       let _ = Vtoc.remove (Device.vtoc t.device) t.name in
       ())

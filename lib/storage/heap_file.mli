@@ -30,16 +30,33 @@ val update : t -> Rid.t -> string -> bool
     does not fit in the page (callers then delete + reinsert). *)
 
 val page_chain : t -> int list
-(** The file's pages in scan order (used by read-ahead). *)
+(** The file's pages in scan order (used by read-ahead), read from the
+    in-memory page directory: no page is fixed. *)
 
 val record_count : t -> int
 val page_count : t -> int
 
 type cursor
+(** A cursor walks a range of the file's page directory, snapshotted when
+    it opens: pages appended later are not visited. *)
 
 val scan : t -> cursor
+(** Every page. *)
+
+val slice : t -> rank:int -> ranks:int -> cursor
+(** The pages rank [rank] of [ranks] owns: directory entries
+    [\[rank·P/ranks, (rank+1)·P/ranks)] of the file's [P] pages.  The
+    [ranks] slices of one file are disjoint and together cover it.
+    @raise Invalid_argument unless [0 <= rank < ranks]. *)
+
 val next : cursor -> (Rid.t * string) option
-(** Records in page order; [None] at end of file. *)
+(** Records in page order, copied out of the page; [None] at the end. *)
+
+val next_in_frame :
+  cursor -> (bytes -> off:int -> len:int -> 'a) -> 'a option
+(** The next record, handed to [decode] as the range [\[off, off + len)] of
+    the pinned page frame instead of a copy.  [decode] must not keep the
+    bytes: they belong to the buffer pool once the cursor moves on. *)
 
 val close_cursor : cursor -> unit
 (** Release the cursor's pinned page, if any.  Safe to call twice. *)

@@ -22,9 +22,9 @@ let init page ~kind =
 
 let slot_pos page i = Bytes.length page - (slot_size * (i + 1))
 
-let slot page i =
-  let pos = slot_pos page i in
-  (Bytes.get_uint16_le page pos, Bytes.get_uint16_le page (pos + 2))
+let slot_off page i = Bytes.get_uint16_le page (slot_pos page i)
+let slot_len page i = Bytes.get_uint16_le page (slot_pos page i + 2)
+let slot page i = (slot_off page i, slot_len page i)
 
 let set_slot page i ~off ~len =
   let pos = slot_pos page i in

@@ -42,6 +42,13 @@ val insert : bytes -> string -> int option
 (** [insert page record] places [record] and returns its slot, compacting
     the page first if fragmentation demands it; [None] if it cannot fit. *)
 
+val slot_off : bytes -> int -> int
+val slot_len : bytes -> int -> int
+(** The record range of slot [i < n_slots]: the record occupies
+    [\[slot_off, slot_off + slot_len)] of the page; length 0 marks a dead
+    slot.  Lets a reader decode in place instead of copying with
+    {!read}. *)
+
 val read : bytes -> int -> string option
 (** [read page slot] is the record at [slot], or [None] if the slot is dead
     or out of range. *)

@@ -17,3 +17,25 @@ val decode : bytes -> pos:int -> Tuple.t
 
 val decode_bytes : bytes -> Tuple.t
 (** Decode a buffer produced by {!encode}. *)
+
+val decode_slice : bytes -> off:int -> len:int -> Tuple.t
+(** Decode the one record stored in [\[off, off + len)] of a larger
+    buffer — a slot of a pinned page frame — without copying it out
+    first.  Nothing outside the range is read, and the record must fill
+    the range exactly.
+    @raise Invalid_argument on a range outside the buffer or a
+    malformed, truncated or over-long record. *)
+
+type projection
+(** A column list compiled for {!decode_projected}. *)
+
+val projection : int list -> projection
+(** Output field [k] is stored field [List.nth cols k].
+    @raise Invalid_argument on a negative or duplicated column. *)
+
+val decode_projected : projection -> bytes -> off:int -> len:int -> Tuple.t
+(** [decode_slice] followed by {!Tuple.project}, without allocating the
+    fields the projection drops: they are stepped over, but still
+    validated, so exactly the records {!decode_slice} rejects are
+    rejected here, plus those too narrow for the projection.
+    @raise Invalid_argument as {!decode_slice}. *)

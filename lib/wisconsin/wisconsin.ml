@@ -89,7 +89,7 @@ let load ?seed ?(partitions = 0) ~env ~name ~n () =
   let part_files =
     Array.init partitions (fun p ->
         Volcano_plan.Env.create_table env
-          ~name:(Printf.sprintf "%s#%d" name p)
+          ~name:(Volcano_storage.Shard.partition_name ~table:name ~part:p)
           ~schema)
   in
   for i = 0 to n - 1 do

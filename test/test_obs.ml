@@ -269,6 +269,72 @@ let test_fused_chain_counters () =
       check Alcotest.bool "span ordered" true (span.Obs.stop >= span.Obs.start))
     (Obs.spans sink)
 
+(* A projection folded into the scan's decode keeps the books of two
+   separate stages: both plan nodes count every row, and the generic
+   [Operator] fault site fires once per node per record — the same as a
+   scan under a projection the decode cannot absorb ([Project_exprs]),
+   on both the fused and the record path, plain and sliced. *)
+let test_projected_scan_books () =
+  let n = 300 in
+  let count_operator_hits =
+    {
+      Volcano_fault.seed = 1L;
+      rules =
+        [
+          {
+            Volcano_fault.site = Volcano_fault.Operator;
+            trigger = Volcano_fault.At_hit max_int;
+            action = Volcano_fault.Fail;
+          };
+        ];
+    }
+  in
+  let books ~batch_size ~sliced project =
+    let env = Env.create ~frames:64 ~page_size:1024 ~batch_size () in
+    Volcano_wisconsin.Wisconsin.load ~env ~name:"t" ~n ();
+    let scan = if sliced then Plan.Scan_table_slice "t" else Plan.Scan_table "t" in
+    let proj = project scan in
+    let plan =
+      if sliced then Plan.Exchange { cfg = Exchange.config ~degree:2 (); input = proj }
+      else proj
+    in
+    let injector = Volcano_fault.Injector.make count_operator_hits in
+    Env.set_faults env injector;
+    let sink = Obs.create () in
+    let obs = Compile.observe sink plan in
+    let rows =
+      List.sort Tuple.compare (Iterator.to_list (Compile.compile ~obs env plan))
+    in
+    let node_rows p =
+      match obs.Compile.node_of p with
+      | Some node -> Obs.Node.rows node
+      | None -> Alcotest.fail "plan node not observed"
+    in
+    (rows, node_rows scan, node_rows proj, Volcano_fault.Injector.hits injector)
+  in
+  let folded scan = Plan.Project_cols { cols = [ 4; 0 ]; input = scan } in
+  let separate scan =
+    Plan.Project_exprs
+      { exprs = [ Volcano_tuple.Expr.Col 4; Volcano_tuple.Expr.Col 0 ]; input = scan }
+  in
+  List.iter
+    (fun (batch_size, sliced) ->
+      let what =
+        Printf.sprintf "batch %d%s" batch_size (if sliced then ", sliced" else "")
+      in
+      let rows, scan_rows, proj_rows, hits = books ~batch_size ~sliced folded in
+      let rows', scan_rows', proj_rows', hits' =
+        books ~batch_size ~sliced separate
+      in
+      check Alcotest.bool (what ^ ": same rows") true (List.equal Tuple.equal rows rows');
+      check Alcotest.int (what ^ ": scan node rows") n scan_rows;
+      check Alcotest.int (what ^ ": project node rows") n proj_rows;
+      check Alcotest.int (what ^ ": scan rows as separate") scan_rows' scan_rows;
+      check Alcotest.int (what ^ ": project rows as separate") proj_rows' proj_rows;
+      check Alcotest.bool (what ^ ": operator site consulted") true (hits >= 2 * n);
+      check Alcotest.int (what ^ ": operator hits as separate") hits' hits)
+    [ (0, false); (64, false); (0, true); (64, true) ]
+
 (* The parallel invariants above (packet conservation, spans balanced,
    obs on/off identical) run with batching on by default.  Pin down that
    the batched and record-at-a-time executions also agree with each other
@@ -358,6 +424,8 @@ let suite =
       test_disabled_identical_ring_paths;
     Alcotest.test_case "fused chain node counters" `Quick
       test_fused_chain_counters;
+    Alcotest.test_case "projected scan keeps both nodes' books" `Quick
+      test_projected_scan_books;
     Alcotest.test_case "batched counters match record path" `Quick
       test_batching_counters_match_record_path;
     Alcotest.test_case "batched profile smoke" `Quick test_profile_batched_smoke;

@@ -322,6 +322,99 @@ let test_optimizer_range_alignment () =
   check Alcotest.bool "range-aligned repartition" true (ranged <> []);
   assert_clean c.plan
 
+(* --- leaf column pruning --- *)
+
+(* The leaf projections of a plan: (table, columns) per [Project_cols]
+   sitting directly on a table scan. *)
+let leaf_projections plan =
+  List.filter_map
+    (function
+      | Plan.Project_cols
+          { cols; input = Plan.Scan_table t | Plan.Scan_table_slice t } ->
+          Some (t, cols)
+      | _ -> None)
+    (plan_nodes plan)
+
+let test_pruning_olap_join () =
+  let sql =
+    "SELECT h.ten, COUNT(*), SUM(e.unique1) FROM hemp AS h INNER JOIN emp \
+     AS e ON (h.unique1 = e.unique1) GROUP BY h.ten ORDER BY h.ten"
+  in
+  List.iter
+    (fun workers ->
+      let leaves =
+        List.sort compare
+          (List.map
+             (fun (t, cols) -> (t, List.sort compare cols))
+             (leaf_projections (optimize ~workers sql).plan))
+      in
+      check
+        Alcotest.(list (pair string (list int)))
+        (Printf.sprintf "leaf projections, %d workers" workers)
+        [ ("emp", [ W.column "unique1" ]);
+          ("hemp", List.sort compare [ W.column "unique1"; W.column "ten" ]) ]
+        leaves)
+    [ 1; parts ]
+
+let test_pruning_select_star () =
+  List.iter
+    (fun sql ->
+      check Alcotest.int ("no projection: " ^ sql) 0
+        (List.length
+           (List.filter
+              (function Plan.Project_cols _ -> true | _ -> false)
+              (plan_nodes (optimize sql).plan))))
+    [ "SELECT * FROM emp"; "SELECT * FROM emp WHERE (ten = 3)" ]
+
+let test_pruning_keeps_filter_columns () =
+  (* ten is filtered on but never output: it must survive the leaf
+     projection, which sits below the filter *)
+  let sql = "SELECT unique2 FROM emp WHERE (ten = 3)" in
+  List.iter
+    (fun workers ->
+      let c = optimize ~workers sql in
+      let filtered_leaf =
+        List.exists
+          (function
+            | Plan.Filter
+                {
+                  input =
+                    Plan.Project_cols
+                      { cols; input = Plan.Scan_table _ | Plan.Scan_table_slice _ };
+                  _;
+                } ->
+                List.sort compare cols
+                = List.sort compare [ W.column "unique2"; W.column "ten" ]
+            | _ -> false)
+          (plan_nodes c.plan)
+      in
+      check Alcotest.bool
+        (Printf.sprintf "filter over a two-column leaf, %d workers" workers)
+        true filtered_leaf;
+      assert_clean ~workers c.plan;
+      let env = Lazy.force env_plain in
+      let hand =
+        Plan.Project_exprs
+          {
+            exprs = [ Expr.Col (W.column "unique2") ];
+            input =
+              Plan.Filter
+                {
+                  pred =
+                    Expr.Cmp
+                      ( Expr.Eq,
+                        Expr.Col (W.column "ten"),
+                        Expr.Const (Value.Int 3) );
+                  mode = `Compiled;
+                  input = Plan.Scan_table "emp";
+                };
+          }
+      in
+      let sorted l = List.sort Tuple.compare l in
+      check Alcotest.bool "same rows as the hand plan" true
+        (sorted (Runner.run env c.plan) = sorted (Runner.run env hand)))
+    [ 1; parts ]
+
 let test_explain_mentions_decisions () =
   let env = Lazy.force env_plain in
   let s = Sql.explain ~workers:parts env "SELECT ten, COUNT(*) FROM hemp GROUP BY ten" in
@@ -539,6 +632,11 @@ let suite =
     Alcotest.test_case "acceptance shape" `Quick test_optimizer_acceptance_shape;
     Alcotest.test_case "range alignment" `Quick test_optimizer_range_alignment;
     Alcotest.test_case "explain decisions" `Quick test_explain_mentions_decisions;
+    Alcotest.test_case "pruning: olap join leaves" `Quick test_pruning_olap_join;
+    Alcotest.test_case "pruning: SELECT * adds none" `Quick
+      test_pruning_select_star;
+    Alcotest.test_case "pruning: filter columns kept" `Quick
+      test_pruning_keeps_filter_columns;
     Alcotest.test_case "session front door" `Quick test_session_front_door;
     QCheck_alcotest.to_alcotest ~long:false prop_optimizer_differential;
   ]

@@ -415,6 +415,163 @@ let test_heap_concurrent_inserts () =
   check Alcotest.int "all scanned" (4 * per_domain) !seen;
   Bufpool.assert_quiescent ~what:"heap concurrent" pool
 
+(* --- page directory and page-range slices --- *)
+
+let fill file n =
+  for i = 0 to n - 1 do
+    ignore (Heap_file.insert file (Printf.sprintf "record-%05d" i))
+  done
+
+let drain_cursor cursor =
+  let rec go acc =
+    match Heap_file.next cursor with
+    | None -> List.rev acc
+    | Some hit -> go (hit :: acc)
+  in
+  Fun.protect ~finally:(fun () -> Heap_file.close_cursor cursor) (fun () -> go [])
+
+let test_page_chain_reads_nothing () =
+  let pool, dev = make_env () in
+  let file = Heap_file.create ~buffer:pool ~device:dev ~name:"t" in
+  fill file 1000;
+  let pages = Heap_file.page_count file in
+  check Alcotest.bool "file larger than the pool" true
+    (pages > Bufpool.frames_total pool);
+  let before = Device.reads dev in
+  let chain = Heap_file.page_chain file in
+  check Alcotest.int "no device reads" before (Device.reads dev);
+  check Alcotest.int "every page" pages (List.length chain);
+  (* the directory agrees with the on-page links *)
+  List.iteri
+    (fun i page ->
+      let frame = Bufpool.fix pool dev page in
+      let next = Page.next_page (Bufpool.bytes frame) in
+      Bufpool.unfix pool frame;
+      let expected = match List.nth_opt chain (i + 1) with Some p -> p | None -> -1 in
+      check Alcotest.int "link" expected next)
+    chain;
+  Bufpool.assert_quiescent ~what:"page chain" pool
+
+(* For every rank count, the slices are pairwise disjoint (by RID) and
+   their union is the full scan as a multiset. *)
+let check_slices ~what file =
+  let full = List.sort compare (drain_cursor (Heap_file.scan file)) in
+  check Alcotest.int (what ^ ": full scan") (Heap_file.record_count file)
+    (List.length full);
+  for ranks = 1 to 5 do
+    let parts =
+      List.init ranks (fun rank -> drain_cursor (Heap_file.slice file ~rank ~ranks))
+    in
+    let union = List.concat parts in
+    let rids = List.map fst union in
+    check Alcotest.int
+      (Printf.sprintf "%s: %d slices disjoint" what ranks)
+      (List.length rids)
+      (List.length (List.sort_uniq Rid.compare rids));
+    check Alcotest.bool
+      (Printf.sprintf "%s: %d slices cover the file" what ranks)
+      true
+      (List.sort compare union = full)
+  done
+
+let test_slice_coverage () =
+  let pool, dev = make_env () in
+  let make name n =
+    let file = Heap_file.create ~buffer:pool ~device:dev ~name in
+    fill file n;
+    file
+  in
+  let cases =
+    [ ("empty", make "empty" 0, 0, 0); ("one page", make "one" 5, 1, 1);
+      ("fewer pages than ranks", make "few" 40, 2, 4);
+      ("many pages", make "many" 600, 17, max_int) ]
+  in
+  List.iter
+    (fun (what, file, lo, hi) ->
+      let pages = Heap_file.page_count file in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %d pages in [%d, %d]" what pages lo hi)
+        true
+        (pages >= lo && pages <= hi);
+      check_slices ~what file)
+    cases;
+  (* deleted records stay out of every slice *)
+  let _, many, _, _ = List.nth cases 3 in
+  let victims = ref [] in
+  Heap_file.iter many (fun rid _ ->
+      if Rid.(rid.slot) mod 3 = 0 then victims := rid :: !victims);
+  List.iter (fun rid -> ignore (Heap_file.delete many rid)) !victims;
+  check_slices ~what:"after deletes" many;
+  (* a reopened file rebuilds its directory from the chain *)
+  Heap_file.sync_vtoc many;
+  let reopened = Heap_file.open_existing ~buffer:pool ~device:dev ~name:"many" in
+  check Alcotest.(list int) "rebuilt directory" (Heap_file.page_chain many)
+    (Heap_file.page_chain reopened);
+  check_slices ~what:"reopened" reopened;
+  Alcotest.check_raises "rank out of range"
+    (Invalid_argument "Heap_file.slice: rank out of range") (fun () ->
+      ignore (Heap_file.slice many ~rank:3 ~ranks:3));
+  Bufpool.assert_quiescent ~what:"slices" pool
+
+(* A cursor snapshots the directory when it opens: pages appended later
+   belong to the next scan. *)
+let test_slice_snapshot () =
+  let pool, dev = make_env () in
+  let file = Heap_file.create ~buffer:pool ~device:dev ~name:"t" in
+  fill file 100;
+  let cursor = Heap_file.slice file ~rank:1 ~ranks:2 in
+  let before = Heap_file.page_count file in
+  fill file 100;
+  check Alcotest.bool "file grew" true (Heap_file.page_count file > before);
+  let seen = drain_cursor cursor in
+  let expected =
+    List.sort compare
+      (List.filteri
+         (fun i _ -> i >= before / 2 && i < before)
+         (Heap_file.page_chain file))
+  in
+  check Alcotest.(list int) "pages of the snapshot"
+    expected
+    (List.sort_uniq compare (List.map (fun (rid, _) -> Rid.(rid.page)) seen));
+  Bufpool.assert_quiescent ~what:"slice snapshot" pool
+
+(* An unsharded sliced scan under an exchange: each producer reads its
+   own page range, so the gathered rows are exactly the table's, whether
+   the producers run fused batches or record at a time — with and
+   without a projection folded into the decode. *)
+let test_sliced_scan_differential () =
+  let module Plan = Volcano_plan.Plan in
+  let module Env = Volcano_plan.Env in
+  let module Tuple = Volcano_tuple.Tuple in
+  let rows env plan =
+    List.sort Tuple.compare
+      (Volcano.Iterator.to_list (Volcano_plan.Compile.compile env plan))
+  in
+  let gather input =
+    Plan.Exchange { cfg = Volcano.Exchange.config ~degree:3 (); input }
+  in
+  let sliced = Plan.Scan_table_slice "emp" in
+  let projected = Plan.Project_cols { cols = [ 4; 0 ]; input = sliced } in
+  let whole = Plan.Scan_table "emp" in
+  let run batch_size =
+    let env = Env.create ~frames:32 ~page_size:1024 ?batch_size () in
+    Volcano_wisconsin.Wisconsin.load ~env ~name:"emp" ~n:700 ();
+    let full = rows env whole in
+    check Alcotest.int "table rows" 700 (List.length full);
+    let r = rows env (gather sliced) in
+    check Alcotest.bool "sliced = full" true (List.equal Tuple.equal full r);
+    let p = rows env (gather projected) in
+    check Alcotest.bool "projected slices = projected table" true
+      (List.equal Tuple.equal
+         (List.sort Tuple.compare
+            (List.map (fun t -> Tuple.project t [ 4; 0 ]) full))
+         p);
+    Bufpool.assert_quiescent ~what:"sliced scan" (Env.buffer env);
+    (r, p)
+  in
+  let batched = run None and records = run (Some 0) in
+  check Alcotest.bool "batch_size 0 = default" true (batched = records)
+
 (* --- daemon --- *)
 
 let test_daemon_flush_and_readahead () =
@@ -479,6 +636,13 @@ let suite =
     Alcotest.test_case "heap open existing" `Quick test_heap_open_existing;
     Alcotest.test_case "heap concurrent inserts" `Quick
       test_heap_concurrent_inserts;
+    Alcotest.test_case "page chain reads no page" `Quick
+      test_page_chain_reads_nothing;
+    Alcotest.test_case "slices partition the file" `Quick test_slice_coverage;
+    Alcotest.test_case "slice snapshots the directory" `Quick
+      test_slice_snapshot;
+    Alcotest.test_case "sliced scan: batched = record path" `Quick
+      test_sliced_scan_differential;
     Alcotest.test_case "daemon flush + readahead" `Quick
       test_daemon_flush_and_readahead;
     Alcotest.test_case "rid" `Quick test_rid;

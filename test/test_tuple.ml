@@ -167,6 +167,117 @@ let test_serial_offset () =
   check Alcotest.bool "first" true (Tuple.equal t1 (Serial.decode buf ~pos:0));
   check Alcotest.bool "second" true (Tuple.equal t2 (Serial.decode buf ~pos:n1))
 
+(* --- decoder totality ------------------------------------------------ *)
+
+(* Distinct columns in random order, some past any generated tuple's
+   arity. *)
+let cols_gen =
+  QCheck.Gen.(
+    map
+      (fun xs -> List.sort_uniq compare xs |> List.rev)
+      (list_size (int_range 0 4) (int_range 0 9))
+    >>= shuffle_l)
+
+(* A buffer that is mostly structure: a valid encoding with a few bytes
+   overwritten, or plain noise — plus an arbitrary (possibly
+   out-of-range) slice of it. *)
+let hostile_gen =
+  QCheck.Gen.(
+    let bytes_gen =
+      oneof
+        [
+          map Bytes.of_string (string_size (int_range 0 40));
+          map2
+            (fun t edits ->
+              let b = Serial.encode t in
+              List.iter
+                (fun (i, c) ->
+                  if Bytes.length b > 0 then
+                    Bytes.set b (i mod Bytes.length b) (Char.chr c))
+                edits;
+              b)
+            tuple_gen
+            (list_size (int_range 0 3) (pair nat (int_range 0 255)));
+        ]
+    in
+    bytes_gen >>= fun b ->
+    let n = Bytes.length b in
+    map3
+      (fun off len cols -> (b, off, len, cols))
+      (int_range (-2) (n + 2))
+      (int_range (-2) (n + 2))
+      cols_gen)
+
+let only_invalid_argument f =
+  match f () with
+  | _ -> true
+  | exception Invalid_argument _ -> true
+
+let prop_decode_total =
+  QCheck.Test.make ~name:"slice and projected decode raise only Invalid_argument"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (b, off, len, cols) ->
+         Printf.sprintf "%S off=%d len=%d cols=[%s]" (Bytes.to_string b) off len
+           (String.concat ";" (List.map string_of_int cols)))
+       hostile_gen)
+    (fun (b, off, len, cols) ->
+      only_invalid_argument (fun () -> Serial.decode_slice b ~off ~len)
+      && only_invalid_argument (fun () ->
+             Serial.decode_projected (Serial.projection cols) b ~off ~len))
+
+(* A record embedded in garbage decodes from its own range only, and the
+   projected decode equals decode-then-project. *)
+let prop_decode_in_range =
+  QCheck.Test.make ~name:"a record decodes from its slot range only" ~count:1000
+    QCheck.(
+      quad tuple_arb (make Gen.(string_size (int_range 0 12)))
+        (make Gen.(string_size (int_range 0 12)))
+        (make cols_gen))
+    (fun (t, before, after, cols) ->
+      let r = Serial.encode t in
+      let b = Bytes.of_string (before ^ Bytes.to_string r ^ after) in
+      let off = String.length before and len = Bytes.length r in
+      let cols = List.filter (fun c -> c < Array.length t) cols in
+      Tuple.equal t (Serial.decode_slice b ~off ~len)
+      && Tuple.equal (Tuple.project t cols)
+           (Serial.decode_projected (Serial.projection cols) b ~off ~len))
+
+let rejects f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* Every strict prefix of a record is rejected, also when the bytes past
+   the prefix are still there in the buffer — and so is a range one byte
+   longer than the record. *)
+let prop_decode_truncations =
+  QCheck.Test.make ~name:"every truncation of a record is rejected" ~count:500
+    (QCheck.pair tuple_arb (QCheck.make cols_gen))
+    (fun (t, cols) ->
+      let r = Serial.encode t in
+      let b = Bytes.cat r (Bytes.make 1 '\000') in
+      let cols = List.filter (fun c -> c < Array.length t) cols in
+      let p = Serial.projection cols in
+      List.for_all
+        (fun len ->
+          rejects (fun () -> Serial.decode_slice b ~off:0 ~len)
+          && rejects (fun () -> Serial.decode_projected p b ~off:0 ~len))
+        (Bytes.length r + 1 :: List.init (Bytes.length r) Fun.id))
+
+let test_projection_rejects () =
+  Alcotest.check_raises "duplicate"
+    (Invalid_argument "Serial.projection: duplicate column") (fun () ->
+      ignore (Serial.projection [ 1; 0; 1 ]));
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Serial.projection: negative column") (fun () ->
+      ignore (Serial.projection [ -1 ]));
+  let r = Serial.encode (Tuple.of_ints [ 1; 2 ]) in
+  Alcotest.check_raises "narrow record"
+    (Invalid_argument "Serial.decode: projected column out of range")
+    (fun () ->
+      ignore
+        (Serial.decode_projected (Serial.projection [ 2 ]) r ~off:0
+           ~len:(Bytes.length r)))
+
 let test_support_comparators () =
   let cmp = Support.compare_on [ (0, Support.Asc); (1, Support.Desc) ] in
   let a = Tuple.of_ints [ 1; 5 ] and b = Tuple.of_ints [ 1; 9 ] in
@@ -207,6 +318,11 @@ let suite =
     Alcotest.test_case "string prefix predicate" `Quick test_str_prefix;
     QCheck_alcotest.to_alcotest prop_serial_roundtrip;
     Alcotest.test_case "serialization at offsets" `Quick test_serial_offset;
+    QCheck_alcotest.to_alcotest prop_decode_total;
+    QCheck_alcotest.to_alcotest prop_decode_in_range;
+    QCheck_alcotest.to_alcotest prop_decode_truncations;
+    Alcotest.test_case "projection rejects bad columns" `Quick
+      test_projection_rejects;
     Alcotest.test_case "support comparators" `Quick test_support_comparators;
     Alcotest.test_case "partition functions" `Quick test_partition_fns;
   ]
