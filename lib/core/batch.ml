@@ -114,20 +114,24 @@ let array_cursor tuples =
   }
 
 let iterator_cursor iter =
+  (* Latched at end of stream, so a driver that steps again after a
+     short step never pulls past the iterator's [None]. *)
+  let ended = ref false in
   {
-    reset = (fun () -> Iterator.open_ iter);
+    reset =
+      (fun () ->
+        ended := false;
+        Iterator.open_ iter);
     step =
       (fun ~emit ~max ->
         let n = ref 0 in
-        (try
-           while !n < max do
-             match Iterator.next iter with
-             | Some tuple ->
-                 emit tuple;
-                 incr n
-             | None -> raise Exit
-           done
-         with Exit -> ());
+        while (not !ended) && !n < max do
+          match Iterator.next iter with
+          | Some tuple ->
+              emit tuple;
+              incr n
+          | None -> ended := true
+        done;
         !n);
     stop = (fun () -> Iterator.close iter);
   }

@@ -11,29 +11,29 @@ module Serial = Volcano_tuple.Serial
    shell it just filled (and resets it for the next batch), the consumer
    decodes into a shell from the port lane's recycling pool. *)
 
-let encode packet =
+let encode ?(off = 0) packet =
   let n = Packet.length packet in
-  let size = ref 2 in
+  let size = ref (off + 2) in
   for i = 0 to n - 1 do
     size := !size + Serial.encoded_size (Packet.get packet i)
   done;
   let buf = Bytes.create !size in
-  Bytes.set_uint16_le buf 0 n;
-  let pos = ref 2 in
+  Bytes.set_uint16_le buf off n;
+  let pos = ref (off + 2) in
   for i = 0 to n - 1 do
     pos := !pos + Serial.encode_into (Packet.get packet i) buf ~pos:!pos
   done;
   buf
 
-let decode_into buf packet =
-  if Bytes.length buf < 2 then raise (Wire.Corrupt "data frame: no count");
-  let n = Bytes.get_uint16_le buf 0 in
+let decode_into ?(off = 0) buf packet =
+  if Bytes.length buf < off + 2 then raise (Wire.Corrupt "data frame: no count");
+  let n = Bytes.get_uint16_le buf off in
   if n > Packet.capacity packet then
     raise
       (Wire.Corrupt
          (Printf.sprintf "data frame: %d records exceed packet capacity %d" n
             (Packet.capacity packet)));
-  let pos = ref 2 in
+  let pos = ref (off + 2) in
   (try
      for _ = 1 to n do
        let tuple = Serial.decode buf ~pos:!pos in

@@ -74,9 +74,8 @@ let source_of ~faults ~packet_size ~rank ~stats ~rows_c ~bytes_c fd pid =
                       (Printf.sprintf "worker %d: short routed frame" rank)))
             else begin
               let dest = Bytes.get_uint16_le payload 0 in
-              let body = Bytes.sub payload 2 (Bytes.length payload - 2) in
               let packet = alloc ~capacity:packet_size in
-              Codec.decode_into body packet;
+              Codec.decode_into ~off:2 payload packet;
               arrived packet ~payload_bytes:(Bytes.length payload);
               Transport.Routed (dest, packet)
             end

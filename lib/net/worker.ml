@@ -118,10 +118,8 @@ let pump_repartition fd ~packet_size ~shard ~repartition next =
   let flush dest =
     let shell = shells.(dest) in
     if not (Packet.is_empty shell) then begin
-      let body = Codec.encode shell in
-      let payload = Bytes.create (2 + Bytes.length body) in
+      let payload = Codec.encode ~off:2 shell in
       Bytes.set_uint16_le payload 0 dest;
-      Bytes.blit body 0 payload 2 (Bytes.length body);
       Wire.write_frame fd Wire.Repartition payload;
       Packet.reset shell
     end

@@ -151,35 +151,6 @@ let fast_agg_plan aggs =
   in
   Option.map Array.of_list (go aggs)
 
-(* The table below is private to one build: any hash will do as long as
-   equal keys agree on it, and output order is first-seen, never hash
-   order.  So ints — the overwhelmingly common group key — get a
-   one-multiply mix instead of [Value.hash]'s byte-serial FNV, which
-   costs more than the rest of the probe put together. *)
-let slot_hash = function
-  | Value.Int x -> x * 0x2545F4914F6CDD1D land max_int
-  | v -> Value.hash v
-
-let slot_equal a b =
-  match (a, b) with
-  | Value.Int x, Value.Int y -> x = y
-  | _ -> Value.equal a b
-
-let key_hash key =
-  let h = ref 17 in
-  for i = 0 to Array.length key - 1 do
-    h := (!h * 31) + slot_hash (Array.unsafe_get key i)
-  done;
-  !h
-
-let key_matches gkey key =
-  let rec go i =
-    i >= Array.length key
-    || slot_equal (Array.unsafe_get gkey i) (Array.unsafe_get key i)
-       && go (i + 1)
-  in
-  go 0
-
 let demote aggs g =
   g.generic <-
     List.mapi
@@ -259,12 +230,13 @@ let fast_hash_build ~key_evals ~key_kernels ~aggs ~kernels ~drain =
         for i = 0 to nkeys - 1 do
           Array.unsafe_set kbuf i ((Array.unsafe_get key_evals i) tuple)
         done;
-        let h = key_hash kbuf in
+        let h = Key_hash.key_hash kbuf in
         let bs = !buckets in
         let rec scan = function
           | [] -> add_group (Array.copy kbuf) h
           | g :: rest ->
-              if g.ghash = h && key_matches g.gkey kbuf then g else scan rest
+              if g.ghash = h && Key_hash.key_matches g.gkey kbuf then g
+              else scan rest
         in
         scan bs.(h land (Array.length bs - 1))
       in
@@ -272,8 +244,9 @@ let fast_hash_build ~key_evals ~key_kernels ~aggs ~kernels ~drain =
          native ints with no [Value] boxing at all.  The first record
          whose keys defeat the kernels turns the probe off for the rest
          of the build (a non-int-keyed plan fails on record one); both
-         probes share the table, and [slot_hash]/[slot_equal] agree with
-         the int path on [Int] values, so mixing them is sound. *)
+         probes share the table, and [Key_hash] hashes and compares
+         [Int] values exactly as the int path does, so mixing them is
+         sound. *)
       let find_or_add =
         match key_kernels with
         | None -> find_boxed
@@ -306,7 +279,7 @@ let fast_hash_build ~key_evals ~key_kernels ~aggs ~kernels ~drain =
                 for i = 0 to nkeys - 1 do
                   h :=
                     (!h * 31)
-                    + (Array.unsafe_get ibuf i * 0x2545F4914F6CDD1D land max_int)
+                    + Key_hash.int_mix (Array.unsafe_get ibuf i)
                 done;
                 let h = !h in
                 let bs = !buckets in

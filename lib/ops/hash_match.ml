@@ -1,155 +1,235 @@
 module Iterator = Volcano.Iterator
+module Batch = Volcano.Batch
 module Tuple = Volcano_tuple.Tuple
+module Value = Volcano_tuple.Value
 module Support = Volcano_tuple.Support
 module Serial = Volcano_tuple.Serial
 module Heap_file = Volcano_storage.Heap_file
 
-module Key_table = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
-
-let rec take n xs =
-  if n <= 0 then []
-  else match xs with [] -> [] | x :: rest -> x :: take (n - 1) rest
-
 let match_tag = Atomic.make 0
 
+(* One build key: its rows in insertion order, and the probe bookkeeping
+   that the leftover-emitting kinds read once the probe side ends. *)
 type entry = {
-  mutable tuples : Tuple.t list; (* build tuples, reversed insertion order *)
+  key : Tuple.t;
+  hash : int;
+  mutable rows : Tuple.t array; (* [0, count) live, doubled when full *)
   mutable count : int;
   mutable probes : int; (* left tuples seen with this key *)
   mutable matched : bool;
 }
 
-(* The in-memory match core, usable directly or per Grace partition. *)
-let in_memory ~kind ~left_key ~right_key ~left_arity ~right_arity ~left ~right =
-  let left_of = Support.key_on left_key in
-  let right_of = Support.key_on right_key in
-  let table = Key_table.create 1024 in
-  let drain_queue = Queue.create () in
-  let phase = ref `Build in
-  let build () =
-    Iterator.open_ right;
-    let rec load () =
-      match Iterator.next right with
-      | None -> ()
-      | Some tuple ->
-          let key = right_of tuple in
-          (match Key_table.find_opt table key with
-          | Some entry ->
-              entry.tuples <- tuple :: entry.tuples;
-              entry.count <- entry.count + 1
-          | None ->
-              Key_table.add table key
-                { tuples = [ tuple ]; count = 1; probes = 0; matched = false });
-          load ()
-    in
-    (* A failing build input must not stay open: close it here, because the
-       consumer's close is a no-op while the phase is still [`Build]. *)
-    (try load () with
-    | exn ->
-        (try Iterator.close right with _ -> ());
-        raise exn);
-    Iterator.close right;
-    Iterator.open_ left;
-    phase := `Probe
-  in
-  let pending = ref [] in
-  let emit_probe tuple =
-    let key = left_of tuple in
-    let entry = Key_table.find_opt table key in
-    (match entry with
-    | Some e ->
-        e.matched <- true;
-        e.probes <- e.probes + 1
-    | None -> ());
-    match kind with
-    | Match_op.Join -> (
-        match entry with
-        | Some e -> List.rev_map (fun b -> Tuple.concat tuple b) e.tuples
-        | None -> [])
-    | Match_op.Left_outer -> (
-        match entry with
-        | Some e -> List.rev_map (fun b -> Tuple.concat tuple b) e.tuples
-        | None ->
-            Match_op.emit_group Match_op.Left_outer ~left_arity ~right_arity
-              ~left:[ tuple ] ~right:[])
-    | Match_op.Right_outer | Match_op.Full_outer -> (
-        match entry with
-        | Some e -> List.rev_map (fun b -> Tuple.concat tuple b) e.tuples
-        | None ->
-            if kind = Match_op.Full_outer then
-              Match_op.emit_group Match_op.Full_outer ~left_arity ~right_arity
-                ~left:[ tuple ] ~right:[]
-            else [])
-    | Match_op.Semi -> ( match entry with Some _ -> [ tuple ] | None -> [])
-    | Match_op.Anti -> ( match entry with Some _ -> [] | None -> [ tuple ])
-    | Match_op.Intersection -> (
-        match entry with
-        | Some e when e.probes <= e.count -> [ tuple ]
-        | _ -> [])
-    | Match_op.Difference -> (
-        match entry with
-        | Some e when e.probes <= e.count -> []
-        | _ -> [ tuple ])
-    | Match_op.Union -> [ tuple ]
-    | Match_op.Anti_difference -> []
-  in
-  let start_drain () =
-    Iterator.close left;
-    phase := `Drain;
-    Key_table.iter
-      (fun _key entry ->
-        let leftovers =
-          match kind with
-          | Match_op.Right_outer | Match_op.Full_outer ->
-              if entry.matched then []
-              else
-                Match_op.emit_group kind ~left_arity ~right_arity ~left:[]
-                  ~right:(List.rev entry.tuples)
-          | Match_op.Union | Match_op.Anti_difference ->
-              let extra = entry.count - entry.probes in
-              if extra > 0 then take extra (List.rev entry.tuples) else []
-          | Match_op.Join | Match_op.Left_outer | Match_op.Semi | Match_op.Anti
-          | Match_op.Intersection | Match_op.Difference ->
-              []
-        in
-        List.iter (fun t -> Queue.push t drain_queue) leftovers)
-      table
-  in
-  Iterator.make
-    ~open_:(fun () -> build ())
-    ~next:(fun () ->
-      let rec step () =
-        match !pending with
-        | tuple :: rest ->
-            pending := rest;
-            Some tuple
-        | [] -> (
-            match !phase with
-            | `Build -> invalid_arg "Hash_match: not open"
-            | `Probe -> (
-                match Iterator.next left with
-                | Some tuple ->
-                    pending := emit_probe tuple;
-                    step ()
-                | None ->
-                    start_drain ();
-                    step ())
-            | `Drain -> Queue.take_opt drain_queue)
-      in
-      step ())
-    ~close:(fun () ->
-      match !phase with
-      | `Probe -> Iterator.close left
-      | `Build | `Drain -> ())
+(* The key table: chained buckets over a power-of-two array, hashed with
+   [Key_hash] (an int mix, not [Tuple.hash]'s FNV).  Entries are also
+   listed in first-seen order, so leftovers drain deterministically and
+   never in hash order. *)
+type table = {
+  mutable buckets : entry list array;
+  mutable size : int;
+  mutable order : entry list; (* first-seen order, reversed *)
+}
 
-(* Grace partitioning: route both inputs to per-partition files, then match
-   each partition pair in memory. *)
-let partitioned ~partitions ~spill ~kind ~left_key ~right_key ~left_arity
+let table ~slots = { buckets = Array.make slots []; size = 0; order = [] }
+
+(* [find]'s miss: compared by identity, so a probe allocates nothing. *)
+let absent =
+  { key = [||]; hash = 0; rows = [||]; count = 0; probes = 0; matched = false }
+
+(* Probes read their key columns in place: no key tuple per probe. *)
+let find t cols tuple =
+  let h = Key_hash.cols_hash cols tuple in
+  let rec scan = function
+    | [] -> absent
+    | e :: rest ->
+        if e.hash = h && Key_hash.cols_match e.key cols tuple then e
+        else scan rest
+  in
+  scan (Array.unsafe_get t.buckets (h land (Array.length t.buckets - 1)))
+
+let grow t =
+  let grown = Array.make (2 * Array.length t.buckets) [] in
+  let mask = Array.length grown - 1 in
+  List.iter
+    (fun e -> grown.(e.hash land mask) <- e :: grown.(e.hash land mask))
+    t.order;
+  t.buckets <- grown
+
+let insert t cols tuple =
+  let h = Key_hash.cols_hash cols tuple in
+  let idx = h land (Array.length t.buckets - 1) in
+  let rec scan = function
+    | [] ->
+        let e =
+          {
+            key = Array.map (fun c -> tuple.(c)) cols;
+            hash = h;
+            rows = [| tuple |];
+            count = 1;
+            probes = 0;
+            matched = false;
+          }
+        in
+        t.buckets.(idx) <- e :: t.buckets.(idx);
+        t.order <- e :: t.order;
+        t.size <- t.size + 1;
+        if t.size > 2 * Array.length t.buckets then grow t
+    | e :: rest ->
+        if e.hash = h && Key_hash.cols_match e.key cols tuple then begin
+          if e.count = Array.length e.rows then begin
+            let rows = Array.make (2 * e.count) tuple in
+            Array.blit e.rows 0 rows 0 e.count;
+            e.rows <- rows
+          end;
+          e.rows.(e.count) <- tuple;
+          e.count <- e.count + 1
+        end
+        else scan rest
+  in
+  scan t.buckets.(idx)
+
+(* ------------------------------------------------------------------ *)
+(* The build/probe/drain core                                          *)
+
+(* One match in flight.  A step may emit at most [budget] records; the
+   surplus (a probe tuple matching several build rows, or one entry's
+   leftovers) parks in [parked] and goes out first on the next step, in
+   order. *)
+type core = {
+  kind : Match_op.kind;
+  left_cols : int array;
+  right_cols : int array;
+  left_nulls : Tuple.t; (* outer-join padding *)
+  right_nulls : Tuple.t;
+  mutable table : table;
+  mutable leftovers : entry list; (* entries the drain has yet to visit *)
+  parked : Tuple.t Queue.t;
+  mutable budget : int;
+  mutable out : Tuple.t -> unit;
+}
+
+let push core tuple =
+  if core.budget > 0 then begin
+    core.budget <- core.budget - 1;
+    core.out tuple
+  end
+  else Queue.push tuple core.parked
+
+let probe core tuple =
+  let e = find core.table core.left_cols tuple in
+  let hit = e != absent in
+  if hit then begin
+    e.matched <- true;
+    e.probes <- e.probes + 1
+  end;
+  match core.kind with
+  | Match_op.Join | Match_op.Left_outer | Match_op.Right_outer
+  | Match_op.Full_outer ->
+      if hit then
+        for i = 0 to e.count - 1 do
+          push core (Tuple.concat tuple (Array.unsafe_get e.rows i))
+        done
+      else if core.kind = Match_op.Left_outer || core.kind = Match_op.Full_outer
+      then push core (Tuple.concat tuple core.right_nulls)
+  | Match_op.Semi -> if hit then push core tuple
+  | Match_op.Anti -> if not hit then push core tuple
+  | Match_op.Intersection -> if hit && e.probes <= e.count then push core tuple
+  | Match_op.Difference ->
+      if not (hit && e.probes <= e.count) then push core tuple
+  | Match_op.Union -> push core tuple
+  | Match_op.Anti_difference -> ()
+
+(* After the probe side ends: build rows no probe accounted for. *)
+let drain_entry core e =
+  match core.kind with
+  | Match_op.Right_outer | Match_op.Full_outer ->
+      if not e.matched then
+        for i = 0 to e.count - 1 do
+          push core (Tuple.concat core.left_nulls e.rows.(i))
+        done
+  | Match_op.Union | Match_op.Anti_difference ->
+      for i = 0 to e.count - e.probes - 1 do
+        push core e.rows.(i)
+      done
+  | Match_op.Join | Match_op.Left_outer | Match_op.Semi | Match_op.Anti
+  | Match_op.Intersection | Match_op.Difference ->
+      ()
+
+let has_leftovers = function
+  | Match_op.Right_outer | Match_op.Full_outer | Match_op.Union
+  | Match_op.Anti_difference ->
+      true
+  | Match_op.Join | Match_op.Left_outer | Match_op.Semi | Match_op.Anti
+  | Match_op.Intersection | Match_op.Difference ->
+      false
+
+(* Load the build side into the table.  [None]: it fit, and [build] is
+   closed.  [Some t]: the capacity was exceeded at [t], which is not in
+   the table, and [build] is still open. *)
+let load core build ~capacity =
+  Iterator.open_ build;
+  let rec go n =
+    match Iterator.next build with
+    | None -> None
+    | Some tuple when n >= capacity -> Some tuple
+    | Some tuple ->
+        insert core.table core.right_cols tuple;
+        go (n + 1)
+  in
+  match go 0 with
+  | None ->
+      Iterator.close build;
+      None
+  | Some _ as overflow -> overflow
+  | exception exn ->
+      (* A failing build input must not stay open: the consumer's close
+         has no open state to release yet. *)
+      (try Iterator.close build with _ -> ());
+      raise exn
+
+(* The build side the Grace path re-reads after an overflow: the table's
+   rows (first-seen key order, rows in insertion order), the tuple that
+   overflowed, then whatever [build] still holds.  [build] is already
+   open; closing the replay closes it, once. *)
+let replay core overflow build =
+  let entries = ref [] and pos = ref 0 and rest = ref [ overflow ] in
+  let live = ref true in
+  Iterator.make
+    ~open_:(fun () ->
+      entries := List.rev core.table.order;
+      pos := 0)
+    ~next:(fun () ->
+      let rec next () =
+        match !entries with
+        | e :: more ->
+            if !pos < e.count then begin
+              incr pos;
+              Some e.rows.(!pos - 1)
+            end
+            else begin
+              entries := more;
+              pos := 0;
+              next ()
+            end
+        | [] -> (
+            match !rest with
+            | t :: more ->
+                rest := more;
+                Some t
+            | [] -> Iterator.next build)
+      in
+      next ())
+    ~close:(fun () ->
+      if !live then begin
+        live := false;
+        Iterator.close build
+      end)
+
+(* ------------------------------------------------------------------ *)
+(* Grace partitioning                                                  *)
+
+(* Route both inputs to per-partition files, then match each partition
+   pair in memory.  Keys co-partition, so results concatenate. *)
+let rec partitioned ~partitions ~spill ~kind ~left_key ~right_key ~left_arity
     ~right_arity ~left ~right =
   let hash_left = Support.hash_on left_key in
   let hash_right = Support.hash_on right_key in
@@ -175,18 +255,23 @@ let partitioned ~partitions ~spill ~kind ~left_key ~right_key ~left_arity
   let partition_index = ref 0 in
   let open_partition p =
     let sub =
-      in_memory ~kind ~left_key ~right_key ~left_arity ~right_arity
-        ~left:(Scan.heap !left_files.(p))
-        ~right:(Scan.heap !right_files.(p))
+      iterator ~kind ~left_key ~right_key ~left_arity ~right_arity
+        (Scan.heap !left_files.(p))
+        (Scan.heap !right_files.(p))
     in
     Iterator.open_ sub;
     current := Some sub
   in
+  let drop_files () =
+    (* Best-effort: a failing drop must not leave later files undropped. *)
+    Array.iter (fun f -> try Heap_file.drop f with _ -> ()) !left_files;
+    Array.iter (fun f -> try Heap_file.drop f with _ -> ()) !right_files
+  in
   Iterator.make
     ~open_:(fun () ->
-      left_files := make_files "probe";
-      right_files := make_files "build";
       try
+        left_files := make_files "probe";
+        right_files := make_files "build";
         spill_input !right_files hash_right right;
         spill_input !left_files hash_left left;
         partition_index := 0;
@@ -194,8 +279,7 @@ let partitioned ~partitions ~spill ~kind ~left_key ~right_key ~left_arity
       with exn ->
         (* Drop the partition files on a failed open — the caller has no
            state to close yet.  (Dropping again from close is safe.) *)
-        Array.iter (fun f -> try Heap_file.drop f with _ -> ()) !left_files;
-        Array.iter (fun f -> try Heap_file.drop f with _ -> ()) !right_files;
+        drop_files ();
         raise exn)
     ~next:(fun () ->
       let rec step () =
@@ -220,74 +304,141 @@ let partitioned ~partitions ~spill ~kind ~left_key ~right_key ~left_arity
     ~close:(fun () ->
       (match !current with Some sub -> Iterator.close sub | None -> ());
       current := None;
-      (* Best-effort: a failing drop must not leave later files undropped. *)
-      Array.iter (fun f -> try Heap_file.drop f with _ -> ()) !left_files;
-      Array.iter (fun f -> try Heap_file.drop f with _ -> ()) !right_files)
+      drop_files ())
 
-let iterator ?(build_capacity = max_int) ?(partitions = 16) ?spill ~kind
-    ~left_key ~right_key ~left_arity ~right_arity left right =
-  match spill with
-  | Some sp when build_capacity < max_int ->
-      (* Decide once, up front: peek at the build side size by buffering up
-         to the capacity; beyond it, fall back to Grace partitioning with
-         the buffered prefix replayed. *)
-      let decided = ref None in
-      Iterator.make
-        ~open_:(fun () ->
-          Iterator.open_ right;
-          let buffered = ref [] in
-          let n = ref 0 in
-          let rec peek () =
-            if !n >= build_capacity then `Overflow
-            else
-              match Iterator.next right with
-              | None -> `Fits
-              | Some tuple ->
-                  buffered := tuple :: !buffered;
-                  incr n;
-                  peek ()
-          in
-          let verdict =
-            try peek ()
-            with exn ->
-              (try Iterator.close right with _ -> ());
-              raise exn
-          in
-          let replayed_prefix = Iterator.of_list (List.rev !buffered) in
-          let build_rest =
-            (* Remaining build tuples still inside [right]. *)
-            Iterator.make
-              ~open_:(fun () -> Iterator.open_ replayed_prefix)
-              ~next:(fun () ->
-                match Iterator.next replayed_prefix with
-                | Some t -> Some t
-                | None -> ( match verdict with
-                            | `Fits -> None
-                            | `Overflow -> Iterator.next right))
-              ~close:(fun () ->
-                Iterator.close replayed_prefix;
-                Iterator.close right)
-          in
-          let sub =
-            match verdict with
-            | `Fits ->
-                in_memory ~kind ~left_key ~right_key ~left_arity ~right_arity
-                  ~left ~right:build_rest
-            | `Overflow ->
-                partitioned ~partitions ~spill:sp ~kind ~left_key ~right_key
-                  ~left_arity ~right_arity ~left ~right:build_rest
-          in
-          Iterator.open_ sub;
-          decided := Some sub)
-        ~next:(fun () ->
-          match !decided with
-          | None -> invalid_arg "Hash_match: not open"
-          | Some sub -> Iterator.next sub)
-        ~close:(fun () ->
-          match !decided with
-          | None -> ()
-          | Some sub ->
-              Iterator.close sub;
-              decided := None)
-  | _ ->
-      in_memory ~kind ~left_key ~right_key ~left_arity ~right_arity ~left ~right
+(* ------------------------------------------------------------------ *)
+(* The driver                                                          *)
+
+and cursor ?(build_capacity = max_int) ?(partitions = 16) ?spill
+    ?(stage = fun k -> k) ~kind ~left_key ~right_key ~left_arity ~right_arity
+    (probe_side : Batch.cursor) build =
+  let core =
+    {
+      kind;
+      left_cols = Array.of_list left_key;
+      right_cols = Array.of_list right_key;
+      left_nulls = Array.make left_arity Value.Null;
+      right_nulls = Array.make right_arity Value.Null;
+      table = table ~slots:1;
+      leftovers = [];
+      parked = Queue.create ();
+      budget = 0;
+      out = ignore;
+    }
+  in
+  let capacity = if Option.is_some spill then build_capacity else max_int in
+  (* Composed once: the probe chain's stages end in [probe core]. *)
+  let on_probe = stage (probe core) in
+  let phase = ref `Closed in
+  let release () =
+    core.table <- table ~slots:1;
+    core.leftovers <- [];
+    Queue.clear core.parked
+  in
+  let grace overflow =
+    let right = replay core overflow build in
+    let left =
+      Batch.to_iterator
+        (Batch.fused ~batch_size:Batch.default_size ~stage probe_side)
+    in
+    let g =
+      partitioned ~partitions ~spill:(Option.get spill) ~kind ~left_key
+        ~right_key ~left_arity ~right_arity ~left ~right
+    in
+    (try Iterator.open_ g
+     with exn ->
+       (try Iterator.close right with _ -> ());
+       release ();
+       raise exn);
+    release ();
+    phase := `Grace g
+  in
+  let reset () =
+    core.table <- table ~slots:1024;
+    match load core build ~capacity with
+    | Some overflow -> grace overflow
+    | None ->
+        (try probe_side.Batch.reset ()
+         with exn ->
+           release ();
+           raise exn);
+        phase := `Probe
+    | exception exn ->
+        release ();
+        raise exn
+  in
+  let step ~emit ~max =
+    match !phase with
+    | `Grace g ->
+        let n = ref 0 in
+        while
+          !n < max
+          &&
+          match Iterator.next g with
+          | Some tuple ->
+              emit tuple;
+              true
+          | None -> false
+        do
+          incr n
+        done;
+        !n
+    | `Closed -> invalid_arg "Hash_match: not open"
+    | `Probe | `Drain ->
+        core.out <- emit;
+        core.budget <- max;
+        while core.budget > 0 && not (Queue.is_empty core.parked) do
+          core.budget <- core.budget - 1;
+          emit (Queue.pop core.parked)
+        done;
+        let live = ref true in
+        while !live && core.budget > 0 do
+          match !phase with
+          | `Probe ->
+              if probe_side.Batch.step ~emit:on_probe ~max:core.budget = 0
+              then begin
+                probe_side.Batch.stop ();
+                core.leftovers <-
+                  (if has_leftovers kind then List.rev core.table.order else []);
+                phase := `Drain
+              end
+          | `Drain -> (
+              match core.leftovers with
+              | e :: more ->
+                  core.leftovers <- more;
+                  drain_entry core e
+              | [] -> live := false)
+          | `Closed | `Grace _ -> live := false
+        done;
+        max - core.budget
+  in
+  let stop () =
+    let p = !phase in
+    phase := `Closed;
+    release ();
+    match p with
+    | `Probe -> probe_side.Batch.stop ()
+    | `Grace g -> Iterator.close g
+    | `Drain | `Closed -> ()
+  in
+  { Batch.reset; step; stop }
+
+(* The record feed: the same driver over the record iterator [left],
+   one output record per step. *)
+and iterator ?build_capacity ?partitions ?spill ~kind ~left_key ~right_key
+    ~left_arity ~right_arity left right =
+  let driver =
+    cursor ?build_capacity ?partitions ?spill ~kind ~left_key ~right_key
+      ~left_arity ~right_arity (Batch.iterator_cursor left) right
+  in
+  let out = ref None in
+  let emit tuple = out := Some tuple in
+  Iterator.make ~open_:driver.Batch.reset
+    ~next:(fun () ->
+      if driver.Batch.step ~emit ~max:1 = 0 then None
+      else begin
+        let tuple = !out in
+        out := None;
+        tuple
+      end)
+    ~close:driver.Batch.stop

@@ -4,7 +4,40 @@
     build side exceeds [build_capacity] and a spill target is available,
     both inputs are hash-partitioned into files on the spill device (Grace
     style) and each partition pair is matched in memory — keys co-partition,
-    so results concatenate. *)
+    so results concatenate.
+
+    There is one build/probe/drain core with two feeds: {!cursor} steps a
+    batch cursor (a fused probe chain) and {!iterator} a record iterator.
+    Output order is the same for both: each probe tuple's matches in
+    build insertion order, then the leftovers of the outer-join and
+    set kinds in first-seen build-key order. *)
+
+val cursor :
+  ?build_capacity:int ->
+  ?partitions:int ->
+  ?spill:Sort.spill ->
+  ?stage:Volcano_tuple.Support.Stage.t ->
+  kind:Match_op.kind ->
+  left_key:int list ->
+  right_key:int list ->
+  left_arity:int ->
+  right_arity:int ->
+  Volcano.Batch.cursor ->
+  Volcano.Iterator.t ->
+  Volcano.Batch.cursor
+(** [cursor ... probe build]: the fused driver.  The probe side is a batch
+    cursor whose records pass through [stage] (default identity) before
+    they probe.
+    - [reset] drains [build] into the key table, then resets [probe].  A
+      build side of more than [build_capacity] records (with [spill]
+      given) switches to the Grace path, fed by the probe chain.
+    - [step ~emit ~max] steps the probe chain and emits at most [max]
+      records, parking surplus matches (duplicate build keys) for the
+      next step.  Once the probe side ends it emits the leftovers
+      (unmatched build rows of right/full outer joins, the surplus build
+      rows of union and anti-difference).  It returns the number emitted;
+      0 means the match is exhausted.
+    - [stop] closes whatever is open and releases the table. *)
 
 val iterator :
   ?build_capacity:int ->
@@ -18,6 +51,6 @@ val iterator :
   Volcano.Iterator.t ->
   Volcano.Iterator.t ->
   Volcano.Iterator.t
-(** [iterator ... probe build]: the first positional input is the left
-    (probe) side, the second the right (build) side.  Defaults: unlimited
-    build capacity (pure in-memory), 16 partitions. *)
+(** [iterator ... probe build]: the record feed — {!cursor} over
+    [Batch.iterator_cursor probe], one record per [next].  Defaults:
+    unlimited build capacity (pure in-memory), 16 partitions. *)

@@ -154,6 +154,14 @@ let guard faults inner =
         Iterator.next inner)
       ~close:(fun () -> Iterator.close inner)
 
+(* The per-node decoration of the record path: the generic [Operator]
+   fault site and the node's obs counters. *)
+let decorate env obs plan inner =
+  let inner = guard (Env.faults env) inner in
+  match Option.bind obs (fun o -> o.node_of plan) with
+  | None -> inner
+  | Some node -> Iterator.instrumented ~node inner
+
 (* ------------------------------------------------------------------ *)
 (* Vectorized (batch) execution                                        *)
 
@@ -168,12 +176,40 @@ type stream = Rows of Iterator.t | Batches of Batch.t
 
 (* Obs bookkeeping for one node of a fused chain: a tap stage counts the
    node's output rows into [fn_rows], flushed once per batch by
-   [instrumented_chain]. *)
+   [instrumented_chain].  [fn_credit] is open time that belongs to a
+   join above the node — its build phase — and is not booked here. *)
 type fused_node = {
   fn_node : Obs.Node.t;
   fn_rows : int ref;  (* rows since the last flush *)
   fn_total : int ref;  (* rows this open-to-close span *)
+  fn_credit : float ref;  (* seconds of the current open to leave out *)
 }
+
+(* Book one open of a fused chain: [elapsed] less each node's credit. *)
+let book_open nodes ~elapsed =
+  List.iter
+    (fun fn ->
+      Obs.Node.on_open fn.fn_node ~elapsed:(elapsed -. !(fn.fn_credit)))
+    nodes
+
+(* A fused join's build phase runs inside the chain's open, but it is the
+   join's work: time the build input from open to close (the table
+   inserts happen in between) and credit it to the chain nodes below the
+   join, so they are not charged for it. *)
+let credit_build below build =
+  match below with
+  | [] -> build
+  | _ ->
+      let t0 = ref 0.0 in
+      Iterator.make
+        ~open_:(fun () ->
+          t0 := Obs.now ();
+          Iterator.open_ build)
+        ~next:(fun () -> Iterator.next build)
+        ~close:(fun () ->
+          Iterator.close build;
+          let dt = Obs.now () -. !t0 in
+          List.iter (fun fn -> fn.fn_credit := !(fn.fn_credit) +. dt) below)
 
 (* The batch-level analogue of [Iterator.instrumented] for a whole fused
    chain: opens, closes, and spans are booked once per lifetime on every
@@ -199,13 +235,13 @@ let instrumented_chain nodes pipeline =
             (fun fn ->
               Obs.Node.count_open fn.fn_node;
               fn.fn_rows := 0;
-              fn.fn_total := 0)
+              fn.fn_total := 0;
+              fn.fn_credit := 0.0)
             nodes;
           let t0 = Obs.now () in
           span_start := t0;
           Batch.open_ pipeline;
-          let dt = Obs.now () -. t0 in
-          List.iter (fun fn -> Obs.Node.on_open fn.fn_node ~elapsed:dt) nodes)
+          book_open nodes ~elapsed:(Obs.now () -. t0))
         ~next:(fun () ->
           let t0 = Obs.now () in
           match Batch.next pipeline with
@@ -234,11 +270,14 @@ let instrumented_chain nodes pipeline =
 
 (* Try to compile [plan] as one fused batch pipeline: a batch-source
    leaf (generate, list, table scan, and their slices) under any number
-   of fusible chain operators (filter, projections, hash distinct).
-   Everything else — blocking operators, joins, index scans, limits,
+   of fusible chain operators (filter, projections, hash distinct, and a
+   hash join through its probe side — its build side compiles
+   separately, with the same [ids] and [scope]).  Everything else —
+   other blocking operators, sort-based joins, index scans, limits,
    choose, and every exchange — refuses, and the subtree compiles
    record-at-a-time.  Exchange edges can therefore never end up inside
-   a chain: batches stay strictly within one process group, and records
+   a chain (a join's build side may hold one, but it is its own
+   subtree): batches stay strictly within one process group, and records
    cross domains only inside port packets (planlint's batch pass checks
    the knob against each edge's packet size).
 
@@ -255,7 +294,7 @@ type fused_chain = {
   fc_nodes : fused_node list;
 }
 
-let fuse_chain env obs group plan =
+let rec fuse_chain env ids obs group scope plan =
   let batch_size = Env.batch_size env in
   if batch_size = 0 then None
   else begin
@@ -277,7 +316,14 @@ let fuse_chain env obs group plan =
       match Option.bind obs (fun o -> o.node_of plan) with
       | None -> stages
       | Some node ->
-          let fn = { fn_node = node; fn_rows = ref 0; fn_total = ref 0 } in
+          let fn =
+            {
+              fn_node = node;
+              fn_rows = ref 0;
+              fn_total = ref 0;
+              fn_credit = ref 0.0;
+            }
+          in
           chain_nodes := fn :: !chain_nodes;
           stages @ [ Support.Stage.tap (fun _ -> incr fn.fn_rows) ]
     in
@@ -343,6 +389,25 @@ let fuse_chain env obs group plan =
               let distinct k tuple = if !pred tuple then k tuple in
               (cursor, stages @ node_stages plan [ distinct ]))
             (chain input)
+      | Plan.Match
+          { algo = Plan.Hash_based; kind; left_key; right_key; left; right } ->
+          (* The probe chain ends inside the join's driver, which becomes
+             the cursor of the chain above; the build side is whatever the
+             compiler makes of it. *)
+          Option.map
+            (fun (probe, stages) ->
+              let build =
+                credit_build !chain_nodes
+                  (compile_in env ids obs group scope right)
+              in
+              ( Ops.Hash_match.cursor
+                  ~build_capacity:(Env.sort_run_capacity env)
+                  ~spill:(Env.spill env)
+                  ~stage:(Support.Stage.compose stages) ~kind ~left_key
+                  ~right_key ~left_arity:(Plan.arity env left)
+                  ~right_arity:(Plan.arity env right) probe build,
+                node_stages plan [] ))
+            (chain left)
       | _ -> None
     in
     match chain plan with
@@ -368,8 +433,8 @@ let fuse_chain env obs group plan =
           }
   end
 
-let fuse env obs group plan =
-  match fuse_chain env obs group plan with
+and fuse env ids obs group scope plan =
+  match fuse_chain env ids obs group scope plan with
   | None -> None
   | Some fc ->
       let pipeline =
@@ -388,8 +453,8 @@ let fuse env obs group plan =
    mirrors [instrumented_chain] — opens, closes, and spans once per
    lifetime, tap-counted rows flushed once per step — and the fault taps
    sit in the stage chain exactly as in the packet pipeline. *)
-let fused_drain env obs group plan =
-  match fuse_chain env obs group plan with
+and fused_drain env ids obs group scope plan =
+  match fuse_chain env ids obs group scope plan with
   | None -> None
   | Some fc ->
       let batch_size = Env.batch_size env in
@@ -411,12 +476,12 @@ let fused_drain env obs group plan =
                 (fun fn ->
                   Obs.Node.count_open fn.fn_node;
                   fn.fn_rows := 0;
-                  fn.fn_total := 0)
+                  fn.fn_total := 0;
+                  fn.fn_credit := 0.0)
                 nodes;
               let span_start = Obs.now () in
               fc.fc_cursor.Batch.reset ();
-              let dt = Obs.now () -. span_start in
-              List.iter (fun fn -> Obs.Node.on_open fn.fn_node ~elapsed:dt) nodes;
+              book_open nodes ~elapsed:(Obs.now () -. span_start);
               Fun.protect
                 ~finally:(fun () ->
                   List.iter (fun fn -> Obs.Node.count_close fn.fn_node) nodes;
@@ -445,21 +510,13 @@ let fused_drain env obs group plan =
                     if n = 0 then continue := false
                   done))
 
-(* The per-node decoration of the record path: the generic [Operator]
-   fault site and the node's obs counters. *)
-let decorate env obs plan inner =
-  let inner = guard (Env.faults env) inner in
-  match Option.bind obs (fun o -> o.node_of plan) with
-  | None -> inner
-  | Some node -> Iterator.instrumented ~node inner
-
 (* [scope] is the cancellation scope enclosing this node: exchange nodes
    register their port in it and open a child scope over their producer
    subtrees, so that shutting any exchange cancels everything below it.
    The producer thunk re-enters [compile_stream], so nested exchanges get
    a fresh subtree (and fresh inner scopes) per producer, per open. *)
-let rec compile_stream env ids obs group scope plan =
-  match fuse env obs group plan with
+and compile_stream env ids obs group scope plan =
+  match fuse env ids obs group scope plan with
   | Some pipeline -> Batches pipeline
   | None -> Rows (decorate env obs plan (compile_node env ids obs group scope plan))
 
@@ -581,7 +638,7 @@ and compile_node env ids obs group scope plan =
           let keys, aggs', input' =
             if plain then peel keys0 aggs input else (keys0, aggs, input)
           in
-          match fused_drain env obs group input' with
+          match fused_drain env ids obs group scope input' with
           | Some drain -> Ops.Aggregate.hash_feed_exprs ~keys ~aggs:aggs' ~drain
           | None -> (
               (* The peeled chain did not fuse: compile the original

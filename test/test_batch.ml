@@ -21,6 +21,7 @@ module Support = Volcano_tuple.Support
 module Diag = Volcano_analysis.Diag
 module Rng = Volcano_util.Rng
 module Aggregate = Volcano_ops.Aggregate
+module Match_op = Volcano_ops.Match_op
 
 let check = Alcotest.check
 
@@ -325,6 +326,154 @@ let test_pushdown_differential () =
     check_rows (Printf.sprintf "pushdown case %d" case) record batched
   done
 
+(* --- fused hash joins ------------------------------------------------ *)
+
+let match_kinds =
+  Match_op.
+    [
+      Join;
+      Left_outer;
+      Right_outer;
+      Full_outer;
+      Semi;
+      Anti;
+      Union;
+      Intersection;
+      Difference;
+      Anti_difference;
+    ]
+
+(* A hash join over a fusible probe chain (list scan under a filter):
+   the join is a node of the fused chain, its build side a plain list. *)
+let join_plan kind ~left ~right =
+  Plan.Match
+    {
+      algo = Plan.Hash_based;
+      kind;
+      left_key = [ 0 ];
+      right_key = [ 0 ];
+      left =
+        Plan.Filter
+          {
+            pred = Expr.Cmp (Expr.Ne, Expr.Col 1, Expr.int 3);
+            mode = `Compiled;
+            input = Plan.Scan_list { arity = 2; tuples = left };
+          };
+      right = Plan.Scan_list { arity = 2; tuples = right };
+    }
+
+(* Every match kind, fused at several batch sizes against the record
+   path, in exact order: as the root (a packet pipeline) and under a hash
+   aggregate (the sink drive loop).  The inputs cover duplicate build keys
+   with more matches per probe than a batch holds, empty build and probe
+   sides, and mixed Int/Float/Str/Null keys; each runs in memory and
+   again with a build capacity small enough to force the Grace path,
+   whose result must be the in-memory one up to order. *)
+let test_join_differential () =
+  let rng = Rng.create 0x10115L in
+  let ints keys = List.mapi (fun i k -> Tuple.of_ints [ k; i ]) keys in
+  let mixed n =
+    List.init n (fun i ->
+        let key =
+          match Rng.int rng 4 with
+          | 0 -> Value.Int (Rng.int rng 6)
+          | 1 -> Value.Float (float_of_int (Rng.int rng 4) /. 2.0)
+          | 2 -> Value.Str (string_of_int (Rng.int rng 4))
+          | _ -> Value.Null
+        in
+        [| key; Value.Int i |])
+  in
+  let cases =
+    [
+      ("duplicates", ints (List.init 300 (fun i -> i mod 5)),
+        ints (List.init 200 (fun i -> i mod 3)));
+      ("empty build", ints (List.init 50 (fun i -> i mod 7)), []);
+      ("empty probe", [], ints (List.init 50 (fun i -> i mod 7)));
+      ("mixed keys", mixed 150, mixed 120);
+    ]
+  in
+  let run ?capacity ~batch_size plan =
+    let e = env ~batch_size () in
+    Option.iter (Env.set_sort_run_capacity e) capacity;
+    let rows = Runner.run e plan in
+    Bufpool.assert_quiescent ~what:"join differential" (Env.buffer e);
+    rows
+  in
+  List.iter
+    (fun (case, left, right) ->
+      List.iter
+        (fun kind ->
+          let join = join_plan kind ~left ~right in
+          let agg =
+            Plan.Aggregate
+              {
+                algo = Plan.Hash_based;
+                group_by = [ 0 ];
+                aggs = [ Aggregate.Count ];
+                input = join;
+              }
+          in
+          List.iter
+            (fun (shape, plan) ->
+              let in_memory = run ~batch_size:0 plan in
+              let grace = run ~capacity:8 ~batch_size:0 plan in
+              let what =
+                Printf.sprintf "%s, %s, %s" case (Match_op.to_string kind) shape
+              in
+              check_rows (what ^ ", grace = in-memory")
+                (List.sort Tuple.compare in_memory)
+                (List.sort Tuple.compare grace);
+              List.iter
+                (fun batch_size ->
+                  check_rows
+                    (Printf.sprintf "%s, batch %d" what batch_size)
+                    in_memory (run ~batch_size plan);
+                  check_rows
+                    (Printf.sprintf "%s, grace, batch %d" what batch_size)
+                    grace
+                    (run ~capacity:8 ~batch_size plan))
+                [ 1; 7; 64 ])
+            [ ("root", join); ("under aggregate", agg) ])
+        match_kinds)
+    cases
+
+(* A fused join inside exchange producers: each producer probes with its
+   own slice, the build side is a list every producer reads whole. *)
+let test_join_under_exchange () =
+  let right = List.init 90 (fun i -> Tuple.of_ints [ i mod 30; i ]) in
+  List.iter
+    (fun kind ->
+      let plan =
+        Plan.Exchange
+          {
+            cfg = Exchange.config ~degree:3 ();
+            input =
+              Plan.Match
+                {
+                  algo = Plan.Hash_based;
+                  kind;
+                  left_key = [ 0 ];
+                  right_key = [ 0 ];
+                  left =
+                    Plan.Generate_slice
+                      {
+                        arity = 2;
+                        count = 2000;
+                        gen = (fun i -> Tuple.of_ints [ i mod 40; i ]);
+                      };
+                  right = Plan.Scan_list { arity = 2; tuples = right };
+                };
+          }
+      in
+      let batched = env () in
+      check_rows
+        (Match_op.to_string kind ^ " under exchange")
+        (sorted_run (env ~batch_size:0 ()) plan)
+        (sorted_run batched plan);
+      Bufpool.assert_quiescent ~what:"join under exchange" (Env.buffer batched);
+      Sched.assert_quiescent ~what:"join under exchange" (Sched.default ()))
+    match_kinds
+
 (* --- planlint -------------------------------------------------------- *)
 
 let has_code diags code =
@@ -375,5 +524,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_batch_pooled_dedicated;
     Alcotest.test_case "projection pushdown differential" `Quick
       test_pushdown_differential;
+    Alcotest.test_case "fused join differential, every kind" `Quick
+      test_join_differential;
+    Alcotest.test_case "fused join under exchange" `Quick
+      test_join_under_exchange;
     Alcotest.test_case "planlint batch pass" `Quick test_planlint_batch;
   ]

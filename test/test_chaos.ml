@@ -169,87 +169,137 @@ let test_matrix_record_path () =
    [Producer] site per record in the batch drive loop, and the storage
    sites from the heap cursor's page steps; a counted [Fail] at any of
    them must surface at the consumer as exactly one well-typed
-   [Query_failed], and leak nothing. *)
+   [Query_failed], and leak nothing.  The same holds with a hash join in
+   the loop (the scan probes it, a second scan builds it), and after an
+   early close mid-probe. *)
+let fused_table () =
+  (* A pool far smaller than the table: the fused scan cannot run from
+     cache, so its page steps really consult the device sites. *)
+  let env = Env.create ~frames:8 ~page_size:512 () in
+  let file =
+    Env.create_table env ~name:"chaos_t"
+      ~schema:
+        (Volcano_tuple.Schema.of_names
+           [ ("a", Volcano_tuple.Value.Tint); ("b", Volcano_tuple.Value.Tint) ])
+  in
+  for i = 0 to 999 do
+    ignore
+      (Volcano_storage.Heap_file.insert file
+         (Bytes.to_string
+            (Volcano_tuple.Serial.encode (Tuple.of_ints [ i; i mod 9 ]))))
+  done;
+  env
+
+let fused_chain =
+  Plan.Project_cols
+    {
+      cols = [ 1; 0 ];
+      input =
+        Plan.Filter
+          {
+            pred =
+              Volcano_tuple.Expr.Cmp
+                ( Volcano_tuple.Expr.Ne,
+                  Volcano_tuple.Expr.Col 1,
+                  Volcano_tuple.Expr.Const (Volcano_tuple.Value.Int 4) );
+            mode = `Compiled;
+            input = Plan.Scan_table "chaos_t";
+          };
+    }
+
+let fused_join =
+  Plan.Match
+    {
+      algo = Plan.Hash_based;
+      kind = Volcano_ops.Match_op.Join;
+      left_key = [ 0 ];
+      right_key = [ 1 ];
+      left = fused_chain;
+      right =
+        Plan.Filter
+          {
+            pred =
+              Volcano_tuple.Expr.Cmp
+                ( Volcano_tuple.Expr.Lt,
+                  Volcano_tuple.Expr.Col 0,
+                  Volcano_tuple.Expr.Const (Volcano_tuple.Value.Int 18) );
+            mode = `Compiled;
+            input = Plan.Scan_table "chaos_t";
+          };
+    }
+
+let under_exchange input =
+  Plan.Exchange { cfg = Exchange.config ~degree:2 ~packet_size:7 (); input }
+
+let assert_fused_quiescent ~what env ~unjoined0 ~live0 =
+  Bufpool.assert_quiescent ~what (Env.buffer env);
+  Alcotest.(check int)
+    "no unjoined domains" unjoined0
+    (Exchange.unjoined_domains ());
+  Alcotest.(check int) "no live domains" live0 (Exchange.live_domains ());
+  Sched.assert_quiescent ~what (Sched.default ())
+
 let test_faults_inside_fused_loops () =
   List.iter
-    (fun (site, hit) ->
-      (* A pool far smaller than the table: the fused scan cannot run
-         from cache, so its page steps really consult the device sites. *)
-      let env = Env.create ~frames:8 ~page_size:512 () in
-      let file =
-        Env.create_table env ~name:"chaos_t"
-          ~schema:
-            (Volcano_tuple.Schema.of_names
-               [
-                 ("a", Volcano_tuple.Value.Tint);
-                 ("b", Volcano_tuple.Value.Tint);
-               ])
-      in
-      for i = 0 to 999 do
-        ignore
-          (Volcano_storage.Heap_file.insert file
-             (Bytes.to_string
-                (Volcano_tuple.Serial.encode (Tuple.of_ints [ i; i mod 9 ]))))
-      done;
-      let plan =
-        Plan.Exchange
-          {
-            cfg = Exchange.config ~degree:2 ~packet_size:7 ();
-            input =
-              Plan.Project_cols
-                {
-                  cols = [ 1; 0 ];
-                  input =
-                    Plan.Filter
-                      {
-                        pred =
-                          Volcano_tuple.Expr.Cmp
-                            ( Volcano_tuple.Expr.Ne,
-                              Volcano_tuple.Expr.Col 1,
-                              Volcano_tuple.Expr.Const
-                                (Volcano_tuple.Value.Int 4) );
-                        mode = `Compiled;
-                        input = Plan.Scan_table "chaos_t";
-                      };
-                };
-          }
-      in
+    (fun (shape, input) ->
+      List.iter
+        (fun (site, hit) ->
+          let env = fused_table () in
+          let plan = under_exchange input in
+          let unjoined0 = Exchange.unjoined_domains () in
+          let live0 = Exchange.live_domains () in
+          Env.set_faults env
+            (Injector.make
+               {
+                 Fault.seed = 7L;
+                 rules =
+                   [
+                     { Fault.site; trigger = Fault.At_hit hit; action = Fault.Fail };
+                   ];
+               });
+          (match
+             run_with_timeout ~seconds:timeout_seconds (fun () ->
+                 Runner.run env plan)
+           with
+          | Rows _ ->
+              Alcotest.failf "%s: fault at %s never fired in the fused pipeline"
+                shape (Fault.site_name site)
+          | Raised (Exchange.Query_failed _) -> ()
+          | Raised exn ->
+              Alcotest.failf "%s: fault at %s surfaced as %s, not Query_failed"
+                shape (Fault.site_name site) (Printexc.to_string exn)
+          | Timeout ->
+              Alcotest.failf "%s: fault at %s hung the query" shape
+                (Fault.site_name site));
+          Env.clear_faults env;
+          assert_fused_quiescent ~what:("fused-loop fault, " ^ shape) env
+            ~unjoined0 ~live0)
+        [
+          (Fault.Operator, 137);
+          (Fault.Producer 0, 137);
+          (Fault.Device_read, 5);
+          (Fault.Bufpool_fix, 5);
+          (Fault.Port_send, 3);
+        ])
+    [ ("chain", fused_chain); ("join", fused_join) ];
+  (* Early close mid-probe, serial and under an exchange: a few rows,
+     then close — the probe scan's pinned page, the producers and their
+     ports must all be released. *)
+  List.iter
+    (fun (shape, plan) ->
+      let env = fused_table () in
       let unjoined0 = Exchange.unjoined_domains () in
       let live0 = Exchange.live_domains () in
-      Env.set_faults env
-        (Injector.make
-           {
-             Fault.seed = 7L;
-             rules =
-               [ { Fault.site; trigger = Fault.At_hit hit; action = Fault.Fail } ];
-           });
-      (match
-         run_with_timeout ~seconds:timeout_seconds (fun () ->
-             Runner.run env plan)
-       with
-      | Rows _ ->
-          Alcotest.failf "fault at %s never fired in the fused pipeline"
-            (Fault.site_name site)
-      | Raised (Exchange.Query_failed _) -> ()
-      | Raised exn ->
-          Alcotest.failf "fault at %s surfaced as %s, not Query_failed"
-            (Fault.site_name site) (Printexc.to_string exn)
-      | Timeout ->
-          Alcotest.failf "fault at %s hung the query" (Fault.site_name site));
-      Env.clear_faults env;
-      Bufpool.assert_quiescent ~what:"fused-loop fault" (Env.buffer env);
-      Alcotest.(check int)
-        "no unjoined domains" unjoined0
-        (Exchange.unjoined_domains ());
-      Alcotest.(check int) "no live domains" live0 (Exchange.live_domains ());
-      Sched.assert_quiescent ~what:"fused-loop fault" (Sched.default ()))
-    [
-      (Fault.Operator, 137);
-      (Fault.Producer 0, 137);
-      (Fault.Device_read, 5);
-      (Fault.Bufpool_fix, 5);
-      (Fault.Port_send, 3);
-    ]
+      let iter = Compile.compile env plan in
+      Iterator.open_ iter;
+      for _ = 1 to 5 do
+        if Option.is_none (Iterator.next iter) then
+          Alcotest.failf "%s: expected a row before the early close" shape
+      done;
+      Iterator.close iter;
+      assert_fused_quiescent ~what:("early close mid-probe, " ^ shape) env
+        ~unjoined0 ~live0)
+    [ ("serial join", fused_join); ("join under exchange", under_exchange fused_join) ]
 
 (* Satellite: analyzer-accepted plans under pure-delay chaos never hang
    AND never lose a record — delays perturb every interleaving the flow

@@ -182,6 +182,46 @@ let prop_truncation_rejected =
       in
       List.for_all rejected (List.init (Bytes.length buf) Fun.id))
 
+(* A routed frame is [u16 dest | packet payload]: the worker encodes the
+   packet straight after the destination and the launcher decodes it in
+   place, at offset 2.  The full frame round-trips; every strict prefix,
+   the header-only and shorter-than-header ones included, is rejected. *)
+let routed_frame rows =
+  let src = Packet.create ~capacity:(max 1 (List.length rows)) ~producer:0 in
+  List.iter (Packet.add src) rows;
+  let frame = Codec.encode ~off:2 src in
+  Bytes.set_uint16_le frame 0 7;
+  frame
+
+let prop_routed_truncation_rejected =
+  QCheck.Test.make ~name:"routed frames round-trip; every prefix is rejected"
+    ~count:60
+    QCheck.(list_of_size (QCheck.Gen.int_bound 4) tuple_arb)
+    (fun rows ->
+      let frame = routed_frame rows in
+      let shell () = Packet.create ~capacity:(max 1 (List.length rows)) ~producer:1 in
+      let rejected len =
+        match Codec.decode_into ~off:2 (Bytes.sub frame 0 len) (shell ()) with
+        | () -> false
+        | exception Wire.Corrupt _ -> true
+      in
+      let dst = shell () in
+      Codec.decode_into ~off:2 frame dst;
+      Bytes.get_uint16_le frame 0 = 7
+      && List.init (Packet.length dst) (Packet.get dst) = rows
+      && List.for_all rejected (List.init (Bytes.length frame) Fun.id))
+
+let test_short_routed_frame () =
+  List.iter
+    (fun len ->
+      match
+        Codec.decode_into ~off:2 (Bytes.make len '\000')
+          (Packet.create ~capacity:4 ~producer:0)
+      with
+      | () -> Alcotest.failf "a %d-byte routed frame decoded" len
+      | exception Wire.Corrupt _ -> ())
+    [ 0; 1; 2; 3 ]
+
 let test_wire_hello_err_roundtrip () =
   let h =
     Wire.parse_hello
@@ -513,6 +553,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rows_roundtrip;
     QCheck_alcotest.to_alcotest prop_packet_roundtrip;
     QCheck_alcotest.to_alcotest prop_truncation_rejected;
+    QCheck_alcotest.to_alcotest prop_routed_truncation_rejected;
+    Alcotest.test_case "routed frame shorter than its header" `Quick
+      test_short_routed_frame;
     Alcotest.test_case "hello/err frames round-trip" `Quick
       test_wire_hello_err_roundtrip;
     Alcotest.test_case "golden wire fixture" `Quick test_golden_frame;

@@ -366,6 +366,92 @@ let test_batching_counters_match_record_path () =
     Alcotest.(list (pair string int))
     "per-node row counters identical" record_counters batched_counters
 
+(* A hash join fused into the aggregate's drive loop: scan → project
+   probe the join inside one loop.  Per-node rows stay exact (equal to
+   the record path's), the join books per batch like every fused node,
+   and the build phase — a deliberately slow build input — is booked to
+   the join, not to the probe-side nodes below it. *)
+let test_fused_join_books () =
+  let n = 1000 and builds = 40 and nap = 0.0025 in
+  let scan =
+    Plan.Generate
+      { arity = 2; count = n; gen = (fun i -> Tuple.of_ints [ i; i mod 10 ]) }
+  in
+  let project = Plan.Project_cols { cols = [ 1; 0 ]; input = scan } in
+  let build =
+    Plan.Generate
+      {
+        arity = 2;
+        count = builds;
+        gen =
+          (fun i ->
+            Unix.sleepf nap;
+            Tuple.of_ints [ i mod 10; i ]);
+      }
+  in
+  let join =
+    Plan.Match
+      {
+        algo = Plan.Hash_based;
+        kind = Volcano_ops.Match_op.Join;
+        left_key = [ 0 ];
+        right_key = [ 0 ];
+        left = project;
+        right = build;
+      }
+  in
+  let plan =
+    Plan.Aggregate
+      {
+        algo = Plan.Hash_based;
+        group_by = [ 0 ];
+        aggs = [ Volcano_ops.Aggregate.Count ];
+        input = join;
+      }
+  in
+  let run batch_size =
+    let env = Env.create ~batch_size () in
+    let sink = Obs.create () in
+    let obs = Compile.observe sink plan in
+    let rows = Iterator.to_list (Compile.compile ~obs env plan) in
+    let node p =
+      match obs.Compile.node_of p with
+      | Some node -> node
+      | None -> Alcotest.fail "plan node not observed"
+    in
+    (rows, node)
+  in
+  let rows, node = run 64 in
+  let record_rows, record_node = run 0 in
+  check Alcotest.bool "rows as the record path" true
+    (List.equal Tuple.equal record_rows rows);
+  let matches = n * builds / 10 in
+  List.iter
+    (fun (what, p, expect) ->
+      check Alcotest.int (what ^ " rows exact") expect (Obs.Node.rows (node p));
+      check Alcotest.int (what ^ " rows as the record path")
+        (Obs.Node.rows (record_node p))
+        (Obs.Node.rows (node p));
+      check Alcotest.int (what ^ " opens") 1 (Obs.Node.opens (node p));
+      check Alcotest.int (what ^ " closes") 1 (Obs.Node.closes (node p)))
+    [
+      ("scan", scan, n);
+      ("project", project, n);
+      ("build", build, builds);
+      ("join", join, matches);
+      ("aggregate", plan, 10);
+    ];
+  let join_nexts = Obs.Node.next_calls (node join) in
+  check Alcotest.bool "join next_calls counts batches" true
+    (join_nexts > 0 && join_nexts <= (matches / 32) + 2);
+  let build_s = float_of_int builds *. nap in
+  check Alcotest.bool "join books its build phase" true
+    (Obs.Node.busy_s (node join) >= build_s);
+  check Alcotest.bool "probe-side scan does not book the build phase" true
+    (Obs.Node.busy_s (node scan) < build_s /. 2.0);
+  check Alcotest.bool "probe-side project does not book the build phase" true
+    (Obs.Node.busy_s (node project) < build_s /. 2.0)
+
 let test_profile_batched_smoke () =
   let env = Env.create () in
   let report = Profile.execute env (parallel_plan 500) in
@@ -429,6 +515,7 @@ let suite =
     Alcotest.test_case "batched counters match record path" `Quick
       test_batching_counters_match_record_path;
     Alcotest.test_case "batched profile smoke" `Quick test_profile_batched_smoke;
+    Alcotest.test_case "fused join books" `Quick test_fused_join_books;
     Alcotest.test_case "null observe adds nothing" `Quick
       test_null_observe_adds_nothing;
     Alcotest.test_case "exporters well-formed" `Quick test_exporters;

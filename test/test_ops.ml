@@ -14,9 +14,9 @@ module Heap_file = Volcano_storage.Heap_file
 
 let check = Alcotest.check
 
-let make_spill () =
+let make_spill ?(pages = 4096) () =
   {
-    Ops.Sort.device = Device.create_virtual ~page_size:256 ~capacity:4096 ();
+    Ops.Sort.device = Device.create_virtual ~page_size:256 ~capacity:pages ();
     buffer = Bufpool.create ~frames:32 ~page_size:256 ();
   }
 
@@ -135,10 +135,27 @@ let prop_sort_random =
   QCheck.Test.make ~name:"external sort equals list sort" ~count:50
     QCheck.(pair (list small_int) (int_range 1 50))
     (fun (xs, run_capacity) ->
-      let spill = make_spill () in
+      (* The generator can draw thousands of values against a run capacity
+         of 1: every record is then its own spilled run (a page each)
+         before any merge, so the device grows with the list. *)
+      let spill = make_spill ~pages:(4096 + (4 * List.length xs)) () in
       let input = Iterator.of_list (List.map (fun i -> Tuple.of_ints [ i ]) xs) in
       let it = Ops.Sort.iterator ~run_capacity ~fan_in:2 ~spill ~cmp:cmp0 input in
       ints_of it = List.sort compare xs)
+
+(* The other side of that sizing: a device too small for the runs fails
+   the sort with the device's declared error, and the failed open leaves
+   no page fixed. *)
+let test_sort_device_full () =
+  let spill = make_spill ~pages:16 () in
+  let input = Iterator.generate ~count:100 ~f:(fun i -> Tuple.of_ints [ i ]) in
+  let it = Ops.Sort.iterator ~run_capacity:1 ~fan_in:2 ~spill ~cmp:cmp0 input in
+  (match Iterator.to_list it with
+  | _ -> Alcotest.fail "100 one-record runs fit a 16-page device"
+  | exception Failure msg ->
+      check Alcotest.bool "out of pages" true
+        (Str.string_match (Str.regexp ".*out of pages") msg 0));
+  Bufpool.assert_quiescent ~what:"sort on a full device" spill.Ops.Sort.buffer
 
 (* --- merge --- *)
 
@@ -437,6 +454,7 @@ let suite =
     Alcotest.test_case "sort with spill" `Quick test_sort_with_spill;
     Alcotest.test_case "sort descending" `Quick test_sort_desc;
     QCheck_alcotest.to_alcotest prop_sort_random;
+    Alcotest.test_case "sort on a full device" `Quick test_sort_device_full;
     Alcotest.test_case "merge sorted streams" `Quick test_merge_sorted_streams;
     Alcotest.test_case "merge network via exchange" `Quick test_merge_network;
     Alcotest.test_case "match family fixed case" `Quick test_match_fixed;
