@@ -187,6 +187,51 @@ let instantiate_partition spec ~consumers =
    port packets in a tight loop, with no per-record closure hop. *)
 type producer_source = Record_source of Iterator.t | Batch_source of Batch.t
 
+(* A producer's output side: one open packet per consumer.  Packets come
+   from the lane pool: in steady state each refill reuses an array the
+   consumer drained and recycled moments ago.  The no-fork interchange
+   routes through the same outbox. *)
+type outbox = {
+  port : Port.t;
+  rank : int;
+  capacity : int;
+  packets : Packet.t array;
+}
+
+let outbox port ~rank ~capacity =
+  {
+    port;
+    rank;
+    capacity;
+    packets =
+      Array.init (Port.consumers port) (fun consumer ->
+          Port.alloc port ~producer:rank ~consumer ~capacity);
+  }
+
+let flush (o : outbox) consumer ~eos =
+  let packet = o.packets.(consumer) in
+  if eos then Packet.tag_end_of_stream packet;
+  if eos || not (Packet.is_empty packet) then
+    Port.send o.port ~producer:o.rank ~consumer packet;
+  (* The end-of-stream flush is the last touch of this slot; skipping its
+     refill keeps the pool ledger exact (allocations + reuses = packets
+     sent on a full drain). *)
+  if not eos then
+    o.packets.(consumer) <-
+      Port.alloc o.port ~producer:o.rank ~consumer ~capacity:o.capacity
+
+let deliver (o : outbox) consumer tuple =
+  let packet = o.packets.(consumer) in
+  Packet.add packet tuple;
+  if Packet.is_full packet then flush o consumer ~eos:false
+
+(* Flag the last packet to every consumer with the end-of-stream tag. *)
+let finish (o : outbox) =
+  if not (Port.is_shut_down o.port) then
+    for consumer = 0 to Array.length o.packets - 1 do
+      flush o consumer ~eos:true
+    done
+
 (* The producer half of exchange: "the driver for the query tree below the
    exchange operator" (section 4.1).  Runs in a forked domain.
    [closer_slot] exposes the subtree to the failure handler so it can be
@@ -196,31 +241,25 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
   let rank = Group.rank group in
   let source = input group in
   let consumers = Port.consumers port in
-  (* Packets come from the lane pool: in steady state each refill reuses
-     an array the consumer drained and recycled moments ago. *)
-  let fresh consumer =
-    Port.alloc port ~producer:rank ~consumer ~capacity:cfg.packet_size
-  in
-  let packets = Array.init consumers fresh in
-  let flush consumer ~eos =
-    let packet = packets.(consumer) in
-    if eos then Packet.tag_end_of_stream packet;
-    if eos || not (Packet.is_empty packet) then
-      Port.send port ~producer:rank ~consumer packet;
-    (* The end-of-stream flush is the last touch of this slot; skipping
-       its refill keeps the pool ledger exact (allocations + reuses =
-       packets sent on a full drain). *)
-    if not eos then packets.(consumer) <- fresh consumer
-  in
-  let deliver consumer tuple =
-    let packet = packets.(consumer) in
-    Packet.add packet tuple;
-    if Packet.is_full packet then flush consumer ~eos:false
-  in
+  let out = outbox port ~rank ~capacity:cfg.packet_size in
   let partition = instantiate_partition cfg.partition ~consumers in
   (* Hoisted: the injector does nothing without rules, and this check
      runs once per record. *)
   let faults_live = not (Injector.is_none faults) in
+  (* The one router both drive loops call per record. *)
+  let route tuple =
+    if faults_live then Injector.hit faults (Volcano_fault.Producer rank);
+    match cfg.partition with
+    | Broadcast ->
+        (* Replicate to all consumers.  Tuples are immutable and shared by
+           reference — the analogue of pinning the record once per
+           consumer rather than copying it (section 4.4). *)
+        for consumer = 0 to consumers - 1 do
+          deliver out consumer tuple
+        done
+    | Round_robin | Hash_on _ | Range_on _ | Custom _ ->
+        deliver out (partition tuple) tuple
+  in
   (match source with
   | Record_source iter ->
       closer_slot := Some (fun () -> Iterator.close iter);
@@ -231,19 +270,7 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
           match Iterator.next iter with
           | None -> ()
           | Some tuple ->
-              if faults_live then
-                Injector.hit faults (Volcano_fault.Producer rank);
-              (match cfg.partition with
-              | Broadcast ->
-                  (* Replicate to all consumers.  Tuples are immutable and
-                     shared by reference — the analogue of pinning the
-                     record once per consumer rather than copying it
-                     (section 4.4). *)
-                  for consumer = 0 to consumers - 1 do
-                    deliver consumer tuple
-                  done
-              | Round_robin | Hash_on _ | Range_on _ | Custom _ ->
-                  deliver (partition tuple) tuple);
+              route tuple;
               drive ()
       in
       drive ()
@@ -261,32 +288,13 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
           match Batch.next batches with
           | None -> ()
           | Some batch ->
-              let n = Packet.length batch in
-              (match cfg.partition with
-              | Broadcast ->
-                  for i = 0 to n - 1 do
-                    if faults_live then
-                      Injector.hit faults (Volcano_fault.Producer rank);
-                    let tuple = Packet.get batch i in
-                    for consumer = 0 to consumers - 1 do
-                      deliver consumer tuple
-                    done
-                  done
-              | Round_robin | Hash_on _ | Range_on _ | Custom _ ->
-                  for i = 0 to n - 1 do
-                    if faults_live then
-                      Injector.hit faults (Volcano_fault.Producer rank);
-                    let tuple = Packet.get batch i in
-                    deliver (partition tuple) tuple
-                  done);
+              for i = 0 to Packet.length batch - 1 do
+                route (Packet.get batch i)
+              done;
               drive ()
       in
       drive ());
-  (* Flag the last packet to every consumer with the end-of-stream tag. *)
-  if not (Port.is_shut_down port) then
-    for consumer = 0 to consumers - 1 do
-      flush consumer ~eos:true
-    done;
+  finish out;
   (* "waits until the consumer allows closing all open files" — records may
      still be in flight or pinned by consumers (section 4.1).  The gate is
      a broadcast event: waiting suspends a pooled producer instead of
@@ -337,389 +345,345 @@ module For_testing = struct
 end
 
 (* Fork the producer group as scheduler tasks; returns a function that
-   joins all of it.  The joiner awaits every task and never raises: a
-   failed producer already reported through the poisoned port. *)
-let spawn_producers sched cfg faults port close_allowed input =
+   lets the producers close their subtrees and joins all of them.  The
+   joiner awaits every task and never raises: a failed producer already
+   reported through the poisoned port. *)
+let spawn_producers sched cfg faults input port =
+  let close_allowed = Sched.Event.create () in
   let shared = Group.make_shared ~size:cfg.degree in
   let run rank =
     run_producer cfg faults port close_allowed (Group.attach shared ~rank) input
   in
-  match cfg.fork_mode with
-  | Fork_central ->
-      let tasks =
-        List.init cfg.degree (fun rank ->
-            spawn_task sched (fun () -> run rank))
-      in
-      fun () -> List.iter join_quiet tasks
-  | Fork_tree ->
-      let rec subtree rank () =
-        let spawned =
-          List.map
-            (fun child -> spawn_task sched (subtree child))
-            (children_of rank cfg.degree)
+  let join =
+    match cfg.fork_mode with
+    | Fork_central ->
+        let tasks =
+          List.init cfg.degree (fun rank ->
+              spawn_task sched (fun () -> run rank))
         in
-        (* Join the forked children even when this rank dies, or their
-           tasks would leak on a mid-tree failure. *)
-        Fun.protect
-          ~finally:(fun () -> List.iter join_quiet spawned)
-          (fun () -> run rank)
-      in
-      let root = spawn_task sched (subtree 0) in
-      fun () -> join_quiet root
+        fun () -> List.iter join_quiet tasks
+    | Fork_tree ->
+        let rec subtree rank () =
+          let spawned =
+            List.map
+              (fun child -> spawn_task sched (subtree child))
+              (children_of rank cfg.degree)
+          in
+          (* Join the forked children even when this rank dies, or their
+             tasks would leak on a mid-tree failure. *)
+          Fun.protect
+            ~finally:(fun () -> List.iter join_quiet spawned)
+            (fun () -> run rank)
+        in
+        let root = spawn_task sched (subtree 0) in
+        fun () -> join_quiet root
+  in
+  fun () ->
+    Sched.Event.fire close_allowed;
+    join ()
+
+(* The feeders of a remote exchange: one dedicated domain per transport
+   source pumps pulled packets into the local port, so [next], EOS
+   counting, poisoning, and the shutdown chain are exactly the
+   shared-memory code paths.  Backpressure is end-to-end for free: a full
+   lane ring blocks the feeder's send, the feeder stops pulling, and the
+   kernel socket buffer pushes back on the worker's writes.  Returns the
+   joiner: feeders first, then the sources (reaping worker processes). *)
+let spawn_feeders sources port =
+  let consumers = Port.consumers port in
+  let feed rank (src : Port.Transport.source) () =
+    (* Whole packets round-robin across consumers: the workers already
+       sharded the data, so the wire edge is a merge and any consumer may
+       take any packet. *)
+    let next_consumer = ref 0 in
+    let alloc ~capacity =
+      Port.alloc port ~producer:rank ~consumer:!next_consumer ~capacity
+    in
+    let rec pump () =
+      if not (Port.is_shut_down port) then
+        match src.pull ~alloc with
+        | Port.Transport.Data packet ->
+            let consumer = !next_consumer in
+            next_consumer := (consumer + 1) mod consumers;
+            Port.send port ~producer:rank ~consumer packet;
+            pump ()
+        | Port.Transport.Routed (dest, packet) ->
+            (* A repartitioning edge: the worker already applied the
+               partition function, so the packet is pinned to its
+               destination consumer instead of merged round-robin. *)
+            Port.send port ~producer:rank ~consumer:(dest mod consumers)
+              packet;
+            pump ()
+        | Port.Transport.Eos ->
+            (* Every consumer counts one EOS tag per producer, as in the
+               local exchange. *)
+            for consumer = 0 to consumers - 1 do
+              let packet =
+                Port.alloc port ~producer:rank ~consumer ~capacity:1
+              in
+              Packet.tag_end_of_stream packet;
+              Port.send port ~producer:rank ~consumer packet
+            done
+        | Port.Transport.Failed origin ->
+            raise
+              (as_query_failed
+                 ~fallback:(Printf.sprintf "net-worker-%d" rank)
+                 origin)
+    in
+    try pump ()
+    with exn -> (
+      (* First failure wins; a dropped connection or a shipped worker
+         failure surfaces at the consumer's next as one [Query_failed]. *)
+      Port.poison port exn;
+      try src.cancel () with _ -> ())
+  in
+  let feeders =
+    Array.to_list
+      (Array.mapi (fun rank src -> spawn_domain (feed rank src)) sources)
+  in
+  fun () ->
+    List.iter join_domain_quiet feeders;
+    Array.iter
+      (fun (s : Port.Transport.source) -> try s.join () with _ -> ())
+      sources
 
 (* ------------------------------------------------------------------ *)
-(* Consumer side                                                       *)
+(* Consumer side: one port setup, one packet cursor, one [next]         *)
 
-type consumer_state = {
+let obs_sample port ~spawn_s ~join_s ~domains =
+  {
+    Obs.packets_sent = Port.packets_sent port;
+    packets_received = Port.packets_received port;
+    records = Port.records_sent port;
+    max_queue_depth = Port.max_depth port;
+    flow_waits = Port.flow_stalls port;
+    flow_wait_s = Port.flow_stall_s port;
+    per_producer = Port.packets_sent_by port;
+    pool_allocated = Port.pool_allocated port;
+    pool_reused = Port.pool_reused port;
+    pool_recycled = Port.pool_recycled port;
+    spawn_s;
+    join_s;
+    domains;
+  }
+
+(* The port setup every consumer face shares.  The group master creates
+   the port, registers it on [parent_scope], chains its shutdown into
+   [cancel] (a face's own stop for what feeds the port) and [scope], runs
+   [start] — which forks the [producers] and returns their joiner —
+   registers the obs sample, and publishes the port under [id].  Every
+   other member looks the published port up and gets no joiner.  Without
+   [start] nothing is forked (the no-fork interchange): its sample reports
+   zero domains and zero spawn/join time. *)
+let open_port ?(keep_separate = false) ?flow_slack ?(cancel = ignore) ?start
+    ~faults ?parent_scope ?scope ?obs ~id ~group ~producers () =
+  if not (Group.is_master group) then (Group.lookup_port group ~key:id, None)
+  else begin
+    let on_shutdown () =
+      cancel ();
+      Option.iter Scope.cancel scope
+    in
+    let port =
+      Port.create ~producers ~consumers:(Group.size group) ?flow_slack
+        ~keep_separate ~faults ~on_shutdown ~timed:(Option.is_some obs) ()
+    in
+    Option.iter (fun s -> Scope.register s port) parent_scope;
+    let spawn_t0 = if Option.is_some obs then Obs.now () else 0.0 in
+    let joiner = Option.map (fun start -> start port) start in
+    let joiner =
+      match obs with
+      | None -> joiner
+      | Some (sink, node) ->
+          let spawn_s, domains =
+            match joiner with
+            | Some _ -> (Obs.now () -. spawn_t0, producers)
+            | None -> (0.0, 0)
+          in
+          let join_s = ref 0.0 in
+          Obs.register_exchange sink ~node ~sample:(fun () ->
+              obs_sample port ~spawn_s ~join_s:!join_s ~domains);
+          Option.map
+            (fun join () ->
+              let t0 = Obs.now () in
+              join ();
+              join_s := !join_s +. (Obs.now () -. t0))
+            joiner
+    in
+    Group.publish_port group ~key:id port;
+    (port, joiner)
+  end
+
+(* One consumer's read position in a port: the packet being unwrapped and
+   the end-of-stream tags seen so far.  [ends] tags finish the stream —
+   one per producer on a merged port, one on a keep-separate stream.
+   [refill] runs whenever the buffered packet is exhausted; every face but
+   the interchange blocks on the port there ({!receive}).  [site] names a
+   consumer-side failure. *)
+type cursor = {
   port : Port.t;
-  close_allowed : Sched.Event.t;
-  joiner : (unit -> unit) option; (* master only *)
-  recv : unit -> Packet.t option;
-  (* receive and recycle are built once at open: [next] runs per record
-     and must not allocate fresh closures on every call *)
-  recy : Packet.t -> unit;
+  ends : int;
+  site : string;
+  refill : cursor -> Volcano_tuple.Tuple.t option;
+  recycle : Packet.t -> unit;
   mutable current : Packet.t option;
   mutable pos : int;
   mutable eos_tags : int;
   mutable finished : bool;
 }
 
-let setup_consumer ?(keep_separate = false) ?(faults = Injector.none)
-    ?parent_scope ?scope ?obs ~sched cfg ~id ~group ~input =
-  if Group.is_master group then begin
-    let on_shutdown =
-      match scope with Some s -> fun () -> Scope.cancel s | None -> fun () -> ()
-    in
-    let port =
-      Port.create ~producers:cfg.degree ~consumers:(Group.size group)
-        ?flow_slack:cfg.flow_slack ~keep_separate ~faults ~on_shutdown
-        ~timed:(Option.is_some obs) ()
-    in
-    (match parent_scope with Some s -> Scope.register s port | None -> ());
-    let close_allowed = Sched.Event.create () in
-    let spawn_t0 = if Option.is_some obs then Obs.now () else 0.0 in
-    let joiner = spawn_producers sched cfg faults port close_allowed input in
-    let joiner =
-      match obs with
-      | None -> joiner
-      | Some (sink, node) ->
-          let spawn_s = Obs.now () -. spawn_t0 in
-          let join_s = ref 0.0 in
-          Obs.register_exchange sink ~node ~sample:(fun () ->
-              {
-                Obs.packets_sent = Port.packets_sent port;
-                packets_received = Port.packets_received port;
-                records = Port.records_sent port;
-                max_queue_depth = Port.max_depth port;
-                flow_waits = Port.flow_stalls port;
-                flow_wait_s = Port.flow_stall_s port;
-                per_producer = Port.packets_sent_by port;
-                pool_allocated = Port.pool_allocated port;
-                pool_reused = Port.pool_reused port;
-                pool_recycled = Port.pool_recycled port;
-                spawn_s;
-                join_s = !join_s;
-                domains = cfg.degree;
-              });
-          fun () ->
-            let t0 = Obs.now () in
-            joiner ();
-            join_s := !join_s +. (Obs.now () -. t0)
-    in
-    Group.publish_port group ~key:id port;
-    (* The event rides along for non-master members (unused by them). *)
-    (port, close_allowed, Some joiner)
-  end
-  else
-    let port = Group.lookup_port group ~key:id in
-    (port, Sched.Event.create (), None)
+let cursor port ~ends ~site ~recycle refill =
+  {
+    port;
+    ends;
+    site;
+    refill;
+    recycle;
+    current = None;
+    pos = 0;
+    eos_tags = 0;
+    finished = false;
+  }
 
-let teardown_consumer ~group state =
-  if Group.is_master group then begin
-    (* Early close: cancel the producers.  The shutdown releases any
-       flow-control slack they are blocked on and (via the shutdown chain)
-       cancels every descendant port — a producer stuck in a deeper
-       receive must observe the cancellation too.  After a normal
-       end-of-stream the port must NOT be shut: sibling consumers may
-       still be draining their queues, and producers stop sending the
-       moment they see the port down. *)
-    if not state.finished then Port.shutdown state.port;
-    Sched.Event.fire state.close_allowed;
-    match state.joiner with Some join -> join () | None -> ()
-  end
+let rec step c =
+  match c.current with
+  | Some packet when c.pos < Packet.length packet ->
+      let tuple = Packet.get packet c.pos in
+      c.pos <- c.pos + 1;
+      Some tuple
+  | Some packet ->
+      if Packet.end_of_stream packet then c.eos_tags <- c.eos_tags + 1;
+      c.current <- None;
+      (* Drained: hand the packet back to its lane's pool.  All tuples were
+         already yielded by reference, so only the array shell is
+         reused. *)
+      c.recycle packet;
+      step c
+  | None ->
+      if c.finished then None
+      else if c.eos_tags >= c.ends then begin
+        c.finished <- true;
+        None
+      end
+      else c.refill c
 
-let consume_packets state =
-  let rec step () =
-    match state.current with
-    | Some packet when state.pos < Packet.length packet ->
-        let tuple = Packet.get packet state.pos in
-        state.pos <- state.pos + 1;
-        Some tuple
-    | Some packet ->
-        if Packet.end_of_stream packet then
-          state.eos_tags <- state.eos_tags + 1;
-        state.current <- None;
-        (* Drained: hand the packet back to its lane's pool.  All tuples
-           were already yielded by reference, so only the array shell is
-           reused. *)
-        state.recy packet;
-        step ()
-    | None ->
-        if state.finished then None
-        else if state.eos_tags >= Port.producers state.port then begin
-          state.finished <- true;
-          None
-        end
-        else (
-          match state.recv () with
-          | Some packet ->
-              state.current <- Some packet;
-              state.pos <- 0;
-              step ()
-          | None ->
-              (* Port shut down: either cancellation (stream just ends) or
-                 a poisoned port — then the producer's failure surfaces
-                 here, as a single well-typed exception. *)
-              state.finished <- true;
-              (match Port.failure state.port with
-              | Some origin ->
-                  raise (as_query_failed ~fallback:"producer" origin)
-              | None -> None))
-  in
-  step ()
+let load c packet =
+  c.current <- Some packet;
+  c.pos <- 0;
+  step c
 
-let source_iterator ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
-    ?sched cfg ~group ~input =
-  let id = match id with Some i -> i | None -> fresh_id () in
-  let sched = match sched with Some s -> s | None -> Sched.default () in
+(* The port shut down and is drained: either cancellation (the stream just
+   ends) or a poisoned port — then the failure that killed it surfaces
+   here, as a single well-typed exception. *)
+let ended c ~site =
+  c.finished <- true;
+  match Port.failure c.port with
+  | Some origin -> raise (as_query_failed ~fallback:site origin)
+  | None -> None
+
+let receive recv c =
+  match recv () with
+  | Some packet -> load c packet
+  | None -> ended c ~site:"producer"
+
+(* The [next] of every consumer face.  A consumer-side failure (an
+   injected receive fault, a fault while parked, a dying interchange
+   input) poisons the port — cancelling producers and peers instead of
+   leaving them pumping or blocked on this member — and surfaces as one
+   [Query_failed]. *)
+let next c =
+  match step c with
+  | result -> result
+  | exception exn ->
+      c.finished <- true;
+      Port.poison c.port exn;
+      raise (as_query_failed ~fallback:c.site exn)
+
+(* A consumer face over a merged port — local and remote exchange alike:
+   [setup] opens the port at [open_], and [next] drains this member's
+   lanes round-robin until every producer's end-of-stream tag arrived. *)
+let merged_iterator ~what ~group setup =
   let state = ref None in
-  let get_state () =
-    match !state with
-    | Some s -> s
-    | None -> invalid_arg "Exchange.iterator: not open"
-  in
   Iterator.make
     ~open_:(fun () ->
-      let port, close_allowed, joiner =
-        setup_consumer ~faults ?parent_scope ?scope ?obs ~sched cfg ~id ~group
-          ~input
-      in
+      let port, joiner = setup () in
       let consumer = Group.rank group in
-      state :=
-        Some
-          {
-            port;
-            close_allowed;
-            joiner;
-            recv = (fun () -> Port.receive port ~consumer);
-            recy = Port.recycle port ~consumer;
-            current = None;
-            pos = 0;
-            eos_tags = 0;
-            finished = false;
-          })
+      let c =
+        cursor port ~ends:(Port.producers port) ~site:"consumer"
+          ~recycle:(Port.recycle port ~consumer)
+          (receive (fun () -> Port.receive port ~consumer))
+      in
+      state := Some (c, joiner))
     ~next:(fun () ->
-      let s = get_state () in
-      match consume_packets s with
-      | result -> result
-      | exception exn ->
-          (* A consumer-side failure (e.g. an injected receive fault) must
-             also cancel the producers, not leave them pumping. *)
-          s.finished <- true;
-          Port.poison s.port exn;
-          raise (as_query_failed ~fallback:"consumer" exn))
+      match !state with
+      | Some (c, _) -> next c
+      | None -> invalid_arg (what ^ ": not open"))
     ~close:(fun () ->
       (* Tolerate a close without a successful open: failing operators
          close their inputs best-effort while unwinding, and an exchange
          that never opened has nothing to tear down. *)
       match !state with
       | None -> ()
-      | Some s ->
-          teardown_consumer ~group s;
+      | Some (c, joiner) ->
+          (match joiner with
+          | Some join ->
+              (* The master, on early close, cancels the producers.  The
+                 shutdown releases any flow-control slack they are blocked
+                 on and (via the shutdown chain) cancels every descendant
+                 port — a producer stuck in a deeper receive must observe
+                 the cancellation too.  After a normal end-of-stream the
+                 port must NOT be shut: sibling consumers may still be
+                 draining their queues, and producers stop sending the
+                 moment they see the port down. *)
+              if not c.finished then Port.shutdown c.port;
+              join ()
+          | None -> ());
           state := None)
+
+let source_iterator ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
+    ?sched cfg ~group ~input =
+  let id = match id with Some i -> i | None -> fresh_id () in
+  let sched = match sched with Some s -> s | None -> Sched.default () in
+  merged_iterator ~what:"Exchange.iterator" ~group (fun () ->
+      open_port ?flow_slack:cfg.flow_slack
+        ~start:(spawn_producers sched cfg faults input)
+        ~faults ?parent_scope ?scope ?obs ~id ~group ~producers:cfg.degree ())
 
 let iterator ?id ?faults ?parent_scope ?scope ?obs ?sched cfg ~group ~input =
   source_iterator ?id ?faults ?parent_scope ?scope ?obs ?sched cfg ~group
     ~input:(fun producer_group -> Record_source (input producer_group))
 
-(* ------------------------------------------------------------------ *)
-(* Remote exchange: producers behind transport sources                  *)
-
 (* The consumer half of exchange when the producer group lives behind
    {!Port.Transport.source}s — worker processes on the far side of a
-   socket, or any other carrier.  The local port stays the flow-control
-   and failure rendezvous: one feeder domain per source pumps pulled
-   packets into it, so [next], EOS counting, poisoning, and the shutdown
-   chain are exactly the shared-memory code paths.  Backpressure is
-   end-to-end for free: a full lane ring blocks the feeder's send, the
-   feeder stops pulling, and the kernel socket buffer pushes back on the
-   worker's writes. *)
+   socket, or any other carrier — fed into the local port by
+   {!spawn_feeders}. *)
 let remote_iterator ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs cfg
     ~group ~connect =
   let id = match id with Some i -> i | None -> fresh_id () in
-  let state = ref None in
-  Iterator.make
-    ~open_:(fun () ->
-      let port, close_allowed, joiner =
-        if Group.is_master group then begin
-          let sources =
-            (* A refused connection is the same single error a producer
-               dying at fork time is. *)
-            try (connect () : Port.Transport.source array)
-            with exn -> raise (as_query_failed ~fallback:"net-connect" exn)
-          in
-          let producers = Array.length sources in
-          if producers = 0 then
-            invalid_arg "Exchange.remote_iterator: connect returned no sources";
-          let consumers = Group.size group in
-          let cancel_sources () =
-            Array.iter
-              (fun (s : Port.Transport.source) -> try s.cancel () with _ -> ())
-              sources
-          in
-          let on_shutdown () =
-            (* Cancellation chaining across the machine boundary: shutting
-               this port must stop the remote producers (best-effort cancel
-               frames + closed sockets) exactly as it cancels local
-               descendant ports. *)
-            cancel_sources ();
-            match scope with Some s -> Scope.cancel s | None -> ()
-          in
-          let port =
-            Port.create ~producers ~consumers ?flow_slack:cfg.flow_slack
-              ~faults ~on_shutdown ~timed:(Option.is_some obs) ()
-          in
-          (match parent_scope with Some s -> Scope.register s port | None -> ());
-          let spawn_t0 = if Option.is_some obs then Obs.now () else 0.0 in
-          let feeders =
-            Array.to_list
-              (Array.mapi
-                 (fun rank (src : Port.Transport.source) ->
-                   spawn_domain (fun () ->
-                       (* Whole packets round-robin across consumers: the
-                          workers already sharded the data, so the wire
-                          edge is a merge and any consumer may take any
-                          packet. *)
-                       let next_consumer = ref 0 in
-                       let alloc ~capacity =
-                         Port.alloc port ~producer:rank
-                           ~consumer:!next_consumer ~capacity
-                       in
-                       let rec pump () =
-                         if not (Port.is_shut_down port) then
-                           match src.pull ~alloc with
-                           | Port.Transport.Data packet ->
-                               let consumer = !next_consumer in
-                               next_consumer := (consumer + 1) mod consumers;
-                               Port.send port ~producer:rank ~consumer packet;
-                               pump ()
-                           | Port.Transport.Routed (dest, packet) ->
-                               (* A repartitioning edge: the worker already
-                                  applied the partition function, so the
-                                  packet is pinned to its destination
-                                  consumer instead of merged round-robin. *)
-                               Port.send port ~producer:rank
-                                 ~consumer:(dest mod consumers) packet;
-                               pump ()
-                           | Port.Transport.Eos ->
-                               (* Every consumer counts one EOS tag per
-                                  producer, as in the local exchange. *)
-                               for consumer = 0 to consumers - 1 do
-                                 let packet =
-                                   Port.alloc port ~producer:rank ~consumer
-                                     ~capacity:1
-                                 in
-                                 Packet.tag_end_of_stream packet;
-                                 Port.send port ~producer:rank ~consumer packet
-                               done
-                           | Port.Transport.Failed origin ->
-                               raise
-                                 (as_query_failed
-                                    ~fallback:
-                                      (Printf.sprintf "net-worker-%d" rank)
-                                    origin)
-                       in
-                       try pump ()
-                       with exn ->
-                         (* First failure wins; a dropped connection or a
-                            shipped worker failure surfaces at the
-                            consumer's next as one [Query_failed]. *)
-                         Port.poison port exn;
-                         try src.cancel () with _ -> ()))
-                 sources)
-          in
-          let joiner () =
-            List.iter join_domain_quiet feeders;
-            Array.iter
-              (fun (s : Port.Transport.source) -> try s.join () with _ -> ())
-              sources
-          in
-          let joiner =
-            match obs with
-            | None -> joiner
-            | Some (sink, node) ->
-                let spawn_s = Obs.now () -. spawn_t0 in
-                let join_s = ref 0.0 in
-                Obs.register_exchange sink ~node ~sample:(fun () ->
-                    {
-                      Obs.packets_sent = Port.packets_sent port;
-                      packets_received = Port.packets_received port;
-                      records = Port.records_sent port;
-                      max_queue_depth = Port.max_depth port;
-                      flow_waits = Port.flow_stalls port;
-                      flow_wait_s = Port.flow_stall_s port;
-                      per_producer = Port.packets_sent_by port;
-                      pool_allocated = Port.pool_allocated port;
-                      pool_reused = Port.pool_reused port;
-                      pool_recycled = Port.pool_recycled port;
-                      spawn_s;
-                      join_s = !join_s;
-                      domains = producers;
-                    });
-                fun () ->
-                  let t0 = Obs.now () in
-                  joiner ();
-                  join_s := !join_s +. (Obs.now () -. t0)
-          in
-          Group.publish_port group ~key:id port;
-          (port, Sched.Event.create (), Some joiner)
-        end
+  merged_iterator ~what:"Exchange.remote_iterator" ~group (fun () ->
+      (* Only the master connects; the other members attach to its port. *)
+      let sources =
+        if not (Group.is_master group) then [||]
         else
-          let port = Group.lookup_port group ~key:id in
-          (port, Sched.Event.create (), None)
+          match (connect () : Port.Transport.source array) with
+          | exception exn ->
+              (* A refused connection is the same single error a producer
+                 dying at fork time is. *)
+              raise (as_query_failed ~fallback:"net-connect" exn)
+          | [||] ->
+              invalid_arg "Exchange.remote_iterator: connect returned no sources"
+          | sources -> sources
       in
-      let consumer = Group.rank group in
-      state :=
-        Some
-          {
-            port;
-            close_allowed;
-            joiner;
-            recv = (fun () -> Port.receive port ~consumer);
-            recy = Port.recycle port ~consumer;
-            current = None;
-            pos = 0;
-            eos_tags = 0;
-            finished = false;
-          })
-    ~next:(fun () ->
-      let s =
-        match !state with
-        | Some s -> s
-        | None -> invalid_arg "Exchange.remote_iterator: not open"
+      (* Cancellation chaining across the machine boundary: shutting this
+         port must stop the remote producers (best-effort cancel frames +
+         closed sockets) exactly as it cancels local descendant ports. *)
+      let cancel () =
+        Array.iter
+          (fun (s : Port.Transport.source) -> try s.cancel () with _ -> ())
+          sources
       in
-      match consume_packets s with
-      | result -> result
-      | exception exn ->
-          s.finished <- true;
-          Port.poison s.port exn;
-          raise (as_query_failed ~fallback:"consumer" exn))
-    ~close:(fun () ->
-      match !state with
-      | None -> ()
-      | Some s ->
-          teardown_consumer ~group s;
-          state := None)
+      open_port ?flow_slack:cfg.flow_slack ~cancel
+        ~start:(spawn_feeders sources) ~faults ?parent_scope ?scope ?obs ~id
+        ~group ~producers:(Array.length sources) ())
 
 (* Keep-separate variant: one stream per producer, so that "the merge
    iterator [can] distinguish the input records by their producer"
@@ -733,16 +697,16 @@ let producer_streams ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
   let close_count = ref 0 in
   let lock = Mutex.create () in
   let ready = Sched.Event.create () in
-  (* [setup_consumer] can suspend the calling fiber (a non-master rank
-     waits for the master's port publication), so it must run OUTSIDE
-     [lock]: a suspension would unwind the fiber off its worker with the
-     pthread mutex still owned by that worker thread — later lockers
-     would deadlock against an idle worker, and the resumed fiber would
-     unlock from the wrong thread.  The counter mutex therefore only
-     elects the first opener; racers park on [ready] instead.  (In
-     practice all [degree] streams are opened by the one consumer fiber
-     that merges them, so the wait is never exercised — this is
-     belt-and-braces for exotic callers.) *)
+  (* [open_port] can suspend the calling fiber (a non-master rank waits
+     for the master's port publication), so it must run OUTSIDE [lock]: a
+     suspension would unwind the fiber off its worker with the pthread
+     mutex still owned by that worker thread — later lockers would
+     deadlock against an idle worker, and the resumed fiber would unlock
+     from the wrong thread.  The counter mutex therefore only elects the
+     first opener; racers park on [ready] instead.  (In practice all
+     [degree] streams are opened by the one consumer fiber that merges
+     them, so the wait is never exercised — this is belt-and-braces for
+     exotic callers.) *)
   let ensure_open () =
     Mutex.lock lock;
     let first = !open_count = 0 in
@@ -754,10 +718,12 @@ let producer_streams ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
         (fun () ->
           shared :=
             Some
-              (setup_consumer ~keep_separate:true ~faults ?parent_scope ?scope
-                 ?obs ~sched cfg ~id ~group
-                 ~input:(fun producer_group ->
-                   Record_source (input producer_group))))
+              (open_port ~keep_separate:true ?flow_slack:cfg.flow_slack
+                 ~start:
+                   (spawn_producers sched cfg faults (fun producer_group ->
+                        Record_source (input producer_group)))
+                 ~faults ?parent_scope ?scope ?obs ~id ~group
+                 ~producers:cfg.degree ()))
     else begin
       Sched.Event.wait ready;
       if !shared = None then
@@ -772,80 +738,37 @@ let producer_streams ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
     Mutex.unlock lock;
     if last then
       match !shared with
-      | Some (port, close_allowed, joiner) ->
+      | Some (port, joiner) ->
           if Array.exists not all_finished then Port.shutdown port;
-          Sched.Event.fire close_allowed;
-          (match joiner with Some join -> join () | None -> ());
+          Option.iter (fun join -> join ()) joiner;
           shared := None
       | None -> ()
   in
   Array.init cfg.degree (fun producer ->
-      let stream_state = ref None in
+      let stream = ref None in
       Iterator.make
         ~open_:(fun () ->
           ensure_open ();
-          let port, close_allowed, _ =
+          let port, _ =
             match !shared with Some s -> s | None -> assert false
           in
           let consumer = Group.rank group in
-          stream_state :=
+          (* Exactly one end-of-stream tag arrives on this producer's
+             lane. *)
+          stream :=
             Some
-              {
-                port;
-                close_allowed;
-                joiner = None;
-                recv =
-                  (fun () -> Port.receive_from port ~producer ~consumer);
-                recy = Port.recycle port ~consumer;
-                current = None;
-                pos = 0;
-                eos_tags = 0;
-                finished = false;
-              })
+              (cursor port ~ends:1 ~site:"consumer"
+                 ~recycle:(Port.recycle port ~consumer)
+                 (receive (fun () -> Port.receive_from port ~producer ~consumer))))
         ~next:(fun () ->
-          match !stream_state with
-          | None -> invalid_arg "Exchange.producer_streams: not open"
-          | Some s ->
-              (* Exactly one end-of-stream tag arrives on this queue. *)
-              let result =
-                let rec step () =
-                  match s.current with
-                  | Some packet when s.pos < Packet.length packet ->
-                      let tuple = Packet.get packet s.pos in
-                      s.pos <- s.pos + 1;
-                      Some tuple
-                  | Some packet ->
-                      if Packet.end_of_stream packet then s.finished <- true;
-                      s.current <- None;
-                      s.recy packet;
-                      if s.finished then None else step ()
-                  | None ->
-                      if s.finished then None
-                      else (
-                        match s.recv () with
-                        | Some packet ->
-                            s.current <- Some packet;
-                            s.pos <- 0;
-                            step ()
-                        | None ->
-                            s.finished <- true;
-                            (match Port.failure s.port with
-                            | Some origin ->
-                                raise
-                                  (as_query_failed ~fallback:"producer" origin)
-                            | None -> None))
-                in
-                step ()
-              in
-              (match result with
-              | None -> all_finished.(producer) <- true
-              | Some _ -> ());
-              result)
+          match !stream with
+          | Some c -> next c
+          | None -> invalid_arg "Exchange.producer_streams: not open")
         ~close:(fun () ->
-          (match !stream_state with
-          | Some s -> if s.finished then all_finished.(producer) <- true
+          (match !stream with
+          | Some c -> if c.finished then all_finished.(producer) <- true
           | None -> ());
-          stream_state := None;
+          stream := None;
           release ()))
 
 (* ------------------------------------------------------------------ *)
@@ -857,177 +780,73 @@ let interchange ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs cfg
   let rank = Group.rank group in
   let size = Group.size group in
   let state = ref None in
-  let input_done = ref false in
-  let packets = ref [||] in
-  let partition = ref (fun _ -> 0) in
   Iterator.make
     ~open_:(fun () ->
-      let port =
-        if Group.is_master group then begin
-          (* Flow control is pointless here: a process produces only when
-             it has nothing to consume. *)
-          let on_shutdown =
-            match scope with
-            | Some s -> fun () -> Scope.cancel s
-            | None -> fun () -> ()
-          in
-          let port =
-            Port.create ~producers:size ~consumers:size ~keep_separate:false
-              ~faults ~on_shutdown ~timed:(Option.is_some obs) ()
-          in
-          (match parent_scope with
-          | Some s -> Scope.register s port
-          | None -> ());
-          (match obs with
-          | None -> ()
-          | Some (sink, node) ->
-              (* No processes are forked here: spawn/join are zero and
-                 [domains] reports 0 by construction. *)
-              Obs.register_exchange sink ~node ~sample:(fun () ->
-                  {
-                    Obs.packets_sent = Port.packets_sent port;
-                    packets_received = Port.packets_received port;
-                    records = Port.records_sent port;
-                    max_queue_depth = Port.max_depth port;
-                    flow_waits = Port.flow_stalls port;
-                    flow_wait_s = Port.flow_stall_s port;
-                    per_producer = Port.packets_sent_by port;
-                    pool_allocated = Port.pool_allocated port;
-                    pool_reused = Port.pool_reused port;
-                    pool_recycled = Port.pool_recycled port;
-                    spawn_s = 0.0;
-                    join_s = 0.0;
-                    domains = 0;
-                  }));
-          Group.publish_port group ~key:id port;
-          port
-        end
-        else Group.lookup_port group ~key:id
+      let partition =
+        match cfg.partition with
+        | Broadcast ->
+            invalid_arg "Exchange.interchange: broadcast not supported"
+        | spec -> instantiate_partition spec ~consumers:size
+      in
+      (* Flow control is pointless here: a process produces only when it
+         has nothing to consume. *)
+      let port, _ =
+        open_port ~faults ?parent_scope ?scope ?obs ~id ~group ~producers:size
+          ()
       in
       Iterator.open_ input;
-      input_done := false;
-      packets :=
-        Array.init size (fun consumer ->
-            Port.alloc port ~producer:rank ~consumer
-              ~capacity:cfg.packet_size);
-      (partition :=
-         match cfg.partition with
-         | Broadcast ->
-             invalid_arg "Exchange.interchange: broadcast not supported"
-         | spec -> instantiate_partition spec ~consumers:size);
+      let out = outbox port ~rank ~capacity:cfg.packet_size in
+      let input_done = ref false in
+      (* The no-fork refill rule: prefer packets already queued for this
+         process; otherwise run the producer — pull own input and route
+         records to peer packets — and return as soon as one lands here;
+         once the input is exhausted, block for the peers' packets. *)
+      let rec drive c =
+        if Port.is_shut_down port then
+          (* Cancellation or a peer's failure: stop driving the input —
+             routed sends are dropped anyway, so an unbounded input would
+             spin here forever. *)
+          ended c ~site:"interchange"
+        else
+          match Port.try_receive port ~consumer:rank with
+          | Some packet -> load c packet
+          | None when !input_done -> (
+              match Port.receive port ~consumer:rank with
+              | Some packet -> load c packet
+              | None -> ended c ~site:"interchange")
+          | None -> (
+              match Iterator.next input with
+              | Some tuple ->
+                  let consumer = partition tuple in
+                  if consumer = rank then Some tuple
+                  else begin
+                    deliver out consumer tuple;
+                    drive c
+                  end
+              | None ->
+                  input_done := true;
+                  finish out;
+                  step c)
+      in
+      (* Every member is a producer here: a member whose input dies
+         poisons the shared port through {!next}, or its peers would block
+         forever waiting for this member's packets. *)
       state :=
         Some
-          {
-            port;
-            close_allowed = Sched.Event.create ();
-            joiner = None;
-            recv = (fun () -> Port.receive port ~consumer:rank);
-            recy = Port.recycle port ~consumer:rank;
-            current = None;
-            pos = 0;
-            eos_tags = 0;
-            finished = false;
-          })
+          (cursor port ~ends:size ~site:"interchange"
+             ~recycle:(Port.recycle port ~consumer:rank)
+             drive))
     ~next:(fun () ->
       match !state with
-      | None -> invalid_arg "Exchange.interchange: not open"
-      | Some s -> (
-          let flush consumer ~eos =
-            let packet = !packets.(consumer) in
-            if eos then Packet.tag_end_of_stream packet;
-            if eos || not (Packet.is_empty packet) then
-              Port.send s.port ~producer:rank ~consumer packet;
-            if not eos then
-              !packets.(consumer) <-
-                Port.alloc s.port ~producer:rank ~consumer
-                  ~capacity:cfg.packet_size
-          in
-          let rec step () =
-            match s.current with
-            | Some packet when s.pos < Packet.length packet ->
-                let tuple = Packet.get packet s.pos in
-                s.pos <- s.pos + 1;
-                Some tuple
-            | Some packet ->
-                if Packet.end_of_stream packet then
-                  s.eos_tags <- s.eos_tags + 1;
-                s.current <- None;
-                s.recy packet;
-                step ()
-            | None ->
-                if s.finished then None
-                else if Port.is_shut_down s.port then begin
-                  (* Cancellation or a peer's failure: stop driving the
-                     input — routed sends are dropped anyway, so an
-                     unbounded input would spin here forever. *)
-                  s.finished <- true;
-                  match Port.failure s.port with
-                  | Some origin ->
-                      raise (as_query_failed ~fallback:"interchange" origin)
-                  | None -> None
-                end
-                else if s.eos_tags >= size then begin
-                  s.finished <- true;
-                  None
-                end
-                else (
-                  (* Prefer packets already queued for this process. *)
-                  match Port.try_receive s.port ~consumer:rank with
-                  | Some packet ->
-                      s.current <- Some packet;
-                      s.pos <- 0;
-                      step ()
-                  | None ->
-                      if not !input_done then (
-                        (* Run the producer: pull own input, route records,
-                           and return as soon as one lands here. *)
-                        match Iterator.next input with
-                        | Some tuple ->
-                            let consumer = !partition tuple in
-                            if consumer = rank then Some tuple
-                            else begin
-                              Packet.add !packets.(consumer) tuple;
-                              if Packet.is_full !packets.(consumer) then
-                                flush consumer ~eos:false;
-                              step ()
-                            end
-                        | None ->
-                            input_done := true;
-                            for consumer = 0 to size - 1 do
-                              flush consumer ~eos:true
-                            done;
-                            step ())
-                      else (
-                        match Port.receive s.port ~consumer:rank with
-                        | Some packet ->
-                            s.current <- Some packet;
-                            s.pos <- 0;
-                            step ()
-                        | None ->
-                            s.finished <- true;
-                            (match Port.failure s.port with
-                            | Some origin ->
-                                raise
-                                  (as_query_failed ~fallback:"interchange"
-                                     origin)
-                            | None -> None)))
-          in
-          match step () with
-          | result -> result
-          | exception exn ->
-              (* Every member is a producer here: a member whose input dies
-                 must poison the shared port or its peers would block
-                 forever waiting for this member's packets. *)
-              s.finished <- true;
-              Port.poison s.port exn;
-              raise (as_query_failed ~fallback:"interchange" exn)))
+      | Some c -> next c
+      | None -> invalid_arg "Exchange.interchange: not open")
     ~close:(fun () ->
       (match !state with
-      | Some s ->
+      | Some c ->
           (* Any member closing an unfinished interchange cancels the whole
              group: peers block on each other's packets, so a silent
              departure — master or not — would strand them. *)
-          if not s.finished then Port.shutdown s.port
+          if not c.finished then Port.shutdown c.port
       | None -> ());
       Iterator.close input;
       state := None)

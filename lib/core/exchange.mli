@@ -195,20 +195,19 @@ val remote_iterator :
   Iterator.t
 (** The consumer half of exchange when the producer group lives behind
     {!Port.Transport.source}s — worker processes across a socket
-    ([Volcano_net]), or in-memory lanes via {!Port.Transport.of_port}.
-    On the master's [open_], [connect] establishes one source per remote
-    producer (a refused connection raises {!Query_failed} at site
-    ["net-connect"]); one dedicated feeder domain per source pumps pulled
-    packets into a local port, so [next], EOS counting, flow control, and
-    the failure semantics are exactly the shared-memory paths: a dropped
-    connection or a shipped worker failure surfaces as the same single
-    {!Query_failed} a dead local producer produces, and closing early (or
-    a runtime cancel through the scopes) cancels the sources, which sends
-    best-effort cancel frames and closes the sockets.  [close] joins the
-    feeder domains and the sources (reaping worker processes).  The
-    partition spec of [cfg] is not re-applied on the wire edge: workers
-    already sharded the data, so packets merge round-robin across the
-    consuming group. *)
+    ([Volcano_net]).  On the master's [open_], [connect] establishes one
+    source per remote producer (a refused connection raises
+    {!Query_failed} at site ["net-connect"]); one dedicated feeder domain
+    per source pumps pulled packets into a local port, so [next], EOS
+    counting, flow control, and the failure semantics are exactly the
+    shared-memory paths: a dropped connection or a shipped worker failure
+    surfaces as the same single {!Query_failed} a dead local producer
+    produces, and closing early (or a runtime cancel through the scopes)
+    cancels the sources, which sends best-effort cancel frames and closes
+    the sockets.  [close] joins the feeder domains and the sources
+    (reaping worker processes).  The partition spec of [cfg] is not
+    re-applied on the wire edge: workers already sharded the data, so
+    packets merge round-robin across the consuming group. *)
 
 val producer_streams :
   ?id:int ->

@@ -568,20 +568,4 @@ module Transport = struct
     cancel : unit -> unit;
     join : unit -> unit;
   }
-
-  (* The in-memory SPSC lane as one transport among others: a pull is a
-     blocking [receive_from]; the lane's own buffers carry the packets, so
-     [alloc] is unused.  A drained shut-down lane distinguishes poison
-     (the producer's failure) from a clean end of stream. *)
-  let of_port t ~producer ~consumer =
-    {
-      pull =
-        (fun ~alloc:_ ->
-          match receive_from t ~producer ~consumer with
-          | Some packet -> Data packet
-          | None -> (
-              match failure t with Some exn -> Failed exn | None -> Eos));
-      cancel = (fun () -> shutdown t);
-      join = (fun () -> ());
-    }
 end

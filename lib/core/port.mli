@@ -138,11 +138,11 @@ val pool_recycled : t -> int
 (** {2 Transport abstraction}
 
     A {e transport source} is one producer's packet stream viewed from the
-    consumer side, independent of what carries it: the in-memory SPSC lane
-    ({!Transport.of_port}) and the socket lane of [Volcano_net] are the two
-    implementations.  Remote exchange consumes sources only, so EOS,
-    failure, and cancellation flow identically whether the producer shares
-    the address space or a machine boundary. *)
+    consumer side, independent of what carries it — the socket lane of
+    [Volcano_net] is the implementation.  Remote exchange consumes sources
+    only and pumps them into a local port, so EOS, failure, and
+    cancellation flow exactly as they do for a producer that shares the
+    address space. *)
 module Transport : sig
   exception Remote_failure of { site : string; message : string }
   (** A producer-side failure that crossed a serialization boundary: the
@@ -171,7 +171,4 @@ module Transport : sig
         (** Wait for the transport's resources (worker process, socket) to
             be fully released.  Call after [cancel] or a terminal event. *)
   }
-
-  val of_port : t -> producer:int -> consumer:int -> source
-  (** One lane of an in-memory port as a transport source. *)
 end

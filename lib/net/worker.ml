@@ -81,63 +81,56 @@ let connect address =
     fd
   end
 
-(* Merge mode: one shell, flushed as mergeable [Data] frames. *)
-let pump_merge fd ~packet_size ~shard next =
-  let shell = Packet.create ~capacity:packet_size ~producer:shard in
-  let flush () =
-    if not (Packet.is_empty shell) then begin
-      Wire.write_frame fd Wire.Data (Codec.encode shell);
-      Packet.reset shell
-    end
+(* The one pump of both stream modes: one open shell per destination,
+   [route] picks a record's shell, and [write] sends a non-empty shell as
+   one frame.  A full shell flushes at once; at end of stream every shell
+   flushes, so a key that hashed to a lone row still arrives. *)
+let pump fd ~packet_size ~shard repartition next =
+  let dests, route, write =
+    match repartition with
+    | None ->
+        (* Merge mode: one shell, flushed as mergeable [Data] frames. *)
+        ( 1,
+          (fun _ -> 0),
+          fun _ shell -> Wire.write_frame fd Wire.Data (Codec.encode shell) )
+    | Some { Wire.dests; spec } ->
+        (* Repartition mode: one shell per destination, each flushed as a
+           routed frame [u16 dest | packet bytes]. *)
+        let route = Repart.route spec ~dests in
+        ( dests,
+          (fun tuple -> ((route tuple mod dests) + dests) mod dests),
+          fun dest shell ->
+            let payload = Codec.encode ~off:2 shell in
+            Bytes.set_uint16_le payload 0 dest;
+            Wire.write_frame fd Wire.Repartition payload )
   in
-  let rec pump () =
-    match next () with
-    | None -> flush ()
-    | Some tuple ->
-        Packet.add shell tuple;
-        if Packet.is_full shell then begin
-          (* Between packets is the cancellation point: a Cancel frame
-             (or a torn-down connection) stops the stream without
-             waiting for the shard to drain. *)
-          if cancelled fd then raise Exit;
-          flush ()
-        end;
-        pump ()
-  in
-  pump ()
-
-(* Repartition mode: one shell per destination; a full (or final) shell
-   flushes as a routed frame.  Tail flushes walk every destination so a
-   key that hashed to a lone row still arrives. *)
-let pump_repartition fd ~packet_size ~shard ~repartition next =
-  let { Wire.dests; spec } = repartition in
-  let route = Repart.route spec ~dests in
   let shells =
     Array.init dests (fun _ -> Packet.create ~capacity:packet_size ~producer:shard)
   in
   let flush dest =
     let shell = shells.(dest) in
     if not (Packet.is_empty shell) then begin
-      let payload = Codec.encode ~off:2 shell in
-      Bytes.set_uint16_le payload 0 dest;
-      Wire.write_frame fd Wire.Repartition payload;
+      write dest shell;
       Packet.reset shell
     end
   in
-  let rec pump () =
+  let rec loop () =
     match next () with
     | None -> Array.iteri (fun dest _ -> flush dest) shells
     | Some tuple ->
-        let dest = ((route tuple mod dests) + dests) mod dests in
+        let dest = route tuple in
         let shell = shells.(dest) in
         Packet.add shell tuple;
         if Packet.is_full shell then begin
+          (* Between packets is the cancellation point: a Cancel frame
+             (or a torn-down connection) stops the stream without
+             waiting for the shard to drain. *)
           if cancelled fd then raise Exit;
           flush dest
         end;
-        pump ()
+        loop ()
   in
-  pump ()
+  loop ()
 
 let run ~socket ~resolve =
   (* A parent that cancelled us closes its end; a write must then raise
@@ -172,12 +165,7 @@ let run ~socket ~resolve =
           report_failure exn;
           finish ()
       | repartition, next -> (
-          match
-            match repartition with
-            | None -> pump_merge fd ~packet_size ~shard next
-            | Some repartition ->
-                pump_repartition fd ~packet_size ~shard ~repartition next
-          with
+          match pump fd ~packet_size ~shard repartition next with
           | () -> (
               match Wire.write_frame fd Wire.Eos Bytes.empty with
               | () -> finish ()

@@ -810,6 +810,3 @@ let compile ?(check = true) ?obs ?scope ?cancel env plan =
      | errors -> raise (Rejected errors));
   let iter = compile_in env (assign_ids plan) obs (Group.solo ()) scope plan in
   match cancel with None -> iter | Some flag -> cancel_guard flag iter
-
-let run ?check env plan = Iterator.to_list (compile ?check env plan)
-let run_count ?check env plan = Iterator.consume (compile ?check env plan)

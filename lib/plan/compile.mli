@@ -75,12 +75,3 @@ val compile :
     exchange nodes additionally report port/group samples to the sink.
     Producer subtrees recompiled per rank share the plan node, hence the
     obs node: counters aggregate across the whole process group. *)
-
-val run : ?check:bool -> Env.t -> Plan.t -> Volcano_tuple.Tuple.t list
-[@@deprecated "use Session.exec — the Session is the one entry point"]
-(** Compile, open, drain, close.  Deprecated shim: go through
-    {!Session.exec}, which adds the worker pool, cancellation scope, and
-    runtime admission around the same path. *)
-
-val run_count : ?check:bool -> Env.t -> Plan.t -> int
-[@@deprecated "use Session.exec_count — the Session is the one entry point"]

@@ -166,5 +166,3 @@ let to_json r =
 
 let write_json r ~path = Jsonx.write_file path (to_json r)
 let write_trace r ~path = Obs.write_trace r.sink ~path
-
-let run = execute

@@ -28,10 +28,6 @@ val execute : ?check:bool -> Env.t -> Plan.t -> report
     Prefer {!Session.profile}, which calls this on the session's
     environment. *)
 
-val run : ?check:bool -> Env.t -> Plan.t -> report
-[@@deprecated "use Session.profile (or Profile.execute on a bare Env)"]
-(** Former name of {!execute}. *)
-
 val render : report -> string
 (** The annotated plan tree: a header (rows, time, buffer/device deltas)
     and one line per node with rows, next calls, and busy time; exchange

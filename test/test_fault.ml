@@ -404,6 +404,100 @@ let test_interchange_member_failure () =
       | _ -> Alcotest.fail "expected Query_failed"
       | exception Exchange.Query_failed { origin = Boom; _ } -> ()))
 
+(* --- one consumer core: every face meets the contract ----------------- *)
+
+(* The merged exchange, the keep-separate streams of a merge network, and
+   the no-fork interchange (under an outer exchange) share one consumer
+   core.  A consumer-side fault under each — a failed port receive, a
+   failed park of a pool fiber — must surface as exactly one
+   [Query_failed] carrying the fault's site, never as a raw injection,
+   and leave the buffer pool, the scheduler and the producer ledger
+   quiescent.  The query runs on a pool fiber so the consumer itself
+   parks (and reaches the park site) when it outruns its producers. *)
+let consumer_face_plans =
+  let cfg ?partition () =
+    Exchange.config ~degree:2 ~packet_size:4 ~flow_slack:(Some 1) ?partition
+      ()
+  in
+  let scan = Plan.Scan_table "faces_t" in
+  let key = [ (0, Volcano_tuple.Support.Asc) ] in
+  [
+    ("Exchange.iterator", Plan.Exchange { cfg = cfg (); input = scan });
+    ( "Merge.exchange_merge",
+      Plan.Exchange_merge
+        { cfg = cfg (); key; input = Plan.Sort { key; input = scan } } );
+    ( "Exchange.interchange",
+      Plan.Exchange
+        {
+          cfg = cfg ();
+          input =
+            Plan.Interchange
+              { cfg = cfg ~partition:(Exchange.Hash_on [ 0 ]) (); input = scan };
+        } );
+  ]
+
+let faces_env () =
+  let env = Env.create ~frames:16 ~page_size:512 () in
+  let file =
+    Env.create_table env ~name:"faces_t"
+      ~schema:
+        (Volcano_tuple.Schema.of_names
+           [ ("a", Volcano_tuple.Value.Tint); ("b", Volcano_tuple.Value.Tint) ])
+  in
+  for i = 0 to 1999 do
+    ignore
+      (Volcano_storage.Heap_file.insert file
+         (Bytes.to_string
+            (Volcano_tuple.Serial.encode (Tuple.of_ints [ 7 * i mod 2000; i ]))))
+  done;
+  env
+
+let test_consumer_faces_fail_once () =
+  List.iter
+    (fun (site, hit) ->
+      List.iter
+        (fun (face, plan) ->
+          let what = Printf.sprintf "%s under %s" face (Fault.site_name site) in
+          with_domain_accounting (fun () ->
+              let env = faces_env () in
+              Env.set_faults env
+                (Injector.make
+                   {
+                     Fault.seed = 5L;
+                     rules =
+                       [
+                         {
+                           Fault.site;
+                           trigger = Fault.At_hit hit;
+                           action = Fault.Fail;
+                         };
+                       ];
+                   });
+              (match
+                 Test_chaos.run_with_timeout ~seconds:20.0 (fun () ->
+                     match
+                       Sched.await
+                         (Sched.fork (Env.sched env) (fun () ->
+                              Runner.run env plan))
+                     with
+                     | Ok rows -> rows
+                     | Error exn -> raise exn)
+               with
+              | Test_chaos.Raised
+                  (Exchange.Query_failed
+                     { site = reported; origin = Fault.Injected _ }) ->
+                  check Alcotest.string (what ^ ": site")
+                    (Fault.site_name site) reported
+              | Test_chaos.Raised exn ->
+                  Alcotest.failf "%s: surfaced as %s, not one Query_failed"
+                    what (Printexc.to_string exn)
+              | Test_chaos.Rows _ -> Alcotest.failf "%s: fault never fired" what
+              | Test_chaos.Timeout -> Alcotest.failf "%s: hung" what);
+              Env.clear_faults env;
+              Bufpool.assert_quiescent ~what (Env.buffer env)))
+        consumer_face_plans)
+    [ (Fault.Port_receive, 2); (Fault.Sched_park, 1) ]
+
 let suite =
   [
     Alcotest.test_case "injector determinism" `Quick
@@ -429,4 +523,6 @@ let suite =
       test_producer_site_via_plan;
     Alcotest.test_case "interchange member failure" `Quick
       test_interchange_member_failure;
+    Alcotest.test_case "every consumer face fails once" `Quick
+      test_consumer_faces_fail_once;
   ]

@@ -324,6 +324,38 @@ let test_remote_local_differential () =
     check_quiescent ~what:"remote differential" env ~unjoined0 ~live0
   done
 
+(* The remote face samples its port like every local face: one feeder
+   domain per source, and every packet a feeder pushed reached the
+   consumer. *)
+let test_remote_sample () =
+  let env = Env.create ~frames:128 ~page_size:512 () in
+  register env;
+  let unjoined0 = Exchange.unjoined_domains () in
+  let live0 = Exchange.live_domains () in
+  let plan = remote ~workers:2 ~task:"gen:3000" (gen_plan 3000) in
+  let sink = Volcano_obs.Obs.create () in
+  let obs = Compile.observe sink plan in
+  (match
+     run_with_timeout (fun () ->
+         Volcano.Iterator.to_list (Compile.compile ~obs env plan))
+   with
+  | Rows rows -> Alcotest.(check int) "rows" 3000 (List.length rows)
+  | Raised exn ->
+      Alcotest.failf "remote run failed: %s" (Printexc.to_string exn)
+  | Timeout -> Alcotest.fail "remote run hung");
+  (match
+     Option.bind (obs.Compile.node_of plan) (fun node ->
+         Volcano_obs.Obs.exchange_sample sink ~node)
+   with
+  | Some s ->
+      Alcotest.(check int) "one feeder domain per source" 2
+        s.Volcano_obs.Obs.domains;
+      Alcotest.(check int) "packets sent = received" s.packets_sent
+        s.packets_received;
+      Alcotest.(check int) "every row crossed" 3000 s.records
+  | None -> Alcotest.fail "remote exchange not sampled");
+  check_quiescent ~what:"remote sample" env ~unjoined0 ~live0
+
 (* A worker process killed mid-stream must surface as exactly one
    [Query_failed] at the consumer — no hang, no partial result. *)
 let test_killed_worker () =
@@ -561,6 +593,7 @@ let suite =
     Alcotest.test_case "golden wire fixture" `Quick test_golden_frame;
     Alcotest.test_case "remote matches local over the corpus" `Slow
       test_remote_local_differential;
+    Alcotest.test_case "remote edge samples its port" `Slow test_remote_sample;
     Alcotest.test_case "killed worker yields one Query_failed" `Slow
       test_killed_worker;
     Alcotest.test_case "worker task failure crosses as Query_failed" `Slow

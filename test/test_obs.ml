@@ -215,6 +215,61 @@ let test_disabled_identical_ring_paths () =
       ("unbounded exchange", false, unbounded_plan);
     ]
 
+(* Every exchange face reports through one sample function; pin the
+   fields each face must keep.  A merged or keep-separate (merge network)
+   exchange forks [degree] producers and every record crosses its port;
+   the no-fork interchange forks nothing, so it reports zero domains and
+   zero spawn/join time.  Packets sent = received on every face. *)
+let test_sample_per_face () =
+  let n = 600 in
+  let gen =
+    Plan.Generate_slice
+      { arity = 2; count = n; gen = (fun i -> Tuple.of_ints [ (7 * i) mod n; i ]) }
+  in
+  let cfg ?partition degree =
+    Exchange.config ~degree ~packet_size:4 ~flow_slack:(Some 2) ?partition ()
+  in
+  let key = [ (0, Volcano_tuple.Support.Asc) ] in
+  let exchange = Plan.Exchange { cfg = cfg 3; input = gen } in
+  let merge =
+    Plan.Exchange_merge
+      { cfg = cfg 3; key; input = Plan.Sort { key; input = gen } }
+  in
+  let interchange =
+    Plan.Interchange
+      { cfg = cfg ~partition:(Exchange.Hash_on [ 0 ]) 2; input = gen }
+  in
+  let sample plan node_plan =
+    let env = Env.create () in
+    let sink = Obs.create () in
+    let obs = Compile.observe sink plan in
+    let rows = Iterator.consume (Compile.compile ~obs env plan) in
+    check Alcotest.int "all rows arrive" n rows;
+    match Option.bind (obs.Compile.node_of node_plan) (fun node ->
+              Obs.exchange_sample sink ~node)
+    with
+    | Some s ->
+        check Alcotest.int "sent = received" s.Obs.packets_sent
+          s.Obs.packets_received;
+        s
+    | None -> Alcotest.fail "exchange not sampled"
+  in
+  List.iter
+    (fun (face, plan) ->
+      let s = sample plan plan in
+      check Alcotest.int (face ^ ": domains = degree") 3 s.Obs.domains;
+      check Alcotest.int (face ^ ": every record crossed") n s.Obs.records;
+      check Alcotest.bool (face ^ ": spawn timed") true (s.Obs.spawn_s > 0.0))
+    [ ("exchange", exchange); ("exchange merge", merge) ];
+  let s =
+    sample (Plan.Exchange { cfg = cfg 2; input = interchange }) interchange
+  in
+  check Alcotest.int "interchange: no domains" 0 s.Obs.domains;
+  check (Alcotest.float 0.0) "interchange: no spawn time" 0.0 s.Obs.spawn_s;
+  check (Alcotest.float 0.0) "interchange: no join time" 0.0 s.Obs.join_s;
+  check Alcotest.bool "interchange: packets flowed" true
+    (s.Obs.packets_sent > 0)
+
 (* Batched execution: a fused scan→filter→project chain flushes node
    counters once per batch instead of once per record.  Per-node row
    counts must stay exact, every open must get its close (and a span),
@@ -508,6 +563,7 @@ let suite =
       test_disabled_identical;
     Alcotest.test_case "obs-disabled identical on ring paths" `Quick
       test_disabled_identical_ring_paths;
+    Alcotest.test_case "exchange sample per face" `Quick test_sample_per_face;
     Alcotest.test_case "fused chain node counters" `Quick
       test_fused_chain_counters;
     Alcotest.test_case "projected scan keeps both nodes' books" `Quick
