@@ -620,11 +620,12 @@ let memory_pass ?(flow_budget = 1 lsl 20) root =
 (* The vectorized path's knob shares the runtime's validation
    ([Volcano.Batch.validate], exactly as the exchange cfg checks share
    [Exchange.validate]), so planlint can never drift from what
-   [Batch.fused] accepts.  Every exchange edge is then checked against
-   the knob: batches never cross an exchange edge unpacketized — the
-   producer re-packetizes rows onto the port's pooled shells — so a
-   port packet smaller than the batch size splits every batch at the
-   boundary and gives back the per-record overhead batching amortized. *)
+   the record bridge [Batch.to_iterator] accepts.  Every exchange edge
+   is then checked against the knob: batches never cross an exchange
+   edge unpacketized — the producer routes rows onto the port's pooled
+   shells — so a port packet smaller than the batch size splits every
+   batch at the boundary and gives back the per-record overhead
+   batching amortized. *)
 let batch_pass ?(batch_size = Volcano.Batch.default_size) root =
   let diags = ref [] in
   List.iter

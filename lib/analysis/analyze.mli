@@ -67,7 +67,7 @@ val memory_pass : ?flow_budget:int -> Ir.t -> Diag.t list
 val batch_pass : ?batch_size:int -> Ir.t -> Diag.t list
 (** Batch-size legality for the vectorized path.  Errors ([batch-size])
     when the knob fails {!Volcano.Batch.validate} — the same validation
-    the runtime's [Batch.fused] applies, so planlint cannot drift from
+    the runtime's [Batch.to_iterator] applies, so planlint cannot drift from
     it.  Warns ([batch-packet-mismatch]) at each exchange edge whose
     port [packet_size] is smaller than the batch size: batches never
     cross an exchange edge unpacketized, so such an edge splits every

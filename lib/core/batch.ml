@@ -1,15 +1,3 @@
-type t = {
-  open_ : unit -> unit;
-  next : unit -> Packet.t option;
-  close : unit -> unit;
-}
-
-let make ~open_ ~next ~close = { open_; next; close }
-
-let open_ t = t.open_ ()
-let next t = t.next ()
-let close t = t.close ()
-
 let default_size = 64
 
 let validate ~batch_size =
@@ -23,7 +11,7 @@ let validate ~batch_size =
   else []
 
 (* ------------------------------------------------------------------ *)
-(* Fused pipelines                                                     *)
+(* Cursors                                                             *)
 
 type cursor = {
   reset : unit -> unit;
@@ -31,47 +19,22 @@ type cursor = {
   stop : unit -> unit;
 }
 
-let fused ~batch_size ?(stage = fun k -> k) cursor =
-  (match validate ~batch_size with
-  | [] when batch_size > 0 -> ()
-  | _ -> invalid_arg "Batch.fused: batch_size must be in [1, 255]");
-  (* A fresh shell per batch, deliberately NOT one long-lived reused
-     shell: a reused shell is promoted to the major heap after a few
-     minor collections, and from then on every refill overwrites
-     major-heap pointer fields.  Any per-record allocation downstream
-     keeps OCaml 5's concurrent marking active, and each such overwrite
-     then pays the deletion barrier — measured ~5x the cost of
-     bump-allocating a young shell that dies with its batch.  [emit] is
-     composed once and reaches the current shell through one cell. *)
-  let shell = ref (Packet.create ~capacity:batch_size ~producer:0) in
-  let emit = stage (fun tuple -> Packet.add !shell tuple) in
-  let finished = ref true in
+(* Bind the composed emit to the [emit] it was composed for, and
+   recompose only when a driver passes a physically different one: every
+   driver reuses one emit closure per open, so this costs one compare per
+   step and no allocation. *)
+let staged ~stage cursor =
+  let last_emit = ref ignore in
+  let composed = ref (stage ignore) in
   {
-    open_ =
-      (fun () ->
-        finished := false;
-        cursor.reset ());
-    next =
-      (fun () ->
-        if !finished then None
-        else begin
-          let packet = Packet.create ~capacity:batch_size ~producer:0 in
-          shell := packet;
-          (* The tight loop: step the source, bounded by the shell's
-             remaining room (stages emit at most one record per input
-             record, so the shell cannot overflow). *)
-          let exhausted = ref false in
-          while (not !exhausted) && not (Packet.is_full packet) do
-            let room = Packet.capacity packet - Packet.length packet in
-            if cursor.step ~emit ~max:room = 0 then exhausted := true
-          done;
-          if !exhausted then finished := true;
-          if Packet.is_empty packet then None else Some packet
-        end);
-    close =
-      (fun () ->
-        finished := true;
-        cursor.stop ());
+    cursor with
+    step =
+      (fun ~emit ~max ->
+        if !last_emit != emit then begin
+          composed := stage emit;
+          last_emit := emit
+        end;
+        cursor.step ~emit:!composed ~max);
   }
 
 let generator_cursor ~count ~f =
@@ -137,44 +100,65 @@ let iterator_cursor iter =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Record-at-a-time bridges                                            *)
+(* The record-at-a-time bridge                                         *)
 
-let of_iterator ~batch_size iter = fused ~batch_size (iterator_cursor iter)
-
-let to_iterator t =
+let to_iterator ~batch_size cursor =
+  (match validate ~batch_size with
+  | [] when batch_size > 0 -> ()
+  | _ -> invalid_arg "Batch.to_iterator: batch_size must be in [1, 255]");
   (* The fast path must stay closure-free and match-free: one bounds
      compare, one load, one [Some].  A drained sentinel (any packet with
      everything consumed) funnels the slow path into [refill], defined
-     once per iterator rather than per call. *)
+     once per iterator rather than per call.
+
+     A fresh shell per refill, deliberately NOT one long-lived reused
+     shell: a reused shell is promoted to the major heap after a few
+     minor collections, and from then on every refill overwrites
+     major-heap pointer fields.  Any per-record allocation downstream
+     keeps OCaml 5's concurrent marking active, and each such overwrite
+     then pays the deletion barrier — measured ~5x the cost of
+     bump-allocating a young shell that dies with its batch.  [emit] is
+     one closure, reaching the current shell through [current]. *)
   let drained = Packet.create ~capacity:1 ~producer:0 in
   let current = ref drained in
   let pos = ref 0 in
   let len = ref 0 in
+  let finished = ref true in
+  let emit tuple = Packet.add !current tuple in
+  let release () =
+    current := drained;
+    pos := 0;
+    len := 0
+  in
+  (* One step per refill: a step emits at most [max] records, so it
+     cannot overflow the shell.  A step whose records were all filtered
+     out steps again; a step of 0 latches the end of the stream. *)
   let rec refill () =
-    match t.next () with
-    | None ->
-        current := drained;
-        pos := 0;
-        len := 0;
+    release ();
+    if !finished then None
+    else begin
+      let packet = Packet.create ~capacity:batch_size ~producer:0 in
+      current := packet;
+      if cursor.step ~emit ~max:batch_size = 0 then begin
+        finished := true;
+        release ();
         None
-    | Some packet ->
+      end
+      else
         let n = Packet.length packet in
-        (* The protocol says producers never hand over an empty packet,
-           but a defensive skip costs nothing off the fast path. *)
         if n = 0 then refill ()
         else begin
-          current := packet;
           pos := 1;
           len := n;
           Some (Packet.get packet 0)
         end
+    end
   in
   Iterator.make
     ~open_:(fun () ->
-      current := drained;
-      pos := 0;
-      len := 0;
-      t.open_ ())
+      release ();
+      finished := false;
+      cursor.reset ())
     ~next:(fun () ->
       let i = !pos in
       if i < !len then begin
@@ -183,28 +167,6 @@ let to_iterator t =
       end
       else refill ())
     ~close:(fun () ->
-      current := drained;
-      pos := 0;
-      len := 0;
-      t.close ())
-
-let iter f t =
-  t.open_ ();
-  Fun.protect
-    ~finally:(fun () -> t.close ())
-    (fun () ->
-      let rec drive () =
-        match t.next () with
-        | None -> ()
-        | Some packet ->
-            for i = 0 to Packet.length packet - 1 do
-              f (Packet.get packet i)
-            done;
-            drive ()
-      in
-      drive ())
-
-let consume t =
-  let n = ref 0 in
-  iter (fun _ -> incr n) t;
-  !n
+      release ();
+      finished := true;
+      cursor.stop ())

@@ -1,35 +1,16 @@
-(** Batch iterators: the vectorized in-process counterpart of {!Iterator}.
+(** Fused batch execution: the vectorized in-process counterpart of
+    {!Iterator}.
 
     Inside a process group the per-record iterator protocol — one closure
     call per [next], one boxed option per row — dominates once exchange's
-    hot path is cheap.  A batch iterator amortizes it: [next] yields a
-    whole {!Packet} of records built on the same shells (capacity 1..255)
-    the exchange ports circulate, so an exchange producer fed by a batch
-    pipeline copies rows straight from batch to port packet with no
-    per-record closure hop in between.
-
-    Ownership contract: the packet returned by [next] belongs to the
-    batch iterator and is valid only until the following [next] or
-    [close] call — implementations reuse one shell.  End of stream is
-    [None] (a yielded packet never carries the end-of-stream tag, and is
-    never empty).  Exchange remains the only place batches cross a
-    domain boundary, and there they are re-packetized onto the port's
-    pooled packets — batches themselves never travel between domains.
-
-    The open–next–close protocol and its rules are exactly
-    {!Iterator}'s. *)
-
-type t
-
-val make :
-  open_:(unit -> unit) ->
-  next:(unit -> Packet.t option) ->
-  close:(unit -> unit) ->
-  t
-
-val open_ : t -> unit
-val next : t -> Packet.t option
-val close : t -> unit
+    hot path is cheap.  A fused chain amortizes it: a {!cursor} steps its
+    source a run of records at a time, pushing each record through one
+    composed emit function.  Every consumer steps the cursor directly —
+    the exchange producer routes straight into port packets, the hash
+    aggregate feeds its build, the hash join probes — and any other
+    parent reads it through the record bridge {!to_iterator}.  Exchange
+    remains the only place records cross a domain boundary, inside the
+    port's pooled packets. *)
 
 val default_size : int
 (** 64 — the default [batch_size] knob setting. *)
@@ -41,28 +22,31 @@ val validate : batch_size:int -> (string * string) list
     valid; otherwise the size must fit a packet shell, 1..255.  Returns
     [(code, message)] diagnoses — code ["batch-size"] — or [[]]. *)
 
-(** {2 Fused pipelines}
+(** {2 Cursors}
 
     A fused chain is one tight loop: a {!cursor} steps the source,
     pushing each record through a composed {!Volcano_tuple.Support.Stage}
-    emit function that lands survivors in the output shell.  No
-    per-record option, no per-operator [next]. *)
+    emit function.  No per-record option, no per-operator [next].  The
+    protocol is {!Iterator}'s: [reset] before stepping, [stop] once
+    after, and a [reset] after [stop] replays from scratch. *)
 
 type cursor = {
   reset : unit -> unit;  (** (re)position at the first record *)
   step : emit:(Volcano_tuple.Tuple.t -> unit) -> max:int -> int;
       (** Drive up to [max] source records through [emit]; returns the
           number of source records consumed — 0 means exhausted.  [emit]
-          adds at most one output record per source record. *)
+          sees at most [max] records per step (a stage chain passes at
+          most one output record per source record; a join driver counts
+          its emitted records instead). *)
   stop : unit -> unit;  (** release source resources *)
 }
 
-val fused : batch_size:int -> ?stage:Volcano_tuple.Support.Stage.t -> cursor -> t
-(** The fused pipeline: per [next], reset the reused shell and loop the
-    cursor until the shell fills or the source is exhausted.  [stage]
-    (default identity) must emit at most one record per input record —
-    the fill loop bounds each step by the shell's remaining room.
-    @raise Invalid_argument unless [1 <= batch_size <= 255]. *)
+val staged : stage:Volcano_tuple.Support.Stage.t -> cursor -> cursor
+(** [cursor] with [stage] applied to every emitted record: [step ~emit]
+    steps [cursor] with [stage emit], composed once per physically
+    distinct [emit] and reused, so a driver that passes the same emit on
+    every step allocates nothing per step.  [stage] must emit at most
+    one record per input record. *)
 
 val generator_cursor : count:int -> f:(int -> Volcano_tuple.Tuple.t) -> cursor
 val array_cursor : Volcano_tuple.Tuple.t array -> cursor
@@ -71,24 +55,17 @@ val iterator_cursor : Iterator.t -> cursor
 (** Wrap any record iterator as a batch source ([reset] opens it, [stop]
     closes it). *)
 
-(** {2 Record-at-a-time bridges}
+(** {2 The record-at-a-time bridge}
 
-    The adapter contract: operators not yet vectorized (sort, hash
-    match, merge, ...) consume a fused subtree through {!to_iterator}
-    unchanged, and a record subtree feeds a batch consumer through
-    {!of_iterator}.  Both preserve record order exactly, so the batch
-    and record paths are bit-identical. *)
+    Operators not vectorized (sort, merge, nested loops, ...) consume a
+    fused subtree through {!to_iterator}, and a record subtree feeds a
+    cursor consumer through {!iterator_cursor}.  Both preserve record
+    order exactly, so the fused and record paths are bit-identical. *)
 
-val of_iterator : batch_size:int -> Iterator.t -> t
-(** [fused] over {!iterator_cursor}. *)
-
-val to_iterator : t -> Iterator.t
-(** The record view of a batch stream: [next] serves rows out of the
-    current batch and pulls the next one on exhaustion. *)
-
-val iter : (Volcano_tuple.Tuple.t -> unit) -> t -> unit
-(** Open, drive every batch (applying [f] per record), close — also on
-    exceptions.  The bulk consumer for batch-aware blocking operators. *)
-
-val consume : t -> int
-(** Open, count records, close. *)
+val to_iterator : batch_size:int -> cursor -> Iterator.t
+(** The record view of a cursor: [open_] resets it, [next] serves rows
+    out of a fresh shell filled by one step of up to [batch_size]
+    records and steps again on exhaustion, [close] stops it.  End of
+    stream is latched: once a step returns 0 the cursor is not stepped
+    again until the next [open_].
+    @raise Invalid_argument unless [1 <= batch_size <= 255]. *)

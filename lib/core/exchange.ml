@@ -181,21 +181,17 @@ let instantiate_partition spec ~consumers =
 (* ------------------------------------------------------------------ *)
 (* Producer side                                                       *)
 
-(* What a producer drives: the subtree below the exchange, compiled either
-   to a record iterator or — when the whole subtree fused into a batch
-   pipeline — to a batch iterator whose packets the producer drains into
-   port packets in a tight loop, with no per-record closure hop. *)
-type producer_source = Record_source of Iterator.t | Batch_source of Batch.t
-
 (* A producer's output side: one open packet per consumer.  Packets come
    from the lane pool: in steady state each refill reuses an array the
-   consumer drained and recycled moments ago.  The no-fork interchange
-   routes through the same outbox. *)
+   consumer drained and recycled moments ago.  A packet that fills waits
+   in [filled] until {!send_filled}, so routing itself makes no port
+   call.  The no-fork interchange routes through the same outbox. *)
 type outbox = {
   port : Port.t;
   rank : int;
   capacity : int;
   packets : Packet.t array;
+  mutable filled : (int * Packet.t) list;  (* newest first *)
 }
 
 let outbox port ~rank ~capacity =
@@ -206,31 +202,41 @@ let outbox port ~rank ~capacity =
     packets =
       Array.init (Port.consumers port) (fun consumer ->
           Port.alloc port ~producer:rank ~consumer ~capacity);
+    filled = [];
   }
-
-let flush (o : outbox) consumer ~eos =
-  let packet = o.packets.(consumer) in
-  if eos then Packet.tag_end_of_stream packet;
-  if eos || not (Packet.is_empty packet) then
-    Port.send o.port ~producer:o.rank ~consumer packet;
-  (* The end-of-stream flush is the last touch of this slot; skipping its
-     refill keeps the pool ledger exact (allocations + reuses = packets
-     sent on a full drain). *)
-  if not eos then
-    o.packets.(consumer) <-
-      Port.alloc o.port ~producer:o.rank ~consumer ~capacity:o.capacity
 
 let deliver (o : outbox) consumer tuple =
   let packet = o.packets.(consumer) in
   Packet.add packet tuple;
-  if Packet.is_full packet then flush o consumer ~eos:false
+  if Packet.is_full packet then begin
+    o.filled <- (consumer, packet) :: o.filled;
+    o.packets.(consumer) <-
+      Port.alloc o.port ~producer:o.rank ~consumer ~capacity:o.capacity
+  end
 
-(* Flag the last packet to every consumer with the end-of-stream tag. *)
+(* Send the packets [deliver] filled, in the order they filled. *)
+let send_filled (o : outbox) =
+  match o.filled with
+  | [] -> ()
+  | filled ->
+      o.filled <- [];
+      List.iter
+        (fun (consumer, packet) ->
+          Port.send o.port ~producer:o.rank ~consumer packet)
+        (List.rev filled)
+
+(* Send what filled, then flag the last packet to every consumer with the
+   end-of-stream tag.  That flush is the last touch of each slot, so no
+   refill: the pool ledger stays exact (allocations + reuses = packets
+   sent on a full drain). *)
 let finish (o : outbox) =
+  send_filled o;
   if not (Port.is_shut_down o.port) then
-    for consumer = 0 to Array.length o.packets - 1 do
-      flush o consumer ~eos:true
-    done
+    Array.iteri
+      (fun consumer packet ->
+        Packet.tag_end_of_stream packet;
+        Port.send o.port ~producer:o.rank ~consumer packet)
+      o.packets
 
 (* The producer half of exchange: "the driver for the query tree below the
    exchange operator" (section 4.1).  Runs in a forked domain.
@@ -246,7 +252,7 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
   (* Hoisted: the injector does nothing without rules, and this check
      runs once per record. *)
   let faults_live = not (Injector.is_none faults) in
-  (* The one router both drive loops call per record. *)
+  (* The router the drive loop emits each record into. *)
   let route tuple =
     if faults_live then Injector.hit faults (Volcano_fault.Producer rank);
     match cfg.partition with
@@ -260,40 +266,23 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
     | Round_robin | Hash_on _ | Range_on _ | Custom _ ->
         deliver out (partition tuple) tuple
   in
-  (match source with
-  | Record_source iter ->
-      closer_slot := Some (fun () -> Iterator.close iter);
-      Iterator.open_ iter;
-      let rec drive () =
-        if Port.is_shut_down port then ()
-        else
-          match Iterator.next iter with
-          | None -> ()
-          | Some tuple ->
-              route tuple;
-              drive ()
-      in
-      drive ()
-  | Batch_source batches ->
-      closer_slot := Some (fun () -> Batch.close batches);
-      Batch.open_ batches;
-      (* The batch drive loop: one [Batch.next] per packet of records,
-         then a tight for-loop routing records into port packets — the
-         per-record [Iterator.next] closure hop is gone.  The shutdown
-         check runs per batch (at most one batch of records is routed
-         into dropped sends after a shutdown). *)
-      let rec drive () =
-        if Port.is_shut_down port then ()
-        else
-          match Batch.next batches with
-          | None -> ()
-          | Some batch ->
-              for i = 0 to Packet.length batch - 1 do
-                route (Packet.get batch i)
-              done;
-              drive ()
-      in
-      drive ());
+  closer_slot := Some source.Batch.stop;
+  source.Batch.reset ();
+  (* The one drive loop, for record and fused subtrees alike: a step
+     routes a batch of source records straight into port packets, and the
+     packets it filled go out after it — the fused loop makes no port
+     call, and a producer sends its first packets only after a whole
+     batch of records ran through the chain.  The shutdown check runs
+     once per step (at most one batch of records is routed into dropped
+     sends after a shutdown). *)
+  let rec drive () =
+    if not (Port.is_shut_down port) then begin
+      let stepped = source.Batch.step ~emit:route ~max:Batch.default_size in
+      send_filled out;
+      if stepped > 0 then drive ()
+    end
+  in
+  drive ();
   finish out;
   (* "waits until the consumer allows closing all open files" — records may
      still be in flight or pinned by consumers (section 4.1).  The gate is
@@ -301,9 +290,7 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
      occupying its worker domain. *)
   Sched.Event.wait close_allowed;
   closer_slot := None;
-  match source with
-  | Record_source iter -> Iterator.close iter
-  | Batch_source batches -> Batch.close batches
+  source.Batch.stop ()
 
 (* A producer that dies must not hang or silently truncate the query:
    poison the port — recording the cause, waking blocked consumers
@@ -650,7 +637,8 @@ let source_iterator ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
 
 let iterator ?id ?faults ?parent_scope ?scope ?obs ?sched cfg ~group ~input =
   source_iterator ?id ?faults ?parent_scope ?scope ?obs ?sched cfg ~group
-    ~input:(fun producer_group -> Record_source (input producer_group))
+    ~input:(fun producer_group ->
+      Batch.iterator_cursor (input producer_group))
 
 (* The consumer half of exchange when the producer group lives behind
    {!Port.Transport.source}s — worker processes on the far side of a
@@ -721,7 +709,7 @@ let producer_streams ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
               (open_port ~keep_separate:true ?flow_slack:cfg.flow_slack
                  ~start:
                    (spawn_producers sched cfg faults (fun producer_group ->
-                        Record_source (input producer_group)))
+                        Batch.iterator_cursor (input producer_group)))
                  ~faults ?parent_scope ?scope ?obs ~id ~group
                  ~producers:cfg.degree ()))
     else begin
@@ -821,6 +809,7 @@ let interchange ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs cfg
                   if consumer = rank then Some tuple
                   else begin
                     deliver out consumer tuple;
+                    send_filled out;
                     drive c
                   end
               | None ->

@@ -134,14 +134,6 @@ val fresh_id : unit -> int
     exchange (one per member of the consuming group) must share the key so
     that non-master members find the master's port. *)
 
-type producer_source = Record_source of Iterator.t | Batch_source of Batch.t
-(** What a producer task drives: the compiled subtree as a record
-    iterator, or — when the subtree fused into a batch pipeline — as a
-    {!Batch.t} whose packets the producer drains into port packets in a
-    tight per-batch loop, with no per-record closure hop.  Either way
-    records cross the domain boundary only inside port packets: batches
-    are re-packetized here, never handed across domains. *)
-
 val source_iterator :
   ?id:int ->
   ?faults:Volcano_fault.Injector.t ->
@@ -151,11 +143,15 @@ val source_iterator :
   ?sched:Volcano_sched.Sched.t ->
   config ->
   group:Group.t ->
-  input:(Group.t -> producer_source) ->
+  input:(Group.t -> Batch.cursor) ->
   Iterator.t
-(** {!iterator} generalized over the producer source: each producer task
-    evaluates [input] and drives whichever side of {!producer_source} it
-    returns.  The consumer side is identical. *)
+(** {!iterator} over a cursor source: each producer task evaluates
+    [input] and steps the cursor, {!Batch.default_size} source records
+    per step, routing every record straight into port packets and
+    sending the packets a step filled after it — a fused subtree has no
+    per-record closure hop, and {!iterator} wraps its record input with
+    {!Batch.iterator_cursor}.  Records cross the domain boundary only
+    inside port packets.  The consumer side is identical. *)
 
 val iterator :
   ?id:int ->

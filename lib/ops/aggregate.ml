@@ -70,7 +70,7 @@ module Key_table = Hashtbl.Make (struct
 end)
 
 (* The shared hash-build machinery: [drain] consumes the whole input —
-   record iterator or batch pipeline — through the [build] feeder on
+   record iterator or fused cursor — through the [build] feeder on
    open, then the grouped results stream out of a queue in first-seen
    order (deterministic output). *)
 let hash_build ~key_of ~aggs ~drain =
@@ -328,12 +328,10 @@ let fast_hash_build ~key_evals ~key_kernels ~aggs ~kernels ~drain =
       Queue.take_opt results)
     ~close:(fun () -> opened := false)
 
-(* Batched entry points.  [hash_feed_exprs] lets the compiler hand the
-   build a drain of its own making — in particular the fused-sink drain,
-   where the scan chain's emit path calls [feed] directly with no packet
-   shell in between — and key expressions carrying pushed-down
-   projections.  [hash_feed] is the plain column-keyed form and
-   [hash_batches] the packet-consuming special case. *)
+(* The batched entry point: the compiler hands the build a drain of its
+   own making — the fused-sink drain, where the scan chain's emit path
+   calls [feed] directly with no packet shell in between — and key
+   expressions carrying pushed-down projections. *)
 let hash_feed_exprs ~keys ~aggs ~drain =
   let key_evals = Array.of_list (List.map Expr.Compiled.num keys) in
   match fast_agg_plan aggs with
@@ -348,13 +346,6 @@ let hash_feed_exprs ~keys ~aggs ~drain =
   | None ->
       let key_of tuple = Array.map (fun f -> f tuple) key_evals in
       hash_build ~key_of ~aggs ~drain
-
-let hash_feed ~group_by ~aggs ~drain =
-  hash_feed_exprs ~keys:(List.map Expr.col group_by) ~aggs ~drain
-
-let hash_batches ~group_by ~aggs input =
-  hash_feed ~group_by ~aggs ~drain:(fun feed_tuple ->
-      Volcano.Batch.iter feed_tuple input)
 
 let sorted_iterator ~group_by ~aggs input =
   let key_of = Support.key_on group_by in

@@ -22,32 +22,20 @@ val hash_feed_exprs :
   aggs:agg list ->
   drain:((Volcano_tuple.Tuple.t -> unit) -> unit) ->
   Volcano.Iterator.t
-(** {!hash_feed} generalized to expression-valued group keys: the output
-    key columns are the [keys] evaluated on each input tuple, in order.
-    This is how the compiler pushes a projection directly under an
-    aggregate into the aggregate itself ([Expr.subst] on keys and
-    aggregate arguments) — the fused loop then never materializes the
-    projected tuple at all. *)
-
-val hash_feed :
-  group_by:int list ->
-  aggs:agg list ->
-  drain:((Volcano_tuple.Tuple.t -> unit) -> unit) ->
-  Volcano.Iterator.t
-(** {!hash_iterator} fed by an arbitrary drive loop: [open_] calls
-    [drain feed] once and expects it to push every input tuple.  This is
-    the sink-fusion entry point — the compiler passes the fused chain's
-    emit path as the drain, so scan, filter, project and the hash build
-    run as one loop with no packet shell in between.  Same algorithm,
-    same first-seen group order, bit-identical output.  When every
-    aggregate is [Count] or [Sum] of an integer-only expression, the
-    build runs allocation-free per record (see the implementation). *)
-
-val hash_batches :
-  group_by:int list -> aggs:agg list -> Volcano.Batch.t -> Volcano.Iterator.t
-(** {!hash_feed} over a batch pipeline: the build loop feeds straight
-    out of each batch's packet, so a fused chain aggregates without the
-    record-at-a-time bridge. *)
+(** {!hash_iterator} fed by an arbitrary drive loop, keyed by
+    expressions: [open_] calls [drain feed] once and expects it to push
+    every input tuple, and the output key columns are the [keys]
+    evaluated on each input tuple, in order.  This is the sink-fusion
+    entry point — the compiler passes a drain that steps the fused
+    chain's cursor with [feed] as its emit, so scan, filter, project and
+    the hash build run as one loop with no packet shell in between — and
+    how it pushes a projection directly under an aggregate into the
+    aggregate itself ([Expr.subst] on keys and aggregate arguments), so
+    the fused loop never materializes the projected tuple.  Same
+    algorithm, same first-seen group order, bit-identical output.  When
+    every aggregate is [Count] or [Sum] of an integer-only expression,
+    the build runs allocation-free per record (see the
+    implementation). *)
 
 val distinct_filter : on:int list -> unit -> Volcano_tuple.Tuple.t -> bool
 (** A fresh stateful duplicate predicate for the fused batch path: true

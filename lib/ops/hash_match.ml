@@ -310,7 +310,7 @@ let rec partitioned ~partitions ~spill ~kind ~left_key ~right_key ~left_arity
 (* The driver                                                          *)
 
 and cursor ?(build_capacity = max_int) ?(partitions = 16) ?spill
-    ?(stage = fun k -> k) ~kind ~left_key ~right_key ~left_arity ~right_arity
+    ~kind ~left_key ~right_key ~left_arity ~right_arity
     (probe_side : Batch.cursor) build =
   let core =
     {
@@ -327,8 +327,9 @@ and cursor ?(build_capacity = max_int) ?(partitions = 16) ?spill
     }
   in
   let capacity = if Option.is_some spill then build_capacity else max_int in
-  (* Composed once: the probe chain's stages end in [probe core]. *)
-  let on_probe = stage (probe core) in
+  (* One emit closure for every step, so the probe chain's stages are
+     composed onto it once. *)
+  let on_probe = probe core in
   let phase = ref `Closed in
   let release () =
     core.table <- table ~slots:1;
@@ -337,10 +338,7 @@ and cursor ?(build_capacity = max_int) ?(partitions = 16) ?spill
   in
   let grace overflow =
     let right = replay core overflow build in
-    let left =
-      Batch.to_iterator
-        (Batch.fused ~batch_size:Batch.default_size ~stage probe_side)
-    in
+    let left = Batch.to_iterator ~batch_size:Batch.default_size probe_side in
     let g =
       partitioned ~partitions ~spill:(Option.get spill) ~kind ~left_key
         ~right_key ~left_arity ~right_arity ~left ~right

@@ -16,7 +16,6 @@ val cursor :
   ?build_capacity:int ->
   ?partitions:int ->
   ?spill:Sort.spill ->
-  ?stage:Volcano_tuple.Support.Stage.t ->
   kind:Match_op.kind ->
   left_key:int list ->
   right_key:int list ->
@@ -26,8 +25,7 @@ val cursor :
   Volcano.Iterator.t ->
   Volcano.Batch.cursor
 (** [cursor ... probe build]: the fused driver.  The probe side is a batch
-    cursor whose records pass through [stage] (default identity) before
-    they probe.
+    cursor — a fused probe chain carries its stages ({!Volcano.Batch.staged}).
     - [reset] drains [build] into the key table, then resets [probe].  A
       build side of more than [build_capacity] records (with [spill]
       given) switches to the Grace path, fed by the probe chain.

@@ -19,7 +19,8 @@ val heap_cursor :
   Volcano_storage.Heap_file.t ->
   Volcano.Batch.cursor
 (** The batch source behind fused scan chains: a {!Volcano.Batch.cursor}
-    over the same records as {!heap}, for {!Volcano.Batch.fused}. *)
+    over the same records as {!heap}, stepped by every fused-chain
+    consumer. *)
 
 val heap_prefetched :
   daemon:Volcano_storage.Daemon.t ->

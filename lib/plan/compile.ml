@@ -17,41 +17,15 @@ let assign_ids plan =
       table := (node, Exchange.fresh_id ()) :: !table
   in
   let rec walk plan =
-    (match plan with
-    | Plan.Exchange _ | Plan.Exchange_merge _ | Plan.Interchange _
-    | Plan.Remote _ ->
-        note plan
-    | _ -> ());
     match plan with
-    | Plan.Scan_table _ | Plan.Scan_table_slice _ | Plan.Scan_index _
-    | Plan.Scan_list _ | Plan.Generate _ | Plan.Generate_slice _
-    | Plan.Generate_range _ ->
-        ()
     (* The Remote subtree is never compiled locally: the workers rebuild
        it from the task string, so its nested exchanges take their ids in
        the worker process. *)
-    | Plan.Remote _ -> ()
-    | Plan.Filter { input; _ }
-    | Plan.Project_cols { input; _ }
-    | Plan.Project_exprs { input; _ }
-    | Plan.Sort { input; _ }
-    | Plan.Aggregate { input; _ }
-    | Plan.Distinct { input; _ }
-    | Plan.Limit { input; _ }
-    | Plan.Exchange { input; _ }
-    | Plan.Exchange_merge { input; _ }
-    | Plan.Interchange { input; _ } ->
-        walk input
-    | Plan.Match { left; right; _ }
-    | Plan.Cross { left; right }
-    | Plan.Theta_join { left; right; _ }
-    | Plan.Union_all { left; right } ->
-        walk left;
-        walk right
-    | Plan.Choose { alternatives; _ } -> List.iter walk alternatives
-    | Plan.Division { dividend; divisor; _ } ->
-        walk dividend;
-        walk divisor
+    | Plan.Remote _ -> note plan
+    | Plan.Exchange _ | Plan.Exchange_merge _ | Plan.Interchange _ ->
+        note plan;
+        List.iter walk (Plan.children plan)
+    | _ -> List.iter walk (Plan.children plan)
   in
   walk plan;
   let ids = !table in
@@ -138,6 +112,9 @@ let limit_iterator count inner =
             Some tuple)
     ~close:(fun () -> Iterator.close inner)
 
+let slice_share group plan =
+  Plan.slice_share ~rank:(Group.rank group) ~size:(Group.size group) plan
+
 let sort_cmp key = Support.compare_on key
 let cols_cmp cols = Support.compare_cols cols
 
@@ -169,28 +146,21 @@ module Batch = Volcano.Batch
 
 (* A compiled subtree is either a record iterator or — when the whole
    subtree is a fusible scan chain and the env's [batch_size] knob is on
-   — a batch pipeline.  Batch-aware consumers (exchange producers, hash
-   aggregation) take the [Batches] side directly; every other parent
-   bridges through the record-at-a-time adapter [Batch.to_iterator]. *)
-type stream = Rows of Iterator.t | Batches of Batch.t
+   — one fused cursor.  Cursor-aware consumers (exchange producers, hash
+   aggregation, a hash join's probe) step the [Fused] side directly;
+   every other parent bridges through [Batch.to_iterator]. *)
+type stream = Rows of Iterator.t | Fused of Batch.cursor
 
 (* Obs bookkeeping for one node of a fused chain: a tap stage counts the
-   node's output rows into [fn_rows], flushed once per batch by
-   [instrumented_chain].  [fn_credit] is open time that belongs to a
-   join above the node — its build phase — and is not booked here. *)
+   node's output rows into [fn_rows], flushed once per cursor step by
+   [instrumented].  [fn_credit] is open time that belongs to a join above
+   the node — its build phase — and is not booked here. *)
 type fused_node = {
   fn_node : Obs.Node.t;
   fn_rows : int ref;  (* rows since the last flush *)
   fn_total : int ref;  (* rows this open-to-close span *)
   fn_credit : float ref;  (* seconds of the current open to leave out *)
 }
-
-(* Book one open of a fused chain: [elapsed] less each node's credit. *)
-let book_open nodes ~elapsed =
-  List.iter
-    (fun fn ->
-      Obs.Node.on_open fn.fn_node ~elapsed:(elapsed -. !(fn.fn_credit)))
-    nodes
 
 (* A fused join's build phase runs inside the chain's open, but it is the
    join's work: time the build input from open to close (the table
@@ -211,14 +181,15 @@ let credit_build below build =
           let dt = Obs.now () -. !t0 in
           List.iter (fun fn -> fn.fn_credit := !(fn.fn_credit) +. dt) below)
 
-(* The batch-level analogue of [Iterator.instrumented] for a whole fused
+(* The cursor-level analogue of [Iterator.instrumented] for a whole fused
    chain: opens, closes, and spans are booked once per lifetime on every
-   chain node, and each node's tap-counted rows are flushed per batch
-   with [Obs.Node.on_batch] — per-node row totals stay exact under
-   batching while next-call counts become per-batch. *)
-let instrumented_chain nodes pipeline =
+   chain node (an open less the node's build credit), and each node's
+   tap-counted rows are flushed per step with [Obs.Node.on_batch] —
+   per-node row totals stay exact while next-call counts become
+   per-step.  Without obs nodes the cursor is returned unchanged. *)
+let instrumented nodes (cursor : Batch.cursor) =
   match nodes with
-  | [] -> pipeline
+  | [] -> cursor
   | _ ->
       let span_start = ref nan in
       let flush elapsed =
@@ -229,71 +200,86 @@ let instrumented_chain nodes pipeline =
             fn.fn_rows := 0)
           nodes
       in
-      Batch.make
-        ~open_:(fun () ->
-          List.iter
-            (fun fn ->
-              Obs.Node.count_open fn.fn_node;
-              fn.fn_rows := 0;
-              fn.fn_total := 0;
-              fn.fn_credit := 0.0)
-            nodes;
-          let t0 = Obs.now () in
-          span_start := t0;
-          Batch.open_ pipeline;
-          book_open nodes ~elapsed:(Obs.now () -. t0))
-        ~next:(fun () ->
-          let t0 = Obs.now () in
-          match Batch.next pipeline with
-          | result ->
-              flush (Obs.now () -. t0);
-              result
-          | exception exn ->
-              flush (Obs.now () -. t0);
-              raise exn)
-        ~close:(fun () ->
-          List.iter (fun fn -> Obs.Node.count_close fn.fn_node) nodes;
-          let t0 = Obs.now () in
-          Batch.close pipeline;
-          let stop = Obs.now () in
-          List.iter
-            (fun fn -> Obs.Node.on_close fn.fn_node ~elapsed:(stop -. t0))
-            nodes;
-          if not (Float.is_nan !span_start) then begin
+      {
+        Batch.reset =
+          (fun () ->
             List.iter
               (fun fn ->
-                Obs.Node.on_span fn.fn_node ~start:!span_start ~stop
-                  ~rows:!(fn.fn_total))
+                Obs.Node.count_open fn.fn_node;
+                fn.fn_rows := 0;
+                fn.fn_total := 0;
+                fn.fn_credit := 0.0)
               nodes;
-            span_start := nan
-          end)
+            let t0 = Obs.now () in
+            span_start := t0;
+            cursor.reset ();
+            let elapsed = Obs.now () -. t0 in
+            List.iter
+              (fun fn ->
+                Obs.Node.on_open fn.fn_node
+                  ~elapsed:(elapsed -. !(fn.fn_credit)))
+              nodes);
+        step =
+          (fun ~emit ~max ->
+            let t0 = Obs.now () in
+            match cursor.step ~emit ~max with
+            | n ->
+                flush (Obs.now () -. t0);
+                n
+            | exception exn ->
+                flush (Obs.now () -. t0);
+                raise exn);
+        stop =
+          (fun () ->
+            List.iter (fun fn -> Obs.Node.count_close fn.fn_node) nodes;
+            let t0 = Obs.now () in
+            cursor.stop ();
+            let stop = Obs.now () in
+            List.iter
+              (fun fn -> Obs.Node.on_close fn.fn_node ~elapsed:(stop -. t0))
+              nodes;
+            if not (Float.is_nan !span_start) then begin
+              List.iter
+                (fun fn ->
+                  Obs.Node.on_span fn.fn_node ~start:!span_start ~stop
+                    ~rows:!(fn.fn_total))
+                nodes;
+              span_start := nan
+            end);
+      }
 
-(* Try to compile [plan] as one fused batch pipeline: a batch-source
-   leaf (generate, list, table scan, and their slices) under any number
-   of fusible chain operators (filter, projections, hash distinct, and a
+(* Sink fusion: the hash aggregate's drive loop steps the fused cursor
+   with the build's feed as its emit, so scan, filter, project and the
+   build run as one loop with no packet shell in between. *)
+let drain env (cursor : Batch.cursor) feed =
+  let batch_size = Env.batch_size env in
+  cursor.reset ();
+  Fun.protect ~finally:cursor.stop (fun () ->
+      while cursor.step ~emit:feed ~max:batch_size <> 0 do
+        ()
+      done)
+
+(* Try to compile [plan] as one fused cursor: a batch-source leaf
+   (generate, list, table scan, and their slices) under any number of
+   fusible chain operators (filter, projections, hash distinct, and a
    hash join through its probe side — its build side compiles
    separately, with the same [ids] and [scope]).  Everything else —
    other blocking operators, sort-based joins, index scans, limits,
    choose, and every exchange — refuses, and the subtree compiles
    record-at-a-time.  Exchange edges can therefore never end up inside
    a chain (a join's build side may hold one, but it is its own
-   subtree): batches stay strictly within one process group, and records
+   subtree): a chain runs strictly within one process group, and records
    cross domains only inside port packets (planlint's batch pass checks
    the knob against each edge's packet size).
 
    The per-record decoration the record path applies per node — the
    generic [Operator] fault site and the obs row count — becomes a tap
    stage per node, so faults fire and rows count inside the fused loop
-   exactly as they would in the nested-closure tree.  Stateful pieces
-   (distinct's seen table) hang their
-   re-initialization on [cursor.reset], so reopening the pipeline
-   replays from scratch like any iterator. *)
-type fused_chain = {
-  fc_cursor : Batch.cursor;
-  fc_stage : Support.Stage.t;
-  fc_nodes : fused_node list;
-}
-
+   exactly as they would in the nested-closure tree.  The stages ride in
+   the cursor ([Batch.staged]), and so do the obs books ([instrumented]):
+   a consumer only steps it.  Stateful pieces (distinct's seen table)
+   hang their re-initialization on [cursor.reset], so resetting the
+   cursor replays from scratch like reopening any iterator. *)
 let rec fuse_chain env ids obs group scope plan =
   let batch_size = Env.batch_size env in
   if batch_size = 0 then None
@@ -328,6 +314,9 @@ let rec fuse_chain env ids obs group scope plan =
           stages @ [ Support.Stage.tap (fun _ -> incr fn.fn_rows) ]
     in
     let leaf plan cursor = Some (cursor, node_stages plan []) in
+    let staged (cursor, stages) =
+      Batch.staged ~stage:(Support.Stage.compose stages) cursor
+    in
     let rec chain plan =
       match projected_leaf env group plan with
       | Some (scan, cols, file, slice) ->
@@ -340,18 +329,9 @@ let rec fuse_chain env ids obs group scope plan =
       match plan with
       | Plan.Generate { count; gen; _ } ->
           leaf plan (Batch.generator_cursor ~count ~f:gen)
-      | Plan.Generate_slice { count; gen; _ } ->
-          let rank = Group.rank group and size = Group.size group in
-          let mine = (count - rank + size - 1) / size in
-          leaf plan
-            (Batch.generator_cursor ~count:mine ~f:(fun i ->
-                 gen ((i * size) + rank)))
-      | Plan.Generate_range { start; count } ->
-          let rank = Group.rank group and size = Group.size group in
-          let mine = (count - rank + size - 1) / size in
-          leaf plan
-            (Batch.generator_cursor ~count:mine ~f:(fun i ->
-                 [| Volcano_tuple.Value.Int (start + (i * size) + rank) |]))
+      | Plan.Generate_slice _ | Plan.Generate_range _ ->
+          let count, f = Option.get (slice_share group plan) in
+          leaf plan (Batch.generator_cursor ~count ~f)
       | Plan.Scan_list { tuples; _ } ->
           leaf plan (Batch.array_cursor (Array.of_list tuples))
       | Plan.Scan_table _ | Plan.Scan_table_slice _ ->
@@ -391,28 +371,26 @@ let rec fuse_chain env ids obs group scope plan =
             (chain input)
       | Plan.Match
           { algo = Plan.Hash_based; kind; left_key; right_key; left; right } ->
-          (* The probe chain ends inside the join's driver, which becomes
-             the cursor of the chain above; the build side is whatever the
-             compiler makes of it. *)
+          (* The probe chain, stages and all, ends inside the join's
+             driver, which becomes the cursor of the chain above; the
+             build side is whatever the compiler makes of it. *)
           Option.map
-            (fun (probe, stages) ->
+            (fun probe ->
               let build =
                 credit_build !chain_nodes
                   (compile_in env ids obs group scope right)
               in
               ( Ops.Hash_match.cursor
                   ~build_capacity:(Env.sort_run_capacity env)
-                  ~spill:(Env.spill env)
-                  ~stage:(Support.Stage.compose stages) ~kind ~left_key
-                  ~right_key ~left_arity:(Plan.arity env left)
-                  ~right_arity:(Plan.arity env right) probe build,
+                  ~spill:(Env.spill env) ~kind ~left_key ~right_key
+                  ~left_arity:(Plan.arity env left)
+                  ~right_arity:(Plan.arity env right) (staged probe) build,
                 node_stages plan [] ))
             (chain left)
       | _ -> None
     in
-    match chain plan with
-    | None -> None
-    | Some (cursor, stages) ->
+    Option.map
+      (fun (cursor, stages) ->
         let cursor =
           match !resets with
           | [] -> cursor
@@ -425,90 +403,9 @@ let rec fuse_chain env ids obs group scope plan =
                     cursor.Batch.reset ());
               }
         in
-        Some
-          {
-            fc_cursor = cursor;
-            fc_stage = Support.Stage.compose stages;
-            fc_nodes = !chain_nodes;
-          }
+        instrumented !chain_nodes (staged (cursor, stages)))
+      (chain plan)
   end
-
-and fuse env ids obs group scope plan =
-  match fuse_chain env ids obs group scope plan with
-  | None -> None
-  | Some fc ->
-      let pipeline =
-        Batch.fused ~batch_size:(Env.batch_size env) ~stage:fc.fc_stage
-          fc.fc_cursor
-      in
-      Some (instrumented_chain fc.fc_nodes pipeline)
-
-(* Sink fusion: when the consumer of a fusible chain is itself batch
-   aware and blocking (hash aggregation), there is no reason to
-   materialize even a packet shell between the tight loop and the
-   consumer — the chain's emit path can call the consumer's feed
-   function directly.  [fused_drain] compiles the subtree into such a
-   drive loop: the consumer calls it once with its feed, and the whole
-   scan-filter-project-consume plan runs as one loop.  Obs bookkeeping
-   mirrors [instrumented_chain] — opens, closes, and spans once per
-   lifetime, tap-counted rows flushed once per step — and the fault taps
-   sit in the stage chain exactly as in the packet pipeline. *)
-and fused_drain env ids obs group scope plan =
-  match fuse_chain env ids obs group scope plan with
-  | None -> None
-  | Some fc ->
-      let batch_size = Env.batch_size env in
-      let nodes = fc.fc_nodes in
-      Some
-        (fun feed ->
-          let emit = fc.fc_stage feed in
-          let step () = fc.fc_cursor.Batch.step ~emit ~max:batch_size in
-          match nodes with
-          | [] ->
-              (* No obs: the drive loop is just the cursor and the
-                 composed stages — nothing else per record or per step. *)
-              fc.fc_cursor.Batch.reset ();
-              Fun.protect
-                ~finally:(fun () -> fc.fc_cursor.Batch.stop ())
-                (fun () -> while step () <> 0 do () done)
-          | _ ->
-              List.iter
-                (fun fn ->
-                  Obs.Node.count_open fn.fn_node;
-                  fn.fn_rows := 0;
-                  fn.fn_total := 0;
-                  fn.fn_credit := 0.0)
-                nodes;
-              let span_start = Obs.now () in
-              fc.fc_cursor.Batch.reset ();
-              book_open nodes ~elapsed:(Obs.now () -. span_start);
-              Fun.protect
-                ~finally:(fun () ->
-                  List.iter (fun fn -> Obs.Node.count_close fn.fn_node) nodes;
-                  let t0 = Obs.now () in
-                  fc.fc_cursor.Batch.stop ();
-                  let stop = Obs.now () in
-                  List.iter
-                    (fun fn ->
-                      Obs.Node.on_close fn.fn_node ~elapsed:(stop -. t0);
-                      Obs.Node.on_span fn.fn_node ~start:span_start ~stop
-                        ~rows:!(fn.fn_total))
-                    nodes)
-                (fun () ->
-                  let continue = ref true in
-                  while !continue do
-                    let t0 = Obs.now () in
-                    let n = step () in
-                    let dt = Obs.now () -. t0 in
-                    List.iter
-                      (fun fn ->
-                        Obs.Node.on_batch fn.fn_node ~rows:!(fn.fn_rows)
-                          ~elapsed:dt;
-                        fn.fn_total := !(fn.fn_total) + !(fn.fn_rows);
-                        fn.fn_rows := 0)
-                      nodes;
-                    if n = 0 then continue := false
-                  done))
 
 (* [scope] is the cancellation scope enclosing this node: exchange nodes
    register their port in it and open a child scope over their producer
@@ -516,14 +413,14 @@ and fused_drain env ids obs group scope plan =
    The producer thunk re-enters [compile_stream], so nested exchanges get
    a fresh subtree (and fresh inner scopes) per producer, per open. *)
 and compile_stream env ids obs group scope plan =
-  match fuse env ids obs group scope plan with
-  | Some pipeline -> Batches pipeline
+  match fuse_chain env ids obs group scope plan with
+  | Some cursor -> Fused cursor
   | None -> Rows (decorate env obs plan (compile_node env ids obs group scope plan))
 
 and compile_in env ids obs group scope plan =
   match compile_stream env ids obs group scope plan with
   | Rows iter -> iter
-  | Batches pipeline -> Batch.to_iterator pipeline
+  | Fused cursor -> Batch.to_iterator ~batch_size:(Env.batch_size env) cursor
 
 and compile_node env ids obs group scope plan =
   let faults = Env.faults env in
@@ -547,15 +444,9 @@ and compile_node env ids obs group scope plan =
       Ops.Scan.index_fetch ~tree ~file ~lo:(bound lo) ~hi:(bound hi)
   | Plan.Scan_list { tuples; _ } -> Iterator.of_list tuples
   | Plan.Generate { count; gen; _ } -> Iterator.generate ~count ~f:gen
-  | Plan.Generate_slice { count; gen; _ } ->
-      let rank = Group.rank group and size = Group.size group in
-      let mine = (count - rank + size - 1) / size in
-      Iterator.generate ~count:mine ~f:(fun i -> gen ((i * size) + rank))
-  | Plan.Generate_range { start; count } ->
-      let rank = Group.rank group and size = Group.size group in
-      let mine = (count - rank + size - 1) / size in
-      Iterator.generate ~count:mine ~f:(fun i ->
-          [| Volcano_tuple.Value.Int (start + (i * size) + rank) |])
+  | Plan.Generate_slice _ | Plan.Generate_range _ ->
+      let count, f = Option.get (slice_share group plan) in
+      Iterator.generate ~count ~f
   | Plan.Filter { pred; mode; input } ->
       let pred =
         match mode with
@@ -593,18 +484,16 @@ and compile_node env ids obs group scope plan =
   | Plan.Aggregate { algo; group_by; aggs; input } -> (
       match algo with
       | Plan.Hash_based -> (
-          (* Batch-aware consumer.  Best case: the whole input chain
-             sink-fuses into the hash build's drive loop — not even a
-             packet shell between the scan and the accumulators.
+          (* Cursor consumer: a fusible input chain sink-fuses into the
+             hash build's drive loop — not even a packet shell between
+             the scan and the accumulators.
              Projections sitting directly under the aggregate are folded
              into the aggregate's own key and argument expressions
              ([Expr.subst] — exact, since expression evaluation is
              total), so the fused loop never materializes the projected
              tuple.  Folding drops those nodes from the compiled tree,
              so it is gated off whenever per-node observability or fault
-             injection needs every operator materialized.  Otherwise, a
-             batch pipeline feeds the build straight out of packets,
-             skipping the record bridge. *)
+             injection needs every operator materialized. *)
           let plain = Option.is_none obs && Injector.is_none faults in
           let subst_agg bind agg =
             match agg with
@@ -638,15 +527,15 @@ and compile_node env ids obs group scope plan =
           let keys, aggs', input' =
             if plain then peel keys0 aggs input else (keys0, aggs, input)
           in
-          match fused_drain env ids obs group scope input' with
-          | Some drain -> Ops.Aggregate.hash_feed_exprs ~keys ~aggs:aggs' ~drain
-          | None -> (
-              (* The peeled chain did not fuse: compile the original
-                 subtree, projections and all. *)
-              match compile_stream env ids obs group scope input with
-              | Batches pipeline ->
-                  Ops.Aggregate.hash_batches ~group_by ~aggs pipeline
-              | Rows iter -> Ops.Aggregate.hash_iterator ~group_by ~aggs iter))
+          match fuse_chain env ids obs group scope input' with
+          | Some cursor ->
+              Ops.Aggregate.hash_feed_exprs ~keys ~aggs:aggs'
+                ~drain:(drain env cursor)
+          | None ->
+              (* The peeled chain did not fuse, so neither does the
+                 original subtree (peeling only drops projections):
+                 compile it, projections and all, record-at-a-time. *)
+              Ops.Aggregate.hash_iterator ~group_by ~aggs (recur input))
       | Plan.Sort_based ->
           Ops.Aggregate.sorted_iterator ~group_by ~aggs
             (sorted ~cmp:(cols_cmp group_by) (recur input)))
@@ -697,10 +586,10 @@ and compile_node env ids obs group scope plan =
         ~alternatives:(Array.of_list (List.map recur alternatives))
   | Plan.Exchange { cfg; input } ->
       let child = Exchange.Scope.create () in
-      (* Batch-aware producers: a fused subtree hands the producer task a
-         batch pipeline whose packets it drains into port packets with no
-         per-record closure hop — exchange stays the sole place records
-         cross a domain boundary. *)
+      (* Each producer task steps its subtree as one cursor: a fused
+         chain routes into port packets with no per-record closure hop,
+         a record subtree through [Batch.iterator_cursor] — exchange
+         stays the sole place records cross a domain boundary. *)
       Exchange.source_iterator ~id:(ids plan) ~faults ?parent_scope:scope
         ~scope:child
         ?obs:(exchange_obs obs plan)
@@ -709,8 +598,8 @@ and compile_node env ids obs group scope plan =
           match
             compile_stream env ids obs producer_group (Some child) input
           with
-          | Rows iter -> Exchange.Record_source iter
-          | Batches pipeline -> Exchange.Batch_source pipeline)
+          | Rows iter -> Batch.iterator_cursor iter
+          | Fused cursor -> cursor)
   | Plan.Exchange_merge { cfg; key; input } ->
       let child = Exchange.Scope.create () in
       Ops.Merge.exchange_merge ~id:(ids plan) ~faults ?parent_scope:scope

@@ -150,6 +150,17 @@ let cfg_to_string (cfg : Exchange.config) =
     (match cfg.flow_slack with Some n -> string_of_int n | None -> "off")
     partition
 
+let slice_share ~rank ~size plan =
+  let share count = max 0 ((count - rank + size - 1) / size) in
+  match plan with
+  | Generate_slice { count; gen; _ } ->
+      Some (share count, fun i -> gen ((i * size) + rank))
+  | Generate_range { start; count } ->
+      Some
+        ( share count,
+          fun i -> [| Volcano_tuple.Value.Int (start + (i * size) + rank) |] )
+  | _ -> None
+
 (* One-line description of a node, without its children — the text of a
    tree line, shared by [pp], the analyzer, and the profiler's annotated
    tree (EXPLAIN ANALYZE). *)

@@ -110,6 +110,16 @@ type t =
 val arity : Env.t -> t -> int
 (** Output tuple width. *)
 
+val slice_share :
+  rank:int ->
+  size:int ->
+  t ->
+  (int * (int -> Volcano_tuple.Tuple.t)) option
+(** What member [rank] of a [size]-wide group generates from a sliced
+    generator leaf ([Generate_slice], [Generate_range]): its record count
+    and the generator of its [i]-th record, source index
+    [i * size + rank].  [None] for every other node. *)
+
 val label : t -> string
 (** One-line description of the node alone (no children): a tree line of
     {!pp}, and the span label of the node's profile instrumentation. *)

@@ -20,24 +20,18 @@ let rec slice ~shard ~shards plan =
   if shards < 1 || shard < 0 || shard >= shards then
     invalid_arg "Remote.slice: shard out of range";
   let continue_ input = slice ~shard ~shards input in
+  let sliced arity =
+    let count, gen =
+      Option.get (Plan.slice_share ~rank:shard ~size:shards plan)
+    in
+    Plan.Generate { arity; count; gen }
+  in
   match plan with
-  | Plan.Generate_slice { arity; count; gen } ->
-      let local = max 0 ((count - shard + shards - 1) / shards) in
-      Plan.Generate
-        { arity; count = local; gen = (fun i -> gen (shard + (i * shards))) }
-  | Plan.Generate_range { start; count } ->
-      (* Rank-sliced like Generate_slice: worker [shard] produces the
-         range indices congruent to it.  The worker-side rewrite may use
-         a closure — only the shipped plan must stay closure-free. *)
-      let local = max 0 ((count - shard + shards - 1) / shards) in
-      Plan.Generate
-        {
-          arity = 1;
-          count = local;
-          gen =
-            (fun i ->
-              [| Volcano_tuple.Value.Int (start + shard + (i * shards)) |]);
-        }
+  (* Rank-sliced leaves: worker [shard] produces the source indices
+     congruent to it.  The worker-side rewrite may use a closure — only
+     the shipped plan must stay closure-free. *)
+  | Plan.Generate_slice { arity; _ } -> sliced arity
+  | Plan.Generate_range _ -> sliced 1
   | Plan.Scan_table_slice name ->
       (* Partition files are keyed by group rank ("name#r"): worker
          [shard] owns partition [shard], so the sliced scan resolves to

@@ -1,6 +1,6 @@
 (* The vectorized batch path, locked in differentially: every plan must
    produce bit-identical results whether its fusible chains compile to
-   batch pipelines (the default) or to record-at-a-time iterator trees
+   fused cursors (the default) or to record-at-a-time iterator trees
    ([batch_size = 0]).  The batch path is an optimization of the
    iterator protocol, not a semantic variant — exactly as exchange is an
    optimization of placement, checked by the suite next door. *)
@@ -76,37 +76,11 @@ let test_bridge_roundtrip () =
       let expected = List.init count gen_tuple in
       let bridged =
         Iterator.to_list
-          (Batch.to_iterator
-             (Batch.of_iterator ~batch_size
-                (Iterator.generate ~count ~f:gen_tuple)))
+          (Batch.to_iterator ~batch_size
+             (Batch.iterator_cursor (Iterator.generate ~count ~f:gen_tuple)))
       in
       check_rows name expected bridged)
     [ (1, 0); (1, 7); (3, 1); (7, 7); (7, 20); (64, 5); (255, 1000) ]
-
-let test_batch_shapes () =
-  (* A yielded packet is never empty, never end-of-stream-tagged, and
-     full except for the non-divisible tail. *)
-  let batch_size = 7 and count = 23 in
-  let b = Batch.of_iterator ~batch_size (Iterator.generate ~count ~f:gen_tuple) in
-  Batch.open_ b;
-  let lengths = ref [] in
-  let rec drain () =
-    match Batch.next b with
-    | None -> ()
-    | Some p ->
-        check Alcotest.bool "not empty" false (Packet.is_empty p);
-        check Alcotest.bool "no eos tag" false (Packet.end_of_stream p);
-        check Alcotest.int "capacity is the batch size" batch_size
-          (Packet.capacity p);
-        lengths := Packet.length p :: !lengths;
-        drain ()
-  in
-  drain ();
-  Batch.close b;
-  check
-    Alcotest.(list int)
-    "full batches, then the tail" [ 7; 7; 7; 2 ]
-    (List.rev !lengths)
 
 let test_validate () =
   check Alcotest.bool "0 disables, valid" true (Batch.validate ~batch_size:0 = []);
@@ -147,7 +121,7 @@ let test_edge_sizes () =
         [ 1; 2; 64; 255 ])
     [ 0; 1; 2; 63; 64; 65; 129 ]
 
-(* Reopening a compiled batch pipeline must replay it from scratch —
+(* Reopening a compiled fused chain must replay it from scratch —
    in particular distinct's seen table must reset, or the second pass
    returns nothing. *)
 let test_reopen_resets_state () =
@@ -158,47 +132,93 @@ let test_reopen_resets_state () =
   check Alcotest.bool "first pass nonempty" true (first <> []);
   check_rows "reopen" first second
 
-(* Early close mid-batch: drain a few records of a fused chain feeding
-   an exchange, close at the root, and reconcile — the scheduler joins
+(* Early close mid-batch: drain a few records of a subtree feeding an
+   exchange, close at the root, and reconcile — the scheduler joins
    every producer and the packet pools leak nothing (quiescence is the
    pool-ledger check: a leaked in-flight packet leaves a producer
-   unjoined or a lane undrained). *)
+   unjoined or a lane undrained).  The producer has one drive loop for
+   every input, so each shape runs: a fused filter chain, a record-only
+   subtree (a sort-based join does not fuse), and a fused hash-join
+   chain. *)
 let test_early_close_mid_batch () =
-  let e = env () in
-  let plan =
-    Plan.Exchange
+  (* The hash join probes a stored table, so a producer that never stops
+     its cursor leaves a page pinned and fails the pool check. *)
+  let stored_env () =
+    let e = env () in
+    let file =
+      Env.create_table e ~name:"early_t"
+        ~schema:
+          (Volcano_tuple.Schema.of_names
+             [ ("a", Value.Tint); ("b", Value.Tint); ("c", Value.Tint) ])
+    in
+    for i = 0 to 1999 do
+      ignore
+        (Volcano_storage.Heap_file.insert file
+           (Bytes.to_string (Volcano_tuple.Serial.encode (gen_tuple i))))
+    done;
+    e
+  in
+  let slice =
+    Plan.Generate_slice { arity = 3; count = 5000; gen = gen_tuple }
+  in
+  let filter input =
+    Plan.Filter
       {
-        cfg = Exchange.config ~degree:2 ~packet_size:5 ();
-        input =
-          Plan.Filter
+        pred = Expr.Cmp (Expr.Ge, Expr.Col 0, Expr.int 0);
+        mode = `Compiled;
+        input;
+      }
+  in
+  let join algo left =
+    Plan.Match
+      {
+        algo;
+        kind = Match_op.Join;
+        left_key = [ 1 ];
+        right_key = [ 0 ];
+        left;
+        right =
+          Plan.Scan_list
             {
-              pred = Expr.Cmp (Expr.Ge, Expr.Col 0, Expr.int 0);
-              mode = `Compiled;
-              input =
-                Plan.Generate_slice { arity = 3; count = 5000; gen = gen_tuple };
+              arity = 2;
+              tuples = List.init 10 (fun k -> Tuple.of_ints [ k; k ]);
             };
       }
   in
-  let iter = Compile.compile e plan in
-  Iterator.open_ iter;
-  for _ = 1 to 3 do
-    match Iterator.next iter with
-    | Some _ -> ()
-    | None -> Alcotest.fail "expected a record before early close"
-  done;
-  Iterator.close iter;
-  Bufpool.assert_quiescent ~what:"early close" (Env.buffer e);
-  Sched.assert_quiescent ~what:"early close" (Sched.default ());
-  (* The same pipeline closed mid-batch directly, then reopened. *)
-  let b =
-    Batch.of_iterator ~batch_size:8 (Iterator.generate ~count:100 ~f:gen_tuple)
+  List.iter
+    (fun (what, input) ->
+      let e = stored_env () in
+      let plan =
+        Plan.Exchange
+          { cfg = Exchange.config ~degree:2 ~packet_size:5 (); input }
+      in
+      let iter = Compile.compile e plan in
+      Iterator.open_ iter;
+      for _ = 1 to 3 do
+        match Iterator.next iter with
+        | Some _ -> ()
+        | None -> Alcotest.failf "%s: expected a record before early close" what
+      done;
+      Iterator.close iter;
+      Bufpool.assert_quiescent ~what:("early close, " ^ what) (Env.buffer e);
+      Sched.assert_quiescent ~what:("early close, " ^ what) (Sched.default ()))
+    [
+      ("fused chain", filter slice);
+      ("record subtree", join Plan.Sort_based slice);
+      ( "fused hash join",
+        join Plan.Hash_based (filter (Plan.Scan_table "early_t")) );
+    ];
+  (* The record bridge closed mid-stream directly, then reopened. *)
+  let bridge =
+    Batch.to_iterator ~batch_size:8
+      (Batch.iterator_cursor (Iterator.generate ~count:100 ~f:gen_tuple))
   in
-  Batch.open_ b;
-  (match Batch.next b with
-  | Some p -> check Alcotest.int "first batch full" 8 (Packet.length p)
-  | None -> Alcotest.fail "expected a batch");
-  Batch.close b;
-  check Alcotest.int "reopen after early close" 100 (Batch.consume b)
+  Iterator.open_ bridge;
+  (match Iterator.next bridge with
+  | Some _ -> ()
+  | None -> Alcotest.fail "expected a record");
+  Iterator.close bridge;
+  check Alcotest.int "reopen after early close" 100 (Iterator.consume bridge)
 
 (* --- the differential lock ------------------------------------------ *)
 
@@ -514,7 +534,6 @@ let test_planlint_batch () =
 let suite =
   [
     Alcotest.test_case "bridge roundtrip" `Quick test_bridge_roundtrip;
-    Alcotest.test_case "batch shapes" `Quick test_batch_shapes;
     Alcotest.test_case "knob validation" `Quick test_validate;
     Alcotest.test_case "edge sizes" `Quick test_edge_sizes;
     Alcotest.test_case "reopen resets state" `Quick test_reopen_resets_state;
