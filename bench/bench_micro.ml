@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks: per-call costs underlying the T1 table —
    record creation/consumption, the procedure-call exchange boundary, the
-   buffer manager's fix/unfix pair, packet filling, and the interpreted vs
-   compiled predicate paths. *)
+   buffer manager's fix/unfix pair, packet filling, the interpreted vs
+   compiled predicate paths, and a hash join's per-row build and probe. *)
 
 open Bechamel
 open Toolkit
@@ -68,6 +68,20 @@ let predicate_paths =
   in
   (interpreted, compiled_fn)
 
+(* One in-memory hash join: build a table of [batch] distinct int keys,
+   then probe it with [batch] matching tuples. *)
+let hash_join_build_probe =
+  let build = Array.init batch Bench_common.four_int_tuple in
+  let probe =
+    Array.init batch (fun i -> Bench_common.four_int_tuple (batch - 1 - i))
+  in
+  fun () ->
+    ignore
+      (Iterator.consume
+         (Volcano_ops.Hash_match.iterator ~kind:Volcano_ops.Match_op.Join
+            ~left_key:[ 0 ] ~right_key:[ 0 ] ~left_arity:4 ~right_arity:4
+            (Iterator.of_array probe) (Iterator.of_array build)))
+
 let tests =
   let interpreted, compiled = predicate_paths in
   Test.make_grouped ~name:"volcano"
@@ -78,6 +92,8 @@ let tests =
       Test.make ~name:"packet-fill-83" (Staged.stage packet_fill);
       Test.make ~name:"pred-interpreted-1k" (Staged.stage interpreted);
       Test.make ~name:"pred-compiled-1k" (Staged.stage compiled);
+      Test.make ~name:"hash-join-build-probe-1k"
+        (Staged.stage hash_join_build_probe);
     ]
 
 let run () =

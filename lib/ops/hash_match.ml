@@ -8,90 +8,87 @@ module Heap_file = Volcano_storage.Heap_file
 
 let match_tag = Atomic.make 0
 
-(* One build key: its rows in insertion order, and the probe bookkeeping
-   that the leftover-emitting kinds read once the probe side ends. *)
-type entry = {
-  key : Tuple.t;
-  hash : int;
-  mutable rows : Tuple.t array; (* [0, count) live, doubled when full *)
-  mutable count : int;
-  mutable probes : int; (* left tuples seen with this key *)
-  mutable matched : bool;
-}
-
-(* The key table: chained buckets over a power-of-two array, hashed with
-   [Key_hash] (an int mix, not [Tuple.hash]'s FNV).  Entries are also
-   listed in first-seen order, so leftovers drain deterministically and
-   never in hash order. *)
+(* The key table, built in two passes: [collect] appends the build rows
+   to one growable array, then [index] sizes every other array from the
+   exact row count, once.  Rows are numbered by arrival.  A key lives at
+   its first row: the bucket chain links key rows only, and each key row
+   heads a [dup] chain of the rows sharing its key, in arrival order.
+   Keys are compared in place on the stored rows, so the table holds no
+   block per row or per key — a handful of flat [int] arrays. *)
 type table = {
-  mutable buckets : entry list array;
-  mutable size : int;
-  mutable order : entry list; (* first-seen order, reversed *)
+  cols : int array; (* the key columns of a build row *)
+  rows : Tuple.t array; (* [0, n) live, in arrival order *)
+  n : int;
+  heads : int array; (* bucket -> its first key row, or -1 *)
+  hash : int array; (* per row: [Key_hash.cols_hash] of its key *)
+  next : int array; (* per key row: the next key row in its bucket, or -1 *)
+  dup : int array; (* per row: the next row with the same key, or -1 *)
+  count : int array; (* per key row: rows with its key; 0 at other rows *)
+  probes : int array; (* per key row: probe tuples seen with its key *)
+  last : int array; (* per key row: the tail of its [dup] chain *)
 }
 
-let table ~slots = { buckets = Array.make slots []; size = 0; order = [] }
+(* The key row whose key equals [tuple]'s [cols] (hashed [h]), or -1.
+   Reads both keys in place: a lookup allocates nothing. *)
+let find t h cols tuple =
+  let k = ref (Array.unsafe_get t.heads (h land (Array.length t.heads - 1))) in
+  while
+    !k >= 0
+    && not
+         (t.hash.(!k) = h
+         && Key_hash.cols_equal cols tuple t.cols t.rows.(!k))
+  do
+    k := t.next.(!k)
+  done;
+  !k
 
-(* [find]'s miss: compared by identity, so a probe allocates nothing. *)
-let absent =
-  { key = [||]; hash = 0; rows = [||]; count = 0; probes = 0; matched = false }
+let rec slots_for n s = if s >= n then s else slots_for n (2 * s)
 
-(* Probes read their key columns in place: no key tuple per probe. *)
-let find t cols tuple =
-  let h = Key_hash.cols_hash cols tuple in
-  let rec scan = function
-    | [] -> absent
-    | e :: rest ->
-        if e.hash = h && Key_hash.cols_match e.key cols tuple then e
-        else scan rest
+(* The second pass: every array sized from [n], no growth, no rehash. *)
+let index cols rows n =
+  let slots = slots_for n 1024 in
+  let t =
+    {
+      cols;
+      rows;
+      n;
+      heads = Array.make slots (-1);
+      hash = Array.make n 0;
+      next = Array.make n (-1);
+      dup = Array.make n (-1);
+      count = Array.make n 0;
+      probes = Array.make n 0;
+      last = Array.make n 0;
+    }
   in
-  scan (Array.unsafe_get t.buckets (h land (Array.length t.buckets - 1)))
+  for i = 0 to n - 1 do
+    let row = rows.(i) in
+    let h = Key_hash.cols_hash cols row in
+    t.hash.(i) <- h;
+    let k = find t h cols row in
+    if k < 0 then begin
+      let b = h land (slots - 1) in
+      t.next.(i) <- t.heads.(b);
+      t.heads.(b) <- i;
+      t.count.(i) <- 1;
+      t.last.(i) <- i
+    end
+    else begin
+      t.dup.(t.last.(k)) <- i;
+      t.last.(k) <- i;
+      t.count.(k) <- t.count.(k) + 1
+    end
+  done;
+  t
 
-let grow t =
-  let grown = Array.make (2 * Array.length t.buckets) [] in
-  let mask = Array.length grown - 1 in
-  List.iter
-    (fun e -> grown.(e.hash land mask) <- e :: grown.(e.hash land mask))
-    t.order;
-  t.buckets <- grown
-
-let insert t cols tuple =
-  let h = Key_hash.cols_hash cols tuple in
-  let idx = h land (Array.length t.buckets - 1) in
-  let rec scan = function
-    | [] ->
-        let e =
-          {
-            key = Array.map (fun c -> tuple.(c)) cols;
-            hash = h;
-            rows = [| tuple |];
-            count = 1;
-            probes = 0;
-            matched = false;
-          }
-        in
-        t.buckets.(idx) <- e :: t.buckets.(idx);
-        t.order <- e :: t.order;
-        t.size <- t.size + 1;
-        if t.size > 2 * Array.length t.buckets then grow t
-    | e :: rest ->
-        if e.hash = h && Key_hash.cols_match e.key cols tuple then begin
-          if e.count = Array.length e.rows then begin
-            let rows = Array.make (2 * e.count) tuple in
-            Array.blit e.rows 0 rows 0 e.count;
-            e.rows <- rows
-          end;
-          e.rows.(e.count) <- tuple;
-          e.count <- e.count + 1
-        end
-        else scan rest
-  in
-  scan t.buckets.(idx)
+(* A closed match's table: no rows, and nothing a probe could write. *)
+let empty = index [||] [||] 0
 
 (* ------------------------------------------------------------------ *)
 (* The build/probe/drain core                                          *)
 
 (* One match in flight.  A step may emit at most [budget] records; the
-   surplus (a probe tuple matching several build rows, or one entry's
+   surplus (a probe tuple matching several build rows, or one key's
    leftovers) parks in [parked] and goes out first on the next step, in
    order. *)
 type core = {
@@ -101,7 +98,7 @@ type core = {
   left_nulls : Tuple.t; (* outer-join padding *)
   right_nulls : Tuple.t;
   mutable table : table;
-  mutable leftovers : entry list; (* entries the drain has yet to visit *)
+  mutable drain_at : int; (* the next row the drain visits *)
   parked : Tuple.t Queue.t;
   mutable budget : int;
   mutable out : Tuple.t -> unit;
@@ -115,41 +112,51 @@ let push core tuple =
   else Queue.push tuple core.parked
 
 let probe core tuple =
-  let e = find core.table core.left_cols tuple in
-  let hit = e != absent in
-  if hit then begin
-    e.matched <- true;
-    e.probes <- e.probes + 1
-  end;
+  let t = core.table in
+  let k =
+    find t (Key_hash.cols_hash core.left_cols tuple) core.left_cols tuple
+  in
+  let hit = k >= 0 in
+  if hit then t.probes.(k) <- t.probes.(k) + 1;
   match core.kind with
   | Match_op.Join | Match_op.Left_outer | Match_op.Right_outer
   | Match_op.Full_outer ->
-      if hit then
-        for i = 0 to e.count - 1 do
-          push core (Tuple.concat tuple (Array.unsafe_get e.rows i))
+      if hit then begin
+        let i = ref k in
+        while !i >= 0 do
+          push core (Tuple.concat tuple (Array.unsafe_get t.rows !i));
+          i := t.dup.(!i)
         done
+      end
       else if core.kind = Match_op.Left_outer || core.kind = Match_op.Full_outer
       then push core (Tuple.concat tuple core.right_nulls)
   | Match_op.Semi -> if hit then push core tuple
   | Match_op.Anti -> if not hit then push core tuple
-  | Match_op.Intersection -> if hit && e.probes <= e.count then push core tuple
+  | Match_op.Intersection ->
+      if hit && t.probes.(k) <= t.count.(k) then push core tuple
   | Match_op.Difference ->
-      if not (hit && e.probes <= e.count) then push core tuple
+      if not (hit && t.probes.(k) <= t.count.(k)) then push core tuple
   | Match_op.Union -> push core tuple
   | Match_op.Anti_difference -> ()
 
-(* After the probe side ends: build rows no probe accounted for. *)
-let drain_entry core e =
+(* After the probe side ends: the build rows of key row [k] that no probe
+   accounted for. *)
+let drain_key core k =
+  let t = core.table in
+  let emit_first m f =
+    let i = ref k and m = ref m in
+    while !m > 0 do
+      push core (f t.rows.(!i));
+      i := t.dup.(!i);
+      decr m
+    done
+  in
   match core.kind with
   | Match_op.Right_outer | Match_op.Full_outer ->
-      if not e.matched then
-        for i = 0 to e.count - 1 do
-          push core (Tuple.concat core.left_nulls e.rows.(i))
-        done
+      if t.probes.(k) = 0 then
+        emit_first t.count.(k) (Tuple.concat core.left_nulls)
   | Match_op.Union | Match_op.Anti_difference ->
-      for i = 0 to e.count - e.probes - 1 do
-        push core e.rows.(i)
-      done
+      emit_first (t.count.(k) - t.probes.(k)) Fun.id
   | Match_op.Join | Match_op.Left_outer | Match_op.Semi | Match_op.Anti
   | Match_op.Intersection | Match_op.Difference ->
       ()
@@ -162,65 +169,57 @@ let has_leftovers = function
   | Match_op.Intersection | Match_op.Difference ->
       false
 
-(* Load the build side into the table.  [None]: it fit, and [build] is
-   closed.  [Some t]: the capacity was exceeded at [t], which is not in
-   the table, and [build] is still open. *)
-let load core build ~capacity =
+(* The first pass: append the build side to one growable array.  Returns
+   the rows, their count, and [None] when it fit ([build] is closed), or
+   [Some t] when the capacity was exceeded at [t], which is not among the
+   rows ([build] is still open). *)
+let collect build ~capacity =
   Iterator.open_ build;
-  let rec go n =
+  let rows = ref (Array.make 64 [||]) and n = ref 0 in
+  let rec go () =
     match Iterator.next build with
     | None -> None
-    | Some tuple when n >= capacity -> Some tuple
+    | Some tuple when !n >= capacity -> Some tuple
     | Some tuple ->
-        insert core.table core.right_cols tuple;
-        go (n + 1)
+        if !n = Array.length !rows then begin
+          let grown = Array.make (2 * !n) [||] in
+          Array.blit !rows 0 grown 0 !n;
+          rows := grown
+        end;
+        Array.unsafe_set !rows !n tuple;
+        incr n;
+        go ()
   in
-  match go 0 with
+  match go () with
   | None ->
       Iterator.close build;
-      None
-  | Some _ as overflow -> overflow
+      (!rows, !n, None)
+  | Some _ as overflow -> (!rows, !n, overflow)
   | exception exn ->
       (* A failing build input must not stay open: the consumer's close
          has no open state to release yet. *)
       (try Iterator.close build with _ -> ());
       raise exn
 
-(* The build side the Grace path re-reads after an overflow: the table's
-   rows (first-seen key order, rows in insertion order), the tuple that
-   overflowed, then whatever [build] still holds.  [build] is already
-   open; closing the replay closes it, once. *)
-let replay core overflow build =
-  let entries = ref [] and pos = ref 0 and rest = ref [ overflow ] in
-  let live = ref true in
+(* The build side the Grace path re-reads after an overflow: rows
+   [0, n) in arrival order, the tuple that overflowed, then whatever
+   [build] still holds.  [build] is already open; closing the replay
+   closes it, once, and lets go of the rows. *)
+let replay rows n overflow build =
+  let rows = ref rows and pos = ref 0 and live = ref true in
   Iterator.make
-    ~open_:(fun () ->
-      entries := List.rev core.table.order;
-      pos := 0)
+    ~open_:(fun () -> pos := 0)
     ~next:(fun () ->
-      let rec next () =
-        match !entries with
-        | e :: more ->
-            if !pos < e.count then begin
-              incr pos;
-              Some e.rows.(!pos - 1)
-            end
-            else begin
-              entries := more;
-              pos := 0;
-              next ()
-            end
-        | [] -> (
-            match !rest with
-            | t :: more ->
-                rest := more;
-                Some t
-            | [] -> Iterator.next build)
-      in
-      next ())
+      let i = !pos in
+      if i > n then Iterator.next build
+      else begin
+        pos := i + 1;
+        Some (if i < n then !rows.(i) else overflow)
+      end)
     ~close:(fun () ->
       if !live then begin
         live := false;
+        rows := [||];
         Iterator.close build
       end)
 
@@ -319,8 +318,8 @@ and cursor ?(build_capacity = max_int) ?(partitions = 16) ?spill
       right_cols = Array.of_list right_key;
       left_nulls = Array.make left_arity Value.Null;
       right_nulls = Array.make right_arity Value.Null;
-      table = table ~slots:1;
-      leftovers = [];
+      table = empty;
+      drain_at = 0;
       parked = Queue.create ();
       budget = 0;
       out = ignore;
@@ -332,12 +331,10 @@ and cursor ?(build_capacity = max_int) ?(partitions = 16) ?spill
   let on_probe = probe core in
   let phase = ref `Closed in
   let release () =
-    core.table <- table ~slots:1;
-    core.leftovers <- [];
+    core.table <- empty;
     Queue.clear core.parked
   in
-  let grace overflow =
-    let right = replay core overflow build in
+  let grace right =
     let left = Batch.to_iterator ~batch_size:Batch.default_size probe_side in
     let g =
       partitioned ~partitions ~spill:(Option.get spill) ~kind ~left_key
@@ -352,18 +349,15 @@ and cursor ?(build_capacity = max_int) ?(partitions = 16) ?spill
     phase := `Grace g
   in
   let reset () =
-    core.table <- table ~slots:1024;
-    match load core build ~capacity with
-    | Some overflow -> grace overflow
-    | None ->
+    match collect build ~capacity with
+    | rows, n, Some overflow -> grace (replay rows n overflow build)
+    | rows, n, None ->
+        core.table <- index core.right_cols rows n;
         (try probe_side.Batch.reset ()
          with exn ->
            release ();
            raise exn);
         phase := `Probe
-    | exception exn ->
-        release ();
-        raise exn
   in
   let step ~emit ~max =
     match !phase with
@@ -396,16 +390,17 @@ and cursor ?(build_capacity = max_int) ?(partitions = 16) ?spill
               if probe_side.Batch.step ~emit:on_probe ~max:core.budget = 0
               then begin
                 probe_side.Batch.stop ();
-                core.leftovers <-
-                  (if has_leftovers kind then List.rev core.table.order else []);
+                core.drain_at <- (if has_leftovers kind then 0 else core.table.n);
                 phase := `Drain
               end
-          | `Drain -> (
-              match core.leftovers with
-              | e :: more ->
-                  core.leftovers <- more;
-                  drain_entry core e
-              | [] -> live := false)
+          | `Drain ->
+              (* Key rows in ascending order: first-seen key order. *)
+              let k = core.drain_at in
+              if k >= core.table.n then live := false
+              else begin
+                core.drain_at <- k + 1;
+                if core.table.count.(k) > 0 then drain_key core k
+              end
           | `Closed | `Grace _ -> live := false
         done;
         max - core.budget

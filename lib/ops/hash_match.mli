@@ -10,7 +10,21 @@
     batch cursor (a fused probe chain) and {!iterator} a record iterator.
     Output order is the same for both: each probe tuple's matches in
     build insertion order, then the leftovers of the outer-join and
-    set kinds in first-seen build-key order. *)
+    set kinds in first-seen build-key order.
+
+    The key table is built in two passes.  The build rows are first
+    collected into one growable array, numbered by arrival; then every
+    other array is allocated once from the exact row count, with no
+    growth and no rehash:
+    - [heads]: one slot per bucket (a power of two at least the row
+      count, and at least 1024), holding the bucket's first key row;
+    - per row, as [int]s: the key hash, a bucket-chain link and a
+      same-key [dup] link, which chains a key's rows in arrival order;
+    - per key, stored at the key's first row: the row count, the number
+      of probes seen, and the last row of its [dup] chain.
+    Lookups compare the key columns of the stored row in place, so the
+    table holds no heap block per row or per key.  The leftovers walk
+    rows in ascending order and visit key rows: first-seen key order. *)
 
 val cursor :
   ?build_capacity:int ->
@@ -28,7 +42,9 @@ val cursor :
     cursor — a fused probe chain carries its stages ({!Volcano.Batch.staged}).
     - [reset] drains [build] into the key table, then resets [probe].  A
       build side of more than [build_capacity] records (with [spill]
-      given) switches to the Grace path, fed by the probe chain.
+      given) switches to the Grace path, fed by the probe chain; the
+      partitioning re-reads the collected rows in arrival order, then
+      the row that overflowed, then the rest of [build].
     - [step ~emit ~max] steps the probe chain and emits at most [max]
       records, parking surplus matches (duplicate build keys) for the
       next step.  Once the probe side ends it emits the leftovers

@@ -34,10 +34,14 @@ let cols_hash cols tuple =
   done;
   !h
 
-let cols_match gkey cols tuple =
-  let rec go i =
-    i >= Array.length cols
-    || slot_equal (Array.unsafe_get gkey i) tuple.(Array.unsafe_get cols i)
-       && go (i + 1)
-  in
-  go 0
+let cols_equal acols a bcols b =
+  let n = Array.length acols and i = ref 0 in
+  while
+    !i < n
+    && slot_equal
+         a.(Array.unsafe_get acols !i)
+         b.(Array.unsafe_get bcols !i)
+  do
+    incr i
+  done;
+  !i = n

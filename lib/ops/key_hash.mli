@@ -21,6 +21,10 @@ val cols_hash : int array -> Volcano_tuple.Tuple.t -> int
 (** [cols_hash cols t = key_hash (Tuple.project t cols)] without building
     the key: a probe reads its key columns in place. *)
 
-val cols_match : Volcano_tuple.Value.t array -> int array -> Volcano_tuple.Tuple.t -> bool
-(** [cols_match key cols t = key_matches key (Tuple.project t cols)],
-    again without building the probe key. *)
+val cols_equal :
+  int array -> Volcano_tuple.Tuple.t -> int array -> Volcano_tuple.Tuple.t -> bool
+(** [cols_equal acols a bcols b]: [a]'s key columns [acols] equal [b]'s
+    [bcols] slot for slot, as [key_matches (Tuple.project a acols)
+    (Tuple.project b bcols)] would say, without building either key — a
+    hash-join lookup compares a probe or build row with a stored row in
+    place.  [acols] and [bcols] have the same length. *)

@@ -267,20 +267,196 @@ let prop_match_all_kinds =
 
 let test_hash_match_grace_partitioning () =
   (* Force the Grace path with a small build capacity and verify the result
-     matches the in-memory path. *)
-  let spill = make_spill () in
+     matches the in-memory path, for every kind. *)
   let left = input_of_ints 1 (List.init 300 (fun i -> i mod 40)) in
   let right = input_of_ints 2 (List.init 200 (fun i -> i mod 50)) in
-  let in_memory =
-    sorted_tuples (run_match `Hash Ops.Match_op.Join left right)
+  List.iter
+    (fun kind ->
+      let in_memory = canonical kind (run_match `Hash kind left right) in
+      let partitioned =
+        Ops.Hash_match.iterator ~build_capacity:32 ~partitions:4
+          ~spill:(make_spill ()) ~kind ~left_key:[ 0 ] ~right_key:[ 0 ]
+          ~left_arity:2 ~right_arity:2 (Iterator.of_list left)
+          (Iterator.of_list right)
+      in
+      check tuple_list
+        (Ops.Match_op.to_string kind ^ ": grace = in-memory")
+        in_memory
+        (canonical kind (Iterator.to_list partitioned)))
+    kinds
+
+(* The documented output order of [Hash_match], as a list model: each
+   probe tuple's matches in build insertion order, then the leftovers in
+   first-seen build-key order.  Keys compare with [Value.equal], slot by
+   slot, so [Int 1] and [Float 1.0] differ and [Null] matches [Null]. *)
+let model_hash_order kind ~left_key ~right_key ~left_arity ~right_arity left
+    right =
+  let lkey t = Tuple.project t left_key and rkey t = Tuple.project t right_key in
+  let same a b = Array.for_all2 Value.equal a b in
+  let right_nulls = Array.make right_arity Value.Null in
+  let left_nulls = Array.make left_arity Value.Null in
+  let probed =
+    List.concat
+      (List.mapi
+         (fun i t ->
+           let ms = List.filter (fun r -> same (lkey t) (rkey r)) right in
+           let hit = ms <> [] in
+           (* This probe is the [p]-th left tuple with its key. *)
+           let p =
+             List.length
+               (List.filteri (fun j l -> j <= i && same (lkey l) (lkey t)) left)
+           in
+           match kind with
+           | Ops.Match_op.Join | Ops.Match_op.Left_outer
+           | Ops.Match_op.Right_outer | Ops.Match_op.Full_outer ->
+               if hit then List.map (Tuple.concat t) ms
+               else if
+                 kind = Ops.Match_op.Left_outer || kind = Ops.Match_op.Full_outer
+               then [ Tuple.concat t right_nulls ]
+               else []
+           | Ops.Match_op.Semi -> if hit then [ t ] else []
+           | Ops.Match_op.Anti -> if hit then [] else [ t ]
+           | Ops.Match_op.Intersection ->
+               if hit && p <= List.length ms then [ t ] else []
+           | Ops.Match_op.Difference ->
+               if hit && p <= List.length ms then [] else [ t ]
+           | Ops.Match_op.Union -> [ t ]
+           | Ops.Match_op.Anti_difference -> [])
+         left)
   in
-  let partitioned =
-    Ops.Hash_match.iterator ~build_capacity:32 ~partitions:4 ~spill
-      ~kind:Ops.Match_op.Join ~left_key:[ 0 ] ~right_key:[ 0 ] ~left_arity:2
-      ~right_arity:2 (Iterator.of_list left) (Iterator.of_list right)
+  let first_seen =
+    List.rev
+      (List.fold_left
+         (fun keys r ->
+           if List.exists (same (rkey r)) keys then keys else rkey r :: keys)
+         [] right)
   in
-  check tuple_list "grace = in-memory" in_memory
-    (sorted_tuples (Iterator.to_list partitioned))
+  let leftovers =
+    List.concat_map
+      (fun k ->
+        let group = List.filter (fun r -> same k (rkey r)) right in
+        let probes =
+          List.length (List.filter (fun l -> same (lkey l) k) left)
+        in
+        match kind with
+        | Ops.Match_op.Right_outer | Ops.Match_op.Full_outer ->
+            if probes = 0 then List.map (Tuple.concat left_nulls) group else []
+        | Ops.Match_op.Union | Ops.Match_op.Anti_difference ->
+            List.filteri (fun i _ -> i < List.length group - probes) group
+        | Ops.Match_op.Join | Ops.Match_op.Left_outer | Ops.Match_op.Semi
+        | Ops.Match_op.Anti | Ops.Match_op.Intersection
+        | Ops.Match_op.Difference ->
+            [])
+      first_seen
+  in
+  probed @ leftovers
+
+(* Both feeds of [Hash_match] against the model, in exact order: the
+   record iterator, and the cursor stepped 3 records at a time (so
+   duplicate matches and leftovers park across steps). *)
+let hash_exact_order kind ~left_key ~right_key ~left_arity ~right_arity left
+    right =
+  let expected =
+    model_hash_order kind ~left_key ~right_key ~left_arity ~right_arity left
+      right
+  in
+  let via_iterator =
+    Iterator.to_list
+      (Ops.Hash_match.iterator ~kind ~left_key ~right_key ~left_arity
+         ~right_arity (Iterator.of_list left) (Iterator.of_list right))
+  in
+  let via_cursor =
+    let c =
+      Ops.Hash_match.cursor ~kind ~left_key ~right_key ~left_arity ~right_arity
+        (Volcano.Batch.array_cursor (Array.of_list left))
+        (Iterator.of_list right)
+    in
+    let out = ref [] in
+    c.Volcano.Batch.reset ();
+    while c.Volcano.Batch.step ~emit:(fun t -> out := t :: !out) ~max:3 > 0 do
+      ()
+    done;
+    c.Volcano.Batch.stop ();
+    List.rev !out
+  in
+  (expected, via_iterator, via_cursor)
+
+(* Keys of every type, including values that look alike across types. *)
+let key_pool =
+  [|
+    Value.Int 0; Value.Int 1; Value.Int 2; Value.Float 1.0; Value.Float 0.5;
+    Value.Str "a"; Value.Str "1"; Value.Null;
+  |]
+
+(* Left rows are (key, id); right rows (id, key): the key columns differ. *)
+let mixed_sides ls rs =
+  ( List.mapi (fun i k -> [| key_pool.(k); Value.Int (1000 + i) |]) ls,
+    List.mapi (fun i k -> [| Value.Int (2000 + i); key_pool.(k) |]) rs )
+
+let test_hash_match_exact_order () =
+  (* Duplicate build keys on both sides, keys only on one side, and every
+     type in the key column. *)
+  let left, right =
+    mixed_sides [ 1; 3; 1; 7; 5; 0; 1; 2 ] [ 7; 1; 3; 1; 4; 6; 1; 7; 2; 2 ]
+  in
+  List.iter
+    (fun kind ->
+      let expected, via_iterator, via_cursor =
+        hash_exact_order kind ~left_key:[ 0 ] ~right_key:[ 1 ] ~left_arity:2
+          ~right_arity:2 left right
+      in
+      let name = Ops.Match_op.to_string kind in
+      check tuple_list (name ^ " iterator") expected via_iterator;
+      check tuple_list (name ^ " cursor") expected via_cursor)
+    kinds
+
+let prop_hash_match_exact_order =
+  QCheck.Test.make ~name:"hash match emits the documented order" ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 12) (int_bound 7))
+        (list_of_size Gen.(0 -- 12) (pair (int_bound 7) (int_bound 2))))
+    (fun (ls, rs) ->
+      (* One-column keys over [key_pool], and two-column keys (pool value,
+         small int) read from different positions on each side. *)
+      let left, right = mixed_sides ls (List.map fst rs) in
+      let left2 =
+        List.mapi (fun i t -> Array.append t [| Value.Int (i mod 3) |]) left
+      in
+      let right2 =
+        List.map2 (fun t (_, j) -> Array.append [| Value.Int j |] t) right rs
+      in
+      List.for_all
+        (fun kind ->
+          let agree (expected, a, b) =
+            List.equal Tuple.equal expected a && List.equal Tuple.equal expected b
+          in
+          agree
+            (hash_exact_order kind ~left_key:[ 0 ] ~right_key:[ 1 ]
+               ~left_arity:2 ~right_arity:2 left right)
+          && agree
+               (hash_exact_order kind ~left_key:[ 0; 2 ] ~right_key:[ 2; 0 ]
+                  ~left_arity:3 ~right_arity:3 left2 right2))
+        kinds)
+
+(* The key table holds no heap block per build row: building 40k
+   distinct int keys allocates, per row, little beyond the build input's
+   own [Some] cell.  A table of per-key records, key copies and list
+   cells measures well above the bound. *)
+let test_hash_match_build_allocation () =
+  let n = 40_000 and bound = 8.0 in
+  let build = Array.init n (fun i -> Tuple.of_ints [ i; i ]) in
+  let it =
+    Ops.Hash_match.iterator ~kind:Ops.Match_op.Join ~left_key:[ 0 ]
+      ~right_key:[ 0 ] ~left_arity:2 ~right_arity:2 (Iterator.of_list [])
+      (Iterator.of_array build)
+  in
+  let before = Gc.minor_words () in
+  Iterator.open_ it;
+  let per_row = (Gc.minor_words () -. before) /. float_of_int n in
+  Iterator.close it;
+  if per_row >= bound then
+    Alcotest.failf "%.1f minor words per build row, bound %.1f" per_row bound
 
 let test_cartesian_product () =
   let left = input_of_ints 1 [ 1; 2 ] in
@@ -470,4 +646,8 @@ let suite =
     Alcotest.test_case "division fixed case" `Quick test_division_fixed;
     QCheck_alcotest.to_alcotest prop_division;
     Alcotest.test_case "division empty divisor" `Quick test_division_empty_divisor;
+    Alcotest.test_case "hash match exact order" `Quick test_hash_match_exact_order;
+    QCheck_alcotest.to_alcotest prop_hash_match_exact_order;
+    Alcotest.test_case "hash match build allocation" `Quick
+      test_hash_match_build_allocation;
   ]
