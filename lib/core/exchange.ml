@@ -33,8 +33,8 @@ let as_query_failed ~fallback origin =
 (* A scope collects the ports created below one exchange.  The exchange's
    own port cancels its scope on shutdown, so cancellation (early close or
    a poisoned port) propagates down the whole subtree: without this, a
-   producer blocked in a descendant port's receive or flow-control
-   semaphore would never observe that its output port was shut. *)
+   producer blocked in a descendant port's receive or full flow-control
+   lane would never observe that its output port was shut. *)
 module Scope = struct
   type t = {
     lock : Mutex.t;
@@ -287,7 +287,7 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
   (* "waits until the consumer allows closing all open files" — records may
      still be in flight or pinned by consumers (section 4.1).  The gate is
      a broadcast event: waiting suspends a pooled producer instead of
-     occupying its worker domain. *)
+     occupying its worker domain, and blocks a dedicated one on its gate. *)
   Sched.Event.wait close_allowed;
   closer_slot := None;
   source.Batch.stop ()

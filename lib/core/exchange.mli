@@ -25,9 +25,13 @@
     "Processes" are tasks on a {!Volcano_sched.Sched} scheduler (shared
     memory, like the paper's Sequent processes).  Under the default pool
     scheduler producers are closures submitted to a fixed set of worker
-    domains and blocked producers suspend, yielding their worker; under
-    {!Volcano_sched.Sched.dedicated} each producer still gets a fresh
-    domain, reproducing the original fork-per-producer behaviour.
+    domains; under {!Volcano_sched.Sched.dedicated} each producer still
+    gets a fresh domain, reproducing the original fork-per-producer
+    behaviour.  Every blocking wait of an exchange — a full lane, an empty
+    sink, an unpublished port, the close gate, a producer join — is one
+    {!Volcano_sched.Sched.suspend}: a pool fiber yields its worker, any
+    other process (the query's root thread, a remote feeder domain, a
+    dedicated-mode producer) blocks on a gate made for that wait.
 
     {2 Failure semantics}
 

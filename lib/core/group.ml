@@ -1,4 +1,3 @@
-module Latch = Volcano_util.Latch
 module Sched = Volcano_sched.Sched
 
 exception Cancelled
@@ -6,15 +5,13 @@ exception Cancelled
 type shared = {
   group_size : int;
   lock : Mutex.t;
-  published : Condition.t;
   ports : (int, Port.t) Hashtbl.t;
   mutable dead : bool;
-  (* Suspended pool fibers waiting for a publish (or cancellation);
-     drained under [lock] by [publish_port] and [cancel].  Wakers are
-     idempotent and waiters re-register, so waking on every publish is
-     correct even when a fiber waits for a different key. *)
+  (* Wakers of blocked lookups, drained under [lock] by [publish_port]
+     and [cancel].  Wakers are idempotent and waiters re-register, so
+     waking on every publish is correct even when a lookup waits for a
+     different key. *)
   mutable waiters : (unit -> unit) list;
-  sync : Latch.Barrier.t;
 }
 
 type t = { rank : int; shared : shared }
@@ -24,11 +21,9 @@ let make_shared ~size =
   {
     group_size = size;
     lock = Mutex.create ();
-    published = Condition.create ();
     ports = Hashtbl.create 8;
     dead = false;
     waiters = [];
-    sync = Latch.Barrier.create size;
   }
 
 let attach shared ~rank =
@@ -50,66 +45,39 @@ let publish_port t ~key port =
   if not (is_master t) then invalid_arg "Group.publish_port: not the master";
   Mutex.lock t.shared.lock;
   Hashtbl.replace t.shared.ports key port;
-  Condition.broadcast t.shared.published;
   let wakers = drain_waiters t.shared in
   Mutex.unlock t.shared.lock;
   List.iter (fun wake -> wake ()) wakers
 
 (* A member that dies may do so before publishing a port its siblings are
-   waiting for — nothing would ever signal [published] again, and the
-   waiters (and the joiner behind them) would hang forever.  The failure
-   handler marks the whole group dead and wakes every waiter; a woken
-   lookup that still finds no port gives up. *)
+   waiting for — nothing would ever publish it, and the waiters (and the
+   joiner behind them) would hang forever.  The failure handler marks the
+   whole group dead and wakes every waiter; a woken lookup that still
+   finds no port gives up. *)
 let cancel t =
   Mutex.lock t.shared.lock;
   t.shared.dead <- true;
-  Condition.broadcast t.shared.published;
   let wakers = drain_waiters t.shared in
   Mutex.unlock t.shared.lock;
   List.iter (fun wake -> wake ()) wakers
 
-let lookup_port t ~key =
-  if Sched.on_pool () then begin
-    (* Pool fiber: suspend rather than park the worker.  The waker is
-       registered under the same lock that publish/cancel take, so the
-       found-nothing re-check inside [register] cannot race them. *)
-    let rec wait () =
-      Mutex.lock t.shared.lock;
-      let found = Hashtbl.find_opt t.shared.ports key in
-      let dead = t.shared.dead in
-      Mutex.unlock t.shared.lock;
-      match found with
-      | Some port -> port
-      | None ->
-          if dead then raise Cancelled;
-          Sched.suspend (fun wake ->
-              Mutex.lock t.shared.lock;
-              let pending =
-                (not (Hashtbl.mem t.shared.ports key)) && not t.shared.dead
-              in
-              if pending then t.shared.waiters <- wake :: t.shared.waiters;
-              Mutex.unlock t.shared.lock;
-              pending);
-          wait ()
-    in
-    wait ()
-  end
-  else begin
-    Mutex.lock t.shared.lock;
-    let rec wait () =
-      match Hashtbl.find_opt t.shared.ports key with
-      | Some port ->
+(* The waker is registered under the same lock that publish/cancel take,
+   so the found-nothing re-check inside [register] cannot race them. *)
+let rec lookup_port t ~key =
+  Mutex.lock t.shared.lock;
+  let found = Hashtbl.find_opt t.shared.ports key in
+  let dead = t.shared.dead in
+  Mutex.unlock t.shared.lock;
+  match found with
+  | Some port -> port
+  | None ->
+      if dead then raise Cancelled;
+      Sched.suspend (fun wake ->
+          Mutex.lock t.shared.lock;
+          let pending =
+            (not (Hashtbl.mem t.shared.ports key)) && not t.shared.dead
+          in
+          if pending then t.shared.waiters <- wake :: t.shared.waiters;
           Mutex.unlock t.shared.lock;
-          port
-      | None ->
-          if t.shared.dead then begin
-            Mutex.unlock t.shared.lock;
-            raise Cancelled
-          end;
-          Condition.wait t.shared.published t.shared.lock;
-          wait ()
-    in
-    wait ()
-  end
-
-let barrier t = Latch.Barrier.await t.shared.sync
+          pending);
+      lookup_port t ~key

@@ -42,6 +42,3 @@ val cancel : t -> unit
 (** Mark the group dead and wake every blocked {!lookup_port}.  Called by
     the failure path when a member dies: a sibling waiting for a port the
     dead member would have published must not wait forever. *)
-
-val barrier : t -> unit
-(** Synchronize all members of the group. *)

@@ -10,8 +10,8 @@ module Sched = Volcano_sched.Sched
    - flow control on: the lane is a bounded SPSC ring whose capacity IS
      the flow-control slack.  The uncontended send is one try_push (two
      atomics), with no semaphore and no mutex; a full ring makes the
-     sender spin briefly, then park on the lane's condition until the
-     consumer frees a slot or the port shuts down.
+     sender spin briefly, then park until the consumer frees a slot or
+     the port shuts down.
 
    - flow control off: producers must be able to run unboundedly ahead
      (the no-fork interchange relies on this: each process is both
@@ -20,27 +20,25 @@ module Sched = Volcano_sched.Sched
      producers never contend with each other, only pairwise with their
      consumer.
 
-   Consumers park on one per-consumer sink (a waiting flag plus
-   mutex/condition) covering all of that consumer's lanes; producers
-   signal it only when the flag is up, so the uncontended receive path
-   takes no lock either.  The flag is set before the final empty
-   re-check and read after the push (both seq_cst), the classic Dekker
-   handshake that makes a lost wakeup impossible.
+   Consumers park on one per-consumer sink (a waiting flag plus a waker
+   slot) covering all of that consumer's lanes; producers signal it only
+   when the flag is up, so the uncontended receive path takes no lock
+   either.  The flag is set before the final empty re-check and read
+   after the push (both seq_cst), the classic Dekker handshake that makes
+   a lost wakeup impossible.
 
-   Scheduler integration: a blocked side running inside a pool fiber
-   (Sched.on_pool) must not park its worker domain — it suspends the
-   fiber instead, leaving an idempotent waker in the lane's or sink's
-   parked slot.  Every path that would broadcast the corresponding
-   condition also drains that slot, and registration follows the same
-   flag-up-then-recheck handshake as the condition path, so the two
-   parking disciplines share one lost-wakeup argument. *)
+   Parking is Sched.suspend: a pool fiber yields its worker, any other
+   caller blocks on a gate made for that wait.  Either way the parked
+   side leaves an idempotent waker in the lane's or sink's parked slot,
+   registered under the slot's lock with the flag-up-then-recheck
+   handshake, and every path that frees a slot, delivers a packet or
+   shuts the port down drains that slot. *)
 
 type lane = {
   ring : Packet.t Spsc.t option; (* Some = bounded (flow-controlled) *)
   q_lock : Mutex.t; (* unbounded queue; doubles as the producer's park *)
   items : Packet.t Queue.t; (* unbounded fallback, empty in ring mode *)
   q_count : int Atomic.t; (* occupancy of [items], for lock-free polls *)
-  nonfull : Condition.t; (* ring producer parks here when full *)
   producer_waiting : bool Atomic.t;
   mutable parked_producer : (unit -> unit) option; (* under [q_lock] *)
   pool : Packet.Pool.t; (* recycled packets, consumer back to producer *)
@@ -49,7 +47,6 @@ type lane = {
 
 type sink = {
   s_lock : Mutex.t;
-  arrived : Condition.t;
   consumer_waiting : bool Atomic.t;
   mutable parked_consumer : (unit -> unit) option; (* under [s_lock] *)
   mutable rr : int; (* next producer lane to poll; consumer-local *)
@@ -102,7 +99,6 @@ let make_lane flow_slack =
     q_lock = Mutex.create ();
     items = Queue.create ();
     q_count = Atomic.make 0;
-    nonfull = Condition.create ();
     producer_waiting = Atomic.make false;
     parked_producer = None;
     pool =
@@ -114,7 +110,6 @@ let make_lane flow_slack =
 let make_sink () =
   {
     s_lock = Mutex.create ();
-    arrived = Condition.create ();
     consumer_waiting = Atomic.make false;
     parked_consumer = None;
     rr = 0;
@@ -164,7 +159,6 @@ let wake_consumer t ~consumer =
     Mutex.lock sink.s_lock;
     let parked = sink.parked_consumer in
     sink.parked_consumer <- None;
-    Condition.broadcast sink.arrived;
     Mutex.unlock sink.s_lock;
     match parked with Some wake -> wake () | None -> ()
   end
@@ -178,79 +172,42 @@ let lane_occupied lane =
 
 let ring_has_space ring = Spsc.length ring < Spsc.capacity ring
 
-(* Full ring: spin briefly, then park on the lane condition.  The waiting
-   flag is re-published before every wait and re-checked against the ring
-   (and shutdown) after, so the consumer's pop-then-signal cannot slip
-   between our check and our sleep.  Returns false iff the port shut down
-   before a slot freed (the packet is dropped, as post-shutdown sends
-   are). *)
+(* Full ring: spin briefly, then park.  The waiting flag goes up with
+   the waker in [parked_producer], then the ring (and shutdown) is
+   re-checked, so the consumer's pop-then-wake cannot slip between our
+   check and our sleep.  Returns false iff the port shut down before a
+   slot freed (the packet is dropped, as post-shutdown sends are). *)
 let push_parking t lane ring packet =
   let rec spin budget =
     if Spsc.try_push ring packet then true
     else if Atomic.get t.shut then false
-    else if budget = 0 then
-      if Sched.on_pool () then park_pooled () else park ()
+    else if budget = 0 then begin
+      Injector.hit t.faults Volcano_fault.Sched_park;
+      park ()
+    end
     else begin
       Domain.cpu_relax ();
       spin (budget - 1)
     end
-  (* Pool fiber: yield the worker instead of parking it.  Same handshake
-     as [park] below — waiting flag up, then re-check ring and shutdown —
-     except the "sleep" is a suspension whose waker sits in
-     [parked_producer] for [take_lane]/[shutdown] to drain. *)
-  and park_pooled () =
-    Injector.hit t.faults Volcano_fault.Sched_park;
-    let rec wait () =
-      if Spsc.try_push ring packet then true
-      else if Atomic.get t.shut then false
-      else begin
-        Sched.suspend (fun wake ->
-            Mutex.lock lane.q_lock;
-            lane.parked_producer <- Some wake;
-            Atomic.set lane.producer_waiting true;
-            let blocked =
-              (not (ring_has_space ring)) && not (Atomic.get t.shut)
-            in
-            if not blocked then begin
-              lane.parked_producer <- None;
-              Atomic.set lane.producer_waiting false
-            end;
-            Mutex.unlock lane.q_lock;
-            blocked);
-        wait ()
-      end
-    in
-    wait ()
   and park () =
-    Mutex.lock lane.q_lock;
-    let rec wait () =
-      if Spsc.try_push ring packet then begin
-        Mutex.unlock lane.q_lock;
-        true
-      end
-      else if Atomic.get t.shut then begin
-        Mutex.unlock lane.q_lock;
-        false
-      end
-      else begin
-        Atomic.set lane.producer_waiting true;
-        if Spsc.try_push ring packet then begin
-          Atomic.set lane.producer_waiting false;
+    if Spsc.try_push ring packet then true
+    else if Atomic.get t.shut then false
+    else begin
+      Sched.suspend (fun wake ->
+          Mutex.lock lane.q_lock;
+          lane.parked_producer <- Some wake;
+          Atomic.set lane.producer_waiting true;
+          let blocked =
+            (not (ring_has_space ring)) && not (Atomic.get t.shut)
+          in
+          if not blocked then begin
+            lane.parked_producer <- None;
+            Atomic.set lane.producer_waiting false
+          end;
           Mutex.unlock lane.q_lock;
-          true
-        end
-        else if Atomic.get t.shut then begin
-          Atomic.set lane.producer_waiting false;
-          Mutex.unlock lane.q_lock;
-          false
-        end
-        else begin
-          Condition.wait lane.nonfull lane.q_lock;
-          wait ()
-        end
-      end
-    in
-    wait ()
+          blocked);
+      park ()
+    end
   in
   spin spin_budget
 
@@ -316,7 +273,6 @@ let take_lane lane =
             Mutex.lock lane.q_lock;
             let parked = lane.parked_producer in
             lane.parked_producer <- None;
-            Condition.broadcast lane.nonfull;
             Mutex.unlock lane.q_lock;
             match parked with Some wake -> wake () | None -> ()
           end;
@@ -355,7 +311,7 @@ let poll_any t ~consumer =
    park on the consumer's sink.  Shutdown is checked only after a failed
    poll, so packets already queued survive a shutdown (drain-then-None
    semantics).  [ready] is the non-mutating counterpart of [poll], used
-   to re-check for arrivals after a suspension waker is registered. *)
+   to re-check for arrivals after the waker is registered. *)
 let receive_with t ~consumer ~ready poll =
   Injector.hit t.faults Volcano_fault.Port_receive;
   match poll () with
@@ -369,69 +325,33 @@ let receive_with t ~consumer ~ready poll =
         | Some _ as packet -> packet
         | None ->
             if Atomic.get t.shut then None
-            else if budget = 0 then
-              if Sched.on_pool () then park_pooled () else park ()
+            else if budget = 0 then begin
+              Injector.hit t.faults Volcano_fault.Sched_park;
+              park ()
+            end
             else begin
               Domain.cpu_relax ();
               spin (budget - 1)
             end
-      (* Pool fiber: suspend instead of blocking the worker, waker in
-         [parked_consumer].  Flag-up-then-recheck as in [park]. *)
-      and park_pooled () =
-        Injector.hit t.faults Volcano_fault.Sched_park;
-        let rec wait () =
-          match poll () with
-          | Some _ as packet -> packet
-          | None ->
-              if Atomic.get t.shut then None
-              else begin
-                Sched.suspend (fun wake ->
-                    Mutex.lock sink.s_lock;
-                    sink.parked_consumer <- Some wake;
-                    Atomic.set sink.consumer_waiting true;
-                    let blocked = not (ready () || Atomic.get t.shut) in
-                    if not blocked then begin
-                      sink.parked_consumer <- None;
-                      Atomic.set sink.consumer_waiting false
-                    end;
-                    Mutex.unlock sink.s_lock;
-                    blocked);
-                wait ()
-              end
-        in
-        wait ()
       and park () =
-        Mutex.lock sink.s_lock;
-        let rec wait () =
-          match poll () with
-          | Some _ as packet ->
-              Mutex.unlock sink.s_lock;
-              packet
-          | None ->
-              if Atomic.get t.shut then begin
-                Mutex.unlock sink.s_lock;
-                None
-              end
-              else begin
-                Atomic.set sink.consumer_waiting true;
-                match poll () with
-                | Some _ as packet ->
-                    Atomic.set sink.consumer_waiting false;
-                    Mutex.unlock sink.s_lock;
-                    packet
-                | None ->
-                    if Atomic.get t.shut then begin
-                      Atomic.set sink.consumer_waiting false;
-                      Mutex.unlock sink.s_lock;
-                      None
-                    end
-                    else begin
-                      Condition.wait sink.arrived sink.s_lock;
-                      wait ()
-                    end
-              end
-        in
-        wait ()
+        match poll () with
+        | Some _ as packet -> packet
+        | None ->
+            if Atomic.get t.shut then None
+            else begin
+              Sched.suspend (fun wake ->
+                  Mutex.lock sink.s_lock;
+                  sink.parked_consumer <- Some wake;
+                  Atomic.set sink.consumer_waiting true;
+                  let blocked = not (ready () || Atomic.get t.shut) in
+                  if not blocked then begin
+                    sink.parked_consumer <- None;
+                    Atomic.set sink.consumer_waiting false
+                  end;
+                  Mutex.unlock sink.s_lock;
+                  blocked);
+              park ()
+            end
       in
       let packet = spin spin_budget in
       (match packet with Some _ -> Atomic.incr t.received | None -> ());
@@ -492,17 +412,16 @@ let pool_recycled t =
 
 let shutdown t =
   Atomic.set t.shut true;
-  (* Exact wakeups: every parked consumer sits on its sink and every
-     parked producer on its lane's [nonfull]; one broadcast under each
-     lock reaches precisely the waiters (no semaphore flooding).  The
-     woken side re-checks [shut] before sleeping again, so the
-     flag-then-broadcast order cannot strand a late sleeper. *)
+  (* Exact wakeups: every parked consumer has its waker in its sink and
+     every parked producer in its lane, so draining each slot reaches
+     precisely the waiters (no semaphore flooding).  A registering side
+     re-checks [shut] under the slot's lock, so the flag-then-drain order
+     cannot strand a late sleeper. *)
   Array.iter
     (fun sink ->
       Mutex.lock sink.s_lock;
       let parked = sink.parked_consumer in
       sink.parked_consumer <- None;
-      Condition.broadcast sink.arrived;
       Mutex.unlock sink.s_lock;
       match parked with Some wake -> wake () | None -> ())
     t.sinks;
@@ -511,7 +430,6 @@ let shutdown t =
       Mutex.lock lane.q_lock;
       let parked = lane.parked_producer in
       lane.parked_producer <- None;
-      Condition.broadcast lane.nonfull;
       Mutex.unlock lane.q_lock;
       match parked with Some wake -> wake () | None -> ())
     t.lanes;

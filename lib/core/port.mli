@@ -17,9 +17,10 @@
 
     Dataflow through a port is data-driven (eager): producers push without
     request messages; consumers block on arrival.  Blocked parties spin
-    briefly (only on multi-core hosts), then park on a condition
-    variable; wakeups on shutdown are exact — each waiter's own condition
-    is broadcast once. *)
+    briefly (only on multi-core hosts), then park through
+    {!Volcano_sched.Sched.suspend} — a pool fiber yields its worker, any
+    other caller blocks on a gate of its own; wakeups on shutdown are
+    exact — each waiter's own waker is fired once. *)
 
 type t
 

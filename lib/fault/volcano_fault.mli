@@ -23,7 +23,8 @@ type site =
   | Operator  (** once per [next] call of every compiled operator *)
   | Sched_task  (** at the start of a scheduled producer task *)
   | Sched_park
-      (** before a blocked port wait yields its pool worker (or parks) *)
+      (** before a blocked port wait suspends: a pool fiber yields its
+          worker, any other caller blocks on its gate *)
   | Net_connect  (** before a transport connection is established *)
   | Net_read  (** before a frame read transfers from the socket *)
   | Net_write  (** before a frame write transfers to the socket *)

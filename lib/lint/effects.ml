@@ -1,8 +1,9 @@
 (* Inter-module effect propagation over the shape IR.
 
-   Seeds a may-suspend set from known roots (Sched.suspend, Event.wait,
-   the Port park paths, Group.lookup_port, Sema.acquire, Condition.wait,
-   raw Domain.join) and propagates it transitively over the call graph.
+   Seeds a may-suspend set from known roots (Sched.suspend and the
+   engine's waits built on it: Sched.await, Event.wait, Port.send and the
+   Port receives, Group.lookup_port; plus Condition.wait and raw
+   Domain.join) and propagates it transitively over the call graph.
    Condition waits are tracked separately with the mutex they wait on:
    a CV wait under its *own* mutex is the correct monitor idiom and is
    only a hazard when some other lock is also held.  Spawned closures
@@ -27,7 +28,6 @@ let hard_roots =
       "Port.receive";
       "Port.receive_from";
       "Group.lookup_port";
-      "Sema.acquire";
       "Domain.join";
     ]
 

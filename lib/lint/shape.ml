@@ -163,8 +163,8 @@ let rec shapes env scope (e : P.expression) : t list =
           vbs
       in
       (* Nested definitions are keyed with their definition line so two
-         same-named locals (e.g. the pool and non-pool [wait] in
-         Group.lookup_port) stay distinct in the call graph. *)
+         same-named locals (e.g. a [wait] helper in each of two branches)
+         stay distinct in the call graph. *)
       let nested_key vb name =
         Printf.sprintf "%s.%s@%d" env.owner name
           (pos_of env vb.P.pvb_loc).line

@@ -35,7 +35,7 @@ type t = {
   rt_sched : Sched.t;
   rt_max : int;
   lock : Mutex.t;
-  quiet : Condition.t; (* signaled when [active] drops to 0 *)
+  mutable quiet : (unit -> unit) list; (* [close]'s wakers; fired at 0 *)
   pending : entry Queue.t;
   mutable running : int;
   mutable active : int; (* submitted jobs not yet fully retired *)
@@ -61,7 +61,7 @@ let create ?max_concurrent sched =
     rt_sched = sched;
     rt_max = max_c;
     lock = Mutex.create ();
-    quiet = Condition.create ();
+    quiet = [];
     pending = Queue.create ();
     running = 0;
     active = 0;
@@ -139,6 +139,16 @@ let timer_stop tm =
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
 
+(* Under [t.lock]: once every job has retired, hand back [close]'s
+   wakers for the caller to fire after unlocking. *)
+let take_quiet t =
+  if t.active > 0 then []
+  else begin
+    let wakers = t.quiet in
+    t.quiet <- [];
+    wakers
+  end
+
 (* Launch queued entries into free slots.  Lock order: [t.lock] above
    [j_lock] (e_skip peeks job state); forks happen outside both. *)
 let pump t =
@@ -164,16 +174,18 @@ let pump t =
   in
   fill ();
   t.active <- t.active - !retired;
-  if t.active = 0 then Condition.broadcast t.quiet;
+  let wakers = take_quiet t in
   Mutex.unlock t.lock;
+  List.iter (fun wake -> wake ()) wakers;
   List.iter (fun launch -> launch ()) !launches
 
 let release_slot t =
   Mutex.lock t.lock;
   t.running <- t.running - 1;
   t.active <- t.active - 1;
-  if t.active = 0 then Condition.broadcast t.quiet;
+  let wakers = take_quiet t in
   Mutex.unlock t.lock;
+  List.iter (fun wake -> wake ()) wakers;
   pump t
 
 (* ------------------------------------------------------------------ *)
@@ -302,9 +314,19 @@ let close t =
   (* Anything still queued and not yet cancelled gets to run; pump in
      case no running job remains to trigger the next launch. *)
   pump t;
-  Mutex.lock t.lock;
-  while t.active > 0 do
-    Condition.wait t.quiet t.lock
-  done;
-  Mutex.unlock t.lock;
+  let rec drain () =
+    Mutex.lock t.lock;
+    let busy = t.active > 0 in
+    Mutex.unlock t.lock;
+    if busy then begin
+      Sched.suspend (fun wake ->
+          Mutex.lock t.lock;
+          let busy = t.active > 0 in
+          if busy then t.quiet <- wake :: t.quiet;
+          Mutex.unlock t.lock;
+          busy);
+      drain ()
+    end
+  in
+  drain ();
   timer_stop t.timer

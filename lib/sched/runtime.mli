@@ -47,9 +47,9 @@ val submit :
     [Invalid_argument] after {!close}. *)
 
 val await : 'a job -> ('a, exn) result
-(** Wait for the job's terminal state.  Pool fibers suspend; other
-    callers park their domain.  A job cancelled while queued yields
-    [Error Cancelled] (or [Error Deadline_exceeded]) without running. *)
+(** Wait for the job's terminal state (a {!Sched.suspend} point).  A job
+    cancelled while queued yields [Error Cancelled] (or
+    [Error Deadline_exceeded]) without running. *)
 
 val cancel : 'a job -> unit
 (** Request cancellation with reason {!Cancelled}.  No-op on a job

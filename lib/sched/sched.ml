@@ -13,7 +13,15 @@ module Obs = Volcano_obs.Obs
    publish list, an event's waker list).  Waking re-enqueues the
    continuation as an ordinary job, so the fiber resumes on whichever
    worker is free — the deep handler travels with the continuation, so
-   later suspensions of the same fiber are handled identically. *)
+   later suspensions of the same fiber are handled identically.
+
+   [suspend] is the engine's one blocking primitive.  Off the pool (the
+   main thread, remote feeder domains, dedicated-mode tasks, serve
+   connection threads) there is no fiber to unwind, so the caller blocks
+   on a one-shot gate made for that one wait, and the gate's opener is
+   the waker [register] stores.  The gate is per wait, not per domain:
+   systhreads share their domain, and a domain-wide gate would let one
+   thread's waker release another thread's wait. *)
 
 type job = unit -> unit
 
@@ -44,7 +52,6 @@ type t = Pool of pool | Dedicated of ded
 
 type 'a task = {
   t_lock : Mutex.t;
-  t_done : Condition.t;
   mutable t_result : ('a, exn) result option;
   mutable t_wakers : (unit -> unit) list;
   mutable t_domain : unit Domain.t option; (* dedicated mode only *)
@@ -56,11 +63,29 @@ type _ Effect.t += Suspend : ((unit -> unit) -> bool) -> unit Effect.t
 let dls_key : (pool * int) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let on_pool () = Option.is_some (Domain.DLS.get dls_key)
+(* The off-pool gate: [wake] may run any number of times from any
+   domain; the first opens the gate, the rest find it open. *)
+let block register =
+  let lock = Mutex.create () and opened = Condition.create () in
+  let is_open = ref false in
+  let wake () =
+    Mutex.lock lock;
+    is_open := true;
+    Condition.signal opened;
+    Mutex.unlock lock
+  in
+  if register wake then begin
+    Mutex.lock lock;
+    while not !is_open do
+      Condition.wait opened lock
+    done;
+    Mutex.unlock lock
+  end
 
 let suspend register =
-  if on_pool () then Effect.perform (Suspend register)
-  else invalid_arg "Sched.suspend: not inside a pool fiber"
+  match Domain.DLS.get dls_key with
+  | Some _ -> Effect.perform (Suspend register)
+  | None -> block register
 
 (* ------------------------------------------------------------------ *)
 (* Run queues                                                          *)
@@ -268,7 +293,6 @@ let shutdown = function
 let make_task () =
   {
     t_lock = Mutex.create ();
-    t_done = Condition.create ();
     t_result = None;
     t_wakers = [];
     t_domain = None;
@@ -279,7 +303,6 @@ let complete task r =
   task.t_result <- Some r;
   let wakers = task.t_wakers in
   task.t_wakers <- [];
-  Condition.broadcast task.t_done;
   Mutex.unlock task.t_lock;
   List.iter (fun wake -> wake ()) wakers
 
@@ -337,36 +360,19 @@ let join_domain task =
   match d with Some dom -> Domain.join dom | None -> ()
 
 let await task =
-  let result =
+  let rec wait () =
     match peek task with
     | Some r -> r
     | None ->
-        if on_pool () then begin
-          let rec loop () =
-            match peek task with
-            | Some r -> r
-            | None ->
-                suspend (fun wake ->
-                    Mutex.lock task.t_lock;
-                    let still_pending = Option.is_none task.t_result in
-                    if still_pending then
-                      task.t_wakers <- wake :: task.t_wakers;
-                    Mutex.unlock task.t_lock;
-                    still_pending);
-                loop ()
-          in
-          loop ()
-        end
-        else begin
-          Mutex.lock task.t_lock;
-          while Option.is_none task.t_result do
-            Condition.wait task.t_done task.t_lock
-          done;
-          let r = Option.get task.t_result in
-          Mutex.unlock task.t_lock;
-          r
-        end
+        suspend (fun wake ->
+            Mutex.lock task.t_lock;
+            let pending = Option.is_none task.t_result in
+            if pending then task.t_wakers <- wake :: task.t_wakers;
+            Mutex.unlock task.t_lock;
+            pending);
+        wait ()
   in
+  let result = wait () in
   join_domain task;
   result
 
@@ -377,17 +383,11 @@ module Event = struct
   type t = {
     e_fired : bool Atomic.t;
     e_lock : Mutex.t;
-    e_cond : Condition.t;
     mutable e_wakers : (unit -> unit) list;
   }
 
   let create () =
-    {
-      e_fired = Atomic.make false;
-      e_lock = Mutex.create ();
-      e_cond = Condition.create ();
-      e_wakers = [];
-    }
+    { e_fired = Atomic.make false; e_lock = Mutex.create (); e_wakers = [] }
 
   let fired e = Atomic.get e.e_fired
 
@@ -396,34 +396,20 @@ module Event = struct
       Mutex.lock e.e_lock;
       let wakers = e.e_wakers in
       e.e_wakers <- [];
-      Condition.broadcast e.e_cond;
       Mutex.unlock e.e_lock;
       List.iter (fun wake -> wake ()) wakers
     end
 
-  let wait e =
-    if not (fired e) then
-      if on_pool () then begin
-        let rec loop () =
-          if not (fired e) then begin
-            suspend (fun wake ->
-                Mutex.lock e.e_lock;
-                let pending = not (Atomic.get e.e_fired) in
-                if pending then e.e_wakers <- wake :: e.e_wakers;
-                Mutex.unlock e.e_lock;
-                pending);
-            loop ()
-          end
-        in
-        loop ()
-      end
-      else begin
-        Mutex.lock e.e_lock;
-        while not (Atomic.get e.e_fired) do
-          Condition.wait e.e_cond e.e_lock
-        done;
-        Mutex.unlock e.e_lock
-      end
+  let rec wait e =
+    if not (fired e) then begin
+      suspend (fun wake ->
+          Mutex.lock e.e_lock;
+          let pending = not (Atomic.get e.e_fired) in
+          if pending then e.e_wakers <- wake :: e.e_wakers;
+          Mutex.unlock e.e_lock;
+          pending);
+      wait e
+    end
 end
 
 (* ------------------------------------------------------------------ *)

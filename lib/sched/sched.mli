@@ -70,31 +70,27 @@ val fork : t -> (unit -> 'a) -> 'a task
 (** Submit a closure; returns immediately. *)
 
 val await : 'a task -> ('a, exn) result
-(** Wait for the task: suspends when called from a pool fiber, parks the
-    calling domain otherwise.  On the dedicated scheduler the task's
-    domain is also joined.  May be called more than once. *)
+(** Wait for the task (a {!suspend} point).  On the dedicated scheduler
+    the task's domain is also joined.  May be called more than once. *)
 
 (** {2 Suspension} *)
 
-val on_pool : unit -> bool
-(** Whether the calling code runs inside a pool fiber (and may therefore
-    {!suspend}).  False on plain domains and on dedicated-mode tasks. *)
-
 val suspend : ((unit -> unit) -> bool) -> unit
-(** [suspend register] yields the current fiber.  The handler calls
-    [register wake] with a thunk that re-enqueues the fiber; [register]
-    must store [wake] where the awaited event's signaling path will find
-    it and return [true], or return [false] if the event already happened
-    (the fiber is then resumed immediately).  [wake] is idempotent — at
-    most one resumption happens no matter how many paths invoke it — so
-    registrations may be left behind in wake lists; spurious wakes are
-    harmless provided the caller re-checks its condition in a loop.
-    Raises [Invalid_argument] when called outside a pool fiber. *)
+(** [suspend register] blocks the caller until woken — the engine's one
+    blocking primitive for task-shaped waits.  It calls [register wake];
+    [register] must store [wake] where the awaited event's signaling path
+    will find it and return [true], or return [false] if the event already
+    happened ([suspend] then returns at once).  Inside a pool fiber the
+    fiber yields its worker and [wake] re-enqueues it; anywhere else the
+    calling thread blocks on a one-shot gate made for this wait and [wake]
+    opens it.  Either way [wake] is idempotent and may be called from any
+    domain, so registrations may be left behind in wake lists; spurious
+    wakes are harmless provided the caller re-checks its condition in a
+    loop. *)
 
 (** One-shot broadcast gate: [wait] returns once [fire] has been called.
-    Waiting from a pool fiber suspends; from anywhere else it parks the
-    domain.  Replaces the close-permission semaphore of the exchange
-    teardown protocol. *)
+    Waiting is a {!suspend} point.  Replaces the close-permission
+    semaphore of the exchange teardown protocol. *)
 module Event : sig
   type t
 

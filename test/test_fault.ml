@@ -409,11 +409,12 @@ let test_interchange_member_failure () =
 (* The merged exchange, the keep-separate streams of a merge network, and
    the no-fork interchange (under an outer exchange) share one consumer
    core.  A consumer-side fault under each — a failed port receive, a
-   failed park of a pool fiber — must surface as exactly one
-   [Query_failed] carrying the fault's site, never as a raw injection,
-   and leave the buffer pool, the scheduler and the producer ledger
-   quiescent.  The query runs on a pool fiber so the consumer itself
-   parks (and reaches the park site) when it outruns its producers. *)
+   failed park — must surface as exactly one [Query_failed] carrying the
+   fault's site, never as a raw injection, and leave the buffer pool, the
+   scheduler and the producer ledger quiescent.  The consumer parks (and
+   reaches the park site) when it outruns its producers, whether it runs
+   on a pool fiber or on the test's own domain; the latter run slows
+   every send so the consumer is sure to wait. *)
 let consumer_face_plans =
   let cfg ?partition () =
     Exchange.config ~degree:2 ~packet_size:4 ~flow_slack:(Some 1) ?partition
@@ -453,35 +454,39 @@ let faces_env () =
   env
 
 let test_consumer_faces_fail_once () =
+  let fail_at site hit =
+    { Fault.site; trigger = Fault.At_hit hit; action = Fault.Fail }
+  in
+  let slow_sends =
+    {
+      Fault.site = Fault.Port_send;
+      trigger = Fault.With_prob 1.0;
+      action = Fault.Delay 0.001;
+    }
+  in
+  let in_fiber env plan =
+    match
+      Sched.await (Sched.fork (Env.sched env) (fun () -> Runner.run env plan))
+    with
+    | Ok rows -> rows
+    | Error exn -> raise exn
+  in
+  (* Compile and drain right here: the consumer is the test's domain. *)
+  let here env plan = Runner.run env plan in
   List.iter
-    (fun (site, hit) ->
+    (fun (site, rules, (consumer, run)) ->
       List.iter
         (fun (face, plan) ->
-          let what = Printf.sprintf "%s under %s" face (Fault.site_name site) in
+          let what =
+            Printf.sprintf "%s under %s on %s" face (Fault.site_name site)
+              consumer
+          in
           with_domain_accounting (fun () ->
               let env = faces_env () in
-              Env.set_faults env
-                (Injector.make
-                   {
-                     Fault.seed = 5L;
-                     rules =
-                       [
-                         {
-                           Fault.site;
-                           trigger = Fault.At_hit hit;
-                           action = Fault.Fail;
-                         };
-                       ];
-                   });
+              Env.set_faults env (Injector.make { Fault.seed = 5L; rules });
               (match
                  Test_chaos.run_with_timeout ~seconds:20.0 (fun () ->
-                     match
-                       Sched.await
-                         (Sched.fork (Env.sched env) (fun () ->
-                              Runner.run env plan))
-                     with
-                     | Ok rows -> rows
-                     | Error exn -> raise exn)
+                     run env plan)
                with
               | Test_chaos.Raised
                   (Exchange.Query_failed
@@ -496,7 +501,17 @@ let test_consumer_faces_fail_once () =
               Env.clear_faults env;
               Bufpool.assert_quiescent ~what (Env.buffer env)))
         consumer_face_plans)
-    [ (Fault.Port_receive, 2); (Fault.Sched_park, 1) ]
+    [
+      ( Fault.Port_receive,
+        [ fail_at Fault.Port_receive 2 ],
+        ("a pool fiber", in_fiber) );
+      ( Fault.Sched_park,
+        [ fail_at Fault.Sched_park 1 ],
+        ("a pool fiber", in_fiber) );
+      ( Fault.Sched_park,
+        [ fail_at Fault.Sched_park 1; slow_sends ],
+        ("the test's domain", here) );
+    ]
 
 let suite =
   [

@@ -67,8 +67,8 @@ let test_event () =
   with_pool (fun sched ->
       let gate = Sched.Event.create () in
       check Alcotest.bool "not fired" false (Sched.Event.fired gate);
-      (* Waiters both on-pool (fiber suspends) and off-pool (condition
-         wait) must wake on one fire. *)
+      (* Waiters both on-pool (fiber suspends) and off-pool (blocks on
+         its gate) must wake on one fire. *)
       let waiter = Sched.fork sched (fun () -> Sched.Event.wait gate; 7) in
       let firer =
         Sched.fork sched (fun () ->
@@ -81,10 +81,79 @@ let test_event () =
       ignore (Sched.await firer : (unit, exn) result);
       Sched.Event.fire gate (* idempotent *))
 
-let test_suspend_off_pool_rejected () =
-  Alcotest.check_raises "suspend off pool"
-    (Invalid_argument "Sched.suspend: not inside a pool fiber") (fun () ->
-      Sched.suspend (fun _ -> false))
+(* Poll [cond] for up to 5 s: a lost wakeup fails the case instead of
+   hanging the suite. *)
+let eventually what cond =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if not (cond ()) then Alcotest.failf "%s: never happened" what
+
+(* Off the pool, [suspend] blocks the calling thread on a gate made for
+   that one wait.  [wakes] is how many times the other domain fires the
+   stored waker once it has set [fired]; [stale] wakers from earlier
+   waits are fired while this one registers.  Returns this wait's
+   waker. *)
+let suspend_until_fired ?(stale = []) ~wakes () =
+  let stored = Atomic.make None and fired = Atomic.make false in
+  let firer =
+    Domain.spawn (fun () ->
+        eventually "waker stored" (fun () ->
+            Option.is_some (Atomic.get stored));
+        Unix.sleepf 0.01;
+        Atomic.set fired true;
+        let wake = Option.get (Atomic.get stored) in
+        for _ = 1 to wakes do
+          wake ()
+        done)
+  in
+  Sched.suspend (fun wake ->
+      List.iter (fun stale_wake -> stale_wake ()) stale;
+      Atomic.set stored (Some wake);
+      true);
+  check Alcotest.bool "returned only once woken" true (Atomic.get fired);
+  Domain.join firer;
+  Option.get (Atomic.get stored)
+
+let test_suspend_off_pool_blocks () =
+  (* The event already happened: no wait at all. *)
+  Sched.suspend (fun _ -> false);
+  (* A waker fired later from another domain releases the wait. *)
+  let first = suspend_until_fired ~wakes:1 () in
+  (* A double wake is harmless, and wakers of waits that already
+     returned open nothing: the next wait still blocks until its own
+     waker fires. *)
+  let second = suspend_until_fired ~wakes:2 () in
+  let third = suspend_until_fired ~stale:[ first; second ] ~wakes:1 () in
+  ignore (third : unit -> unit)
+
+(* Systhreads share their domain: two of them blocked in [Event.wait] on
+   their own events, fired in reverse order, must each be released by
+   their own event alone.  A gate shared by the domain would let one
+   thread's waker stand in for the other's. *)
+let test_systhread_waits () =
+  let events = Array.init 2 (fun _ -> Sched.Event.create ()) in
+  let returned = Array.init 2 (fun _ -> Atomic.make false) in
+  let threads =
+    Array.to_list
+      (Array.mapi
+         (fun i e ->
+           Thread.create
+             (fun () ->
+               Sched.Event.wait e;
+               Atomic.set returned.(i) true)
+             ())
+         events)
+  in
+  Unix.sleepf 0.02;
+  Sched.Event.fire events.(1);
+  eventually "second thread returns" (fun () -> Atomic.get returned.(1));
+  check Alcotest.bool "first thread still waits" false
+    (Atomic.get returned.(0));
+  Sched.Event.fire events.(0);
+  eventually "first thread returns" (fun () -> Atomic.get returned.(0));
+  List.iter Thread.join threads
 
 (* --- pool exhaustion -------------------------------------------------- *)
 
@@ -344,8 +413,10 @@ let suite =
     Alcotest.test_case "dedicated mode" `Quick test_fork_await_dedicated;
     Alcotest.test_case "task failure is a result" `Quick test_task_failure;
     Alcotest.test_case "events" `Quick test_event;
-    Alcotest.test_case "suspend off pool rejected" `Quick
-      test_suspend_off_pool_rejected;
+    Alcotest.test_case "suspend off pool blocks until woken" `Quick
+      test_suspend_off_pool_blocks;
+    Alcotest.test_case "systhreads wait on their own gates" `Quick
+      test_systhread_waits;
     Alcotest.test_case "pool exhaustion does not deadlock" `Quick
       test_pool_exhaustion_no_deadlock;
     Alcotest.test_case "admission gate" `Quick test_admission_gate;

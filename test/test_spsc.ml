@@ -1,12 +1,14 @@
 (* Torture tests for the SPSC ring and the ring-based port hot path:
    wraparound and capacity edge cases, cross-domain FIFO and conservation,
    and a large shutdown/poison race matrix checking that no wakeup is ever
-   lost on the spin-then-park paths. *)
+   lost on the spin-then-park paths, with the blocked side both on a plain
+   domain and on a pool fiber. *)
 
 module Spsc = Volcano_util.Spsc
 module Tuple = Volcano_tuple.Tuple
 module Port = Volcano.Port
 module Packet = Volcano.Packet
+module Sched = Volcano_sched.Sched
 
 let check = Alcotest.check
 
@@ -141,47 +143,104 @@ let test_port_lane_fifo () =
 (* ------------------------------------------------------------------ *)
 (* Shutdown/poison races: no lost wakeups                              *)
 
-(* A consumer blocked in [receive] races a shutdown (or poison) from
-   another domain, thousands of times.  A lost wakeup hangs the test, so
-   the whole suite doubles as a liveness check.  One long-lived worker
-   domain is fed ports through a blocking rendezvous (semaphores, so a
-   single-core host hands the CPU over instead of burning a timeslice
-   spinning) — spawning 10k domains would dominate the run time. *)
-type job = Stop | Drain of Port.t
+(* Where the blocked side of a race runs: [start job] begins [job] there
+   and returns its joiner.  Parking goes through one handshake whatever
+   the context, so every race runs on both hosts. *)
+type host = { start : (unit -> unit) -> unit -> unit; stop : unit -> unit }
 
-let test_shutdown_race_matrix () =
-  let rounds = 10_000 in
-  let module Sema = Volcano_util.Sema in
-  let job_ready = Sema.create 0 and job_done = Sema.create 0 in
-  let slot = ref Stop in
+(* One long-lived domain fed jobs through a blocking rendezvous (a local
+   mutex and condition, so a single-core host hands the CPU over instead
+   of burning a timeslice spinning, and the harness shares nothing with
+   the engine's own waits) — spawning a domain per round would dominate
+   the run time. *)
+let domain_host () =
+  let lock = Mutex.create () and changed = Condition.create () in
+  let slot = ref `Idle in
+  let rec await_slot ready =
+    match !slot with
+    | s when ready s -> s
+    | _ ->
+        Condition.wait changed lock;
+        await_slot ready
+  in
+  let set s =
+    Mutex.lock lock;
+    slot := s;
+    Condition.broadcast changed;
+    Mutex.unlock lock
+  in
   let worker =
     Domain.spawn (fun () ->
         let rec loop () =
-          Sema.acquire job_ready;
-          match !slot with
-          | Stop -> ()
-          | Drain port ->
-              (* Block until a packet or the shutdown arrives; either way
-                 every receive must return. *)
-              let rec drain () =
-                match Port.receive port ~consumer:0 with
-                | Some _ -> drain ()
-                | None -> ()
-              in
-              drain ();
-              Sema.release job_done;
+          Mutex.lock lock;
+          let next =
+            await_slot (function `Job _ | `Stop -> true | _ -> false)
+          in
+          Mutex.unlock lock;
+          match next with
+          | `Job job ->
+              job ();
+              set `Done;
               loop ()
+          | _ -> ()
         in
         loop ())
   in
-  for round = 1 to rounds do
+  let start job =
+    set (`Job job);
+    fun () ->
+      Mutex.lock lock;
+      ignore (await_slot (function `Done -> true | _ -> false));
+      slot := `Idle;
+      Mutex.unlock lock
+  in
+  let stop () =
+    set `Stop;
+    Domain.join worker
+  in
+  { start; stop }
+
+let pool_host () =
+  let sched = Sched.create ~workers:1 () in
+  let start job =
+    let task = Sched.fork sched job in
+    fun () -> match Sched.await task with Ok () -> () | Error e -> raise e
+  in
+  let stop () =
+    Fun.protect
+      ~finally:(fun () -> Sched.shutdown sched)
+      (fun () -> Sched.assert_quiescent ~what:"race pool" sched)
+  in
+  { start; stop }
+
+let on_each_host race =
+  List.iter
+    (fun make ->
+      let host = make () in
+      Fun.protect ~finally:host.stop (fun () -> race host))
+    [ domain_host; pool_host ]
+
+(* A consumer blocked in [receive] races a shutdown (or poison) from
+   another thread, thousands of times.  A lost wakeup hangs the test, so
+   the whole suite doubles as a liveness check. *)
+let shutdown_race_matrix host =
+  for round = 1 to 10_000 do
     let port = Port.create ~producers:1 ~consumers:1 ~flow_slack:2 () in
-    slot := Drain port;
-    Sema.release job_ready;
+    let join =
+      host.start (fun () ->
+          (* Block until a packet or the shutdown arrives; either way
+             every receive must return. *)
+          let rec drain () =
+            match Port.receive port ~consumer:0 with
+            | Some _ -> drain ()
+            | None -> ()
+          in
+          drain ())
+    in
     (* Vary the interleaving: sometimes send first, sometimes shut down
        straight away, sometimes poison, and sometimes yield long enough
-       for the worker to park inside [receive] before the shutdown — the
-       wakeup that must never be lost. *)
+       for the blocked side to park inside [receive] before the shutdown
+       — the wakeup that must never be lost. *)
     (match round mod 4 with
     | 0 ->
         Port.send port ~producer:0 ~consumer:0 (packet_of_int ~producer:0 round)
@@ -189,25 +248,24 @@ let test_shutdown_race_matrix () =
     | 2 -> Unix.sleepf 1e-4
     | _ -> ());
     Port.shutdown port;
-    Sema.acquire job_done
-  done;
-  slot := Stop;
-  Sema.release job_ready;
-  Domain.join worker
+    join ()
+  done
+
+let test_shutdown_race_matrix () = on_each_host shutdown_race_matrix
 
 (* The mirror race: a producer blocked on a full lane ring must be woken
    by shutdown (and its packet dropped), never stranded. *)
-let test_blocked_producer_shutdown () =
+let blocked_producer_shutdown host =
   for _ = 1 to 1_000 do
     let port = Port.create ~producers:1 ~consumers:1 ~flow_slack:1 () in
     Port.send port ~producer:0 ~consumer:0 (packet_of_int ~producer:0 0);
-    let producer =
-      Domain.spawn (fun () ->
+    let join =
+      host.start (fun () ->
           (* The lane is full: this blocks until the shutdown below. *)
           Port.send port ~producer:0 ~consumer:0 (packet_of_int ~producer:0 1))
     in
     Port.shutdown port;
-    Domain.join producer;
+    join ();
     (* The queued packet survives the shutdown (drain-then-None); the
        blocked send was dropped. *)
     (match Port.receive port ~consumer:0 with
@@ -216,6 +274,8 @@ let test_blocked_producer_shutdown () =
     check (Alcotest.option Alcotest.int) "then None" None
       (Option.map int_of_packet (Port.receive port ~consumer:0))
   done
+
+let test_blocked_producer_shutdown () = on_each_host blocked_producer_shutdown
 
 let suite =
   [

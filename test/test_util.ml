@@ -1,97 +1,11 @@
 (* Unit and property tests for the utility modules. *)
 
-module Sema = Volcano_util.Sema
-module Latch = Volcano_util.Latch
 module Rng = Volcano_util.Rng
 module Zipf = Volcano_util.Zipf
 module Binheap = Volcano_util.Binheap
 module Stats = Volcano_util.Stats
 
 let check = Alcotest.check
-
-let test_sema_counting () =
-  let s = Sema.create 2 in
-  check Alcotest.int "initial" 2 (Sema.value s);
-  Sema.acquire s;
-  Sema.acquire s;
-  check Alcotest.bool "exhausted" false (Sema.try_acquire s);
-  Sema.release s;
-  check Alcotest.bool "recovered" true (Sema.try_acquire s);
-  Sema.release_n s 5;
-  check Alcotest.int "bulk release" 5 (Sema.value s)
-
-let test_sema_blocking () =
-  let s = Sema.create 0 in
-  let woke = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
-        Sema.acquire s;
-        Atomic.set woke true)
-  in
-  Unix.sleepf 0.02;
-  check Alcotest.bool "still blocked" false (Atomic.get woke);
-  Sema.release s;
-  Domain.join d;
-  check Alcotest.bool "woken" true (Atomic.get woke)
-
-let test_sema_waiters () =
-  let s = Sema.create 0 in
-  check Alcotest.int "no waiters" 0 (Sema.waiters s);
-  let d =
-    Domain.spawn (fun () ->
-        Sema.acquire s;
-        Sema.acquire s)
-  in
-  (* Wait for the domain to park (exact waiter accounting is the point:
-     a teardown can release precisely the number of blocked acquirers). *)
-  let rec await tries =
-    if Sema.waiters s = 1 then ()
-    else if tries = 0 then Alcotest.fail "waiter never parked"
-    else begin
-      Unix.sleepf 0.005;
-      await (tries - 1)
-    end
-  in
-  await 1000;
-  Sema.release_n s (Sema.waiters s);
-  await 1000;
-  Sema.release_n s (Sema.waiters s);
-  Domain.join d;
-  check Alcotest.int "all released" 0 (Sema.waiters s)
-
-let test_latch () =
-  let l = Latch.create 3 in
-  check Alcotest.bool "closed" false (Latch.is_open l);
-  Latch.count_down l;
-  Latch.count_down l;
-  check Alcotest.bool "still closed" false (Latch.is_open l);
-  Latch.count_down l;
-  Latch.await l;
-  check Alcotest.bool "open" true (Latch.is_open l);
-  (* Extra count_downs are harmless. *)
-  Latch.count_down l;
-  check Alcotest.bool "still open" true (Latch.is_open l)
-
-let test_barrier () =
-  let b = Latch.Barrier.create 4 in
-  let counter = Atomic.make 0 in
-  let domains =
-    List.init 3 (fun _ ->
-        Domain.spawn (fun () ->
-            Atomic.incr counter;
-            Latch.Barrier.await b;
-            (* Second round: reuse the same barrier. *)
-            Atomic.incr counter;
-            Latch.Barrier.await b))
-  in
-  Atomic.incr counter;
-  Latch.Barrier.await b;
-  (* After the first barrier everyone must have done round one. *)
-  check Alcotest.bool "first round complete" true (Atomic.get counter >= 4);
-  Atomic.incr counter;
-  Latch.Barrier.await b;
-  List.iter Domain.join domains;
-  check Alcotest.int "both rounds" 8 (Atomic.get counter)
 
 let test_rng_determinism () =
   let a = Rng.create 17L and b = Rng.create 17L in
@@ -221,11 +135,6 @@ let test_cov () =
 
 let suite =
   [
-    Alcotest.test_case "semaphore counting" `Quick test_sema_counting;
-    Alcotest.test_case "semaphore blocking" `Quick test_sema_blocking;
-    Alcotest.test_case "semaphore waiter accounting" `Quick test_sema_waiters;
-    Alcotest.test_case "latch" `Quick test_latch;
-    Alcotest.test_case "barrier reusable" `Quick test_barrier;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "permutation" `Quick test_permutation;
