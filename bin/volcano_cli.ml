@@ -445,7 +445,7 @@ let strict_gate strict env ?workers ?batch_size plan =
   if not strict then 0
   else
     let diags = Compile.analyze ?workers ?batch_size env plan in
-    Format.printf "%a" Volcano_analysis.Diag.pp_report diags;
+    Format.printf "%a" Volcano_plan.Diag.pp_report diags;
     if diags <> [] then 1 else 0
 
 let explain_cmd name rows degree strict workers batch_size =
@@ -488,8 +488,8 @@ let analyze_cmd name rows degree strict workers flow_budget batch_size =
       let plan = q.build ~rows ~degree in
       print_string (Plan.explain env plan);
       let diags = Compile.analyze ?workers ?flow_budget ?batch_size env plan in
-      Format.printf "%a" Volcano_analysis.Diag.pp_report diags;
-      if List.exists Volcano_analysis.Diag.is_error diags then 1
+      Format.printf "%a" Volcano_plan.Diag.pp_report diags;
+      if List.exists Volcano_plan.Diag.is_error diags then 1
       else if strict && diags <> [] then 1
       else 0
 
@@ -505,7 +505,7 @@ let run_cmd name rows degree limit workers batch_size =
       | exception Compile.Rejected errors ->
           prerr_endline "plan rejected by the static analyzer:";
           List.iter
-            (fun d -> prerr_endline ("  " ^ Volcano_analysis.Diag.to_string d))
+            (fun d -> prerr_endline ("  " ^ Volcano_plan.Diag.to_string d))
             errors;
           1
       | result, elapsed ->
@@ -530,7 +530,7 @@ let profile_cmd name rows degree trace json workers batch_size =
       | exception Compile.Rejected errors ->
           prerr_endline "plan rejected by the static analyzer:";
           List.iter
-            (fun d -> prerr_endline ("  " ^ Volcano_analysis.Diag.to_string d))
+            (fun d -> prerr_endline ("  " ^ Volcano_plan.Diag.to_string d))
             errors;
           1
       | report ->
@@ -695,7 +695,7 @@ let serve_cmd socket workers batch_size max_concurrent =
             Error
               ( "planlint",
                 String.concat "; "
-                  (List.map Volcano_analysis.Diag.to_string errors) ))
+                  (List.map Volcano_plan.Diag.to_string errors) ))
   in
   let obs = Obs.create () in
   let server = Serve.Server.start ~obs ~socket ~handle () in
@@ -780,7 +780,7 @@ let query_cmd socket request limit workers batch_size =
               prerr_endline "plan rejected by the static analyzer:";
               List.iter
                 (fun d ->
-                  prerr_endline ("  " ^ Volcano_analysis.Diag.to_string d))
+                  prerr_endline ("  " ^ Volcano_plan.Diag.to_string d))
                 errors;
               1
           | exception Exchange.Query_failed { site; origin } ->

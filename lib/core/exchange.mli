@@ -104,7 +104,7 @@ type config = private {
 }
 (** Private: a [config] can only come from the validating {!config}
     constructor, so every value in circulation has already passed
-    {!validate} — planlint and the runtime share one validation path. *)
+    {!validate} — planlint needs no scalar-field checks of its own. *)
 
 val config :
   ?degree:int ->
@@ -127,8 +127,8 @@ val validate :
   packet_size:int ->
   flow_slack:int option ->
   (string * string) list
-(** The single validation path behind {!config}, exposed for static
-    analysis over not-yet-constructed configurations.  Returns
+(** The single validation path behind {!config}, exposed for checking
+    not-yet-constructed configurations.  Returns
     [(code, message)] diagnoses — codes ["exchange-degree"],
     ["exchange-packet-size"], ["exchange-flow-slack"] — or [[]] when the
     combination is acceptable. *)

@@ -650,15 +650,14 @@ and compile_node env ids obs group scope plan =
           launch ~faults ~repartition ~workers ~task
             ~packet_size:cfg.packet_size)
 
-exception Rejected of Volcano_analysis.Diag.t list
+exception Rejected of Diag.t list
 
 let () =
   Printexc.register_printer (function
     | Rejected diags ->
         Some
           ("Compile.Rejected:\n"
-          ^ String.concat "\n"
-              (List.map Volcano_analysis.Diag.to_string diags))
+          ^ String.concat "\n" (List.map Diag.to_string diags))
     | _ -> None)
 
 let analyze ?workers ?flow_budget ?batch_size env plan =
@@ -671,8 +670,7 @@ let analyze ?workers ?flow_budget ?batch_size env plan =
   let batch_size =
     match batch_size with Some b -> b | None -> Env.batch_size env
   in
-  Volcano_analysis.Analyze.analyze ~frames ~workers ?flow_budget ~batch_size
-    (Lower.ir env plan)
+  Planlint.analyze ?flow_budget ~frames ~workers ~batch_size env plan
 
 (* The root-level cancellation check: consult the flag once per record so
    a query cancelled from outside (Session/Runtime) stops pulling even
@@ -694,7 +692,7 @@ let cancel_guard flag inner =
 
 let compile ?(check = true) ?obs ?scope ?cancel env plan =
   (if check then
-     match Volcano_analysis.Diag.errors (analyze env plan) with
+     match Diag.errors (analyze env plan) with
      | [] -> ()
      | errors -> raise (Rejected errors));
   let iter = compile_in env (assign_ids plan) obs (Group.solo ()) scope plan in

@@ -6,13 +6,13 @@
     all group members (they all run the same compiled thunk), so members
     agree on keys without further coordination.
 
-    Before compiling, the static analyzer ({!Volcano_analysis.Analyze})
-    runs over the plan: structural mistakes that would otherwise fail at
-    runtime deep inside a forked domain — out-of-range column or
-    partition-column references, malformed exchange configurations,
+    Before compiling, the static analyzer ({!Planlint}) runs over the
+    plan: structural mistakes that would otherwise fail at runtime deep
+    inside a forked domain — out-of-range column or partition-column
+    references, range bounds that do not fit the consumer count,
     unsorted merge inputs — are rejected at submit time instead. *)
 
-exception Rejected of Volcano_analysis.Diag.t list
+exception Rejected of Diag.t list
 (** Raised by [compile ~check:true] when the analyzer reports errors.
     Carries the [Error]-severity diagnostics. *)
 
@@ -38,16 +38,15 @@ val analyze :
   ?batch_size:int ->
   Env.t ->
   Plan.t ->
-  Volcano_analysis.Diag.t list
+  Diag.t list
 (** Run all analyzer passes on the plan (sorted errors-first), resolving
     leaves against the environment's catalog, sizing the resource pass
     from its buffer pool, the scheduler-placement pass from its
     worker pool ({!Env.sched_workers}; override with [workers] — 0
     disables the advisory), and the batch pass from its vectorization
     knob ({!Env.batch_size}; override with [batch_size]).
-    [flow_budget] bounds the flow-control memory pass
-    ({!Volcano_analysis.Analyze.memory_pass}).  Warnings do not block
-    compilation. *)
+    [flow_budget] bounds the flow-control memory pass (see
+    {!Planlint}).  Warnings do not block compilation. *)
 
 val compile :
   ?check:bool ->

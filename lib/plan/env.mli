@@ -27,9 +27,8 @@ val workspace : t -> Volcano_storage.Device.t
 
 (** The partition catalog: which tables are sharded, how their rows were
     partitioned, and which worker site owns each partition.  Populated by
-    [Partition.split] / [Partition.load_site]; consulted when lowering
-    [Scan_table_slice] for analysis and by the remote-placement planlint
-    pass (VL704). *)
+    [Partition.split] / [Partition.load_site]; consulted by the
+    remote-placement planlint pass (VL704). *)
 val catalog : t -> Volcano_storage.Shard.t
 val spill : t -> Volcano_ops.Sort.spill
 

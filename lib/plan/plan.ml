@@ -162,8 +162,8 @@ let slice_share ~rank ~size plan =
   | _ -> None
 
 (* One-line description of a node, without its children — the text of a
-   tree line, shared by [pp], the analyzer, and the profiler's annotated
-   tree (EXPLAIN ANALYZE). *)
+   tree line, shared by [pp] and the profiler's annotated tree (EXPLAIN
+   ANALYZE). *)
 let label plan =
   match plan with
   | Scan_table name -> Printf.sprintf "scan %s" name

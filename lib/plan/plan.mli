@@ -37,8 +37,8 @@ type t =
           [start .. start+count-1].  Slice-aware like {!Generate_slice}
           (group member r produces the indices congruent to r), so the
           optimizer can parallelize it; carrying no closure, it survives
-          IR lowering and any future plan serialization intact — which is
-          why the SQL front end lowers [generate(n)] to this leaf *)
+          any future plan serialization intact — which is why the SQL
+          front end lowers [generate(n)] to this leaf *)
   | Filter of {
       pred : Volcano_tuple.Expr.pred;
       mode : [ `Compiled | `Interpreted ];
@@ -104,8 +104,11 @@ type t =
           sockets, and merge at the consumer.  [input] documents the
           shipped subtree — the consumer never compiles it; the task
           string must rebuild it in the worker.  [cfg.degree] must equal
-          [workers] (planlint VL701) and [cfg.partition] is not
-          re-applied on the wire edge. *)
+          [workers] (planlint VL701).  When the consuming group has more
+          than one member, workers repartition their rows on
+          [cfg.partition] (hash or range; planlint checks its columns
+          against [input]'s width) and route them to the consumer ranks;
+          with one consumer the edge merges and the spec is unused. *)
 
 val arity : Env.t -> t -> int
 (** Output tuple width. *)

@@ -160,7 +160,7 @@ val analyze :
   ?batch_size:int ->
   t ->
   input ->
-  Volcano_analysis.Diag.t list
+  Diag.t list
 (** Static analysis via {!Compile.analyze}.  The scheduler-placement
     advisory sizes itself from this session's pool, and the batch pass
     from its environment's knob, unless [workers] / [batch_size]

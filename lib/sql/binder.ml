@@ -7,7 +7,6 @@ module Schema = Volcano_tuple.Schema
 module Env = Volcano_plan.Env
 module Heap_file = Volcano_storage.Heap_file
 module W = Volcano_wisconsin.Wisconsin
-module Ir = Volcano_analysis.Ir
 
 exception Error of string
 
@@ -248,7 +247,7 @@ let conjunct sources resolve ~what e =
   let pred, sel = lower_pred resolve ~what e in
   let refs =
     List.sort_uniq compare
-      (List.map (src_of_col sources) (Ir.cols_of_pred pred))
+      (List.map (src_of_col sources) (Expr.cols_of_pred pred))
   in
   let equi =
     match pred with

@@ -8,7 +8,7 @@ module Expr = Volcano_tuple.Expr
 module Value = Volcano_tuple.Value
 module Agg = Volcano_ops.Aggregate
 module Shard = Volcano_storage.Shard
-module Diag = Volcano_analysis.Diag
+module Diag = Volcano_plan.Diag
 module W = Volcano_wisconsin.Wisconsin
 module B = Binder
 
@@ -216,19 +216,18 @@ let xchg ~packet ~degree ?partition st =
    or the group keys and aggregate arguments.  ORDER BY names output
    positions, which the select list already covers. *)
 let used_columns (s : B.select) =
-  let of_num = Volcano_analysis.Ir.cols_of_num in
   let of_agg = function
     | Agg.Count -> []
-    | Agg.Sum e | Agg.Min e | Agg.Max e | Agg.Avg e -> of_num e
+    | Agg.Sum e | Agg.Min e | Agg.Max e | Agg.Avg e -> Expr.cols_of_num e
   in
   let shape =
     match s.shape with
-    | B.Flat exprs -> List.concat_map of_num exprs
+    | B.Flat exprs -> List.concat_map Expr.cols_of_num exprs
     | B.Grouped { keys; aggs; _ } -> keys @ List.concat_map of_agg aggs
   in
   List.sort_uniq compare
     (List.concat_map
-       (fun (cj : B.conjunct) -> Volcano_analysis.Ir.cols_of_pred cj.pred)
+       (fun (cj : B.conjunct) -> Expr.cols_of_pred cj.pred)
        s.conjuncts
     @ shape)
 

@@ -324,6 +324,23 @@ let rec subst bind e =
   | Mod (a, b) -> Mod (subst bind a, subst bind b)
   | Neg a -> Neg (subst bind a)
 
+let rec num_cols acc = function
+  | Col c -> c :: acc
+  | Const _ -> acc
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b) ->
+      num_cols (num_cols acc a) b
+  | Neg a -> num_cols acc a
+
+let rec pred_cols acc = function
+  | True | False -> acc
+  | Cmp (_, a, b) -> num_cols (num_cols acc a) b
+  | And (p, q) | Or (p, q) -> pred_cols (pred_cols acc p) q
+  | Not p -> pred_cols acc p
+  | Is_null n | Str_prefix (_, n) -> num_cols acc n
+
+let cols_of_num e = List.sort_uniq compare (num_cols [] e)
+let cols_of_pred p = List.sort_uniq compare (pred_cols [] p)
+
 let cmp_op_to_string = function
   | Eq -> "=" | Ne -> "<>" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
 

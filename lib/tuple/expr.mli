@@ -83,5 +83,11 @@ val subst : (int -> num) -> num -> num
     substituted expression evaluates on the projection's input exactly
     as [e] evaluates on its output. *)
 
+val cols_of_num : num -> int list
+(** Columns referenced by a scalar expression, ascending, deduplicated. *)
+
+val cols_of_pred : pred -> int list
+(** Columns referenced by a predicate, ascending, deduplicated. *)
+
 val pp_num : Format.formatter -> num -> unit
 val pp_pred : Format.formatter -> pred -> unit

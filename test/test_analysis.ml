@@ -7,7 +7,7 @@ module Plan = Volcano_plan.Plan
 module Env = Volcano_plan.Env
 module Compile = Volcano_plan.Compile
 module Exchange = Volcano.Exchange
-module Diag = Volcano_analysis.Diag
+module Diag = Volcano_plan.Diag
 module Tuple = Volcano_tuple.Tuple
 module Expr = Volcano_tuple.Expr
 module Support = Volcano_tuple.Support
@@ -132,37 +132,9 @@ let test_schema_partition_column () =
 (* --- pass 2: exchange configuration --------------------------------- *)
 
 let test_exchange_config_literals () =
-  (* [Exchange.config] is private now, so a malformed scalar field can no
-     longer ride into a compiled plan — but the analyzer still diagnoses
-     hand-built IR (plans that never went through the constructor),
-     through the same [Exchange.validate] the constructor calls. *)
-  let module Ir = Volcano_analysis.Ir in
-  let leaf =
-    Ir.Leaf
-      { label = "gen"; arity = 3; rows = Some 10; bad_rows = 0; parts = None }
-  in
-  let base =
-    {
-      Ir.degree = 1;
-      packet_size = 83;
-      flow_slack = Some 4;
-      partition = Ir.Round_robin;
-    }
-  in
-  let assert_ir name code node =
-    let diags = Volcano_analysis.Analyze.analyze ~frames:64 node in
-    if not (has ~severity:Diag.Error code diags) then
-      Alcotest.failf "%s: expected error %s among [%s]" name code (codes diags)
-  in
-  assert_ir "packet size zero" "exchange-packet-size"
-    (Ir.Exchange { cfg = { base with packet_size = 0 }; input = leaf });
-  assert_ir "packet size over one byte" "exchange-packet-size"
-    (Ir.Exchange { cfg = { base with packet_size = 1000 }; input = leaf });
-  assert_ir "degree zero" "exchange-degree"
-    (Ir.Exchange { cfg = { base with degree = 0 }; input = leaf });
-  assert_ir "non-positive flow slack" "exchange-flow-slack"
-    (Ir.Exchange { cfg = { base with flow_slack = Some 0 }; input = leaf });
-  (* And the shared validator reports all problems at once, in order. *)
+  (* [Exchange.config] is private, so a malformed scalar field cannot ride
+     into a plan at all: the constructor's validator rejects it first, and
+     reports every problem at once, in order. *)
   check
     Alcotest.(list string)
     "validate codes"
@@ -376,6 +348,101 @@ let test_mem_flow_slack () =
   if has "mem-flow-slack" (Compile.analyze ~flow_budget:1 (env ()) unmetered)
   then Alcotest.fail "flow control off: nothing to bound"
 
+(* --- diagnostic paths -------------------------------------------------- *)
+
+(* The path segments of every multi-input node, of a merge, and of a
+   leaf below a wire edge, pinned as exact rendered lines: tooling keys
+   on these strings, so a change to the analyzer's tree walk must not
+   move them. *)
+let test_diagnostic_paths () =
+  let bad_col c = Plan.Project_cols { cols = [ c ]; input = gen 10 } in
+  let lines plan =
+    List.map Diag.to_string
+      (Compile.analyze ~workers:0 ~batch_size:64 (env ()) plan)
+  in
+  let expect name want plan =
+    check Alcotest.(list string) name want (lines plan)
+  in
+  let col_error path c =
+    Printf.sprintf
+      "error[VL101 schema-col] at %s: projection references column %d, but \
+       the input has 3 column(s)"
+      path c
+  in
+  expect "match inputs"
+    [ col_error "match/left/project" 5; col_error "match/right/project" 6 ]
+    (Plan.Match
+       {
+         algo = Plan.Hash_based;
+         kind = Volcano_ops.Match_op.Join;
+         left_key = [ 0 ];
+         right_key = [ 0 ];
+         left = bad_col 5;
+         right = bad_col 6;
+       });
+  expect "division inputs"
+    [
+      col_error "division/dividend/project" 4;
+      col_error "division/divisor/project" 7;
+    ]
+    (Plan.Division
+       {
+         algo = `Hash;
+         quotient = [ 0 ];
+         divisor_attrs = [ 0 ];
+         divisor_key = [ 0 ];
+         dividend = bad_col 4;
+         divisor = bad_col 7;
+       });
+  expect "choose alternative"
+    [
+      "error[VL101 schema-col] at choose/alt1/filter: filter predicate \
+       references column 8, but the input has 3 column(s)";
+    ]
+    (Plan.Choose
+       {
+         decide = (fun () -> 0);
+         alternatives =
+           [
+             gen 10;
+             Plan.Filter
+               {
+                 pred = Expr.Infix.( = ) (Expr.col 8) (Expr.int 0);
+                 mode = `Compiled;
+                 input = gen 10;
+               };
+           ];
+       });
+  expect "exchange-merge below an exchange"
+    [
+      "error[VL205 merge-unsorted] at exchange/exchange-merge: producers of \
+       an exchange-merge must emit streams sorted on the merge key [0], but \
+       the input does not establish an order";
+    ]
+    (Plan.Exchange
+       {
+         cfg = Exchange.config ~degree:2 ~flow_slack:None ();
+         input =
+           Plan.Exchange_merge
+             {
+               cfg = Exchange.config ~degree:2 ~flow_slack:None ();
+               key = [ (0, Support.Asc) ];
+               input = gen 10;
+             };
+       });
+  expect "scan below a remote edge"
+    [
+      "error[VL103 schema-unknown-source] at \
+       remote-exchange/scan:nowhere: scan:nowhere is not in the catalog";
+    ]
+    (Plan.Remote
+       {
+         cfg = Exchange.config ~degree:2 ();
+         workers = 2;
+         task = "scan";
+         input = Plan.Scan_table "nowhere";
+       })
+
 (* --- wiring ----------------------------------------------------------- *)
 
 let test_warnings_do_not_reject () =
@@ -464,6 +531,7 @@ let suite =
     Alcotest.test_case "scheduler: degree-of-parallelism advisory" `Quick
       test_sched_dop;
     Alcotest.test_case "memory: flow-slack bound" `Quick test_mem_flow_slack;
+    Alcotest.test_case "diagnostic paths" `Quick test_diagnostic_paths;
     Alcotest.test_case "warnings do not reject" `Quick
       test_warnings_do_not_reject;
     Alcotest.test_case "diagnostic rendering" `Quick test_report_rendering;

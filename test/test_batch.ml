@@ -18,7 +18,7 @@ module Tuple = Volcano_tuple.Tuple
 module Value = Volcano_tuple.Value
 module Expr = Volcano_tuple.Expr
 module Support = Volcano_tuple.Support
-module Diag = Volcano_analysis.Diag
+module Diag = Volcano_plan.Diag
 module Rng = Volcano_util.Rng
 module Aggregate = Volcano_ops.Aggregate
 module Match_op = Volcano_ops.Match_op

@@ -485,7 +485,7 @@ let test_net_fault_sites () =
 (* --- planlint: the VL7xx remote pass ---------------------------------- *)
 
 let vl_codes env ?batch_size plan =
-  List.filter_map Volcano_analysis.Diag.vl_code
+  List.filter_map Volcano_plan.Diag.vl_code
     (Compile.analyze ?batch_size env plan)
 
 let test_planlint_remote () =
@@ -533,7 +533,38 @@ let test_planlint_remote () =
     (List.mem "VL101"
        (vl_codes env
           (Plan.Project_cols
-             { cols = [ 9 ]; input = remote ~task:"gen:10" (gen_plan 10) })))
+             { cols = [ 9 ]; input = remote ~task:"gen:10" (gen_plan 10) })));
+  (* a repartitioning remote edge routes on its partition columns, so
+     they are checked against the shipped subtree's width *)
+  let repartitioned =
+    Plan.Exchange
+      {
+        cfg = Exchange.config ~degree:2 ();
+        input =
+          Plan.Remote
+            {
+              cfg =
+                Exchange.config ~degree:2 ~partition:(Exchange.Hash_on [ 5 ])
+                  ();
+              workers = 2;
+              task = "gen:10";
+              input =
+                Plan.Generate_slice
+                  {
+                    arity = 3;
+                    count = 10;
+                    gen = (fun i -> Tuple.of_ints [ i; i; i ]);
+                  };
+            };
+      }
+  in
+  Alcotest.(check bool)
+    "VL101 on an out-of-range remote repartition column" true
+    (List.exists
+       (fun (d : Volcano_plan.Diag.t) ->
+         Volcano_plan.Diag.vl_code d = Some "VL101"
+         && d.path = "exchange/remote-exchange")
+       (Compile.analyze env repartitioned))
 
 (* --- the serving plane ------------------------------------------------ *)
 

@@ -283,7 +283,7 @@ let rec strip = function
 let sorted_run env plan = List.sort Tuple.compare (Runner.run env plan)
 
 let accepted env plan =
-  Volcano_analysis.Diag.errors (Compile.analyze env plan) = []
+  Volcano_plan.Diag.errors (Compile.analyze env plan) = []
 
 let prop_exchange_invariance =
   QCheck.Test.make ~name:"random exchange decoration preserves results"

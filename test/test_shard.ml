@@ -632,7 +632,7 @@ let test_repartition_early_close () =
 (* --- planlint: placement (VL704) and skew (VL705) --------------------- *)
 
 let vl_codes env plan =
-  List.filter_map Volcano_analysis.Diag.vl_code (Compile.analyze env plan)
+  List.filter_map Volcano_plan.Diag.vl_code (Compile.analyze env plan)
 
 let test_planlint_placement () =
   let env, _ = make_env ~rows:100 ~parts:3 ~spec:"hash0" ~placement:"id" in
