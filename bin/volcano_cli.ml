@@ -896,7 +896,11 @@ let workers_arg =
     & info [ "workers" ] ~docv:"W"
         ~doc:
           "Size of the session's private worker pool (default: the shared \
-           process-wide pool, sized to the machine).")
+           process-wide pool of one domain per core, at least 2, or \
+           $(b,VOLCANO_WORKERS) when set).  A pool larger than the host's \
+           cores is slower, not faster: every domain joins each \
+           stop-the-world minor GC.  The optimizer prices a pool smaller \
+           than a plan's degree into the plan's cost.")
 
 let batch_size_arg =
   Arg.(

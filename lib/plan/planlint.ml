@@ -476,8 +476,9 @@ let sched_pass emit ~domains:tasks ~workers =
             "plan schedules %d concurrent producer tasks onto a pool of %d \
              worker(s) — over the %dx oversubscription advisory of %d; \
              consumers will wait whole scheduling rounds between packets; \
-             lower the exchange degrees, use the no-fork interchange, or \
-             size the pool up"
+             lower the exchange degrees or use the no-fork interchange (a \
+             pool larger than the host's cores is slower, not faster: every \
+             extra domain joins each stop-the-world minor GC)"
             tasks workers oversub limit))
 
 (* ------------------------------------------------------------------ *)

@@ -12,7 +12,8 @@
     [`Plan] or a [`Sql] string, which the installed front end (see
     {!set_frontend}; [Volcano_sql.install ()] is the stock one) parses,
     binds against the session's catalog, and optimizes into a plan that
-    passes the analyzer with zero diagnostics.  For the common case the
+    passes the analyzer with no diagnostic other than the VL501
+    oversubscription advisory.  For the common case the
     SQL path is one line:
 
     {[
@@ -165,8 +166,8 @@ val analyze :
     advisory sizes itself from this session's pool, and the batch pass
     from its environment's knob, unless [workers] / [batch_size]
     override them.  (A [`Sql] input analyzes the optimizer's chosen
-    plan, which is diagnostic-free by construction — useful as an
-    end-to-end check.) *)
+    plan, which carries no diagnostic but VL501 by construction — useful
+    as an end-to-end check.) *)
 
 val close : t -> unit
 (** Drain the runtime (running and queued jobs finish; new submits are

@@ -741,7 +741,7 @@ type candidate = { label : string; cost : float; cplan : Plan.t }
 let packet_for env =
   min 255 (max Volcano.Packet.default_capacity (Env.batch_size env))
 
-let build env (s : B.select) (first, steps) singles eff ~degree =
+let build env (s : B.select) (first, steps) singles eff ~workers ~degree =
   let parallel = degree > 1 in
   let packet = packet_for env in
   let used = used_columns s in
@@ -755,9 +755,11 @@ let build env (s : B.select) (first, steps) singles eff ~degree =
   in
   if parallel then
     let st = parallel_tail ~packet ~degree stream s in
+    (* the pool prices the degree: [degree] members share [workers]
+       domains, so only [min degree workers] of them run at once *)
     {
       label = Printf.sprintf "degree %d" degree;
-      cost = (st.work /. float_of_int degree) +. st.ovh;
+      cost = (st.work /. float_of_int (min degree workers)) +. st.ovh;
       cplan = st.plan;
     }
   else
@@ -782,6 +784,12 @@ let allowed_degrees ~workers (s : B.select) steps =
         if p >= 2 then [ p ] else []
     | _ :: _ :: _ -> []
 
+(* Which diagnostics rule a candidate out.  VL501 [sched-dop] does not:
+   the oversubscription it reports is already in the cost (see [build]),
+   so it is priced, not vetoed.  Errors, the VL3xx deadlock hazards, the
+   VL7xx remote-placement codes and every other warning still prune. *)
+let prunes (d : Diag.t) = d.code <> "sched-dop"
+
 let select_plan env ~workers ~allow_parallel (s : B.select) =
   let singles, multis, eff = split_conjuncts s in
   let order = order_sources s multis eff in
@@ -789,15 +797,20 @@ let select_plan env ~workers ~allow_parallel (s : B.select) =
     if allow_parallel then allowed_degrees ~workers s (snd order) else []
   in
   let cands =
-    build env s order singles eff ~degree:1
-    :: List.map (fun d -> build env s order singles eff ~degree:d) degrees
+    build env s order singles eff ~workers ~degree:1
+    :: List.map (fun d -> build env s order singles eff ~workers ~degree:d)
+         degrees
   in
   let cands = List.sort (fun a b -> compare a.cost b.cost) cands in
   let evaluated =
     List.map (fun c -> (c, Compile.analyze ~workers env c.cplan)) cands
   in
   let chosen =
-    match List.find_opt (fun (_, diags) -> diags = []) evaluated with
+    match
+      List.find_opt
+        (fun (_, diags) -> not (List.exists prunes diags))
+        evaluated
+    with
     | Some hit -> hit
     | None ->
         let _, diags = List.nth evaluated (List.length evaluated - 1) in
@@ -809,9 +822,10 @@ let select_plan env ~workers ~allow_parallel (s : B.select) =
     List.map
       (fun (c, diags) ->
         let status =
-          if c == fst chosen then "chosen"
-          else if diags <> [] then "pruned: " ^ codes diags
-          else "not chosen (higher cost)"
+          if List.exists prunes diags then "pruned: " ^ codes diags
+          else
+            (if c == fst chosen then "chosen" else "not chosen (higher cost)")
+            ^ if diags = [] then "" else " (advisory: " ^ codes diags ^ ")"
         in
         Printf.sprintf "%-10s cost %12.0f  %s" c.label c.cost status)
       evaluated
@@ -825,11 +839,12 @@ let rec plan_query env ~workers ~allow_parallel q =
       let ca = plan_query env ~workers ~allow_parallel a in
       let cb = plan_query env ~workers ~allow_parallel b in
       let plan = Plan.Union_all { left = ca.plan; right = cb.plan } in
-      match Compile.analyze ~workers env plan with
+      match List.filter prunes (Compile.analyze ~workers env plan) with
       | [] -> { plan; notes = ca.notes @ cb.notes }
       | diags when allow_parallel ->
-          (* arms that are legal alone can overcommit the scheduler
-             together; prune the parallel choices, don't patch them *)
+          (* arms that are legal alone can exceed a budget together (the
+             buffer pool, flow memory); prune the parallel choices, don't
+             patch them *)
           let c = plan_query env ~workers ~allow_parallel:false q in
           {
             c with

@@ -15,20 +15,25 @@
     partition files {e must} be scanned at exactly its partition count
     (the compiler's group-rank lookup maps member [r] to partition file
     [r]), so conflicting shard widths simply rule parallel candidates
-    out.  Candidates are ranked by estimated cost and each is submitted
-    to the analyzer; the first one with {e zero} diagnostics — warnings
-    included — wins.  Candidates that trip any diagnostic are pruned,
-    never patched, and the pruning is recorded in the choice's notes.
-    The serial plan is always a candidate, so a legal plan always
-    exists. *)
+    out.  A parallel candidate's operator work is divided by
+    [min degree workers], so a pool smaller than the degree is priced
+    into the cost rather than forbidden.  Candidates are ranked by
+    estimated cost and each is submitted to the analyzer; the first one
+    whose only diagnostic, if any, is the VL501 [sched-dop]
+    oversubscription advisory wins.  Candidates that trip any other
+    diagnostic — errors and warnings alike — are pruned, never patched,
+    and the pruning is recorded in the choice's notes.  The serial plan
+    is always a candidate, so a legal plan always exists. *)
 
 exception Error of string
 
 type choice = {
-  plan : Volcano_plan.Plan.t;  (** passes planlint with zero diagnostics *)
+  plan : Volcano_plan.Plan.t;
+      (** passes planlint with no diagnostic other than VL501 *)
   notes : string list;
       (** one line per candidate, cost order: chosen / pruned (with
-          diagnostic codes) / not chosen *)
+          diagnostic codes) / not chosen, the unpruned ones followed by
+          any VL501 advisory they carry *)
 }
 
 val optimize :

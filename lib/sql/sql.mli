@@ -32,7 +32,8 @@ val bind : Volcano_plan.Env.t -> Ast.query -> Binder.query
 val plan :
   ?workers:int -> Volcano_plan.Env.t -> string -> Optimizer.choice
 (** The whole pipeline: parse, bind, optimize.  The resulting plan
-    passes {!Volcano_plan.Compile.analyze} with zero diagnostics.
+    passes {!Volcano_plan.Compile.analyze} with no diagnostic other than
+    the VL501 oversubscription advisory.
     @raise Error on any front-end failure. *)
 
 val explain : ?workers:int -> Volcano_plan.Env.t -> string -> string

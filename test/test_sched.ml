@@ -43,6 +43,29 @@ let test_fork_await () =
       check Alcotest.int "submitted" 50 s.Sched.submitted;
       check Alcotest.int "completed" 50 s.Sched.completed)
 
+(* The default pool is one domain per core with a floor of 2, and
+   [VOLCANO_WORKERS] overrides it with a positive integer only. *)
+let test_default_workers () =
+  let saved = Sys.getenv_opt "VOLCANO_WORKERS" in
+  let unset = max 2 (Domain.recommended_domain_count ()) in
+  if saved = None then
+    check Alcotest.int "unset: max 2 cores" unset (Sched.default_workers ());
+  (* OCaml has no unsetenv: an unset variable is restored as the value
+     it stood for, so every later reader sizes the same pool *)
+  let restore = Option.value saved ~default:(string_of_int unset) in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "VOLCANO_WORKERS" restore)
+    (fun () ->
+      Unix.putenv "VOLCANO_WORKERS" "3";
+      check Alcotest.int "override" 3 (Sched.default_workers ());
+      List.iter
+        (fun v ->
+          Unix.putenv "VOLCANO_WORKERS" v;
+          match Sched.default_workers () with
+          | n -> Alcotest.failf "VOLCANO_WORKERS=%S gave %d workers" v n
+          | exception Invalid_argument _ -> ())
+        [ "0"; "four" ])
+
 let test_fork_await_dedicated () =
   let sched = Sched.dedicated () in
   let tasks = List.init 8 (fun i -> Sched.fork sched (fun () -> i + 1)) in
@@ -410,6 +433,7 @@ let test_pooled_daemon () =
 let suite =
   [
     Alcotest.test_case "fork and await on the pool" `Quick test_fork_await;
+    Alcotest.test_case "default pool size" `Quick test_default_workers;
     Alcotest.test_case "dedicated mode" `Quick test_fork_await_dedicated;
     Alcotest.test_case "task failure is a result" `Quick test_task_failure;
     Alcotest.test_case "events" `Quick test_event;
