@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks: per-call costs underlying the T1 table —
    record creation/consumption, the procedure-call exchange boundary, the
    buffer manager's fix/unfix pair, packet filling, the interpreted vs
-   compiled predicate paths, and a hash join's per-row build and probe. *)
+   compiled predicate paths, a hash join's per-row build and probe, and
+   the record decode floors a scanned row pays. *)
 
 open Bechamel
 open Toolkit
@@ -13,6 +14,7 @@ module Bufpool = Volcano_storage.Bufpool
 module Device = Volcano_storage.Device
 module Expr = Volcano_tuple.Expr
 module Tuple = Volcano_tuple.Tuple
+module Serial = Volcano_tuple.Serial
 
 let batch = 1_000
 
@@ -82,8 +84,21 @@ let hash_join_build_probe =
             ~left_key:[ 0 ] ~right_key:[ 0 ] ~left_arity:4 ~right_arity:4
             (Iterator.of_array probe) (Iterator.of_array build)))
 
+(* One stored 16-field Wisconsin record decoded in place: the projected
+   decode of one int column steps over the other 15 fields, the slice
+   decode materializes all 16. *)
+let decode_paths =
+  let record =
+    Serial.encode (Volcano_wisconsin.Wisconsin.generator ~n:1000 () 7)
+  in
+  let len = Bytes.length record in
+  let proj = Serial.projection [ 0 ] in
+  ( (fun () -> ignore (Serial.decode_projected proj record ~off:0 ~len)),
+    fun () -> ignore (Serial.decode_slice record ~off:0 ~len) )
+
 let tests =
   let interpreted, compiled = predicate_paths in
+  let projected, slice = decode_paths in
   Test.make_grouped ~name:"volcano"
     [
       Test.make ~name:"t1a-create-release-1k" (Staged.stage t1a_create_release);
@@ -94,6 +109,8 @@ let tests =
       Test.make ~name:"pred-compiled-1k" (Staged.stage compiled);
       Test.make ~name:"hash-join-build-probe-1k"
         (Staged.stage hash_join_build_probe);
+      Test.make ~name:"decode-projected-1of16" (Staged.stage projected);
+      Test.make ~name:"decode-slice-16" (Staged.stage slice);
     ]
 
 let run () =

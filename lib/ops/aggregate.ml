@@ -112,10 +112,11 @@ let hash_iterator ~group_by ~aggs input =
 (* The specialized batch build.
 
    For the common batched shape — every aggregate [Count] or [Sum] of an
-   integer-only expression — the build loop runs almost allocation-free
-   per record: group keys are hashed and compared straight out of a
-   scratch buffer (the key tuple is materialized once per GROUP, not per
-   record), and accumulators are native ints.  A record that defeats an
+   integer-only expression — the build loop allocates nothing per record
+   (with int keys; test/test_ops.ml bounds it): group keys are hashed and
+   compared straight out of a scratch buffer (the key tuple is
+   materialized once per GROUP, not per record), the bucket walks are
+   defined once per open, and accumulators are native ints.  A record that defeats an
    int kernel (a non-int field, division by zero) demotes its group to
    the generic accumulators, at most once per group, so results are
    identical to [hash_build]'s.  This is where batching pays beyond
@@ -226,41 +227,49 @@ let fast_hash_build ~key_evals ~key_kernels ~aggs ~kernels ~drain =
         if !size > 2 * Array.length bs then rehash ();
         g
       in
+      (* The bucket walks are defined here, once per open, and take the
+         hash as an argument: a walk defined inside the per-record probe
+         would be a fresh closure on every record. *)
+      let rec scan_boxed h = function
+        | [] -> add_group (Array.copy kbuf) h
+        | g :: rest ->
+            if g.ghash = h && Key_hash.key_matches g.gkey kbuf then g
+            else scan_boxed h rest
+      in
       let find_boxed tuple =
         for i = 0 to nkeys - 1 do
           Array.unsafe_set kbuf i ((Array.unsafe_get key_evals i) tuple)
         done;
         let h = Key_hash.key_hash kbuf in
         let bs = !buckets in
-        let rec scan = function
-          | [] -> add_group (Array.copy kbuf) h
-          | g :: rest ->
-              if g.ghash = h && Key_hash.key_matches g.gkey kbuf then g
-              else scan rest
-        in
-        scan bs.(h land (Array.length bs - 1))
+        scan_boxed h bs.(h land (Array.length bs - 1))
+      in
+      (* [gkey] holds exactly [ibuf]'s ints from slot [i] on. *)
+      let rec matches_ints gkey i =
+        i >= nkeys
+        ||
+        match Array.unsafe_get gkey i with
+        | Value.Int y -> y = Array.unsafe_get ibuf i && matches_ints gkey (i + 1)
+        | _ -> false
+      in
+      let rec scan_ints h = function
+        | [] -> add_group (Array.init nkeys (fun i -> Value.Int ibuf.(i))) h
+        | g :: rest ->
+            if g.ghash = h && matches_ints g.gkey 0 then g else scan_ints h rest
       in
       (* When every key has an int kernel, keys hash and compare as
-         native ints with no [Value] boxing at all.  The first record
-         whose keys defeat the kernels turns the probe off for the rest
-         of the build (a non-int-keyed plan fails on record one); both
-         probes share the table, and [Key_hash] hashes and compares
-         [Int] values exactly as the int path does, so mixing them is
-         sound. *)
+         native ints with no [Value] boxing at all, and the probe
+         allocates nothing per record (a new group pays for its key).
+         The first record whose keys defeat the kernels turns the probe
+         off for the rest of the build (a non-int-keyed plan fails on
+         record one); both probes share the table, and [Key_hash] hashes
+         and compares [Int] values exactly as the int path does, so
+         mixing them is sound. *)
       let find_or_add =
         match key_kernels with
         | None -> find_boxed
         | Some kk ->
             let int_keys = ref true in
-            let matches_ints gkey =
-              let rec go i =
-                i >= nkeys
-                || (match Array.unsafe_get gkey i with
-                   | Value.Int y -> y = Array.unsafe_get ibuf i && go (i + 1)
-                   | _ -> false)
-              in
-              go 0
-            in
             fun tuple ->
               if not !int_keys then find_boxed tuple
               else if
@@ -283,16 +292,7 @@ let fast_hash_build ~key_evals ~key_kernels ~aggs ~kernels ~drain =
                 done;
                 let h = !h in
                 let bs = !buckets in
-                let rec scan = function
-                  | [] ->
-                      add_group
-                        (Array.init nkeys (fun i -> Value.Int ibuf.(i)))
-                        h
-                  | g :: rest ->
-                      if g.ghash = h && matches_ints g.gkey then g
-                      else scan rest
-                in
-                scan bs.(h land (Array.length bs - 1))
+                scan_ints h bs.(h land (Array.length bs - 1))
               end
       in
       let feed_group g tuple =

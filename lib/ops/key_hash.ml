@@ -19,13 +19,14 @@ let key_hash key =
   done;
   !h
 
-let key_matches gkey key =
-  let rec go i =
-    i >= Array.length key
-    || slot_equal (Array.unsafe_get gkey i) (Array.unsafe_get key i)
-       && go (i + 1)
-  in
-  go 0
+(* A top-level recursion, not a local closure over the two keys: this
+   runs once per probed bucket entry. *)
+let rec matches_from gkey key i =
+  i >= Array.length key
+  || slot_equal (Array.unsafe_get gkey i) (Array.unsafe_get key i)
+     && matches_from gkey key (i + 1)
+
+let key_matches gkey key = matches_from gkey key 0
 
 let cols_hash cols tuple =
   let h = ref 17 in

@@ -42,7 +42,9 @@ let heap ?slice ?cols file =
 
 (* The batch source for fused scan chains: the per-record decode stays
    (records are variable-length on the page), but the iterator protocol
-   above it is gone — one [step] call refills a whole batch. *)
+   above it is gone — one [step] call refills a whole batch, decoding
+   each record straight from the cursor's in-frame step, so a row costs
+   the tuple it emits and nothing else. *)
 let heap_cursor ?slice ?cols file =
   let decode = decoder cols in
   let cursor = ref None in
@@ -54,15 +56,12 @@ let heap_cursor ?slice ?cols file =
         | None -> invalid_arg "Scan.heap_cursor: not open"
         | Some c ->
             let n = ref 0 in
-            (try
-               while !n < max do
-                 match Heap_file.next_in_frame c decode with
-                 | None -> raise Exit
-                 | Some tuple ->
-                     emit tuple;
-                     incr n
-               done
-             with Exit -> ());
+            while !n < max && Heap_file.advance c do
+              emit
+                (decode (Heap_file.data c) ~off:(Heap_file.off c)
+                   ~len:(Heap_file.len c));
+              incr n
+            done;
             !n);
     stop =
       (fun () ->

@@ -284,6 +284,10 @@ let next cursor =
     in
     Some (rid, Bytes.sub_string cursor.data cursor.off cursor.len)
 
+let data cursor = cursor.data
+let off cursor = cursor.off
+let len cursor = cursor.len
+
 let next_in_frame cursor decode =
   if advance cursor then Some (decode cursor.data ~off:cursor.off ~len:cursor.len)
   else None

@@ -52,11 +52,37 @@ val slice : t -> rank:int -> ranks:int -> cursor
 val next : cursor -> (Rid.t * string) option
 (** Records in page order, copied out of the page; [None] at the end. *)
 
+(** {2 Stepping in the frame}
+
+    The cursor's one in-frame step.  [advance] moves to the next live
+    record, fixing the next page when the current one is spent, and
+    leaves the record where it lies: it is the range
+    [\[off c, off c + len c)] of [data c], the bytes of the still-pinned
+    frame.  Nothing is copied and nothing is allocated per record.  The
+    range is valid until the cursor moves again — by [advance], {!next},
+    {!next_in_frame} or {!close_cursor} — because the bytes belong to the
+    buffer pool once the cursor moves: a reader decodes the record, or
+    copies it, before the next step, and keeps nothing that aliases
+    [data c]. *)
+
+val advance : cursor -> bool
+(** Step to the next live record; [false] at the end of the cursor's
+    pages, with no page left pinned. *)
+
+val data : cursor -> bytes
+(** The pinned frame's bytes; [Bytes.empty] when no page is pinned. *)
+
+val off : cursor -> int
+(** The current record's offset in {!data}. *)
+
+val len : cursor -> int
+(** The current record's length. *)
+
 val next_in_frame :
   cursor -> (bytes -> off:int -> len:int -> 'a) -> 'a option
-(** The next record, handed to [decode] as the range [\[off, off + len)] of
-    the pinned page frame instead of a copy.  [decode] must not keep the
-    bytes: they belong to the buffer pool once the cursor moves on. *)
+(** [advance], then the record handed to [decode] as
+    [data c ~off:(off c) ~len:(len c)]; [None] at the end.  For the
+    record-at-a-time paths; [decode] must not keep the bytes. *)
 
 val close_cursor : cursor -> unit
 (** Release the cursor's pinned page, if any.  Safe to call twice. *)

@@ -2,7 +2,16 @@
 
     Layout: a 2-byte field count, then per field a 1-byte tag followed by the
     payload (ints and floats as 8 bytes little-endian, strings as a 2-byte
-    length plus bytes, nulls as the tag alone). *)
+    length plus bytes, nulls as the tag alone).
+
+    Every decoder below is one field walker.  It bounds-checks the
+    record's range once, then validates each stored field in order — it
+    must start inside the range, carry a known tag and end inside the
+    range — whether the field is kept or dropped.  Cost model: a dropped
+    field costs one tag dispatch, plus its 2-byte length for a string;
+    it is never materialized.  A kept field costs its tag dispatch plus
+    its value (an [Int] or [Float] box, or a string copy), and the
+    output tuple is the only other allocation. *)
 
 val encoded_size : Tuple.t -> int
 

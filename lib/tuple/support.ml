@@ -6,26 +6,33 @@ type key_fn = Tuple.t -> Tuple.t
 type direction = Asc | Desc
 type sort_key = (int * direction) list
 
-let compare_on key a b =
-  let rec columns = function
-    | [] -> 0
-    | (i, dir) :: rest ->
-        let c = Value.compare a.(i) b.(i) in
-        let c = match dir with Asc -> c | Desc -> -c in
-        if c <> 0 then c else columns rest
-  in
-  columns key
+(* The column walks below are top-level recursions rather than local
+   closures or [List] lambdas: they run once per compared, probed or
+   routed record, and a closure capturing the tuples would be a heap
+   block on every call. *)
+let rec compare_on key a b =
+  match key with
+  | [] -> 0
+  | (i, dir) :: rest ->
+      let c = Value.compare a.(i) b.(i) in
+      let c = match dir with Asc -> c | Desc -> -c in
+      if c <> 0 then c else compare_on rest a b
 
 let compare_cols cols = compare_on (List.map (fun i -> (i, Asc)) cols)
 
-let equal_on cols a b =
-  List.for_all (fun i -> Value.equal a.(i) b.(i)) cols
+let rec equal_on cols a b =
+  match cols with
+  | [] -> true
+  | i :: rest -> Value.equal a.(i) b.(i) && equal_on rest a b
 
-let hash_on cols tuple =
-  (* The 31x mixing step can overflow into the sign bit; partitioning needs
-     a non-negative result. *)
-  List.fold_left (fun acc i -> (acc * 31) + Value.hash tuple.(i)) 17 cols
-  land max_int
+let rec hash_from acc cols tuple =
+  match cols with
+  | [] -> acc
+  | i :: rest -> hash_from ((acc * 31) + Value.hash tuple.(i)) rest tuple
+
+(* The 31x mixing step can overflow into the sign bit; partitioning needs
+   a non-negative result. *)
+let hash_on cols tuple = hash_from 17 cols tuple land max_int
 
 let key_on cols tuple = Tuple.project tuple cols
 

@@ -439,6 +439,12 @@ let prop_hash_match_exact_order =
                   ~left_arity:3 ~right_arity:3 left2 right2))
         kinds)
 
+(* Minor words per item around [f], which runs [n] items. *)
+let words_per ~n f =
+  let before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. float_of_int n
+
 (* The key table holds no heap block per build row: building 40k
    distinct int keys allocates, per row, little beyond the build input's
    own [Some] cell.  A table of per-key records, key copies and list
@@ -451,12 +457,95 @@ let test_hash_match_build_allocation () =
       ~right_key:[ 0 ] ~left_arity:2 ~right_arity:2 (Iterator.of_list [])
       (Iterator.of_array build)
   in
-  let before = Gc.minor_words () in
-  Iterator.open_ it;
-  let per_row = (Gc.minor_words () -. before) /. float_of_int n in
+  let per_row = words_per ~n (fun () -> Iterator.open_ it) in
   Iterator.close it;
   if per_row >= bound then
     Alcotest.failf "%.1f minor words per build row, bound %.1f" per_row bound
+
+(* The int-keyed aggregate probe allocates nothing per row: a bucket
+   walk or key comparison defined inside the per-row probe would be a
+   closure on every row. *)
+let test_hash_aggregate_build_allocation () =
+  let n = 40_000 and bound = 1.0 in
+  let rows = Array.init n (fun i -> Tuple.of_ints [ i; i mod 10 ]) in
+  let it =
+    Ops.Aggregate.hash_feed_exprs ~keys:[ Volcano_tuple.Expr.Col 1 ]
+      ~aggs:[ Ops.Aggregate.Count; Ops.Aggregate.Sum (Volcano_tuple.Expr.Col 0) ]
+      ~drain:(fun feed -> Array.iter feed rows)
+  in
+  let per_row = words_per ~n (fun () -> Iterator.open_ it) in
+  let rec groups k =
+    match Iterator.next it with None -> k | Some _ -> groups (k + 1)
+  in
+  check Alcotest.int "groups" 10 (groups 0);
+  Iterator.close it;
+  if per_row >= bound then
+    Alcotest.failf "%.2f minor words per aggregated row, bound %.1f" per_row
+      bound
+
+(* A fused scan with a one-column projected decode allocates the row it
+   emits — a 1-field tuple and its [Int], 4 words — and little else: no
+   option per record, no projection box per decode.  The table is
+   resident in the pool, so the bound reads the row path, not the
+   per-page cost of a miss. *)
+let test_fused_scan_allocation () =
+  let n = 40_000 and bound = 5.0 in
+  let env = Volcano_plan.Env.create ~frames:2048 () in
+  Volcano_wisconsin.Wisconsin.load ~env ~name:"w" ~n ();
+  let file, _ = Volcano_plan.Env.table env "w" in
+  let cursor = Ops.Scan.heap_cursor ~cols:[ 0 ] file in
+  let rows = ref 0 and sum = ref 0 in
+  let emit t =
+    incr rows;
+    sum := !sum + Tuple.int_exn t 0
+  in
+  let drain () =
+    cursor.Volcano.Batch.reset ();
+    while cursor.step ~emit ~max:1000 > 0 do
+      ()
+    done;
+    cursor.stop ()
+  in
+  drain ();
+  rows := 0;
+  sum := 0;
+  let per_row = words_per ~n drain in
+  check Alcotest.int "rows" n !rows;
+  check Alcotest.int "unique1 sum" (n * (n - 1) / 2) !sum;
+  if per_row >= bound then
+    Alcotest.failf "%.2f minor words per scanned row, bound %.1f" per_row
+      bound
+
+(* The per-record support functions — the exchange's hash partitioner,
+   sort comparisons, equality and the boxed-key probe — walk their
+   columns without allocating. *)
+let test_support_allocation () =
+  let a = Tuple.of_ints [ 1; 2; 3 ] and b = Tuple.of_ints [ 1; 2; 4 ] in
+  let ka = [| Value.Int 1; Value.Str "x" |]
+  and kb = [| Value.Int 1; Value.Str "x" |] in
+  let hash = Support.hash_on [ 0; 2 ]
+  and equal = Support.equal_on [ 0; 1 ]
+  and compare = Support.compare_on [ (0, Support.Asc); (2, Support.Desc) ] in
+  let calls = 10_000 in
+  List.iter
+    (fun (name, f) ->
+      f ();
+      let per_call =
+        words_per ~n:calls (fun () ->
+            for _ = 1 to calls do
+              f ()
+            done)
+      in
+      if per_call >= 0.01 then
+        Alcotest.failf "%s: %.2f minor words per call" name per_call)
+    [
+      ("hash_on", fun () -> ignore (Sys.opaque_identity (hash a)));
+      ("equal_on", fun () -> ignore (Sys.opaque_identity (equal a b)));
+      ("compare_on", fun () -> ignore (Sys.opaque_identity (compare a b)));
+      ( "key_matches",
+        fun () -> ignore (Sys.opaque_identity (Ops.Key_hash.key_matches ka kb))
+      );
+    ]
 
 let test_cartesian_product () =
   let left = input_of_ints 1 [ 1; 2 ] in
@@ -650,4 +739,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hash_match_exact_order;
     Alcotest.test_case "hash match build allocation" `Quick
       test_hash_match_build_allocation;
+    Alcotest.test_case "hash aggregate build allocation" `Quick
+      test_hash_aggregate_build_allocation;
+    Alcotest.test_case "fused scan allocation" `Quick test_fused_scan_allocation;
+    Alcotest.test_case "support function allocation" `Quick
+      test_support_allocation;
   ]
