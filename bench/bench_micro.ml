@@ -15,6 +15,9 @@ module Device = Volcano_storage.Device
 module Expr = Volcano_tuple.Expr
 module Tuple = Volcano_tuple.Tuple
 module Serial = Volcano_tuple.Serial
+module Heap_file = Volcano_storage.Heap_file
+module Wire = Volcano_net.Wire
+module Codec = Volcano_net.Codec
 
 let batch = 1_000
 
@@ -96,6 +99,45 @@ let decode_paths =
   ( (fun () -> ignore (Serial.decode_projected proj record ~off:0 ~len)),
     fun () -> ignore (Serial.decode_slice record ~off:0 ~len) )
 
+(* One 16-field Wisconsin record (146 bytes) encoded into a preallocated
+   buffer. *)
+let encode_16 =
+  let t = Volcano_wisconsin.Wisconsin.generator ~n:1000 () 7 in
+  let buf = Bytes.create (Serial.encoded_size t) in
+  fun () -> ignore (Serial.encode_into t buf ~pos:0)
+
+(* An 83-record packet of 16-field records, the default wire unit:
+   encoded into a connection's frame and written (to /dev/null, so the
+   write is one cheap syscall), then its payload decoded into a shell. *)
+let codec_packet_83 =
+  let gen = Volcano_wisconsin.Wisconsin.generator ~n:1000 () in
+  let packet = Packet.create ~capacity:83 ~producer:0 in
+  for i = 0 to 82 do
+    Packet.add packet (gen i)
+  done;
+  let conn = Wire.conn (Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0) in
+  let payload = Codec.encode packet in
+  let len = Bytes.length payload in
+  let shell = Packet.create ~capacity:83 ~producer:0 in
+  fun () ->
+    Codec.send conn packet;
+    Packet.reset shell;
+    Codec.decode_into ~len payload shell
+
+(* One pre-encoded 146-byte record inserted onto a resident page, and
+   deleted again so the page never fills: the insert reuses the dead
+   slot, and a compaction of the empty page now and then returns its
+   space. *)
+let heap_insert =
+  let page_size = 8192 in
+  let buffer = Bufpool.create ~frames:8 ~page_size () in
+  let device = Device.create_virtual ~page_size ~capacity:16 () in
+  let file = Heap_file.create ~buffer ~device ~name:"micro" in
+  let record =
+    Serial.encode_string (Volcano_wisconsin.Wisconsin.generator ~n:1000 () 7)
+  in
+  fun () -> ignore (Heap_file.delete file (Heap_file.insert file record))
+
 let tests =
   let interpreted, compiled = predicate_paths in
   let projected, slice = decode_paths in
@@ -111,6 +153,9 @@ let tests =
         (Staged.stage hash_join_build_probe);
       Test.make ~name:"decode-projected-1of16" (Staged.stage projected);
       Test.make ~name:"decode-slice-16" (Staged.stage slice);
+      Test.make ~name:"encode-16" (Staged.stage encode_16);
+      Test.make ~name:"codec-packet-83" (Staged.stage codec_packet_83);
+      Test.make ~name:"heap-insert" (Staged.stage heap_insert);
     ]
 
 let run () =

@@ -82,7 +82,7 @@ let make_env ~rows ~parts =
   let file = Env.create_table env ~name:table ~schema:W.schema in
   let gen = W.generator ~n:rows () in
   for i = 0 to rows - 1 do
-    ignore (Heap_file.insert file (Bytes.to_string (Serial.encode (gen i))))
+    ignore (Heap_file.insert file (Serial.encode_string (gen i)))
   done;
   ignore (Partition.split env ~table ~spec ~parts ());
   env

@@ -613,7 +613,7 @@ let create_table_cmd rows parts by remote_scan tcp =
       let file = Env.create_table env ~name:stored_table ~schema:W.schema in
       let gen = W.generator ~n:rows () in
       for i = 0 to rows - 1 do
-        ignore (Heap_file.insert file (Bytes.to_string (Serial.encode (gen i))))
+        ignore (Heap_file.insert file (Serial.encode_string (gen i)))
       done;
       let counts = Partition.split env ~table:stored_table ~spec ~parts () in
       Printf.printf "table %s: %d rows in %d partitions by %s:%s\n"

@@ -383,8 +383,20 @@ let spawn_feeders sources port =
        sharded the data, so the wire edge is a merge and any consumer may
        take any packet. *)
     let next_consumer = ref 0 in
-    let alloc ~capacity =
-      Port.alloc port ~producer:rank ~consumer:!next_consumer ~capacity
+    (* A shell comes from the lane its packet is sent on — and, once the
+       consumer is done with it, recycled into. *)
+    let routed dest =
+      if dest >= 0 && dest < consumers then dest
+      else
+        invalid_arg
+          (Printf.sprintf "Exchange: packet routed to consumer %d of %d" dest
+             consumers)
+    in
+    let alloc ~dest ~capacity =
+      let consumer =
+        match dest with None -> !next_consumer | Some d -> routed d
+      in
+      Port.alloc port ~producer:rank ~consumer ~capacity
     in
     let rec pump () =
       if not (Port.is_shut_down port) then
@@ -398,8 +410,7 @@ let spawn_feeders sources port =
             (* A repartitioning edge: the worker already applied the
                partition function, so the packet is pinned to its
                destination consumer instead of merged round-robin. *)
-            Port.send port ~producer:rank ~consumer:(dest mod consumers)
-              packet;
+            Port.send port ~producer:rank ~consumer:(routed dest) packet;
             pump ()
         | Port.Transport.Eos ->
             (* Every consumer counts one EOS tag per producer, as in the

@@ -482,7 +482,7 @@ module Transport = struct
     | Failed of exn
 
   type source = {
-    pull : alloc:(capacity:int -> Packet.t) -> event;
+    pull : alloc:(dest:int option -> capacity:int -> Packet.t) -> event;
     cancel : unit -> unit;
     join : unit -> unit;
   }

@@ -160,11 +160,15 @@ module Transport : sig
     | Failed of exn  (** the producer died; the stream is truncated *)
 
   type source = {
-    pull : alloc:(capacity:int -> Packet.t) -> event;
+    pull : alloc:(dest:int option -> capacity:int -> Packet.t) -> event;
         (** Block until the next event.  [alloc] lets the transport fill a
             recycled packet shell instead of allocating (wire transports
-            deserialize into it; the in-memory lane ignores it).  After
-            [Eos] or [Failed], further pulls return the same event. *)
+            deserialize into it; the in-memory lane ignores it).  [dest]
+            is the consumer a [Routed] packet is pinned to, read from the
+            frame before the shell is asked for, so the shell comes from
+            the lane that packet will be recycled into; [None] for a
+            [Data] packet.  After [Eos] or [Failed], further pulls return
+            the same event. *)
     cancel : unit -> unit;
         (** Consumer-initiated early termination (idempotent, non-blocking
             best effort): stop the producer and release its resources. *)

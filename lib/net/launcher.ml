@@ -40,7 +40,10 @@ let rec waitpid_quiet pid =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_quiet pid
   | exception _ -> ()
 
-let source_of ~faults ~packet_size ~rank ~stats ~rows_c ~bytes_c fd pid =
+(* [dests] is the consumer count a repartitioning edge shipped to its
+   workers ([None] on a merge edge): a routed frame must name one of
+   them. *)
+let source_of ~packet_size ~dests ~rank ~stats ~rows_c ~bytes_c conn pid =
   let terminal : Transport.event option ref = ref None in
   let joined = Atomic.make false in
   let arrived packet ~payload_bytes =
@@ -50,6 +53,9 @@ let source_of ~faults ~packet_size ~rank ~stats ~rows_c ~bytes_c fd pid =
     Obs.Counter.add rows_c rows;
     Obs.Counter.add bytes_c payload_bytes
   in
+  let corrupt what =
+    Transport.Failed (Wire.Corrupt (Printf.sprintf "worker %d: %s" rank what))
+  in
   let pull ~alloc =
     match !terminal with
     | Some event -> event
@@ -58,49 +64,54 @@ let source_of ~faults ~packet_size ~rank ~stats ~rows_c ~bytes_c fd pid =
           terminal := Some event;
           event
         in
-        match Wire.read_frame ~faults fd with
-        | Wire.Data, payload ->
-            let packet = alloc ~capacity:packet_size in
-            Codec.decode_into payload packet;
-            arrived packet ~payload_bytes:(Bytes.length payload);
+        match Wire.read conn with
+        | Wire.Data, len ->
+            let packet = alloc ~dest:None ~capacity:packet_size in
+            Codec.decode_into ~len (Wire.payload conn) packet;
+            arrived packet ~payload_bytes:len;
             Transport.Data packet
-        | Wire.Repartition, payload ->
+        | Wire.Repartition, len -> (
             (* A routed packet from a repartitioning worker:
                [u16 dest | packet bytes]. *)
-            if Bytes.length payload < 2 then
-              finish
-                (Transport.Failed
-                   (Wire.Corrupt
-                      (Printf.sprintf "worker %d: short routed frame" rank)))
-            else begin
-              let dest = Bytes.get_uint16_le payload 0 in
-              let packet = alloc ~capacity:packet_size in
-              Codec.decode_into ~off:2 payload packet;
-              arrived packet ~payload_bytes:(Bytes.length payload);
-              Transport.Routed (dest, packet)
-            end
+            let payload = Wire.payload conn in
+            let dest = if len < 2 then -1 else Bytes.get_uint16_le payload 0 in
+            match dests with
+            | None -> finish (corrupt "routed frame on a merge edge")
+            | Some _ when dest < 0 -> finish (corrupt "short routed frame")
+            | Some dests when dest >= dests ->
+                finish
+                  (corrupt
+                     (Printf.sprintf "frame routed to consumer %d of %d" dest
+                        dests))
+            | Some _ ->
+                let packet = alloc ~dest:(Some dest) ~capacity:packet_size in
+                Codec.decode_into ~off:2 ~len payload packet;
+                arrived packet ~payload_bytes:len;
+                Transport.Routed (dest, packet))
         | Wire.Eos, _ -> finish Transport.Eos
-        | Wire.Err, payload ->
-            let site, message = Wire.parse_err payload in
+        | Wire.Err, len ->
+            let site, message =
+              Wire.parse_err (Bytes.sub (Wire.payload conn) 0 len)
+            in
             finish (Transport.Failed (Transport.Remote_failure { site; message }))
         | (Wire.Hello | Wire.Cancel | Wire.Request | Wire.Resp_ok
           | Wire.Resp_err | Wire.Shutdown), _ ->
-            finish
-              (Transport.Failed
-                 (Wire.Corrupt
-                    (Printf.sprintf "worker %d: unexpected frame kind" rank)))
+            finish (corrupt "unexpected frame kind")
         | exception exn ->
             (* A dropped connection (EOF, ECONNRESET, a truncated frame):
                the stream ends in failure, which the feeder reports as the
                same single Query_failed a dead local producer causes. *)
             finish (Transport.Failed exn))
   in
+  let fd = Wire.fd conn in
   let cancel () =
     (* Best effort, non-blocking-ish: tell the worker to stop, then tear
        the connection so a worker deep in a write unblocks with EPIPE.
        The fd stays open (only shut down) so a concurrently blocked pull
-       wakes with EOF instead of racing a reused descriptor. *)
-    (try Wire.write_frame fd Wire.Cancel Bytes.empty with _ -> ());
+       wakes with EOF instead of racing a reused descriptor.  The cancel
+       frame goes through a connection of its own: the pulling thread
+       owns [conn]'s buffers, and a cancel is no fault site. *)
+    (try Wire.write (Wire.conn fd) Wire.Cancel Bytes.empty with _ -> ());
     try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ()
   in
   let join () =
@@ -191,16 +202,17 @@ let launch ?(faults = Injector.none) ?(lane = `Unix) ?repartition
           (match lane with
           | `Tcp -> ( try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ())
           | `Unix -> ());
-          Wire.write_frame ~faults fd Wire.Hello
+          let conn = Wire.conn ~faults fd in
+          Wire.write conn Wire.Hello
             (Wire.hello
                ~repartition:(repartition <> None)
                ~task ~shard ~shards:workers ~packet_size ());
           (match repartition with
           | None -> ()
-          | Some r -> Wire.write_frame ~faults fd Wire.Repartition (Wire.repartition r));
-          fd
+          | Some r -> Wire.write conn Wire.Repartition (Wire.repartition r));
+          conn
     in
-    let fds_in_order = Array.init workers accept_one in
+    let conns = Array.init workers accept_one in
     (try Unix.close listener with _ -> ());
     (match unlink_path with
     | None -> ()
@@ -217,14 +229,15 @@ let launch ?(faults = Injector.none) ?(lane = `Unix) ?repartition
     {
       sources =
         Array.mapi
-          (fun rank fd ->
+          (fun rank conn ->
             let rows_c = Obs.counter obs (Printf.sprintf "net.site%d.rows" rank)
             and bytes_c =
               Obs.counter obs (Printf.sprintf "net.site%d.bytes" rank)
             in
-            source_of ~faults ~packet_size ~rank ~stats:stats.(rank) ~rows_c
-              ~bytes_c fd pids_arr.(rank))
-          fds_in_order;
+            source_of ~packet_size
+              ~dests:(Option.map (fun r -> r.Wire.dests) repartition)
+              ~rank ~stats:stats.(rank) ~rows_c ~bytes_c conn pids_arr.(rank))
+          conns;
       pids = pids_arr;
       address;
       stats;

@@ -30,9 +30,7 @@ let of_partition_spec spec ~dests =
         spec =
           Shard.Range
             ( col,
-              Array.map
-                (fun v -> Bytes.to_string (Serial.encode [| v |]))
-                bounds );
+              Array.map (fun v -> Serial.encode_string [| v |]) bounds );
       }
   | Volcano.Exchange.Round_robin ->
       invalid_arg "Repart.of_partition_spec: round-robin is a merge edge"

@@ -49,20 +49,20 @@ module Server = struct
       try Unix.close fd with _ -> ()
     in
     Fun.protect ~finally (fun () ->
+        let conn = Wire.conn fd in
         let rec loop () =
-          match Wire.read_frame fd with
-          | Wire.Request, payload ->
+          match Wire.read conn with
+          | Wire.Request, len ->
               Obs.Counter.incr t.requests;
               let t0 = Obs.now () in
-              (match handle (Bytes.to_string payload) with
-              | Ok rows ->
-                  Wire.write_frame fd Wire.Resp_ok (Codec.encode_rows rows)
+              (match handle (Bytes.sub_string (Wire.payload conn) 0 len) with
+              | Ok rows -> Codec.send_rows conn rows
               | Error (site, message) ->
                   Obs.Counter.incr t.errors;
-                  Wire.write_frame fd Wire.Resp_err (Wire.err ~site ~message)
+                  Wire.write conn Wire.Resp_err (Wire.err ~site ~message)
               | exception exn ->
                   Obs.Counter.incr t.errors;
-                  Wire.write_frame fd Wire.Resp_err
+                  Wire.write conn Wire.Resp_err
                     (Wire.err ~site:"serve" ~message:(Printexc.to_string exn)));
               Obs.Histogram.observe t.latency (Obs.now () -. t0);
               loop ()
@@ -149,7 +149,7 @@ module Server = struct
 end
 
 module Client = struct
-  type t = Unix.file_descr
+  type t = Wire.conn
 
   let connect ~socket =
     Wire.ignore_sigpipe ();
@@ -160,15 +160,16 @@ module Client = struct
      with exn ->
        (try Unix.close fd with _ -> ());
        raise exn);
-    fd
+    Wire.conn fd
 
-  let query fd task =
-    Wire.write_frame fd Wire.Request (Bytes.of_string task);
-    match Wire.read_frame fd with
-    | Wire.Resp_ok, payload -> Ok (Codec.decode_rows payload)
-    | Wire.Resp_err, payload -> Error (Wire.parse_err payload)
+  let query conn task =
+    Wire.write conn Wire.Request (Bytes.unsafe_of_string task);
+    match Wire.read conn with
+    | Wire.Resp_ok, len -> Ok (Codec.decode_rows ~len (Wire.payload conn))
+    | Wire.Resp_err, len ->
+        Error (Wire.parse_err (Bytes.sub (Wire.payload conn) 0 len))
     | _, _ -> raise (Wire.Corrupt "serve: unexpected response kind")
 
-  let shutdown_server fd = Wire.write_frame fd Wire.Shutdown Bytes.empty
-  let close fd = try Unix.close fd with _ -> ()
+  let shutdown_server conn = Wire.write conn Wire.Shutdown Bytes.empty
+  let close conn = try Unix.close (Wire.fd conn) with _ -> ()
 end

@@ -91,35 +91,78 @@ let rec read_exact fd buf pos len =
     read_exact fd buf (pos + n) (len - n)
   end
 
-let write_frame ?(faults = Injector.none) fd kind payload =
-  Injector.hit faults Volcano_fault.Net_write;
-  let len = Bytes.length payload in
-  if len > max_frame then raise (Corrupt "frame too large");
-  let header = Bytes.create 5 in
-  Bytes.set_int32_le header 0 (Int32.of_int len);
-  Bytes.set_uint8 header 4 (kind_code kind);
-  write_exact fd header 0 5;
-  write_exact fd payload 0 len
+(* Frame buffers.  A connection owns one input and one output buffer,
+   each grown by doubling and never shrunk, so a steady stream of frames
+   allocates nothing per frame: a data frame's payload (a whole packet,
+   ~12 KB at the default packet size) is past the minor heap's object
+   limit, so a fresh one per frame would be a major-heap allocation
+   every time.  The price is the ownership rule: a read's payload is a
+   view of the input buffer, valid until the next read. *)
+type conn = {
+  fd : Unix.file_descr;
+  faults : Injector.t;
+  mutable input : bytes;
+  mutable output : bytes;
+}
 
-let read_frame ?(faults = Injector.none) fd =
-  Injector.hit faults Volcano_fault.Net_read;
-  let header = Bytes.create 5 in
-  read_exact fd header 0 5;
-  let len = Int32.to_int (Bytes.get_int32_le header 0) in
+let header_size = 5
+
+let grow buf n =
+  if n <= Bytes.length buf then buf
+  else begin
+    let bigger = Bytes.create (max n (2 * Bytes.length buf)) in
+    Bytes.blit buf 0 bigger 0 (Bytes.length buf);
+    bigger
+  end
+
+let conn ?(faults = Injector.none) fd =
+  {
+    fd;
+    faults;
+    input = Bytes.create 256;
+    output = Bytes.create 256;
+  }
+
+let fd c = c.fd
+
+let read c =
+  Injector.hit c.faults Volcano_fault.Net_read;
+  read_exact c.fd c.input 0 header_size;
+  let len = Int32.to_int (Bytes.get_int32_le c.input 0) in
   if len < 0 || len > max_frame then
     raise (Corrupt (Printf.sprintf "bad frame length %d" len));
-  let kind = kind_of_code (Bytes.get_uint8 header 4) in
+  let kind = kind_of_code (Bytes.get_uint8 c.input 4) in
   (* The frame-truncation site fires between header and payload — the
      reader has committed to a length it will never receive, exercising
      the same teardown a connection dropped mid-frame takes. *)
-  Injector.hit faults Volcano_fault.Net_frame;
-  let payload = Bytes.create len in
-  read_exact fd payload 0 len;
-  (kind, payload)
+  Injector.hit c.faults Volcano_fault.Net_frame;
+  if len > Bytes.length c.input then
+    c.input <- Bytes.create (max len (2 * Bytes.length c.input));
+  read_exact c.fd c.input 0 len;
+  (kind, len)
 
-let frame_ready fd =
+let payload c = c.input
+
+let reserve c n =
+  c.output <- grow c.output n;
+  c.output
+
+let send c kind ~len =
+  Injector.hit c.faults Volcano_fault.Net_write;
+  if len < 0 || len > max_frame then raise (Corrupt "frame too large");
+  let buf = reserve c (header_size + len) in
+  Bytes.set_int32_le buf 0 (Int32.of_int len);
+  Bytes.set_uint8 buf 4 (kind_code kind);
+  write_exact c.fd buf 0 (header_size + len)
+
+let write c kind payload =
+  let len = Bytes.length payload in
+  Bytes.blit payload 0 (reserve c (header_size + len)) header_size len;
+  send c kind ~len
+
+let frame_ready c =
   (* conclint: allow CL003 -- zero-timeout poll on a transport thread. *)
-  match Unix.select [ fd ] [] [] 0.0 with
+  match Unix.select [ c.fd ] [] [] 0.0 with
   | [], _, _ -> false
   | _ :: _, _, _ -> true
 

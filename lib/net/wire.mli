@@ -33,20 +33,59 @@ val ignore_sigpipe : unit -> unit
     than dying of SIGPIPE.  Idempotent; every endpoint (worker, launcher,
     server, client) calls it before its first write. *)
 
-val write_frame :
-  ?faults:Volcano_fault.Injector.t -> Unix.file_descr -> kind -> bytes -> unit
-(** Write one frame; blocks until fully written.  [faults] is consulted
-    at the [Net_write] site. *)
+(** {2 Connections}
 
-val read_frame :
-  ?faults:Volcano_fault.Injector.t -> Unix.file_descr -> kind * bytes
-(** Read one frame; blocks until fully read.  [faults] is consulted at
-    [Net_read] (before the header) and [Net_frame] (between header and
-    payload — the truncated-frame site).
+    A connection owns one growable input buffer and one growable output
+    buffer, so a stream of frames allocates nothing per frame once the
+    buffers have reached the largest frame seen.  Ownership rule: the
+    payload of a {!read} is a view of the connection's input buffer,
+    valid until the next {!read} on the same connection — decode it (or
+    copy it out) before reading again.  Bytes past the payload's length
+    are stale, left over from earlier, longer frames. *)
+
+type conn
+
+val conn : ?faults:Volcano_fault.Injector.t -> Unix.file_descr -> conn
+(** Wrap a connected socket.  [faults] is consulted at [Net_read] (before
+    each header), [Net_frame] (between a header and its payload — the
+    truncated-frame site) and [Net_write] (before each frame is sent). *)
+
+val fd : conn -> Unix.file_descr
+
+val read : conn -> kind * int
+(** Read one frame; blocks until fully read.  Returns its kind and
+    payload length; the payload is bytes [\[0, len)] of {!payload}.
     @raise End_of_file on a dropped connection
     @raise Corrupt on an unparseable header *)
 
-val frame_ready : Unix.file_descr -> bool
+val payload : conn -> bytes
+(** The input buffer holding the last {!read}'s payload from byte 0.  Its
+    length is the buffer's, not the payload's. *)
+
+val header_size : int
+(** A frame's payload starts at this offset of the output buffer. *)
+
+val grow : bytes -> int -> bytes
+(** [grow buf n] is [buf] when it holds at least [n] bytes, else a buffer
+    of at least [max n (2 * length buf)] bytes that starts with [buf]'s
+    bytes. *)
+
+val reserve : conn -> int -> bytes
+(** [reserve c n]: the output buffer, grown ({!grow}) to at least [n]
+    bytes, header included.  An encoder writes a payload from
+    {!header_size}, reserving as it goes, then hands it to {!send}. *)
+
+val send : conn -> kind -> len:int -> unit
+(** The one frame writer: fill in the header and write the frame whose
+    [len]-byte payload sits at {!header_size} of the output buffer —
+    header and payload in one write call.  Blocks until fully written.
+    @raise Corrupt on a payload longer than {!max_frame} *)
+
+val write : conn -> kind -> bytes -> unit
+(** {!send} a payload built elsewhere (a control frame): it is copied into
+    the output buffer behind the header. *)
+
+val frame_ready : conn -> bool
 (** Non-blocking: is at least one byte readable right now?  Workers poll
     this between packet writes to notice a [Cancel] frame. *)
 

@@ -26,10 +26,10 @@ let failure_site = function
       (Volcano_fault.site_name site, Printexc.to_string exn)
   | exn -> ("net-worker", Printexc.to_string exn)
 
-let cancelled fd =
-  Wire.frame_ready fd
+let cancelled conn =
+  Wire.frame_ready conn
   &&
-  match Wire.read_frame fd with
+  match Wire.read conn with
   | Wire.Cancel, _ -> true
   | _ -> false
   | exception _ -> true
@@ -85,24 +85,19 @@ let connect address =
    [route] picks a record's shell, and [write] sends a non-empty shell as
    one frame.  A full shell flushes at once; at end of stream every shell
    flushes, so a key that hashed to a lone row still arrives. *)
-let pump fd ~packet_size ~shard repartition next =
+let pump conn ~packet_size ~shard repartition next =
   let dests, route, write =
     match repartition with
     | None ->
         (* Merge mode: one shell, flushed as mergeable [Data] frames. *)
-        ( 1,
-          (fun _ -> 0),
-          fun _ shell -> Wire.write_frame fd Wire.Data (Codec.encode shell) )
+        (1, (fun _ -> 0), fun _ shell -> Codec.send conn shell)
     | Some { Wire.dests; spec } ->
         (* Repartition mode: one shell per destination, each flushed as a
            routed frame [u16 dest | packet bytes]. *)
         let route = Repart.route spec ~dests in
         ( dests,
           (fun tuple -> ((route tuple mod dests) + dests) mod dests),
-          fun dest shell ->
-            let payload = Codec.encode ~off:2 shell in
-            Bytes.set_uint16_le payload 0 dest;
-            Wire.write_frame fd Wire.Repartition payload )
+          fun dest shell -> Codec.send conn ~dest shell )
   in
   let shells =
     Array.init dests (fun _ -> Packet.create ~capacity:packet_size ~producer:shard)
@@ -125,7 +120,7 @@ let pump fd ~packet_size ~shard repartition next =
           (* Between packets is the cancellation point: a Cancel frame
              (or a torn-down connection) stops the stream without
              waiting for the shard to drain. *)
-          if cancelled fd then raise Exit;
+          if cancelled conn then raise Exit;
           flush dest
         end;
         loop ()
@@ -138,25 +133,28 @@ let run ~socket ~resolve =
      SIGPIPE before the handler can reason about it. *)
   Wire.ignore_sigpipe ();
   let fd = connect socket in
+  let conn = Wire.conn fd in
   let finish () = try Unix.close fd with _ -> () in
-  match Wire.read_frame fd with
+  (* Control payloads are parsed from a copy: the input buffer is reused
+     by the next read. *)
+  let control len = Bytes.sub (Wire.payload conn) 0 len in
+  match Wire.read conn with
   | exception _ -> finish ()
-  | Wire.Hello, payload -> (
+  | Wire.Hello, len -> (
       let { Wire.task; shard; shards; packet_size; repartition } =
-        Wire.parse_hello payload
+        Wire.parse_hello (control len)
       in
       let report_failure exn =
         let site, message = failure_site exn in
-        try Wire.write_frame fd Wire.Err (Wire.err ~site ~message)
-        with _ -> ()
+        try Wire.write conn Wire.Err (Wire.err ~site ~message) with _ -> ()
       in
       match
         let repartition =
           if not repartition then None
           else
-            match Wire.read_frame fd with
-            | Wire.Repartition, payload ->
-                Some (Wire.parse_repartition payload)
+            match Wire.read conn with
+            | Wire.Repartition, len ->
+                Some (Wire.parse_repartition (control len))
             | _ -> raise (Wire.Corrupt "expected a Repartition frame")
         in
         (repartition, resolve ~task ~shard ~shards)
@@ -165,9 +163,9 @@ let run ~socket ~resolve =
           report_failure exn;
           finish ()
       | repartition, next -> (
-          match pump fd ~packet_size ~shard repartition next with
+          match pump conn ~packet_size ~shard repartition next with
           | () -> (
-              match Wire.write_frame fd Wire.Eos Bytes.empty with
+              match Wire.write conn Wire.Eos Bytes.empty with
               | () -> finish ()
               | exception _ -> finish ())
           | exception Exit -> finish ()

@@ -243,7 +243,7 @@ let rec partitioned ~partitions ~spill ~kind ~left_key ~right_key ~left_arity
       (fun tuple ->
         let p = hash tuple mod partitions in
         let _ =
-          Heap_file.insert files.(p) (Bytes.to_string (Serial.encode tuple))
+          Heap_file.insert files.(p) (Serial.encode_string tuple)
         in
         ())
       input

@@ -154,6 +154,6 @@ let index_fetch ~tree ~file ~lo ~hi =
 let materialize iterator ~into =
   Iterator.fold
     (fun count tuple ->
-      let _ = Heap_file.insert into (Bytes.to_string (Serial.encode tuple)) in
+      let _ = Heap_file.insert into (Serial.encode_string tuple) in
       count + 1)
     0 iterator

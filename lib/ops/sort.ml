@@ -22,7 +22,7 @@ let spill_run spill tuples =
   in
   Array.iter
     (fun tuple ->
-      let _ = Heap_file.insert file (Bytes.to_string (Serial.encode tuple)) in
+      let _ = Heap_file.insert file (Serial.encode_string tuple) in
       ())
     tuples;
   Spilled file

@@ -435,7 +435,7 @@ and compile_node env ids obs group scope plan =
       Ops.Scan.heap ?slice file
   | Plan.Scan_index { index; lo; hi } ->
       let tree, file, _key = Env.index env index in
-      let encode t = Bytes.to_string (Volcano_tuple.Serial.encode t) in
+      let encode = Volcano_tuple.Serial.encode_string in
       let bound = function
         | Plan.Ix_unbounded -> Volcano_btree.Btree.Unbounded
         | Plan.Ix_inclusive t -> Volcano_btree.Btree.Inclusive (encode t)

@@ -143,8 +143,7 @@ let create_index t ~table:table_name ~name ~key =
       ~cmp:index_cmp
   in
   let key_of tuple =
-    Bytes.to_string
-      (Volcano_tuple.Serial.encode (Volcano_tuple.Tuple.project tuple key))
+    Volcano_tuple.Serial.encode_string (Volcano_tuple.Tuple.project tuple key)
   in
   let entries = Volcano_ops.Scan.build_index ~tree ~key_of file in
   Mutex.lock t.lock;

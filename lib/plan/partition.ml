@@ -15,7 +15,7 @@ module Support = Volcano_tuple.Support
    interpretation on the worker side of a repartitioning edge, and the
    distributed differential suite pins the two to the same answers. *)
 
-let encode_bound v = Bytes.to_string (Serial.encode [| v |])
+let encode_bound v = Serial.encode_string [| v |]
 let decode_bound encoded = (Serial.decode_bytes (Bytes.of_string encoded)).(0)
 let hash_spec cols = Shard.Hash cols
 
@@ -100,7 +100,7 @@ let load_site env ~table ~schema ~spec ~parts ?sites ~site ~count ~gen () =
     match targets.(part) with
     | None -> ()
     | Some file ->
-        ignore (Heap_file.insert file (Bytes.to_string (Serial.encode tuple)));
+        ignore (Heap_file.insert file (Serial.encode_string tuple));
         counts.(part) <- counts.(part) + 1
   done;
   Shard.add (Env.catalog env) { Shard.table; parts; spec; sites };

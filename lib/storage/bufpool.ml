@@ -17,10 +17,20 @@ type frame = {
   mutable on_lru : bool;
 }
 
+(* The frame table is keyed by one immediate int per (device, page) —
+   no boxed pair to build, and no polymorphic hash or compare to run on
+   it. *)
+module Table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k lxor (k lsr 32)
+end)
+
 type t = {
   pool_lock : Mutex.t;
   frames : frame array;
-  table : (int * int, int) Hashtbl.t; (* (device id, page) -> frame index *)
+  table : int Table.t; (* key (device, page) -> frame index *)
   mutable lru_head : int; (* least recently used *)
   mutable lru_tail : int; (* most recently used *)
   md : mode;
@@ -59,7 +69,7 @@ let create ?(mode = Two_level) ~frames ~page_size () =
   {
     pool_lock = Mutex.create ();
     frames = Array.init frames make_frame;
-    table = Hashtbl.create (frames * 2);
+    table = Table.create (frames * 2);
     lru_head = 0;
     lru_tail = frames - 1;
     md = mode;
@@ -95,7 +105,14 @@ let lru_append t f =
   t.lru_tail <- f.index;
   f.on_lru <- true
 
-let key dev page = (Device.id dev, page)
+let key dev page =
+  if page < 0 || page >= 1 lsl 32 then invalid_arg "Bufpool: page out of range";
+  (Device.id dev lsl 32) lor page
+
+(* Fill a frame after a miss: read the page, or zero a fresh one. *)
+let load dev page ~fresh f =
+  if fresh then Bytes.fill f.data 0 (Bytes.length f.data) '\000'
+  else Device.read dev ~page f.data
 
 (* Pick the least recently used unfixed frame whose descriptor lock is free.
    Caller holds the pool lock; on success the victim's descriptor lock is
@@ -124,11 +141,12 @@ let write_back t f =
       Atomic.incr t.n_writebacks
   | _ -> ()
 
-(* The core fix path.  [load] fills the frame after a miss. *)
-let rec fix_loop t dev page ~load ~attempts =
+(* The core fix path, for [page]'s table key [k].  [fresh]: the page is
+   new, zero it on a miss instead of reading it. *)
+let rec fix_loop t dev page k ~fresh ~attempts =
   Mutex.lock t.pool_lock;
-  match Hashtbl.find_opt t.table (key dev page) with
-  | Some idx ->
+  match Table.find t.table k with
+  | idx ->
       let f = t.frames.(idx) in
       if Mutex.try_lock f.lock then begin
         (* Atomic test-and-lock succeeded: the descriptor is quiescent. *)
@@ -145,15 +163,15 @@ let rec fix_loop t dev page ~load ~attempts =
         Atomic.incr t.n_restarts;
         Mutex.unlock t.pool_lock;
         Domain.cpu_relax ();
-        fix_loop t dev page ~load ~attempts
+        fix_loop t dev page k ~fresh ~attempts
       end
-  | None -> (
+  | exception Not_found -> (
       match claim_victim t with
       | None ->
           Mutex.unlock t.pool_lock;
           if attempts > 10_000 then raise Buffer_exhausted;
           Domain.cpu_relax ();
-          fix_loop t dev page ~load ~attempts:(attempts + 1)
+          fix_loop t dev page k ~fresh ~attempts:(attempts + 1)
       | Some f ->
           Mutex.unlock t.pool_lock;
           (* Clean the victim under its descriptor lock, with no pool lock
@@ -176,22 +194,22 @@ let rec fix_loop t dev page ~load ~attempts =
              Mutex.unlock f.lock;
              raise exn);
           Mutex.lock t.pool_lock;
-          if Hashtbl.mem t.table (key dev page) then begin
+          if Table.mem t.table k then begin
             (* Someone else loaded the wanted page while we were cleaning:
                return the (now clean) victim and restart from the lookup. *)
             lru_append t f;
             Mutex.unlock t.pool_lock;
             Mutex.unlock f.lock;
             Domain.cpu_relax ();
-            fix_loop t dev page ~load ~attempts
+            fix_loop t dev page k ~fresh ~attempts
           end
           else begin
             (match f.device with
             | Some odev ->
-                Hashtbl.remove t.table (key odev f.page);
+                Table.remove t.table (key odev f.page);
                 Atomic.incr t.n_evictions
             | None -> ());
-            Hashtbl.replace t.table (key dev page) f.index;
+            Table.replace t.table k f.index;
             f.device <- Some dev;
             f.page <- page;
             f.fixes <- 1;
@@ -202,10 +220,10 @@ let rec fix_loop t dev page ~load ~attempts =
                free the frame, or the page becomes permanently unfixable:
                its descriptor lock would never be released. *)
             f.dirty <- false;
-            (try load f
+            (try load dev page ~fresh f
              with exn ->
                Mutex.lock t.pool_lock;
-               Hashtbl.remove t.table (key dev page);
+               Table.remove t.table k;
                f.device <- None;
                f.page <- -1;
                f.fixes <- 0;
@@ -217,25 +235,26 @@ let rec fix_loop t dev page ~load ~attempts =
             f
           end)
 
-let fix_general t dev page ~load =
+let fix_general t dev page ~fresh =
+  let k = key dev page in
   (* Consulted before any pool state changes: an injected denial models a
      transient out-of-buffer condition and leaks nothing. *)
   Injector.hit t.faults Volcano_fault.Bufpool_fix;
   match t.md with
-  | Two_level -> fix_loop t dev page ~load ~attempts:0
+  | Two_level -> fix_loop t dev page k ~fresh ~attempts:0
   | Single_global ->
       Mutex.lock t.pool_lock;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.pool_lock)
         (fun () ->
-          match Hashtbl.find_opt t.table (key dev page) with
-          | Some idx ->
+          match Table.find t.table k with
+          | idx ->
               let f = t.frames.(idx) in
               if f.fixes = 0 then lru_remove t f;
               f.fixes <- f.fixes + 1;
               Atomic.incr t.n_hits;
               f
-          | None -> (
+          | exception Not_found -> (
               let rec victim idx =
                 if idx < 0 then raise Buffer_exhausted
                 else
@@ -256,18 +275,18 @@ let fix_general t dev page ~load =
                      with exn ->
                        lru_append t f;
                        raise exn);
-                  Hashtbl.remove t.table (key odev f.page);
+                  Table.remove t.table (key odev f.page);
                   Atomic.incr t.n_evictions
               | None -> ());
-              Hashtbl.replace t.table (key dev page) f.index;
+              Table.replace t.table k f.index;
               f.device <- Some dev;
               f.page <- page;
               f.fixes <- 1;
               f.dirty <- false;
               Atomic.incr t.n_misses;
-              (try load f
+              (try load dev page ~fresh f
                with exn ->
-                 Hashtbl.remove t.table (key dev page);
+                 Table.remove t.table k;
                  f.device <- None;
                  f.page <- -1;
                  f.fixes <- 0;
@@ -275,14 +294,10 @@ let fix_general t dev page ~load =
                  raise exn);
               f))
 
-let fix t dev page =
-  fix_general t dev page ~load:(fun f -> Device.read dev ~page f.data)
+let fix t dev page = fix_general t dev page ~fresh:false
 
 let fix_new t dev page =
-  let f =
-    fix_general t dev page ~load:(fun f ->
-        Bytes.fill f.data 0 (Bytes.length f.data) '\000')
-  in
+  let f = fix_general t dev page ~fresh:true in
   f.dirty <- true;
   f
 
@@ -308,15 +323,17 @@ let frame_page f = f.page
 let fix_count f = f.fixes
 
 let contains t dev page =
+  let k = key dev page in
   Mutex.lock t.pool_lock;
-  let resident = Hashtbl.mem t.table (key dev page) in
+  let resident = Table.mem t.table k in
   Mutex.unlock t.pool_lock;
   resident
 
 let flush_page t dev page =
+  let k = key dev page in
   Mutex.lock t.pool_lock;
   let frame =
-    match Hashtbl.find_opt t.table (key dev page) with
+    match Table.find_opt t.table k with
     | Some idx ->
         let f = t.frames.(idx) in
         if f.dirty && Mutex.try_lock f.lock then Some f else None
@@ -352,7 +369,7 @@ let purge_device t dev =
             Mutex.unlock t.pool_lock;
             invalid_arg "Bufpool.purge_device: page still fixed"
           end;
-          Hashtbl.remove t.table (key d f.page);
+          Table.remove t.table (key d f.page);
           f.device <- None;
           f.page <- -1;
           f.dirty <- false

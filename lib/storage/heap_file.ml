@@ -114,36 +114,49 @@ let add_page t =
   t.pages <- t.pages + 1;
   (page_no, frame)
 
+(* Place [record] on the fixed [frame] and unfix it: the slot, or -1
+   when the record does not fit. *)
+let place t frame record =
+  let slot = Page.insert (Bufpool.bytes frame) record in
+  if slot >= 0 then begin
+    Bufpool.mark_dirty frame;
+    t.records <- t.records + 1
+  end;
+  Bufpool.unfix t.buffer frame;
+  slot
+
+(* Place [record] on the last page, or on a new one when it does not fit.
+   Caller holds [lock].  Onto a resident last page nothing allocates but
+   the returned RID: the slot comes back as an int, and the fix builds
+   no closure and no boxed key. *)
+let insert_locked t record =
+  let page = t.last_page in
+  let slot =
+    if page = -1 then -1
+    else place t (Bufpool.fix t.buffer t.device page) record
+  in
+  if slot >= 0 then Rid.make ~device:(Device.id t.device) ~page ~slot
+  else begin
+    let page, frame = add_page t in
+    let slot = place t frame record in
+    if slot < 0 then
+      invalid_arg
+        (Printf.sprintf
+           "Heap_file.insert: record of %d bytes exceeds page capacity"
+           (String.length record));
+    Rid.make ~device:(Device.id t.device) ~page ~slot
+  end
+
 let insert t record =
   if String.length record = 0 then invalid_arg "Heap_file.insert: empty record";
   Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      let page_no, frame =
-        if t.last_page = -1 then add_page t
-        else (t.last_page, Bufpool.fix t.buffer t.device t.last_page)
-      in
-      match Page.insert (Bufpool.bytes frame) record with
-      | Some slot ->
-          Bufpool.mark_dirty frame;
-          Bufpool.unfix t.buffer frame;
-          t.records <- t.records + 1;
-          Rid.make ~device:(Device.id t.device) ~page:page_no ~slot
-      | None ->
-          Bufpool.unfix t.buffer frame;
-          let page_no, frame = add_page t in
-          (match Page.insert (Bufpool.bytes frame) record with
-          | Some slot ->
-              Bufpool.mark_dirty frame;
-              Bufpool.unfix t.buffer frame;
-              t.records <- t.records + 1;
-              Rid.make ~device:(Device.id t.device) ~page:page_no ~slot
-          | None ->
-              Bufpool.unfix t.buffer frame;
-              invalid_arg
-                (Printf.sprintf "Heap_file.insert: record of %d bytes exceeds page capacity"
-                   (String.length record))))
+  match insert_locked t record with
+  | rid ->
+      Mutex.unlock t.lock;
+      rid
+  | exception exn ->
+      Mutex.unlock t.lock;
+      raise exn
 
 let get t rid =
   if rid.Rid.device <> Device.id t.device then None

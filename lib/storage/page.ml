@@ -40,9 +40,8 @@ let free_space page =
 let dead_space page =
   let total = ref 0 in
   for i = 0 to n_slots page - 1 do
-    let off, len = slot page i in
-    if len = 0 && off > 0 then total := !total + off
     (* A dead slot stores the reclaimable length in its offset field. *)
+    if slot_len page i = 0 then total := !total + slot_off page i
   done;
   !total
 
@@ -126,35 +125,37 @@ let replace page slot_no record =
           false
         end
 
+(* The first dead slot, or -1.  A loop reading one length per slot: no
+   pair per slot, and no search closure. *)
 let find_dead_slot page =
   let n = n_slots page in
-  let rec search i = if i >= n then None else
-    let _, len = slot page i in
-    if len = 0 then Some i else search (i + 1)
-  in
-  search 0
+  let i = ref 0 in
+  while !i < n && slot_len page !i <> 0 do
+    incr i
+  done;
+  if !i < n then !i else -1
 
 let insert page record =
   let len = String.length record in
-  if len = 0 || len > 0xffff then None
+  if len = 0 || len > 0xffff then -1
   else begin
     let reuse = find_dead_slot page in
-    let slot_cost = match reuse with Some _ -> 0 | None -> slot_size in
-    let need = len + slot_cost in
+    let need = if reuse >= 0 then len else len + slot_size in
     if free_space page < need && total_free_space page >= need then compact page;
-    if free_space page < need then None
+    if free_space page < need then -1
     else begin
       let off = free_off page in
       Bytes.blit_string record 0 page off len;
       set_free_off page (off + len);
-      match reuse with
-      | Some i ->
-          set_slot page i ~off ~len;
-          Some i
-      | None ->
+      let i =
+        if reuse >= 0 then reuse
+        else begin
           let i = n_slots page in
           set_n_slots page (i + 1);
-          set_slot page i ~off ~len;
-          Some i
+          i
+        end
+      in
+      set_slot page i ~off ~len;
+      i
     end
   end

@@ -38,9 +38,10 @@ val free_space : bytes -> int
 val total_free_space : bytes -> int
 (** Free bytes counting dead-record space reclaimable by {!compact}. *)
 
-val insert : bytes -> string -> int option
+val insert : bytes -> string -> int
 (** [insert page record] places [record] and returns its slot, compacting
-    the page first if fragmentation demands it; [None] if it cannot fit. *)
+    the page first if fragmentation demands it; [-1] if it cannot fit.
+    Allocates nothing. *)
 
 val slot_off : bytes -> int -> int
 val slot_len : bytes -> int -> int

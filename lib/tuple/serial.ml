@@ -3,47 +3,66 @@ let tag_int = 1
 let tag_float = 2
 let tag_str = 3
 
-let field_size = function
-  | Value.Null -> 1
-  | Value.Int _ -> 9
-  | Value.Float _ -> 9
-  | Value.Str s ->
-      if String.length s > 0xffff then invalid_arg "Serial: string too long";
-      3 + String.length s
+(* The encoder's failures, built once, as the decoder's are below. *)
+let too_long = Invalid_argument "Serial: string too long"
+let too_small = Invalid_argument "Serial.encode_into: buffer too small"
 
-let encoded_size t = Array.fold_left (fun acc v -> acc + field_size v) 2 t
-
-let encode_into t buf ~pos =
-  let size = encoded_size t in
-  if pos + size > Bytes.length buf then invalid_arg "Serial.encode_into: buffer too small";
-  Bytes.set_uint16_le buf pos (Array.length t);
-  let cursor = ref (pos + 2) in
-  let put_field v =
-    match v with
-    | Value.Null ->
-        Bytes.set_uint8 buf !cursor tag_null;
-        cursor := !cursor + 1
-    | Value.Int x ->
-        Bytes.set_uint8 buf !cursor tag_int;
-        Bytes.set_int64_le buf (!cursor + 1) (Int64.of_int x);
-        cursor := !cursor + 9
-    | Value.Float x ->
-        Bytes.set_uint8 buf !cursor tag_float;
-        Bytes.set_int64_le buf (!cursor + 1) (Int64.bits_of_float x);
-        cursor := !cursor + 9
+(* Both encoder loops are call-free: one match per field, no fold
+   closure, no per-field size call. *)
+let encoded_size t =
+  let size = ref 2 in
+  for i = 0 to Array.length t - 1 do
+    match Array.unsafe_get t i with
+    | Value.Null -> size := !size + 1
+    | Value.Int _ | Value.Float _ -> size := !size + 9
     | Value.Str s ->
-        Bytes.set_uint8 buf !cursor tag_str;
-        Bytes.set_uint16_le buf (!cursor + 1) (String.length s);
-        Bytes.blit_string s 0 buf (!cursor + 3) (String.length s);
-        cursor := !cursor + 3 + String.length s
-  in
-  Array.iter put_field t;
-  size
+        let n = String.length s in
+        if n > 0xffff then raise too_long;
+        size := !size + 3 + n
+  done;
+  !size
+
+(* One pass: each field is bounds-checked as it is written, so the
+   record is never sized first. *)
+let encode_into t buf ~pos =
+  let limit = Bytes.length buf in
+  if pos < 0 || pos + 2 > limit then raise too_small;
+  Bytes.set_uint16_le buf pos (Array.length t);
+  let at = ref (pos + 2) in
+  for i = 0 to Array.length t - 1 do
+    let p = !at in
+    match Array.unsafe_get t i with
+    | Value.Null ->
+        if p >= limit then raise too_small;
+        Bytes.unsafe_set buf p (Char.unsafe_chr tag_null);
+        at := p + 1
+    | Value.Int x ->
+        if p + 9 > limit then raise too_small;
+        Bytes.unsafe_set buf p (Char.unsafe_chr tag_int);
+        Bytes.set_int64_le buf (p + 1) (Int64.of_int x);
+        at := p + 9
+    | Value.Float x ->
+        if p + 9 > limit then raise too_small;
+        Bytes.unsafe_set buf p (Char.unsafe_chr tag_float);
+        Bytes.set_int64_le buf (p + 1) (Int64.bits_of_float x);
+        at := p + 9
+    | Value.Str s ->
+        let n = String.length s in
+        if n > 0xffff then raise too_long;
+        if p + 3 + n > limit then raise too_small;
+        Bytes.unsafe_set buf p (Char.unsafe_chr tag_str);
+        Bytes.set_uint16_le buf (p + 1) n;
+        Bytes.unsafe_blit_string s 0 buf (p + 3) n;
+        at := p + 3 + n
+  done;
+  !at - pos
 
 let encode t =
   let buf = Bytes.create (encoded_size t) in
   let _ = encode_into t buf ~pos:0 in
   buf
+
+let encode_string t = Bytes.unsafe_to_string (encode t)
 
 (* Every decode is one walk of the record's fields.  [limit] bounds the
    record — the end of its slot, not of the buffer it sits in — so a
@@ -114,19 +133,17 @@ let field_value buf pos =
     Value.Float (Int64.float_of_bits (Bytes.get_int64_le buf (pos + 1)))
   else Value.Str (Bytes.sub_string buf (pos + 3) (Bytes.get_uint16_le buf (pos + 1)))
 
-(* The one field walker: decode the record at [pos], keeping the fields
-   [proj] keeps; [exact]: the record must end exactly at [limit].  The
-   caller proves [limit <= Bytes.length buf], and [field_count] proves
-   [0 <= pos].  Every field, kept or dropped, is validated by
-   [field_stop]; the fields past the last kept one are only stepped
-   over, by a loop that holds no call. *)
-let decode_fields proj buf ~pos ~limit ~exact =
-  let n = field_count buf pos limit in
+(* The one field walker: fill [t] from the [n] fields that start at
+   [pos], keeping the fields [proj] keeps, and return where the record
+   ends.  The caller proves [limit <= Bytes.length buf] and [0 <= pos].
+   Every field, kept or dropped, is validated by [field_stop]; the
+   fields past the last kept one are only stepped over, by a loop that
+   holds no call.  Inlined into both decoders, so neither pays a call
+   for it. *)
+let[@inline] walk proj buf t n ~pos ~limit =
   let all = proj.width < 0 in
   let last = if all then n else Array.length proj.slot_of in
-  if last > n then malformed "projected column out of range";
-  let t = Array.make (if all then n else proj.width) Value.Null in
-  let at = ref (pos + 2) in
+  let at = ref pos in
   for i = 0 to last - 1 do
     let p = !at in
     at := field_stop buf p limit;
@@ -136,22 +153,38 @@ let decode_fields proj buf ~pos ~limit ~exact =
   for _ = last to n - 1 do
     at := field_stop buf !at limit
   done;
-  if exact && !at <> limit then malformed "trailing bytes";
+  !at
+
+(* The output tuple for a record of [n] stored fields. *)
+let[@inline] output proj n =
+  if proj.width < 0 then Array.make n Value.Null
+  else if Array.length proj.slot_of > n then
+    malformed "projected column out of range"
+  else Array.make proj.width Value.Null
+
+let decode buf ~pos ~limit =
+  if limit > Bytes.length buf then malformed "limit past the buffer";
+  let p = !pos in
+  let n = field_count buf p limit in
+  let t = Array.make n Value.Null in
+  pos := walk full buf t n ~pos:(p + 2) ~limit;
   t
 
-let decode buf ~pos =
-  decode_fields full buf ~pos ~limit:(Bytes.length buf) ~exact:false
-
-let decode_bytes buf = decode buf ~pos:0
+let decode_bytes buf = decode buf ~pos:(ref 0) ~limit:(Bytes.length buf)
 
 let check_slice buf ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length buf - len then
     malformed "slice out of bounds"
 
-let decode_slice buf ~off ~len =
+(* A stored record fills its slot exactly. *)
+let decode_exact proj buf ~off ~len =
   check_slice buf ~off ~len;
-  decode_fields full buf ~pos:off ~limit:(off + len) ~exact:true
+  let limit = off + len in
+  let n = field_count buf off limit in
+  let t = output proj n in
+  if walk proj buf t n ~pos:(off + 2) ~limit <> limit then
+    malformed "trailing bytes";
+  t
 
-let decode_projected proj buf ~off ~len =
-  check_slice buf ~off ~len;
-  decode_fields proj buf ~pos:off ~limit:(off + len) ~exact:true
+let decode_slice buf ~off ~len = decode_exact full buf ~off ~len
+let decode_projected = decode_exact

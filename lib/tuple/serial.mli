@@ -11,18 +11,40 @@
     field costs one tag dispatch, plus its 2-byte length for a string;
     it is never materialized.  A kept field costs its tag dispatch plus
     its value (an [Int] or [Float] box, or a string copy), and the
-    output tuple is the only other allocation. *)
+    output tuple is the only other allocation.
+
+    The encoder is one pass too.  {!encode_into} writes each field as it
+    checks it against the end of the buffer — the record is never sized
+    first — and neither it nor {!encoded_size} makes a call per field:
+    each is one loop with one match per field.  Into a preallocated
+    buffer, encoding allocates nothing.  {!encode} and {!encode_string}
+    size the record (a walk of its fields, not of its bytes) to make
+    their one exact allocation. *)
 
 val encoded_size : Tuple.t -> int
+(** @raise Invalid_argument on a string longer than 65535 bytes. *)
 
 val encode : Tuple.t -> bytes
 
-val encode_into : Tuple.t -> bytes -> pos:int -> int
-(** [encode_into t buf ~pos] writes at [pos] and returns the bytes written.
-    @raise Invalid_argument if the buffer is too small. *)
+val encode_string : Tuple.t -> string
+(** The stored form of a record — a heap-file record, an index key, a
+    range bound — in one allocation: {!encode}'s buffer, never copied. *)
 
-val decode : bytes -> pos:int -> Tuple.t
-(** @raise Invalid_argument on malformed input. *)
+val encode_into : Tuple.t -> bytes -> pos:int -> int
+(** [encode_into t buf ~pos] writes at [pos] and returns the bytes
+    written.  The bytes of a record that did not fit may be partly
+    written.
+    @raise Invalid_argument if the buffer is too small, or on a string
+    longer than 65535 bytes. *)
+
+val decode : bytes -> pos:int ref -> limit:int -> Tuple.t
+(** The advancing decoder: decode the record at [!pos], reading nothing
+    at or past [limit], and leave [pos] where the record ends — the
+    start of the next record of a packed run — so a caller never sizes
+    a decoded record to step over it.  Bytes past the record up to
+    [limit] are not looked at.
+    @raise Invalid_argument on malformed or truncated input, or a
+    [limit] past the end of the buffer ([pos] is then unchanged). *)
 
 val decode_bytes : bytes -> Tuple.t
 (** Decode a buffer produced by {!encode}. *)

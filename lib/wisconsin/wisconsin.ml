@@ -93,9 +93,7 @@ let load ?seed ?(partitions = 0) ~env ~name ~n () =
           ~schema)
   in
   for i = 0 to n - 1 do
-    let record =
-      Bytes.to_string (Volcano_tuple.Serial.encode (gen i))
-    in
+    let record = Volcano_tuple.Serial.encode_string (gen i) in
     let _ = Volcano_storage.Heap_file.insert file record in
     if partitions > 0 then begin
       let _ =

@@ -222,6 +222,134 @@ let test_short_routed_frame () =
       | exception Wire.Corrupt _ -> ())
     [ 0; 1; 2; 3 ]
 
+(* The in-place twins of the three truncation properties above.  A
+   connection's input buffer is reused, so a payload sits in front of
+   stale bytes from earlier, longer frames: here each prefix is decoded
+   inside the full-length buffer, its length passed explicitly, and every
+   strict prefix must still be rejected. *)
+let prop_truncation_rejected_in_place =
+  QCheck.Test.make ~name:"every strict prefix is rejected in place (rows)"
+    ~count:60
+    QCheck.(list_of_size (QCheck.Gen.int_bound 4) tuple_arb)
+    (fun rows ->
+      let buf = Codec.encode_rows rows in
+      let rejected len =
+        match Codec.decode_rows ~len buf with
+        | _ -> false
+        | exception Wire.Corrupt _ -> true
+      in
+      Codec.decode_rows ~len:(Bytes.length buf) buf = rows
+      && List.for_all rejected (List.init (Bytes.length buf) Fun.id))
+
+let prop_packet_truncation_rejected_in_place =
+  QCheck.Test.make ~name:"every strict prefix is rejected in place (packet)"
+    ~count:60
+    QCheck.(list_of_size (QCheck.Gen.int_bound 4) tuple_arb)
+    (fun rows ->
+      let capacity = max 1 (List.length rows) in
+      let src = Packet.create ~capacity ~producer:0 in
+      List.iter (Packet.add src) rows;
+      let buf = Codec.encode src in
+      let shell () = Packet.create ~capacity ~producer:1 in
+      let rejected len =
+        match Codec.decode_into ~len buf (shell ()) with
+        | () -> false
+        | exception Wire.Corrupt _ -> true
+      in
+      List.for_all rejected (List.init (Bytes.length buf) Fun.id))
+
+let prop_routed_truncation_rejected_in_place =
+  QCheck.Test.make ~name:"every strict prefix is rejected in place (routed)"
+    ~count:60
+    QCheck.(list_of_size (QCheck.Gen.int_bound 4) tuple_arb)
+    (fun rows ->
+      let frame = routed_frame rows in
+      let shell () =
+        Packet.create ~capacity:(max 1 (List.length rows)) ~producer:1
+      in
+      let rejected len =
+        match Codec.decode_into ~off:2 ~len frame (shell ()) with
+        | () -> false
+        | exception Wire.Corrupt _ -> true
+      in
+      List.for_all rejected (List.init (Bytes.length frame) Fun.id))
+
+let packet_of rows =
+  let packet = Packet.create ~capacity:(List.length rows) ~producer:0 in
+  List.iter (Packet.add packet) rows;
+  packet
+
+let rows_of packet = List.init (Packet.length packet) (Packet.get packet)
+
+(* A short frame read after a long one on the same connection lands in
+   the same input buffer, in front of the long frame's tail, and decodes
+   to exactly its own rows. *)
+let test_short_frame_after_long () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer = Wire.conn a and reader = Wire.conn b in
+  let long =
+    List.init 40 (fun i ->
+        Tuple.make [ Value.Int i; Value.Str (String.make 30 'x') ])
+  and short = [ Tuple.of_ints [ 7 ]; Tuple.make [ Value.Null ] ] in
+  Codec.send writer (packet_of long);
+  Codec.send writer ~dest:1 (packet_of short);
+  let read_into ?off () =
+    let _kind, len = Wire.read reader in
+    let shell = Packet.create ~capacity:64 ~producer:0 in
+    Codec.decode_into ?off ~len (Wire.payload reader) shell;
+    (len, rows_of shell)
+  in
+  let long_len, long_rows = read_into () in
+  let short_len, short_rows = read_into ~off:2 () in
+  Unix.close a;
+  Unix.close b;
+  Alcotest.(check bool) "the long frame's rows" true (long_rows = long);
+  Alcotest.(check bool)
+    "stale bytes follow the short payload" true
+    (short_len < long_len && Bytes.length (Wire.payload reader) >= long_len);
+  Alcotest.(check bool) "exactly the short frame's rows" true
+    (short_rows = short)
+
+(* Reading data frames allocates no frame: the payload lands in the
+   connection's input buffer.  A fresh ~12 KB payload per frame is a
+   major-heap allocation (past the minor heap's object limit) of ~1,500
+   words; after warm-up a read adds under 16 major words per frame. *)
+let test_frame_read_allocation () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer = Wire.conn a and reader = Wire.conn b in
+  let packet =
+    packet_of (List.init 83 (fun i -> Tuple.of_ints (List.init 16 (( + ) i))))
+  in
+  let warm = 20 and n = 200 in
+  let sender =
+    Thread.create
+      (fun () ->
+        for _ = 1 to warm + n do
+          Codec.send writer packet
+        done)
+      ()
+  in
+  for _ = 1 to warm do
+    ignore (Wire.read reader)
+  done;
+  let major () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let before = major () in
+  let bytes = ref 0 in
+  for _ = 1 to n do
+    let _, len = Wire.read reader in
+    bytes := !bytes + len
+  done;
+  let per_frame = (major () -. before) /. float_of_int n in
+  Thread.join sender;
+  Unix.close a;
+  Unix.close b;
+  Alcotest.(check int) "payload bytes" (n * (2 + (83 * 146))) !bytes;
+  if per_frame >= 16.0 then
+    Alcotest.failf "%.1f major words per frame read, bound 16" per_frame
+
 let test_wire_hello_err_roundtrip () =
   let h =
     Wire.parse_hello
@@ -355,6 +483,110 @@ let test_remote_sample () =
       Alcotest.(check int) "every row crossed" 3000 s.records
   | None -> Alcotest.fail "remote exchange not sampled");
   check_quiescent ~what:"remote sample" env ~unjoined0 ~live0
+
+(* A repartitioning remote edge: [workers] sites route [n] rows on
+   column 0 to the 2 ranks of the exchange above. *)
+let routed_plan ~workers ~task n =
+  Plan.Exchange
+    {
+      cfg = Exchange.config ~degree:2 ~packet_size:83 ();
+      input =
+        Plan.Remote
+          {
+            cfg =
+              Exchange.config ~degree:workers ~packet_size:83
+                ~partition:(Exchange.Hash_on [ 0 ]) ~flow_slack:(Some 4) ();
+            workers;
+            task;
+            input = gen_plan n;
+          };
+    }
+
+(* A routed packet's shell comes from the lane of the consumer it is
+   routed to, so the consumer recycles it into the lane it came from and
+   the feeder reuses it.  Drawing every routed shell from consumer 0's
+   lane left half the consumers' recycled shells unused: a reuse ratio
+   near 0.5 on two consumers. *)
+let test_routed_packet_reuse () =
+  let env = Env.create ~frames:128 ~page_size:512 () in
+  register env;
+  let unjoined0 = Exchange.unjoined_domains () in
+  let live0 = Exchange.live_domains () in
+  let plan = routed_plan ~workers:2 ~task:"gen:40000" 40000 in
+  let remote_node = match plan with Plan.Exchange { input; _ } -> input | _ -> plan in
+  let sink = Volcano_obs.Obs.create () in
+  let obs = Compile.observe sink plan in
+  (match
+     run_with_timeout (fun () ->
+         Volcano.Iterator.to_list (Compile.compile ~obs env plan))
+   with
+  | Rows rows -> Alcotest.(check int) "rows" 40000 (List.length rows)
+  | Raised exn ->
+      Alcotest.failf "routed run failed: %s" (Printexc.to_string exn)
+  | Timeout -> Alcotest.fail "routed run hung");
+  (match
+     Option.bind (obs.Compile.node_of remote_node) (fun node ->
+         Volcano_obs.Obs.exchange_sample sink ~node)
+   with
+  | Some s ->
+      let ratio =
+        float_of_int s.Volcano_obs.Obs.pool_reused
+        /. float_of_int (s.pool_allocated + s.pool_reused)
+      in
+      if ratio < 0.75 then
+        Alcotest.failf "routed packet reuse ratio %.3f (%d fresh, %d reused)"
+          ratio s.pool_allocated s.pool_reused
+  | None -> Alcotest.fail "remote exchange not sampled");
+  check_quiescent ~what:"routed packet reuse" env ~unjoined0 ~live0
+
+(* A rogue worker for [test_routed_dest_out_of_range]: it answers its
+   Hello with one hand-built routed frame naming consumer [dests] — one
+   past the last — then a clean Eos. *)
+let rogue_worker_main ~socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let conn = Wire.conn fd in
+  let control () =
+    let _, len = Wire.read conn in
+    Bytes.sub (Wire.payload conn) 0 len
+  in
+  let hello = Wire.parse_hello (control ()) in
+  let { Wire.dests; _ } = Wire.parse_repartition (control ()) in
+  let packet = Packet.create ~capacity:hello.Wire.packet_size ~producer:0 in
+  Packet.add packet (Tuple.of_ints [ 1; 1 ]);
+  Codec.send conn ~dest:dests packet;
+  Wire.write conn Wire.Eos Bytes.empty;
+  Unix.close fd
+
+(* A routed frame naming a consumer the edge does not have is a corrupt
+   frame: exactly one [Query_failed] carrying [Wire.Corrupt], never its
+   rows delivered to some other rank. *)
+let test_routed_dest_out_of_range () =
+  let env = Env.create ~frames:128 ~page_size:512 () in
+  Env.set_remote_launcher env (fun ~faults ~repartition ~workers ~task
+                                   ~packet_size ->
+      (Launcher.launch ~faults
+         ?repartition:
+           (Option.map
+              (fun (spec, dests) -> Repart.of_partition_spec spec ~dests)
+              repartition)
+         ~command:(fun ~socket ->
+           [| Sys.executable_name; "net-rogue-worker"; socket |])
+         ~workers ~task ~packet_size ())
+        .Launcher.sources);
+  let unjoined0 = Exchange.unjoined_domains () in
+  let live0 = Exchange.live_domains () in
+  (match
+     run_with_timeout (fun () ->
+         Runner.run env (routed_plan ~workers:1 ~task:"rogue" 10))
+   with
+  | Raised (Exchange.Query_failed { origin = Wire.Corrupt _; _ }) -> ()
+  | Raised exn ->
+      Alcotest.failf "out-of-range routing surfaced as %s"
+        (Printexc.to_string exn)
+  | Rows _ -> Alcotest.fail "a frame routed past the last consumer was accepted"
+  | Timeout -> Alcotest.fail "out-of-range routing hung the query");
+  check_quiescent ~what:"routed dest out of range" env ~unjoined0 ~live0
 
 (* A worker process killed mid-stream must surface as exactly one
    [Query_failed] at the consumer — no hang, no partial result. *)
@@ -619,12 +851,23 @@ let suite =
     QCheck_alcotest.to_alcotest prop_routed_truncation_rejected;
     Alcotest.test_case "routed frame shorter than its header" `Quick
       test_short_routed_frame;
+    QCheck_alcotest.to_alcotest prop_truncation_rejected_in_place;
+    QCheck_alcotest.to_alcotest prop_packet_truncation_rejected_in_place;
+    QCheck_alcotest.to_alcotest prop_routed_truncation_rejected_in_place;
+    Alcotest.test_case "short frame after a long one" `Quick
+      test_short_frame_after_long;
+    Alcotest.test_case "frame reads allocate no frame" `Quick
+      test_frame_read_allocation;
     Alcotest.test_case "hello/err frames round-trip" `Quick
       test_wire_hello_err_roundtrip;
     Alcotest.test_case "golden wire fixture" `Quick test_golden_frame;
     Alcotest.test_case "remote matches local over the corpus" `Slow
       test_remote_local_differential;
     Alcotest.test_case "remote edge samples its port" `Slow test_remote_sample;
+    Alcotest.test_case "routed packets reuse their lane's shells" `Slow
+      test_routed_packet_reuse;
+    Alcotest.test_case "routed frame past the last consumer" `Slow
+      test_routed_dest_out_of_range;
     Alcotest.test_case "killed worker yields one Query_failed" `Slow
       test_killed_worker;
     Alcotest.test_case "worker task failure crosses as Query_failed" `Slow

@@ -547,6 +547,51 @@ let test_support_allocation () =
       );
     ]
 
+(* Encoding a record into a preallocated buffer allocates nothing: one
+   call-free pass over the fields, no size walk, no closure per record.
+   The record is a 16-field Wisconsin row, strings included. *)
+let test_encode_into_allocation () =
+  let t = Volcano_wisconsin.Wisconsin.generator ~n:1000 () 7 in
+  let buf = Bytes.create (Volcano_tuple.Serial.encoded_size t) in
+  let calls = 10_000 in
+  let encode () =
+    for _ = 1 to calls do
+      ignore
+        (Sys.opaque_identity (Volcano_tuple.Serial.encode_into t buf ~pos:0))
+    done
+  in
+  encode ();
+  let per_record = words_per ~n:calls encode in
+  if per_record >= 0.01 then
+    Alcotest.failf "Serial.encode_into: %.3f minor words per record"
+      per_record
+
+(* A pre-encoded record inserted onto a resident page allocates its RID
+   (4 words) and nothing else: no [Fun.protect] closures, no fix-path
+   closure or boxed frame-table key, no pair per slot examined and no
+   option for the slot.  The page is large enough that every measured
+   insert lands on it. *)
+let test_heap_insert_allocation () =
+  let page_size = 32768 and n = 150 and bound = 4.5 in
+  let buffer = Bufpool.create ~frames:8 ~page_size () in
+  let device = Device.create_virtual ~page_size ~capacity:16 () in
+  let file = Heap_file.create ~buffer ~device ~name:"alloc" in
+  let record =
+    Volcano_tuple.Serial.encode_string
+      (Volcano_wisconsin.Wisconsin.generator ~n:1000 () 7)
+  in
+  ignore (Heap_file.insert file record);
+  let per_insert =
+    words_per ~n (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Heap_file.insert file record))
+        done)
+  in
+  check Alcotest.int "every insert on the resident page" 1
+    (Heap_file.page_count file);
+  if per_insert >= bound then
+    Alcotest.failf "%.2f minor words per insert, bound %.1f" per_insert bound
+
 let test_cartesian_product () =
   let left = input_of_ints 1 [ 1; 2 ] in
   let right = input_of_ints 2 [ 7; 8; 9 ] in
@@ -744,4 +789,8 @@ let suite =
     Alcotest.test_case "fused scan allocation" `Quick test_fused_scan_allocation;
     Alcotest.test_case "support function allocation" `Quick
       test_support_allocation;
+    Alcotest.test_case "encode_into allocation" `Quick
+      test_encode_into_allocation;
+    Alcotest.test_case "heap insert allocation" `Quick
+      test_heap_insert_allocation;
   ]

@@ -35,8 +35,8 @@ let test_page_insert_read () =
   let page = fresh_page () in
   let s1 = Page.insert page "hello" in
   let s2 = Page.insert page "world!" in
-  check (Alcotest.option Alcotest.int) "slot 0" (Some 0) s1;
-  check (Alcotest.option Alcotest.int) "slot 1" (Some 1) s2;
+  check Alcotest.int "slot 0" 0 s1;
+  check Alcotest.int "slot 1" 1 s2;
   check (Alcotest.option Alcotest.string) "read 0" (Some "hello") (Page.read page 0);
   check (Alcotest.option Alcotest.string) "read 1" (Some "world!") (Page.read page 1);
   check (Alcotest.option Alcotest.string) "read bad" None (Page.read page 2)
@@ -49,7 +49,7 @@ let test_page_delete_reuse () =
   check Alcotest.bool "double delete" false (Page.delete page 0);
   check (Alcotest.option Alcotest.string) "dead slot" None (Page.read page 0);
   (* The dead slot is reused. *)
-  check (Alcotest.option Alcotest.int) "reuse" (Some 0) (Page.insert page "cccc");
+  check Alcotest.int "reuse" 0 (Page.insert page "cccc");
   check (Alcotest.option Alcotest.string) "new value" (Some "cccc")
     (Page.read page 0)
 
@@ -58,9 +58,8 @@ let test_page_fill_and_compact () =
   (* Fill the page with records, then delete every other one and verify the
      reclaimed space is usable after compaction. *)
   let rec fill n =
-    match Page.insert page (Printf.sprintf "record-%04d" n) with
-    | Some _ -> fill (n + 1)
-    | None -> n
+    if Page.insert page (Printf.sprintf "record-%04d" n) >= 0 then fill (n + 1)
+    else n
   in
   let inserted = fill 0 in
   check Alcotest.bool "filled some" true (inserted > 5);
@@ -70,7 +69,7 @@ let test_page_fill_and_compact () =
   (* This insert is bigger than any single free gap before compaction. *)
   let big = String.make 20 'x' in
   check Alcotest.bool "compaction made room" true
-    (Page.insert page big <> None);
+    (Page.insert page big >= 0);
   (* Survivors are intact. *)
   for i = 0 to inserted - 1 do
     if i mod 2 = 1 then
@@ -95,10 +94,10 @@ let prop_page_model =
         (fun (do_insert, payload) ->
           if do_insert || Hashtbl.length model = 0 then (
             match Page.insert page payload with
-            | Some slot ->
+            | -1 -> true (* full is fine *)
+            | slot ->
                 Hashtbl.replace model slot payload;
-                true
-            | None -> true (* full is fine *))
+                true)
           else begin
             let slot = Hashtbl.fold (fun k _ acc -> max k acc) model (-1) in
             let ok = Page.delete page slot in

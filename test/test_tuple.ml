@@ -163,9 +163,14 @@ let test_serial_offset () =
   let t1 = Tuple.of_ints [ 1; 2 ] and t2 = Tuple.of_ints [ 3 ] in
   let buf = Bytes.create 100 in
   let n1 = Serial.encode_into t1 buf ~pos:0 in
-  let _ = Serial.encode_into t2 buf ~pos:n1 in
-  check Alcotest.bool "first" true (Tuple.equal t1 (Serial.decode buf ~pos:0));
-  check Alcotest.bool "second" true (Tuple.equal t2 (Serial.decode buf ~pos:n1))
+  let n2 = Serial.encode_into t2 buf ~pos:n1 in
+  let pos = ref 0 in
+  check Alcotest.bool "first" true
+    (Tuple.equal t1 (Serial.decode buf ~pos ~limit:100));
+  check Alcotest.int "first ends" n1 !pos;
+  check Alcotest.bool "second" true
+    (Tuple.equal t2 (Serial.decode buf ~pos ~limit:100));
+  check Alcotest.int "second ends" (n1 + n2) !pos
 
 (* --- decoder totality ------------------------------------------------ *)
 
@@ -263,6 +268,40 @@ let prop_decode_truncations =
           && rejects (fun () -> Serial.decode_projected p b ~off:0 ~len))
         (Bytes.length r + 1 :: List.init (Bytes.length r) Fun.id))
 
+(* The advancing decoder leaves its position exactly where the record
+   it returns ends — [encoded_size] of that record past where it began —
+   whatever bytes follow it up to the limit. *)
+let prop_decode_advances =
+  QCheck.Test.make ~name:"the advancing decoder stops at the record's end"
+    ~count:1000
+    QCheck.(
+      triple tuple_arb
+        (make Gen.(string_size (int_range 0 12)))
+        (make Gen.(string_size (int_range 0 12))))
+    (fun (t, before, after) ->
+      let r = Serial.encode t in
+      let b = Bytes.of_string (before ^ Bytes.to_string r ^ after) in
+      let start = String.length before in
+      let pos = ref start in
+      let got = Serial.decode b ~pos ~limit:(Bytes.length b) in
+      Tuple.equal t got && !pos = start + Serial.encoded_size got)
+
+(* On hostile bytes and an arbitrary (possibly out-of-range) position
+   and limit, the advancing decoder still raises only [Invalid_argument],
+   and a rejected record leaves the position where it was. *)
+let prop_decode_advancing_total =
+  QCheck.Test.make ~name:"the advancing decoder raises only Invalid_argument"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (b, off, len, _) ->
+         Printf.sprintf "%S pos=%d limit=%d" (Bytes.to_string b) off (off + len))
+       hostile_gen)
+    (fun (b, off, len, _) ->
+      let pos = ref off in
+      match Serial.decode b ~pos ~limit:(off + len) with
+      | _ -> true
+      | exception Invalid_argument _ -> !pos = off)
+
 let test_projection_rejects () =
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Serial.projection: duplicate column") (fun () ->
@@ -321,6 +360,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_decode_total;
     QCheck_alcotest.to_alcotest prop_decode_in_range;
     QCheck_alcotest.to_alcotest prop_decode_truncations;
+    QCheck_alcotest.to_alcotest prop_decode_advances;
+    QCheck_alcotest.to_alcotest prop_decode_advancing_total;
     Alcotest.test_case "projection rejects bad columns" `Quick
       test_projection_rejects;
     Alcotest.test_case "support comparators" `Quick test_support_comparators;
