@@ -15,8 +15,7 @@
    --check re-measures the fig2 sweep against a committed baseline JSON
    and exits nonzero when any packet size regresses beyond the tolerance
    (default 0.15); --check-mq does the same for the concurrent-query
-   bench against BENCH_mq.json and additionally enforces the pooled
-   scheduler's 2x-over-dedicated throughput floor; --check-batch does
+   bench's pooled makespan against BENCH_mq.json; --check-batch does
    the same for the batch-size sweep against BENCH_batch.json and
    enforces the 2x best-batch-over-record-at-a-time floor; --check-serve
    re-drives the concurrent-client serving burst against BENCH_serve.json

@@ -889,29 +889,53 @@ let degree_arg =
 let limit_arg =
   Arg.(value & opt int 10 & info [ "limit" ] ~docv:"K" ~doc:"Rows to print.")
 
+(* Worker and batch counts are checked where they are parsed, so every
+   subcommand reports a bad value as a usage error (exit 124). *)
+let checked_int check =
+  let parse s =
+    match int_of_string_opt s with
+    | None ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+    | Some n -> (
+        match check n with None -> Ok n | Some msg -> Error (`Msg msg))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let workers_conv =
+  checked_int (fun n ->
+      if n >= 1 then None
+      else
+        Some (Printf.sprintf "a worker pool needs at least 1 worker, got %d" n))
+
+let batch_size_conv =
+  checked_int (fun n ->
+      match Volcano.Batch.validate ~batch_size:n with
+      | [] -> None
+      | (_, msg) :: _ -> Some msg)
+
 let workers_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some workers_conv) None
     & info [ "workers" ] ~docv:"W"
         ~doc:
-          "Size of the session's private worker pool (default: the shared \
-           process-wide pool of one domain per core, at least 2, or \
-           $(b,VOLCANO_WORKERS) when set).  A pool larger than the host's \
-           cores is slower, not faster: every domain joins each \
-           stop-the-world minor GC.  The optimizer prices a pool smaller \
-           than a plan's degree into the plan's cost.")
+          "Size of the session's private worker pool, at least 1 (default: \
+           the shared process-wide pool of one domain per core, at least \
+           2).  A pool larger than the host's cores is slower, not faster: \
+           every domain joins each stop-the-world minor GC.  The optimizer \
+           prices a pool smaller than a plan's degree into the plan's cost.")
 
 let batch_size_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some batch_size_conv) None
     & info [ "batch-size" ] ~docv:"B"
         ~doc:
           "Records per fused batch on the vectorized execution path: fusible \
            scan chains compile to one tight loop yielding batches of this \
-           many records.  0 compiles everything record-at-a-time.  Default: \
-           \\$(b,VOLCANO_BATCH_SIZE) when set, else 64.")
+           many records, 1 to 255.  0 compiles everything \
+           record-at-a-time.  Default: 64.")
 
 let name_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY")
@@ -945,11 +969,11 @@ let analyze_term =
   let workers =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some workers_conv) None
       & info [ "workers" ] ~docv:"W"
           ~doc:
-            "Assume a worker pool of this size for the scheduler-placement \
-             advisory (VL501); 0 disables it.  Default: the pool this \
+            "Assume a worker pool of this size, at least 1, for the \
+             scheduler-placement advisory (VL501).  Default: the pool this \
              process would run the query on.")
   in
   let flow_budget =

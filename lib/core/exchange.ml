@@ -136,9 +136,8 @@ let live_domains () = Atomic.get live_counter
 let unjoined_domains () = domains_spawned () - domains_joined ()
 
 (* Producers are scheduler tasks, not dedicated domains: the counters keep
-   their historical names but count tasks submitted to [sched].  Under a
-   pool scheduler many tasks share a few worker domains; under
-   [Sched.dedicated] each task still gets its own domain. *)
+   their historical names but count tasks submitted to [sched], where many
+   tasks share a few worker domains. *)
 let spawn_task sched body =
   Atomic.incr spawn_counter;
   Atomic.incr live_counter;
@@ -287,7 +286,7 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
   (* "waits until the consumer allows closing all open files" — records may
      still be in flight or pinned by consumers (section 4.1).  The gate is
      a broadcast event: waiting suspends a pooled producer instead of
-     occupying its worker domain, and blocks a dedicated one on its gate. *)
+     occupying its worker domain. *)
   Sched.Event.wait close_allowed;
   closer_slot := None;
   source.Batch.stop ()

@@ -23,15 +23,13 @@
     within a process and data-driven dataflow between processes.
 
     "Processes" are tasks on a {!Volcano_sched.Sched} scheduler (shared
-    memory, like the paper's Sequent processes).  Under the default pool
-    scheduler producers are closures submitted to a fixed set of worker
-    domains; under {!Volcano_sched.Sched.dedicated} each producer still
-    gets a fresh domain, reproducing the original fork-per-producer
-    behaviour.  Every blocking wait of an exchange — a full lane, an empty
-    sink, an unpublished port, the close gate, a producer join — is one
-    {!Volcano_sched.Sched.suspend}: a pool fiber yields its worker, any
-    other process (the query's root thread, a remote feeder domain, a
-    dedicated-mode producer) blocks on a gate made for that wait.
+    memory, like the paper's Sequent processes): producers are closures
+    submitted to a fixed pool of worker domains.  Every blocking wait of
+    an exchange — a full lane, an empty sink, an unpublished port, the
+    close gate, a producer join — is one {!Volcano_sched.Sched.suspend}: a
+    pool fiber yields its worker, any other process (the query's root
+    thread, a remote feeder domain) blocks on a gate made for that
+    wait.
 
     {2 Failure semantics}
 
@@ -246,8 +244,7 @@ val interchange :
 (** {2 Instrumentation}
 
     The counters keep their historical names but count producer {e tasks}
-    submitted to the scheduler — under {!Volcano_sched.Sched.dedicated}
-    these are still one domain each. *)
+    submitted to the scheduler. *)
 
 val domains_spawned : unit -> int
 (** Total producer tasks forked so far (tests, spawn ablation). *)

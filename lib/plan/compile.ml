@@ -665,7 +665,11 @@ let analyze ?workers ?flow_budget ?batch_size env plan =
     Volcano_storage.Bufpool.frames_total (Env.buffer env)
   in
   let workers =
-    match workers with Some w -> w | None -> Env.sched_workers env
+    match workers with
+    | Some w when w < 1 ->
+        invalid_arg "Compile.analyze: workers must be positive"
+    | Some w -> w
+    | None -> Env.sched_workers env
   in
   let batch_size =
     match batch_size with Some b -> b | None -> Env.batch_size env

@@ -42,11 +42,11 @@ val analyze :
 (** Run all analyzer passes on the plan (sorted errors-first), resolving
     leaves against the environment's catalog, sizing the resource pass
     from its buffer pool, the scheduler-placement pass from its
-    worker pool ({!Env.sched_workers}; override with [workers] — 0
-    disables the advisory), and the batch pass from its vectorization
-    knob ({!Env.batch_size}; override with [batch_size]).
-    [flow_budget] bounds the flow-control memory pass (see
-    {!Planlint}).  Warnings do not block compilation. *)
+    worker pool ({!Env.sched_workers}; override with [workers]), and the
+    batch pass from its vectorization knob ({!Env.batch_size}; override
+    with [batch_size]).  [flow_budget] bounds the flow-control memory pass
+    (see {!Planlint}).  Warnings do not block compilation.
+    @raise Invalid_argument if [workers < 1]. *)
 
 val compile :
   ?check:bool ->

@@ -40,19 +40,8 @@ let check_batch_size ~what n =
   | [] -> n
   | (_, msg) :: _ -> invalid_arg (what ^ ": " ^ msg)
 
-(* The default batch size: the VOLCANO_BATCH_SIZE environment variable
-   when set to a valid value (0 disables the batch path), else
-   [Batch.default_size]. *)
-let default_batch_size () =
-  match Sys.getenv_opt "VOLCANO_BATCH_SIZE" with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when Volcano.Batch.validate ~batch_size:n = [] -> n
-      | Some _ | None -> Volcano.Batch.default_size)
-  | None -> Volcano.Batch.default_size
-
 let create ?(frames = 256) ?(page_size = 4096) ?(workspace_capacity = 65536)
-    ?batch_size ?sched () =
+    ?(batch_size = Volcano.Batch.default_size) ?sched () =
   {
     buffer = Bufpool.create ~frames ~page_size ();
     workspace =
@@ -63,10 +52,7 @@ let create ?(frames = 256) ?(page_size = 4096) ?(workspace_capacity = 65536)
     indexes = Hashtbl.create 16;
     lock = Mutex.create ();
     run_capacity = 65536;
-    batch_size =
-      (match batch_size with
-      | Some n -> check_batch_size ~what:"Env.create" n
-      | None -> default_batch_size ());
+    batch_size = check_batch_size ~what:"Env.create" batch_size;
     faults = Injector.none;
     remote = None;
     sched =
@@ -83,14 +69,10 @@ let sched t = Lazy.force t.sched
 (* Worker count for the analyzer's placement advisory, WITHOUT forcing
    the lazy scheduler — analysis of a catalog-only env must not start
    the process-global pool.  When the scheduler has not materialized we
-   predict what [Sched.default] would build (mirroring its VOLCANO_SCHED
-   check); 0 means dedicated/domain-per-task. *)
+   predict the size of the pool [Sched.default] would build. *)
 let sched_workers t =
   if Lazy.is_val t.sched then Sched.workers (Lazy.force t.sched)
-  else
-    match Sys.getenv_opt "VOLCANO_SCHED" with
-    | Some "dedicated" -> 0
-    | _ -> Sched.default_workers ()
+  else Sched.default_workers ()
 
 let spill t =
   { Volcano_ops.Sort.device = t.workspace; buffer = t.buffer }

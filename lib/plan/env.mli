@@ -17,9 +17,8 @@ val create :
     and the process-wide {!Volcano_sched.Sched.default} scheduler (forced
     lazily, on first use — pass [~sched] to pin a specific scheduler).
     [batch_size] is the vectorized-execution knob (see {!batch_size});
-    its default is the [VOLCANO_BATCH_SIZE] environment variable when set
-    to a valid value, else {!Volcano.Batch.default_size}.
-    @raise Invalid_argument when an explicit [batch_size] fails
+    its default is {!Volcano.Batch.default_size}.
+    @raise Invalid_argument when [batch_size] fails
     {!Volcano.Batch.validate}. *)
 
 val buffer : t -> Volcano_storage.Bufpool.t
@@ -38,10 +37,9 @@ val sched : t -> Volcano_sched.Sched.t
 
 val sched_workers : t -> int
 (** The worker-pool size this environment's queries will run on, for the
-    analyzer's placement advisory; 0 for the dedicated (domain-per-task)
-    scheduler.  Unlike {!sched} this never forces the lazy default
-    scheduler: for an env that has not run anything yet it predicts the
-    pool {!Volcano_sched.Sched.default} would build. *)
+    analyzer's placement advisory.  Unlike {!sched} this never forces the
+    lazy default scheduler: for an env that has not run anything yet it
+    predicts the pool {!Volcano_sched.Sched.default} would build. *)
 
 val register_table :
   t ->

@@ -461,15 +461,14 @@ let resource_pass emit ~domains:d ~frames root =
 let oversub = 4
 
 (* Every exchange producer is one scheduler task alive for the whole
-   query.  On the pooled scheduler those tasks share [workers] domains;
-   a modest oversubscription is healthy (producers block on flow control
-   and I/O), but past it consumers wait whole scheduling rounds between
+   query, and those tasks share [workers] domains.  A modest
+   oversubscription is healthy (producers block on flow control and
+   I/O), but past it consumers wait whole scheduling rounds between
    packets and the fork-per-group latency the pool was built to hide
-   comes back as queueing delay.  With [workers = 0] (the dedicated
-   scheduler, one domain per task) the advisory does not apply. *)
+   comes back as queueing delay. *)
 let sched_pass emit ~domains:tasks ~workers =
   let limit = oversub * workers in
-  if workers > 0 && tasks > limit then
+  if tasks > limit then
     emit
       (Diag.warning ~code:"sched-dop" ~path:"root"
          (Printf.sprintf

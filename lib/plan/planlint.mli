@@ -30,8 +30,7 @@
     - resource: forked domains (over 512) and concurrently fixed buffer
       pages against the pool's [frames].
     - scheduler: the plan's producer-task count against 4 times the
-      [workers] pool size ([sched-dop]); 0 workers (the dedicated
-      scheduler) disables it.
+      [workers] pool size ([sched-dop]).
     - memory: the worst-case record count buffered under flow control —
       [degree x consumers x flow_slack x packet_size] summed over
       flow-controlled edges — against [flow_budget] (default [2^20]).

@@ -82,10 +82,9 @@ let render r =
   let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   add "%d rows in %s  (%d producer tasks)" r.rows (fmt_s r.elapsed_s)
     r.domains;
-  if r.sched.Sched.pool_workers > 0 then
-    add "sched: %d workers, %d tasks (%d stolen), %d suspensions"
-      r.sched.Sched.pool_workers r.sched.Sched.submitted r.sched.Sched.stolen
-      r.sched.Sched.suspensions;
+  add "sched: %d workers, %d tasks (%d stolen), %d suspensions"
+    r.sched.Sched.pool_workers r.sched.Sched.submitted r.sched.Sched.stolen
+    r.sched.Sched.suspensions;
   add "buffer: %d hits, %d misses, %d evictions, %d writebacks, %d restarts"
     r.buffer.Bufpool.hits r.buffer.Bufpool.misses r.buffer.Bufpool.evictions
     r.buffer.Bufpool.writebacks r.buffer.Bufpool.restarts;

@@ -44,13 +44,13 @@ val create :
 (** [frames]/[page_size]/[workspace_capacity]/[batch_size] size the
     environment as in {!Env.create} ([batch_size] is the vectorized
     execution knob: 0 disables batching, default
-    {!Volcano.Batch.default_size} or the [VOLCANO_BATCH_SIZE]
-    environment variable).  Scheduling: [~sched] adopts an existing
-    scheduler, [~workers:n] creates a private [n]-worker pool owned (and
-    shut down) by this session; default is the shared process-wide
-    {!Volcano_sched.Sched.default}.  [max_concurrent] bounds plans in
-    flight as in {!Volcano_sched.Runtime.create}.
-    @raise Invalid_argument when both [~sched] and [~workers] are given. *)
+    {!Volcano.Batch.default_size}).  Scheduling: [~sched] adopts an
+    existing scheduler, [~workers:n] creates a private [n]-worker pool
+    owned (and shut down) by this session; default is the shared
+    process-wide {!Volcano_sched.Sched.default}.  [max_concurrent] bounds
+    plans in flight as in {!Volcano_sched.Runtime.create}.
+    @raise Invalid_argument when both [~sched] and [~workers] are given,
+    or when [workers < 1]. *)
 
 val with_session :
   ?frames:int ->

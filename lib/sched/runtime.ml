@@ -53,8 +53,7 @@ type 'a job = {
 }
 
 let create ?max_concurrent sched =
-  let default = match Sched.workers sched with 0 -> 4 | w -> w in
-  let max_c = Option.value max_concurrent ~default in
+  let max_c = Option.value max_concurrent ~default:(Sched.workers sched) in
   if max_c < 1 then
     invalid_arg "Runtime.create: max_concurrent must be positive";
   {

@@ -11,8 +11,8 @@
 type t
 
 val create : ?max_concurrent:int -> Sched.t -> t
-(** Default [max_concurrent]: the scheduler's worker count (or 4 on the
-    dedicated scheduler).  Raises [Invalid_argument] if [< 1]. *)
+(** Default [max_concurrent]: the scheduler's worker count.  Raises
+    [Invalid_argument] if [< 1]. *)
 
 val sched : t -> Sched.t
 val max_concurrent : t -> int

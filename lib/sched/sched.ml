@@ -16,16 +16,16 @@ module Obs = Volcano_obs.Obs
    later suspensions of the same fiber are handled identically.
 
    [suspend] is the engine's one blocking primitive.  Off the pool (the
-   main thread, remote feeder domains, dedicated-mode tasks, serve
-   connection threads) there is no fiber to unwind, so the caller blocks
-   on a one-shot gate made for that one wait, and the gate's opener is
-   the waker [register] stores.  The gate is per wait, not per domain:
-   systhreads share their domain, and a domain-wide gate would let one
-   thread's waker release another thread's wait. *)
+   main thread, remote feeder domains, serve connection threads) there is
+   no fiber to unwind, so the caller blocks on a one-shot gate made for
+   that one wait, and the gate's opener is the waker [register] stores.
+   The gate is per wait, not per domain: systhreads share their domain,
+   and a domain-wide gate would let one thread's waker release another
+   thread's wait. *)
 
 type job = unit -> unit
 
-type pool = {
+type t = {
   p_size : int;
   queues : job Queue.t array; (* one FIFO run queue per worker *)
   locks : Mutex.t array;
@@ -47,20 +47,16 @@ type pool = {
   mutable domains : unit Domain.t array;
 }
 
-type ded = { d_submitted : int Atomic.t; d_completed : int Atomic.t }
-type t = Pool of pool | Dedicated of ded
-
 type 'a task = {
   t_lock : Mutex.t;
   mutable t_result : ('a, exn) result option;
   mutable t_wakers : (unit -> unit) list;
-  mutable t_domain : unit Domain.t option; (* dedicated mode only *)
 }
 
 type _ Effect.t += Suspend : ((unit -> unit) -> bool) -> unit Effect.t
 
 (* Which pool (and which of its workers) the calling domain belongs to. *)
-let dls_key : (pool * int) option Domain.DLS.key =
+let dls_key : (t * int) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 (* The off-pool gate: [wake] may run any number of times from any
@@ -210,20 +206,13 @@ let worker pool me () =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let default_workers () =
-  match Sys.getenv_opt "VOLCANO_WORKERS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> invalid_arg "VOLCANO_WORKERS must be a positive integer")
-  | None ->
-      (* One domain per core: every domain takes part in each
-         stop-the-world minor GC and in futex wake-ups, so domains past
-         the core count cost more than they overlap (4 allocating domains
-         on a 2-core host ran 6.6x slower than ideal).  The floor of 2
-         keeps a wait that is not task-shaped (page I/O, buffer frame
-         waits), which holds its worker, from holding the only one. *)
-      max 2 (Domain.recommended_domain_count ())
+(* One domain per core: every domain takes part in each stop-the-world
+   minor GC and in futex wake-ups, so domains past the core count cost
+   more than they overlap (4 allocating domains on a 2-core host ran 6.6x
+   slower than ideal).  The floor of 2 keeps a wait that is not
+   task-shaped (page I/O, buffer frame waits), which holds its worker,
+   from holding the only one. *)
+let default_workers () = max 2 (Domain.recommended_domain_count ())
 
 let create ?workers () =
   let size = match workers with Some w -> w | None -> default_workers () in
@@ -252,10 +241,7 @@ let create ?workers () =
     }
   in
   pool.domains <- Array.init size (fun i -> Domain.spawn (worker pool i));
-  Pool pool
-
-let dedicated () =
-  Dedicated { d_submitted = Atomic.make 0; d_completed = Atomic.make 0 }
+  pool
 
 let default_lock = Mutex.create ()
 let default_sched : t option ref = ref None
@@ -266,40 +252,27 @@ let default () =
     match !default_sched with
     | Some t -> t
     | None ->
-        let t =
-          match Sys.getenv_opt "VOLCANO_SCHED" with
-          | Some "dedicated" -> dedicated ()
-          | _ -> create ()
-        in
+        let t = create () in
         default_sched := Some t;
         t
   in
   Mutex.unlock default_lock;
   t
 
-let is_pool = function Pool _ -> true | Dedicated _ -> false
-let workers = function Pool p -> p.p_size | Dedicated _ -> 0
+let workers pool = pool.p_size
 
-let shutdown = function
-  | Dedicated _ -> ()
-  | Pool pool ->
-      Mutex.lock pool.idle_lock;
-      let already = pool.stopping in
-      pool.stopping <- true;
-      Condition.broadcast pool.idle;
-      Mutex.unlock pool.idle_lock;
-      if not already then Array.iter Domain.join pool.domains
+let shutdown pool =
+  Mutex.lock pool.idle_lock;
+  let already = pool.stopping in
+  pool.stopping <- true;
+  Condition.broadcast pool.idle;
+  Mutex.unlock pool.idle_lock;
+  if not already then Array.iter Domain.join pool.domains
 
 (* ------------------------------------------------------------------ *)
 (* Tasks                                                               *)
 
-let make_task () =
-  {
-    t_lock = Mutex.create ();
-    t_result = None;
-    t_wakers = [];
-    t_domain = None;
-  }
+let make_task () = { t_lock = Mutex.create (); t_result = None; t_wakers = [] }
 
 let complete task r =
   Mutex.lock task.t_lock;
@@ -317,31 +290,20 @@ let record_latency pool dt =
   | None -> ());
   Mutex.unlock pool.lat_lock
 
-let fork t f =
+let fork pool f =
   let task = make_task () in
-  (match t with
-  | Dedicated d ->
-      Atomic.incr d.d_submitted;
-      let dom =
-        Domain.spawn (fun () ->
-            let r = try Ok (f ()) with exn -> Error exn in
-            Atomic.incr d.d_completed;
-            complete task r)
-      in
-      task.t_domain <- Some dom
-  | Pool pool ->
-      Atomic.incr pool.submitted;
-      let forked_at = Clock.now () in
-      let fiber () =
-        record_latency pool (Clock.now () -. forked_at);
-        let r = try Ok (f ()) with exn -> Error exn in
-        (* Completion order matters for [assert_quiescent]: the counter
-           must read as completed before any awaiter can observe the
-           result and tear the world down. *)
-        Atomic.incr pool.completed;
-        complete task r
-      in
-      enqueue pool (fun () -> exec_fiber pool fiber));
+  Atomic.incr pool.submitted;
+  let forked_at = Clock.now () in
+  let fiber () =
+    record_latency pool (Clock.now () -. forked_at);
+    let r = try Ok (f ()) with exn -> Error exn in
+    (* Completion order matters for [assert_quiescent]: the counter must
+       read as completed before any awaiter can observe the result and
+       tear the world down. *)
+    Atomic.incr pool.completed;
+    complete task r
+  in
+  enqueue pool (fun () -> exec_fiber pool fiber);
   task
 
 let peek task =
@@ -350,34 +312,17 @@ let peek task =
   Mutex.unlock task.t_lock;
   r
 
-(* Dedicated mode: reap the domain once its result is recorded.  Guarded
-   swap so concurrent awaiters join at most once. *)
-let join_domain task =
-  Mutex.lock task.t_lock;
-  let d = task.t_domain in
-  task.t_domain <- None;
-  Mutex.unlock task.t_lock;
-  (* conclint: allow CL003 -- t_domain is only ever Some for dedicated
-     (one-domain-per-task) tasks; pool tasks carry None, so a fiber
-     awaiting a pool task can never reach this join. *)
-  match d with Some dom -> Domain.join dom | None -> ()
-
-let await task =
-  let rec wait () =
-    match peek task with
-    | Some r -> r
-    | None ->
-        suspend (fun wake ->
-            Mutex.lock task.t_lock;
-            let pending = Option.is_none task.t_result in
-            if pending then task.t_wakers <- wake :: task.t_wakers;
-            Mutex.unlock task.t_lock;
-            pending);
-        wait ()
-  in
-  let result = wait () in
-  join_domain task;
-  result
+let rec await task =
+  match peek task with
+  | Some r -> r
+  | None ->
+      suspend (fun wake ->
+          Mutex.lock task.t_lock;
+          let pending = Option.is_none task.t_result in
+          if pending then task.t_wakers <- wake :: task.t_wakers;
+          Mutex.unlock task.t_lock;
+          pending);
+      await task
 
 (* ------------------------------------------------------------------ *)
 (* Events                                                              *)
@@ -428,27 +373,16 @@ type stats = {
   peak_queue_depth : int;
 }
 
-let stats = function
-  | Pool p ->
-      {
-        pool_workers = p.p_size;
-        submitted = Atomic.get p.submitted;
-        completed = Atomic.get p.completed;
-        stolen = Atomic.get p.stolen;
-        suspensions = Atomic.get p.suspensions;
-        resumptions = Atomic.get p.resumptions;
-        peak_queue_depth = Atomic.get p.peak_queue;
-      }
-  | Dedicated d ->
-      {
-        pool_workers = 0;
-        submitted = Atomic.get d.d_submitted;
-        completed = Atomic.get d.d_completed;
-        stolen = 0;
-        suspensions = 0;
-        resumptions = 0;
-        peak_queue_depth = 0;
-      }
+let stats (p : t) =
+  {
+    pool_workers = p.p_size;
+    submitted = Atomic.get p.submitted;
+    completed = Atomic.get p.completed;
+    stolen = Atomic.get p.stolen;
+    suspensions = Atomic.get p.suspensions;
+    resumptions = Atomic.get p.resumptions;
+    peak_queue_depth = Atomic.get p.peak_queue;
+  }
 
 let live_tasks t =
   let s = stats t in
@@ -458,52 +392,46 @@ let suspended_tasks t =
   let s = stats t in
   s.suspensions - s.resumptions
 
-let task_latency_percentile t p =
-  match t with
-  | Dedicated _ -> 0.0
-  | Pool pool ->
-      Mutex.lock pool.lat_lock;
-      let v = Statx.percentile pool.lat p in
-      Mutex.unlock pool.lat_lock;
-      v
+let task_latency_percentile pool p =
+  Mutex.lock pool.lat_lock;
+  let v = Statx.percentile pool.lat p in
+  Mutex.unlock pool.lat_lock;
+  v
 
-let register_obs ?since t obs =
-  match t with
-  | Pool pool when not (Obs.enabled obs) ->
-      (* Detach: a previous sink stops accumulating task latencies. *)
-      Mutex.lock pool.lat_lock;
-      pool.lat_sink <- None;
-      Mutex.unlock pool.lat_lock
-  | _ when not (Obs.enabled obs) -> ()
-  | t' ->
-      let s = stats t' in
-      let delta field =
-        match since with Some s0 -> field s - field s0 | None -> field s
-      in
-      Obs.Counter.add (Obs.counter obs "sched.tasks")
-        (delta (fun s -> s.submitted));
-      Obs.Counter.add (Obs.counter obs "sched.steals")
-        (delta (fun s -> s.stolen));
-      Obs.Counter.add
-        (Obs.counter obs "sched.suspensions")
-        (delta (fun s -> s.suspensions));
-      Obs.Gauge.set (Obs.gauge obs "sched.workers")
-        (float_of_int s.pool_workers);
-      Obs.Gauge.set
-        (Obs.gauge obs "sched.peak_queue_depth")
-        (float_of_int s.peak_queue_depth);
-      (match t' with
-      | Pool pool ->
-          Mutex.lock pool.lat_lock;
-          pool.lat_sink <- Some (Obs.histogram obs "sched.task_latency_s");
-          Mutex.unlock pool.lat_lock;
-          Obs.Gauge.set
-            (Obs.gauge obs "sched.task_latency_p50_s")
-            (task_latency_percentile t' 0.5);
-          Obs.Gauge.set
-            (Obs.gauge obs "sched.task_latency_p95_s")
-            (task_latency_percentile t' 0.95)
-      | Dedicated _ -> ())
+let register_obs ?since pool obs =
+  if not (Obs.enabled obs) then begin
+    (* Detach: a previous sink stops accumulating task latencies. *)
+    Mutex.lock pool.lat_lock;
+    pool.lat_sink <- None;
+    Mutex.unlock pool.lat_lock
+  end
+  else begin
+    let s = stats pool in
+    let delta field =
+      match since with Some s0 -> field s - field s0 | None -> field s
+    in
+    Obs.Counter.add (Obs.counter obs "sched.tasks")
+      (delta (fun s -> s.submitted));
+    Obs.Counter.add
+      (Obs.counter obs "sched.steals")
+      (delta (fun s -> s.stolen));
+    Obs.Counter.add
+      (Obs.counter obs "sched.suspensions")
+      (delta (fun s -> s.suspensions));
+    Obs.Gauge.set (Obs.gauge obs "sched.workers") (float_of_int s.pool_workers);
+    Obs.Gauge.set
+      (Obs.gauge obs "sched.peak_queue_depth")
+      (float_of_int s.peak_queue_depth);
+    Mutex.lock pool.lat_lock;
+    pool.lat_sink <- Some (Obs.histogram obs "sched.task_latency_s");
+    Mutex.unlock pool.lat_lock;
+    Obs.Gauge.set
+      (Obs.gauge obs "sched.task_latency_p50_s")
+      (task_latency_percentile pool 0.5);
+    Obs.Gauge.set
+      (Obs.gauge obs "sched.task_latency_p95_s")
+      (task_latency_percentile pool 0.95)
+  end
 
 (* An awaiter can observe a task's result a moment before the worker
    running it bumps [completed] (the result is published first, so the

@@ -4,7 +4,7 @@
     port of that idea spawned an OCaml domain per producer, which caps out
     quickly — domains are an OS-level resource whose creation cost
     dominates short queries.  This module replaces spawn-per-producer with
-    a fixed pool of worker domains (sized to the host, overridable) running
+    a fixed pool of worker domains (sized to the host by default) running
     tasks from per-worker FIFO run queues with work stealing.
 
     {2 Task model}
@@ -25,15 +25,9 @@
     workers so such a wait cannot hold the only worker on a 1-core host.
     It keeps no more than that: each extra domain takes part in every
     stop-the-world minor GC and futex wake, so domains past the core
-    count slow a query down instead of overlapping its waits.
-
-    {2 Modes}
-
-    A scheduler handle is either a pool or the {e dedicated} scheduler,
-    which runs every task on a freshly spawned domain — the paper's
-    original fork-per-producer behavior, kept as the measured baseline for
-    the concurrent-query bench and for A/B experiments
-    ([VOLCANO_SCHED=dedicated]). *)
+    count slow a query down instead of overlapping its waits.  A pool
+    wider than a plan's task count gives every producer a domain of its
+    own, the paper's fork-per-producer regime. *)
 
 type t
 
@@ -41,34 +35,25 @@ val create : ?workers:int -> unit -> t
 (** A new pool of [workers] domains (default: see {!default_workers}).
     Raises [Invalid_argument] if [workers < 1]. *)
 
-val dedicated : unit -> t
-(** The spawn-a-domain-per-task scheduler (baseline; no pool). *)
-
 val default : unit -> t
-(** The process-wide scheduler, created on first use: a pool of
-    {!default_workers} domains, or the dedicated scheduler when
-    [VOLCANO_SCHED=dedicated]. *)
+(** The process-wide pool of {!default_workers} domains, created on first
+    use. *)
 
 val default_workers : unit -> int
-(** [VOLCANO_WORKERS] if set, else
-    [max 2 (Domain.recommended_domain_count ())]: one domain per core,
+(** [max 2 (Domain.recommended_domain_count ())]: one domain per core,
     and at least 2 so a non-suspending wait (I/O, buffer pool) cannot
     hold a single-core host's only worker.  Measured on a 2-core host,
     4 allocating domains ran 6.6x slower than ideal, and the degree-3
     [olap_join] plan cost about 75 ms of CPU per query on a 4-worker
-    pool against 50-64 ms on a 2-worker one.
-    @raise Invalid_argument if [VOLCANO_WORKERS] is not a positive
-    integer. *)
+    pool against 50-64 ms on a 2-worker one. *)
 
-val is_pool : t -> bool
 val workers : t -> int
-(** Pool size; 0 for the dedicated scheduler. *)
+(** Pool size. *)
 
 val shutdown : t -> unit
 (** Stop and join the pool's workers.  Call only when quiescent (no live
     or queued tasks); the process-wide {!default} pool is normally left
-    running.  No-op on the dedicated scheduler and on a pool already shut
-    down. *)
+    running.  No-op on a pool already shut down. *)
 
 (** {2 Tasks} *)
 
@@ -78,8 +63,8 @@ val fork : t -> (unit -> 'a) -> 'a task
 (** Submit a closure; returns immediately. *)
 
 val await : 'a task -> ('a, exn) result
-(** Wait for the task (a {!suspend} point).  On the dedicated scheduler
-    the task's domain is also joined.  May be called more than once. *)
+(** Wait for the task (a {!suspend} point).  May be called more than
+    once. *)
 
 (** {2 Suspension} *)
 
@@ -130,8 +115,7 @@ val suspended_tasks : t -> int
 
 val task_latency_percentile : t -> float -> float
 (** Percentile (p in [0, 1]) of fork-to-start task latencies, seconds,
-    over a bounded reservoir of all tasks so far.  0 on the dedicated
-    scheduler. *)
+    over a bounded reservoir of all tasks so far. *)
 
 val register_obs : ?since:stats -> t -> Volcano_obs.Obs.t -> unit
 (** Publish scheduler metrics into an observability sink: counters

@@ -859,7 +859,11 @@ let rec plan_query env ~workers ~allow_parallel q =
 
 let optimize ?workers env q =
   let workers =
-    match workers with Some w -> w | None -> Env.sched_workers env
+    match workers with
+    | Some w when w < 1 ->
+        invalid_arg "Optimizer.optimize: workers must be positive"
+    | Some w -> w
+    | None -> Env.sched_workers env
   in
   plan_query env ~workers ~allow_parallel:true q
 

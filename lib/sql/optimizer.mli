@@ -40,6 +40,7 @@ val optimize :
   ?workers:int -> Volcano_plan.Env.t -> Binder.query -> choice
 (** [workers] overrides {!Volcano_plan.Env.sched_workers} for both the
     candidate degrees and the analyzer's placement advisory.
+    @raise Invalid_argument if [workers < 1].
     @raise Error if even the serial plan trips the analyzer (a binder or
     catalog inconsistency — not an expected outcome). *)
 

@@ -4,23 +4,16 @@ type request =
   | Flush of Device.t * int
   | Read_ahead of Device.t * int
 
-type job = Work of request | Quit
-
-(* Two serving modes: dedicated daemon domains looping over the queue (the
-   paper's forked daemon processes), or fire-and-forget tasks on a shared
-   scheduler pool — one task per request, so idle daemons cost nothing. *)
-type mode = Domains | Pooled of Sched.t
-
+(* Each request is a fire-and-forget task on the scheduler's pool, so an
+   idle daemon holds no domain.  [busy] counts requests submitted and not
+   yet performed; [drain] and [stop] wait for it to reach zero. *)
 type t = {
   buffer : Bufpool.t;
-  mode : mode;
-  queue : job Queue.t; (* Domains mode only *)
+  sched : Sched.t;
   lock : Mutex.t;
-  nonempty : Condition.t;
   idle : Condition.t;
   mutable busy : int;
   mutable stopped : bool;
-  mutable workers : unit Domain.t list;
   flushes : int Atomic.t;
   reads : int Atomic.t;
 }
@@ -36,53 +29,20 @@ let perform t request =
 let retire t =
   Mutex.lock t.lock;
   t.busy <- t.busy - 1;
-  if t.busy = 0 && Queue.is_empty t.queue then Condition.broadcast t.idle;
+  if t.busy = 0 then Condition.broadcast t.idle;
   Mutex.unlock t.lock
 
-let serve t () =
-  let rec loop () =
-    Mutex.lock t.lock;
-    while Queue.is_empty t.queue do
-      Condition.wait t.nonempty t.lock
-    done;
-    let job = Queue.pop t.queue in
-    (match job with Work _ -> t.busy <- t.busy + 1 | Quit -> ());
-    Mutex.unlock t.lock;
-    match job with
-    | Quit -> ()
-    | Work request ->
-        perform t request;
-        retire t;
-        loop ()
-  in
-  loop ()
-
-let start ?sched ~buffer ~workers () =
-  assert (workers > 0);
-  let mode =
-    match sched with
-    | Some s when Sched.is_pool s -> Pooled s
-    | Some _ | None -> Domains
-  in
-  let t =
-    {
-      buffer;
-      mode;
-      queue = Queue.create ();
-      lock = Mutex.create ();
-      nonempty = Condition.create ();
-      idle = Condition.create ();
-      busy = 0;
-      stopped = false;
-      workers = [];
-      flushes = Atomic.make 0;
-      reads = Atomic.make 0;
-    }
-  in
-  (match mode with
-  | Domains -> t.workers <- List.init workers (fun _ -> Domain.spawn (serve t))
-  | Pooled _ -> ());
-  t
+let start ?(sched = Sched.default ()) ~buffer () =
+  {
+    buffer;
+    sched;
+    lock = Mutex.create ();
+    idle = Condition.create ();
+    busy = 0;
+    stopped = false;
+    flushes = Atomic.make 0;
+    reads = Atomic.make 0;
+  }
 
 let submit t request =
   Mutex.lock t.lock;
@@ -90,51 +50,30 @@ let submit t request =
     Mutex.unlock t.lock;
     invalid_arg "Daemon.submit: daemon stopped"
   end;
-  match t.mode with
-  | Domains ->
-      Queue.push (Work request) t.queue;
-      Condition.signal t.nonempty;
-      Mutex.unlock t.lock
-  | Pooled sched ->
-      t.busy <- t.busy + 1;
-      Mutex.unlock t.lock;
-      ignore
-        (Sched.fork sched (fun () ->
-             Fun.protect
-               ~finally:(fun () -> retire t)
-               (fun () -> perform t request))
-          : unit Sched.task)
-
-let pending t =
-  Mutex.lock t.lock;
-  let n = Queue.length t.queue in
+  t.busy <- t.busy + 1;
   Mutex.unlock t.lock;
-  n
+  ignore
+    (Sched.fork t.sched (fun () ->
+         Fun.protect
+           ~finally:(fun () -> retire t)
+           (fun () -> perform t request))
+      : unit Sched.task)
 
 let drain t =
   Mutex.lock t.lock;
-  while not (Queue.is_empty t.queue && t.busy = 0) do
+  while t.busy > 0 do
     Condition.wait t.idle t.lock
   done;
   Mutex.unlock t.lock
 
 let stop t =
   Mutex.lock t.lock;
-  if not t.stopped then begin
-    t.stopped <- true;
-    match t.mode with
-    | Domains ->
-        List.iter (fun _ -> Queue.push Quit t.queue) t.workers;
-        Condition.broadcast t.nonempty;
-        Mutex.unlock t.lock;
-        List.iter Domain.join t.workers
-    | Pooled _ ->
-        (* In-flight tasks belong to the pool; wait them out so stopped
-           means quiescent, matching the joined-domains guarantee. *)
-        Mutex.unlock t.lock;
-        drain t
-  end
-  else Mutex.unlock t.lock
+  let already = t.stopped in
+  t.stopped <- true;
+  Mutex.unlock t.lock;
+  (* In-flight tasks belong to the pool; wait them out so stopped means
+     quiescent. *)
+  if not already then drain t
 
 let flushes_done t = Atomic.get t.flushes
 let reads_done t = Atomic.get t.reads

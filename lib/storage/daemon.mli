@@ -2,8 +2,10 @@
 
     "One or more copies of this daemon process are forked when the buffer
     manager is initialized, and accept work requests on a queue and
-    semaphore."  Requests are FLUSH (write a cluster if resident and dirty),
-    READAHEAD (read a cluster onto the LRU chain), and QUIT. *)
+    semaphore."  Requests are FLUSH (write a cluster if resident and dirty)
+    and READAHEAD (read a cluster onto the LRU chain).  Where the paper
+    forks daemon processes, each request here is a fire-and-forget task on
+    the scheduler's pool, so an idle daemon holds no domain. *)
 
 type request =
   | Flush of Device.t * int
@@ -11,25 +13,19 @@ type request =
 
 type t
 
-val start :
-  ?sched:Volcano_sched.Sched.t -> buffer:Bufpool.t -> workers:int -> unit -> t
-(** Fork [workers] daemon domains serving a shared request queue.  With
-    [~sched] naming a pool scheduler, no domains are forked: each request
-    runs as a fire-and-forget task on the pool ([workers] is ignored), so
-    an idle daemon holds no domain.  A dedicated scheduler falls back to
-    daemon domains. *)
+val start : ?sched:Volcano_sched.Sched.t -> buffer:Bufpool.t -> unit -> t
+(** A daemon whose requests run as tasks on [sched] (default
+    {!Volcano_sched.Sched.default}). *)
 
 val submit : t -> request -> unit
-(** Enqueue a request; returns immediately.
+(** Fork a task for the request; returns immediately.
     @raise Invalid_argument after {!stop}. *)
 
-val pending : t -> int
-
 val drain : t -> unit
-(** Block until the queue is empty and all workers are idle. *)
+(** Block until every submitted request has been performed. *)
 
 val stop : t -> unit
-(** Send QUIT to every worker and join them.  Idempotent. *)
+(** Refuse further requests and {!drain}.  Idempotent. *)
 
 val flushes_done : t -> int
 val reads_done : t -> int

@@ -316,10 +316,10 @@ let test_sched_dop () =
   (* Three workers admit exactly 12: the advisory is a strict bound. *)
   if has "sched-dop" (dop 3) then
     Alcotest.fail "12 tasks on 3 workers is within 4x oversubscription";
-  (* The dedicated scheduler forks a domain per task: no pool to
-     oversubscribe, the advisory is off. *)
-  if has "sched-dop" (dop 0) then
-    Alcotest.fail "sched-dop must be disabled for the dedicated scheduler"
+  (* A pool of no workers does not exist. *)
+  Alcotest.check_raises "workers = 0"
+    (Invalid_argument "Compile.analyze: workers must be positive") (fun () ->
+      ignore (dop 0))
 
 let test_mem_flow_slack () =
   let edge = Exchange.config ~degree:2 ~packet_size:100 ~flow_slack:(Some 5) () in
@@ -358,7 +358,7 @@ let test_diagnostic_paths () =
   let bad_col c = Plan.Project_cols { cols = [ c ]; input = gen 10 } in
   let lines plan =
     List.map Diag.to_string
-      (Compile.analyze ~workers:0 ~batch_size:64 (env ()) plan)
+      (Compile.analyze ~workers:64 ~batch_size:64 (env ()) plan)
   in
   let expect name want plan =
     check Alcotest.(list string) name want (lines plan)

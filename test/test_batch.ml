@@ -261,28 +261,25 @@ let prop_batch_iterator_serial_identical =
       Runner.run (env ~batch_size ()) plan
       = Runner.run (env ~batch_size:0 ()) plan)
 
-(* Scheduler independence with batching on: the pooled scheduler and the
-   dedicated (domain-per-task) baseline agree on batched plans just as
+(* Scheduler independence with batching on: the narrow default pool and
+   a wide one ({!Runner.with_wide_pool}) agree on batched plans just as
    they do on record plans. *)
-let prop_batch_pooled_dedicated =
-  QCheck.Test.make ~name:"batched plans agree pooled vs dedicated" ~count:60
+let prop_batch_narrow_wide ~name wide =
+  QCheck.Test.make ~name ~count:60
     QCheck.(pair int64 (int_range 1 2))
     (fun (seed, depth) ->
-      let pooled = env () in
-      let dedicated =
-        Env.create ~frames:128 ~page_size:512 ~sched:(Sched.dedicated ()) ()
-      in
+      let narrow = env () in
+      let wide_env = Env.create ~frames:128 ~page_size:512 ~sched:wide () in
       let rng = Rng.create seed in
       let plan =
         Test_random_plans.decorate rng (Test_random_plans.random_plan rng depth)
       in
-      let ok = sorted_run pooled plan = sorted_run dedicated plan in
-      Bufpool.assert_quiescent ~what:"batch pooled/dedicated"
-        (Env.buffer pooled);
-      Bufpool.assert_quiescent ~what:"batch pooled/dedicated"
-        (Env.buffer dedicated);
-      Sched.assert_quiescent ~what:"batch pooled/dedicated"
-        (Sched.default ());
+      let ok = sorted_run narrow plan = sorted_run wide_env plan in
+      let what = "batch narrow/wide" in
+      Bufpool.assert_quiescent ~what (Env.buffer narrow);
+      Bufpool.assert_quiescent ~what (Env.buffer wide_env);
+      Sched.assert_quiescent ~what (Sched.default ());
+      Sched.assert_quiescent ~what wide;
       ok)
 
 (* The projection-pushdown rewrite — an aggregate directly over
@@ -540,7 +537,8 @@ let suite =
     Alcotest.test_case "early close mid-batch" `Quick test_early_close_mid_batch;
     QCheck_alcotest.to_alcotest prop_batch_iterator_differential;
     QCheck_alcotest.to_alcotest prop_batch_iterator_serial_identical;
-    QCheck_alcotest.to_alcotest prop_batch_pooled_dedicated;
+    Runner.wide_pool_property ~name:"batched plans agree narrow vs wide pool"
+      prop_batch_narrow_wide;
     Alcotest.test_case "projection pushdown differential" `Quick
       test_pushdown_differential;
     Alcotest.test_case "fused join differential, every kind" `Quick

@@ -337,35 +337,31 @@ let prop_serial_parallel_differential =
       ok)
 
 (* Planlint soundness differential: a plan the analyzer accepts must run
-   identically on the pooled scheduler and on the dedicated
-   (domain-per-task) baseline.  This is the check behind planlint's
-   claim that its scheduler-aware passes are advisory — acceptance never
-   depends on which scheduler the plan lands on, and the schedulers
-   agree on the result.  (Plans the analyzer rejects are covered by
+   identically on the narrow default pool and on a wide one
+   ({!Runner.with_wide_pool}).  This is the check behind planlint's claim
+   that its scheduler-aware passes are advisory — acceptance never
+   depends on the pool the plan lands on, and the interleavings agree on
+   the result.  (Plans the analyzer rejects are covered by
    [prop_rejected_plans_misbehave] below.) *)
-let prop_pooled_dedicated_differential =
-  QCheck.Test.make ~name:"accepted plans agree pooled vs dedicated"
-    ~count:40
+let prop_narrow_wide_differential ~name wide =
+  QCheck.Test.make ~name ~count:40
     QCheck.(pair int64 (int_range 1 2))
     (fun (seed, depth) ->
-      let pooled = Env.create ~frames:128 ~page_size:512 () in
-      let dedicated =
-        Env.create ~frames:128 ~page_size:512 ~sched:(Sched.dedicated ()) ()
-      in
+      let narrow = Env.create ~frames:128 ~page_size:512 () in
+      let wide_env = Env.create ~frames:128 ~page_size:512 ~sched:wide () in
       let rng = Rng.create seed in
       let plan = decorate rng (random_plan rng depth) in
       (* Acceptance must not be scheduler-dependent. *)
-      let ap = accepted pooled plan and ad = accepted dedicated plan in
+      let an = accepted narrow plan and aw = accepted wide_env plan in
       let ok =
-        ap = ad
-        && ((not ap) || sorted_run pooled plan = sorted_run dedicated plan)
+        an = aw
+        && ((not an) || sorted_run narrow plan = sorted_run wide_env plan)
       in
-      Bufpool.assert_quiescent ~what:"pooled/dedicated differential"
-        (Env.buffer pooled);
-      Bufpool.assert_quiescent ~what:"pooled/dedicated differential"
-        (Env.buffer dedicated);
-      Sched.assert_quiescent ~what:"pooled/dedicated differential"
-        (Sched.default ());
+      let what = "narrow/wide differential" in
+      Bufpool.assert_quiescent ~what (Env.buffer narrow);
+      Bufpool.assert_quiescent ~what (Env.buffer wide_env);
+      Sched.assert_quiescent ~what (Sched.default ());
+      Sched.assert_quiescent ~what wide;
       ok)
 
 (* --- the converse: rejected plans really are broken ------------------- *)
@@ -426,6 +422,8 @@ let suite =
   [
     QCheck_alcotest.to_alcotest ~long:false prop_exchange_invariance;
     QCheck_alcotest.to_alcotest ~long:false prop_serial_parallel_differential;
-    QCheck_alcotest.to_alcotest ~long:false prop_pooled_dedicated_differential;
+    Runner.wide_pool_property ~long:false
+      ~name:"accepted plans agree narrow vs wide pool"
+      prop_narrow_wide_differential;
     QCheck_alcotest.to_alcotest ~long:false prop_rejected_plans_misbehave;
   ]

@@ -43,40 +43,18 @@ let test_fork_await () =
       check Alcotest.int "submitted" 50 s.Sched.submitted;
       check Alcotest.int "completed" 50 s.Sched.completed)
 
-(* The default pool is one domain per core with a floor of 2, and
-   [VOLCANO_WORKERS] overrides it with a positive integer only. *)
+(* The default pool is one domain per core with a floor of 2, and a pool
+   of no workers does not exist. *)
 let test_default_workers () =
-  let saved = Sys.getenv_opt "VOLCANO_WORKERS" in
-  let unset = max 2 (Domain.recommended_domain_count ()) in
-  if saved = None then
-    check Alcotest.int "unset: max 2 cores" unset (Sched.default_workers ());
-  (* OCaml has no unsetenv: an unset variable is restored as the value
-     it stood for, so every later reader sizes the same pool *)
-  let restore = Option.value saved ~default:(string_of_int unset) in
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "VOLCANO_WORKERS" restore)
-    (fun () ->
-      Unix.putenv "VOLCANO_WORKERS" "3";
-      check Alcotest.int "override" 3 (Sched.default_workers ());
-      List.iter
-        (fun v ->
-          Unix.putenv "VOLCANO_WORKERS" v;
-          match Sched.default_workers () with
-          | n -> Alcotest.failf "VOLCANO_WORKERS=%S gave %d workers" v n
-          | exception Invalid_argument _ -> ())
-        [ "0"; "four" ])
-
-let test_fork_await_dedicated () =
-  let sched = Sched.dedicated () in
-  let tasks = List.init 8 (fun i -> Sched.fork sched (fun () -> i + 1)) in
-  List.iteri
-    (fun i task ->
-      match Sched.await task with
-      | Ok v -> check Alcotest.int "task result" (i + 1) v
-      | Error exn -> Alcotest.failf "task %d: %s" i (Printexc.to_string exn))
-    tasks;
-  check Alcotest.int "no pool workers" 0 (Sched.workers sched);
-  Sched.assert_quiescent ~what:"dedicated" sched
+  check Alcotest.int "max 2 cores"
+    (max 2 (Domain.recommended_domain_count ()))
+    (Sched.default_workers ());
+  Alcotest.check_raises "0 workers"
+    (Invalid_argument "Sched.create: workers must be positive") (fun () ->
+      ignore (Sched.create ~workers:0 () : Sched.t));
+  Alcotest.check_raises "a session of 0 workers"
+    (Invalid_argument "Sched.create: workers must be positive") (fun () ->
+      ignore (Session.create ~workers:0 () : Session.t))
 
 let test_task_failure () =
   with_pool (fun sched ->
@@ -311,7 +289,7 @@ let test_session_cancel_running () =
 
 (* --- session basics --------------------------------------------------- *)
 
-let test_session_exec_matches_serial () =
+let test_session_exec_matches_wide_pool () =
   let mk () =
     Plan.Aggregate
       {
@@ -335,13 +313,14 @@ let test_session_exec_matches_serial () =
             };
       }
   in
-  let serial_env =
-    Env.create ~frames:64 ~page_size:512 ~sched:(Sched.dedicated ()) ()
+  let expected =
+    Runner.with_wide_pool (fun sched ->
+        let wide_env = Env.create ~frames:64 ~page_size:512 ~sched () in
+        List.sort Tuple.compare (Runner.run wide_env (mk ())))
   in
-  let expected = List.sort Tuple.compare (Runner.run serial_env (mk ())) in
   Session.with_session ~workers:2 ~frames:64 ~page_size:512 (fun s ->
       let rows = List.sort Tuple.compare (Session.exec s (`Plan (mk ()))) in
-      check Alcotest.bool "pooled session = dedicated run" true
+      check Alcotest.bool "2-worker session = wide-pool run" true
         (rows = expected))
 
 let test_session_concurrent_submits () =
@@ -368,34 +347,35 @@ let test_session_concurrent_submits () =
         jobs;
       Sched.assert_quiescent ~what:"concurrent submits" (Session.sched s))
 
-(* --- pooled-vs-dedicated differential --------------------------------- *)
+(* --- narrow-vs-wide pool differential ---------------------------------- *)
 
-(* The same randomly decorated plans, one env on the shared pool, one on
-   a dedicated (domain-per-producer) scheduler: results must agree.  The
-   1000-seed differential in [Test_random_plans] covers pooled-vs-serial;
-   this closes the remaining edge. *)
-let test_pooled_vs_dedicated_differential () =
-  with_pool ~workers:3 (fun pool ->
-      for case = 0 to 14 do
-        let seed = Int64.of_int ((104729 * case) + 7) in
-        let rng = Volcano_util.Rng.create seed in
-        let depth = 1 + Volcano_util.Rng.int rng 2 in
-        let plan =
-          Test_random_plans.decorate rng (Test_random_plans.random_plan rng depth)
-        in
-        let run sched =
-          let env = Env.create ~frames:128 ~page_size:512 ~sched () in
-          if Test_random_plans.accepted env plan then
-            Some (Test_random_plans.sorted_run env plan)
-          else None
-        in
-        match (run pool, run (Sched.dedicated ())) with
-        | Some pooled, Some dedicated ->
-            if pooled <> dedicated then
-              Alcotest.failf "pooled/dedicated divergence (seed=%Ld)" seed
-        | None, None -> ()
-        | _ -> Alcotest.failf "acceptance divergence (seed=%Ld)" seed
-      done)
+(* The same randomly decorated plans, one env on a 3-worker pool, one on
+   a wide pool that gives most producers a domain of their own: results
+   must agree.  The 1000-seed differential in [Test_random_plans] covers
+   pooled-vs-serial; this closes the remaining edge. *)
+let test_narrow_vs_wide_differential () =
+  with_pool ~workers:3 @@ fun narrow ->
+  Runner.with_wide_pool @@ fun wide ->
+  for case = 0 to 14 do
+    let seed = Int64.of_int ((104729 * case) + 7) in
+    let rng = Volcano_util.Rng.create seed in
+    let depth = 1 + Volcano_util.Rng.int rng 2 in
+    let plan =
+      Test_random_plans.decorate rng (Test_random_plans.random_plan rng depth)
+    in
+    let run sched =
+      let env = Env.create ~frames:128 ~page_size:512 ~sched () in
+      if Test_random_plans.accepted env plan then
+        Some (Test_random_plans.sorted_run env plan)
+      else None
+    in
+    match (run narrow, run wide) with
+    | Some n, Some w ->
+        if n <> w then Alcotest.failf "narrow/wide divergence (seed=%Ld)" seed
+    | None, None -> ()
+    | _ -> Alcotest.failf "acceptance divergence (seed=%Ld)" seed
+  done;
+  Sched.assert_quiescent ~what:"wide pool" wide
 
 (* --- storage daemon on the pool --------------------------------------- *)
 
@@ -410,7 +390,7 @@ let test_pooled_daemon () =
           Bufpool.mark_dirty f;
           Bufpool.unfix pool f)
         pages;
-      let daemon = Daemon.start ~sched ~buffer:pool ~workers:1 () in
+      let daemon = Daemon.start ~sched ~buffer:pool () in
       Array.iter (fun p -> Daemon.submit daemon (Daemon.Flush (dev, p))) pages;
       Daemon.drain daemon;
       check Alcotest.int "flushed on pool tasks" 6 (Daemon.flushes_done daemon);
@@ -434,7 +414,6 @@ let suite =
   [
     Alcotest.test_case "fork and await on the pool" `Quick test_fork_await;
     Alcotest.test_case "default pool size" `Quick test_default_workers;
-    Alcotest.test_case "dedicated mode" `Quick test_fork_await_dedicated;
     Alcotest.test_case "task failure is a result" `Quick test_task_failure;
     Alcotest.test_case "events" `Quick test_event;
     Alcotest.test_case "suspend off pool blocks until woken" `Quick
@@ -450,12 +429,12 @@ let suite =
     Alcotest.test_case "deadline poisons the query" `Quick test_session_deadline;
     Alcotest.test_case "cancel a running query" `Quick
       test_session_cancel_running;
-    Alcotest.test_case "session exec matches dedicated" `Quick
-      test_session_exec_matches_serial;
+    Alcotest.test_case "session exec matches a wide pool" `Quick
+      test_session_exec_matches_wide_pool;
     Alcotest.test_case "concurrent submits" `Quick
       test_session_concurrent_submits;
-    Alcotest.test_case "pooled vs dedicated differential" `Quick
-      test_pooled_vs_dedicated_differential;
+    Alcotest.test_case "narrow vs wide pool differential" `Quick
+      test_narrow_vs_wide_differential;
     Alcotest.test_case "daemon requests as pool tasks" `Quick
       test_pooled_daemon;
   ]

@@ -244,7 +244,11 @@ let test_optimizer_serial_when_alone () =
   (* workers = 1: nothing to parallelize with, so no exchanges at all *)
   let c = optimize ~workers:1 "SELECT ten, COUNT(*) FROM emp GROUP BY ten" in
   check Alcotest.int "no exchanges" 0 (List.length (exchanges c.plan));
-  assert_clean ~workers:1 c.plan
+  assert_clean ~workers:1 c.plan;
+  (* a pool of no workers does not exist *)
+  Alcotest.check_raises "workers = 0"
+    (Invalid_argument "Optimizer.optimize: workers must be positive")
+    (fun () -> ignore (optimize ~workers:0 "SELECT i FROM generate(10)"))
 
 let test_optimizer_closure_free_generate () =
   let c = optimize ~workers:1 "SELECT i FROM generate(10)" in

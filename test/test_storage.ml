@@ -583,7 +583,7 @@ let test_daemon_flush_and_readahead () =
       Bufpool.mark_dirty f;
       Bufpool.unfix pool f)
     pages;
-  let daemon = Daemon.start ~buffer:pool ~workers:2 () in
+  let daemon = Daemon.start ~buffer:pool () in
   Array.iter (fun p -> Daemon.submit daemon (Daemon.Flush (dev, p))) pages;
   Daemon.drain daemon;
   check Alcotest.int "flushed" 4 (Daemon.flushes_done daemon);

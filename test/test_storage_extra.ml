@@ -90,7 +90,7 @@ let test_prefetched_scan () =
   (* Push everything out of the pool, then scan with read-ahead. *)
   Bufpool.flush_all buffer;
   Bufpool.purge_device buffer device;
-  let daemon = Daemon.start ~buffer ~workers:1 () in
+  let daemon = Daemon.start ~buffer () in
   let it = Scan.heap_prefetched ~daemon file in
   Iterator.open_ it;
   Daemon.drain daemon;
