@@ -130,14 +130,13 @@ let fresh_id () = Atomic.fetch_and_add id_counter 1
 let spawn_counter = Atomic.make 0
 let join_counter = Atomic.make 0
 let live_counter = Atomic.make 0
-let domains_spawned () = Atomic.get spawn_counter
-let domains_joined () = Atomic.get join_counter
-let live_domains () = Atomic.get live_counter
-let unjoined_domains () = domains_spawned () - domains_joined ()
+let tasks_spawned () = Atomic.get spawn_counter
+let tasks_joined () = Atomic.get join_counter
+let live_tasks () = Atomic.get live_counter
+let unjoined_tasks () = tasks_spawned () - tasks_joined ()
 
-(* Producers are scheduler tasks, not dedicated domains: the counters keep
-   their historical names but count tasks submitted to [sched], where many
-   tasks share a few worker domains. *)
+(* Producers and remote feeders alike are scheduler tasks: many tasks
+   share a few worker domains. *)
 let spawn_task sched body =
   Atomic.incr spawn_counter;
   Atomic.incr live_counter;
@@ -149,21 +148,6 @@ let spawn_task sched body =
    would abort teardown half-way and leak the remaining tasks. *)
 let join_quiet task =
   ignore (Sched.await task : (unit, exn) result);
-  Atomic.incr join_counter
-
-(* Remote-exchange feeders are dedicated raw domains, not scheduler
-   tasks: each spends its life blocked in transport pulls (socket reads),
-   which must never occupy a pool worker.  They are counted in the same
-   spawn/join ledger as producer tasks so the chaos harness's zero-diff
-   teardown assertion covers them too. *)
-let spawn_domain body =
-  Atomic.incr spawn_counter;
-  Atomic.incr live_counter;
-  Domain.spawn (fun () ->
-      Fun.protect ~finally:(fun () -> Atomic.decr live_counter) body)
-
-let join_domain_quiet domain =
-  (try Domain.join domain with _ -> ());
   Atomic.incr join_counter
 
 let instantiate_partition spec ~consumers =
@@ -238,7 +222,7 @@ let finish (o : outbox) =
       o.packets
 
 (* The producer half of exchange: "the driver for the query tree below the
-   exchange operator" (section 4.1).  Runs in a forked domain.
+   exchange operator" (section 4.1).  Runs as a forked task.
    [closer_slot] exposes the subtree to the failure handler so it can be
    closed (and its buffer fixes released) when the producer dies
    mid-stream. *)
@@ -368,14 +352,16 @@ let spawn_producers sched cfg faults input port =
     Sched.Event.fire close_allowed;
     join ()
 
-(* The feeders of a remote exchange: one dedicated domain per transport
-   source pumps pulled packets into the local port, so [next], EOS
-   counting, poisoning, and the shutdown chain are exactly the
-   shared-memory code paths.  Backpressure is end-to-end for free: a full
-   lane ring blocks the feeder's send, the feeder stops pulling, and the
-   kernel socket buffer pushes back on the worker's writes.  Returns the
-   joiner: feeders first, then the sources (reaping worker processes). *)
-let spawn_feeders sources port =
+(* The feeders of a remote exchange: one task per transport source pumps
+   pulled packets into the local port, so [next], EOS counting,
+   poisoning, and the shutdown chain are exactly the shared-memory code
+   paths.  A pull that waits for the wire suspends the feeder like any
+   other wait (the socket lane reads through [Sched.wait_fd]).
+   Backpressure is end-to-end for free: a full lane ring suspends the
+   feeder's send, the feeder stops pulling, and the kernel socket buffer
+   pushes back on the worker's writes.  Returns the joiner: feeders
+   first, then the sources (reaping worker processes). *)
+let spawn_feeders sched sources port =
   let consumers = Port.consumers port in
   let feed rank (src : Port.Transport.source) () =
     (* Whole packets round-robin across consumers: the workers already
@@ -436,10 +422,10 @@ let spawn_feeders sources port =
   in
   let feeders =
     Array.to_list
-      (Array.mapi (fun rank src -> spawn_domain (feed rank src)) sources)
+      (Array.mapi (fun rank src -> spawn_task sched (feed rank src)) sources)
   in
   fun () ->
-    List.iter join_domain_quiet feeders;
+    List.iter join_quiet feeders;
     Array.iter
       (fun (s : Port.Transport.source) -> try s.join () with _ -> ())
       sources
@@ -447,7 +433,7 @@ let spawn_feeders sources port =
 (* ------------------------------------------------------------------ *)
 (* Consumer side: one port setup, one packet cursor, one [next]         *)
 
-let obs_sample port ~spawn_s ~join_s ~domains =
+let obs_sample port ~spawn_s ~join_s ~tasks =
   {
     Obs.packets_sent = Port.packets_sent port;
     packets_received = Port.packets_received port;
@@ -461,7 +447,7 @@ let obs_sample port ~spawn_s ~join_s ~domains =
     pool_recycled = Port.pool_recycled port;
     spawn_s;
     join_s;
-    domains;
+    tasks;
   }
 
 (* The port setup every consumer face shares.  The group master creates
@@ -471,7 +457,7 @@ let obs_sample port ~spawn_s ~join_s ~domains =
    registers the obs sample, and publishes the port under [id].  Every
    other member looks the published port up and gets no joiner.  Without
    [start] nothing is forked (the no-fork interchange): its sample reports
-   zero domains and zero spawn/join time. *)
+   zero tasks and zero spawn/join time. *)
 let open_port ?(keep_separate = false) ?flow_slack ?(cancel = ignore) ?start
     ~faults ?parent_scope ?scope ?obs ~id ~group ~producers () =
   if not (Group.is_master group) then (Group.lookup_port group ~key:id, None)
@@ -491,14 +477,14 @@ let open_port ?(keep_separate = false) ?flow_slack ?(cancel = ignore) ?start
       match obs with
       | None -> joiner
       | Some (sink, node) ->
-          let spawn_s, domains =
+          let spawn_s, tasks =
             match joiner with
             | Some _ -> (Obs.now () -. spawn_t0, producers)
             | None -> (0.0, 0)
           in
           let join_s = ref 0.0 in
           Obs.register_exchange sink ~node ~sample:(fun () ->
-              obs_sample port ~spawn_s ~join_s:!join_s ~domains);
+              obs_sample port ~spawn_s ~join_s:!join_s ~tasks);
           Option.map
             (fun join () ->
               let t0 = Obs.now () in
@@ -654,9 +640,10 @@ let iterator ?id ?faults ?parent_scope ?scope ?obs ?sched cfg ~group ~input =
    {!Port.Transport.source}s — worker processes on the far side of a
    socket, or any other carrier — fed into the local port by
    {!spawn_feeders}. *)
-let remote_iterator ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs cfg
-    ~group ~connect =
+let remote_iterator ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
+    ?sched cfg ~group ~connect =
   let id = match id with Some i -> i | None -> fresh_id () in
+  let sched = match sched with Some s -> s | None -> Sched.default () in
   merged_iterator ~what:"Exchange.remote_iterator" ~group (fun () ->
       (* Only the master connects; the other members attach to its port. *)
       let sources =
@@ -680,8 +667,9 @@ let remote_iterator ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs cfg
           sources
       in
       open_port ?flow_slack:cfg.flow_slack ~cancel
-        ~start:(spawn_feeders sources) ~faults ?parent_scope ?scope ?obs ~id
-        ~group ~producers:(Array.length sources) ())
+        ~start:(spawn_feeders sched sources)
+        ~faults ?parent_scope ?scope ?obs ~id ~group
+        ~producers:(Array.length sources) ())
 
 (* Keep-separate variant: one stream per producer, so that "the merge
    iterator [can] distinguish the input records by their producer"

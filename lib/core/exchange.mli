@@ -27,13 +27,14 @@
     submitted to a fixed pool of worker domains.  Every blocking wait of
     an exchange — a full lane, an empty sink, an unpublished port, the
     close gate, a producer join — is one {!Volcano_sched.Sched.suspend}: a
-    pool fiber yields its worker, any other process (the query's root
-    thread, a remote feeder domain) blocks on a gate made for that
-    wait.
+    pool fiber yields its worker, and the query's root thread blocks on a
+    gate made for that wait.  A remote exchange's feeders are tasks too.
+    Their socket reads wait through {!Volcano_sched.Sched.wait_fd}, so
+    no query starts a domain of its own.
 
     {2 Failure semantics}
 
-    A failure anywhere in a parallel plan — a producer domain dying, a
+    A failure anywhere in a parallel plan — a producer task dying, a
     consumer-side fault, an injected error from {!Volcano_fault} —
     surfaces at the consuming [next] as a single {!Query_failed} carrying
     the original exception and the site that raised it.  The failing
@@ -41,8 +42,8 @@
     sibling producers, and (through cancellation {!Scope}s chained across
     nested exchanges) shuts every descendant port so processes blocked
     deep inside the pipeline observe the cancellation.  Teardown then
-    joins every producer domain and closes every subtree iterator, so no
-    domain and no buffer fix outlives the failed query. *)
+    joins every producer task and closes every subtree iterator, so no
+    task and no buffer fix outlives the failed query. *)
 
 exception Query_failed of { site : string; origin : exn }
 (** The one exception a consumer sees when a parallel query dies: [site]
@@ -187,6 +188,7 @@ val remote_iterator :
   ?parent_scope:Scope.t ->
   ?scope:Scope.t ->
   ?obs:Volcano_obs.Obs.t * Volcano_obs.Obs.Node.t ->
+  ?sched:Volcano_sched.Sched.t ->
   config ->
   group:Group.t ->
   connect:(unit -> Port.Transport.source array) ->
@@ -195,14 +197,15 @@ val remote_iterator :
     {!Port.Transport.source}s — worker processes across a socket
     ([Volcano_net]).  On the master's [open_], [connect] establishes one
     source per remote producer (a refused connection raises
-    {!Query_failed} at site ["net-connect"]); one dedicated feeder domain
-    per source pumps pulled packets into a local port, so [next], EOS
+    {!Query_failed} at site ["net-connect"]); one feeder task per source,
+    forked on [sched] (default {!Volcano_sched.Sched.default}), pumps
+    pulled packets into a local port, so [next], EOS
     counting, flow control, and the failure semantics are exactly the
     shared-memory paths: a dropped connection or a shipped worker failure
     surfaces as the same single {!Query_failed} a dead local producer
     produces, and closing early (or a runtime cancel through the scopes)
     cancels the sources, which sends best-effort cancel frames and closes
-    the sockets.  [close] joins the feeder domains and the sources
+    the sockets.  [close] joins the feeder tasks and the sources
     (reaping worker processes).  The partition spec of [cfg] is not
     re-applied on the wire edge: workers already sharded the data, so
     packets merge round-robin across the consuming group. *)
@@ -243,22 +246,21 @@ val interchange :
 
 (** {2 Instrumentation}
 
-    The counters keep their historical names but count producer {e tasks}
-    submitted to the scheduler. *)
+    The task ledger: producer and feeder tasks forked by exchanges. *)
 
-val domains_spawned : unit -> int
-(** Total producer tasks forked so far (tests, spawn ablation). *)
+val tasks_spawned : unit -> int
+(** Total exchange tasks forked so far (tests, spawn ablation). *)
 
-val domains_joined : unit -> int
-(** Total producer tasks joined so far.  Equal to {!domains_spawned}
+val tasks_joined : unit -> int
+(** Total exchange tasks joined so far.  Equal to {!tasks_spawned}
     whenever no query is running — the chaos harness asserts the
     difference is zero after every run, failed or not. *)
 
-val live_domains : unit -> int
-(** Producer tasks whose body is still executing. *)
+val live_tasks : unit -> int
+(** Exchange tasks whose body is still executing. *)
 
-val unjoined_domains : unit -> int
-(** [domains_spawned () - domains_joined ()]. *)
+val unjoined_tasks : unit -> int
+(** [tasks_spawned () - tasks_joined ()]. *)
 
 (**/**)
 

@@ -4,7 +4,8 @@
      CL000  parse-error          (a source file failed to parse)
      CL001  suspend-under-lock   (may-suspend call inside a held-mutex region)
      CL002  lock-order-cycle     (inconsistent lock acquisition order: ABBA)
-     CL003  blocking-in-fiber    (blocking primitive reachable from fiber context) *)
+     CL003  blocking-in-fiber    (blocking primitive reachable from fiber context)
+     CL004  spawn-outside-sched  (Domain.spawn / Thread.create outside lib/sched) *)
 
 type pos = { file : string; line : int }
 

@@ -33,9 +33,10 @@ let hard_roots =
 
 (* Socket and file-descriptor calls joined the set with the network
    subsystem: a fiber that blocks in [Unix.read] on a socket stalls its
-   pool worker exactly as a sleep does.  Dedicated transport domains
-   (net feeders, serve handler threads) are [Domain_ctx] and exempt;
-   sites that block deliberately carry [(* conclint: allow CL003 *)]. *)
+   pool worker exactly as a sleep does.  Code run by a domain or thread
+   of its own (the poller, serve's connection threads) is [Domain_ctx]
+   and exempt; sites that block deliberately carry
+   [(* conclint: allow CL003 *)]. *)
 let blocking_roots =
   SS.of_list
     [

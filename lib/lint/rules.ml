@@ -7,7 +7,10 @@
    CL002  inconsistent lock acquisition order: a cycle in the static
           lock graph means a potential ABBA deadlock;
    CL003  a blocking primitive reachable from fiber context, where it
-          would stall a pool worker invisibly to the scheduler. *)
+          would stall a pool worker invisibly to the scheduler;
+   CL004  a domain or thread started outside lib/sched: concurrent work
+          starts as a [Sched] task, and only the scheduler makes the
+          domains that run tasks. *)
 
 module SS = Set.Make (String)
 
@@ -341,6 +344,32 @@ let cl003 acc =
   done
 
 (* ------------------------------------------------------------------ *)
+(* CL004: domains and threads started outside the scheduler            *)
+
+let in_sched (pos : Cldiag.pos) =
+  Filename.basename (Filename.dirname pos.file) = "sched"
+
+let cl004 acc =
+  let rec go owner = function
+    | Shape.Lock _ | Unlock _ | Cond_wait _ | Raise _ -> ()
+    | Branch alts -> List.iter (List.iter (go owner)) alts
+    | Defer body -> List.iter (go owner) body
+    | Call c ->
+        (match Effects.spawn_ctx c.callee with
+        | Some Effects.Domain_ctx when not (in_sched c.cpos) ->
+            report acc ~code:"CL004" ~slug:"spawn-outside-sched" ~pos:c.cpos
+              (Printf.sprintf
+                 "%s: %s outside lib/sched (fork a Sched task instead)" owner
+                 c.callee)
+        | Some _ | None -> ());
+        List.iter (List.iter (go owner)) c.closures
+  in
+  Hashtbl.iter
+    (fun _ (info : Effects.info) ->
+      List.iter (go info.node.Shape.display) info.node.Shape.body)
+    acc.table.nodes
+
+(* ------------------------------------------------------------------ *)
 
 let run (t : Effects.table) : Cldiag.t list =
   let acc = { table = t; diags = []; edges = [] } in
@@ -350,4 +379,5 @@ let run (t : Effects.table) : Cldiag.t list =
     t.nodes;
   cl002 acc;
   cl003 acc;
+  cl004 acc;
   acc.diags

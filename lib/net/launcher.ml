@@ -210,6 +210,10 @@ let launch ?(faults = Injector.none) ?(lane = `Unix) ?repartition
           (match repartition with
           | None -> ()
           | Some r -> Wire.write conn Wire.Repartition (Wire.repartition r));
+          (* From here on the connection is read by a feeder fiber: a
+             read that would block suspends the fiber instead of holding
+             its pool worker. *)
+          Unix.set_nonblock fd;
           conn
     in
     let conns = Array.init workers accept_one in

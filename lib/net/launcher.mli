@@ -44,7 +44,10 @@ val launch :
     process is killed and reaped, and the exception propagates (surfacing
     as [Query_failed] at site ["net-connect"] from the exchange).
     [faults] is threaded into every frame read/write of the returned
-    sources.
+    sources.  After its handshake each connection is non-blocking, so a
+    pull that finds no whole frame waits through
+    {!Volcano_sched.Sched.wait_fd}: a pool fiber pulling a stalled site
+    gives its worker back.
 
     [lane] picks the transport ([`Unix] default).  The TCP listener binds
     loopback port 0 and reads the kernel's choice back, retrying the bind

@@ -96,6 +96,9 @@ module Server = struct
       }
     in
     let acceptor =
+      (* conclint: allow CL004 -- serve's acceptor and connection threads
+         move onto the scheduler in ROADMAP item 9; until then each
+         blocks in accept or a socket read, off the pool. *)
       Thread.create
         (fun () ->
           let rec loop () =
@@ -111,6 +114,8 @@ module Server = struct
                   with_lock t (fun () ->
                       t.conns <- fd :: t.conns;
                       t.handlers <-
+                        (* conclint: allow CL004 -- a connection thread;
+                           see the acceptor above (ROADMAP item 9). *)
                         Thread.create (fun () -> handle_conn t ~handle fd) ()
                         :: t.handlers)
                 end;

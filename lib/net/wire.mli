@@ -48,12 +48,16 @@ type conn
 val conn : ?faults:Volcano_fault.Injector.t -> Unix.file_descr -> conn
 (** Wrap a connected socket.  [faults] is consulted at [Net_read] (before
     each header), [Net_frame] (between a header and its payload — the
-    truncated-frame site) and [Net_write] (before each frame is sent). *)
+    truncated-frame site) and [Net_write] (before each frame is sent).
+    The socket may be blocking or non-blocking: on a non-blocking one a
+    read or write that would block waits in
+    {!Volcano_sched.Sched.wait_fd} and resumes where it stopped, so a pool
+    fiber waiting on a half-arrived frame holds no worker. *)
 
 val fd : conn -> Unix.file_descr
 
 val read : conn -> kind * int
-(** Read one frame; blocks until fully read.  Returns its kind and
+(** Read one frame; waits until it is fully read.  Returns its kind and
     payload length; the payload is bytes [\[0, len)] of {!payload}.
     @raise End_of_file on a dropped connection
     @raise Corrupt on an unparseable header *)
@@ -78,7 +82,7 @@ val reserve : conn -> int -> bytes
 val send : conn -> kind -> len:int -> unit
 (** The one frame writer: fill in the header and write the frame whose
     [len]-byte payload sits at {!header_size} of the output buffer —
-    header and payload in one write call.  Blocks until fully written.
+    header and payload in one write call.  Waits until fully written.
     @raise Corrupt on a payload longer than {!max_frame} *)
 
 val write : conn -> kind -> bytes -> unit

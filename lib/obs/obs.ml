@@ -123,7 +123,7 @@ type exchange_sample = {
   pool_recycled : int; (* packets accepted back for reuse *)
   spawn_s : float;
   join_s : float;
-  domains : int;
+  tasks : int; (* producer or feeder tasks forked for the group *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -322,7 +322,7 @@ let exchange_sample_json sample =
       ("pool_recycled", Jsonx.Int sample.pool_recycled);
       ("spawn_s", Jsonx.Float sample.spawn_s);
       ("join_s", Jsonx.Float sample.join_s);
-      ("domains", Jsonx.Int sample.domains);
+      ("tasks", Jsonx.Int sample.tasks);
     ]
 
 let node_json t node =

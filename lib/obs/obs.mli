@@ -81,7 +81,7 @@ type exchange_sample = {
   pool_recycled : int;  (** packets accepted back for reuse *)
   spawn_s : float;  (** time to fork the producer group *)
   join_s : float;  (** time to join it at teardown *)
-  domains : int;
+  tasks : int;  (** producer or feeder tasks forked for the group *)
 }
 
 (** {2 Metrics registry} *)

@@ -104,10 +104,6 @@ let hash_build ~key_of ~aggs ~drain =
       Queue.take_opt results)
     ~close:(fun () -> opened := false)
 
-let hash_iterator ~group_by ~aggs input =
-  hash_build ~key_of:(Support.key_on group_by) ~aggs ~drain:(fun feed_tuple ->
-      Iterator.iter feed_tuple input)
-
 (* ------------------------------------------------------------------ *)
 (* The specialized batch build.
 
@@ -346,6 +342,12 @@ let hash_feed_exprs ~keys ~aggs ~drain =
   | None ->
       let key_of tuple = Array.map (fun f -> f tuple) key_evals in
       hash_build ~key_of ~aggs ~drain
+
+(* The record path takes the same build as the fused one: a column list
+   is the key expressions [List.map Expr.col group_by]. *)
+let hash_iterator ~group_by ~aggs input =
+  hash_feed_exprs ~keys:(List.map Expr.col group_by) ~aggs
+    ~drain:(fun feed_tuple -> Iterator.iter feed_tuple input)
 
 let sorted_iterator ~group_by ~aggs input =
   let key_of = Support.key_on group_by in

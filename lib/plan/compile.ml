@@ -643,7 +643,7 @@ and compile_node env ids obs group scope plan =
         | _ -> None
       in
       Exchange.remote_iterator ~id:(ids plan) ~faults ?parent_scope:scope
-        ~scope:child
+        ~scope:child ~sched:(Env.sched env)
         ?obs:(exchange_obs obs plan)
         cfg ~group
         ~connect:(fun () ->

@@ -15,7 +15,7 @@ type report = {
   buffer : Bufpool.stats;  (** delta over the run *)
   device_reads : int;  (** workspace device, delta *)
   device_writes : int;
-  domains : int;  (** producer tasks spawned during the run *)
+  tasks : int;  (** exchange tasks spawned during the run *)
   sched : Sched.stats;  (** counters are deltas over the run *)
 }
 
@@ -39,7 +39,7 @@ let execute ?check env plan =
   let sched = Env.sched env in
   let b0 = Bufpool.stats pool in
   let r0 = Device.reads workspace and w0 = Device.writes workspace in
-  let d0 = Exchange.domains_spawned () in
+  let d0 = Exchange.tasks_spawned () in
   let s0 = Sched.stats sched in
   (* Attach before the run so task latencies stream into the sink's
      histogram; the [~since] delta is zero at this point. *)
@@ -68,7 +68,7 @@ let execute ?check env plan =
       };
     device_reads = Device.reads workspace - r0;
     device_writes = Device.writes workspace - w0;
-    domains = Exchange.domains_spawned () - d0;
+    tasks = Exchange.tasks_spawned () - d0;
     sched = delta_stats s0 (Sched.stats sched);
   }
 
@@ -80,8 +80,8 @@ let fmt_s s =
 let render r =
   let lines = ref [] in
   let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
-  add "%d rows in %s  (%d producer tasks)" r.rows (fmt_s r.elapsed_s)
-    r.domains;
+  add "%d rows in %s  (%d exchange tasks)" r.rows (fmt_s r.elapsed_s)
+    r.tasks;
   add "sched: %d workers, %d tasks (%d stolen), %d suspensions"
     r.sched.Sched.pool_workers r.sched.Sched.submitted r.sched.Sched.stolen
     r.sched.Sched.suspensions;
@@ -124,8 +124,8 @@ let render r =
                    (Array.to_list (Array.map string_of_int s.Obs.per_producer)));
               add "%spool: %d allocated, %d reused, %d recycled" pad
                 s.Obs.pool_allocated s.Obs.pool_reused s.Obs.pool_recycled;
-              if s.Obs.domains > 0 then
-                add "%sgroup: %d domains, spawn %s, join %s" pad s.Obs.domains
+              if s.Obs.tasks > 0 then
+                add "%sgroup: %d tasks, spawn %s, join %s" pad s.Obs.tasks
                   (fmt_s s.Obs.spawn_s) (fmt_s s.Obs.join_s)))
     entries;
   String.concat "\n" (List.rev !lines) ^ "\n"
@@ -135,7 +135,7 @@ let to_json r =
     [
       ("rows", Jsonx.Int r.rows);
       ("elapsed_s", Jsonx.Float r.elapsed_s);
-      ("domains_spawned", Jsonx.Int r.domains);
+      ("tasks_spawned", Jsonx.Int r.tasks);
       ( "buffer",
         Jsonx.Obj
           [

@@ -16,7 +16,7 @@ type report = {
   buffer : Volcano_storage.Bufpool.stats;  (** delta over the run *)
   device_reads : int;  (** workspace device, delta *)
   device_writes : int;
-  domains : int;  (** producer tasks spawned during the run *)
+  tasks : int;  (** exchange tasks spawned during the run *)
   sched : Volcano_sched.Sched.stats;
       (** scheduler activity: counters are deltas over the run;
           [pool_workers] and [peak_queue_depth] are absolute *)

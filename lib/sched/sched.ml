@@ -16,12 +16,13 @@ module Obs = Volcano_obs.Obs
    later suspensions of the same fiber are handled identically.
 
    [suspend] is the engine's one blocking primitive.  Off the pool (the
-   main thread, remote feeder domains, serve connection threads) there is
+   main thread, serve connection threads, the deadline timer) there is
    no fiber to unwind, so the caller blocks on a one-shot gate made for
    that one wait, and the gate's opener is the waker [register] stores.
    The gate is per wait, not per domain: systhreads share their domain,
    and a domain-wide gate would let one thread's waker release another
-   thread's wait. *)
+   thread's wait.  A wait for a file descriptor is one more [suspend],
+   woken by the process's poller domain ([wait_fd] below). *)
 
 type job = unit -> unit
 
@@ -359,6 +360,102 @@ module Event = struct
       wait e
     end
 end
+
+(* ------------------------------------------------------------------ *)
+(* Readiness waits                                                     *)
+
+(* One poller per process selects over every descriptor a wait is
+   registered on, plus the read end of a self-pipe that a new
+   registration writes a byte to so the poller picks it up.  It wakes
+   each wait whose descriptor turned ready and forgets it.  The poller
+   is a domain of its own: a systhread made on a pool worker would share
+   that worker's DLS and look like a fiber to [suspend].  It starts on
+   the first wait, so a process that never waits on a descriptor has
+   none. *)
+type poller = {
+  pl_lock : Mutex.t;
+  mutable waits : (Unix.file_descr * [ `Read | `Write ] * (unit -> unit)) list;
+  kick_r : Unix.file_descr;
+  kick_w : Unix.file_descr;
+}
+
+let drain_kicks p buf =
+  let rec go () =
+    match Unix.read p.kick_r buf 0 (Bytes.length buf) with
+    | n when n = Bytes.length buf -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
+
+let rec poll_loop p buf =
+  Mutex.lock p.pl_lock;
+  let waits = p.waits in
+  Mutex.unlock p.pl_lock;
+  let on dir =
+    List.filter_map (fun (fd, d, _) -> if d = dir then Some fd else None) waits
+  in
+  let ready =
+    match Unix.select (p.kick_r :: on `Read) (on `Write) [] (-1.0) with
+    | r, w, _ -> Some (r, w)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> Some ([], [])
+    | exception Unix.Unix_error _ ->
+        (* A registered descriptor was closed under its wait: wake every
+           wait, and each retries its own call, which fails or waits
+           again. *)
+        None
+  in
+  (match ready with
+  | Some (r, _) when List.mem p.kick_r r -> drain_kicks p buf
+  | _ -> ());
+  Mutex.lock p.pl_lock;
+  let fire, keep =
+    match ready with
+    | None -> (p.waits, [])
+    | Some (r, w) ->
+        List.partition
+          (fun (fd, dir, _) -> List.mem fd (if dir = `Read then r else w))
+          p.waits
+  in
+  p.waits <- keep;
+  Mutex.unlock p.pl_lock;
+  List.iter (fun (_, _, wake) -> wake ()) fire;
+  poll_loop p buf
+
+let poller_lock = Mutex.create ()
+let the_poller : poller option ref = ref None
+
+let poller () =
+  Mutex.lock poller_lock;
+  let p =
+    match !the_poller with
+    | Some p -> p
+    | None ->
+        let kick_r, kick_w = Unix.pipe ~cloexec:true () in
+        Unix.set_nonblock kick_r;
+        Unix.set_nonblock kick_w;
+        let p = { pl_lock = Mutex.create (); waits = []; kick_r; kick_w } in
+        ignore (Domain.spawn (fun () -> poll_loop p (Bytes.create 64)));
+        the_poller := Some p;
+        p
+  in
+  Mutex.unlock poller_lock;
+  p
+
+let kick = Bytes.make 1 '!'
+
+let wait_fd dir fd =
+  let p = poller () in
+  suspend (fun wake ->
+      Mutex.lock p.pl_lock;
+      p.waits <- (fd, dir, wake) :: p.waits;
+      Mutex.unlock p.pl_lock;
+      (* After the push: the byte makes the poller select again, now over
+         this wait too.  A full pipe already holds a byte, so [EAGAIN]
+         loses nothing. *)
+      (try ignore (Unix.single_write p.kick_w kick 0 1)
+       with Unix.Unix_error _ -> ());
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

@@ -20,6 +20,7 @@
     blocking edges between tasks are suspension points, never parked
     domains.
 
+    A wait on a non-blocking socket is task-shaped too ({!wait_fd}).
     Waits that are not task-shaped (page I/O, buffer-pool frame waits)
     still block the worker; the default pool size keeps a floor of 2
     workers so such a wait cannot hold the only worker on a 1-core host.
@@ -80,6 +81,15 @@ val suspend : ((unit -> unit) -> bool) -> unit
     domain, so registrations may be left behind in wake lists; spurious
     wakes are harmless provided the caller re-checks its condition in a
     loop. *)
+
+val wait_fd : [ `Read | `Write ] -> Unix.file_descr -> unit
+(** [wait_fd dir fd] waits until [fd] is readable ([`Read]) or writable
+    ([`Write]) — a {!suspend} point, so a pool fiber gives its worker back
+    while it waits.  Meant for a non-blocking descriptor whose call just
+    failed with [EAGAIN]: retry the call after the wait, in a loop, since
+    a wake may be spurious (a descriptor closed under a wait wakes every
+    wait).  One poller per process serves every wait: a domain that
+    selects over the waited descriptors, started by the first wait. *)
 
 (** One-shot broadcast gate: [wait] returns once [fire] has been called.
     Waiting is a {!suspend} point.  Replaces the close-permission

@@ -5,6 +5,8 @@ let () =
     Test_net.worker_main ~socket:Sys.argv.(2)
   else if Array.length Sys.argv >= 3 && Sys.argv.(1) = "net-rogue-worker" then
     Test_net.rogue_worker_main ~socket:Sys.argv.(2)
+  else if Array.length Sys.argv >= 3 && Sys.argv.(1) = "net-stall-worker" then
+    Test_net.stall_worker_main ~socket:Sys.argv.(2)
   else if Array.length Sys.argv >= 3 && Sys.argv.(1) = "shard-worker" then
     Test_shard.worker_main ~socket:Sys.argv.(2)
   else

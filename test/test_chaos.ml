@@ -98,8 +98,8 @@ let run_case ?batch_size ~plan_seed ~fault_seed () =
   let failf fmt =
     Printf.ksprintf (fun msg -> Alcotest.failf "%s\n%s" msg (repro ())) fmt
   in
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   let oracle = Test_random_plans.sorted_run env serial in
   if not (Test_random_plans.accepted env decorated) then
     failf "decorated plan rejected by the analyzer";
@@ -123,11 +123,11 @@ let run_case ?batch_size ~plan_seed ~fault_seed () =
   Env.clear_faults env;
   (try Bufpool.assert_quiescent ~what:"chaos case" (Env.buffer env)
    with Failure msg -> failf "%s" msg);
-  if Exchange.unjoined_domains () <> unjoined0 then
-    failf "leaked %d unjoined domain(s)"
-      (Exchange.unjoined_domains () - unjoined0);
-  if Exchange.live_domains () <> live0 then
-    failf "leaked %d live domain(s)" (Exchange.live_domains () - live0);
+  if Exchange.unjoined_tasks () <> unjoined0 then
+    failf "leaked %d unjoined task(s)"
+      (Exchange.unjoined_tasks () - unjoined0);
+  if Exchange.live_tasks () <> live0 then
+    failf "leaked %d live task(s)" (Exchange.live_tasks () - live0);
   try Sched.assert_quiescent ~what:"chaos case" (Sched.default ())
   with Failure msg -> failf "%s" msg
 
@@ -234,9 +234,9 @@ let under_exchange input =
 let assert_fused_quiescent ~what env ~unjoined0 ~live0 =
   Bufpool.assert_quiescent ~what (Env.buffer env);
   Alcotest.(check int)
-    "no unjoined domains" unjoined0
-    (Exchange.unjoined_domains ());
-  Alcotest.(check int) "no live domains" live0 (Exchange.live_domains ());
+    "no unjoined tasks" unjoined0
+    (Exchange.unjoined_tasks ());
+  Alcotest.(check int) "no live tasks" live0 (Exchange.live_tasks ());
   Sched.assert_quiescent ~what (Sched.default ())
 
 let test_faults_inside_fused_loops () =
@@ -246,8 +246,8 @@ let test_faults_inside_fused_loops () =
         (fun (site, hit) ->
           let env = fused_table () in
           let plan = under_exchange input in
-          let unjoined0 = Exchange.unjoined_domains () in
-          let live0 = Exchange.live_domains () in
+          let unjoined0 = Exchange.unjoined_tasks () in
+          let live0 = Exchange.live_tasks () in
           Env.set_faults env
             (Injector.make
                {
@@ -288,8 +288,8 @@ let test_faults_inside_fused_loops () =
   List.iter
     (fun (shape, plan) ->
       let env = fused_table () in
-      let unjoined0 = Exchange.unjoined_domains () in
-      let live0 = Exchange.live_domains () in
+      let unjoined0 = Exchange.unjoined_tasks () in
+      let live0 = Exchange.live_tasks () in
       let iter = Compile.compile env plan in
       Iterator.open_ iter;
       for _ = 1 to 5 do
@@ -368,8 +368,8 @@ let test_early_close_under_delays () =
     Env.set_sort_run_capacity env (8 + Rng.int rng 56);
     let serial = Test_random_plans.random_plan rng depth in
     let decorated = Test_random_plans.decorate rng serial in
-    let unjoined0 = Exchange.unjoined_domains () in
-    let live0 = Exchange.live_domains () in
+    let unjoined0 = Exchange.unjoined_tasks () in
+    let live0 = Exchange.live_tasks () in
     Env.set_faults env (Injector.make (delay_plan plan_seed));
     (match
        run_with_timeout ~seconds:timeout_seconds (fun () ->
@@ -395,9 +395,9 @@ let test_early_close_under_delays () =
     Env.clear_faults env;
     Bufpool.assert_quiescent ~what:"early close under delays" (Env.buffer env);
     Alcotest.(check int)
-      "no unjoined domains" unjoined0
-      (Exchange.unjoined_domains ());
-    Alcotest.(check int) "no live domains" live0 (Exchange.live_domains ());
+      "no unjoined tasks" unjoined0
+      (Exchange.unjoined_tasks ());
+    Alcotest.(check int) "no live tasks" live0 (Exchange.live_tasks ());
     Sched.assert_quiescent ~what:"early close under delays"
       (Sched.default ())
   done
@@ -419,8 +419,8 @@ let test_obs_matrix () =
     let serial = Test_random_plans.random_plan rng depth in
     let decorated = Test_random_plans.decorate rng serial in
     if Test_random_plans.accepted env decorated then begin
-      let unjoined0 = Exchange.unjoined_domains () in
-      let live0 = Exchange.live_domains () in
+      let unjoined0 = Exchange.unjoined_tasks () in
+      let live0 = Exchange.live_tasks () in
       let oracle = Test_random_plans.sorted_run env serial in
       (* Fault-free, instrumented: observability must be invisible. *)
       let sink = Obs.create () in
@@ -467,9 +467,9 @@ let test_obs_matrix () =
       Env.clear_faults env;
       Bufpool.assert_quiescent ~what:"obs chaos case" (Env.buffer env);
       Alcotest.(check int)
-        "no unjoined domains" unjoined0
-        (Exchange.unjoined_domains ());
-      Alcotest.(check int) "no live domains" live0 (Exchange.live_domains ());
+        "no unjoined tasks" unjoined0
+        (Exchange.unjoined_tasks ());
+      Alcotest.(check int) "no live tasks" live0 (Exchange.live_tasks ());
       Sched.assert_quiescent ~what:"obs chaos case" (Sched.default ())
     end
   done

@@ -22,12 +22,12 @@ let check = Alcotest.check
 (* Every test asserts the books balance afterwards: a failed query must
    leave no producer task running or unjoined, and no fiber suspended. *)
 let with_domain_accounting f =
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   f ();
   check Alcotest.int "no unjoined tasks" unjoined0
-    (Exchange.unjoined_domains ());
-  check Alcotest.int "no live tasks" live0 (Exchange.live_domains ());
+    (Exchange.unjoined_tasks ());
+  check Alcotest.int "no live tasks" live0 (Exchange.live_tasks ());
   Sched.assert_quiescent ~what:"fault case" (Sched.default ())
 
 (* --- injector ------------------------------------------------------- *)

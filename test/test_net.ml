@@ -26,6 +26,7 @@ module Launcher = Volcano_net.Launcher
 module Repart = Volcano_net.Repart
 module Serve = Volcano_net.Serve
 module Sched = Volcano_sched.Sched
+module Session = Volcano_plan.Session
 module Bufpool = Volcano_storage.Bufpool
 
 (* --- the test task vocabulary ---------------------------------------- *)
@@ -123,12 +124,12 @@ let run_with_timeout ?(seconds = 30.0) f =
 let check_quiescent ~what env ~unjoined0 ~live0 =
   Bufpool.assert_quiescent ~what (Env.buffer env);
   Alcotest.(check int)
-    (what ^ ": no unjoined domains")
+    (what ^ ": no unjoined tasks")
     unjoined0
-    (Exchange.unjoined_domains ());
+    (Exchange.unjoined_tasks ());
   Alcotest.(check int)
-    (what ^ ": no live domains")
-    live0 (Exchange.live_domains ());
+    (what ^ ": no live tasks")
+    live0 (Exchange.live_tasks ());
   Sched.assert_quiescent ~what (Sched.default ())
 
 (* --- codec properties ------------------------------------------------- *)
@@ -424,8 +425,8 @@ let test_remote_local_differential () =
     let serial = Test_random_plans.random_plan (Rng.create seed) depth in
     let env = Env.create ~frames:128 ~page_size:512 () in
     register env;
-    let unjoined0 = Exchange.unjoined_domains () in
-    let live0 = Exchange.live_domains () in
+    let unjoined0 = Exchange.unjoined_tasks () in
+    let live0 = Exchange.live_tasks () in
     let local =
       sorted
         (Runner.run env
@@ -453,13 +454,13 @@ let test_remote_local_differential () =
   done
 
 (* The remote face samples its port like every local face: one feeder
-   domain per source, and every packet a feeder pushed reached the
+   task per source, and every packet a feeder pushed reached the
    consumer. *)
 let test_remote_sample () =
   let env = Env.create ~frames:128 ~page_size:512 () in
   register env;
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   let plan = remote ~workers:2 ~task:"gen:3000" (gen_plan 3000) in
   let sink = Volcano_obs.Obs.create () in
   let obs = Compile.observe sink plan in
@@ -476,8 +477,8 @@ let test_remote_sample () =
          Volcano_obs.Obs.exchange_sample sink ~node)
    with
   | Some s ->
-      Alcotest.(check int) "one feeder domain per source" 2
-        s.Volcano_obs.Obs.domains;
+      Alcotest.(check int) "one feeder task per source" 2
+        s.Volcano_obs.Obs.tasks;
       Alcotest.(check int) "packets sent = received" s.packets_sent
         s.packets_received;
       Alcotest.(check int) "every row crossed" 3000 s.records
@@ -510,8 +511,8 @@ let routed_plan ~workers ~task n =
 let test_routed_packet_reuse () =
   let env = Env.create ~frames:128 ~page_size:512 () in
   register env;
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   let plan = routed_plan ~workers:2 ~task:"gen:40000" 40000 in
   let remote_node = match plan with Plan.Exchange { input; _ } -> input | _ -> plan in
   let sink = Volcano_obs.Obs.create () in
@@ -574,8 +575,8 @@ let test_routed_dest_out_of_range () =
            [| Sys.executable_name; "net-rogue-worker"; socket |])
          ~workers ~task ~packet_size ())
         .Launcher.sources);
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   (match
      run_with_timeout (fun () ->
          Runner.run env (routed_plan ~workers:1 ~task:"rogue" 10))
@@ -588,14 +589,128 @@ let test_routed_dest_out_of_range () =
   | Timeout -> Alcotest.fail "out-of-range routing hung the query");
   check_quiescent ~what:"routed dest out of range" env ~unjoined0 ~live0
 
+(* --- a narrow pool and a stalled site ----------------------------------- *)
+
+(* Remote feeders are pool tasks, and a pull that waits for the wire
+   suspends its feeder: on a 1-worker pool, a 2-site remote edge —
+   merged, and repartitioned to two consuming ranks — returns exactly
+   the local exchange's rows. *)
+let test_narrow_pool_differential () =
+  Session.with_session ~frames:128 ~page_size:512 ~workers:1 (fun session ->
+      let env = Session.env session in
+      register env;
+      let unjoined0 = Exchange.unjoined_tasks () in
+      let live0 = Exchange.live_tasks () in
+      let expected =
+        sorted
+          (Session.exec session
+             (`Plan
+                (Plan.Exchange
+                   {
+                     cfg = Exchange.config ~degree:2 ~packet_size:83 ();
+                     input = gen_plan 5000;
+                   })))
+      in
+      List.iter
+        (fun (what, plan) ->
+          match
+            run_with_timeout (fun () -> Session.exec session (`Plan plan))
+          with
+          | Rows rows ->
+              if sorted rows <> expected then
+                Alcotest.failf "%s: a 1-worker pool diverges from local" what
+          | Raised exn ->
+              Alcotest.failf "%s failed: %s" what (Printexc.to_string exn)
+          | Timeout -> Alcotest.failf "%s hung on a 1-worker pool" what)
+        [
+          ("merged edge", remote ~workers:2 ~task:"gen:5000" (gen_plan 5000));
+          ("repartitioned edge", routed_plan ~workers:2 ~task:"gen:5000" 5000);
+        ];
+      check_quiescent ~what:"narrow pool differential" env ~unjoined0 ~live0;
+      Sched.assert_quiescent ~what:"narrow pool" (Session.sched session))
+
+(* A worker that answers its Hello with half a data frame and then
+   stalls, until its parent cancels (a Cancel frame or a torn socket). *)
+let stall_worker_main ~socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let conn = Wire.conn fd in
+  ignore (Wire.read conn : Wire.kind * int);
+  (* The header of a 100-byte Data frame (u32 LE length | u8 kind 2), then
+     half its payload. *)
+  let frame = Bytes.make (Wire.header_size + 100) '\000' in
+  Bytes.set_int32_le frame 0 100l;
+  Bytes.set_uint8 frame 4 2;
+  ignore (Unix.write fd frame 0 (Wire.header_size + 50));
+  (try ignore (Wire.read conn) with _ -> ());
+  Unix.close fd
+
+(* A site that stalls mid-frame must not pin a pool worker: while its
+   feeder waits, a local query on the same 1-worker session completes.
+   Cancelling the stalled query then ends it in exactly one
+   [Query_failed] (or a clean cancel), with every task joined. *)
+let test_stalled_site () =
+  Session.with_session ~frames:128 ~page_size:512 ~workers:1 ~max_concurrent:2
+    (fun session ->
+      let env = Session.env session and sched = Session.sched session in
+      Env.set_remote_launcher env
+        (fun ~faults ~repartition:_ ~workers ~task ~packet_size ->
+          (Launcher.launch ~faults
+             ~command:(fun ~socket ->
+               [| Sys.executable_name; "net-stall-worker"; socket |])
+             ~workers ~task ~packet_size ())
+            .Launcher.sources);
+      let unjoined0 = Exchange.unjoined_tasks () in
+      let live0 = Exchange.live_tasks () in
+      let job =
+        Session.submit session (`Plan (remote ~workers:1 ~task:"stall" (gen_plan 1)))
+      in
+      (* Any failure below cancels the stalled query first (tearing its
+         socket), so the session can drain and close. *)
+      Fun.protect ~finally:(fun () -> Session.cancel job) @@ fun () ->
+      (* The query's consumer and its feeder both park: one on the port,
+         one on the socket. *)
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Sched.suspended_tasks sched < 2 do
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "the stalled query never parked its feeder";
+        Unix.sleepf 0.001
+      done;
+      (match
+         run_with_timeout ~seconds:10.0 (fun () ->
+             Session.exec session
+               (`Plan
+                  (Plan.Exchange
+                     { cfg = Exchange.config ~degree:2 (); input = gen_plan 1000 })))
+       with
+      | Rows rows -> Alcotest.(check int) "local rows" 1000 (List.length rows)
+      | Raised exn ->
+          Alcotest.failf "local query failed: %s" (Printexc.to_string exn)
+      | Timeout -> Alcotest.fail "a stalled site pinned the only pool worker");
+      Alcotest.(check bool)
+        "the stalled query is still running" true
+        (Session.status job = Volcano_sched.Runtime.Running);
+      Session.cancel job;
+      (match
+         run_with_timeout (fun () ->
+             match Session.await job with Ok rows -> rows | Error exn -> raise exn)
+       with
+      | Raised (Exchange.Query_failed _ | Volcano_sched.Runtime.Cancelled) -> ()
+      | Raised exn ->
+          Alcotest.failf "cancel surfaced as %s" (Printexc.to_string exn)
+      | Rows _ -> Alcotest.fail "a cancelled stalled query returned rows"
+      | Timeout -> Alcotest.fail "cancel never reached the stalled feeder");
+      check_quiescent ~what:"stalled site" env ~unjoined0 ~live0;
+      Sched.assert_quiescent ~what:"stalled site" sched)
+
 (* A worker process killed mid-stream must surface as exactly one
    [Query_failed] at the consumer — no hang, no partial result. *)
 let test_killed_worker () =
   let env = Env.create ~frames:128 ~page_size:512 () in
   let pids = ref [] in
   register ~pids env;
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   let killer =
     Thread.create
       (fun () ->
@@ -632,8 +747,8 @@ let test_killed_worker () =
 let test_worker_task_failure () =
   let env = Env.create ~frames:128 ~page_size:512 () in
   register env;
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   (match
      run_with_timeout (fun () ->
          Runner.run env (remote ~task:"fail:planted" (gen_plan 10)))
@@ -652,8 +767,8 @@ let test_worker_task_failure () =
 let test_remote_early_close () =
   let env = Env.create ~frames:128 ~page_size:512 () in
   register env;
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   (match
      run_with_timeout (fun () ->
          Runner.run env
@@ -679,8 +794,8 @@ let test_net_fault_sites () =
     (fun (site, hit) ->
       let env = Env.create ~frames:128 ~page_size:512 () in
       register env;
-      let unjoined0 = Exchange.unjoined_domains () in
-      let live0 = Exchange.live_domains () in
+      let unjoined0 = Exchange.unjoined_tasks () in
+      let live0 = Exchange.live_tasks () in
       Env.set_faults env
         (Injector.make
            {
@@ -868,6 +983,10 @@ let suite =
       test_routed_packet_reuse;
     Alcotest.test_case "routed frame past the last consumer" `Slow
       test_routed_dest_out_of_range;
+    Alcotest.test_case "remote matches local on a 1-worker pool" `Slow
+      test_narrow_pool_differential;
+    Alcotest.test_case "a stalled site pins no pool worker" `Slow
+      test_stalled_site;
     Alcotest.test_case "killed worker yields one Query_failed" `Slow
       test_killed_worker;
     Alcotest.test_case "worker task failure crosses as Query_failed" `Slow

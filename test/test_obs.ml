@@ -257,14 +257,14 @@ let test_sample_per_face () =
   List.iter
     (fun (face, plan) ->
       let s = sample plan plan in
-      check Alcotest.int (face ^ ": domains = degree") 3 s.Obs.domains;
+      check Alcotest.int (face ^ ": tasks = degree") 3 s.Obs.tasks;
       check Alcotest.int (face ^ ": every record crossed") n s.Obs.records;
       check Alcotest.bool (face ^ ": spawn timed") true (s.Obs.spawn_s > 0.0))
     [ ("exchange", exchange); ("exchange merge", merge) ];
   let s =
     sample (Plan.Exchange { cfg = cfg 2; input = interchange }) interchange
   in
-  check Alcotest.int "interchange: no domains" 0 s.Obs.domains;
+  check Alcotest.int "interchange: no tasks" 0 s.Obs.tasks;
   check (Alcotest.float 0.0) "interchange: no spawn time" 0.0 s.Obs.spawn_s;
   check (Alcotest.float 0.0) "interchange: no join time" 0.0 s.Obs.join_s;
   check Alcotest.bool "interchange: packets flowed" true

@@ -483,6 +483,32 @@ let test_hash_aggregate_build_allocation () =
     Alcotest.failf "%.2f minor words per aggregated row, bound %.1f" per_row
       bound
 
+(* A record input takes the same int-key build as a fused one: 16-column
+   rows grouped on one column, counted and summed, allocate per row the
+   input's own [Some] cell (2 words) and nothing in the build.  The
+   generic build, a key tuple and boxed accumulators per row, measured
+   25 words. *)
+let test_record_aggregate_allocation () =
+  let n = 40_000 and bound = 3.0 in
+  let rows =
+    Array.init n (fun i ->
+        Tuple.of_ints (List.init 16 (fun c -> if c = 4 then i mod 10 else i + c)))
+  in
+  let it =
+    Ops.Aggregate.hash_iterator ~group_by:[ 4 ]
+      ~aggs:[ Ops.Aggregate.Count; Ops.Aggregate.Sum (Volcano_tuple.Expr.Col 0) ]
+      (Iterator.of_array rows)
+  in
+  let per_row = words_per ~n (fun () -> Iterator.open_ it) in
+  let rec groups k =
+    match Iterator.next it with None -> k | Some _ -> groups (k + 1)
+  in
+  check Alcotest.int "groups" 10 (groups 0);
+  Iterator.close it;
+  if per_row >= bound then
+    Alcotest.failf "%.2f minor words per aggregated record, bound %.1f" per_row
+      bound
+
 (* A fused scan with a one-column projected decode allocates the row it
    emits — a 1-field tuple and its [Int], 4 words — and little else: no
    option per record, no projection box per decode.  The table is
@@ -786,6 +812,8 @@ let suite =
       test_hash_match_build_allocation;
     Alcotest.test_case "hash aggregate build allocation" `Quick
       test_hash_aggregate_build_allocation;
+    Alcotest.test_case "record aggregate build allocation" `Quick
+      test_record_aggregate_allocation;
     Alcotest.test_case "fused scan allocation" `Quick test_fused_scan_allocation;
     Alcotest.test_case "support function allocation" `Quick
       test_support_allocation;

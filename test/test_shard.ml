@@ -365,8 +365,8 @@ let test_catalog_corruption () =
 let differential ?lane ~rows ~parts ~spec ~placement ~shape () =
   let env, _ = make_env ~rows ~parts ~spec ~placement in
   register ?lane env;
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   let plan = shape_plan shape in
   let local =
     sorted
@@ -411,8 +411,8 @@ let test_tcp_lane_differential () =
   let env, _ = make_env ~rows:400 ~parts:3 ~spec:"hash0" ~placement:"id" in
   let address = ref "" in
   register ~lane:`Tcp ~address env;
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   let plan = shape_plan "scan" in
   let local =
     sorted
@@ -453,8 +453,8 @@ let test_repartition_differential () =
   let env, _ = make_env ~rows ~parts ~spec:"hash0" ~placement:"id" in
   let obs = Obs.create () in
   register ~obs env;
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   let ten = W.column "ten" in
   let serial =
     sorted
@@ -519,8 +519,8 @@ let test_killed_site_mid_scan () =
   let env, _ = make_env ~rows ~parts ~spec:"hash0" ~placement:"id" in
   let pids = ref [] in
   register ~pids env;
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   let killer =
     Thread.create
       (fun () ->
@@ -559,8 +559,8 @@ let test_killed_site_mid_scan () =
 let test_tcp_frame_corruption () =
   let env, _ = make_env ~rows:2000 ~parts:2 ~spec:"hash0" ~placement:"id" in
   register ~lane:`Tcp env;
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   Env.set_faults env
     (Injector.make
        {
@@ -598,8 +598,8 @@ let test_repartition_early_close () =
   let rows = 20000 and parts = 2 in
   let env, _ = make_env ~rows ~parts ~spec:"hash0" ~placement:"id" in
   register env;
-  let unjoined0 = Exchange.unjoined_domains () in
-  let live0 = Exchange.live_domains () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
   let task =
     task_of ~rows ~parts ~spec:"hash0" ~placement:"id" ~shape:"slow"
   in
