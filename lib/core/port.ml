@@ -485,5 +485,6 @@ module Transport = struct
     pull : alloc:(dest:int option -> capacity:int -> Packet.t) -> event;
     cancel : unit -> unit;
     join : unit -> unit;
+    narrow : int list -> unit;
   }
 end

@@ -175,5 +175,11 @@ module Transport : sig
     join : unit -> unit;
         (** Wait for the transport's resources (worker process, socket) to
             be fully released.  Call after [cancel] or a terminal event. *)
+    narrow : int list -> unit;
+        (** Ship only these columns of each record, in this order: the
+            producer projects every record before it routes and encodes
+            it, so routed packets are keyed on the narrow layout.  Called
+            at most once, before the first [pull]; a source never
+            narrowed ships whole records. *)
   }
 end

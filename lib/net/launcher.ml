@@ -56,6 +56,23 @@ let source_of ~packet_size ~dests ~rank ~stats ~rows_c ~bytes_c conn pid =
   let corrupt what =
     Transport.Failed (Wire.Corrupt (Printf.sprintf "worker %d: %s" rank what))
   in
+  (* The edge's read set goes out before the first read, whether or not
+     the consumer narrowed it: the worker waits for it after resolving
+     its task, so it always gets one.  A worker that already died cannot
+     read it; the read that follows reports why (its Err frame or the
+     torn connection), so a refused write is not the failure to report. *)
+  let read_set = ref None and announced = ref false in
+  let narrow cols =
+    if !announced then invalid_arg "Launcher: narrow after the first pull";
+    read_set := Some cols
+  in
+  let announce () =
+    if not !announced then begin
+      announced := true;
+      try Wire.write conn Wire.Narrow (Wire.narrow !read_set)
+      with Unix.Unix_error _ -> ()
+    end
+  in
   let pull ~alloc =
     match !terminal with
     | Some event -> event
@@ -64,7 +81,10 @@ let source_of ~packet_size ~dests ~rank ~stats ~rows_c ~bytes_c conn pid =
           terminal := Some event;
           event
         in
-        match Wire.read conn with
+        match
+          announce ();
+          Wire.read conn
+        with
         | Wire.Data, len ->
             let packet = alloc ~dest:None ~capacity:packet_size in
             Codec.decode_into ~len (Wire.payload conn) packet;
@@ -95,7 +115,7 @@ let source_of ~packet_size ~dests ~rank ~stats ~rows_c ~bytes_c conn pid =
             in
             finish (Transport.Failed (Transport.Remote_failure { site; message }))
         | (Wire.Hello | Wire.Cancel | Wire.Request | Wire.Resp_ok
-          | Wire.Resp_err | Wire.Shutdown), _ ->
+          | Wire.Resp_err | Wire.Shutdown | Wire.Narrow), _ ->
             finish (corrupt "unexpected frame kind")
         | exception exn ->
             (* A dropped connection (EOF, ECONNRESET, a truncated frame):
@@ -120,10 +140,14 @@ let source_of ~packet_size ~dests ~rank ~stats ~rows_c ~bytes_c conn pid =
       try Unix.close fd with _ -> ()
     end
   in
-  { Transport.pull; cancel; join }
+  { Transport.pull; cancel; join; narrow }
 
 (* Bind the listener for the requested lane; returns it with the address
    string workers must dial and the path to unlink on teardown (if any).
+   Every descriptor the launcher makes — this listener and each accepted
+   connection — is close-on-exec, so a worker spawned now inherits none
+   of them: not this launch's listener, and not the connections of a
+   launch that is still streaming.
    Binds retry once on EADDRINUSE: temp-path and kernel-chosen-port
    collisions are already vanishingly rare, and one retry turns "rare"
    into "a genuine environment fault worth surfacing". *)
@@ -133,14 +157,18 @@ let bind_listener lane =
     | `Unix ->
         let path = Filename.temp_file "volcano_net_" ".sock" in
         Unix.unlink path;
-        let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        let listener =
+          Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+        in
         (try Unix.bind listener (Unix.ADDR_UNIX path)
          with exn ->
            (try Unix.close listener with _ -> ());
            raise exn);
         (listener, path, Some path)
     | `Tcp ->
-        let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        let listener =
+          Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0
+        in
         (try
            Unix.setsockopt listener Unix.SO_REUSEADDR true;
            Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
@@ -197,7 +225,7 @@ let launch ?(faults = Injector.none) ?(lane = `Unix) ?repartition
       | _ :: _, _, _ ->
           (* conclint: allow CL003 -- see the select above; a ready
              listener makes this accept immediate. *)
-          let fd, _ = Unix.accept listener in
+          let fd, _ = Unix.accept ~cloexec:true listener in
           fds := fd :: !fds;
           (match lane with
           | `Tcp -> ( try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ())

@@ -77,7 +77,12 @@ module Server = struct
        not the whole server. *)
     Wire.ignore_sigpipe ();
     (try Unix.unlink socket with _ -> ());
-    let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    (* Close-on-exec, like every descriptor here: a query this daemon
+       runs may spawn worker processes, which must not inherit the
+       listener or another client's connection. *)
+    let listener =
+      Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+    in
     Unix.bind listener (Unix.ADDR_UNIX socket);
     (* Hundreds of clients connect at once in the load bench: the backlog
        must absorb the burst, not reset it. *)
@@ -105,7 +110,7 @@ module Server = struct
             match
               (* conclint: allow CL003 -- the acceptor is a dedicated
                  systhread, never a pool fiber. *)
-              Unix.accept t.listener
+              Unix.accept ~cloexec:true t.listener
             with
             | fd, _ ->
                 if Atomic.get t.stopping then (
@@ -158,7 +163,7 @@ module Client = struct
 
   let connect ~socket =
     Wire.ignore_sigpipe ();
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (* conclint: allow CL003 -- clients run on their own threads (bench
        load generators, the CLI), never on a pool fiber. *)
     (try Unix.connect fd (Unix.ADDR_UNIX socket)

@@ -28,6 +28,9 @@ type kind =
          partition function ({!repartition} payload); worker -> parent,
          each data frame is a routed packet ([u16 dest | packet bytes])
          instead of a mergeable [Data] frame. *)
+  | Narrow
+      (* parent -> worker: the columns the consumer reads, sent once after
+         Hello (and Repartition) on every remote edge *)
 
 exception Corrupt of string
 
@@ -55,6 +58,7 @@ let kind_code = function
   | Resp_err -> 8
   | Shutdown -> 9
   | Repartition -> 10
+  | Narrow -> 11
 
 let kind_of_code = function
   | 1 -> Hello
@@ -67,6 +71,7 @@ let kind_of_code = function
   | 8 -> Resp_err
   | 9 -> Shutdown
   | 10 -> Repartition
+  | 11 -> Narrow
   | code -> raise (Corrupt (Printf.sprintf "unknown frame kind %d" code))
 
 (* A frame larger than this is corruption, not data: the largest legal
@@ -292,3 +297,41 @@ let parse_repartition buf =
     | tag -> raise (Corrupt (Printf.sprintf "repartition: unknown spec %d" tag))
   in
   { dests; spec }
+
+(* The read set a remote edge ships: [u8 tag | ...], tag 0 alone for
+   every column, tag 1 followed by [u16 count | count x u16 column].  A
+   zero-column list is legal — a consumer that counts rows reads no
+   column — so "every column" needs its own tag. *)
+let narrow cols =
+  match cols with
+  | None -> Bytes.make 1 '\000'
+  | Some cols ->
+      let n = List.length cols in
+      if n > 0xffff then invalid_arg "Wire.narrow: too many columns";
+      let b = Bytes.create (3 + (2 * n)) in
+      Bytes.set_uint8 b 0 1;
+      Bytes.set_uint16_le b 1 n;
+      List.iteri
+        (fun i c ->
+          if c < 0 || c > 0xffff then invalid_arg "Wire.narrow: bad column";
+          Bytes.set_uint16_le b (3 + (2 * i)) c)
+        cols;
+      b
+
+let parse_narrow buf =
+  check_room "narrow" buf 0 1;
+  let exact need =
+    if Bytes.length buf <> need then
+      raise (Corrupt "narrow: trailing bytes")
+  in
+  match Bytes.get_uint8 buf 0 with
+  | 0 ->
+      exact 1;
+      None
+  | 1 ->
+      check_room "narrow" buf 1 2;
+      let n = Bytes.get_uint16_le buf 1 in
+      check_room "narrow" buf 3 (2 * n);
+      exact (3 + (2 * n));
+      Some (List.init n (fun i -> Bytes.get_uint16_le buf (3 + (2 * i))))
+  | tag -> raise (Corrupt (Printf.sprintf "narrow: unknown tag %d" tag))

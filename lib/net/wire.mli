@@ -20,6 +20,10 @@ type kind =
       (** parent → worker: the partition function for a repartitioning
           edge (the frame after a flagged {!hello}); worker → parent: one
           routed packet, [u16 dest | packet bytes] *)
+  | Narrow
+      (** parent → worker: the columns the edge's consumer reads (see
+          {!narrow}), sent once on every remote edge, after the [Hello]
+          and any [Repartition] *)
 
 exception Corrupt of string
 (** A frame that cannot be parsed (bad kind, absurd length, truncated
@@ -135,3 +139,12 @@ val repartition : repartition -> bytes
 val parse_repartition : bytes -> repartition
 (** @raise Corrupt on a zero destination count, unknown spec tag, or
     truncation *)
+
+val narrow : int list option -> bytes
+(** The read set of a remote edge: [Some cols] ships column [List.nth
+    cols k] of each record as column [k] (an empty list ships zero-column
+    records); [None] ships every column.
+    @raise Invalid_argument on a column outside [\[0, 65535\]] *)
+
+val parse_narrow : bytes -> int list option
+(** @raise Corrupt on an unknown tag, truncation or trailing bytes *)

@@ -1,5 +1,6 @@
 module Packet = Volcano.Packet
 module Exchange = Volcano.Exchange
+module Tuple = Volcano_tuple.Tuple
 
 (* The worker half of remote exchange: connect back to the parent,
    receive a shard assignment, resolve it to a record stream, and pump
@@ -15,7 +16,14 @@ module Exchange = Volcano.Exchange
    [Data] frames (any consumer may take any packet), while a
    repartitioning edge applies the partition function the parent shipped
    in a [Repartition] frame and sends routed packets — one open shell per
-   destination, each flushed as [u16 dest | packet bytes]. *)
+   destination, each flushed as [u16 dest | packet bytes].
+
+   Either way the parent then sends the edge's read set in a [Narrow]
+   frame, read only once the task is resolved so the site's load
+   overlaps the parent's set-up; every record is projected to it before
+   it is routed and encoded.  Until plans cross the wire the site still
+   decodes whole records from its own pages: the projection saves the
+   wire, the codec and the parent's decode, not the site's scan. *)
 
 type pull = unit -> Volcano_tuple.Tuple.t option
 
@@ -60,7 +68,7 @@ let connect address =
           | Some _ | None ->
               invalid_arg ("Worker.connect: bad tcp port in " ^ address)
         in
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
         (* conclint: allow CL003 -- the worker process's main thread is a
            dedicated transport context; there is no pool here at all. *)
         (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
@@ -71,7 +79,7 @@ let connect address =
         fd
   end
   else begin
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (* conclint: allow CL003 -- the worker process's main thread is a
        dedicated transport context; there is no pool here at all. *)
     (try Unix.connect fd (Unix.ADDR_UNIX address)
@@ -157,12 +165,32 @@ let run ~socket ~resolve =
                 Some (Wire.parse_repartition (control len))
             | _ -> raise (Wire.Corrupt "expected a Repartition frame")
         in
-        (repartition, resolve ~task ~shard ~shards)
+        let next = resolve ~task ~shard ~shards in
+        match Wire.read conn with
+        | Wire.Narrow, len -> (
+            match Wire.parse_narrow (control len) with
+            | None -> Some (repartition, next)
+            | Some cols ->
+                let narrowed () =
+                  Option.map (fun t -> Tuple.project t cols) (next ())
+                in
+                Some (repartition, narrowed))
+        | Wire.Cancel, _ -> None
+        | _ -> raise (Wire.Corrupt "expected a Narrow frame")
+        | exception End_of_file -> None
       with
       | exception exn ->
           report_failure exn;
+          (* Take the parent's read set off the socket before closing it:
+             on TCP, closing with unread bytes resets the connection, and
+             the reset can overtake the Err frame.  The parent sends it
+             on its first pull, or closes when it walks away first. *)
+          (try ignore (Wire.read conn) with _ -> ());
           finish ()
-      | repartition, next -> (
+      | None ->
+          (* cancelled, or the parent went away, before the stream began *)
+          finish ()
+      | Some (repartition, next) -> (
           match pump conn ~packet_size ~shard repartition next with
           | () -> (
               match Wire.write conn Wire.Eos Bytes.empty with

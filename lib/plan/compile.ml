@@ -615,12 +615,17 @@ and compile_node env ids obs group scope plan =
         ?obs:(exchange_obs obs plan)
         cfg ~group
         ~input:(compile_in env ids obs group (Some child) input)
-  | Plan.Remote { cfg; workers; task; input = _ } ->
+  | Plan.Remote { cfg; workers; task; input } ->
       (* The subtree never compiles here: worker processes rebuild it
          from [task], shard it, and stream packets back through the
          launcher's transport sources.  The launcher itself is injected
          through the environment so this library stays independent of the
-         networking subsystem. *)
+         networking subsystem.  A projection at the top of [input] is the
+         edge's read set: every source is narrowed to it before its
+         first pull, and the sites apply it. *)
+      let read_set =
+        match input with Plan.Project_cols { cols; _ } -> Some cols | _ -> None
+      in
       let launch =
         match Env.remote_launcher env with
         | Some launch -> launch
@@ -647,8 +652,15 @@ and compile_node env ids obs group scope plan =
         ?obs:(exchange_obs obs plan)
         cfg ~group
         ~connect:(fun () ->
-          launch ~faults ~repartition ~workers ~task
-            ~packet_size:cfg.packet_size)
+          let sources =
+            launch ~faults ~repartition ~workers ~task
+              ~packet_size:cfg.packet_size
+          in
+          Option.iter
+            (fun cols ->
+              Array.iter (fun s -> s.Volcano.Port.Transport.narrow cols) sources)
+            read_set;
+          sources)
 
 exception Rejected of Diag.t list
 
@@ -694,10 +706,15 @@ let cancel_guard flag inner =
       Iterator.next inner)
     ~close:(fun () -> Iterator.close inner)
 
-let compile ?(check = true) ?obs ?scope ?cancel env plan =
-  (if check then
-     match Diag.errors (analyze env plan) with
-     | [] -> ()
-     | errors -> raise (Rejected errors));
+let check env plan =
+  match Diag.errors (analyze env plan) with
+  | [] -> ()
+  | errors -> raise (Rejected errors)
+
+let compile ?check:(checked = true) ?obs ?scope ?cancel env plan =
+  if checked then check env plan;
+  (* Checked as written, run narrowed: planlint's diagnostics name the
+     plan the caller built. *)
+  let plan = Plan.narrow env plan in
   let iter = compile_in env (assign_ids plan) obs (Group.solo ()) scope plan in
   match cancel with None -> iter | Some flag -> cancel_guard flag iter

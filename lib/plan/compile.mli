@@ -48,6 +48,10 @@ val analyze :
     (see {!Planlint}).  Warnings do not block compilation.
     @raise Invalid_argument if [workers < 1]. *)
 
+val check : Env.t -> Plan.t -> unit
+(** Raise {!Rejected} with the [Error]-severity diagnostics of
+    {!analyze}, if there are any: [compile ~check:true]'s check. *)
+
 val compile :
   ?check:bool ->
   ?obs:obs ->
@@ -68,6 +72,12 @@ val compile :
     when set to [Some exn] the next pull raises it as
     {!Volcano.Exchange.Query_failed} — together they let a Session cancel
     a query both at its leaves and at its root.
+
+    The plan that runs is {!Plan.narrow}[ env plan]: every remote edge
+    ships only the columns its consumers read.  Nodes the narrowing
+    rewrites are new values, so to attribute them, pass [~obs] built
+    over the narrowed plan — narrowing it again changes nothing (this is
+    what {!Profile.execute} does).
 
     With [~obs] (from {!observe}), every compiled node is wrapped in
     {!Volcano.Iterator.instrumented} against its assigned obs node, and

@@ -34,6 +34,44 @@ let route spec ~parts =
 
 let default_sites parts = Array.init parts Fun.id
 
+(* Bulk loading: one appender per file ({!Heap_file.append}, which keeps
+   each file's last page fixed across records) and one scratch buffer
+   every record is encoded into, so a loaded record costs one encode and
+   one copy into the page — no string per record, no fix per record. *)
+let with_appenders files f =
+  let appenders = Array.map Heap_file.appender files in
+  let scratch = ref (Bytes.create 512) in
+  let put k tuple =
+    let len =
+      match Serial.encode_into tuple !scratch ~pos:0 with
+      | len -> len
+      | exception Invalid_argument _ ->
+          scratch := Bytes.create (2 * Serial.encoded_size tuple);
+          Serial.encode_into tuple !scratch ~pos:0
+    in
+    Heap_file.append appenders.(k) !scratch ~off:0 ~len
+  in
+  Fun.protect
+    ~finally:(fun () -> Array.iter Heap_file.close_appender appenders)
+    (fun () -> f put)
+
+(* The columns a spec routes on, and the spec restated over just those
+   columns: [split] routes each stored record on a projected decode of
+   them, in its frame. *)
+let routing spec =
+  match spec with
+  | Shard.Hash cols ->
+      let read = List.sort_uniq compare cols in
+      let pos c =
+        let rec find i = function
+          | [] -> assert false
+          | x :: rest -> if x = c then i else find (i + 1) rest
+        in
+        find 0 read
+      in
+      (read, Shard.Hash (List.map pos cols))
+  | Shard.Range (col, bounds) -> ([ col ], Shard.Range (0, bounds))
+
 let check_spec ~what ~parts spec =
   if parts < 1 then invalid_arg (what ^ ": parts must be positive");
   match spec with
@@ -63,12 +101,28 @@ let split env ~table ~spec ~parts ?sites () =
           ~schema)
   in
   let counts = Array.make parts 0 in
-  let router = route spec ~parts in
-  Heap_file.iter file (fun _rid record ->
-      let tuple = Serial.decode_bytes (Bytes.of_string record) in
-      let part = ((router tuple mod parts) + parts) mod parts in
-      ignore (Heap_file.insert targets.(part) record);
-      counts.(part) <- counts.(part) + 1);
+  let read, local = routing spec in
+  let key = Serial.projection read in
+  let router = route local ~parts in
+  (* Each record goes from the source's pinned frame straight onto its
+     partition's page: decoded only for the columns it routes on, and
+     never copied out. *)
+  let appenders = Array.map Heap_file.appender targets in
+  let cursor = Heap_file.scan file in
+  Fun.protect
+    ~finally:(fun () ->
+      Heap_file.close_cursor cursor;
+      Array.iter Heap_file.close_appender appenders)
+    (fun () ->
+      while Heap_file.advance cursor do
+        let data = Heap_file.data cursor
+        and off = Heap_file.off cursor
+        and len = Heap_file.len cursor in
+        let tuple = Serial.decode_projected key data ~off ~len in
+        let part = ((router tuple mod parts) + parts) mod parts in
+        Heap_file.append appenders.(part) data ~off ~len;
+        counts.(part) <- counts.(part) + 1
+      done);
   Shard.add (Env.catalog env) { Shard.table; parts; spec; sites };
   counts
 
@@ -82,26 +136,30 @@ let load_site env ~table ~schema ~spec ~parts ?sites ~site ~count ~gen () =
   let sites = match sites with Some s -> s | None -> default_sites parts in
   if Array.length sites <> parts then
     invalid_arg "Partition.load_site: sites length must equal parts";
-  let owned = Array.init parts (fun part -> sites.(part) = site) in
-  let targets =
-    Array.init parts (fun part ->
-        if owned.(part) then
-          Some
-            (Env.create_table env
-               ~name:(Shard.partition_name ~table ~part)
-               ~schema)
-        else None)
+  let owned =
+    List.filter (fun part -> sites.(part) = site) (List.init parts Fun.id)
+  in
+  (* [slot.(part)]: the owned partition's index among [files], or -1 *)
+  let slot = Array.make parts (-1) in
+  List.iteri (fun k part -> slot.(part) <- k) owned;
+  let files =
+    Array.of_list
+      (List.map
+         (fun part ->
+           Env.create_table env ~name:(Shard.partition_name ~table ~part)
+             ~schema)
+         owned)
   in
   let counts = Array.make parts 0 in
   let router = route spec ~parts in
-  for i = 0 to count - 1 do
-    let tuple = gen i in
-    let part = ((router tuple mod parts) + parts) mod parts in
-    match targets.(part) with
-    | None -> ()
-    | Some file ->
-        ignore (Heap_file.insert file (Serial.encode_string tuple));
-        counts.(part) <- counts.(part) + 1
-  done;
+  with_appenders files (fun put ->
+      for i = 0 to count - 1 do
+        let tuple = gen i in
+        let part = ((router tuple mod parts) + parts) mod parts in
+        if slot.(part) >= 0 then begin
+          put slot.(part) tuple;
+          counts.(part) <- counts.(part) + 1
+        end
+      done);
   Shard.add (Env.catalog env) { Shard.table; parts; spec; sites };
   counts

@@ -31,6 +31,16 @@ val route :
 (** Instantiate a catalog spec as a row router over [parts] partitions —
     the same [Support.Partition] functions local exchange uses. *)
 
+val with_appenders :
+  Volcano_storage.Heap_file.t array ->
+  ((int -> Volcano_tuple.Tuple.t -> unit) -> 'a) ->
+  'a
+(** [with_appenders files f] runs [f put], where [put k tuple] appends
+    [tuple] to [files.(k)] through the bulk path: the record is encoded
+    into one reused scratch buffer and copied onto the file's fixed last
+    page ({!Volcano_storage.Heap_file.append}).  Every appender is closed
+    when [f] returns or raises. *)
+
 val split :
   Env.t ->
   table:string ->
@@ -40,7 +50,9 @@ val split :
   unit ->
   int array
 (** Split the registered table [table] into [parts] partition files,
-    register each, and add the catalog entry.  [sites] (default the
+    register each, and add the catalog entry.  Each record is routed on
+    a projected decode of its routing columns, in the source's frame, and
+    copied from there onto its partition's page.  [sites] (default the
     identity placement: partition [k] at site [k]) says which worker site
     owns each partition.  Returns per-partition row counts.  The source
     table stays registered — a local plan can still scan it whole.

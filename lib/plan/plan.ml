@@ -240,6 +240,174 @@ let children = function
   | Division { dividend; divisor; _ } -> [ dividend; divisor ]
   | Choose { alternatives; _ } -> alternatives
 
+(* --- read sets ----------------------------------------------------------- *)
+
+(* The columns an edge's consumer reads, worked top-down from the root,
+   which reads everything.  [narrow_in env reads plan] is [plan] with every
+   narrowable [Remote] below it shipping only what its consumers read;
+   [reads] is the set of [plan]'s output columns read from above (sorted,
+   unique), [None] for every column.  It also returns how [plan]'s output
+   layout moved: [Some f] sends each column that was read to its position
+   in the narrow layout, [None] leaves the layout as it was — always the
+   case when [reads] is [None], so a node that reads all of its input
+   keeps every layout below it.  Whatever does not change is returned
+   physically unchanged, so obs nodes and port ids keyed by identity still
+   hold, and narrowing a narrowed plan is the identity. *)
+
+let union a b = List.sort_uniq compare (a @ b)
+let at f c = match f with None -> c | Some f -> f c
+
+let remap_partition f (p : Exchange.partition_spec) : Exchange.partition_spec =
+  match p with
+  | Exchange.Hash_on cols -> Exchange.Hash_on (List.map (at f) cols)
+  | Exchange.Range_on (c, bounds) -> Exchange.Range_on (at f c, bounds)
+  | Exchange.Round_robin | Exchange.Custom _ | Exchange.Broadcast -> p
+
+let remap_cfg f (cfg : Exchange.config) =
+  Exchange.config ~degree:cfg.degree ~packet_size:cfg.packet_size
+    ~flow_slack:cfg.flow_slack
+    ~partition:(remap_partition f cfg.partition)
+    ~fork_mode:cfg.fork_mode ()
+
+(* The columns an edge's own routing reads; [None] when it cannot be
+   reasoned about (a custom closure reads what it likes). *)
+let partition_reads (cfg : Exchange.config) =
+  match cfg.partition with
+  | Exchange.Hash_on cols -> Some cols
+  | Exchange.Range_on (c, _) -> Some [ c ]
+  | Exchange.Round_robin | Exchange.Broadcast -> Some []
+  | Exchange.Custom _ -> None
+
+let remap_num f = Expr.subst (fun c -> Expr.Col (at f c))
+let remap_pred f = Expr.subst_pred (fun c -> Expr.Col (at f c))
+
+let remap_agg f (agg : Volcano_ops.Aggregate.agg) : Volcano_ops.Aggregate.agg =
+  match agg with
+  | Count -> agg
+  | Sum e -> Sum (remap_num f e)
+  | Min e -> Min (remap_num f e)
+  | Max e -> Max (remap_num f e)
+  | Avg e -> Avg (remap_num f e)
+
+let agg_reads (agg : Volcano_ops.Aggregate.agg) =
+  match agg with
+  | Count -> []
+  | Sum e | Min e | Max e | Avg e -> Expr.cols_of_num e
+
+let remap_key f key = List.map (fun (c, dir) -> (at f c, dir)) key
+
+let rec narrow_in env reads plan =
+  (* the columns read from above, and [own] *)
+  let also own =
+    match (reads, own) with
+    | Some r, Some own -> Some (union r own)
+    | _ -> None
+  in
+  (* a node that passes its input's layout through, reading [own] too *)
+  let through own input rebuild =
+    let input', f = narrow_in env (also own) input in
+    if input' == input then (plan, None) else (rebuild f input', f)
+  in
+  (* a node with a layout of its own, whose input supplies [own] *)
+  let owns own input rebuild =
+    let input', f = narrow_in env own input in
+    if input' == input then (plan, None) else (rebuild f input', None)
+  in
+  (* a node read whole: only edges deeper down may narrow *)
+  let whole input = fst (narrow_in env None input) in
+  let binary left right rebuild =
+    let left' = whole left and right' = whole right in
+    if left' == left && right' == right then (plan, None)
+    else (rebuild left' right', None)
+  in
+  let sorted l = Some (List.sort_uniq compare l) in
+  match plan with
+  | Scan_table _ | Scan_table_slice _ | Scan_index _ | Scan_list _ | Generate _
+  | Generate_slice _ | Generate_range _ ->
+      (plan, None)
+  | Filter { pred; mode; input } ->
+      through (Some (Expr.cols_of_pred pred)) input (fun f input ->
+          Filter { pred = remap_pred f pred; mode; input })
+  | Sort { key; input } ->
+      through (sorted (List.map fst key)) input (fun f input ->
+          Sort { key = remap_key f key; input })
+  | Distinct { algo; on; input } ->
+      through (sorted on) input (fun f input ->
+          Distinct { algo; on = List.map (at f) on; input })
+  | Limit { count; input } ->
+      through (Some []) input (fun _ input -> Limit { count; input })
+  | Exchange { cfg; input } ->
+      through (partition_reads cfg) input (fun f input ->
+          Exchange { cfg = remap_cfg f cfg; input })
+  | Interchange { cfg; input } ->
+      through (partition_reads cfg) input (fun f input ->
+          Interchange { cfg = remap_cfg f cfg; input })
+  | Exchange_merge { cfg; key; input } ->
+      through
+        (Option.map (union (List.map fst key)) (partition_reads cfg))
+        input
+        (fun f input ->
+          Exchange_merge { cfg = remap_cfg f cfg; key = remap_key f key; input })
+  | Project_cols { cols; input } ->
+      owns (sorted cols) input (fun f input ->
+          Project_cols { cols = List.map (at f) cols; input })
+  | Project_exprs { exprs; input } ->
+      owns (sorted (List.concat_map Expr.cols_of_num exprs)) input
+        (fun f input ->
+          Project_exprs { exprs = List.map (remap_num f) exprs; input })
+  | Aggregate { algo; group_by; aggs; input } ->
+      owns
+        (sorted (group_by @ List.concat_map agg_reads aggs))
+        input
+        (fun f input ->
+          Aggregate
+            {
+              algo;
+              group_by = List.map (at f) group_by;
+              aggs = List.map (remap_agg f) aggs;
+              input;
+            })
+  | Match m ->
+      binary m.left m.right (fun left right -> Match { m with left; right })
+  | Cross { left; right } ->
+      binary left right (fun left right -> Cross { left; right })
+  | Theta_join t ->
+      binary t.left t.right (fun left right -> Theta_join { t with left; right })
+  | Union_all { left; right } ->
+      binary left right (fun left right -> Union_all { left; right })
+  | Division d ->
+      binary d.dividend d.divisor (fun dividend divisor ->
+          Division { d with dividend; divisor })
+  | Choose { decide; alternatives } ->
+      let alternatives' = List.map whole alternatives in
+      if List.for_all2 ( == ) alternatives alternatives' then (plan, None)
+      else (Choose { decide; alternatives = alternatives' }, None)
+  | Remote { cfg; workers; task; input } -> (
+      (* The subtree runs in the workers; only the edge narrows.  A
+         [Project_cols] at the top of a Remote's input runs at the site
+         (the worker projects each record to it), so the read set
+         composes with one the plan already holds there. *)
+      match
+        (also (partition_reads cfg), try Some (arity env input) with _ -> None)
+      with
+      | Some keep, Some width
+        when List.length keep < width
+             && List.for_all (fun c -> c >= 0 && c < width) keep ->
+          let pos = Array.make width (-1) in
+          List.iteri (fun i c -> pos.(c) <- i) keep;
+          let f = Some (Array.get pos) in
+          let input =
+            match input with
+            | Project_cols { cols; input } ->
+                let cols = Array.of_list cols in
+                Project_cols { cols = List.map (Array.get cols) keep; input }
+            | _ -> Project_cols { cols = keep; input }
+          in
+          (Remote { cfg = remap_cfg f cfg; workers; task; input }, f)
+      | _ -> (plan, None))
+
+let narrow env plan = fst (narrow_in env None plan)
+
 let rec pp_indented ppf indent plan =
   Format.fprintf ppf "%s%s" (String.make (indent * 2) ' ') (label plan);
   Format.pp_print_newline ppf ();

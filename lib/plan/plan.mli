@@ -103,7 +103,12 @@ type t =
           shard convention), stream serialized packets back over
           sockets, and merge at the consumer.  [input] documents the
           shipped subtree — the consumer never compiles it; the task
-          string must rebuild it in the worker.  [cfg.degree] must equal
+          string must rebuild it in the worker.  A [Project_cols] at the
+          top of [input] is the edge's read set: the consumer sends its
+          columns to the sites, which project every record to them before
+          routing and encoding it, so the task names the subtree below
+          it ({!Remote.shard_pull} skips it).  {!narrow} places one there
+          when the consumers read fewer columns than [input] yields.  [cfg.degree] must equal
           [workers] (planlint VL701).  When the consuming group has more
           than one member, workers repartition their rows on
           [cfg.partition] (hash or range; planlint checks its columns
@@ -130,6 +135,22 @@ val label : t -> string
 val children : t -> t list
 (** Direct inputs in display order (left before right, dividend before
     divisor, alternatives in listed order). *)
+
+val narrow : Env.t -> t -> t
+(** Ship only what is read.  Works the read set of every edge top-down
+    from the root, which reads every column: each operator maps the
+    columns read from its output to the columns it reads from its input,
+    and an edge's own partition and merge keys count as read.  Every
+    [Remote] whose consumers read fewer columns than it ships gets a
+    [Project_cols] of those columns at the top of its input — the
+    projection the sites apply, see {!constructor-Remote} — and its
+    partition spec and every operator above it, up to the consumer, are
+    remapped to the narrow layout.  A node the pass does not reason about
+    — a binary operator ([Match], [Cross], [Theta_join], [Union_all],
+    [Division]), [Choose], or an edge with [Custom] partitioning — reads
+    all of its input, so no edge narrows through it.  Parts of the plan that
+    do not change are returned physically unchanged, and narrowing a
+    narrowed plan returns it unchanged. *)
 
 val pp : Format.formatter -> t -> unit
 (** Operator-tree rendering with one node per line ("explain"). *)

@@ -32,8 +32,13 @@ let delta_stats (s0 : Sched.stats) (s1 : Sched.stats) =
 
 let execute ?check env plan =
   let sink = Obs.create () in
-  let obs = Compile.observe sink plan in
-  let iterator = Compile.compile ?check ~obs env plan in
+  (* Report the plan that runs: observe it narrowed, so a rewritten
+     remote edge and the operators above it attribute their rows.  The
+     check still reads the plan as written. *)
+  let ran = Plan.narrow env plan in
+  if Option.value check ~default:true then Compile.check env plan;
+  let obs = Compile.observe sink ran in
+  let iterator = Compile.compile ~check:false ~obs env ran in
   let pool = Env.buffer env in
   let workspace = Env.workspace env in
   let sched = Env.sched env in
@@ -55,7 +60,7 @@ let execute ?check env plan =
   {
     sink;
     obs;
-    plan;
+    plan = ran;
     rows;
     elapsed_s;
     buffer =

@@ -93,8 +93,11 @@ let rec slice ~shard ~shards plan =
 
 (* Drain a compiled shard: the worker-side pull for [Worker.run]'s
    resolve — compile [input] sliced to this shard in a fresh solo group
-   and hand back its record stream. *)
+   and hand back its record stream.  A projection at the top of the
+   subtree is the edge's read set, which the worker applies from the
+   parent's [Narrow] frame, so it is not compiled here. *)
 let shard_pull env ~shard ~shards plan =
+  let plan = match plan with Plan.Project_cols { input; _ } -> input | _ -> plan in
   let sliced = slice ~shard ~shards plan in
   let iter = Compile.compile env sliced in
   Volcano.Iterator.open_ iter;

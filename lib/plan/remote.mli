@@ -27,7 +27,10 @@ val shard_pull :
   unit ->
   Volcano_tuple.Tuple.t option
 (** Compile this shard's slice of the subtree and return a record pull —
-    the resolve hook for [Volcano_net.Worker.run].  The iterator opens on
+    the resolve hook for [Volcano_net.Worker.run].  A [Project_cols] at
+    the top of the subtree is left out: it is the edge's read set, which
+    the worker applies to every record from the parent's [Narrow] frame
+    (see [Plan.Remote]).  The iterator opens on
     the first call, closes at end of stream, and closes best-effort if a
     pull raises (the exception propagates, for the worker to report as an
     [Err] frame). *)

@@ -13,6 +13,20 @@ type t = {
          larger copy, never rewritten — so a cursor that snapshots
          (directory, pages) under [lock] reads its prefix without
          further locking. *)
+  single : appender;
+      (* [insert]'s appender, used only under [lock], which keeps no page
+         fixed between calls *)
+}
+
+(* An append stream: the file's last page, fixed once and kept fixed
+   across appends until the page fills or the stream closes. *)
+and appender = {
+  file : t;
+  mutable page : int;  (* the fixed page's number; -1 with none fixed *)
+  mutable tail : Bufpool.frame option;
+      (* the fixed page's frame while [page <> -1]; afterwards the last
+         one held, kept so that fixing a resident page again reuses this
+         block instead of allocating another *)
 }
 
 let page_kind_heap = 1
@@ -22,17 +36,21 @@ let create ~buffer ~device ~name =
     { Vtoc.name; first_page = -1; last_page = -1; pages = 0; records = 0 }
   in
   Vtoc.add (Device.vtoc device) entry;
-  {
-    name;
-    device;
-    buffer;
-    lock = Mutex.create ();
-    first_page = -1;
-    last_page = -1;
-    pages = 0;
-    records = 0;
-    directory = [||];
-  }
+  let rec t =
+    {
+      name;
+      device;
+      buffer;
+      lock = Mutex.create ();
+      first_page = -1;
+      last_page = -1;
+      pages = 0;
+      records = 0;
+      directory = [||];
+      single = { file = t; page = -1; tail = None };
+    }
+  in
+  t
 
 (* Rebuild the directory once, from the on-disk chain. *)
 let chain_directory buffer device first_page =
@@ -52,17 +70,21 @@ let open_existing ~buffer ~device ~name =
   | None -> raise Not_found
   | Some e ->
       let directory = chain_directory buffer device e.first_page in
-      {
-        name;
-        device;
-        buffer;
-        lock = Mutex.create ();
-        first_page = e.first_page;
-        last_page = e.last_page;
-        pages = Array.length directory;
-        records = e.records;
-        directory;
-      }
+      let rec t =
+        {
+          name;
+          device;
+          buffer;
+          lock = Mutex.create ();
+          first_page = e.first_page;
+          last_page = e.last_page;
+          pages = Array.length directory;
+          records = e.records;
+          directory;
+          single = { file = t; page = -1; tail = None };
+        }
+      in
+      t
 
 let name t = t.name
 let device t = t.device
@@ -114,47 +136,93 @@ let add_page t =
   t.pages <- t.pages + 1;
   (page_no, frame)
 
-(* Place [record] on the fixed [frame] and unfix it: the slot, or -1
-   when the record does not fit. *)
-let place t frame record =
-  let slot = Page.insert (Bufpool.bytes frame) record in
+(* The one append path.  [append_locked a src ~off ~len] copies the
+   record in [\[off, off + len)] of [src] onto the file's last page,
+   which [a] fixes once and keeps fixed, or onto a new page when it does
+   not fit; it returns the slot, and [a.page] is the record's page.
+   Caller holds [lock], for one record: nothing else may change the page
+   under the copy.  A tail another appender moved past is let go first.
+   Nothing allocates per record but a page change. *)
+let release a =
+  match a.tail with
+  | Some frame when a.page <> -1 ->
+      a.page <- -1;
+      Bufpool.unfix a.file.buffer frame
+  | _ -> ()
+
+let hold a ~page frame =
+  (match a.tail with
+  | Some held when held == frame -> ()
+  | _ -> a.tail <- Some frame);
+  a.page <- page
+
+let place t frame src ~off ~len =
+  let slot = Page.insert_sub (Bufpool.bytes frame) src ~off ~len in
   if slot >= 0 then begin
     Bufpool.mark_dirty frame;
     t.records <- t.records + 1
   end;
-  Bufpool.unfix t.buffer frame;
   slot
 
-(* Place [record] on the last page, or on a new one when it does not fit.
-   Caller holds [lock].  Onto a resident last page nothing allocates but
-   the returned RID: the slot comes back as an int, and the fix builds
-   no closure and no boxed key. *)
-let insert_locked t record =
-  let page = t.last_page in
+let append_locked a src ~off ~len =
+  let t = a.file in
+  if a.page <> t.last_page then begin
+    release a;
+    if t.last_page <> -1 then
+      hold a ~page:t.last_page (Bufpool.fix t.buffer t.device t.last_page)
+  end;
   let slot =
-    if page = -1 then -1
-    else place t (Bufpool.fix t.buffer t.device page) record
+    match a.tail with
+    | Some frame when a.page <> -1 -> place t frame src ~off ~len
+    | _ -> -1
   in
-  if slot >= 0 then Rid.make ~device:(Device.id t.device) ~page ~slot
+  if slot >= 0 then slot
   else begin
+    release a;
     let page, frame = add_page t in
-    let slot = place t frame record in
+    hold a ~page frame;
+    let slot = place t frame src ~off ~len in
     if slot < 0 then
       invalid_arg
-        (Printf.sprintf
-           "Heap_file.insert: record of %d bytes exceeds page capacity"
-           (String.length record));
-    Rid.make ~device:(Device.id t.device) ~page ~slot
+        (Printf.sprintf "Heap_file: record of %d bytes exceeds page capacity"
+           len);
+    slot
   end
 
-let insert t record =
-  if String.length record = 0 then invalid_arg "Heap_file.insert: empty record";
+let appender t = { file = t; page = -1; tail = None }
+
+let append a src ~off ~len =
+  if len <= 0 then invalid_arg "Heap_file.append: empty record";
+  if off < 0 || off > Bytes.length src - len then
+    invalid_arg "Heap_file.append: range outside the buffer";
+  let t = a.file in
   Mutex.lock t.lock;
-  match insert_locked t record with
-  | rid ->
+  match append_locked a src ~off ~len with
+  | _ -> Mutex.unlock t.lock
+  | exception exn ->
+      Mutex.unlock t.lock;
+      raise exn
+
+let close_appender a =
+  Mutex.lock a.file.lock;
+  release a;
+  Mutex.unlock a.file.lock
+
+(* One record through [single], which lets its page go before the lock
+   does: onto a resident last page nothing allocates but the RID. *)
+let insert t record =
+  let len = String.length record in
+  if len = 0 then invalid_arg "Heap_file.insert: empty record";
+  let a = t.single in
+  Mutex.lock t.lock;
+  match append_locked a (Bytes.unsafe_of_string record) ~off:0 ~len with
+  | slot ->
+      let rid = Rid.make ~device:(Device.id t.device) ~page:a.page ~slot in
+      release a;
       Mutex.unlock t.lock;
       rid
   | exception exn ->
+      release a;
       Mutex.unlock t.lock;
       raise exn
 

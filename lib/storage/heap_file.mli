@@ -17,7 +17,33 @@ val name : t -> string
 val device : t -> Device.t
 
 val insert : t -> string -> Rid.t
-(** Append a record, allocating pages as needed. *)
+(** Append a record, allocating pages as needed: the one-record case of
+    an {!appender}, which fixes the last page and lets it go again. *)
+
+(** {2 Bulk append}
+
+    The one append path.  An appender keeps the file's last page fixed
+    across records, so a run of appends fixes each page once, and copies
+    each record straight into the page from the caller's bytes — a
+    reused scratch buffer an encoder wrote, or a record in another
+    file's pinned frame.  The file's lock is held for each append, never
+    between two. *)
+
+type appender
+
+val appender : t -> appender
+(** An append stream onto the end of the file.  It holds a fixed page
+    until {!close_appender}. *)
+
+val append : appender -> bytes -> off:int -> len:int -> unit
+(** Append the record in [\[off, off + len)] of the buffer, adding a page
+    when the last one is full.
+    @raise Invalid_argument on an empty record, a range outside the
+    buffer, or a record larger than a page holds *)
+
+val close_appender : appender -> unit
+(** Let the fixed page go.  Safe to call twice; a closed appender may
+    append again (it fixes the last page anew). *)
 
 val get : t -> Rid.t -> string option
 (** Fetch by RID ([None] if deleted or never existed). *)

@@ -135,8 +135,7 @@ let find_dead_slot page =
   done;
   if !i < n then !i else -1
 
-let insert page record =
-  let len = String.length record in
+let insert_sub page src ~off:src_off ~len =
   if len = 0 || len > 0xffff then -1
   else begin
     let reuse = find_dead_slot page in
@@ -145,7 +144,7 @@ let insert page record =
     if free_space page < need then -1
     else begin
       let off = free_off page in
-      Bytes.blit_string record 0 page off len;
+      Bytes.blit src src_off page off len;
       set_free_off page (off + len);
       let i =
         if reuse >= 0 then reuse
@@ -159,3 +158,7 @@ let insert page record =
       i
     end
   end
+
+let insert page record =
+  insert_sub page (Bytes.unsafe_of_string record) ~off:0
+    ~len:(String.length record)

@@ -43,6 +43,11 @@ val insert : bytes -> string -> int
     the page first if fragmentation demands it; [-1] if it cannot fit.
     Allocates nothing. *)
 
+val insert_sub : bytes -> bytes -> off:int -> len:int -> int
+(** [insert_sub page src ~off ~len] is {!insert} of the record in
+    [\[off, off + len)] of [src] — a scratch buffer, or another page's
+    frame — copied straight into the page. *)
+
 val slot_off : bytes -> int -> int
 val slot_len : bytes -> int -> int
 (** The record range of slot [i < n_slots]: the record occupies

@@ -324,6 +324,16 @@ let rec subst bind e =
   | Mod (a, b) -> Mod (subst bind a, subst bind b)
   | Neg a -> Neg (subst bind a)
 
+let rec subst_pred bind p =
+  match p with
+  | True | False -> p
+  | Cmp (op, a, b) -> Cmp (op, subst bind a, subst bind b)
+  | And (a, b) -> And (subst_pred bind a, subst_pred bind b)
+  | Or (a, b) -> Or (subst_pred bind a, subst_pred bind b)
+  | Not a -> Not (subst_pred bind a)
+  | Is_null a -> Is_null (subst bind a)
+  | Str_prefix (s, a) -> Str_prefix (s, subst bind a)
+
 let rec num_cols acc = function
   | Col c -> c :: acc
   | Const _ -> acc

@@ -83,6 +83,9 @@ val subst : (int -> num) -> num -> num
     substituted expression evaluates on the projection's input exactly
     as [e] evaluates on its output. *)
 
+val subst_pred : (int -> num) -> pred -> pred
+(** {!subst} through every scalar of a predicate. *)
+
 val cols_of_num : num -> int list
 (** Columns referenced by a scalar expression, ascending, deduplicated. *)
 

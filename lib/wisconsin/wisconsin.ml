@@ -92,16 +92,15 @@ let load ?seed ?(partitions = 0) ~env ~name ~n () =
           ~name:(Volcano_storage.Shard.partition_name ~table:name ~part:p)
           ~schema)
   in
-  for i = 0 to n - 1 do
-    let record = Volcano_tuple.Serial.encode_string (gen i) in
-    let _ = Volcano_storage.Heap_file.insert file record in
-    if partitions > 0 then begin
-      let _ =
-        Volcano_storage.Heap_file.insert part_files.(i mod partitions) record
-      in
-      ()
-    end
-  done
+  (* file 0 is the table, file [1 + p] its partition [p] *)
+  Volcano_plan.Partition.with_appenders
+    (Array.append [| file |] part_files)
+    (fun put ->
+      for i = 0 to n - 1 do
+        let tuple = gen i in
+        put 0 tuple;
+        if partitions > 0 then put (1 + (i mod partitions)) tuple
+      done)
 
 let skewed_generator ?(seed = 7L) ~n ~key_space ~theta () =
   let rng = Rng.create seed in

@@ -9,7 +9,8 @@ let () =
     Test_net.stall_worker_main ~socket:Sys.argv.(2)
   else if Array.length Sys.argv >= 3 && Sys.argv.(1) = "shard-worker" then
     Test_shard.worker_main ~socket:Sys.argv.(2)
-  else
+  else begin
+    Runner.announce_seed ();
     Alcotest.run "volcano"
     [
       ("util", Test_util.suite);
@@ -40,3 +41,4 @@ let () =
       ("net", Test_net.suite);
       ("shard", Test_shard.suite);
     ]
+  end

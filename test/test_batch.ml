@@ -535,8 +535,8 @@ let suite =
     Alcotest.test_case "edge sizes" `Quick test_edge_sizes;
     Alcotest.test_case "reopen resets state" `Quick test_reopen_resets_state;
     Alcotest.test_case "early close mid-batch" `Quick test_early_close_mid_batch;
-    QCheck_alcotest.to_alcotest prop_batch_iterator_differential;
-    QCheck_alcotest.to_alcotest prop_batch_iterator_serial_identical;
+    Runner.qcheck prop_batch_iterator_differential;
+    Runner.qcheck prop_batch_iterator_serial_identical;
     Runner.wide_pool_property ~name:"batched plans agree narrow vs wide pool"
       prop_batch_narrow_wide;
     Alcotest.test_case "projection pushdown differential" `Quick

@@ -210,6 +210,6 @@ let suite =
     Alcotest.test_case "delete rebalances" `Quick test_delete_rebalances;
     Alcotest.test_case "delete everything" `Quick test_delete_everything;
     Alcotest.test_case "range scans" `Quick test_range_scans;
-    QCheck_alcotest.to_alcotest prop_btree_model;
+    Runner.qcheck prop_btree_model;
     Alcotest.test_case "open existing" `Quick test_open_existing;
   ]

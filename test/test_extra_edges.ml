@@ -173,7 +173,7 @@ let test_value_strings () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_sim_conservation;
+    Runner.qcheck prop_sim_conservation;
     Alcotest.test_case "sim three-stage bottleneck" `Quick
       test_sim_three_stage_bottleneck;
     Alcotest.test_case "serial truncated input" `Quick test_serial_truncated;

@@ -48,6 +48,20 @@ let slow_plan n ms =
           Tuple.of_ints [ i; i * 2 ]);
     }
 
+(* The sockets this process holds, stdio aside. *)
+let open_sockets () =
+  Array.fold_left
+    (fun n name ->
+      match int_of_string_opt name with
+      | Some fd when fd > 2 -> (
+          match Unix.readlink ("/proc/self/fd/" ^ name) with
+          | target when String.starts_with ~prefix:"socket:" target -> n + 1
+          | _ -> n
+          | exception Unix.Unix_error _ -> n)
+      | _ -> n)
+    0
+    (Sys.readdir "/proc/self/fd")
+
 let parse_task task =
   match String.split_on_char ':' task with
   | [ "corpus"; seed; depth ] ->
@@ -64,6 +78,17 @@ let worker_main ~socket =
   Volcano_net.Worker.run ~socket ~resolve:(fun ~task ~shard ~shards ->
       match String.split_on_char ':' task with
       | [ "fail"; msg ] -> failwith msg
+      | [ "die" ] ->
+          (* gone before it reads the parent's read set *)
+          Unix.kill (Unix.getpid ()) Sys.sigkill;
+          assert false
+      | [ "fds" ] ->
+          (* one row: how many sockets this worker inherited or made *)
+          let row = ref (Some (Tuple.of_ints [ open_sockets () ])) in
+          fun () ->
+            let r = !row in
+            row := None;
+            r
       | _ ->
           let env = Env.create ~frames:128 ~page_size:512 () in
           Remote.shard_pull env ~shard ~shards (parse_task task))
@@ -410,6 +435,44 @@ let test_golden_frame () =
     "golden bytes decode to the rows" true
     (Codec.decode_rows (bytes_of_hex golden_hex) = golden_rows)
 
+(* The read-set frame: pinned bytes for "every column", an empty list and
+   a two-column list, a parser that raises only [Wire.Corrupt] on any
+   bytes, and every strict prefix of an encoding rejected. *)
+let test_narrow_golden () =
+  List.iter
+    (fun (read_set, hex) ->
+      Alcotest.(check string) ("narrow encodes as " ^ hex) hex (hex_of (Wire.narrow read_set));
+      Alcotest.(check (option (list int)))
+        ("narrow decodes " ^ hex) read_set
+        (Wire.parse_narrow (bytes_of_hex hex)))
+    [
+      (None, "00" (* tag 0: every column *));
+      (Some [], "01" ^ "0000" (* tag 1, u16 LE count 0 *));
+      (Some [ 0; 4 ], "01" ^ "0200" ^ "0000" ^ "0400" (* count 2, columns 0 and 4 *));
+    ]
+
+let prop_narrow_total =
+  QCheck.Test.make ~name:"the narrow parser raises only Wire.Corrupt" ~count:500
+    QCheck.(string_of_size (Gen.int_bound 12))
+    (fun s ->
+      match Wire.parse_narrow (Bytes.of_string s) with
+      | _ -> true
+      | exception Wire.Corrupt _ -> true)
+
+let prop_narrow_truncation_rejected =
+  QCheck.Test.make ~name:"narrow frames round-trip; every prefix is rejected"
+    ~count:200
+    QCheck.(option (list_of_size (Gen.int_bound 20) (int_bound 0xffff)))
+    (fun read_set ->
+      let buf = Wire.narrow read_set in
+      let rejected len =
+        match Wire.parse_narrow (Bytes.sub buf 0 len) with
+        | _ -> false
+        | exception Wire.Corrupt _ -> true
+      in
+      Wire.parse_narrow buf = read_set
+      && List.for_all rejected (List.init (Bytes.length buf) Fun.id))
+
 (* --- remote exchange against real worker processes -------------------- *)
 
 (* The encapsulation claim across the wire: [Plan.Remote] over N worker
@@ -630,7 +693,8 @@ let test_narrow_pool_differential () =
       Sched.assert_quiescent ~what:"narrow pool" (Session.sched session))
 
 (* A worker that answers its Hello with half a data frame and then
-   stalls, until its parent cancels (a Cancel frame or a torn socket). *)
+   stalls, until its parent cancels (a Cancel frame or a torn socket);
+   the parent's read set arrives meanwhile and is ignored. *)
 let stall_worker_main ~socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
@@ -642,7 +706,13 @@ let stall_worker_main ~socket =
   Bytes.set_int32_le frame 0 100l;
   Bytes.set_uint8 frame 4 2;
   ignore (Unix.write fd frame 0 (Wire.header_size + 50));
-  (try ignore (Wire.read conn) with _ -> ());
+  let rec until_cancel () =
+    match Wire.read conn with
+    | Wire.Cancel, _ -> ()
+    | _ -> until_cancel ()
+    | exception _ -> ()
+  in
+  until_cancel ();
   Unix.close fd
 
 (* A site that stalls mid-frame must not pin a pool worker: while its
@@ -759,6 +829,77 @@ let test_worker_task_failure () =
   | Rows _ -> Alcotest.fail "query succeeded despite a failing worker"
   | Timeout -> Alcotest.fail "worker failure hung the query");
   check_quiescent ~what:"worker task failure" env ~unjoined0 ~live0
+
+(* A worker that dies before it reads the parent's read set: the parent's
+   frame has nowhere to go, and the query still fails exactly once. *)
+let test_worker_dies_before_narrow () =
+  let env = Env.create ~frames:128 ~page_size:512 () in
+  register env;
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  let plan =
+    Plan.Aggregate
+      {
+        algo = Plan.Hash_based;
+        group_by = [];
+        aggs = [ Volcano_ops.Aggregate.Count ];
+        input = remote ~task:"die" (gen_plan 10);
+      }
+  in
+  (match run_with_timeout (fun () -> Runner.run env plan) with
+  | Raised (Exchange.Query_failed _) -> ()
+  | Raised exn ->
+      Alcotest.failf "a dead site surfaced as %s" (Printexc.to_string exn)
+  | Rows _ -> Alcotest.fail "query succeeded despite a dead site"
+  | Timeout -> Alcotest.fail "a dead site hung the query");
+  check_quiescent ~what:"site dead before its read set" env ~unjoined0 ~live0
+
+(* Every descriptor the launcher makes is close-on-exec: a worker holds
+   its own connection and nothing else — not its launch's listener, and
+   not the connections of another launch still streaming. *)
+let test_worker_holds_only_its_connection () =
+  Session.with_session ~frames:128 ~page_size:512 ~workers:2 ~max_concurrent:2
+    (fun session ->
+      let env = Session.env session in
+      let pids = ref [] in
+      register ~pids env;
+      let unjoined0 = Exchange.unjoined_tasks () in
+      let live0 = Exchange.live_tasks () in
+      let streaming =
+        Session.submit session
+          (`Plan (remote ~task:"slow:100000:1" (slow_plan 100000 1)))
+      in
+      Fun.protect ~finally:(fun () -> Session.cancel streaming) @@ fun () ->
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while !pids = [] do
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "the streaming query never launched";
+        Unix.sleepf 0.001
+      done;
+      let fds_plan =
+        remote ~task:"fds"
+          (Plan.Generate_slice
+             { arity = 1; count = 2; gen = (fun i -> Tuple.of_ints [ i ]) })
+      in
+      (match run_with_timeout (fun () -> Session.exec session (`Plan fds_plan)) with
+      | Rows rows ->
+          Alcotest.(check (list int))
+            "each worker holds one socket" [ 1; 1 ]
+            (List.map (fun t -> Tuple.int_exn t 0) rows)
+      | Raised exn -> Alcotest.failf "fds query failed: %s" (Printexc.to_string exn)
+      | Timeout -> Alcotest.fail "fds query hung");
+      Session.cancel streaming;
+      (match
+         run_with_timeout (fun () ->
+             match Session.await streaming with
+             | Ok rows -> rows
+             | Error exn -> raise exn)
+       with
+      | Raised (Exchange.Query_failed _ | Volcano_sched.Runtime.Cancelled) -> ()
+      | Raised exn -> Alcotest.failf "cancel surfaced as %s" (Printexc.to_string exn)
+      | Rows _ -> Alcotest.fail "a cancelled stream returned rows"
+      | Timeout -> Alcotest.fail "cancel never reached the stream");
+      check_quiescent ~what:"close-on-exec" env ~unjoined0 ~live0)
 
 (* Early close cancels across the socket: walking away from a remote
    stream that would take minutes to drain must tear down promptly —
@@ -960,15 +1101,15 @@ let test_serve_concurrent_clients () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_rows_roundtrip;
-    QCheck_alcotest.to_alcotest prop_packet_roundtrip;
-    QCheck_alcotest.to_alcotest prop_truncation_rejected;
-    QCheck_alcotest.to_alcotest prop_routed_truncation_rejected;
+    Runner.qcheck prop_rows_roundtrip;
+    Runner.qcheck prop_packet_roundtrip;
+    Runner.qcheck prop_truncation_rejected;
+    Runner.qcheck prop_routed_truncation_rejected;
     Alcotest.test_case "routed frame shorter than its header" `Quick
       test_short_routed_frame;
-    QCheck_alcotest.to_alcotest prop_truncation_rejected_in_place;
-    QCheck_alcotest.to_alcotest prop_packet_truncation_rejected_in_place;
-    QCheck_alcotest.to_alcotest prop_routed_truncation_rejected_in_place;
+    Runner.qcheck prop_truncation_rejected_in_place;
+    Runner.qcheck prop_packet_truncation_rejected_in_place;
+    Runner.qcheck prop_routed_truncation_rejected_in_place;
     Alcotest.test_case "short frame after a long one" `Quick
       test_short_frame_after_long;
     Alcotest.test_case "frame reads allocate no frame" `Quick
@@ -976,6 +1117,9 @@ let suite =
     Alcotest.test_case "hello/err frames round-trip" `Quick
       test_wire_hello_err_roundtrip;
     Alcotest.test_case "golden wire fixture" `Quick test_golden_frame;
+    Alcotest.test_case "golden narrow frame" `Quick test_narrow_golden;
+    Runner.qcheck prop_narrow_total;
+    Runner.qcheck prop_narrow_truncation_rejected;
     Alcotest.test_case "remote matches local over the corpus" `Slow
       test_remote_local_differential;
     Alcotest.test_case "remote edge samples its port" `Slow test_remote_sample;
@@ -993,6 +1137,10 @@ let suite =
       test_worker_task_failure;
     Alcotest.test_case "early close cancels across the socket" `Slow
       test_remote_early_close;
+    Alcotest.test_case "a site dead before its read set fails once" `Slow
+      test_worker_dies_before_narrow;
+    Alcotest.test_case "a worker holds only its own connection" `Slow
+      test_worker_holds_only_its_connection;
     Alcotest.test_case "faults at every net site" `Slow test_net_fault_sites;
     Alcotest.test_case "planlint VL7xx remote pass" `Quick
       test_planlint_remote;

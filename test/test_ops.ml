@@ -618,6 +618,33 @@ let test_heap_insert_allocation () =
   if per_insert >= bound then
     Alcotest.failf "%.2f minor words per insert, bound %.1f" per_insert bound
 
+(* The bulk path appends onto a fixed page from a scratch buffer: nothing
+   allocates per record (no RID, no string, no fix). *)
+let test_heap_append_allocation () =
+  let page_size = 32768 and n = 150 and bound = 0.5 in
+  let buffer = Bufpool.create ~frames:8 ~page_size () in
+  let device = Device.create_virtual ~page_size ~capacity:16 () in
+  let file = Heap_file.create ~buffer ~device ~name:"alloc" in
+  let scratch = Bytes.create 512 in
+  let len =
+    Volcano_tuple.Serial.encode_into
+      (Volcano_wisconsin.Wisconsin.generator ~n:1000 () 7)
+      scratch ~pos:0
+  in
+  let a = Heap_file.appender file in
+  Heap_file.append a scratch ~off:0 ~len;
+  let per_append =
+    words_per ~n (fun () ->
+        for _ = 1 to n do
+          Heap_file.append a scratch ~off:0 ~len
+        done)
+  in
+  Heap_file.close_appender a;
+  check Alcotest.int "every append on the fixed page" 1
+    (Heap_file.page_count file);
+  if per_append >= bound then
+    Alcotest.failf "%.2f minor words per append, bound %.1f" per_append bound
+
 let test_cartesian_product () =
   let left = input_of_ints 1 [ 1; 2 ] in
   let right = input_of_ints 2 [ 7; 8; 9 ] in
@@ -789,12 +816,12 @@ let suite =
     Alcotest.test_case "sort in memory" `Quick test_sort_in_memory;
     Alcotest.test_case "sort with spill" `Quick test_sort_with_spill;
     Alcotest.test_case "sort descending" `Quick test_sort_desc;
-    QCheck_alcotest.to_alcotest prop_sort_random;
+    Runner.qcheck prop_sort_random;
     Alcotest.test_case "sort on a full device" `Quick test_sort_device_full;
     Alcotest.test_case "merge sorted streams" `Quick test_merge_sorted_streams;
     Alcotest.test_case "merge network via exchange" `Quick test_merge_network;
     Alcotest.test_case "match family fixed case" `Quick test_match_fixed;
-    QCheck_alcotest.to_alcotest prop_match_all_kinds;
+    Runner.qcheck prop_match_all_kinds;
     Alcotest.test_case "hash match grace partitioning" `Quick
       test_hash_match_grace_partitioning;
     Alcotest.test_case "cartesian product" `Quick test_cartesian_product;
@@ -802,12 +829,12 @@ let suite =
     Alcotest.test_case "hash aggregate" `Quick test_hash_aggregate;
     Alcotest.test_case "sorted aggregate" `Quick test_sorted_aggregate;
     Alcotest.test_case "average" `Quick test_avg;
-    QCheck_alcotest.to_alcotest prop_distinct;
+    Runner.qcheck prop_distinct;
     Alcotest.test_case "division fixed case" `Quick test_division_fixed;
-    QCheck_alcotest.to_alcotest prop_division;
+    Runner.qcheck prop_division;
     Alcotest.test_case "division empty divisor" `Quick test_division_empty_divisor;
     Alcotest.test_case "hash match exact order" `Quick test_hash_match_exact_order;
-    QCheck_alcotest.to_alcotest prop_hash_match_exact_order;
+    Runner.qcheck prop_hash_match_exact_order;
     Alcotest.test_case "hash match build allocation" `Quick
       test_hash_match_build_allocation;
     Alcotest.test_case "hash aggregate build allocation" `Quick
@@ -821,4 +848,6 @@ let suite =
       test_encode_into_allocation;
     Alcotest.test_case "heap insert allocation" `Quick
       test_heap_insert_allocation;
+    Alcotest.test_case "heap append allocation" `Quick
+      test_heap_append_allocation;
   ]

@@ -272,6 +272,159 @@ let test_deep_pipeline () =
   let plan = chain 5 (base 500) in
   check Alcotest.int "deep pipeline" 500 (Runner.count e plan)
 
+(* --- read sets: [Plan.narrow] ------------------------------------------ *)
+
+(* Six columns, [i; i+1; ...; i+5]: only the edge above it matters here,
+   and nothing in this suite runs a remote plan (the distributed suites
+   do, over real workers). *)
+let wide =
+  Plan.Generate_slice
+    { arity = 6; count = 10; gen = (fun i -> Tuple.of_ints (List.init 6 (( + ) i))) }
+
+let remote_edge ?(partition = Exchange.Round_robin) input =
+  Plan.Remote
+    { cfg = Exchange.config ~degree:2 ~partition (); workers = 2; task = "t"; input }
+
+let shape plan = Format.asprintf "%a" Plan.pp plan
+
+let agg_count_sum ~by ~sum input =
+  Plan.Aggregate
+    {
+      algo = Plan.Hash_based;
+      group_by = [ by ];
+      aggs = [ Volcano_ops.Aggregate.Count; Volcano_ops.Aggregate.Sum (Expr.Col sum) ];
+      input;
+    }
+
+let narrowed_as name e plan expected =
+  let n = Plan.narrow e plan in
+  check Alcotest.string name expected (shape n);
+  check Alcotest.bool (name ^ ": narrowing again changes nothing") true
+    (Plan.narrow e n == n);
+  n
+
+let test_narrow_read_sets () =
+  let e = env () in
+  (* an edge read whole by the root is left exactly as written *)
+  let root = remote_edge wide in
+  check Alcotest.bool "root edge untouched" true (Plan.narrow e root == root);
+  let local = agg_count_sum ~by:4 ~sum:0 (Plan.Filter { pred = Expr.True; mode = `Compiled; input = wide }) in
+  check Alcotest.bool "no edge, no change" true (Plan.narrow e local == local);
+  (* the remote_ship shape: group by column 4, sum column 0, routed on 4 *)
+  let n =
+    narrowed_as "aggregate over a routed edge" e
+      (Plan.Exchange
+         {
+           cfg = Exchange.config ~degree:2 ();
+           input =
+             agg_count_sum ~by:4 ~sum:0
+               (remote_edge ~partition:(Exchange.Hash_on [ 4 ]) wide);
+         })
+      "exchange (degree=2 packet=83 flow=4 partition=round-robin)\n\
+      \  hash-aggregate by [1] (2 aggs)\n\
+      \    remote-exchange workers=2 task=\"t\" (degree=2 packet=83 flow=4 \
+       partition=hash[1])\n\
+      \      project [0,4]\n\
+      \        generate-slice (10 tuples)\n"
+  in
+  (match n with
+  | Plan.Exchange { input = Plan.Aggregate { aggs; _ }; _ } ->
+      check Alcotest.bool "the sum reads the narrow column" true
+        (aggs = [ Volcano_ops.Aggregate.Count; Volcano_ops.Aggregate.Sum (Expr.Col 0) ])
+  | _ -> Alcotest.fail "shape");
+  (* a filter, a sort and a range-partitioned exchange between the
+     consumer and the edge: each adds its columns and is remapped *)
+  ignore
+    (narrowed_as "filter, sort and exchange above the edge" e
+       (Plan.Aggregate
+          {
+            algo = Plan.Hash_based;
+            group_by = [ 5 ];
+            aggs = [ Volcano_ops.Aggregate.Count ];
+            input =
+              Plan.Filter
+                {
+                  pred = Expr.Cmp (Expr.Lt, Expr.Col 2, Expr.Const (Value.Int 3));
+                  mode = `Compiled;
+                  input =
+                    Plan.Sort
+                      {
+                        key = [ (3, Support.Asc) ];
+                        input =
+                          Plan.Exchange
+                            {
+                              cfg =
+                                Exchange.config ~degree:2
+                                  ~partition:(Exchange.Range_on (1, [| Value.Int 5 |]))
+                                  ();
+                              input = remote_edge wide;
+                            };
+                      };
+                };
+          })
+       "hash-aggregate by [3] (1 aggs)\n\
+       \  filter (compiled) $1 < 3\n\
+       \    sort [2]\n\
+       \      exchange (degree=2 packet=83 flow=4 partition=range[0])\n\
+       \        remote-exchange workers=2 task=\"t\" (degree=2 packet=83 \
+        flow=4 partition=round-robin)\n\
+       \          project [1,2,3,5]\n\
+       \            generate-slice (10 tuples)\n");
+  (* a projection already at the top of the edge's input composes *)
+  ignore
+    (narrowed_as "composes with the site's projection" e
+       (agg_count_sum ~by:0 ~sum:0 (remote_edge (Plan.Project_cols { cols = [ 5; 3; 1 ]; input = wide })))
+       "hash-aggregate by [0] (2 aggs)\n\
+       \  remote-exchange workers=2 task=\"t\" (degree=2 packet=83 flow=4 \
+        partition=round-robin)\n\
+       \    project [5]\n\
+       \      generate-slice (10 tuples)\n");
+  (* counting reads no column at all *)
+  ignore
+    (narrowed_as "a count ships zero columns" e
+       (Plan.Aggregate
+          { algo = Plan.Hash_based; group_by = []; aggs = [ Volcano_ops.Aggregate.Count ]; input = remote_edge wide })
+       "hash-aggregate by [] (1 aggs)\n\
+       \  remote-exchange workers=2 task=\"t\" (degree=2 packet=83 flow=4 \
+        partition=round-robin)\n\
+       \    project []\n\
+       \      generate-slice (10 tuples)\n");
+  (* a join reads its inputs whole *)
+  let join =
+    Plan.Project_cols
+      {
+        cols = [ 0; 7 ];
+        input =
+          Plan.Match
+            {
+              algo = Plan.Hash_based;
+              kind = Volcano_ops.Match_op.Join;
+              left_key = [ 1 ];
+              right_key = [ 0 ];
+              left = remote_edge wide;
+              right = base 5;
+            };
+      }
+  in
+  check Alcotest.bool "a join reads its inputs whole" true
+    (Plan.narrow e join == join);
+  (* a custom partition closure may read any column: nothing narrows *)
+  let custom =
+    agg_count_sum ~by:4 ~sum:0
+      (Plan.Exchange
+         {
+           cfg =
+             Exchange.config ~degree:2
+               ~partition:
+                 (Exchange.Custom
+                    (fun () -> Support.Partition.hash ~consumers:2 ~on:[ 0 ] ()))
+               ();
+           input = remote_edge wide;
+         })
+  in
+  check Alcotest.bool "custom partitioning reads everything" true
+    (Plan.narrow e custom == custom)
+
 let suite =
   [
     Alcotest.test_case "scan table" `Quick test_scan_table;
@@ -290,4 +443,6 @@ let suite =
     Alcotest.test_case "division plans agree" `Quick test_division_plan;
     Alcotest.test_case "explain renders" `Quick test_explain;
     Alcotest.test_case "deep pipeline" `Quick test_deep_pipeline;
+    Alcotest.test_case "remote edges ship only what is read" `Quick
+      test_narrow_read_sets;
   ]

@@ -420,10 +420,10 @@ let prop_rejected_plans_misbehave =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest ~long:false prop_exchange_invariance;
-    QCheck_alcotest.to_alcotest ~long:false prop_serial_parallel_differential;
+    Runner.qcheck ~long:false prop_exchange_invariance;
+    Runner.qcheck ~long:false prop_serial_parallel_differential;
     Runner.wide_pool_property ~long:false
       ~name:"accepted plans agree narrow vs wide pool"
       prop_narrow_wide_differential;
-    QCheck_alcotest.to_alcotest ~long:false prop_rejected_plans_misbehave;
+    Runner.qcheck ~long:false prop_rejected_plans_misbehave;
   ]

@@ -714,6 +714,188 @@ let test_planlint_placement () =
     "solo consumer carries no placement diagnostics" false
     (List.mem "VL704" solo || List.mem "VL705" solo)
 
+(* --- ship only what is read ------------------------------------------- *)
+
+(* Compile narrows every remote edge to the columns its consumers read;
+   the sites project each record before routing and encoding it.  Each
+   case runs a plan with one edge over the stored table against a local
+   plan over the whole table, and checks the columns the edge ships and
+   the bytes per row that crossed the wire. *)
+let narrow_case ~what ~plan ~local ~ships ~bytes_per_row =
+  let rows = 600 and parts = 2 in
+  let env, _ = make_env ~rows ~parts ~spec:"hash0" ~placement:"id" in
+  let obs = Obs.create () in
+  register ~obs env;
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  let task = task_of ~rows ~parts ~spec:"hash0" ~placement:"id" ~shape:"scan" in
+  let plan = plan (fun ?partition () -> remote ?partition ~workers:parts ~task (Plan.Scan_table_slice table)) in
+  let rec edge p =
+    match p with
+    | Plan.Remote { input; _ } -> Some input
+    | _ -> List.find_map edge (Plan.children p)
+  in
+  (match (ships, edge (Plan.narrow env plan)) with
+  | None, Some input ->
+      Alcotest.(check bool)
+        (what ^ ": the edge ships every column") true
+        (input = Plan.Scan_table_slice table);
+      Alcotest.(check bool) (what ^ ": left as written") true (Plan.narrow env plan == plan)
+  | Some cols, Some (Plan.Project_cols { cols = shipped; _ }) ->
+      Alcotest.(check (list int)) (what ^ ": shipped columns") cols shipped
+  | _ -> Alcotest.failf "%s: unexpected narrowed edge" what);
+  let expected = sorted (Runner.run env local) in
+  (match Test_net.run_with_timeout (fun () -> Runner.run env plan) with
+  | Test_net.Rows got ->
+      if sorted got <> expected then Alcotest.failf "%s: remote diverges from local" what
+  | Test_net.Raised exn ->
+      Alcotest.failf "%s: remote run failed: %s" what (Printexc.to_string exn)
+  | Test_net.Timeout -> Alcotest.failf "%s: remote run hung" what);
+  let total name =
+    List.fold_left ( + ) 0
+      (List.init parts (fun site ->
+           Obs.Counter.value (Obs.counter obs (Printf.sprintf "net.site%d.%s" site name))))
+  in
+  Alcotest.(check int) (what ^ ": every row crossed") rows (total "rows");
+  let per_row = float_of_int (total "bytes") /. float_of_int rows in
+  let lo, hi = bytes_per_row in
+  if per_row < lo || per_row >= hi then
+    Alcotest.failf "%s: %.2f wire bytes per row, expected [%.0f, %.0f)" what per_row lo hi;
+  Test_net.check_quiescent ~what env ~unjoined0 ~live0
+
+let test_narrowed_differentials () =
+  let c = W.column in
+  let count_sum ~by ~sum input =
+    Plan.Aggregate
+      { algo = Plan.Hash_based; group_by = [ by ]; aggs = [ Agg.Count; Agg.Sum (Expr.Col sum) ]; input }
+  in
+  let whole = Plan.Scan_table table in
+  (* read whole by the root: nothing narrows, 146-byte records cross *)
+  narrow_case ~what:"unprojected edge" ~plan:(fun edge -> edge ()) ~local:whole
+    ~ships:None ~bytes_per_row:(140.0, 150.0);
+  (* the remote_ship shape: two parent ranks group by ten and sum
+     unique1 over an edge routed on ten.  A record of two ints is 20
+     bytes (a u16 field count, two tagged 8-byte ints); each frame adds
+     its u16 count and u16 destination. *)
+  narrow_case ~what:"aggregate over a routed edge"
+    ~plan:(fun edge ->
+      Plan.Exchange
+        {
+          cfg = Exchange.config ~degree:2 ();
+          input =
+            count_sum ~by:(c "ten") ~sum:(c "unique1")
+              (edge ~partition:(Exchange.Hash_on [ c "ten" ]) ());
+        })
+    ~local:(count_sum ~by:(c "ten") ~sum:(c "unique1") whole)
+    ~ships:(Some [ c "unique1"; c "ten" ])
+    ~bytes_per_row:(20.0, 21.0);
+  (* a filter, a sort and a repartitioning exchange between the consumer
+     and the edge each add the columns they read *)
+  narrow_case ~what:"filter, sort and exchange above the edge"
+    ~plan:(fun edge ->
+      count_sum ~by:(c "twenty") ~sum:(c "unique2")
+        (Plan.Filter
+           {
+             pred = Expr.Cmp (Expr.Lt, Expr.Col (c "four"), Expr.Const (Value.Int 2));
+             mode = `Compiled;
+             input =
+               Plan.Sort
+                 {
+                   key = [ (c "unique2", Volcano_tuple.Support.Asc) ];
+                   input =
+                     Plan.Exchange
+                       {
+                         cfg = Exchange.config ~degree:2 ~partition:(Exchange.Hash_on [ c "twenty" ]) ();
+                         input = edge ();
+                       };
+                 };
+           }))
+    ~local:
+      (count_sum ~by:(c "twenty") ~sum:(c "unique2")
+         (Plan.Filter
+            {
+              pred = Expr.Cmp (Expr.Lt, Expr.Col (c "four"), Expr.Const (Value.Int 2));
+              mode = `Compiled;
+              input = whole;
+            }))
+    ~ships:(Some [ c "unique2"; c "four"; c "twenty" ])
+    ~bytes_per_row:(29.0, 30.0);
+  (* a range-repartitioned edge routes on a column the consumer does not
+     read: it ships too, and the range is remapped onto it *)
+  narrow_case ~what:"range-repartitioned edge"
+    ~plan:(fun edge ->
+      Plan.Exchange
+        {
+          cfg = Exchange.config ~degree:2 ();
+          input =
+            Plan.Project_cols
+              {
+                cols = [ c "twenty"; c "unique1" ];
+                input =
+                  edge
+                    ~partition:(Exchange.Range_on (c "unique2", [| Value.Int 299 |]))
+                    ();
+              };
+        })
+    ~local:(Plan.Project_cols { cols = [ c "twenty"; c "unique1" ]; input = whole })
+    ~ships:(Some [ c "unique1"; c "unique2"; c "twenty" ])
+    ~bytes_per_row:(29.0, 30.0);
+  (* counting reads no column: zero-column records, 2 bytes each *)
+  narrow_case ~what:"count over the edge"
+    ~plan:(fun edge ->
+      Plan.Aggregate { algo = Plan.Hash_based; group_by = []; aggs = [ Agg.Count ]; input = edge () })
+    ~local:(Plan.Aggregate { algo = Plan.Hash_based; group_by = []; aggs = [ Agg.Count ]; input = whole })
+    ~ships:(Some []) ~bytes_per_row:(2.0, 3.0)
+
+(* EXPLAIN ANALYZE renders the plan that ran: the site's projection under
+   the remote exchange, whose packets all arrived. *)
+let test_narrowed_profile () =
+  let rows = 600 and parts = 2 in
+  let env, _ = make_env ~rows ~parts ~spec:"hash0" ~placement:"id" in
+  register env;
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  let task = task_of ~rows ~parts ~spec:"hash0" ~placement:"id" ~shape:"scan" in
+  let plan =
+    Plan.Aggregate
+      {
+        algo = Plan.Hash_based;
+        group_by = [ W.column "ten" ];
+        aggs = [ Agg.Count ];
+        input = remote ~workers:parts ~task (Plan.Scan_table_slice table);
+      }
+  in
+  let report = ref None in
+  (match
+     Test_net.run_with_timeout (fun () ->
+         report := Some (Volcano_plan.Profile.execute env plan);
+         [])
+   with
+  | Test_net.Rows _ -> ()
+  | Test_net.Raised exn ->
+      Alcotest.failf "profiled remote run failed: %s" (Printexc.to_string exn)
+  | Test_net.Timeout -> Alcotest.fail "profiled remote run hung");
+  let r = Option.get !report in
+  let lines =
+    List.map String.trim
+      (String.split_on_char '\n' (Volcano_plan.Profile.render r))
+  in
+  let rec after_remote = function
+    | [] -> Alcotest.fail "no remote exchange in the profile"
+    | l :: rest when String.starts_with ~prefix:"remote-exchange" l -> rest
+    | _ :: rest -> after_remote rest
+  in
+  (match after_remote lines with
+  | packets :: _flow :: _pool :: _group :: project :: _ ->
+      Scanf.sscanf packets "packets: %d sent, %d received" (fun sent received ->
+          Alcotest.(check int) "packets sent = received" sent received;
+          Alcotest.(check bool) "packets crossed" true (sent > 0));
+      Alcotest.(check bool)
+        "the site's projection renders under the edge" true
+        (String.starts_with ~prefix:"project [4]" project)
+  | _ -> Alcotest.fail "profile too short");
+  Test_net.check_quiescent ~what:"narrowed profile" env ~unjoined0 ~live0
+
 let suite =
   [
     Alcotest.test_case "partition function and catalog properties" `Quick
@@ -736,4 +918,8 @@ let suite =
       test_repartition_early_close;
     Alcotest.test_case "planlint VL704/VL705 placement and skew" `Quick
       test_planlint_placement;
+    Alcotest.test_case "narrowed edges match local" `Slow
+      test_narrowed_differentials;
+    Alcotest.test_case "EXPLAIN ANALYZE shows the site's projection" `Slow
+      test_narrowed_profile;
   ]

@@ -676,5 +676,5 @@ let suite =
     Alcotest.test_case "pruning: filter columns kept" `Quick
       test_pruning_keeps_filter_columns;
     Alcotest.test_case "session front door" `Quick test_session_front_door;
-    QCheck_alcotest.to_alcotest ~long:false prop_optimizer_differential;
+    Runner.qcheck ~long:false prop_optimizer_differential;
   ]

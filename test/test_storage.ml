@@ -414,6 +414,63 @@ let test_heap_concurrent_inserts () =
   check Alcotest.int "all scanned" (4 * per_domain) !seen;
   Bufpool.assert_quiescent ~what:"heap concurrent" pool
 
+(* The bulk path: one appender fixes each last page once and keeps it
+   fixed across records, copying each from a reused scratch buffer (here
+   at an offset, as from another page's frame); an [insert] between two
+   appends lands on the same page; appenders on two domains interleave
+   safely; a closed appender leaves the pool quiescent. *)
+let test_heap_bulk_append () =
+  let pool, dev = make_env () in
+  let file = Heap_file.create ~buffer:pool ~device:dev ~name:"t" in
+  let scratch = Bytes.make 64 '#' in
+  let a = Heap_file.appender file in
+  let expected = ref [] in
+  for i = 0 to 99 do
+    let r = Printf.sprintf "bulk-%03d" i in
+    Bytes.blit_string r 0 scratch 3 (String.length r);
+    Heap_file.append a scratch ~off:3 ~len:(String.length r);
+    expected := r :: !expected;
+    if i = 50 then begin
+      ignore (Heap_file.insert file "inserted");
+      expected := "inserted" :: !expected
+    end
+  done;
+  check Alcotest.int "the appender holds one page fixed" 1 (Bufpool.leaked_fixes pool);
+  Heap_file.close_appender a;
+  Heap_file.close_appender a;
+  check Alcotest.int "count" 101 (Heap_file.record_count file);
+  check Alcotest.bool "multi page" true (Heap_file.page_count file > 1);
+  let scanned = ref [] in
+  Heap_file.iter file (fun _rid r -> scanned := r :: !scanned);
+  check (Alcotest.list Alcotest.string) "records in append order" (List.rev !expected)
+    (List.rev !scanned);
+  (match Heap_file.append a scratch ~off:0 ~len:0 with
+  | () -> Alcotest.fail "an empty record was appended"
+  | exception Invalid_argument _ -> ());
+  (match Heap_file.append a scratch ~off:60 ~len:8 with
+  | () -> Alcotest.fail "a range past the buffer was appended"
+  | exception Invalid_argument _ -> ());
+  Bufpool.assert_quiescent ~what:"heap bulk append" pool;
+  let other = Heap_file.create ~buffer:pool ~device:dev ~name:"u" in
+  let domains =
+    List.init 2 (fun d ->
+        Domain.spawn (fun () ->
+            let a = Heap_file.appender other in
+            let buf = Bytes.create 16 in
+            for i = 0 to 299 do
+              let r = Printf.sprintf "%d-%05d" d i in
+              Bytes.blit_string r 0 buf 0 (String.length r);
+              Heap_file.append a buf ~off:0 ~len:(String.length r)
+            done;
+            Heap_file.close_appender a))
+  in
+  List.iter Domain.join domains;
+  let seen = ref 0 in
+  Heap_file.iter other (fun _ _ -> incr seen);
+  check Alcotest.int "two appenders, every record" 600 !seen;
+  check Alcotest.int "two appenders, the count" 600 (Heap_file.record_count other);
+  Bufpool.assert_quiescent ~what:"heap concurrent append" pool
+
 (* --- page directory and page-range slices --- *)
 
 let fill file n =
@@ -613,7 +670,7 @@ let suite =
     Alcotest.test_case "page insert/read" `Quick test_page_insert_read;
     Alcotest.test_case "page delete and slot reuse" `Quick test_page_delete_reuse;
     Alcotest.test_case "page fill and compact" `Quick test_page_fill_and_compact;
-    QCheck_alcotest.to_alcotest prop_page_model;
+    Runner.qcheck prop_page_model;
     Alcotest.test_case "bitmap allocate/free" `Quick test_bitmap;
     Alcotest.test_case "bitmap roundtrip" `Quick test_bitmap_roundtrip;
     Alcotest.test_case "real device io" `Quick test_real_device_io;
@@ -635,6 +692,7 @@ let suite =
     Alcotest.test_case "heap open existing" `Quick test_heap_open_existing;
     Alcotest.test_case "heap concurrent inserts" `Quick
       test_heap_concurrent_inserts;
+    Alcotest.test_case "heap bulk append" `Quick test_heap_bulk_append;
     Alcotest.test_case "page chain reads no page" `Quick
       test_page_chain_reads_nothing;
     Alcotest.test_case "slices partition the file" `Quick test_slice_coverage;

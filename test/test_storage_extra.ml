@@ -213,6 +213,6 @@ let suite =
     Alcotest.test_case "buffer hit ratio" `Quick test_buffer_hit_ratio;
     Alcotest.test_case "flush_all persists dirty pages" `Quick
       test_flush_all_persists;
-    QCheck_alcotest.to_alcotest prop_vtoc_roundtrip;
+    Runner.qcheck prop_vtoc_roundtrip;
     Alcotest.test_case "page header fields" `Quick test_page_headers;
   ]

@@ -347,21 +347,21 @@ let test_partition_fns () =
 let suite =
   [
     Alcotest.test_case "value ordering" `Quick test_value_order;
-    QCheck_alcotest.to_alcotest prop_value_total_order;
-    QCheck_alcotest.to_alcotest prop_value_hash_consistent;
+    Runner.qcheck prop_value_total_order;
+    Runner.qcheck prop_value_hash_consistent;
     Alcotest.test_case "schema basics" `Quick test_schema;
     Alcotest.test_case "schema concat renames" `Quick test_schema_concat_renames;
     Alcotest.test_case "tuple operations" `Quick test_tuple_ops;
-    QCheck_alcotest.to_alcotest prop_interpreted_equals_compiled;
+    Runner.qcheck prop_interpreted_equals_compiled;
     Alcotest.test_case "expression evaluation" `Quick test_expr_eval;
     Alcotest.test_case "string prefix predicate" `Quick test_str_prefix;
-    QCheck_alcotest.to_alcotest prop_serial_roundtrip;
+    Runner.qcheck prop_serial_roundtrip;
     Alcotest.test_case "serialization at offsets" `Quick test_serial_offset;
-    QCheck_alcotest.to_alcotest prop_decode_total;
-    QCheck_alcotest.to_alcotest prop_decode_in_range;
-    QCheck_alcotest.to_alcotest prop_decode_truncations;
-    QCheck_alcotest.to_alcotest prop_decode_advances;
-    QCheck_alcotest.to_alcotest prop_decode_advancing_total;
+    Runner.qcheck prop_decode_total;
+    Runner.qcheck prop_decode_in_range;
+    Runner.qcheck prop_decode_truncations;
+    Runner.qcheck prop_decode_advances;
+    Runner.qcheck prop_decode_advancing_total;
     Alcotest.test_case "projection rejects bad columns" `Quick
       test_projection_rejects;
     Alcotest.test_case "support comparators" `Quick test_support_comparators;

@@ -142,7 +142,7 @@ let suite =
     Alcotest.test_case "zipf uniform" `Quick test_zipf_uniform;
     Alcotest.test_case "binheap sorts" `Quick test_binheap_sorts;
     Alcotest.test_case "binheap empty" `Quick test_binheap_empty;
-    QCheck_alcotest.to_alcotest prop_binheap;
+    Runner.qcheck prop_binheap;
     Alcotest.test_case "stats welford" `Quick test_stats;
     Alcotest.test_case "stats percentile exact" `Quick test_percentile_exact;
     Alcotest.test_case "stats percentile edges" `Quick test_percentile_edge;
