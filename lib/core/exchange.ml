@@ -222,13 +222,11 @@ let finish (o : outbox) =
       o.packets
 
 (* The producer half of exchange: "the driver for the query tree below the
-   exchange operator" (section 4.1).  Runs as a forked task.
-   [closer_slot] exposes the subtree to the failure handler so it can be
-   closed (and its buffer fixes released) when the producer dies
-   mid-stream. *)
-let run_producer_inner cfg faults port close_allowed group closer_slot input =
+   exchange operator" (section 4.1).  Runs as a forked task; [produce]
+   drives [source] until it is exhausted or the port shuts down, then
+   flags every consumer's last packet with end-of-stream. *)
+let produce cfg faults port group (source : Batch.cursor) =
   let rank = Group.rank group in
-  let source = input group in
   let consumers = Port.consumers port in
   let out = outbox port ~rank ~capacity:cfg.packet_size in
   let partition = instantiate_partition cfg.partition ~consumers in
@@ -249,8 +247,7 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
     | Round_robin | Hash_on _ | Range_on _ | Custom _ ->
         deliver out (partition tuple) tuple
   in
-  closer_slot := Some source.Batch.stop;
-  source.Batch.reset ();
+  source.reset ();
   (* The one drive loop, for record and fused subtrees alike: a step
      routes a batch of source records straight into port packets, and the
      packets it filled go out after it — the fused loop makes no port
@@ -260,33 +257,33 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
      sends after a shutdown). *)
   let rec drive () =
     if not (Port.is_shut_down port) then begin
-      let stepped = source.Batch.step ~emit:route ~max:Batch.default_size in
+      let stepped = source.step ~emit:route ~max:Batch.default_size in
       send_filled out;
       if stepped > 0 then drive ()
     end
   in
   drive ();
-  finish out;
-  (* "waits until the consumer allows closing all open files" — records may
-     still be in flight or pinned by consumers (section 4.1).  The gate is
-     a broadcast event: waiting suspends a pooled producer instead of
-     occupying its worker domain. *)
-  Sched.Event.wait close_allowed;
-  closer_slot := None;
-  source.Batch.stop ()
+  finish out
 
-(* A producer that dies must not hang or silently truncate the query:
-   poison the port — recording the cause, waking blocked consumers
-   immediately and cancelling sibling producers and descendant ports via
-   the shutdown chain — then close the subtree to release its resources.
-   The consumer re-raises the cause from its [next] as [Query_failed]. *)
-let run_producer cfg faults port close_allowed group input =
-  let closer_slot = ref None in
+(* A producer closes its own subtree once its end-of-stream packets are
+   out.  The paper's producer first "waits until the consumer allows
+   closing all open files" (section 4.1); here a record in a packet is a
+   decoded copy, never a view of a buffer frame, so the close frees
+   nothing a consumer holds.  A producer that dies poisons the port —
+   waking blocked consumers and cancelling siblings and descendant ports
+   through the shutdown chain — then closes the subtree; the consumer
+   re-raises the cause from its [next] as [Query_failed]. *)
+let run_producer cfg faults port group input =
+  let opened = ref None in
   try
     (* Fires at the very start of the scheduled task, before the subtree
        even opens — a failure here must still poison the port. *)
     Injector.hit faults Volcano_fault.Sched_task;
-    run_producer_inner cfg faults port close_allowed group closer_slot input
+    let source = input group in
+    opened := Some source;
+    produce cfg faults port group source;
+    opened := None;
+    source.stop ()
   with exn ->
     Port.poison port exn;
     (* Siblings may be blocked in [Group.lookup_port] for a nested port
@@ -294,9 +291,9 @@ let run_producer cfg faults port close_allowed group input =
        would ever wake them.  Poison first so the consumer reports the
        original failure, not the siblings' [Group.Cancelled]. *)
     Group.cancel group;
-    (match !closer_slot with
-    | Some close_subtree -> ( try close_subtree () with _ -> ())
-    | None -> ());
+    Option.iter
+      (fun (source : Batch.cursor) -> try source.stop () with _ -> ())
+      !opened;
     raise exn
 
 (* children_of r: ranks this producer forks in the propagation-tree scheme
@@ -314,43 +311,35 @@ module For_testing = struct
   let children_of = children_of
 end
 
-(* Fork the producer group as scheduler tasks; returns a function that
-   lets the producers close their subtrees and joins all of them.  The
+(* Fork the producer group as scheduler tasks; returns their joiner.  The
    joiner awaits every task and never raises: a failed producer already
    reported through the poisoned port. *)
 let spawn_producers sched cfg faults input port =
-  let close_allowed = Sched.Event.create () in
   let shared = Group.make_shared ~size:cfg.degree in
   let run rank =
-    run_producer cfg faults port close_allowed (Group.attach shared ~rank) input
+    run_producer cfg faults port (Group.attach shared ~rank) input
   in
-  let join =
-    match cfg.fork_mode with
-    | Fork_central ->
-        let tasks =
-          List.init cfg.degree (fun rank ->
-              spawn_task sched (fun () -> run rank))
+  match cfg.fork_mode with
+  | Fork_central ->
+      let tasks =
+        List.init cfg.degree (fun rank -> spawn_task sched (fun () -> run rank))
+      in
+      fun () -> List.iter join_quiet tasks
+  | Fork_tree ->
+      let rec subtree rank () =
+        let spawned =
+          List.map
+            (fun child -> spawn_task sched (subtree child))
+            (children_of rank cfg.degree)
         in
-        fun () -> List.iter join_quiet tasks
-    | Fork_tree ->
-        let rec subtree rank () =
-          let spawned =
-            List.map
-              (fun child -> spawn_task sched (subtree child))
-              (children_of rank cfg.degree)
-          in
-          (* Join the forked children even when this rank dies, or their
-             tasks would leak on a mid-tree failure. *)
-          Fun.protect
-            ~finally:(fun () -> List.iter join_quiet spawned)
-            (fun () -> run rank)
-        in
-        let root = spawn_task sched (subtree 0) in
-        fun () -> join_quiet root
-  in
-  fun () ->
-    Sched.Event.fire close_allowed;
-    join ()
+        (* Join the forked children even when this rank dies, or their
+           tasks would leak on a mid-tree failure. *)
+        Fun.protect
+          ~finally:(fun () -> List.iter join_quiet spawned)
+          (fun () -> run rank)
+      in
+      let root = spawn_task sched (subtree 0) in
+      fun () -> join_quiet root
 
 (* The feeders of a remote exchange: one task per transport source pumps
    pulled packets into the local port, so [next], EOS counting,

@@ -25,10 +25,10 @@
     "Processes" are tasks on a {!Volcano_sched.Sched} scheduler (shared
     memory, like the paper's Sequent processes): producers are closures
     submitted to a fixed pool of worker domains.  Every blocking wait of
-    an exchange — a full lane, an empty sink, an unpublished port, the
-    close gate, a producer join — is one {!Volcano_sched.Sched.suspend}: a
-    pool fiber yields its worker, and the query's root thread blocks on a
-    gate made for that wait.  A remote exchange's feeders are tasks too.
+    an exchange — a full lane, an empty sink, an unpublished port, a
+    producer join — is one {!Volcano_sched.Sched.suspend}: a pool fiber
+    yields its worker, and the query's root thread blocks on a gate made
+    for that wait.  A remote exchange's feeders are tasks too.
     Their socket reads wait through {!Volcano_sched.Sched.wait_fd}, so
     no query starts a domain of its own.
 
@@ -172,10 +172,10 @@ val iterator :
     forks the producer group as tasks on [sched] (default
     {!Volcano_sched.Sched.default}); each producer evaluates [input] —
     in its own task, with its own group context — and drives it, pushing
-    packets.  [next] returns records as they arrive; [close] on the master
-    permits producers to shut down and joins them (closing before
-    end-of-stream cancels the producers).  Other group members attach to
-    the master's port and close locally.
+    packets, and closes its subtree once its stream is sent.  [next]
+    returns records as they arrive; [close] on the master joins the
+    producers (closing before end-of-stream cancels them first).  Other
+    group members attach to the master's port and close locally.
 
     [obs] (a sink and this exchange's plan node) turns on deep
     instrumentation: the port is created timed (flow-control stalls are

@@ -1,6 +1,8 @@
 module Injector = Volcano_fault.Injector
 module Transport = Volcano.Port.Transport
 module Obs = Volcano_obs.Obs
+module Clock = Volcano_util.Clock
+module Sched = Volcano_sched.Sched
 
 (* Launch a remote producer group: spawn [workers] worker processes, hand
    each a shard of the task over a private socket, and expose each
@@ -212,37 +214,42 @@ let launch ?(faults = Injector.none) ?(lane = `Unix) ?repartition
     pids :=
       List.init workers (fun _ ->
           Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr);
+    (* A non-blocking listener: an accept that would block waits on the
+       poller, so a slow site start parks the consumer's fiber instead of
+       holding its pool worker. *)
+    Unix.set_nonblock listener;
     let accept_one shard =
       Injector.hit faults Volcano_fault.Net_connect;
-      (* conclint: allow CL003 -- launch runs in the exchange's open path
-         on the consumer, bounded by the accept timeout; workers connect
-         immediately or died (and then we fail the query, not hang). *)
-      match Unix.select [ listener ] [] [] accept_timeout_s with
-      | [], _, _ ->
-          failwith
-            (Printf.sprintf "worker %d did not connect within %.0fs" shard
-               accept_timeout_s)
-      | _ :: _, _, _ ->
-          (* conclint: allow CL003 -- see the select above; a ready
-             listener makes this accept immediate. *)
-          let fd, _ = Unix.accept ~cloexec:true listener in
-          fds := fd :: !fds;
-          (match lane with
-          | `Tcp -> ( try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ())
-          | `Unix -> ());
-          let conn = Wire.conn ~faults fd in
-          Wire.write conn Wire.Hello
-            (Wire.hello
-               ~repartition:(repartition <> None)
-               ~task ~shard ~shards:workers ~packet_size ());
-          (match repartition with
-          | None -> ()
-          | Some r -> Wire.write conn Wire.Repartition (Wire.repartition r));
-          (* From here on the connection is read by a feeder fiber: a
-             read that would block suspends the fiber instead of holding
-             its pool worker. *)
-          Unix.set_nonblock fd;
-          conn
+      let due = Clock.now () +. accept_timeout_s in
+      let rec accept () =
+        match Unix.accept ~cloexec:true listener with
+        | fd, _ -> fd
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            if Clock.now () >= due then
+              failwith
+                (Printf.sprintf "worker %d did not connect within %.0fs" shard
+                   accept_timeout_s);
+            Sched.wait_fd ~until:due `Read listener;
+            accept ()
+      in
+      let fd = accept () in
+      fds := fd :: !fds;
+      (match lane with
+      | `Tcp -> ( try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ())
+      | `Unix -> ());
+      let conn = Wire.conn ~faults fd in
+      Wire.write conn Wire.Hello
+        (Wire.hello
+           ~repartition:(repartition <> None)
+           ~task ~shard ~shards:workers ~packet_size ());
+      (match repartition with
+      | None -> ()
+      | Some r -> Wire.write conn Wire.Repartition (Wire.repartition r));
+      (* From here on the connection is read by a feeder fiber: a read
+         that would block suspends the fiber instead of holding its pool
+         worker. *)
+      Unix.set_nonblock fd;
+      conn
     in
     let conns = Array.init workers accept_one in
     (try Unix.close listener with _ -> ());

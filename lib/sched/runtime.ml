@@ -1,5 +1,4 @@
 module Clock = Volcano_util.Clock
-module Binheap = Volcano_util.Binheap
 
 exception Cancelled
 exception Deadline_exceeded
@@ -19,18 +18,6 @@ type entry = {
   e_launch : unit -> unit; (* fork the fiber; an execution slot is held *)
 }
 
-(* Deadlines poll: stdlib [Condition] has no timed wait, so an on-demand
-   timer domain sleeps toward the earliest due time in <= 10 ms slices
-   and fires expiries.  Fire thunks are idempotent cancel requests, so a
-   job that finished first makes its expiry a no-op. *)
-type timer = {
-  tm_lock : Mutex.t;
-  tm_cond : Condition.t;
-  tm_heap : (float * (unit -> unit)) Binheap.t;
-  mutable tm_stop : bool;
-  mutable tm_domain : unit Domain.t option;
-}
-
 type t = {
   rt_sched : Sched.t;
   rt_max : int;
@@ -40,7 +27,6 @@ type t = {
   mutable running : int;
   mutable active : int; (* submitted jobs not yet fully retired *)
   mutable shut : bool;
-  timer : timer;
 }
 
 type 'a job = {
@@ -50,6 +36,7 @@ type 'a job = {
   mutable j_cancel : exn option; (* first cancellation reason, if any *)
   j_on_cancel : exn -> unit;
   j_done : Sched.Event.t;
+  j_deadline : Sched.timer option Atomic.t;
 }
 
 let create ?max_concurrent sched =
@@ -65,14 +52,6 @@ let create ?max_concurrent sched =
     running = 0;
     active = 0;
     shut = false;
-    timer =
-      {
-        tm_lock = Mutex.create ();
-        tm_cond = Condition.create ();
-        tm_heap = Binheap.create ~cmp:(fun (a, _) (b, _) -> Float.compare a b);
-        tm_stop = false;
-        tm_domain = None;
-      };
   }
 
 let sched t = t.rt_sched
@@ -91,49 +70,6 @@ let status j =
   in
   Mutex.unlock j.j_lock;
   s
-
-(* ------------------------------------------------------------------ *)
-(* Timer                                                               *)
-
-let rec timer_loop tm () =
-  Mutex.lock tm.tm_lock;
-  if tm.tm_stop then Mutex.unlock tm.tm_lock
-  else
-    match Binheap.peek tm.tm_heap with
-    | None ->
-        Condition.wait tm.tm_cond tm.tm_lock;
-        Mutex.unlock tm.tm_lock;
-        timer_loop tm ()
-    | Some (due, _) ->
-        let now = Clock.now () in
-        if due <= now then begin
-          let _, fire = Binheap.pop_exn tm.tm_heap in
-          Mutex.unlock tm.tm_lock;
-          (try fire () with _ -> ());
-          timer_loop tm ()
-        end
-        else begin
-          Mutex.unlock tm.tm_lock;
-          Unix.sleepf (Float.min (due -. now) 0.01);
-          timer_loop tm ()
-        end
-
-let timer_schedule tm ~due fire =
-  Mutex.lock tm.tm_lock;
-  Binheap.push tm.tm_heap (due, fire);
-  if Option.is_none tm.tm_domain then
-    tm.tm_domain <- Some (Domain.spawn (timer_loop tm));
-  Condition.signal tm.tm_cond;
-  Mutex.unlock tm.tm_lock
-
-let timer_stop tm =
-  Mutex.lock tm.tm_lock;
-  tm.tm_stop <- true;
-  Condition.signal tm.tm_cond;
-  let dom = tm.tm_domain in
-  tm.tm_domain <- None;
-  Mutex.unlock tm.tm_lock;
-  match dom with Some d -> Domain.join d | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
@@ -190,6 +126,11 @@ let release_slot t =
 (* ------------------------------------------------------------------ *)
 (* Jobs                                                                *)
 
+(* A terminal job drops its deadline, so no timer outlives it. *)
+let retire j =
+  Option.iter Sched.cancel_timer (Atomic.get j.j_deadline);
+  Sched.Event.fire j.j_done
+
 let cancel_with j reason =
   Mutex.lock j.j_lock;
   let action =
@@ -205,7 +146,7 @@ let cancel_with j reason =
   in
   Mutex.unlock j.j_lock;
   match action with
-  | `Fire -> Sched.Event.fire j.j_done
+  | `Fire -> retire j
   | `Hook -> ( try j.j_on_cancel reason with _ -> ())
   | `Nothing -> ()
 
@@ -239,7 +180,7 @@ let run_job t j run () =
   (* Release before firing: an awaiter that proceeds to tear the world
      down must find the slot free and the queue pumped. *)
   release_slot t;
-  Sched.Event.fire j.j_done
+  retire j
 
 let submit t ?deadline_s ?(label = "") ?(on_cancel = fun _ -> ()) run =
   let j =
@@ -250,6 +191,7 @@ let submit t ?deadline_s ?(label = "") ?(on_cancel = fun _ -> ()) run =
       j_cancel = None;
       j_on_cancel = on_cancel;
       j_done = Sched.Event.create ();
+      j_deadline = Atomic.make None;
     }
   in
   let entry =
@@ -266,20 +208,25 @@ let submit t ?deadline_s ?(label = "") ?(on_cancel = fun _ -> ()) run =
         (fun () -> ignore (Sched.fork t.rt_sched (run_job t j run) : _ Sched.task));
     }
   in
+  (* Expiry is an idempotent cancel request, run on the poller.  The
+     deadline is set before the job can launch, so the job's [retire]
+     always finds it. *)
+  let deadline =
+    Option.map
+      (fun d ->
+        Sched.at (Clock.now () +. d) (fun () -> cancel_with j Deadline_exceeded))
+      deadline_s
+  in
+  Atomic.set j.j_deadline deadline;
   Mutex.lock t.lock;
   if t.shut then begin
     Mutex.unlock t.lock;
+    Option.iter Sched.cancel_timer deadline;
     invalid_arg "Runtime.submit: runtime is closed"
   end;
   t.active <- t.active + 1;
   Queue.push entry t.pending;
   Mutex.unlock t.lock;
-  (match deadline_s with
-  | Some d ->
-      timer_schedule t.timer
-        ~due:(Clock.now () +. d)
-        (fun () -> cancel_with j Deadline_exceeded)
-  | None -> ());
   pump t;
   j
 
@@ -327,5 +274,4 @@ let close t =
       drain ()
     end
   in
-  drain ();
-  timer_stop t.timer
+  drain ()

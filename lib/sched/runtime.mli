@@ -67,6 +67,7 @@ val queued : t -> int
 (** Jobs admitted but not yet started. *)
 
 val close : t -> unit
-(** Drain: wait until every submitted job reaches a terminal state, then
-    stop the deadline timer.  Further {!submit}s raise; {!await} on
-    finished jobs keeps working.  Idempotent. *)
+(** Drain: wait until every submitted job reaches a terminal state; a
+    terminal job has dropped its deadline, so none is left pending.
+    Further {!submit}s raise; {!await} on finished jobs keeps working.
+    Idempotent. *)

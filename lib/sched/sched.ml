@@ -16,13 +16,13 @@ module Obs = Volcano_obs.Obs
    later suspensions of the same fiber are handled identically.
 
    [suspend] is the engine's one blocking primitive.  Off the pool (the
-   main thread, serve connection threads, the deadline timer) there is
-   no fiber to unwind, so the caller blocks on a one-shot gate made for
-   that one wait, and the gate's opener is the waker [register] stores.
+   main thread, serve connection threads) there is no fiber to unwind,
+   so the caller blocks on a one-shot gate made for that one wait, and
+   the gate's opener is the waker [register] stores.
    The gate is per wait, not per domain: systhreads share their domain,
    and a domain-wide gate would let one thread's waker release another
-   thread's wait.  A wait for a file descriptor is one more [suspend],
-   woken by the process's poller domain ([wait_fd] below). *)
+   thread's wait.  A wait for a file descriptor or a due time is one more
+   [suspend], woken by the process's poller domain ([wait_fd] below). *)
 
 type job = unit -> unit
 
@@ -362,64 +362,78 @@ module Event = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Readiness waits                                                     *)
+(* Readiness and timed waits                                           *)
 
 (* One poller per process selects over every descriptor a wait is
    registered on, plus the read end of a self-pipe that a new
-   registration writes a byte to so the poller picks it up.  It wakes
-   each wait whose descriptor turned ready and forgets it.  The poller
-   is a domain of its own: a systhread made on a pool worker would share
-   that worker's DLS and look like a fiber to [suspend].  It starts on
-   the first wait, so a process that never waits on a descriptor has
+   registration writes a byte to so the poller picks it up; the earliest
+   due time among the waits is the select's timeout.  It wakes each wait
+   whose descriptor turned ready or whose due time passed, and forgets
+   it.  A timer is a wait on no descriptor.  The poller is a domain of
+   its own: a systhread made on a pool worker would share that worker's
+   DLS and look like a fiber to [suspend].  It starts on the first wait,
+   so a process that never waits on a descriptor or a due time has
    none. *)
+type wait = {
+  on : (Unix.file_descr * [ `Read | `Write ]) option;
+  due : float; (* [Clock.now] time; [infinity] for none *)
+  wake : unit -> unit;
+}
+
+type timer = wait
+
 type poller = {
   pl_lock : Mutex.t;
-  mutable waits : (Unix.file_descr * [ `Read | `Write ] * (unit -> unit)) list;
+  mutable waits : wait list;
   kick_r : Unix.file_descr;
   kick_w : Unix.file_descr;
 }
-
-let drain_kicks p buf =
-  let rec go () =
-    match Unix.read p.kick_r buf 0 (Bytes.length buf) with
-    | n when n = Bytes.length buf -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  go ()
 
 let rec poll_loop p buf =
   Mutex.lock p.pl_lock;
   let waits = p.waits in
   Mutex.unlock p.pl_lock;
   let on dir =
-    List.filter_map (fun (fd, d, _) -> if d = dir then Some fd else None) waits
+    List.filter_map
+      (fun w ->
+        match w.on with Some (fd, d) when d = dir -> Some fd | _ -> None)
+      waits
+  in
+  let due = List.fold_left (fun due w -> Float.min due w.due) infinity waits in
+  let timeout =
+    if due = infinity then -1.0 else Float.max 0.0 (due -. Clock.now ())
   in
   let ready =
-    match Unix.select (p.kick_r :: on `Read) (on `Write) [] (-1.0) with
+    match Unix.select (p.kick_r :: on `Read) (on `Write) [] timeout with
     | r, w, _ -> Some (r, w)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> Some ([], [])
     | exception Unix.Unix_error _ ->
         (* A registered descriptor was closed under its wait: wake every
-           wait, and each retries its own call, which fails or waits
-           again. *)
+           descriptor wait, and each retries its own call, which fails or
+           waits again. *)
         None
   in
+  (* Kicks past [buf]'s length stay readable for the next round. *)
   (match ready with
-  | Some (r, _) when List.mem p.kick_r r -> drain_kicks p buf
+  | Some (r, _) when List.mem p.kick_r r -> (
+      try ignore (Unix.read p.kick_r buf 0 (Bytes.length buf))
+      with Unix.Unix_error _ -> ())
   | _ -> ());
-  Mutex.lock p.pl_lock;
-  let fire, keep =
-    match ready with
-    | None -> (p.waits, [])
-    | Some (r, w) ->
-        List.partition
-          (fun (fd, dir, _) -> List.mem fd (if dir = `Read then r else w))
-          p.waits
+  let now = Clock.now () in
+  let fires w =
+    w.due <= now
+    ||
+    match (w.on, ready) with
+    | None, _ -> false
+    | Some _, None -> true
+    | Some (fd, dir), Some (r, wr) ->
+        List.mem fd (if dir = `Read then r else wr)
   in
+  Mutex.lock p.pl_lock;
+  let fire, keep = List.partition fires p.waits in
   p.waits <- keep;
   Mutex.unlock p.pl_lock;
-  List.iter (fun (_, _, wake) -> wake ()) fire;
+  List.iter (fun w -> try w.wake () with _ -> ()) fire;
   poll_loop p buf
 
 let poller_lock = Mutex.create ()
@@ -444,18 +458,41 @@ let poller () =
 
 let kick = Bytes.make 1 '!'
 
-let wait_fd dir fd =
+let register p w =
+  Mutex.lock p.pl_lock;
+  p.waits <- w :: p.waits;
+  Mutex.unlock p.pl_lock;
+  (* After the push: the byte makes the poller select again, now over
+     this wait too.  A full pipe already holds a byte, so [EAGAIN] loses
+     nothing. *)
+  try ignore (Unix.single_write p.kick_w kick 0 1) with Unix.Unix_error _ -> ()
+
+(* [select] takes descriptors below [FD_SETSIZE] only, and fails the
+   whole call on any other.  A descriptor is an int on Unix. *)
+let fd_setsize = 1024
+
+let wait_fd ?(until = infinity) dir fd =
+  let n : int = Obj.magic fd in
+  if n >= fd_setsize then
+    invalid_arg
+      (Printf.sprintf "Sched.wait_fd: descriptor %d is past the poller's %d" n
+         fd_setsize);
   let p = poller () in
   suspend (fun wake ->
-      Mutex.lock p.pl_lock;
-      p.waits <- (fd, dir, wake) :: p.waits;
-      Mutex.unlock p.pl_lock;
-      (* After the push: the byte makes the poller select again, now over
-         this wait too.  A full pipe already holds a byte, so [EAGAIN]
-         loses nothing. *)
-      (try ignore (Unix.single_write p.kick_w kick 0 1)
-       with Unix.Unix_error _ -> ());
+      register p { on = Some (fd, dir); due = until; wake };
       true)
+
+let at due fire =
+  let p = poller () in
+  let t = { on = None; due; wake = fire } in
+  register p t;
+  t
+
+let cancel_timer t =
+  let p = poller () in
+  Mutex.lock p.pl_lock;
+  p.waits <- List.filter (fun w -> w != t) p.waits;
+  Mutex.unlock p.pl_lock
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

@@ -82,18 +82,28 @@ val suspend : ((unit -> unit) -> bool) -> unit
     wakes are harmless provided the caller re-checks its condition in a
     loop. *)
 
-val wait_fd : [ `Read | `Write ] -> Unix.file_descr -> unit
+val wait_fd : ?until:float -> [ `Read | `Write ] -> Unix.file_descr -> unit
 (** [wait_fd dir fd] waits until [fd] is readable ([`Read]) or writable
-    ([`Write]) — a {!suspend} point, so a pool fiber gives its worker back
-    while it waits.  Meant for a non-blocking descriptor whose call just
-    failed with [EAGAIN]: retry the call after the wait, in a loop, since
-    a wake may be spurious (a descriptor closed under a wait wakes every
-    wait).  One poller per process serves every wait: a domain that
-    selects over the waited descriptors, started by the first wait. *)
+    ([`Write]), or until the {!Volcano_util.Clock.now} time [until] has
+    passed — a {!suspend} point.  Meant for a non-blocking descriptor
+    whose call just failed with [EAGAIN]: retry the call in a loop, since
+    a wake may be spurious.  One poller domain per process serves every
+    wait, started by the first.  [select] cannot watch a descriptor
+    numbered 1024 or higher: such a wait raises [Invalid_argument] at
+    once. *)
+
+type timer
+
+val at : float -> (unit -> unit) -> timer
+(** [at due fire] runs [fire ()] on the poller once
+    {!Volcano_util.Clock.now} reaches [due]; [fire] must not block, and
+    its exceptions are dropped. *)
+
+val cancel_timer : timer -> unit
+(** [fire] will not run unless it already has.  Idempotent. *)
 
 (** One-shot broadcast gate: [wait] returns once [fire] has been called.
-    Waiting is a {!suspend} point.  Replaces the close-permission
-    semaphore of the exchange teardown protocol. *)
+    Waiting is a {!suspend} point.  A runtime job's completion is one. *)
 module Event : sig
   type t
 

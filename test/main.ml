@@ -9,6 +9,14 @@ let () =
     Test_net.stall_worker_main ~socket:Sys.argv.(2)
   else if Array.length Sys.argv >= 3 && Sys.argv.(1) = "shard-worker" then
     Test_shard.worker_main ~socket:Sys.argv.(2)
+  else if Array.length Sys.argv >= 2 && Sys.argv.(1) = "long" then begin
+    Runner.announce_seed ();
+    let rest = Array.sub Sys.argv 2 (Array.length Sys.argv - 2) in
+    Alcotest.run
+      ~argv:(Array.append [| Sys.argv.(0) |] rest)
+      "volcano-long"
+      [ ("ops-long", Test_ops.long_suite) ]
+  end
   else begin
     Runner.announce_seed ();
     Alcotest.run "volcano"

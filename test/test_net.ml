@@ -773,6 +773,79 @@ let test_stalled_site () =
       check_quiescent ~what:"stalled site" env ~unjoined0 ~live0;
       Sched.assert_quiescent ~what:"stalled site" sched)
 
+(* A site that is slow to start must not pin a pool worker either: the
+   launcher's accept waits on the poller, so while a remote query waits
+   for its site to connect, a local query on the same 1-worker session
+   completes.  The site's start is held until then by a gate file (at
+   most 10 s), so the check does not depend on how long anything takes;
+   then the remote query returns every row. *)
+let test_slow_site_start () =
+  let gate = Filename.temp_file "volcano_site_gate_" "" in
+  Sys.remove gate;
+  Fun.protect ~finally:(fun () -> try Sys.remove gate with Sys_error _ -> ())
+  @@ fun () ->
+  Session.with_session ~frames:128 ~page_size:512 ~workers:1 ~max_concurrent:2
+    (fun session ->
+      let env = Session.env session and sched = Session.sched session in
+      Env.set_remote_launcher env
+        (fun ~faults ~repartition:_ ~workers ~task ~packet_size ->
+          (Launcher.launch ~faults
+             ~command:(fun ~socket ->
+               [|
+                 "/bin/sh";
+                 "-c";
+                 "i=0; while [ ! -e \"$1\" ] && [ $i -lt 200 ]; do sleep \
+                  0.05; i=$((i+1)); done; exec \"$2\" net-worker \"$3\"";
+                 "site";
+                 gate;
+                 Sys.executable_name;
+                 socket;
+               |])
+             ~workers ~task ~packet_size ())
+            .Launcher.sources);
+      let unjoined0 = Exchange.unjoined_tasks () in
+      let live0 = Exchange.live_tasks () in
+      let job =
+        Session.submit session
+          (`Plan (remote ~workers:1 ~task:"gen:500" (gen_plan 500)))
+      in
+      let open_gate () = close_out (open_out gate) in
+      Fun.protect ~finally:open_gate @@ fun () ->
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Sched.suspended_tasks sched < 1 do
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "the query never parked waiting for its site";
+        Unix.sleepf 0.001
+      done;
+      (match
+         run_with_timeout ~seconds:10.0 (fun () ->
+             Session.exec session
+               (`Plan
+                  (Plan.Exchange
+                     { cfg = Exchange.config ~degree:2 (); input = gen_plan 1000 })))
+       with
+      | Rows rows -> Alcotest.(check int) "local rows" 1000 (List.length rows)
+      | Raised exn ->
+          Alcotest.failf "local query failed: %s" (Printexc.to_string exn)
+      | Timeout -> Alcotest.fail "a slow site start pinned the only pool worker");
+      Alcotest.(check bool)
+        "the remote query still waits for its site" true
+        (Session.status job = Volcano_sched.Runtime.Running);
+      open_gate ();
+      (match
+         run_with_timeout (fun () ->
+             match Session.await job with Ok rows -> rows | Error exn -> raise exn)
+       with
+      | Rows rows ->
+          Alcotest.(check bool)
+            "remote rows" true
+            (sorted rows = sorted (Runner.run env (gen_plan 500)))
+      | Raised exn ->
+          Alcotest.failf "remote query failed: %s" (Printexc.to_string exn)
+      | Timeout -> Alcotest.fail "the remote query never finished");
+      check_quiescent ~what:"slow site start" env ~unjoined0 ~live0;
+      Sched.assert_quiescent ~what:"slow site start" sched)
+
 (* A worker process killed mid-stream must surface as exactly one
    [Query_failed] at the consumer — no hang, no partial result. *)
 let test_killed_worker () =
@@ -1131,6 +1204,8 @@ let suite =
       test_narrow_pool_differential;
     Alcotest.test_case "a stalled site pins no pool worker" `Slow
       test_stalled_site;
+    Alcotest.test_case "a slow site start pins no pool worker" `Slow
+      test_slow_site_start;
     Alcotest.test_case "killed worker yields one Query_failed" `Slow
       test_killed_worker;
     Alcotest.test_case "worker task failure crosses as Query_failed" `Slow

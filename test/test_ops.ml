@@ -253,9 +253,14 @@ let test_match_fixed () =
         [ `Merge; `Hash ])
     kinds
 
-let prop_match_all_kinds =
-  QCheck.Test.make ~name:"merge and hash match agree with the model" ~count:100
-    QCheck.(pair (list (int_bound 8)) (list (int_bound 8)))
+(* Over 9 keys a join's output grows with the product of its input
+   lengths, and QCheck's unbounded [list] reaches thousands of rows: on
+   seed 1 that run takes about 30 s.  Tier-1 bounds each side to 100
+   rows; the unbounded generator runs in the opt-in [@long] alias
+   ([long_suite]). *)
+let match_model_property ~name sides =
+  QCheck.Test.make ~name ~count:100
+    QCheck.(pair sides sides)
     (fun (ls, rs) ->
       let left = input_of_ints 1 ls and right = input_of_ints 2 rs in
       List.for_all
@@ -264,6 +269,15 @@ let prop_match_all_kinds =
           canonical kind (run_match `Merge kind left right) = expected
           && canonical kind (run_match `Hash kind left right) = expected)
         kinds)
+
+let prop_match_all_kinds =
+  match_model_property ~name:"merge and hash match agree with the model"
+    QCheck.(list_of_size Gen.(int_bound 100) (int_bound 8))
+
+let prop_match_all_kinds_unbounded =
+  match_model_property
+    ~name:"merge and hash match agree with the model, unbounded"
+    QCheck.(list (int_bound 8))
 
 let test_hash_match_grace_partitioning () =
   (* Force the Grace path with a small build capacity and verify the result
@@ -851,3 +865,7 @@ let suite =
     Alcotest.test_case "heap append allocation" `Quick
       test_heap_append_allocation;
   ]
+
+(* Properties whose unbounded generators are too slow for tier-1, which
+   runs them bounded: [dune build @long]. *)
+let long_suite = [ Runner.qcheck ~long:true prop_match_all_kinds_unbounded ]

@@ -78,6 +78,64 @@ let test_limit_early_close () =
   in
   check Alcotest.int "limit" 5 (Runner.count e plan)
 
+(* A producer closes its subtree as soon as its stream is sent, with no
+   word from the consumer: a record in a packet is a decoded copy, not a
+   view of a buffer frame.  So once the producers are gone, while the
+   consumer still holds every row, no frame is fixed, and the rows
+   survive the frames being reused for another table. *)
+let test_producers_close_before_consumer () =
+  let sched = Volcano_sched.Sched.create ~workers:2 () in
+  Fun.protect ~finally:(fun () -> Volcano_sched.Sched.shutdown sched)
+  @@ fun () ->
+  let e = Env.create ~frames:8 ~page_size:512 ~sched () in
+  let row i = Tuple.make [ Value.Int i; Value.Str (Printf.sprintf "row-%04d" i) ] in
+  let fill name =
+    let file =
+      Env.create_table e ~name
+        ~schema:
+          (Volcano_tuple.Schema.of_names [ ("a", Value.Tint); ("s", Value.Tstr) ])
+    in
+    for i = 0 to 599 do
+      ignore
+        (Volcano_storage.Heap_file.insert file
+           (Bytes.to_string (Volcano_tuple.Serial.encode (row i))))
+    done
+  in
+  fill "held";
+  fill "other";
+  let buffer = Env.buffer e in
+  let it =
+    Compile.compile e
+      (Plan.Exchange
+         {
+           cfg = Exchange.config ~degree:2 ();
+           input = Plan.Scan_table_slice "held";
+         })
+  in
+  Volcano.Iterator.open_ it;
+  let rec drain acc =
+    match Volcano.Iterator.next it with
+    | Some t -> drain (t :: acc)
+    | None -> acc
+  in
+  let held = List.sort Tuple.compare (drain []) in
+  let give_up = Unix.gettimeofday () +. 5.0 in
+  while
+    Volcano_sched.Sched.live_tasks sched > 0 && Unix.gettimeofday () < give_up
+  do
+    Unix.sleepf 0.001
+  done;
+  check Alcotest.int "producers closed before the consumer" 0
+    (Volcano_sched.Sched.live_tasks sched);
+  check Alcotest.int "no frame fixed while the consumer holds rows" 0
+    (Volcano_storage.Bufpool.leaked_fixes buffer);
+  check Alcotest.int "every frame reused" 600
+    (Runner.count e (Plan.Scan_table "other"));
+  check Alcotest.bool "held rows intact" true
+    (List.equal Tuple.equal held (List.init 600 row));
+  Volcano.Iterator.close it;
+  Volcano_storage.Bufpool.assert_quiescent ~what:"producers closed" buffer
+
 (* The encapsulation property, exercised over a zoo of plans. *)
 let test_exchange_transparency () =
   let e = env () in
@@ -431,6 +489,8 @@ let suite =
     Alcotest.test_case "filter modes agree" `Quick test_filter_modes_agree;
     Alcotest.test_case "sort plan" `Quick test_sort_plan;
     Alcotest.test_case "limit closes exchange early" `Quick test_limit_early_close;
+    Alcotest.test_case "producers close before the consumer" `Quick
+      test_producers_close_before_consumer;
     Alcotest.test_case "exchange transparency (join)" `Quick
       test_exchange_transparency;
     Alcotest.test_case "sort-based partitioned match" `Quick

@@ -156,6 +156,60 @@ let test_systhread_waits () =
   eventually "first thread returns" (fun () -> Atomic.get returned.(0));
   List.iter Thread.join threads
 
+(* [select] cannot watch a descriptor numbered 1024 or higher.  A wait on
+   one must fail alone, at once, and leave the poller serving every other
+   wait; a poller that took it in would fail every select round and wake
+   every wait on each.  One pipe end moved onto descriptor 1100 stands in
+   for a process with that many open. *)
+let test_wait_fd_past_select_limit () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let high : Unix.file_descr = Obj.magic 1100 in
+  (match Unix.dup2 ~cloexec:true r high with
+  | () -> ()
+  | exception Unix.Unix_error _ ->
+      Unix.close r;
+      Unix.close w;
+      Alcotest.skip ());
+  let r2, w2 = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock r2;
+  Fun.protect ~finally:(fun () -> List.iter Unix.close [ high; r; w; r2; w2 ])
+  @@ fun () ->
+  with_pool ~workers:2 (fun sched ->
+      let wakes = Atomic.make 0 in
+      let reader =
+        Sched.fork sched (fun () ->
+            let buf = Bytes.create 1 in
+            let rec go () =
+              match Unix.read r2 buf 0 1 with
+              | n -> n
+              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+                ->
+                  Sched.wait_fd `Read r2;
+                  Atomic.incr wakes;
+                  go ()
+            in
+            go ())
+      in
+      (* Retried the way [Wire]'s loops retry, for up to 0.3 s. *)
+      let refused =
+        Sched.fork sched (fun () ->
+            let give_up = Unix.gettimeofday () +. 0.3 in
+            let rec go () =
+              match Sched.wait_fd `Read high with
+              | () -> Unix.gettimeofday () < give_up && go ()
+              | exception Invalid_argument _ -> true
+            in
+            go ())
+      in
+      check Alcotest.(result bool reject) "the wait is refused" (Ok true)
+        (match Sched.await refused with Ok v -> Ok v | Error _ -> Ok false);
+      Unix.sleepf 0.3;
+      ignore (Unix.write_substring w2 "x" 0 1 : int);
+      check Alcotest.(result int reject) "the other wait reads its byte" (Ok 1)
+        (match Sched.await reader with Ok n -> Ok n | Error _ -> Ok (-1));
+      if Atomic.get wakes > 2 then
+        Alcotest.failf "an unrelated wait woke %d times" (Atomic.get wakes))
+
 (* --- pool exhaustion -------------------------------------------------- *)
 
 (* More producer tasks than workers, with blocking dependencies between
@@ -247,6 +301,41 @@ let test_close_drains_queue () =
       Alcotest.check_raises "submit after close"
         (Invalid_argument "Runtime.submit: runtime is closed") (fun () ->
           ignore (Runtime.submit rt (fun () -> ()) : unit Runtime.job)))
+
+(* A deadline is a timer on the poller, which selects toward the earliest
+   one: a deadline sooner than one already pending fires on time, not
+   when the later one comes due. *)
+let test_earlier_deadline_fires () =
+  with_pool ~workers:2 (fun sched ->
+      let rt = Runtime.create sched in
+      let job deadline_s =
+        let stop = Sched.Event.create () and why = ref Runtime.Cancelled in
+        let on_cancel reason =
+          why := reason;
+          Sched.Event.fire stop
+        in
+        Runtime.submit rt ~deadline_s ~on_cancel (fun () ->
+            Sched.Event.wait stop;
+            raise !why)
+      in
+      let late = job 30.0 in
+      let t0 = Unix.gettimeofday () in
+      let soon = job 0.05 in
+      (match Runtime.await soon with
+      | Error Runtime.Deadline_exceeded -> ()
+      | Error exn -> Alcotest.failf "wrong exn: %s" (Printexc.to_string exn)
+      | Ok () -> Alcotest.fail "the job outlived its deadline");
+      let waited = Unix.gettimeofday () -. t0 in
+      if waited > 2.0 then
+        Alcotest.failf "a 50 ms deadline fired after %.2f s" waited;
+      check Alcotest.bool "the later deadline is still pending" true
+        (Runtime.status late = Runtime.Running);
+      Runtime.cancel late;
+      (match Runtime.await late with
+      | Error Runtime.Cancelled -> ()
+      | Error exn -> Alcotest.failf "wrong exn: %s" (Printexc.to_string exn)
+      | Ok () -> Alcotest.fail "the cancelled job returned");
+      Runtime.close rt)
 
 (* The paper-shaped cancellation path: a deadline (or explicit cancel)
    poisons the query's root scope, the poison chains through every port,
@@ -420,6 +509,8 @@ let suite =
       test_suspend_off_pool_blocks;
     Alcotest.test_case "systhreads wait on their own gates" `Quick
       test_systhread_waits;
+    Alcotest.test_case "a descriptor past select's limit is refused" `Quick
+      test_wait_fd_past_select_limit;
     Alcotest.test_case "pool exhaustion does not deadlock" `Quick
       test_pool_exhaustion_no_deadlock;
     Alcotest.test_case "admission gate" `Quick test_admission_gate;
@@ -427,6 +518,8 @@ let suite =
       test_queued_cancel_never_runs;
     Alcotest.test_case "close drains the queue" `Quick test_close_drains_queue;
     Alcotest.test_case "deadline poisons the query" `Quick test_session_deadline;
+    Alcotest.test_case "an earlier deadline fires on time" `Quick
+      test_earlier_deadline_fires;
     Alcotest.test_case "cancel a running query" `Quick
       test_session_cancel_running;
     Alcotest.test_case "session exec matches a wide pool" `Quick
