@@ -219,6 +219,12 @@ let hello ?(repartition = false) ~task ~shard ~shards ~packet_size () =
   add_str b task;
   Buffer.to_bytes b
 
+(* A control payload is exactly its fields: bytes past them are
+   corruption, not padding. *)
+let check_end what buf pos =
+  if pos <> Bytes.length buf then
+    raise (Corrupt (Printf.sprintf "%s: trailing bytes" what))
+
 let parse_hello buf =
   check_room "hello" buf 0 7;
   let shard = Bytes.get_uint16_le buf 0 in
@@ -227,6 +233,9 @@ let parse_hello buf =
   let flags = Bytes.get_uint8 buf 6 in
   let pos = ref 7 in
   let task = get_str "hello" buf pos in
+  check_end "hello" buf !pos;
+  if shard >= shards then
+    raise (Corrupt (Printf.sprintf "hello: shard %d of %d" shard shards));
   {
     task;
     shard;
@@ -273,6 +282,12 @@ let repartition { dests; spec } =
       Array.iter (fun bound -> add_str b bound) bounds);
   Buffer.to_bytes b
 
+(* What a worker needs to build its router is checked here, so an
+   accepted spec routes every record wide enough for its columns: a hash
+   on at least one column, and a range with one bound between each pair
+   of destinations, each bound exactly one Serial-encoded value.  The
+   record width is the site's to know; a column past it fails the first
+   route, as an [Err] frame. *)
 let parse_repartition buf =
   check_room "repartition" buf 0 3;
   let dests = Bytes.get_uint16_le buf 0 in
@@ -284,18 +299,35 @@ let parse_repartition buf =
     pos := !pos + 2;
     v
   in
+  let bound () =
+    let b = get_str "repartition" buf pos in
+    match
+      Volcano_tuple.Serial.decode_slice (Bytes.unsafe_of_string b) ~off:0
+        ~len:(String.length b)
+    with
+    | [| _ |] -> b
+    | _ -> raise (Corrupt "repartition: a bound is not one value")
+    | exception Invalid_argument _ ->
+        raise (Corrupt "repartition: a bound does not decode")
+  in
   let spec =
     match Bytes.get_uint8 buf 2 with
     | 1 ->
         let n = u16 () in
+        if n < 1 then raise (Corrupt "repartition: hash on no columns");
         Volcano_storage.Shard.Hash (List.init n (fun _ -> u16 ()))
     | 2 ->
         let col = u16 () in
         let n = u16 () in
-        Volcano_storage.Shard.Range
-          (col, Array.init n (fun _ -> get_str "repartition" buf pos))
+        if n <> dests - 1 then
+          raise
+            (Corrupt
+               (Printf.sprintf "repartition: %d range bounds for %d destinations"
+                  n dests));
+        Volcano_storage.Shard.Range (col, Array.init n (fun _ -> bound ()))
     | tag -> raise (Corrupt (Printf.sprintf "repartition: unknown spec %d" tag))
   in
+  check_end "repartition" buf !pos;
   { dests; spec }
 
 (* The read set a remote edge ships: [u8 tag | ...], tag 0 alone for

@@ -119,13 +119,15 @@ val hello :
   bytes
 
 val parse_hello : bytes -> hello
+(** @raise Corrupt on truncation, trailing bytes, or [shard >= shards] *)
 
 val err : site:string -> message:string -> bytes
 (** [site] is a failure-site name exactly as {!Volcano.Exchange.Query_failed}
     carries it; it crosses the wire verbatim. *)
 
 val parse_err : bytes -> string * string
-(** [(site, message)]. *)
+(** [(site, message)].
+    @raise Corrupt on truncation *)
 
 type repartition = { dests : int; spec : Volcano_storage.Shard.spec }
 (** The partition function a repartitioning edge ships to its workers:
@@ -137,8 +139,12 @@ type repartition = { dests : int; spec : Volcano_storage.Shard.spec }
 val repartition : repartition -> bytes
 
 val parse_repartition : bytes -> repartition
-(** @raise Corrupt on a zero destination count, unknown spec tag, or
-    truncation *)
+(** Total: a spec it accepts routes ([Repart.route]) every record wide
+    enough for its columns without raising.
+    @raise Corrupt on a zero destination count, an unknown spec tag, a
+    hash on no columns, a range whose bound count is not [dests - 1], a
+    bound that is not exactly one {!Volcano_tuple.Serial}-encoded value,
+    truncation, or trailing bytes *)
 
 val narrow : int list option -> bytes
 (** The read set of a remote edge: [Some cols] ships column [List.nth

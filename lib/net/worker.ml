@@ -1,16 +1,15 @@
 module Packet = Volcano.Packet
 module Exchange = Volcano.Exchange
-module Tuple = Volcano_tuple.Tuple
 
 (* The worker half of remote exchange: connect back to the parent,
    receive a shard assignment, resolve it to a record stream, and pump
    serialized packets until end of stream, cancellation, or failure.
 
    The worker is intentionally dumb about plans: [resolve] maps the
-   opaque task string (plus this worker's shard) to a pull function, so
-   the vocabulary of tasks lives with whoever owns both sides of the
-   socket (the CLI, the test harness), and no closures ever cross the
-   process boundary.
+   opaque task string (plus this worker's shard) to an unopened stream,
+   a function of the edge's read set, so the vocabulary of tasks lives
+   with whoever owns both sides of the socket (the CLI, the test
+   harness), and no closures ever cross the process boundary.
 
    Two stream modes, chosen by the parent's Hello: a merge edge sends
    [Data] frames (any consumer may take any packet), while a
@@ -20,10 +19,10 @@ module Tuple = Volcano_tuple.Tuple
 
    Either way the parent then sends the edge's read set in a [Narrow]
    frame, read only once the task is resolved so the site's load
-   overlaps the parent's set-up; every record is projected to it before
-   it is routed and encoded.  Until plans cross the wire the site still
-   decodes whole records from its own pages: the projection saves the
-   wire, the codec and the parent's decode, not the site's scan. *)
+   overlaps the parent's set-up.  The stream opens with it: a plan
+   stream ({!Volcano_plan.Remote.shard_pull}) compiles the projection
+   into its scan, so the site decodes only the columns it ships, and
+   the worker routes and encodes the records as they come. *)
 
 type pull = unit -> Volcano_tuple.Tuple.t option
 
@@ -143,20 +142,37 @@ let run ~socket ~resolve =
   let fd = connect socket in
   let conn = Wire.conn fd in
   let finish () = try Unix.close fd with _ -> () in
+  let report exn =
+    let site, message = failure_site exn in
+    try Wire.write conn Wire.Err (Wire.err ~site ~message) with _ -> ()
+  in
+  let fail exn =
+    report exn;
+    finish ()
+  in
   (* Control payloads are parsed from a copy: the input buffer is reused
      by the next read. *)
   let control len = Bytes.sub (Wire.payload conn) 0 len in
+  let stream ~packet_size ~shard repartition next =
+    match pump conn ~packet_size ~shard repartition next with
+    | () -> (
+        match Wire.write conn Wire.Eos Bytes.empty with
+        | () -> finish ()
+        | exception _ -> finish ())
+    | exception Exit -> finish ()
+    | exception Unix.Unix_error (Unix.EPIPE, _, _) ->
+        (* The parent went away mid-stream: that is a cancellation from
+           our perspective, not a failure to report. *)
+        finish ()
+    | exception exn -> fail exn
+  in
   match Wire.read conn with
   | exception _ -> finish ()
   | Wire.Hello, len -> (
-      let { Wire.task; shard; shards; packet_size; repartition } =
-        Wire.parse_hello (control len)
-      in
-      let report_failure exn =
-        let site, message = failure_site exn in
-        try Wire.write conn Wire.Err (Wire.err ~site ~message) with _ -> ()
-      in
       match
+        let { Wire.task; shard; shards; packet_size; repartition } =
+          Wire.parse_hello (control len)
+        in
         let repartition =
           if not repartition then None
           else
@@ -165,43 +181,29 @@ let run ~socket ~resolve =
                 Some (Wire.parse_repartition (control len))
             | _ -> raise (Wire.Corrupt "expected a Repartition frame")
         in
-        let next = resolve ~task ~shard ~shards in
-        match Wire.read conn with
-        | Wire.Narrow, len -> (
-            match Wire.parse_narrow (control len) with
-            | None -> Some (repartition, next)
-            | Some cols ->
-                let narrowed () =
-                  Option.map (fun t -> Tuple.project t cols) (next ())
-                in
-                Some (repartition, narrowed))
-        | Wire.Cancel, _ -> None
-        | _ -> raise (Wire.Corrupt "expected a Narrow frame")
-        | exception End_of_file -> None
+        (packet_size, shard, repartition, resolve ~task ~shard ~shards)
       with
       | exception exn ->
-          report_failure exn;
           (* Take the parent's read set off the socket before closing it:
              on TCP, closing with unread bytes resets the connection, and
              the reset can overtake the Err frame.  The parent sends it
              on its first pull, or closes when it walks away first. *)
+          report exn;
           (try ignore (Wire.read conn) with _ -> ());
           finish ()
-      | None ->
-          (* cancelled, or the parent went away, before the stream began *)
-          finish ()
-      | Some (repartition, next) -> (
-          match pump conn ~packet_size ~shard repartition next with
-          | () -> (
-              match Wire.write conn Wire.Eos Bytes.empty with
-              | () -> finish ()
-              | exception _ -> finish ())
-          | exception Exit -> finish ()
-          | exception Unix.Unix_error (Unix.EPIPE, _, _) ->
-              (* The parent went away mid-stream: that is a cancellation
-                 from our perspective, not a failure to report. *)
+      | packet_size, shard, repartition, open_ -> (
+          match
+            match Wire.read conn with
+            | Wire.Narrow, len ->
+                Some (open_ (Wire.parse_narrow (control len)))
+            | Wire.Cancel, _ -> None
+            | _ -> raise (Wire.Corrupt "expected a Narrow frame")
+            | exception End_of_file -> None
+          with
+          | exception exn -> fail exn
+          | None ->
+              (* cancelled, or the parent went away, before the stream
+                 began *)
               finish ()
-          | exception exn ->
-              report_failure exn;
-              finish ()))
+          | Some next -> stream ~packet_size ~shard repartition next))
   | _ -> finish ()

@@ -622,7 +622,7 @@ and compile_node env ids obs group scope plan =
          through the environment so this library stays independent of the
          networking subsystem.  A projection at the top of [input] is the
          edge's read set: every source is narrowed to it before its
-         first pull, and the sites apply it. *)
+         first pull, and each site compiles it into its stream. *)
       let read_set =
         match input with Plan.Project_cols { cols; _ } -> Some cols | _ -> None
       in

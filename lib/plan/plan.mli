@@ -105,9 +105,10 @@ type t =
           shipped subtree — the consumer never compiles it; the task
           string must rebuild it in the worker.  A [Project_cols] at the
           top of [input] is the edge's read set: the consumer sends its
-          columns to the sites, which project every record to them before
-          routing and encoding it, so the task names the subtree below
-          it ({!Remote.shard_pull} skips it).  {!narrow} places one there
+          columns to the sites, which compile the projection over their
+          slice when the stream opens (into the scan's decode, over a
+          table leaf), so the task names the subtree below it
+          ({!Remote.shard_pull} skips it).  {!narrow} places one there
           when the consumers read fewer columns than [input] yields.  [cfg.degree] must equal
           [workers] (planlint VL701).  When the consuming group has more
           than one member, workers repartition their rows on

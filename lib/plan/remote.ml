@@ -91,27 +91,34 @@ let rec slice ~shard ~shards plan =
   | Plan.Choose { decide; alternatives } ->
       Plan.Choose { decide; alternatives = List.map continue_ alternatives }
 
-(* Drain a compiled shard: the worker-side pull for [Worker.run]'s
-   resolve — compile [input] sliced to this shard in a fresh solo group
-   and hand back its record stream.  A projection at the top of the
-   subtree is the edge's read set, which the worker applies from the
-   parent's [Narrow] frame, so it is not compiled here. *)
+(* The worker-side stream for [Worker.run]'s resolve: slice the subtree
+   to this shard now, compile it once the read set is known.  A projection
+   at the top of the subtree is the edge's read set, which arrives in the
+   parent's [Narrow] frame, so it is dropped here and rebuilt from that
+   frame: over a table leaf, compile folds it into the scan's projected
+   decode, so the site decodes only the fields it ships. *)
 let shard_pull env ~shard ~shards plan =
   let plan = match plan with Plan.Project_cols { input; _ } -> input | _ -> plan in
   let sliced = slice ~shard ~shards plan in
-  let iter = Compile.compile env sliced in
-  Volcano.Iterator.open_ iter;
-  let closed = ref false in
-  fun () ->
-    if !closed then None
-    else
-      match Volcano.Iterator.next iter with
-      | Some _ as tuple -> tuple
-      | None ->
-          closed := true;
-          Volcano.Iterator.close iter;
-          None
-      | exception exn ->
-          closed := true;
-          (try Volcano.Iterator.close iter with _ -> ());
-          raise exn
+  fun read_set ->
+    let plan =
+      match read_set with
+      | None -> sliced
+      | Some cols -> Plan.Project_cols { cols; input = sliced }
+    in
+    let iter = Compile.compile env plan in
+    Volcano.Iterator.open_ iter;
+    let closed = ref false in
+    fun () ->
+      if !closed then None
+      else
+        match Volcano.Iterator.next iter with
+        | Some _ as tuple -> tuple
+        | None ->
+            closed := true;
+            Volcano.Iterator.close iter;
+            None
+        | exception exn ->
+            closed := true;
+            (try Volcano.Iterator.close iter with _ -> ());
+            raise exn

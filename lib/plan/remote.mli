@@ -24,13 +24,20 @@ val shard_pull :
   shard:int ->
   shards:int ->
   Plan.t ->
+  int list option ->
   unit ->
   Volcano_tuple.Tuple.t option
-(** Compile this shard's slice of the subtree and return a record pull —
-    the resolve hook for [Volcano_net.Worker.run].  A [Project_cols] at
-    the top of the subtree is left out: it is the edge's read set, which
-    the worker applies to every record from the parent's [Narrow] frame
-    (see [Plan.Remote]).  The iterator opens on
-    the first call, closes at end of stream, and closes best-effort if a
-    pull raises (the exception propagates, for the worker to report as an
-    [Err] frame). *)
+(** This shard's stream of the subtree, unopened — the resolve hook for
+    [Volcano_net.Worker.run].  [shard_pull env ~shard ~shards plan]
+    slices [plan] to the shard and returns a function of the edge's read
+    set; applying it to [Some cols] compiles [Project_cols cols] over the
+    slice ([None]: every column), opens it, and returns the record pull.
+    A [Project_cols] at the top of [plan] is left out: it is the edge's
+    read set, which the worker takes from the parent's [Narrow] frame
+    (see [Plan.Remote]).  Over a table leaf the projection compiles into
+    the scan's decode, so the site decodes only the columns it ships.
+    Opening raises what compilation raises (a partition the site does not
+    hold, a read set the analyzer rejects); the pull closes the iterator
+    at end of stream, and best-effort if a pull raises (the exception
+    propagates, for the worker to report as an [Err] frame).
+    @raise Invalid_argument on a shard outside [0, shards). *)

@@ -28,6 +28,8 @@ module Serve = Volcano_net.Serve
 module Sched = Volcano_sched.Sched
 module Session = Volcano_plan.Session
 module Bufpool = Volcano_storage.Bufpool
+module Shard = Volcano_storage.Shard
+module Serial = Volcano_tuple.Serial
 
 (* --- the test task vocabulary ---------------------------------------- *)
 
@@ -85,7 +87,7 @@ let worker_main ~socket =
       | [ "fds" ] ->
           (* one row: how many sockets this worker inherited or made *)
           let row = ref (Some (Tuple.of_ints [ open_sockets () ])) in
-          fun () ->
+          fun _read_set () ->
             let r = !row in
             row := None;
             r
@@ -472,6 +474,120 @@ let prop_narrow_truncation_rejected =
       in
       Wire.parse_narrow buf = read_set
       && List.for_all rejected (List.init (Bytes.length buf) Fun.id))
+
+(* The site's control-frame parsers are total: what they accept, the
+   site can act on.  Each spec below used to parse: an empty hash sent
+   every row to one consumer, a range with the wrong bound count tripped
+   [Support.Partition.range]'s assert at the site, and an undecodable
+   bound raised [Invalid_argument] from the router. *)
+let test_control_parsers_reject () =
+  let corrupt what bytes parse =
+    match parse bytes with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Wire.Corrupt _ -> ()
+  in
+  let rep dests spec = Wire.repartition { Wire.dests; spec } in
+  let bound v = Serial.encode_string [| v |] in
+  let reject what bytes = corrupt what bytes Wire.parse_repartition in
+  reject "a hash on no columns" (rep 2 (Shard.Hash []));
+  reject "two bounds for two destinations"
+    (rep 2 (Shard.Range (0, [| bound (Value.Int 1); bound (Value.Int 2) |])));
+  reject "no bound for three destinations" (rep 3 (Shard.Range (0, [||])));
+  reject "a bound of two values"
+    (rep 2
+       (Shard.Range
+          (0, [| Serial.encode_string [| Value.Int 1; Value.Int 2 |] |])));
+  reject "a bound of no value"
+    (rep 2 (Shard.Range (0, [| Serial.encode_string [||] |])));
+  reject "a bound that does not decode" (rep 2 (Shard.Range (0, [| "\001" |])));
+  reject "trailing bytes after a spec"
+    (Bytes.cat (rep 2 (Shard.Hash [ 0 ])) (Bytes.make 1 '\000'));
+  let hello_of shard shards = Wire.hello ~task:"t" ~shard ~shards ~packet_size:7 () in
+  let hello = hello_of 1 2 in
+  corrupt "a hello with trailing bytes" (Bytes.cat hello (Bytes.make 1 'x')) Wire.parse_hello;
+  corrupt "shard 2 of 2" (hello_of 2 2) Wire.parse_hello;
+  corrupt "shard 0 of 0" (hello_of 0 0) Wire.parse_hello;
+  (* what the launcher builds still parses *)
+  let spec =
+    Repart.of_partition_spec
+      (Exchange.Range_on (1, [| Value.Int 5; Value.Str "k" |]))
+      ~dests:3
+  in
+  Alcotest.(check bool) "a launcher's range spec parses" true
+    (Wire.parse_repartition (Wire.repartition spec) = spec);
+  Alcotest.(check int) "a good hello parses" 1 (Wire.parse_hello hello).Wire.shard
+
+(* Control payloads as a site might receive them: arbitrary bytes, and
+   encodings of well- and ill-formed specs, hellos and errors, each maybe
+   with one byte changed, cut short or extended. *)
+let control_bytes_gen =
+  let open QCheck.Gen in
+  let col = int_bound 20 in
+  let spec =
+    oneof
+      [
+        map (fun cols -> Shard.Hash cols) (list_size (int_bound 3) col);
+        map2
+          (fun c bounds ->
+            Shard.Range
+              (c, Array.of_list (List.map (fun v -> Serial.encode_string [| v |]) bounds)))
+          col
+          (list_size (int_bound 5) value_gen);
+      ]
+  in
+  let encoding =
+    oneof
+      [
+        map2 (fun dests spec -> Wire.repartition { Wire.dests; spec }) (int_bound 5) spec;
+        map3
+          (fun shard shards task -> Wire.hello ~task ~shard ~shards ~packet_size:7 ())
+          (int_bound 4) (int_bound 4) (string_size (int_bound 6));
+        map2 (fun site message -> Wire.err ~site ~message) (string_size (int_bound 6))
+          (string_size (int_bound 6));
+      ]
+  in
+  let mangle b =
+    let n = Bytes.length b in
+    oneof
+      [
+        return b;
+        map (fun k -> Bytes.sub b 0 (if n = 0 then 0 else k mod n)) nat;
+        map (fun s -> Bytes.cat b (Bytes.of_string s)) (string_size (int_range 1 3));
+        map2
+          (fun k c ->
+            let b = Bytes.copy b in
+            if n > 0 then Bytes.set b (k mod n) c;
+            b)
+          nat char;
+      ]
+  in
+  oneof [ map Bytes.of_string (string_size (int_bound 24)); encoding >>= mangle ]
+
+let prop_control_parsers_total =
+  QCheck.Test.make ~name:"control parsers raise only Wire.Corrupt; accepted specs route"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun b -> String.escaped (Bytes.to_string b))
+       control_bytes_gen)
+    (fun b ->
+      let total parse = match parse b with _ -> () | exception Wire.Corrupt _ -> () in
+      total Wire.parse_hello;
+      total Wire.parse_err;
+      match Wire.parse_repartition b with
+      | exception Wire.Corrupt _ -> true
+      | { Wire.dests; spec } ->
+          let route = Repart.route spec ~dests in
+          let width =
+            1
+            + List.fold_left max 0
+                (match spec with
+                | Shard.Hash cols -> cols
+                | Shard.Range (c, _) -> [ c ])
+          in
+          List.iter
+            (fun v -> ignore (route (Array.make width v) : int))
+            [ Value.Null; Value.Int (-3); Value.Int 7; Value.Float 0.5; Value.Str "m" ];
+          true)
 
 (* --- remote exchange against real worker processes -------------------- *)
 
@@ -1192,6 +1308,9 @@ let suite =
     Alcotest.test_case "golden wire fixture" `Quick test_golden_frame;
     Alcotest.test_case "golden narrow frame" `Quick test_narrow_golden;
     Runner.qcheck prop_narrow_total;
+    Alcotest.test_case "control parsers reject what a site cannot route" `Quick
+      test_control_parsers_reject;
+    Runner.qcheck prop_control_parsers_total;
     Runner.qcheck prop_narrow_truncation_rejected;
     Alcotest.test_case "remote matches local over the corpus" `Slow
       test_remote_local_differential;

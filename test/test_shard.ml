@@ -68,6 +68,10 @@ let sites_of ~parts = function
       (* two partitions per site: a site-local env serves several
          shards, and some worker sites hold nothing of other tables *)
       Array.init parts (fun p -> p / 2)
+  | "away" ->
+      (* the catalog's identity placement, but each worker loads the next
+         site's partitions ([worker_main]): no site holds its own shard *)
+      Array.init parts Fun.id
   | s -> failwith ("unknown placement " ^ s)
 
 let shape_plan shape =
@@ -121,15 +125,21 @@ let worker_main ~socket =
           let env = Env.create ~frames:128 ~page_size:512 () in
           let spec = spec_of ~rows ~parts spec_name in
           let sites = sites_of ~parts placement in
+          let site =
+            if placement = "away" then (sites.(shard) + 1) mod parts
+            else sites.(shard)
+          in
           ignore
             (Partition.load_site env ~table ~schema:W.schema ~spec ~parts
-               ~sites ~site:sites.(shard) ~count:rows
+               ~sites ~site ~count:rows
                ~gen:(W.generator ~n:rows ()) ());
-          let next = Remote.shard_pull env ~shard ~shards (shape_plan shape) in
-          if shape = "slow" then (fun () ->
-            Unix.sleepf 0.002;
-            next ())
-          else next
+          let open_ = Remote.shard_pull env ~shard ~shards (shape_plan shape) in
+          if shape = "slow" then (fun read_set ->
+            let next = open_ read_set in
+            fun () ->
+              Unix.sleepf 0.002;
+              next ())
+          else open_
       | _ -> failwith ("unknown shard task " ^ task))
 
 let worker_command ~socket = [| Sys.executable_name; "shard-worker"; socket |]
@@ -717,7 +727,7 @@ let test_planlint_placement () =
 (* --- ship only what is read ------------------------------------------- *)
 
 (* Compile narrows every remote edge to the columns its consumers read;
-   the sites project each record before routing and encoding it.  Each
+   each site opens its stream with that projection.  Each
    case runs a plan with one edge over the stored table against a local
    plan over the whole table, and checks the columns the edge ships and
    the bytes per row that crossed the wire. *)
@@ -896,6 +906,122 @@ let test_narrowed_profile () =
   | _ -> Alcotest.fail "profile too short");
   Test_net.check_quiescent ~what:"narrowed profile" env ~unjoined0 ~live0
 
+(* --- the read set reaches the site's scan ------------------------------- *)
+
+(* A site opens its stream with the edge's read set: the projection
+   compiles into the scan's decode, so a record costs the columns it
+   ships.  Opened in-process through the call perfbench's resolver makes,
+   it allocates about 10 minor words per record; a whole 16-field decode
+   followed by a per-record projection allocates about 69. *)
+let test_site_allocates_read_set () =
+  let rows = 8000 and shards = 2 in
+  let env = Env.create ~frames:256 () in
+  let counts =
+    Partition.load_site env ~table ~schema:W.schema
+      ~spec:(Partition.hash_spec [ W.column "unique1" ])
+      ~parts:shards ~site:0 ~count:rows ~gen:(W.generator ~n:rows ()) ()
+  in
+  let open_ = Remote.shard_pull env ~shard:0 ~shards (Plan.Scan_table_slice table) in
+  let next = open_ (Some [ W.column "unique1"; W.column "ten" ]) in
+  let before = Gc.minor_words () in
+  let rec drain n =
+    match next () with
+    | Some t ->
+        if Array.length t <> 2 then Alcotest.failf "a record of %d columns" (Array.length t);
+        drain (n + 1)
+    | None -> n
+  in
+  let n = drain 0 in
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "every row of the partition" counts.(0) n;
+  if words >= 16.0 then
+    Alcotest.failf "%.1f minor words per record; the read set is not decoded at the scan" words
+
+(* Read-set shapes the sites now compile, each against the local plan: a
+   hand projection in non-ascending column order, and a filter on a
+   column the projection drops.  (A zero-column read set is "count over
+   the edge" in [test_narrowed_differentials].) *)
+let test_read_set_shapes () =
+  let c = W.column in
+  let rows = 600 and parts = 3 in
+  let env, _ = make_env ~rows ~parts ~spec:"hash0" ~placement:"rot" in
+  register env;
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  let task shape = task_of ~rows ~parts ~spec:"hash0" ~placement:"rot" ~shape in
+  let whole = Plan.Scan_table table in
+  let project cols input = Plan.Project_cols { cols; input } in
+  let filter = shape_plan "filter" in
+  let local_filter =
+    match filter with Plan.Filter f -> Plan.Filter { f with input = whole } | _ -> assert false
+  in
+  List.iter
+    (fun (what, plan, local) ->
+      match Test_net.run_with_timeout (fun () -> Runner.run env plan) with
+      | Test_net.Rows got ->
+          if sorted got <> sorted (Runner.run env local) then
+            Alcotest.failf "%s: remote diverges from local" what
+      | Test_net.Raised exn ->
+          Alcotest.failf "%s: remote run failed: %s" what (Printexc.to_string exn)
+      | Test_net.Timeout -> Alcotest.failf "%s: remote run hung" what)
+    [
+      ( "non-ascending hand projection",
+        remote ~workers:parts ~task:(task "scan")
+          (project [ c "ten"; c "unique1"; c "two" ] (Plan.Scan_table_slice table)),
+        project [ c "ten"; c "unique1"; c "two" ] whole );
+      ( "filter on a dropped column",
+        remote ~workers:parts ~task:(task "filter") (project [ c "unique2"; c "four" ] filter),
+        project [ c "unique2"; c "four" ] local_filter );
+    ];
+  Test_net.check_quiescent ~what:"read-set shapes" env ~unjoined0 ~live0
+
+(* A site whose stream fails to open, after it has read the read set, is
+   exactly one [Query_failed] carrying the site's planlint rejection, on
+   both lanes: one site holds no partition of its shard (VL103), and one
+   is asked for a column past its subtree's arity (VL101: the task names
+   a 3-column aggregate, while the edge documents the 16-column scan the
+   parent narrows). *)
+let test_site_open_failures () =
+  let c = W.column in
+  let rows = 300 and parts = 2 in
+  List.iter
+    (fun lane ->
+      List.iter
+        (fun (what, code, placement, shape, input) ->
+          let what = Printf.sprintf "%s (%s)" what (if lane = `Tcp then "tcp" else "unix") in
+          let env, _ = make_env ~rows ~parts ~spec:"hash0" ~placement in
+          register ~lane env;
+          let unjoined0 = Exchange.unjoined_tasks () in
+          let live0 = Exchange.live_tasks () in
+          let task = task_of ~rows ~parts ~spec:"hash0" ~placement ~shape in
+          (match
+             Test_net.run_with_timeout (fun () ->
+                 Runner.run env (remote ~workers:parts ~task input))
+           with
+          | Test_net.Raised
+              (Exchange.Query_failed
+                 { origin = Volcano.Port.Transport.Remote_failure { message; _ }; _ }) ->
+              if not (Test_obs.contains message code) then
+                Alcotest.failf "%s: the site failed with %s" what message
+          | Test_net.Raised exn ->
+              Alcotest.failf "%s: surfaced as %s" what (Printexc.to_string exn)
+          | Test_net.Rows _ -> Alcotest.failf "%s: the query succeeded" what
+          | Test_net.Timeout -> Alcotest.failf "%s: hung" what);
+          Test_net.check_quiescent ~what env ~unjoined0 ~live0)
+        [
+          ( "a partition the site does not hold",
+            "VL103",
+            "away",
+            "scan",
+            Plan.Scan_table_slice table );
+          ( "a read set past the subtree's arity",
+            "VL101",
+            "id",
+            "agg",
+            Plan.Project_cols { cols = [ c "twenty" ]; input = Plan.Scan_table_slice table } );
+        ])
+    [ `Unix; `Tcp ]
+
 let suite =
   [
     Alcotest.test_case "partition function and catalog properties" `Quick
@@ -920,6 +1046,11 @@ let suite =
       test_planlint_placement;
     Alcotest.test_case "narrowed edges match local" `Slow
       test_narrowed_differentials;
+    Alcotest.test_case "the site allocates only the read set" `Quick
+      test_site_allocates_read_set;
+    Alcotest.test_case "read-set shapes match local" `Slow test_read_set_shapes;
+    Alcotest.test_case "a site that fails to open fails once" `Slow
+      test_site_open_failures;
     Alcotest.test_case "EXPLAIN ANALYZE shows the site's projection" `Slow
       test_narrowed_profile;
   ]
