@@ -73,11 +73,11 @@ val compile :
     {!Volcano.Exchange.Query_failed} — together they let a Session cancel
     a query both at its leaves and at its root.
 
-    The plan that runs is {!Plan.narrow}[ env plan]: every remote edge
-    ships only the columns its consumers read.  Nodes the narrowing
-    rewrites are new values, so to attribute them, pass [~obs] built
-    over the narrowed plan — narrowing it again changes nothing (this is
-    what {!Profile.execute} does).
+    The plan that runs is {!Plan.narrow}[ env plan]: every table scan
+    decodes, every generator produces and every remote edge ships only
+    the columns its consumers read.  Nodes the narrowing rewrites are new values, so to attribute
+    them, pass [~obs] built over the narrowed plan — narrowing it again
+    changes nothing (this is what {!Profile.execute} does).
 
     With [~obs] (from {!observe}), every compiled node is wrapped in
     {!Volcano.Iterator.instrumented} against its assigned obs node, and

@@ -242,20 +242,21 @@ let children = function
 
 (* --- read sets ----------------------------------------------------------- *)
 
-(* The columns an edge's consumer reads, worked top-down from the root,
+(* The columns each node's consumer reads, worked top-down from the root,
    which reads everything.  [narrow_in env reads plan] is [plan] with every
-   narrowable [Remote] below it shipping only what its consumers read;
-   [reads] is the set of [plan]'s output columns read from above (sorted,
-   unique), [None] for every column.  It also returns how [plan]'s output
-   layout moved: [Some f] sends each column that was read to its position
-   in the narrow layout, [None] leaves the layout as it was — always the
-   case when [reads] is [None], so a node that reads all of its input
-   keeps every layout below it.  Whatever does not change is returned
-   physically unchanged, so obs nodes and port ids keyed by identity still
-   hold, and narrowing a narrowed plan is the identity. *)
+   table leaf and every [Remote] below it keeping only what its consumers
+   read; [reads] is the set of [plan]'s output columns read from above
+   (sorted, unique), [None] for every column.  It also returns how
+   [plan]'s output layout moved: [Some f] sends each column that was read
+   to its position in the narrow layout, [None] leaves the layout as it
+   was — always the case when [reads] is [None], so a node that reads all
+   of its input keeps every layout below it.  Whatever does not change is
+   returned physically unchanged, so obs nodes and port ids keyed by
+   identity still hold, and narrowing a narrowed plan is the identity. *)
 
 let union a b = List.sort_uniq compare (a @ b)
 let at f c = match f with None -> c | Some f -> f c
+let width env plan = try Some (arity env plan) with _ -> None
 
 let remap_partition f (p : Exchange.partition_spec) : Exchange.partition_spec =
   match p with
@@ -296,6 +297,28 @@ let agg_reads (agg : Volcano_ops.Aggregate.agg) =
 
 let remap_key f key = List.map (fun (c, dir) -> (at f c, dir)) key
 
+(* [input] cut down to the columns [keep] (sorted, unique) when that drops
+   any, and how its layout moved.  A [Project_cols] at the top of [input]
+   is the cut already made there — a table leaf's decode, a remote edge's
+   site projection — so the cut composes with it instead of stacking a
+   second one. *)
+let cut env keep input =
+  match (keep, width env input) with
+  | Some keep, Some width
+    when List.length keep < width
+         && List.for_all (fun c -> c >= 0 && c < width) keep ->
+      let pos = Array.make width (-1) in
+      List.iteri (fun i c -> pos.(c) <- i) keep;
+      let input =
+        match input with
+        | Project_cols { cols; input } ->
+            let cols = Array.of_list cols in
+            Project_cols { cols = List.map (Array.get cols) keep; input }
+        | _ -> Project_cols { cols = keep; input }
+      in
+      (input, Some (Array.get pos))
+  | _ -> (input, None)
+
 let rec narrow_in env reads plan =
   (* the columns read from above, and [own] *)
   let also own =
@@ -308,23 +331,71 @@ let rec narrow_in env reads plan =
     let input', f = narrow_in env (also own) input in
     if input' == input then (plan, None) else (rebuild f input', f)
   in
-  (* a node with a layout of its own, whose input supplies [own] *)
+  (* a node with a layout of its own, whose input supplies [own].  A
+     projection that narrowing made the identity over its input goes
+     ([rebuild] says [None]): what is read above then reads that input. *)
   let owns own input rebuild =
     let input', f = narrow_in env own input in
-    if input' == input then (plan, None) else (rebuild f input', None)
+    if input' == input then (plan, None)
+    else
+      match rebuild f input' with
+      | Some node -> (node, None)
+      | None -> narrow_in env reads input'
   in
-  (* a node read whole: only edges deeper down may narrow *)
+  let identity f cols input =
+    Option.is_some f
+    && width env input = Some (List.length cols)
+    && List.for_all Fun.id (List.mapi ( = ) cols)
+  in
+  (* a node read whole: only edges and leaves deeper down may narrow *)
   let whole input = fst (narrow_in env None input) in
   let binary left right rebuild =
     let left' = whole left and right' = whole right in
     if left' == left && right' == right then (plan, None)
     else (rebuild left' right', None)
   in
+  (* a join, whose output is [left ++ right] with [lw] columns from the
+     left: each side supplies its columns that are read, from above or by
+     the join itself ([own lw], over the output).  [rebuild] gets each
+     side's layout move and the output's. *)
+  let join left right own rebuild =
+    match (reads, width env left) with
+    | Some r, Some lw ->
+        let r = union r (own lw) in
+        let side keep input =
+          narrow_in env (Some (List.filter_map keep r)) input
+        in
+        let left', fl = side (fun c -> if c < lw then Some c else None) left in
+        let right', fr =
+          side (fun c -> if c >= lw then Some (c - lw) else None) right
+        in
+        if left' == left && right' == right then (plan, None)
+        else
+          let f =
+            match (fl, fr) with
+            | None, None -> None
+            | _ ->
+                let lw' = if Option.is_none fl then lw else arity env left' in
+                Some (fun c -> if c < lw then at fl c else lw' + at fr (c - lw))
+          in
+          (rebuild fl fr f left' right', f)
+    | _ -> binary left right (rebuild None None None)
+  in
   let sorted l = Some (List.sort_uniq compare l) in
   match plan with
-  | Scan_table _ | Scan_table_slice _ | Scan_index _ | Scan_list _ | Generate _
-  | Generate_slice _ | Generate_range _ ->
-      (plan, None)
+  | Scan_table _ | Scan_table_slice _ | Generate _ | Generate_slice _
+  | Generate_range _
+  | Project_cols
+      {
+        input =
+          ( Scan_table _ | Scan_table_slice _ | Generate _ | Generate_slice _
+          | Generate_range _ );
+        _;
+      } ->
+      (* a table leaf decodes only what is read; a generated one projects
+         its records before anything above retains or ships them *)
+      cut env reads plan
+  | Scan_index _ | Scan_list _ -> (plan, None)
   | Filter { pred; mode; input } ->
       through (Some (Expr.cols_of_pred pred)) input (fun f input ->
           Filter { pred = remap_pred f pred; mode; input })
@@ -350,29 +421,52 @@ let rec narrow_in env reads plan =
           Exchange_merge { cfg = remap_cfg f cfg; key = remap_key f key; input })
   | Project_cols { cols; input } ->
       owns (sorted cols) input (fun f input ->
-          Project_cols { cols = List.map (at f) cols; input })
+          let cols = List.map (at f) cols in
+          if identity f cols input then None
+          else Some (Project_cols { cols; input }))
   | Project_exprs { exprs; input } ->
       owns (sorted (List.concat_map Expr.cols_of_num exprs)) input
         (fun f input ->
-          Project_exprs { exprs = List.map (remap_num f) exprs; input })
+          let exprs = List.map (remap_num f) exprs in
+          let cols = List.map (function Expr.Col c -> c | _ -> -1) exprs in
+          if identity f cols input then None
+          else Some (Project_exprs { exprs; input }))
   | Aggregate { algo; group_by; aggs; input } ->
       owns
         (sorted (group_by @ List.concat_map agg_reads aggs))
         input
         (fun f input ->
-          Aggregate
+          Some
+            (Aggregate
+               {
+                 algo;
+                 group_by = List.map (at f) group_by;
+                 aggs = List.map (remap_agg f) aggs;
+                 input;
+               }))
+  | Match
+      ({ kind = Join | Left_outer | Right_outer | Full_outer; _ } as m) ->
+      join m.left m.right
+        (fun lw -> m.left_key @ List.map (( + ) lw) m.right_key)
+        (fun fl fr _ left right ->
+          Match
             {
-              algo;
-              group_by = List.map (at f) group_by;
-              aggs = List.map (remap_agg f) aggs;
-              input;
+              m with
+              left_key = List.map (at fl) m.left_key;
+              right_key = List.map (at fr) m.right_key;
+              left;
+              right;
             })
+  | Cross { left; right } ->
+      join left right (fun _ -> []) (fun _ _ _ left right ->
+          Cross { left; right })
+  | Theta_join { pred; left; right } ->
+      join left right
+        (fun _ -> Expr.cols_of_pred pred)
+        (fun _ _ f left right ->
+          Theta_join { pred = remap_pred f pred; left; right })
   | Match m ->
       binary m.left m.right (fun left right -> Match { m with left; right })
-  | Cross { left; right } ->
-      binary left right (fun left right -> Cross { left; right })
-  | Theta_join t ->
-      binary t.left t.right (fun left right -> Theta_join { t with left; right })
   | Union_all { left; right } ->
       binary left right (fun left right -> Union_all { left; right })
   | Division d ->
@@ -383,28 +477,11 @@ let rec narrow_in env reads plan =
       if List.for_all2 ( == ) alternatives alternatives' then (plan, None)
       else (Choose { decide; alternatives = alternatives' }, None)
   | Remote { cfg; workers; task; input } -> (
-      (* The subtree runs in the workers; only the edge narrows.  A
-         [Project_cols] at the top of a Remote's input runs at the site
-         (the worker projects each record to it), so the read set
-         composes with one the plan already holds there. *)
-      match
-        (also (partition_reads cfg), try Some (arity env input) with _ -> None)
-      with
-      | Some keep, Some width
-        when List.length keep < width
-             && List.for_all (fun c -> c >= 0 && c < width) keep ->
-          let pos = Array.make width (-1) in
-          List.iteri (fun i c -> pos.(c) <- i) keep;
-          let f = Some (Array.get pos) in
-          let input =
-            match input with
-            | Project_cols { cols; input } ->
-                let cols = Array.of_list cols in
-                Project_cols { cols = List.map (Array.get cols) keep; input }
-            | _ -> Project_cols { cols = keep; input }
-          in
-          (Remote { cfg = remap_cfg f cfg; workers; task; input }, f)
-      | _ -> (plan, None))
+      (* The subtree runs at the sites; only the edge narrows, by the
+         projection at the top of its input that the sites apply. *)
+      match cut env (also (partition_reads cfg)) input with
+      | _, None -> (plan, None)
+      | input, f -> (Remote { cfg = remap_cfg f cfg; workers; task; input }, f))
 
 let narrow env plan = fst (narrow_in env None plan)
 

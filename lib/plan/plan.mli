@@ -138,20 +138,33 @@ val children : t -> t list
     divisor, alternatives in listed order). *)
 
 val narrow : Env.t -> t -> t
-(** Ship only what is read.  Works the read set of every edge top-down
-    from the root, which reads every column: each operator maps the
-    columns read from its output to the columns it reads from its input,
-    and an edge's own partition and merge keys count as read.  Every
-    [Remote] whose consumers read fewer columns than it ships gets a
-    [Project_cols] of those columns at the top of its input — the
-    projection the sites apply, see {!constructor-Remote} — and its
-    partition spec and every operator above it, up to the consumer, are
-    remapped to the narrow layout.  A node the pass does not reason about
-    — a binary operator ([Match], [Cross], [Theta_join], [Union_all],
-    [Division]), [Choose], or an edge with [Custom] partitioning — reads
-    all of its input, so no edge narrows through it.  Parts of the plan that
-    do not change are returned physically unchanged, and narrowing a
-    narrowed plan returns it unchanged. *)
+(** Keep only what is read: the one rule that decides which columns a
+    leaf produces and an edge ships.  Works read sets top-down from
+    the root, which reads every column: each operator maps the columns
+    read from its output to the columns it reads from its input, and an
+    edge's own partition and merge keys count as read.
+    - A table or generated leaf ([Scan_table], [Scan_table_slice],
+      [Generate], [Generate_slice], [Generate_range]) read in part gets
+      a [Project_cols] of the read columns (ascending), which
+      {!Compile} folds into a table scan's decode.  A [Project_cols]
+      already on such a leaf is that leaf's cut and is composed with,
+      not stacked on.  Literal and index leaves stay whole.
+    - Every [Remote] whose consumers read fewer columns than it ships
+      gets a [Project_cols] of those columns at the top of its input —
+      the projection the sites apply, see {!constructor-Remote}.
+    - A join whose output is [left ++ right] ([Match] of the join and
+      outer-join kinds, [Theta_join], [Cross]) narrows both sides: each
+      reads its part of the read set plus its key or predicate columns.
+    - Semi- and anti-joins, the set operations, [Union_all],
+      [Division], [Choose] and an edge with [Custom] partitioning read
+      their inputs whole, so nothing narrows through them; an edge or
+      leaf deeper down still narrows for its own consumer.
+    Every operator between a cut and its consumer — keys, predicates,
+    partition specs — is remapped to the narrow layout, and a projection
+    that narrowing makes the identity over its input is dropped.  Parts
+    of the plan that do not change are returned physically unchanged,
+    narrowing a narrowed plan returns it unchanged, and the output arity
+    never changes. *)
 
 val pp : Format.formatter -> t -> unit
 (** Operator-tree rendering with one node per line ("explain"). *)

@@ -209,46 +209,7 @@ let xchg ~packet ~degree ?partition st =
     ovh = st.ovh +. (40.0 *. float_of_int degree) +. (0.3 *. st.rows);
   }
 
-(* --- leaf column pruning ------------------------------------------------ *)
-
-(* Every global column the query reads above its leaves: all conjuncts
-   (a leaf's own filter sits above its projection), and the select list,
-   or the group keys and aggregate arguments.  ORDER BY names output
-   positions, which the select list already covers. *)
-let used_columns (s : B.select) =
-  let of_agg = function
-    | Agg.Count -> []
-    | Agg.Sum e | Agg.Min e | Agg.Max e | Agg.Avg e -> Expr.cols_of_num e
-  in
-  let shape =
-    match s.shape with
-    | B.Flat exprs -> List.concat_map Expr.cols_of_num exprs
-    | B.Grouped { keys; aggs; _ } -> keys @ List.concat_map of_agg aggs
-  in
-  List.sort_uniq compare
-    (List.concat_map
-       (fun (cj : B.conjunct) -> Expr.cols_of_pred cj.pred)
-       s.conjuncts
-    @ shape)
-
-(* Narrow a leaf to the columns the query uses: [Project_cols] right on
-   the scan (where the compiler folds it into the record decode), and the
-   stream's [cols] shrink with it, so every predicate and key above is
-   remapped through the narrowed layout.  No projection when every column
-   is used. *)
-let prune used (src : B.source) plan =
-  let width = Array.length src.schema in
-  let mine =
-    List.filter (fun g -> g >= src.offset && g < src.offset + width) used
-  in
-  if List.length mine = width then
-    (plan, Array.init width (fun j -> src.offset + j))
-  else
-    ( Plan.Project_cols
-        { cols = List.map (fun g -> g - src.offset) mine; input = plan },
-      Array.of_list mine )
-
-let leaf ~parallel ~degree (s : B.select) singles eff used i =
+let leaf ~parallel ~degree (s : B.select) singles eff i =
   let src = s.sources.(i) in
   let plan, prop =
     match src.kind with
@@ -268,7 +229,8 @@ let leaf ~parallel ~degree (s : B.select) singles eff used i =
         if parallel then (W.plan_slice ?seed ~n:rows (), P_none)
         else (W.plan ?seed ~n:rows (), P_none)
   in
-  let plan, cols = prune used src plan in
+  (* full width: [Plan.narrow] cuts the leaf to what the query reads *)
+  let cols = Array.init (Array.length src.schema) (fun j -> src.offset + j) in
   let raw = float_of_int src.rows in
   match singles.(i) with
   | [] -> { plan; cols; rows = max 1.0 raw; work = raw; ovh = 0.0; prop }
@@ -444,24 +406,25 @@ let is_layout_identity arity post =
 
 let sort_node key input = Plan.Sort { key; input }
 
+(* The select list over the stream.  It costs only if it survives
+   [Plan.narrow]: a list that picks the columns the leaves are cut to, in
+   order, is dropped there. *)
+let select_list env st exprs =
+  if is_identity_over st.cols exprs then st
+  else
+    let plan =
+      Plan.Project_exprs
+        { exprs = List.map (remap_num st.cols) exprs; input = st.plan }
+    in
+    match Plan.narrow env plan with
+    | Plan.Project_exprs _ ->
+        { st with plan; work = st.work +. (0.05 *. st.rows) }
+    | _ -> { st with plan }
+
 let serial_tail env st (s : B.select) =
-  ignore env;
   let st, arity =
     match s.shape with
-    | B.Flat exprs ->
-        if is_identity_over st.cols exprs then (st, List.length exprs)
-        else
-          ( {
-              st with
-              plan =
-                Plan.Project_exprs
-                  {
-                    exprs = List.map (remap_num st.cols) exprs;
-                    input = st.plan;
-                  };
-              work = st.work +. (0.05 *. st.rows);
-            },
-            List.length exprs )
+    | B.Flat exprs -> (select_list env st exprs, List.length exprs)
     | B.Grouped { keys; aggs; post } ->
         let key_pos = List.map (pos_of st.cols) keys in
         let aggs' = List.map (remap_agg st.cols) aggs in
@@ -537,7 +500,7 @@ let gather ~packet ~degree st (s : B.select) =
       ovh = st.ovh +. (40.0 *. float_of_int degree) +. (0.3 *. st.rows);
     }
 
-let parallel_tail ~packet ~degree st (s : B.select) =
+let parallel_tail env ~packet ~degree st (s : B.select) =
   let finish_root st arity =
     (* solo-consumer steps after the gather *)
     let st =
@@ -563,17 +526,7 @@ let parallel_tail ~packet ~degree st (s : B.select) =
   match s.shape with
   | B.Flat exprs ->
       let arity = List.length exprs in
-      let st =
-        if is_identity_over st.cols exprs then st
-        else
-          {
-            st with
-            plan =
-              Plan.Project_exprs
-                { exprs = List.map (remap_num st.cols) exprs; input = st.plan };
-            work = st.work +. (0.05 *. st.rows);
-          }
-      in
+      let st = select_list env st exprs in
       let st =
         if not s.distinct then st
         else
@@ -744,27 +697,26 @@ let packet_for env =
 let build env (s : B.select) (first, steps) singles eff ~workers ~degree =
   let parallel = degree > 1 in
   let packet = packet_for env in
-  let used = used_columns s in
-  let l0 = leaf ~parallel ~degree s singles eff used first in
+  let l0 = leaf ~parallel ~degree s singles eff first in
   let stream =
     List.fold_left
       (fun l st ->
-        let r = leaf ~parallel ~degree s singles eff used st.src in
+        let r = leaf ~parallel ~degree s singles eff st.src in
         join ~parallel ~packet ~degree env l r st)
       l0 steps
   in
   if parallel then
-    let st = parallel_tail ~packet ~degree stream s in
+    let st = parallel_tail env ~packet ~degree stream s in
     (* the pool prices the degree: [degree] members share [workers]
        domains, so only [min degree workers] of them run at once *)
     {
       label = Printf.sprintf "degree %d" degree;
       cost = (st.work /. float_of_int (min degree workers)) +. st.ovh;
-      cplan = st.plan;
+      cplan = Plan.narrow env st.plan;
     }
   else
     let st = serial_tail env stream s in
-    { label = "serial"; cost = st.work; cplan = st.plan }
+    { label = "serial"; cost = st.work; cplan = Plan.narrow env st.plan }
 
 let allowed_degrees ~workers (s : B.select) steps =
   (* theta/cross steps have no partitioning key, and a pool of fewer

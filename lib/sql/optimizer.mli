@@ -23,13 +23,21 @@
     oversubscription advisory wins.  Candidates that trip any other
     diagnostic — errors and warnings alike — are pruned, never patched,
     and the pruning is recorded in the choice's notes.  The serial plan
-    is always a candidate, so a legal plan always exists. *)
+    is always a candidate, so a legal plan always exists.
+
+    The optimizer does not prune columns: its leaves read whole rows,
+    and each candidate is {!Volcano_plan.Plan.narrow} of the plan it
+    builds, so table scans and generators produce only the columns the
+    query reads.  The analyzer, the notes and the returned plan all see
+    that narrowed plan, and a select list is costed only if narrowing
+    keeps it. *)
 
 exception Error of string
 
 type choice = {
   plan : Volcano_plan.Plan.t;
-      (** passes planlint with no diagnostic other than VL501 *)
+      (** narrowed ({!Volcano_plan.Plan.narrow}); passes planlint with no
+          diagnostic other than VL501 *)
   notes : string list;
       (** one line per candidate, cost order: chosen / pruned (with
           diagnostic codes) / not chosen, the unpruned ones followed by

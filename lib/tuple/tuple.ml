@@ -17,13 +17,19 @@ let of_ints = function
 
 let concat = Array.append
 
+(* A projection runs once per record (projection stages, key
+   extraction): the fill loop takes its array and tuple as arguments, so
+   no closure is allocated per call. *)
+let rec fill a t k = function
+  | [] -> a
+  | i :: rest ->
+      a.(k) <- t.(i);
+      fill a t (k + 1) rest
+
 let project t indices =
   match indices with
   | [] -> [||]
-  | i :: _ as indices ->
-      let a = Array.make (List.length indices) t.(i) in
-      List.iteri (fun k i -> a.(k) <- t.(i)) indices;
-      a
+  | i :: _ -> fill (Array.make (List.length indices) t.(i)) t 0 indices
 
 let compare a b =
   let la = Array.length a and lb = Array.length b in

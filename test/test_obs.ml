@@ -327,8 +327,9 @@ let test_fused_chain_counters () =
 (* A projection folded into the scan's decode keeps the books of two
    separate stages: both plan nodes count every row, and the generic
    [Operator] fault site fires once per node per record — the same as a
-   scan under a projection the decode cannot absorb ([Project_exprs]),
-   on both the fused and the record path, plain and sliced. *)
+   scan under a projection the decode cannot absorb (a repeated column;
+   narrowing leaves it as written, as the table leaf's own cut), on both
+   the fused and the record path, plain and sliced. *)
 let test_projected_scan_books () =
   let n = 300 in
   let count_operator_hits =
@@ -368,10 +369,8 @@ let test_projected_scan_books () =
     (rows, node_rows scan, node_rows proj, Volcano_fault.Injector.hits injector)
   in
   let folded scan = Plan.Project_cols { cols = [ 4; 0 ]; input = scan } in
-  let separate scan =
-    Plan.Project_exprs
-      { exprs = [ Volcano_tuple.Expr.Col 4; Volcano_tuple.Expr.Col 0 ]; input = scan }
-  in
+  let separate scan = Plan.Project_cols { cols = [ 4; 0; 4 ]; input = scan } in
+  let first_two rows = List.map (fun t -> Array.sub t 0 2) rows in
   List.iter
     (fun (batch_size, sliced) ->
       let what =
@@ -381,7 +380,8 @@ let test_projected_scan_books () =
       let rows', scan_rows', proj_rows', hits' =
         books ~batch_size ~sliced separate
       in
-      check Alcotest.bool (what ^ ": same rows") true (List.equal Tuple.equal rows rows');
+      check Alcotest.bool (what ^ ": same rows") true
+        (List.equal Tuple.equal rows (first_two rows'));
       check Alcotest.int (what ^ ": scan node rows") n scan_rows;
       check Alcotest.int (what ^ ": project node rows") n proj_rows;
       check Alcotest.int (what ^ ": scan rows as separate") scan_rows' scan_rows;
@@ -455,12 +455,16 @@ let test_fused_join_books () =
         right = build;
       }
   in
+  (* the aggregate reads every column of the join, so narrowing leaves
+     the plan as written and each node observed here is compiled *)
   let plan =
     Plan.Aggregate
       {
         algo = Plan.Hash_based;
         group_by = [ 0 ];
-        aggs = [ Volcano_ops.Aggregate.Count ];
+        aggs =
+          Volcano_ops.Aggregate.
+            [ Count; Sum (Volcano_tuple.Expr.Col 1); Sum (Volcano_tuple.Expr.Col 3) ];
         input = join;
       }
   in

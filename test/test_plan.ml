@@ -366,8 +366,21 @@ let test_narrow_read_sets () =
   (* an edge read whole by the root is left exactly as written *)
   let root = remote_edge wide in
   check Alcotest.bool "root edge untouched" true (Plan.narrow e root == root);
-  let local = agg_count_sum ~by:4 ~sum:0 (Plan.Filter { pred = Expr.True; mode = `Compiled; input = wide }) in
-  check Alcotest.bool "no edge, no change" true (Plan.narrow e local == local);
+  (* a literal leaf is read whole: with no edge and no other leaf below,
+     nothing changes *)
+  let literal =
+    Plan.Scan_list { arity = 6; tuples = List.init 4 (fun i -> Tuple.of_ints (List.init 6 (( + ) i))) }
+  in
+  let local = agg_count_sum ~by:4 ~sum:0 (Plan.Filter { pred = Expr.True; mode = `Compiled; input = literal }) in
+  check Alcotest.bool "literal leaf, no change" true (Plan.narrow e local == local);
+  (* a generated leaf projects what is read, like a table leaf *)
+  ignore
+    (narrowed_as "a generated leaf projects what is read" e
+       (agg_count_sum ~by:4 ~sum:0 (Plan.Filter { pred = Expr.True; mode = `Compiled; input = wide }))
+       "hash-aggregate by [1] (2 aggs)\n\
+       \  filter (compiled) true\n\
+       \    project [0,4]\n\
+       \      generate-slice (10 tuples)\n");
   (* the remote_ship shape: group by column 4, sum column 0, routed on 4 *)
   let n =
     narrowed_as "aggregate over a routed edge" e
@@ -447,16 +460,18 @@ let test_narrow_read_sets () =
         partition=round-robin)\n\
        \    project []\n\
        \      generate-slice (10 tuples)\n");
-  (* a join reads its inputs whole *)
-  let join =
+  (* a join narrows the edges below it: each side ships the columns read
+     above that fall in it plus its key, and the key and the projection
+     above are remapped; the generated side projects its part *)
+  let join kind =
     Plan.Project_cols
       {
-        cols = [ 0; 7 ];
+        cols = [ 0; (match kind with Volcano_ops.Match_op.Join -> 7 | _ -> 2) ];
         input =
           Plan.Match
             {
               algo = Plan.Hash_based;
-              kind = Volcano_ops.Match_op.Join;
+              kind;
               left_key = [ 1 ];
               right_key = [ 0 ];
               left = remote_edge wide;
@@ -464,8 +479,21 @@ let test_narrow_read_sets () =
             };
       }
   in
-  check Alcotest.bool "a join reads its inputs whole" true
-    (Plan.narrow e join == join);
+  ignore
+    (narrowed_as "a join narrows the edges below it" e
+       (join Volcano_ops.Match_op.Join)
+       "project [0,3]\n\
+       \  hash-join on [1]=[0]\n\
+       \    remote-exchange workers=2 task=\"t\" (degree=2 packet=83 flow=4 \
+        partition=round-robin)\n\
+       \      project [0,1]\n\
+       \        generate-slice (10 tuples)\n\
+       \    project [0,1]\n\
+       \      generate (5 tuples)\n");
+  (* a semi-join reads its inputs whole *)
+  let semi = join Volcano_ops.Match_op.Semi in
+  check Alcotest.bool "a semi-join reads its inputs whole" true
+    (Plan.narrow e semi == semi);
   (* a custom partition closure may read any column: nothing narrows *)
   let custom =
     agg_count_sum ~by:4 ~sum:0

@@ -418,6 +418,272 @@ let prop_rejected_plans_misbehave =
       in
       rejected && misbehaves)
 
+(* --- narrowing against an oracle that does not narrow -------------------- *)
+
+(* Every execution path runs [Plan.narrow], so the differentials above
+   compare a narrowed plan with a narrowed plan.  Here random plans over
+   two stored tables — plain scans, scans under a hand projection, and
+   sliced scans under exchanges — and over literal and generated leaves,
+   with joins read only in part, run
+   compiled against a list evaluator written below, which knows neither
+   [Compile] nor [narrow].  Narrowing must also be idempotent, keep the
+   arity, and draw no planlint error the written plan did not. *)
+
+let tables = [ "r"; "s" ]
+let table_width = 4
+
+let load_tables env rng =
+  List.map
+    (fun name ->
+      let file =
+        Env.create_table env ~name
+          ~schema:
+            (Volcano_tuple.Schema.of_names
+               (List.init table_width (fun i ->
+                    (Printf.sprintf "c%d" i, Volcano_tuple.Value.Tint))))
+      in
+      let rows =
+        List.init (Rng.int rng 41) (fun _ ->
+            Tuple.of_ints
+              [ Rng.int rng 6; Rng.int rng 4; Rng.int rng 100; Rng.int rng 6 ])
+      in
+      List.iter
+        (fun t ->
+          ignore
+            (Volcano_storage.Heap_file.insert file
+               (Bytes.to_string (Volcano_tuple.Serial.encode t))))
+        rows;
+      (name, rows))
+    tables
+
+(* [k] columns of [0, arity), drawn with replacement: repeats included *)
+let some_cols rng arity = List.init (1 + Rng.int rng arity) (fun _ -> Rng.int rng arity)
+let lt c k = Expr.Cmp (Expr.Lt, Expr.Col c, Expr.Const (Volcano_tuple.Value.Int k))
+
+(* A plan and its width. *)
+let rec stored_plan rng depth =
+  if depth = 0 then stored_leaf rng
+  else
+    let input, arity = stored_plan rng (depth - 1) in
+    match Rng.int rng 8 with
+    | 0 ->
+        (Plan.Filter { pred = lt (Rng.int rng arity) (Rng.int rng 6); mode = `Compiled; input }, arity)
+    | 1 ->
+        let cols = some_cols rng arity in
+        (Plan.Project_cols { cols; input }, List.length cols)
+    | 2 ->
+        let exprs =
+          List.map
+            (fun c -> if Rng.bool rng then Expr.Col c else Expr.Add (Expr.Col c, Expr.Const (Volcano_tuple.Value.Int 1)))
+            (some_cols rng arity)
+        in
+        (Plan.Project_exprs { exprs; input }, List.length exprs)
+    | 3 ->
+        ( Plan.Aggregate
+            {
+              algo = (if Rng.bool rng then Plan.Hash_based else Plan.Sort_based);
+              group_by = [ Rng.int rng arity ];
+              aggs = [ Volcano_ops.Aggregate.Count; Volcano_ops.Aggregate.Sum (Expr.Col (Rng.int rng arity)) ];
+              input;
+            },
+          3 )
+    | 4 -> (Plan.Sort { key = [ (Rng.int rng arity, Support.Asc) ]; input }, arity)
+    | 5 ->
+        ( Plan.Distinct
+            { algo = (if Rng.bool rng then Plan.Hash_based else Plan.Sort_based); on = List.init arity Fun.id; input },
+          arity )
+    | _ -> stored_join rng depth input arity
+
+(* A join of [left] with a fresh right side, read in part: a projection
+   of some of its columns sits above it. *)
+and stored_join rng depth left lw =
+  let right, rw = if depth = 1 then stored_leaf rng else stored_plan rng (depth - 1) in
+  let kind =
+    match Rng.int rng 6 with
+    | 0 -> Match_op.Join
+    | 1 -> Match_op.Left_outer
+    | 2 -> Match_op.Right_outer
+    | 3 -> Match_op.Full_outer
+    | 4 -> Match_op.Semi
+    | _ -> Match_op.Anti
+  in
+  let join, arity =
+    match Rng.int rng 4 with
+    | 0 when depth = 1 ->
+        (* nested loops only over two leaves: at most 40 x 40 pairs *)
+        if Rng.bool rng then (Plan.Cross { left; right }, lw + rw)
+        else
+          ( Plan.Theta_join
+              {
+                pred = Expr.Cmp ((if Rng.bool rng then Expr.Eq else Expr.Lt), Expr.Col (Rng.int rng lw), Expr.Col (lw + Rng.int rng rw));
+                left;
+                right;
+              },
+            lw + rw )
+    | _ ->
+        ( Plan.Match
+            {
+              algo = (if Rng.bool rng then Plan.Hash_based else Plan.Sort_based);
+              kind;
+              left_key = [ Rng.int rng lw ];
+              right_key = [ Rng.int rng rw ];
+              left;
+              right;
+            },
+          Match_op.output_arity kind ~left_arity:lw ~right_arity:rw )
+  in
+  let cols = some_cols rng arity in
+  (Plan.Project_cols { cols; input = join }, List.length cols)
+
+and stored_leaf rng =
+  let table = List.nth tables (Rng.int rng 2) in
+  match Rng.int rng 6 with
+  | 0 -> (Plan.Scan_table table, table_width)
+  | 1 ->
+      let cols = some_cols rng table_width in
+      (Plan.Project_cols { cols; input = Plan.Scan_table table }, List.length cols)
+  | 2 ->
+      (* each producer scans its slice of the table *)
+      let chain =
+        match Rng.int rng 3 with
+        | 0 -> Plan.Scan_table_slice table
+        | 1 -> Plan.Filter { pred = lt (Rng.int rng table_width) 4; mode = `Compiled; input = Plan.Scan_table_slice table }
+        | _ -> Plan.Project_cols { cols = [ 3; 1; 0; 2 ]; input = Plan.Scan_table_slice table }
+      in
+      let partition =
+        if Rng.bool rng then Exchange.Round_robin else Exchange.Hash_on [ Rng.int rng table_width ]
+      in
+      (Plan.Exchange { cfg = random_cfg ~partition rng; input = chain }, table_width)
+  | 3 ->
+      let tuples = List.init (Rng.int rng 8) (fun i -> Tuple.of_ints [ i mod 6; i; 7 ]) in
+      (Plan.Scan_list { arity = 3; tuples }, 3)
+  | 4 -> (Plan.Generate { arity = 3; count = Rng.int rng 21; gen = generated }, 3)
+  | _ ->
+      (* each producer generates its slice *)
+      let input = Plan.Generate_slice { arity = 3; count = Rng.int rng 21; gen = generated } in
+      (Plan.Exchange { cfg = random_cfg rng; input }, 3)
+
+and generated i = Tuple.of_ints [ i mod 6; i mod 4; i ]
+
+(* The oracle: the written plan evaluated over lists, with the engine's
+   value semantics — a comparison with [Null] is false, arithmetic and
+   [Sum] pass it through, keys and groups compare [Null] equal. *)
+let rec reference rows plan =
+  let eval t = function
+    | Expr.Col c -> t.(c)
+    | Expr.Const v -> v
+    | Expr.Add (Expr.Col c, Expr.Const (Volcano_tuple.Value.Int k)) -> (
+        match t.(c) with Volcano_tuple.Value.Int v -> Volcano_tuple.Value.Int (v + k) | v -> v)
+    | _ -> invalid_arg "reference: expression"
+  in
+  let holds op a b =
+    a <> Volcano_tuple.Value.Null && b <> Volcano_tuple.Value.Null
+    &&
+    let c = Volcano_tuple.Value.compare a b in
+    match op with Expr.Lt -> c < 0 | Expr.Eq -> c = 0 | _ -> invalid_arg "reference: comparison"
+  in
+  let same a b = Volcano_tuple.Value.compare a b = 0 in
+  let nulls n = Array.make n Volcano_tuple.Value.Null in
+  let concat = Array.append in
+  match plan with
+  | Plan.Scan_table t | Plan.Scan_table_slice t -> List.assoc t rows
+  | Plan.Scan_list { tuples; _ } -> tuples
+  | Plan.Generate { count; gen; _ } | Plan.Generate_slice { count; gen; _ } -> List.init count gen
+  | Plan.Exchange { input; _ } | Plan.Sort { input; _ } -> reference rows input
+  | Plan.Filter { pred = Expr.Cmp (op, a, b); input; _ } ->
+      List.filter (fun t -> holds op (eval t a) (eval t b)) (reference rows input)
+  | Plan.Project_cols { cols; input } ->
+      List.map (fun t -> Array.of_list (List.map (Array.get t) cols)) (reference rows input)
+  | Plan.Project_exprs { exprs; input } ->
+      List.map (fun t -> Array.of_list (List.map (eval t) exprs)) (reference rows input)
+  | Plan.Distinct { input; _ } -> List.sort_uniq Tuple.compare (reference rows input)
+  | Plan.Aggregate { group_by = [ g ]; aggs = [ _; Volcano_ops.Aggregate.Sum (Expr.Col s) ]; input; _ } ->
+      let input = reference rows input in
+      let keys = List.sort_uniq Volcano_tuple.Value.compare (List.map (fun t -> t.(g)) input) in
+      List.map
+        (fun k ->
+          let group = List.filter (fun t -> same t.(g) k) input in
+          let sum =
+            List.fold_left
+              (fun acc t ->
+                match (acc, t.(s)) with
+                | Volcano_tuple.Value.Int a, Volcano_tuple.Value.Int b -> Volcano_tuple.Value.Int (a + b)
+                | Volcano_tuple.Value.Null, v | v, Volcano_tuple.Value.Null -> v
+                | _ -> invalid_arg "reference: sum")
+              Volcano_tuple.Value.Null group
+          in
+          [| k; Volcano_tuple.Value.Int (List.length group); sum |])
+        keys
+  | Plan.Cross { left; right } ->
+      let right = reference rows right in
+      List.concat_map (fun l -> List.map (concat l) right) (reference rows left)
+  | Plan.Theta_join { pred = Expr.Cmp (op, a, b); left; right } ->
+      List.filter (fun t -> holds op (eval t a) (eval t b)) (reference rows (Plan.Cross { left; right }))
+  | Plan.Match { kind; left_key = [ lk ]; right_key = [ rk ]; left; right; _ } ->
+      let lw = plan_width left and rw = plan_width right in
+      let left = reference rows left and right = reference rows right in
+      let partners l = List.filter (fun r -> same l.(lk) r.(rk)) right in
+      let lonely_right = List.filter (fun r -> not (List.exists (fun l -> same l.(lk) r.(rk)) left)) right in
+      let pairs = List.concat_map (fun l -> List.map (concat l) (partners l)) left in
+      let lonely_left = List.filter (fun l -> partners l = []) left in
+      let pad_right = List.map (fun l -> concat l (nulls rw)) lonely_left in
+      let pad_left = List.map (fun r -> concat (nulls lw) r) lonely_right in
+      (match kind with
+      | Match_op.Join -> pairs
+      | Match_op.Left_outer -> pairs @ pad_right
+      | Match_op.Right_outer -> pairs @ pad_left
+      | Match_op.Full_outer -> pairs @ pad_right @ pad_left
+      | Match_op.Semi -> List.filter (fun l -> partners l <> []) left
+      | Match_op.Anti -> lonely_left
+      | _ -> invalid_arg "reference: match kind")
+  | _ -> invalid_arg "reference: node"
+
+(* The written width, worked out without the catalog. *)
+and plan_width = function
+  | Plan.Scan_table _ | Plan.Scan_table_slice _ -> table_width
+  | Plan.Scan_list { arity; _ } | Plan.Generate { arity; _ } | Plan.Generate_slice { arity; _ } -> arity
+  | Plan.Project_cols { cols; _ } -> List.length cols
+  | Plan.Project_exprs { exprs; _ } -> List.length exprs
+  | Plan.Aggregate _ -> 3
+  | Plan.Cross { left; right } | Plan.Theta_join { left; right; _ } -> plan_width left + plan_width right
+  | Plan.Match { kind; left; right; _ } ->
+      Match_op.output_arity kind ~left_arity:(plan_width left) ~right_arity:(plan_width right)
+  | Plan.Exchange { input; _ } | Plan.Filter { input; _ } | Plan.Sort { input; _ } | Plan.Distinct { input; _ } ->
+      plan_width input
+  | _ -> invalid_arg "plan_width"
+
+let prop_narrow_against_reference =
+  QCheck.Test.make ~name:"narrowed stored-table plans match a list evaluator"
+    ~count:1000
+    QCheck.(pair int64 (int_range 1 3))
+    (fun (seed, depth) ->
+      let env = Env.create ~frames:128 ~page_size:512 () in
+      let rng = Rng.create seed in
+      let rows = load_tables env rng in
+      let written, width = stored_plan rng depth in
+      let narrowed = Plan.narrow env written in
+      let errors plan =
+        List.map (fun (d : Volcano_plan.Diag.t) -> d.code) (Volcano_plan.Diag.errors (Compile.analyze env plan))
+      in
+      let before = errors written in
+      let fresh = List.filter (fun c -> not (List.mem c before)) (errors narrowed) in
+      let expected = List.sort Tuple.compare (reference rows written) in
+      let fail what =
+        QCheck.Test.fail_reportf "%s\nwritten:\n%anarrowed:\n%a" what Plan.pp written Plan.pp narrowed
+      in
+      let ok =
+        if Plan.narrow env narrowed != narrowed then fail "narrowing again changed the plan"
+        else if Plan.arity env written <> width || Plan.arity env narrowed <> width then
+          fail "narrowing changed the arity"
+        else if before <> [] || fresh <> [] then
+          fail ("planlint errors: " ^ String.concat ", " (before @ fresh))
+        else if sorted_run env written <> expected then fail "rows differ from the list evaluator"
+        else true
+      in
+      Bufpool.assert_quiescent ~what:"narrowing oracle" (Env.buffer env);
+      Sched.assert_quiescent ~what:"narrowing oracle" (Sched.default ());
+      ok)
+
 let suite =
   [
     Runner.qcheck ~long:false prop_exchange_invariance;
@@ -426,4 +692,5 @@ let suite =
       ~name:"accepted plans agree narrow vs wide pool"
       prop_narrow_wide_differential;
     Runner.qcheck ~long:false prop_rejected_plans_misbehave;
+    Runner.qcheck ~long:false prop_narrow_against_reference;
   ]

@@ -937,6 +937,70 @@ let test_site_allocates_read_set () =
   if words >= 16.0 then
     Alcotest.failf "%.1f minor words per record; the read set is not decoded at the scan" words
 
+(* A hash join reads its edge in part: the edge ships the columns read
+   above that fall on its side, plus the join key, and the local side's
+   scan is cut the same way. *)
+let test_join_narrows_edge () =
+  let c = W.column in
+  let join left =
+    Plan.Project_cols
+      {
+        cols = [ c "unique1"; 16 + c "ten" ];
+        input =
+          Plan.Match
+            {
+              algo = Plan.Hash_based;
+              kind = Volcano_ops.Match_op.Join;
+              left_key = [ c "unique2" ];
+              right_key = [ c "unique1" ];
+              left;
+              right = Plan.Scan_table table;
+            };
+      }
+  in
+  narrow_case ~what:"hash join over the edge"
+    ~plan:(fun edge -> join (edge ()))
+    ~local:(join (Plan.Scan_table table))
+    ~ships:(Some [ c "unique1"; c "unique2" ])
+    ~bytes_per_row:(20.0, 21.0)
+
+(* A read set over a filter: the site's scan decodes the read set plus
+   the filter's columns, 2 of 16 fields here.  Measured as in
+   [test_site_allocates_read_set]; a whole decode under the filter
+   allocates about 70 minor words per record. *)
+let test_site_filter_decodes_read_set () =
+  let rows = 8000 and shards = 2 in
+  let env = Env.create ~frames:256 () in
+  let counts =
+    Partition.load_site env ~table ~schema:W.schema
+      ~spec:(Partition.hash_spec [ W.column "unique1" ])
+      ~parts:shards ~site:0 ~count:rows ~gen:(W.generator ~n:rows ()) ()
+  in
+  (* every row passes: the filter reads [ten], the edge only [unique1] *)
+  let filtered =
+    Plan.Filter
+      {
+        pred = Expr.Cmp (Expr.Ge, Expr.Col (W.column "ten"), Expr.Const (Value.Int 0));
+        mode = `Compiled;
+        input = Plan.Scan_table_slice table;
+      }
+  in
+  let open_ = Remote.shard_pull env ~shard:0 ~shards filtered in
+  let next = open_ (Some [ W.column "unique1" ]) in
+  let before = Gc.minor_words () in
+  let rec drain n =
+    match next () with
+    | Some t ->
+        if Array.length t <> 1 then Alcotest.failf "a record of %d columns" (Array.length t);
+        drain (n + 1)
+    | None -> n
+  in
+  let n = drain 0 in
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "every row of the partition" counts.(0) n;
+  if words >= 16.0 then
+    Alcotest.failf "%.1f minor words per record; the filter's scan decodes more than it reads" words
+
 (* Read-set shapes the sites now compile, each against the local plan: a
    hand projection in non-ascending column order, and a filter on a
    column the projection drops.  (A zero-column read set is "count over
@@ -1048,6 +1112,10 @@ let suite =
       test_narrowed_differentials;
     Alcotest.test_case "the site allocates only the read set" `Quick
       test_site_allocates_read_set;
+    Alcotest.test_case "a join narrows the edge below it" `Slow
+      test_join_narrows_edge;
+    Alcotest.test_case "a site's filter decodes only what is read" `Quick
+      test_site_filter_decodes_read_set;
     Alcotest.test_case "read-set shapes match local" `Slow test_read_set_shapes;
     Alcotest.test_case "a site that fails to open fails once" `Slow
       test_site_open_failures;

@@ -391,6 +391,35 @@ let test_pruning_olap_join () =
         leaves)
     [ 1; parts ]
 
+(* Generated sources narrow like tables: a join over two [wisconsin(...)]
+   sources hashes and ships only the columns read above it and its keys,
+   so each repartitioning exchange sits on a projection of its generator. *)
+let test_pruning_generated_join () =
+  let sql =
+    "SELECT a.unique1, b.ten FROM wisconsin(2000, 1) AS a INNER JOIN \
+     wisconsin(2000, 2) AS b ON (a.unique1 = b.unique2)"
+  in
+  let c = optimize ~workers:2 sql in
+  let shipped =
+    List.map
+      (function
+        | Plan.Exchange { input = Plan.Project_cols { cols; input = Plan.Generate_slice _ }; _ } ->
+            cols
+        | p -> Alcotest.failf "keyed exchange over %s" (Format.asprintf "%a" Plan.pp p))
+      (List.filter_map
+         (function
+           | Plan.Exchange { cfg = { partition = Exchange.Hash_on _; _ }; _ } as x -> Some x
+           | _ -> None)
+         (plan_nodes c.plan))
+  in
+  check
+    Alcotest.(list (list int))
+    "each side ships its projection"
+    [ [ W.column "unique1" ];
+      List.sort compare [ W.column "unique2"; W.column "ten" ] ]
+    shipped;
+  assert_clean ~workers:2 c.plan
+
 let test_pruning_select_star () =
   List.iter
     (fun sql ->
@@ -671,6 +700,8 @@ let suite =
     Alcotest.test_case "range alignment" `Quick test_optimizer_range_alignment;
     Alcotest.test_case "explain decisions" `Quick test_explain_mentions_decisions;
     Alcotest.test_case "pruning: olap join leaves" `Quick test_pruning_olap_join;
+    Alcotest.test_case "pruning: generated join leaves" `Quick
+      test_pruning_generated_join;
     Alcotest.test_case "pruning: SELECT * adds none" `Quick
       test_pruning_select_star;
     Alcotest.test_case "pruning: filter columns kept" `Quick
