@@ -24,7 +24,9 @@ let range_spec ~col ~bounds =
 
 (* Instantiate a spec as a router over [parts] partitions — the same
    [Support.Partition] functions a local exchange uses, so a stored hash
-   partition and a hash repartitioning edge send a key the same way. *)
+   partition and a hash repartitioning edge send a key the same way.
+   Both answer in [\[0, parts)], so a loader takes the answer as it is,
+   without a division per row. *)
 let route spec ~parts =
   match spec with
   | Shard.Hash cols -> Support.Partition.hash ~consumers:parts ~on:cols ()
@@ -119,7 +121,7 @@ let split env ~table ~spec ~parts ?sites () =
         and off = Heap_file.off cursor
         and len = Heap_file.len cursor in
         let tuple = Serial.decode_projected key data ~off ~len in
-        let part = ((router tuple mod parts) + parts) mod parts in
+        let part = router tuple in
         Heap_file.append appenders.(part) data ~off ~len;
         counts.(part) <- counts.(part) + 1
       done);
@@ -155,7 +157,7 @@ let load_site env ~table ~schema ~spec ~parts ?sites ~site ~count ~gen () =
   with_appenders files (fun put ->
       for i = 0 to count - 1 do
         let tuple = gen i in
-        let part = ((router tuple mod parts) + parts) mod parts in
+        let part = router tuple in
         if slot.(part) >= 0 then begin
           put slot.(part) tuple;
           counts.(part) <- counts.(part) + 1

@@ -30,8 +30,10 @@ val fix : t -> Device.t -> int -> frame
 (** Pin a page, reading it from the device on a miss. *)
 
 val fix_new : t -> Device.t -> int -> frame
-(** Pin a freshly-allocated page without reading; the frame arrives zeroed
-    and dirty. *)
+(** Pin a freshly-allocated page without reading; the frame arrives dirty,
+    and zeroed on a miss.  On a hit (a page number freed and allocated
+    again while still resident) it keeps the resident bytes: a caller
+    formats or overwrites the page ({!Page.init}, a B-tree node). *)
 
 val unfix : t -> frame -> unit
 (** Release one pin.  @raise Invalid_argument if the frame is not fixed. *)

@@ -112,8 +112,9 @@ let add_page t =
      injected fix denial), the new frame must not stay fixed and the file
      must be left unchanged. *)
   (try
+     (* The frame arrives dirty; [init] writes the header, which is all
+        an empty page reads, so the frame is zeroed at most once. *)
      Page.init (Bufpool.bytes frame) ~kind:page_kind_heap;
-     Bufpool.mark_dirty frame;
      if t.first_page <> -1 then begin
        (* Link the previous tail to the new page. *)
        let prev = Bufpool.fix t.buffer t.device t.last_page in

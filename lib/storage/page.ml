@@ -9,16 +9,27 @@ let next_page page = Int32.to_int (Bytes.get_int32_le page 4)
 let set_next_page page p = Bytes.set_int32_le page 4 (Int32.of_int p)
 let aux page = Int32.to_int (Bytes.get_int32_le page 8)
 let set_aux page p = Bytes.set_int32_le page 8 (Int32.of_int p)
-let kind page = Int32.to_int (Bytes.get_int32_le page 12)
-let set_kind page k = Bytes.set_int32_le page 12 (Int32.of_int k)
+let kind page = Bytes.get_uint16_le page 12
+
+let set_kind page k =
+  if k < 0 || k > 0xffff then invalid_arg "Page.set_kind: kind out of range";
+  Bytes.set_uint16_le page 12 k
+
+(* Bytes 14..15 keep one more than the number of dead slots, so that an
+   insert onto a page with none skips the directory scan.  A page
+   formatted before the count was kept reads 0 there (its kind filled
+   the whole word, and every kind fits 16 bits): its count is taken
+   from the directory, and its first insert or delete records it. *)
+let dead_field page = Bytes.get_uint16_le page 14
+let set_dead_slots page d = Bytes.set_uint16_le page 14 (d + 1)
 
 let init page ~kind =
-  Bytes.fill page 0 (Bytes.length page) '\000';
   set_n_slots page 0;
   set_free_off page header_size;
   set_next_page page (-1);
   set_aux page (-1);
-  set_kind page kind
+  set_kind page kind;
+  set_dead_slots page 0
 
 let slot_pos page i = Bytes.length page - (slot_size * (i + 1))
 
@@ -36,6 +47,17 @@ let dir_start page = Bytes.length page - (slot_size * n_slots page)
 let free_space page =
   let v = dir_start page - free_off page in
   if v < 0 then 0 else v
+
+let count_dead page =
+  let n = ref 0 in
+  for i = 0 to n_slots page - 1 do
+    if slot_len page i = 0 then incr n
+  done;
+  !n
+
+let dead_slots page =
+  let d = dead_field page in
+  if d > 0 then d - 1 else count_dead page
 
 let dead_space page =
   let total = ref 0 in
@@ -66,9 +88,10 @@ let live_records page =
 let delete page i =
   if i < 0 || i >= n_slots page then false
   else
-    let _, len = slot page i in
+    let len = slot_len page i in
     if len = 0 then false
     else begin
+      set_dead_slots page (dead_slots page + 1);
       (* Remember the reclaimable length in the offset field. *)
       set_slot page i ~off:len ~len:0;
       true
@@ -97,36 +120,39 @@ let compact page =
   done;
   set_free_off page !cursor
 
+(* The slot is live before and after, so the dead-slot count does not
+   change. *)
 let replace page slot_no record =
   let len = String.length record in
-  if len = 0 || len > 0xffff then false
+  if len = 0 || len > 0xffff || slot_no < 0 || slot_no >= n_slots page then
+    false
   else
-    match read page slot_no with
-    | None -> false
-    | Some old ->
-        let old_off, old_len = slot page slot_no in
-        (* Release the old space for accounting... *)
-        set_slot page slot_no ~off:old_len ~len:0;
-        if free_space page < len && total_free_space page >= len then
-          (* ...compaction drops the old bytes, but success is now assured. *)
-          compact page;
-        if free_space page >= len then begin
-          let off = free_off page in
-          Bytes.blit_string record 0 page off len;
-          set_free_off page (off + len);
-          set_slot page slot_no ~off ~len;
-          true
-        end
-        else begin
-          (* No compaction ran (total free was insufficient), so the old
-             bytes are untouched: restore the slot. *)
-          ignore old;
-          set_slot page slot_no ~off:old_off ~len:old_len;
-          false
-        end
+    let old_off = slot_off page slot_no and old_len = slot_len page slot_no in
+    if old_len = 0 then false
+    else begin
+      (* Release the old space for accounting... *)
+      set_slot page slot_no ~off:old_len ~len:0;
+      if free_space page < len && total_free_space page >= len then
+        (* ...compaction drops the old bytes, but success is now assured. *)
+        compact page;
+      if free_space page >= len then begin
+        let off = free_off page in
+        Bytes.blit_string record 0 page off len;
+        set_free_off page (off + len);
+        set_slot page slot_no ~off ~len;
+        true
+      end
+      else begin
+        (* No compaction ran (total free was insufficient), so the old
+           bytes are untouched: restore the slot. *)
+        set_slot page slot_no ~off:old_off ~len:old_len;
+        false
+      end
+    end
 
 (* The first dead slot, or -1.  A loop reading one length per slot: no
-   pair per slot, and no search closure. *)
+   pair per slot, and no search closure.  Run only when the page has a
+   dead slot. *)
 let find_dead_slot page =
   let n = n_slots page in
   let i = ref 0 in
@@ -138,7 +164,8 @@ let find_dead_slot page =
 let insert_sub page src ~off:src_off ~len =
   if len = 0 || len > 0xffff then -1
   else begin
-    let reuse = find_dead_slot page in
+    let dead = dead_slots page in
+    let reuse = if dead > 0 then find_dead_slot page else -1 in
     let need = if reuse >= 0 then len else len + slot_size in
     if free_space page < need && total_free_space page >= need then compact page;
     if free_space page < need then -1
@@ -147,10 +174,14 @@ let insert_sub page src ~off:src_off ~len =
       Bytes.blit src src_off page off len;
       set_free_off page (off + len);
       let i =
-        if reuse >= 0 then reuse
+        if reuse >= 0 then begin
+          set_dead_slots page (dead - 1);
+          reuse
+        end
         else begin
           let i = n_slots page in
           set_n_slots page (i + 1);
+          set_dead_slots page dead;
           i
         end
       in

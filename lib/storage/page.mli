@@ -7,7 +7,9 @@
     2..3    free-space offset (records grow upward from byte 16)
     4..7    next-page link (-1 if none)
     8..11   auxiliary link (module-specific)
-    12..15  page kind / flags (module-specific)
+    12..13  page kind / flags (module-specific)
+    14..15  dead slots + 1 (0 on a page formatted before the count
+            was kept: see {!dead_slots})
     16..    record area, growing up
     ...     slot directory, growing down from the end;
             slot i occupies the 4 bytes at size - 4*(i+1):
@@ -22,11 +24,21 @@ val header_size : int
 val slot_size : int
 
 val init : bytes -> kind:int -> unit
-(** Format a fresh page in place. *)
+(** Format a fresh page in place.  Writes the header only: an empty page
+    reads nothing past it, so the rest need not be zeroed.
+    @raise Invalid_argument if [kind] is outside [\[0, 0xffff\]]. *)
 
 val n_slots : bytes -> int
 val kind : bytes -> int
 val set_kind : bytes -> int -> unit
+(** Kinds are 16 bits (bytes 12..13).
+    @raise Invalid_argument if the kind is outside [\[0, 0xffff\]]. *)
+
+val dead_slots : bytes -> int
+(** The number of dead slots, as the header keeps it.  A page formatted
+    before the header kept it has 0 in bytes 14..15: its count is taken
+    from the slot directory, and its next insert or delete records it. *)
+
 val next_page : bytes -> int
 val set_next_page : bytes -> int -> unit
 val aux : bytes -> int

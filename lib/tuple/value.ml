@@ -29,26 +29,38 @@ let equal a b = compare a b = 0
 let fnv_offset = Int64.to_int 0xcbf29ce484222325L land max_int
 let fnv_prime = 0x100000001b3
 
+let[@inline] fnv_step h byte = (h lxor byte) * fnv_prime land max_int
+
 let hash_bytes h s =
   let h = ref h in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * fnv_prime land max_int)
-    s;
-  !h
-
-let hash_int h x =
-  let h = ref h in
-  for shift = 0 to 7 do
-    let byte = (x lsr (shift * 8)) land 0xff in
-    h := (!h lxor byte) * fnv_prime land max_int
+  for i = 0 to String.length s - 1 do
+    h := fnv_step !h (Char.code (String.unsafe_get s i))
   done;
   !h
 
+(* The eight steps over [x]'s bytes, low byte first, unrolled: a hash
+   is taken per routed, probed or grouped record. *)
+let hash_int h x =
+  let h = fnv_step h (x land 0xff) in
+  let h = fnv_step h ((x lsr 8) land 0xff) in
+  let h = fnv_step h ((x lsr 16) land 0xff) in
+  let h = fnv_step h ((x lsr 24) land 0xff) in
+  let h = fnv_step h ((x lsr 32) land 0xff) in
+  let h = fnv_step h ((x lsr 40) land 0xff) in
+  let h = fnv_step h ((x lsr 48) land 0xff) in
+  fnv_step h ((x lsr 56) land 0xff)
+
+(* Each kind's tag is hashed first; these are the states after it. *)
+let seed_int = hash_int fnv_offset 1
+let seed_float = hash_int fnv_offset 2
+let seed_str = hash_int fnv_offset 3
+let hash_null = hash_int fnv_offset 0x6e756c6c
+
 let hash = function
-  | Null -> hash_int fnv_offset 0x6e756c6c
-  | Int x -> hash_int (hash_int fnv_offset 1) x
-  | Float x -> hash_int (hash_int fnv_offset 2) (Int64.to_int (Int64.bits_of_float x))
-  | Str s -> hash_bytes (hash_int fnv_offset 3) s
+  | Null -> hash_null
+  | Int x -> hash_int seed_int x
+  | Float x -> hash_int seed_float (Int64.to_int (Int64.bits_of_float x))
+  | Str s -> hash_bytes seed_str s
 
 let pp ppf = function
   | Null -> Format.pp_print_string ppf "NULL"

@@ -28,8 +28,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 val permutation : t -> int -> int array
-(** [permutation t n] is a random permutation of [0 .. n-1]. *)
+(** [permutation t n] is a random permutation of [0 .. n-1], by an
+    in-place Fisher-Yates shuffle. *)

@@ -30,24 +30,26 @@ let column name =
   in
   search 0 columns
 
-(* The classic 7-letter string image of a number in base 26, padded. *)
+(* The classic 7-letter string image of a number in base 26, padded:
+   each byte written once, and the bytes handed over without a copy. *)
 let string_image x =
-  let buf = Bytes.make 7 'A' in
-  let rec fill pos v =
-    if pos >= 0 && v > 0 then begin
-      Bytes.set buf pos (Char.chr (Char.code 'A' + (v mod 26)));
-      fill (pos - 1) (v / 26)
+  let buf = Bytes.create 7 in
+  let v = ref x in
+  for pos = 6 downto 0 do
+    if !v > 0 then begin
+      Bytes.unsafe_set buf pos (Char.unsafe_chr (Char.code 'A' + (!v mod 26)));
+      v := !v / 26
     end
-  in
-  fill 6 x;
-  Bytes.to_string buf
+    else Bytes.unsafe_set buf pos 'A'
+  done;
+  Bytes.unsafe_to_string buf
 
-let string4 i =
-  match i mod 4 with
-  | 0 -> "AAAA"
-  | 1 -> "HHHH"
-  | 2 -> "OOOO"
-  | _ -> "VVVV"
+(* Values are immutable, so rows share them where they can: one block
+   per small derived value (every column but unique1, unique2, unique3
+   and the two unique strings is below 200), and one per string4
+   value.  A row then allocates its array, two ints and two strings. *)
+let small = Array.init 200 (fun k -> Value.Int k)
+let string4 = [| Value.Str "AAAA"; Value.Str "HHHH"; Value.Str "OOOO"; Value.Str "VVVV" |]
 
 let generator ?(seed = 42L) ~n () =
   let rng = Rng.create seed in
@@ -55,23 +57,24 @@ let generator ?(seed = 42L) ~n () =
   fun i ->
     if i < 0 || i >= n then invalid_arg "Wisconsin.generator: index out of range";
     let u1 = permutation.(i) in
+    let unique1 = Value.Int u1 and pct = u1 mod 100 in
     [|
-      Value.Int u1;
+      unique1;
       Value.Int i;
-      Value.Int (u1 mod 2);
-      Value.Int (u1 mod 4);
-      Value.Int (u1 mod 10);
-      Value.Int (u1 mod 20);
-      Value.Int (u1 mod 100);
-      Value.Int (u1 mod 10);
-      Value.Int (u1 mod 5);
-      Value.Int (u1 mod 2);
-      Value.Int u1;
-      Value.Int (u1 mod 100 * 2);
-      Value.Int ((u1 mod 100 * 2) + 1);
+      small.(u1 mod 2);
+      small.(u1 mod 4);
+      small.(u1 mod 10);
+      small.(u1 mod 20);
+      small.(pct);
+      small.(u1 mod 10);
+      small.(u1 mod 5);
+      small.(u1 mod 2);
+      unique1;
+      small.(pct * 2);
+      small.((pct * 2) + 1);
       Value.Str (string_image u1);
       Value.Str (string_image i);
-      Value.Str (string4 i);
+      string4.(i mod 4);
     |]
 
 let arity = List.length columns

@@ -79,36 +79,110 @@ let test_page_fill_and_compact () =
         (Page.read page i)
   done
 
+type page_op = Insert of int | Delete of int | Replace of int * int | Compact
+
+let page_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun n -> Insert n) (int_range 1 40));
+        (3, map (fun i -> Delete i) (int_bound 12));
+        (2, map2 (fun i n -> Replace (i, n)) (int_bound 12) (int_range 1 40));
+        (1, return Compact);
+      ])
+
+let print_page_op = function
+  | Insert n -> Printf.sprintf "insert %d" n
+  | Delete i -> Printf.sprintf "delete %d" i
+  | Replace (i, n) -> Printf.sprintf "replace %d %d" i n
+  | Compact -> "compact"
+
+(* A record of [n] bytes that names the step that wrote it. *)
+let record step n = String.init n (fun k -> Char.chr (97 + ((step + k) mod 26)))
+
+(* The model is the slot directory as a list of [Some record] (live) or
+   [None] (dead).  An insert takes the lowest dead slot, else a new one.
+   Whether a record fits is read off the page the way the directory
+   scan reads it: the contiguous free bytes plus each dead slot's
+   reclaimable length (kept in its offset field), summed here slot by
+   slot.  After every step the records, the dead-slot count and its
+   header field (bytes 14..15, the count + 1) agree with the model, and
+   [total_free_space] with the scan's sum. *)
 let prop_page_model =
-  (* Random insert/delete sequence against a list model. *)
-  QCheck.Test.make ~name:"slotted page behaves like a model" ~count:100
+  QCheck.Test.make ~name:"slotted page behaves like a model" ~count:300
     QCheck.(
-      list
-        (pair bool
-           (make ~print:Fun.id
-              QCheck.Gen.(string_size ~gen:printable (int_range 1 30)))))
+      make
+        ~print:(fun ops -> String.concat "; " (List.map print_page_op ops))
+        Gen.(list_size (int_range 1 80) page_op_gen))
     (fun ops ->
-      let page = fresh_page ~size:1024 () in
-      let model = Hashtbl.create 16 in
-      List.for_all
-        (fun (do_insert, payload) ->
-          if do_insert || Hashtbl.length model = 0 then (
-            match Page.insert page payload with
-            | -1 -> true (* full is fine *)
-            | slot ->
-                Hashtbl.replace model slot payload;
-                true)
-          else begin
-            let slot = Hashtbl.fold (fun k _ acc -> max k acc) model (-1) in
-            let ok = Page.delete page slot in
-            Hashtbl.remove model slot;
-            ok
-          end
-          && Hashtbl.fold
-               (fun slot payload ok ->
-                 ok && Page.read page slot = Some payload)
-               model true)
-        ops)
+      let page = fresh_page ~size:256 () in
+      let model = ref [||] in
+      let reclaimable () =
+        let total = ref (Page.free_space page) in
+        for i = 0 to Page.n_slots page - 1 do
+          if Page.slot_len page i = 0 then total := !total + Page.slot_off page i
+        done;
+        !total
+      in
+      let dead () =
+        Array.fold_left (fun acc r -> if r = None then acc + 1 else acc) 0 !model
+      in
+      let live i = i < Array.length !model && !model.(i) <> None in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Insert n ->
+              let r = record step n in
+              let rec lowest i =
+                if i >= Array.length !model || !model.(i) = None then i
+                else lowest (i + 1)
+              in
+              let expected = lowest 0 in
+              let need =
+                if expected < Array.length !model then n else n + Page.slot_size
+              in
+              let fits = reclaimable () >= need in
+              let got = Page.insert page r in
+              if fits && got <> expected then
+                fail "step %d: insert took slot %d, expected %d" step got expected;
+              if (not fits) && got <> -1 then
+                fail "step %d: insert of %d bytes fit in %d" step n (reclaimable ());
+              if got = Array.length !model then
+                model := Array.append !model [| Some r |]
+              else if got >= 0 then !model.(got) <- Some r
+          | Delete i ->
+              let expected = live i in
+              if Page.delete page i <> expected then
+                fail "step %d: delete %d answered %b" step i (not expected);
+              if expected then !model.(i) <- None
+          | Replace (i, n) ->
+              let r = record step n in
+              let expected =
+                live i && reclaimable () + String.length (Option.get !model.(i)) >= n
+              in
+              if Page.replace page i r <> expected then
+                fail "step %d: replace %d answered %b" step i (not expected);
+              if expected then !model.(i) <- Some r
+          | Compact -> Page.compact page);
+          if Page.n_slots page <> Array.length !model then
+            fail "step %d: %d slots, model %d" step (Page.n_slots page)
+              (Array.length !model);
+          Array.iteri
+            (fun i r ->
+              if Page.read page i <> r then fail "step %d: slot %d differs" step i)
+            !model;
+          if Page.dead_slots page <> dead () then
+            fail "step %d: %d dead slots kept, %d in the directory" step
+              (Page.dead_slots page) (dead ());
+          if Bytes.get_uint16_le page 14 <> dead () + 1 then
+            fail "step %d: header field %d for %d dead slots" step
+              (Bytes.get_uint16_le page 14) (dead ());
+          if Page.total_free_space page <> reclaimable () then
+            fail "step %d: %d free, the scan sums %d" step
+              (Page.total_free_space page) (reclaimable ()))
+        ops;
+      true)
 
 (* --- bitmap --- *)
 

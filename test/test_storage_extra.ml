@@ -200,6 +200,53 @@ let test_page_headers () =
   check Alcotest.int "kind" 9 (Page.kind page);
   check Alcotest.int "free space" (256 - Page.header_size) (Page.free_space page)
 
+(* --- dead-slot bookkeeping --- *)
+
+(* A page formatted before the dead-slot count was kept: its kind filled
+   bytes 12..15, so the count's field reads 0.  It is counted from the
+   directory, reused from its lowest dead slot, and recorded by its first
+   insert or delete. *)
+let test_page_old_header () =
+  let page = Bytes.make 256 '\000' in
+  Page.init page ~kind:1;
+  List.iter (fun r -> ignore (Page.insert page r)) [ "aaaa"; "bbbb"; "cccc"; "dddd" ];
+  ignore (Page.delete page 1);
+  ignore (Page.delete page 3);
+  (* the header as it was written before *)
+  Bytes.set_int32_le page 12 1l;
+  check Alcotest.int "old field" 0 (Bytes.get_uint16_le page 14);
+  check Alcotest.int "kind" 1 (Page.kind page);
+  check Alcotest.int "counted" 2 (Page.dead_slots page);
+  check Alcotest.int "lowest dead slot" 1 (Page.insert page "eeee");
+  check Alcotest.int "recorded" 2 (Bytes.get_uint16_le page 14);
+  check Alcotest.int "next dead slot" 3 (Page.insert page "ffff");
+  check Alcotest.int "a new slot" 4 (Page.insert page "gggg");
+  check Alcotest.int "none dead" 0 (Page.dead_slots page);
+  (* a delete records the count too *)
+  Bytes.set_int32_le page 12 1l;
+  check Alcotest.bool "delete" true (Page.delete page 0);
+  check Alcotest.int "one dead" 1 (Page.dead_slots page);
+  check Alcotest.int "field" 2 (Bytes.get_uint16_le page 14);
+  check Alcotest.int "reused" 0 (Page.insert page "hhhh");
+  (* a replace on an old page keeps the count *)
+  Bytes.set_int32_le page 12 1l;
+  check Alcotest.bool "replace" true (Page.replace page 2 "iiiiiiii");
+  check Alcotest.int "still none dead" 0 (Page.dead_slots page);
+  List.iteri
+    (fun i r -> check (Alcotest.option Alcotest.string) "record" (Some r) (Page.read page i))
+    [ "hhhh"; "eeee"; "iiiiiiii"; "ffff"; "gggg" ]
+
+let test_page_kind_range () =
+  let page = Bytes.make 64 '\000' in
+  Page.init page ~kind:0xffff;
+  check Alcotest.int "widest kind" 0xffff (Page.kind page);
+  Alcotest.check_raises "kind past 16 bits"
+    (Invalid_argument "Page.set_kind: kind out of range") (fun () ->
+      Page.set_kind page 0x10000);
+  Alcotest.check_raises "negative kind"
+    (Invalid_argument "Page.set_kind: kind out of range") (fun () ->
+      Page.set_kind page (-1))
+
 let suite =
   [
     Alcotest.test_case "update in place" `Quick test_update_in_place;
@@ -215,4 +262,6 @@ let suite =
       test_flush_all_persists;
     Runner.qcheck prop_vtoc_roundtrip;
     Alcotest.test_case "page header fields" `Quick test_page_headers;
+    Alcotest.test_case "a page with the old header" `Quick test_page_old_header;
+    Alcotest.test_case "page kinds are 16 bits" `Quick test_page_kind_range;
   ]

@@ -46,6 +46,36 @@ let prop_value_hash_consistent =
   QCheck.Test.make ~name:"equal values hash equally" ~count:500 value_arb
     (fun v -> Value.hash v = Value.hash v)
 
+(* The hash as a plain FNV-1a loop over each kind's tag and bytes, one
+   step per byte: every placement and route is pinned to these values. *)
+let reference_hash v =
+  let prime = 0x100000001b3 in
+  let step h byte = (h lxor byte) * prime land max_int in
+  let int h x =
+    let h = ref h in
+    for shift = 0 to 7 do
+      h := step !h ((x lsr (shift * 8)) land 0xff)
+    done;
+    !h
+  in
+  let offset = Int64.to_int 0xcbf29ce484222325L land max_int in
+  match v with
+  | Value.Null -> int offset 0x6e756c6c
+  | Value.Int x -> int (int offset 1) x
+  | Value.Float x -> int (int offset 2) (Int64.to_int (Int64.bits_of_float x))
+  | Value.Str s ->
+      String.fold_left (fun h c -> step h (Char.code c)) (int offset 3) s
+
+let prop_int_hash_reference =
+  QCheck.Test.make ~name:"int hash equals the FNV reference loop" ~count:2000
+    QCheck.int
+    (fun x -> Value.hash (Value.Int x) = reference_hash (Value.Int x))
+
+let prop_value_hash_reference =
+  QCheck.Test.make ~name:"value hash equals the FNV reference loop" ~count:500
+    value_arb
+    (fun v -> Value.hash v = reference_hash v)
+
 let test_schema () =
   let s = Schema.of_names [ ("a", Value.Tint); ("b", Value.Tstr) ] in
   check Alcotest.int "arity" 2 (Schema.arity s);
@@ -349,6 +379,8 @@ let suite =
     Alcotest.test_case "value ordering" `Quick test_value_order;
     Runner.qcheck prop_value_total_order;
     Runner.qcheck prop_value_hash_consistent;
+    Runner.qcheck prop_int_hash_reference;
+    Runner.qcheck prop_value_hash_reference;
     Alcotest.test_case "schema basics" `Quick test_schema;
     Alcotest.test_case "schema concat renames" `Quick test_schema_concat_renames;
     Alcotest.test_case "tuple operations" `Quick test_tuple_ops;

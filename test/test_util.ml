@@ -20,6 +20,39 @@ let test_rng_bounds () =
     check Alcotest.bool "in range" true (x >= 0 && x < 7)
   done
 
+(* The splitmix64 stream is pinned: every seeded workload (Wisconsin's
+   permutation, hence every placement and route) follows from it. *)
+let test_rng_golden () =
+  let pin seed raw ints perm =
+    let r = Rng.create seed in
+    List.iter (fun v -> check Alcotest.int64 "raw" v (Rng.int64 r)) raw;
+    let r = Rng.create seed in
+    List.iter (fun v -> check Alcotest.int "int 1000" v (Rng.int r 1000)) ints;
+    check (Alcotest.array Alcotest.int) "permutation" perm
+      (Rng.permutation (Rng.create seed) 10)
+  in
+  pin 42L
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+      6349198060258255764L ]
+    [ 853; 72; 964; 941 ]
+    [| 6; 1; 5; 9; 0; 2; 7; 8; 4; 3 |];
+  pin 7L
+    [ 7191089600892374487L; 309689372594955804L; -1830642326893942270L;
+      -7693578145408079413L ]
+    [ 621; 951; 336; 50 ]
+    [| 5; 8; 3; 4; 9; 2; 7; 0; 6; 1 |]
+
+(* A step inlined into [int] stores the state without boxing it. *)
+let test_rng_allocation () =
+  let rng = Rng.create 9L in
+  let draws = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    ignore (Sys.opaque_identity (Rng.int rng 1000))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int draws in
+  if words >= 0.01 then Alcotest.failf "%.2f minor words per Rng.int" words
+
 let test_permutation () =
   let rng = Rng.create 5L in
   let p = Rng.permutation rng 100 in
@@ -137,6 +170,8 @@ let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
+    Alcotest.test_case "rng golden stream" `Quick test_rng_golden;
+    Alcotest.test_case "rng step allocates nothing" `Quick test_rng_allocation;
     Alcotest.test_case "permutation" `Quick test_permutation;
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     Alcotest.test_case "zipf uniform" `Quick test_zipf_uniform;

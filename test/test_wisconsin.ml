@@ -16,6 +16,18 @@ let test_determinism () =
     check Alcotest.bool "same tuple" true (Tuple.equal (g1 i) (g2 i))
   done
 
+(* Every row is pinned, byte for byte: a load, a route and a placement
+   follow from them. *)
+let test_golden_rows () =
+  let g = W.generator ~seed:42L ~n:1000 () in
+  let rows = Buffer.create 150_000 in
+  for i = 0 to 999 do
+    Buffer.add_string rows (Volcano_tuple.Serial.encode_string (g i))
+  done;
+  check Alcotest.int "bytes" 146_000 (Buffer.length rows);
+  check Alcotest.string "digest" "366bd0b84ab6bf7f6c2e70bac2aa9657"
+    (Digest.to_hex (Digest.string (Buffer.contents rows)))
+
 let test_unique1_is_permutation () =
   let n = 1000 in
   let g = W.generator ~n () in
@@ -116,6 +128,7 @@ let test_skewed_generator () =
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
+    Alcotest.test_case "golden rows" `Quick test_golden_rows;
     Alcotest.test_case "unique1 is a permutation" `Quick
       test_unique1_is_permutation;
     Alcotest.test_case "derived columns" `Quick test_derived_columns;
