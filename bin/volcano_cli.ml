@@ -662,6 +662,9 @@ let create_table_cmd rows parts by remote_scan tcp =
                 (Obs.Counter.value
                    (Obs.counter obs (Printf.sprintf "net.site%d.bytes" site)))
             done;
+            Printf.printf "  sites: %d spawned, %d reused\n"
+              (Obs.Counter.value (Obs.counter obs "net.sites_spawned"))
+              (Obs.Counter.value (Obs.counter obs "net.sites_reused"));
             if List.length result = rows then 0
             else (
               Printf.eprintf "row count mismatch: expected %d\n" rows;

@@ -1,8 +1,7 @@
 (** Worker-process launcher for remote exchange.
 
-    [launch] spawns a group of worker processes, listens on a private
-    socket for them to connect back, assigns shards in accept order via
-    [Hello] frames, and wraps each connection as a
+    [launch] finds a group of worker processes — sites — hands each a
+    shard of the task in a [Hello] frame, and wraps each connection as a
     {!Volcano.Port.Transport.source} — the [connect] argument of
     [Exchange.remote_iterator].
 
@@ -11,16 +10,29 @@
     current executable with a worker-mode argument, so parent and workers
     share one binary and therefore one task vocabulary).  [socket] is a
     Unix-domain path on the default [`Unix] lane, or ["tcp:127.0.0.1:PORT"]
-    on the [`Tcp] lane — {!Worker.run} dials either form. *)
+    on the [`Tcp] lane — {!Worker.run} dials either form.
+
+    {b Site lifecycle.}  A worker serves one Hello after another on its
+    connection (see {!Worker.run}), so a site outlives its query.  The
+    launcher keeps one idle set per process, keyed by lane and argv
+    template ([command ~socket:""]).  A source whose stream ended in
+    [Eos] and was never cancelled hands its connection and process back
+    to that set at [join]; every other site — its query failed, was
+    closed early or cancelled, or hit a wire fault — is torn down and
+    reaped at [join], never reused.  [launch] takes idle sites first and
+    spawns (binding a listener) only for the shortfall, one site at a
+    time. *)
 
 type site_stats = { rows : int Atomic.t; bytes : int Atomic.t }
 
 type launched = {
   sources : Volcano.Port.Transport.source array;
-  pids : int array;  (** worker process ids (spawn order, not shard order) *)
+  pids : int array;
+      (** worker process ids in shard order: [pids.(k)] is the process
+          that serves [sources.(k)], spawned or reused *)
   address : string;
-      (** the address workers dialed: a Unix-domain path, or
-          ["tcp:127.0.0.1:PORT"] on the TCP lane *)
+      (** the address site 0 dialed when it was spawned: a Unix-domain
+          path, or ["tcp:127.0.0.1:PORT"] on the TCP lane *)
   stats : site_stats array;
       (** per-site arrival totals (records and payload bytes), indexed by
           shard; mirrored into the sink as [net.site<k>.rows] and
@@ -38,14 +50,22 @@ val launch :
   packet_size:int ->
   unit ->
   launched
-(** Spawns [workers] processes and blocks until all have connected (30s
-    accept timeout per worker).  On any setup failure — a worker that
-    never connects, an injected [Net_connect] fault — every spawned
-    process is killed and reaped, and the exception propagates (surfacing
-    as [Query_failed] at site ["net-connect"] from the exchange).
-    [faults] is threaded into every frame read/write of the returned
-    sources.  After its handshake each connection is non-blocking, so a
-    pull that finds no whole frame waits through
+(** Assigns [workers] sites, blocking until each has its Hello.  For
+    each shard in turn it takes an idle site of this lane and argv
+    template, or spawns one process, records its pid, and accepts its
+    connection (30s accept timeout) before the next: the pid is the
+    process behind that connection.  An idle site is checked first — a
+    site that died while idle is reaped and replaced — and a reused site
+    whose Hello cannot be written is replaced too.  The sink's counters
+    [net.sites_spawned] and [net.sites_reused] count both kinds.
+
+    On any setup failure — a worker that never connects, an injected
+    [Net_connect] fault (hit once per shard assignment) — every site the
+    launch took or spawned is killed and reaped, and the exception
+    propagates (surfacing as [Query_failed] at site ["net-connect"] from
+    the exchange).  [faults] is threaded into every frame read/write of
+    the returned sources.  After its handshake each connection is
+    non-blocking, so a pull that finds no whole frame waits through
     {!Volcano_sched.Sched.wait_fd}: a pool fiber pulling a stalled site
     gives its worker back.
 
@@ -56,3 +76,8 @@ val launch :
     [repartition] turns the edge into a repartitioning edge: every Hello
     is flagged and followed by the partition function, and workers answer
     with routed packets ([Transport.Routed]) instead of mergeable data. *)
+
+val release_idle : unit -> unit
+(** Closes every idle connection, then reaps its process (the worker
+    reads end of file and exits).  Runs at exit, so no idle worker
+    outlives the process that launched it. *)

@@ -134,6 +134,12 @@ let pump conn ~packet_size ~shard repartition next =
   in
   loop ()
 
+(* A worker serves one assignment after another on its one connection:
+   after a clean [Eos] it waits for the next [Hello], which names its
+   own task, shard and edge; nothing of the previous assignment is kept
+   but the connection's frame buffers.  Any other end — end of file,
+   [Cancel], a reported [Err], [EPIPE] — closes the connection, and the
+   process exits. *)
 let run ~socket ~resolve =
   (* A parent that cancelled us closes its end; a write must then raise
      EPIPE (caught below as a clean exit), not kill the process with
@@ -141,69 +147,76 @@ let run ~socket ~resolve =
   Wire.ignore_sigpipe ();
   let fd = connect socket in
   let conn = Wire.conn fd in
-  let finish () = try Unix.close fd with _ -> () in
   let report exn =
     let site, message = failure_site exn in
     try Wire.write conn Wire.Err (Wire.err ~site ~message) with _ -> ()
   in
-  let fail exn =
-    report exn;
-    finish ()
-  in
   (* Control payloads are parsed from a copy: the input buffer is reused
      by the next read. *)
   let control len = Bytes.sub (Wire.payload conn) 0 len in
+  (* [true] when the stream ended in a delivered [Eos]: the connection
+     is then free for the next Hello. *)
   let stream ~packet_size ~shard repartition next =
     match pump conn ~packet_size ~shard repartition next with
     | () -> (
         match Wire.write conn Wire.Eos Bytes.empty with
-        | () -> finish ()
-        | exception _ -> finish ())
-    | exception Exit -> finish ()
+        | () -> true
+        | exception _ -> false)
+    | exception Exit -> false
     | exception Unix.Unix_error (Unix.EPIPE, _, _) ->
         (* The parent went away mid-stream: that is a cancellation from
            our perspective, not a failure to report. *)
-        finish ()
-    | exception exn -> fail exn
+        false
+    | exception exn ->
+        report exn;
+        false
   in
-  match Wire.read conn with
-  | exception _ -> finish ()
-  | Wire.Hello, len -> (
-      match
-        let { Wire.task; shard; shards; packet_size; repartition } =
-          Wire.parse_hello (control len)
-        in
-        let repartition =
-          if not repartition then None
-          else
-            match Wire.read conn with
-            | Wire.Repartition, len ->
-                Some (Wire.parse_repartition (control len))
-            | _ -> raise (Wire.Corrupt "expected a Repartition frame")
-        in
-        (packet_size, shard, repartition, resolve ~task ~shard ~shards)
-      with
-      | exception exn ->
-          (* Take the parent's read set off the socket before closing it:
-             on TCP, closing with unread bytes resets the connection, and
-             the reset can overtake the Err frame.  The parent sends it
-             on its first pull, or closes when it walks away first. *)
-          report exn;
-          (try ignore (Wire.read conn) with _ -> ());
-          finish ()
-      | packet_size, shard, repartition, open_ -> (
-          match
-            match Wire.read conn with
-            | Wire.Narrow, len ->
-                Some (open_ (Wire.parse_narrow (control len)))
-            | Wire.Cancel, _ -> None
-            | _ -> raise (Wire.Corrupt "expected a Narrow frame")
-            | exception End_of_file -> None
-          with
-          | exception exn -> fail exn
-          | None ->
-              (* cancelled, or the parent went away, before the stream
-                 began *)
-              finish ()
-          | Some next -> stream ~packet_size ~shard repartition next))
-  | _ -> finish ()
+  (* One assignment, from its Hello's payload on; [true] to serve the
+     next one. *)
+  let assignment len =
+    match
+      let { Wire.task; shard; shards; packet_size; repartition } =
+        Wire.parse_hello (control len)
+      in
+      let repartition =
+        if not repartition then None
+        else
+          match Wire.read conn with
+          | Wire.Repartition, len -> Some (Wire.parse_repartition (control len))
+          | _ -> raise (Wire.Corrupt "expected a Repartition frame")
+      in
+      (packet_size, shard, repartition, resolve ~task ~shard ~shards)
+    with
+    | exception exn ->
+        (* Take the parent's read set off the socket before closing it:
+           on TCP, closing with unread bytes resets the connection, and
+           the reset can overtake the Err frame.  The parent sends it
+           on its first pull, or closes when it walks away first. *)
+        report exn;
+        (try ignore (Wire.read conn) with _ -> ());
+        false
+    | packet_size, shard, repartition, open_ -> (
+        match
+          match Wire.read conn with
+          | Wire.Narrow, len -> Some (open_ (Wire.parse_narrow (control len)))
+          | Wire.Cancel, _ -> None
+          | _ -> raise (Wire.Corrupt "expected a Narrow frame")
+          | exception End_of_file -> None
+        with
+        | exception exn ->
+            report exn;
+            false
+        | None ->
+            (* cancelled, or the parent went away, before the stream
+               began *)
+            false
+        | Some next -> stream ~packet_size ~shard repartition next)
+  in
+  let rec serve () =
+    match Wire.read conn with
+    | Wire.Hello, len -> if assignment len then serve ()
+    | _ -> ()
+    | exception _ -> ()
+  in
+  serve ();
+  try Unix.close fd with _ -> ()

@@ -1,14 +1,22 @@
 (** The worker-process side of remote exchange.
 
     A worker is spawned by {!Launcher.launch}, connects back over the
-    Unix-domain socket it was given, receives a [Hello] frame naming its
-    task and shard, resolves the task to a record stream, opens it with
-    the edge's read set from the [Narrow] frame that follows, and streams
-    [Data] frames (one packet of {!Volcano_tuple.Serial}-encoded records
-    each) followed by [Eos] — or an [Err] frame carrying the failure's
-    site and message, which the consumer re-raises as the selfsame
-    [Query_failed].  A [Cancel] frame (checked between packets) or a torn
-    connection ends the worker cleanly. *)
+    socket it was given, and then serves one assignment after another on
+    that connection.  Each assignment begins with a [Hello] frame naming
+    its task and shard (a repartitioning one is followed by the partition
+    function): the worker resolves the task to a record stream, opens it
+    with the edge's read set from the [Narrow] frame that follows, and
+    streams [Data] frames (one packet of {!Volcano_tuple.Serial}-encoded
+    records each) followed by [Eos] — or an [Err] frame carrying the
+    failure's site and message, which the consumer re-raises as the
+    selfsame [Query_failed].
+
+    {b Lifecycle.}  After a delivered [Eos] the worker waits for the next
+    [Hello], keeping nothing of the previous assignment: every Hello
+    resolves its own task.  It serves Hellos until its connection closes:
+    end of file, a [Cancel] frame (checked between packets, or where a
+    Hello or read set is due), a reported [Err] or [EPIPE] closes the
+    connection and returns. *)
 
 type pull = unit -> Volcano_tuple.Tuple.t option
 
@@ -26,7 +34,7 @@ val run :
     Typically: rebuild the plan the task names and hand back
     [Remote.shard_pull env ~shard ~shards plan], which slices the plan's
     leaves to [shard] of [shards] and compiles the read set into the
-    scan when the stream opens.  An exception from [resolve], from
-    opening the stream or from a pull is reported as an [Err] frame;
-    this function never raises and returns once the socket is
-    closed. *)
+    scan when the stream opens.  [resolve] runs once per Hello.  An
+    exception from [resolve], from opening the stream or from a pull is
+    reported as an [Err] frame and ends the worker; this function never
+    raises and returns once the socket is closed. *)

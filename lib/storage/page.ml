@@ -59,15 +59,14 @@ let dead_slots page =
   let d = dead_field page in
   if d > 0 then d - 1 else count_dead page
 
-let dead_space page =
-  let total = ref 0 in
+(* Every byte a compaction would free: the record area up to the
+   directory, less the live records. *)
+let total_free_space page =
+  let live = ref 0 in
   for i = 0 to n_slots page - 1 do
-    (* A dead slot stores the reclaimable length in its offset field. *)
-    if slot_len page i = 0 then total := !total + slot_off page i
+    live := !live + slot_len page i
   done;
-  !total
-
-let total_free_space page = free_space page + dead_space page
+  max 0 (dir_start page - header_size - !live)
 
 let read page i =
   if i < 0 || i >= n_slots page then None
@@ -92,8 +91,7 @@ let delete page i =
     if len = 0 then false
     else begin
       set_dead_slots page (dead_slots page + 1);
-      (* Remember the reclaimable length in the offset field. *)
-      set_slot page i ~off:len ~len:0;
+      set_slot page i ~off:0 ~len:0;
       true
     end
 
@@ -113,11 +111,6 @@ let compact page =
       Bytes.blit_string r 0 page off (String.length r);
       set_slot page i ~off ~len:(String.length r))
     staged;
-  (* Dead slots no longer hold reclaimable space. *)
-  for i = 0 to n_slots page - 1 do
-    let _, len = slot page i in
-    if len = 0 then set_slot page i ~off:0 ~len:0
-  done;
   set_free_off page !cursor
 
 (* The slot is live before and after, so the dead-slot count does not
@@ -131,7 +124,7 @@ let replace page slot_no record =
     if old_len = 0 then false
     else begin
       (* Release the old space for accounting... *)
-      set_slot page slot_no ~off:old_len ~len:0;
+      set_slot page slot_no ~off:0 ~len:0;
       if free_space page < len && total_free_space page >= len then
         (* ...compaction drops the old bytes, but success is now assured. *)
         compact page;

@@ -48,7 +48,9 @@ val free_space : bytes -> int
 (** Contiguous free bytes available for one more record plus its slot. *)
 
 val total_free_space : bytes -> int
-(** Free bytes counting dead-record space reclaimable by {!compact}. *)
+(** Every byte {!compact} would free: the record area up to the slot
+    directory, less the live records — the contiguous free bytes plus
+    every dead record and every gap a reused slot left. *)
 
 val insert : bytes -> string -> int
 (** [insert page record] places [record] and returns its slot, compacting

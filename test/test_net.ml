@@ -97,11 +97,11 @@ let worker_main ~socket =
 
 let worker_command ~socket = [| Sys.executable_name; "net-worker"; socket |]
 
-let register ?pids env =
+let register ?obs ?pids env =
   Env.set_remote_launcher env (fun ~faults ~repartition ~workers ~task
                                    ~packet_size ->
       let launched =
-        Launcher.launch ~faults
+        Launcher.launch ~faults ?obs
           ?repartition:
             (Option.map
                (fun (spec, dests) -> Repart.of_partition_spec spec ~dests)
@@ -1159,6 +1159,189 @@ let test_net_fault_sites () =
       (Fault.Net_frame, 2);
     ]
 
+(* --- the site lifecycle -------------------------------------------------- *)
+
+(* A site outlives its query: a worker serves one Hello after another,
+   and the launcher takes idle sites before it spawns.  Each test starts
+   from an empty idle set and counts spawns and reuses in its own
+   sink. *)
+
+let lifecycle_env () =
+  Launcher.release_idle ();
+  let env = Env.create ~frames:128 ~page_size:512 () in
+  let obs = Volcano_obs.Obs.create () and pids = ref [] in
+  register ~obs ~pids env;
+  (env, obs, pids)
+
+let counted obs name =
+  Volcano_obs.Obs.Counter.value (Volcano_obs.Obs.counter obs name)
+
+let spawned obs = counted obs "net.sites_spawned"
+let reused obs = counted obs "net.sites_reused"
+
+(* The process is gone: reaped, so no signal reaches it. *)
+let reaped pid =
+  match Unix.kill pid 0 with
+  | () -> false
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+
+(* Wait until a killed child has exited (a zombie, its descriptors
+   closed), without reaping it: the launcher owns the reaping. *)
+let await_exit pid =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec wait () =
+    match
+      In_channel.with_open_text (Printf.sprintf "/proc/%d/stat" pid)
+        In_channel.input_all
+    with
+    | stat when stat.[String.rindex stat ')' + 2] = 'Z' -> ()
+    | _ ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "site %d never exited" pid;
+        Unix.sleepf 0.005;
+        wait ()
+    | exception Sys_error _ -> ()
+  in
+  wait ()
+
+let expect_rows ~what expected = function
+  | Rows rows ->
+      if sorted rows <> sorted expected then
+        Alcotest.failf "%s: rows differ from the local plan's" what
+  | Raised exn -> Alcotest.failf "%s failed: %s" what (Printexc.to_string exn)
+  | Timeout -> Alcotest.failf "%s hung" what
+
+let test_sites_outlive_their_query () =
+  let env, obs, pids = lifecycle_env () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  let expected = Runner.run env (gen_plan 3000) in
+  let first = ref [] in
+  for q = 1 to 5 do
+    expect_rows ~what:(Printf.sprintf "query %d" q) expected
+      (run_with_timeout (fun () ->
+           Runner.run env (remote ~task:"gen:3000" (gen_plan 3000))));
+    if q = 1 then first := !pids
+    else
+      Alcotest.(check (list int))
+        (Printf.sprintf "query %d runs on the first query's sites" q)
+        (List.sort compare !first) (List.sort compare !pids)
+  done;
+  Alcotest.(check int) "5 queries spawn 2 sites" 2 (spawned obs);
+  Alcotest.(check int) "and reuse them 8 times" 8 (reused obs);
+  check_quiescent ~what:"sites outlive their query" env ~unjoined0 ~live0
+
+(* A reused site takes whatever the next Hello says: a merge edge over a
+   corpus plan after a repartitioning edge over a generated one. *)
+let test_reused_site_serves_another_edge () =
+  let env, obs, _ = lifecycle_env () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  expect_rows ~what:"repartitioning edge"
+    (Runner.run env (gen_plan 5000))
+    (run_with_timeout (fun () ->
+         Runner.run env (routed_plan ~workers:2 ~task:"gen:5000" 5000)));
+  let seed = 104729L and depth = 2 in
+  let serial = Test_random_plans.random_plan (Rng.create seed) depth in
+  let local =
+    Runner.run env
+      (Plan.Exchange
+         { cfg = Exchange.config ~degree:2 ~packet_size:7 (); input = serial })
+  in
+  expect_rows ~what:"merge edge on reused sites" local
+    (run_with_timeout (fun () ->
+         Runner.run env
+           (remote ~task:(Printf.sprintf "corpus:%Ld:%d" seed depth) serial)));
+  Alcotest.(check int) "spawned once" 2 (spawned obs);
+  Alcotest.(check int) "the merge edge reused both sites" 2 (reused obs);
+  check_quiescent ~what:"reused site, another edge" env ~unjoined0 ~live0
+
+(* A site that dies while idle is reaped and replaced; the next query
+   does not notice. *)
+let test_idle_site_death () =
+  let env, obs, pids = lifecycle_env () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  let plan = remote ~task:"gen:2000" (gen_plan 2000) in
+  let expected = Runner.run env (gen_plan 2000) in
+  expect_rows ~what:"first query" expected
+    (run_with_timeout (fun () -> Runner.run env plan));
+  let victim = List.hd !pids in
+  Unix.kill victim Sys.sigkill;
+  await_exit victim;
+  expect_rows ~what:"query after an idle site died" expected
+    (run_with_timeout (fun () -> Runner.run env plan));
+  Alcotest.(check bool) "the dead site was reaped" true (reaped victim);
+  Alcotest.(check bool)
+    "and not assigned" false (List.mem victim !pids);
+  Alcotest.(check int) "one replacement spawned" 3 (spawned obs);
+  Alcotest.(check int) "the live site reused" 1 (reused obs);
+  check_quiescent ~what:"idle site death" env ~unjoined0 ~live0
+
+(* [launched.pids.(k)] is the process behind source [k] on a reused
+   launch too: killing it mid-query fails the query once, at
+   [net-worker-k]. *)
+let test_killed_reused_site () =
+  let env, obs, pids = lifecycle_env () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  expect_rows ~what:"warm-up" (Runner.run env (gen_plan 100))
+    (run_with_timeout (fun () ->
+         Runner.run env (remote ~task:"gen:100" (gen_plan 100))));
+  let warm = !pids in
+  pids := [];
+  let killer =
+    Thread.create
+      (fun () ->
+        let rec await n =
+          if !pids = [] && n > 0 then begin
+            Unix.sleepf 0.01;
+            await (n - 1)
+          end
+        in
+        await 1000;
+        Unix.sleepf 0.05;
+        match !pids with
+        | [ _; pid ] -> ( try Unix.kill pid Sys.sigkill with _ -> ())
+        | _ -> ())
+      ()
+  in
+  (match
+     run_with_timeout (fun () ->
+         Runner.run env (remote ~task:"slow:100000:1" (slow_plan 100000 1)))
+   with
+  | Raised (Exchange.Query_failed { site; _ }) ->
+      Alcotest.(check string) "the killed source's site" "net-worker-1" site
+  | Raised exn ->
+      Alcotest.failf "a killed reused site surfaced as %s"
+        (Printexc.to_string exn)
+  | Rows _ -> Alcotest.fail "query succeeded despite a killed site"
+  | Timeout -> Alcotest.fail "a killed reused site hung the query");
+  Thread.join killer;
+  Alcotest.(check (list int))
+    "the slow query ran on the warm sites" (List.sort compare warm)
+    (List.sort compare !pids);
+  Alcotest.(check int) "both sites reused" 2 (reused obs);
+  List.iter
+    (fun pid -> Alcotest.(check bool) "a failed query's site is reaped" true (reaped pid))
+    !pids;
+  check_quiescent ~what:"killed reused site" env ~unjoined0 ~live0
+
+let test_release_idle () =
+  let env, _, pids = lifecycle_env () in
+  expect_rows ~what:"query" (Runner.run env (gen_plan 100))
+    (run_with_timeout (fun () ->
+         Runner.run env (remote ~workers:3 ~task:"gen:100" (gen_plan 100))));
+  let idle = !pids in
+  Alcotest.(check bool)
+    "sites wait idle" true
+    (List.for_all (fun pid -> not (reaped pid)) idle);
+  Launcher.release_idle ();
+  List.iter
+    (fun pid ->
+      Alcotest.(check bool) (Printf.sprintf "site %d reaped" pid) true (reaped pid))
+    idle
+
 (* --- planlint: the VL7xx remote pass ---------------------------------- *)
 
 let vl_codes env ?batch_size plan =
@@ -1336,6 +1519,16 @@ let suite =
     Alcotest.test_case "a worker holds only its own connection" `Slow
       test_worker_holds_only_its_connection;
     Alcotest.test_case "faults at every net site" `Slow test_net_fault_sites;
+    Alcotest.test_case "N queries spawn one group of sites" `Slow
+      test_sites_outlive_their_query;
+    Alcotest.test_case "a reused site serves another task and edge" `Slow
+      test_reused_site_serves_another_edge;
+    Alcotest.test_case "a site dead while idle is replaced" `Slow
+      test_idle_site_death;
+    Alcotest.test_case "a killed reused site fails its source once" `Slow
+      test_killed_reused_site;
+    Alcotest.test_case "release_idle reaps every idle site" `Slow
+      test_release_idle;
     Alcotest.test_case "planlint VL7xx remote pass" `Quick
       test_planlint_remote;
     Alcotest.test_case "serve: concurrent clients" `Quick

@@ -566,6 +566,88 @@ let test_killed_site_mid_scan () =
   Thread.join killer;
   Test_net.check_quiescent ~what:"killed site" env ~unjoined0 ~live0
 
+(* A site whose query did not end in a clean [Eos] is reaped at join,
+   never handed to the next query: the planted [fail] shape, an early
+   close, an injected wire fault.  Each runs on the sites a clean query
+   just left idle, so what is checked is that a reused site is not put
+   back.  A launch that fails after taking a site kills that site too. *)
+let test_no_reuse_after_failure () =
+  let rows = 2000 and parts = 2 in
+  let env, _ = make_env ~rows ~parts ~spec:"hash0" ~placement:"id" in
+  Launcher.release_idle ();
+  let obs = Obs.create () and pids = ref [] in
+  register ~obs ~pids env;
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  let reused () = Obs.Counter.value (Obs.counter obs "net.sites_reused") in
+  let scan shape =
+    remote ~workers:parts
+      ~task:(task_of ~rows ~parts ~spec:"hash0" ~placement:"id" ~shape)
+      (Plan.Scan_table_slice table)
+  in
+  let local = sorted (Runner.run env (Plan.Scan_table table)) in
+  let fail_at site hit =
+    Env.set_faults env
+      (Injector.make
+         {
+           Fault.seed = 23L;
+           rules = [ { Fault.site; trigger = Fault.At_hit hit; action = Fault.Fail } ];
+         })
+  in
+  let reaped = Test_net.reaped in
+  List.iter
+    (fun (what, plan, arm, launched, ok) ->
+      (match Test_net.run_with_timeout (fun () -> Runner.run env (scan "scan")) with
+      | Test_net.Rows rows when sorted rows = local -> ()
+      | _ -> Alcotest.failf "%s: the clean query before it failed" what);
+      let warm = !pids and reused0 = reused () in
+      pids := [];
+      arm ();
+      let outcome = Test_net.run_with_timeout (fun () -> Runner.run env plan) in
+      Env.clear_faults env;
+      (match outcome with
+      | Test_net.Raised (Exchange.Query_failed _) when not ok -> ()
+      | Test_net.Rows _ when ok -> ()
+      | Test_net.Raised exn ->
+          Alcotest.failf "%s: surfaced as %s" what (Printexc.to_string exn)
+      | Test_net.Rows _ -> Alcotest.failf "%s: the query succeeded" what
+      | Test_net.Timeout -> Alcotest.failf "%s: hung" what);
+      if launched then begin
+        Alcotest.(check int) (what ^ ": ran on reused sites") (reused0 + parts)
+          (reused ());
+        List.iter
+          (fun pid ->
+            Alcotest.(check bool) (what ^ ": its site is reaped") true (reaped pid))
+          !pids
+      end
+      else
+        Alcotest.(check int)
+          (what ^ ": the site the launch took is reaped") 1
+          (List.length (List.filter reaped warm));
+      Test_net.check_quiescent ~what env ~unjoined0 ~live0)
+    [
+      ("the fail shape", scan "fail", ignore, true, false);
+      ( "an early close",
+        Plan.Limit { count = 5; input = scan "slow" },
+        ignore,
+        true,
+        true );
+      ("a wire fault", scan "scan", (fun () -> fail_at Fault.Net_read 3), true, false);
+      ( "a launch that fails",
+        scan "scan",
+        (fun () -> fail_at Fault.Net_connect 2),
+        false,
+        false );
+    ];
+  (* The next query reuses the idle site the failed launch left, and
+     spawns one more. *)
+  pids := [];
+  (match Test_net.run_with_timeout (fun () -> Runner.run env (scan "scan")) with
+  | Test_net.Rows rows ->
+      Alcotest.(check bool) "rows after the failures" true (sorted rows = local)
+  | _ -> Alcotest.fail "the query after the failures failed");
+  Test_net.check_quiescent ~what:"no reuse after failure" env ~unjoined0 ~live0
+
 let test_tcp_frame_corruption () =
   let env, _ = make_env ~rows:2000 ~parts:2 ~spec:"hash0" ~placement:"id" in
   register ~lane:`Tcp env;
@@ -1126,6 +1208,8 @@ let suite =
       test_killed_site_mid_scan;
     Alcotest.test_case "TCP frame corruption fails at its site" `Slow
       test_tcp_frame_corruption;
+    Alcotest.test_case "a site is never reused after a failure" `Slow
+      test_no_reuse_after_failure;
     Alcotest.test_case "early close cancels a repartitioning edge" `Slow
       test_repartition_early_close;
     Alcotest.test_case "planlint VL704/VL705 placement and skew" `Quick

@@ -53,6 +53,19 @@ let test_page_delete_reuse () =
   check (Alcotest.option Alcotest.string) "new value" (Some "cccc")
     (Page.read page 0)
 
+(* A reused dead slot keeps the dead record's bytes reclaimable: the
+   free count is what a compaction frees, before and after it runs. *)
+let test_page_reused_slot_free_space () =
+  let page = fresh_page ~size:256 () in
+  ignore (Page.insert page (String.make 38 'a'));
+  ignore (Page.delete page 0);
+  check Alcotest.int "reuse" 0 (Page.insert page (String.make 12 'b'));
+  let expected = 256 - Page.header_size - Page.slot_size - 12 in
+  check Alcotest.int "free before compaction" expected
+    (Page.total_free_space page);
+  Page.compact page;
+  check Alcotest.int "free after compaction" expected (Page.total_free_space page)
+
 let test_page_fill_and_compact () =
   let page = fresh_page ~size:256 () in
   (* Fill the page with records, then delete every other one and verify the
@@ -102,12 +115,11 @@ let record step n = String.init n (fun k -> Char.chr (97 + ((step + k) mod 26)))
 
 (* The model is the slot directory as a list of [Some record] (live) or
    [None] (dead).  An insert takes the lowest dead slot, else a new one.
-   Whether a record fits is read off the page the way the directory
-   scan reads it: the contiguous free bytes plus each dead slot's
-   reclaimable length (kept in its offset field), summed here slot by
-   slot.  After every step the records, the dead-slot count and its
-   header field (bytes 14..15, the count + 1) agree with the model, and
-   [total_free_space] with the scan's sum. *)
+   Whether a record fits is counted from the model's live records: the
+   page less its header, its directory and those records is what a
+   compaction would free.  After every step the records, the dead-slot
+   count and its header field (bytes 14..15, the count + 1) agree with
+   the model, and [total_free_space] with that count. *)
 let prop_page_model =
   QCheck.Test.make ~name:"slotted page behaves like a model" ~count:300
     QCheck.(
@@ -118,11 +130,11 @@ let prop_page_model =
       let page = fresh_page ~size:256 () in
       let model = ref [||] in
       let reclaimable () =
-        let total = ref (Page.free_space page) in
-        for i = 0 to Page.n_slots page - 1 do
-          if Page.slot_len page i = 0 then total := !total + Page.slot_off page i
-        done;
-        !total
+        Array.fold_left
+          (fun free r ->
+            match r with Some r -> free - String.length r | None -> free)
+          (256 - Page.header_size - (Page.slot_size * Array.length !model))
+          !model
       in
       let dead () =
         Array.fold_left (fun acc r -> if r = None then acc + 1 else acc) 0 !model
@@ -179,7 +191,7 @@ let prop_page_model =
             fail "step %d: header field %d for %d dead slots" step
               (Bytes.get_uint16_le page 14) (dead ());
           if Page.total_free_space page <> reclaimable () then
-            fail "step %d: %d free, the scan sums %d" step
+            fail "step %d: %d free, the live records leave %d" step
               (Page.total_free_space page) (reclaimable ()))
         ops;
       true)
@@ -745,6 +757,7 @@ let suite =
     Alcotest.test_case "page delete and slot reuse" `Quick test_page_delete_reuse;
     Alcotest.test_case "page fill and compact" `Quick test_page_fill_and_compact;
     Runner.qcheck prop_page_model;
+    Alcotest.test_case "a reused slot's gap stays free" `Quick test_page_reused_slot_free_space;
     Alcotest.test_case "bitmap allocate/free" `Quick test_bitmap;
     Alcotest.test_case "bitmap roundtrip" `Quick test_bitmap_roundtrip;
     Alcotest.test_case "real device io" `Quick test_real_device_io;
