@@ -662,9 +662,10 @@ let create_table_cmd rows parts by remote_scan tcp =
                 (Obs.Counter.value
                    (Obs.counter obs (Printf.sprintf "net.site%d.bytes" site)))
             done;
-            Printf.printf "  sites: %d spawned, %d reused\n"
+            Printf.printf "  sites: %d spawned, %d reused, %d kept\n"
               (Obs.Counter.value (Obs.counter obs "net.sites_spawned"))
-              (Obs.Counter.value (Obs.counter obs "net.sites_reused"));
+              (Obs.Counter.value (Obs.counter obs "net.sites_reused"))
+              (Obs.Counter.value (Obs.counter obs "net.sites_kept"));
             if List.length result = rows then 0
             else (
               Printf.eprintf "row count mismatch: expected %d\n" rows;
@@ -713,28 +714,15 @@ let with_client socket f =
   let c = Serve.Client.connect ~socket in
   Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
 
-(* SIGPIPE is ignored for the socket's sake, so `query ... | head`
-   surfaces as Sys_error on stdout — the consumer closed; done. *)
 let print_rows ?elapsed rows limit =
-  try
-    (match elapsed with
-    | Some t -> Printf.printf "%d rows in %.3f s\n" (List.length rows) t
-    | None -> Printf.printf "%d rows\n" (List.length rows));
-    List.iteri
-      (fun i t -> if i < limit then print_endline (Tuple.to_string t))
-      rows;
-    if List.length rows > limit then
-      Printf.printf "... (%d more rows; use --limit)\n"
-        (List.length rows - limit)
-  with Sys_error _ -> (
-    (* Point the dirty stdout buffer at /dev/null so the at_exit
-       flush cannot raise a second time. *)
-    try
-      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-      Unix.dup2 null Unix.stdout;
-      Unix.close null;
-      flush stdout
-    with _ -> ())
+  (match elapsed with
+  | Some t -> Printf.printf "%d rows in %.3f s\n" (List.length rows) t
+  | None -> Printf.printf "%d rows\n" (List.length rows));
+  List.iteri
+    (fun i t -> if i < limit then print_endline (Tuple.to_string t))
+    rows;
+  if List.length rows > limit then
+    Printf.printf "... (%d more rows; use --limit)\n" (List.length rows - limit)
 
 (* One request shape, two transports: by default the statement runs
    in-process through the Session front door; --socket hands the same
@@ -1200,9 +1188,32 @@ let cmds =
       net_worker_term;
   ]
 
+(* SIGPIPE is ignored for the sockets' sake ([Wire.ignore_sigpipe]), so
+   a reader that closed stdout early (`run ... | head`) surfaces as a
+   broken-pipe [Sys_error] on the next flush, at the latest the one
+   below, before [exit].  The reader has what it wanted: point stdout at
+   /dev/null, so the at_exit flush of what is still buffered cannot
+   raise again, and end quietly.  Any other exception is reported as
+   cmdliner reports one (exit 125). *)
 let () =
   let info =
     Cmd.info "volcano" ~version:"1.0.0"
       ~doc:"Volcano query processing system — exchange-operator reproduction"
   in
-  exit (Cmd.eval' (Cmd.group info cmds))
+  exit
+    (match
+       let code = Cmd.eval' ~catch:false (Cmd.group info cmds) in
+       Format.print_flush ();
+       code
+     with
+    | code -> code
+    | exception Sys_error message when message = Unix.error_message Unix.EPIPE
+      ->
+        let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        Unix.dup2 null Unix.stdout;
+        Unix.close null;
+        Cmd.Exit.ok
+    | exception exn ->
+        Printf.eprintf "volcano: internal error, uncaught exception:\n  %s\n%!"
+          (Printexc.to_string exn);
+        Cmd.Exit.internal_error)

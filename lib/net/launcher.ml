@@ -43,11 +43,18 @@ let rec waitpid_quiet pid =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_quiet pid
   | exception _ -> ()
 
+(* What a worker keeps between queries: the [(task, shard, shards)] of
+   its last assignment (see {!Worker.run}). *)
+type assignment = string * int * int
+
 (* A site: a worker process and its connection to this process. *)
 type site = {
   fd : Unix.file_descr;
   pid : int;
   dialed : string;  (** the address the process dialed when it was spawned *)
+  holds : assignment option;
+      (** its last clean assignment, which the worker still holds; [None]
+          until a stream of it ends in [Eos] *)
 }
 
 (* Close the connection, then wait for the process: a worker reads end
@@ -231,10 +238,12 @@ let bind_listener lane =
 
    A site is a worker process and its connection to this process.  A
    site whose stream ended in [Eos], and was never cancelled, waits for
-   its next Hello; its source's [join] hands it back here instead of
-   reaping it, and [launch] takes it before it spawns.  Sites are kept
-   per lane and argv template ([command ~socket:""]), so a launch only
-   ever reuses a process it would have spawned itself. *)
+   its next Hello; its source's [join] hands it back here, recording the
+   assignment it just served, instead of reaping it, and [launch] takes
+   it before it spawns.  Sites are kept per lane and argv template
+   ([command ~socket:""]), so a launch only ever reuses a process it
+   would have spawned itself.  Within a set, a shard goes to the site
+   that holds it when there is one: the worker then skips its load. *)
 
 let idle : ([ `Unix | `Tcp ] * string array, site list) Hashtbl.t =
   Hashtbl.create 4
@@ -245,13 +254,17 @@ let with_idle f =
   Mutex.lock idle_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock idle_lock) f
 
-let take_idle key =
+let take_idle key assignment =
   with_idle (fun () ->
       match Hashtbl.find_opt idle key with
-      | Some (site :: rest) ->
-          Hashtbl.replace idle key rest;
-          Some site
-      | Some [] | None -> None)
+      | None | Some [] -> None
+      | Some (first :: _ as sites) ->
+          let site =
+            Option.value ~default:first
+              (List.find_opt (fun site -> site.holds = Some assignment) sites)
+          in
+          Hashtbl.replace idle key (List.filter (( != ) site) sites);
+          Some site)
 
 let put_idle key site =
   with_idle (fun () ->
@@ -283,7 +296,8 @@ let launch ?(faults = Injector.none) ?(lane = `Unix) ?repartition
   if workers < 1 then invalid_arg "Launcher.launch: workers must be positive";
   let key = (lane, command ~socket:"") in
   let spawned_c = Obs.counter obs "net.sites_spawned"
-  and reused_c = Obs.counter obs "net.sites_reused" in
+  and reused_c = Obs.counter obs "net.sites_reused"
+  and kept_c = Obs.counter obs "net.sites_kept" in
   (* Bound on the first spawn only: a launch served by idle sites binds
      nothing. *)
   let listener = ref None in
@@ -347,11 +361,12 @@ let launch ?(faults = Injector.none) ?(lane = `Unix) ?repartition
         (match lane with
         | `Tcp -> ( try Unix.setsockopt conn Unix.TCP_NODELAY true with _ -> ())
         | `Unix -> ());
-        hold { fd = conn; pid; dialed = address }
+        hold { fd = conn; pid; dialed = address; holds = None }
   in
-  (* An idle site that still waits for a Hello, else a fresh one. *)
+  (* An idle site that still waits for a Hello — the one that holds
+     this shard if there is one — else a fresh one. *)
   let rec take shard =
-    match take_idle key with
+    match take_idle key (task, shard, workers) with
     | None -> (spawn shard, false)
     | Some site when alive site -> (hold site, true)
     | Some site ->
@@ -373,6 +388,8 @@ let launch ?(faults = Injector.none) ?(lane = `Unix) ?repartition
     match hello conn shard with
     | () ->
         if reused then Obs.Counter.incr reused_c;
+        if site.holds = Some (task, shard, workers) then
+          Obs.Counter.incr kept_c;
         (* From here on the connection is read by a feeder fiber: a read
            that would block suspends the fiber instead of holding its
            pool worker. *)
@@ -409,7 +426,9 @@ let launch ?(faults = Injector.none) ?(lane = `Unix) ?repartition
             source_of ~packet_size
               ~dests:(Option.map (fun r -> r.Wire.dests) repartition)
               ~rank ~stats:stats.(rank) ~rows_c ~bytes_c
-              ~release:(put_idle key) site conn)
+              ~release:(fun site ->
+                put_idle key { site with holds = Some (task, rank, workers) })
+              site conn)
           assigned;
       pids = Array.map (fun (site, _) -> site.pid) assigned;
       address = (fst assigned.(0)).dialed;

@@ -21,7 +21,14 @@
     closed early or cancelled, or hit a wire fault — is torn down and
     reaped at [join], never reused.  [launch] takes idle sites first and
     spawns (binding a listener) only for the shortfall, one site at a
-    time. *)
+    time.
+
+    {b Shard affinity.}  An idle site records the [(task, shard, shards)]
+    of the assignment its last stream served; its worker still holds that
+    load (see {!Worker.run}).  For each shard [launch] first takes an
+    idle site whose record matches the shard it assigns, then any idle
+    site, then spawns — so a query that repeats the last one hands every
+    site the shard it already holds, and no site loads again. *)
 
 type site_stats = { rows : int Atomic.t; bytes : int Atomic.t }
 
@@ -57,7 +64,8 @@ val launch :
     process behind that connection.  An idle site is checked first — a
     site that died while idle is reaped and replaced — and a reused site
     whose Hello cannot be written is replaced too.  The sink's counters
-    [net.sites_spawned] and [net.sites_reused] count both kinds.
+    [net.sites_spawned] and [net.sites_reused] count both kinds, and
+    [net.sites_kept] counts the reused sites handed the shard they hold.
 
     On any setup failure — a worker that never connects, an injected
     [Net_connect] fault (hit once per shard assignment) — every site the

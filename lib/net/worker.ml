@@ -100,10 +100,11 @@ let pump conn ~packet_size ~shard repartition next =
         (1, (fun _ -> 0), fun _ shell -> Codec.send conn shell)
     | Some { Wire.dests; spec } ->
         (* Repartition mode: one shell per destination, each flushed as a
-           routed frame [u16 dest | packet bytes]. *)
-        let route = Repart.route spec ~dests in
+           routed frame [u16 dest | packet bytes].  [route] answers in
+           [0, dests); the parent still rejects a frame routed past its
+           last consumer. *)
         ( dests,
-          (fun tuple -> ((route tuple mod dests) + dests) mod dests),
+          Repart.route spec ~dests,
           fun dest shell -> Codec.send conn ~dest shell )
   in
   let shells =
@@ -136,10 +137,14 @@ let pump conn ~packet_size ~shard repartition next =
 
 (* A worker serves one assignment after another on its one connection:
    after a clean [Eos] it waits for the next [Hello], which names its
-   own task, shard and edge; nothing of the previous assignment is kept
-   but the connection's frame buffers.  Any other end — end of file,
-   [Cancel], a reported [Err], [EPIPE] — closes the connection, and the
-   process exits. *)
+   own task, shard and edge.  It keeps the last assignment it resolved —
+   its [(task, shard, shards)] and the opener [resolve] returned — so a
+   Hello naming the same triple reopens the kept opener with the new
+   read set instead of loading again; any other Hello drops it before
+   resolving, so a site never holds two loads.  The packet size and the
+   edge always come from the Hello's own frames.  Any other end — end of
+   file, [Cancel], a reported [Err], [EPIPE] — closes the connection,
+   and the process exits. *)
 let run ~socket ~resolve =
   (* A parent that cancelled us closes its end; a write must then raise
      EPIPE (caught below as a clean exit), not kill the process with
@@ -171,6 +176,16 @@ let run ~socket ~resolve =
         report exn;
         false
   in
+  let kept = ref None in
+  let opener ~task ~shard ~shards =
+    match !kept with
+    | Some (key, open_) when key = (task, shard, shards) -> open_
+    | _ ->
+        kept := None;
+        let open_ = resolve ~task ~shard ~shards in
+        kept := Some ((task, shard, shards), open_);
+        open_
+  in
   (* One assignment, from its Hello's payload on; [true] to serve the
      next one. *)
   let assignment len =
@@ -185,7 +200,7 @@ let run ~socket ~resolve =
           | Wire.Repartition, len -> Some (Wire.parse_repartition (control len))
           | _ -> raise (Wire.Corrupt "expected a Repartition frame")
       in
-      (packet_size, shard, repartition, resolve ~task ~shard ~shards)
+      (packet_size, shard, repartition, opener ~task ~shard ~shards)
     with
     | exception exn ->
         (* Take the parent's read set off the socket before closing it:

@@ -12,11 +12,16 @@
     selfsame [Query_failed].
 
     {b Lifecycle.}  After a delivered [Eos] the worker waits for the next
-    [Hello], keeping nothing of the previous assignment: every Hello
-    resolves its own task.  It serves Hellos until its connection closes:
-    end of file, a [Cancel] frame (checked between packets, or where a
-    Hello or read set is due), a reported [Err] or [EPIPE] closes the
-    connection and returns. *)
+    [Hello].  It keeps one assignment: the [(task, shard, shards)] it last
+    resolved and the opener [resolve] returned for it.  A Hello naming
+    the same triple skips [resolve] and applies the kept opener to its
+    own read set, so a site pays its load once; its packet size and edge
+    (merge or repartitioning, and the partition function) come from its
+    own frames.  Any other Hello drops the kept assignment before it
+    resolves, so a site never holds two loads.  It serves Hellos until
+    its connection closes: end of file, a [Cancel] frame (checked between
+    packets, or where a Hello or read set is due), a reported [Err] or
+    [EPIPE] closes the connection and returns. *)
 
 type pull = unit -> Volcano_tuple.Tuple.t option
 
@@ -34,7 +39,14 @@ val run :
     Typically: rebuild the plan the task names and hand back
     [Remote.shard_pull env ~shard ~shards plan], which slices the plan's
     leaves to [shard] of [shards] and compiles the read set into the
-    scan when the stream opens.  [resolve] runs once per Hello.  An
-    exception from [resolve], from opening the stream or from a pull is
-    reported as an [Err] frame and ends the worker; this function never
-    raises and returns once the socket is closed. *)
+    scan when the stream opens.
+
+    Since a site keeps its last assignment, [resolve] must be a function
+    of [(task, shard, shards)] alone — derive the rows from the task
+    string (a seeded generator, say), never from state that can change
+    between two Hellos — and its opener must reopen the same records on
+    each application: each application is one query's stream, opened
+    after the previous one ended.  An exception from [resolve], from
+    opening the stream or from a pull is reported as an [Err] frame and
+    ends the worker; this function never raises and returns once the
+    socket is closed. *)

@@ -74,10 +74,24 @@ let parse_task task =
   | [ "slow"; n; ms ] -> slow_plan (int_of_string n) (int_of_string ms)
   | _ -> failwith ("unknown test task " ^ task)
 
+(* A stream of one row, built when the stream opens: an opener must
+   reopen its records on each application (a site keeps its last
+   assignment). *)
+let one_row ints =
+  let row = ref (Some (Tuple.of_ints ints)) in
+  fun () ->
+    let r = !row in
+    row := None;
+    r
+
+(* How many times this worker process has run [resolve]. *)
+let resolves = ref 0
+
 (* Worker-process main: [main.ml] dispatches here when argv says
    net-worker, before Alcotest parses anything. *)
 let worker_main ~socket =
   Volcano_net.Worker.run ~socket ~resolve:(fun ~task ~shard ~shards ->
+      incr resolves;
       match String.split_on_char ':' task with
       | [ "fail"; msg ] -> failwith msg
       | [ "die" ] ->
@@ -86,11 +100,15 @@ let worker_main ~socket =
           assert false
       | [ "fds" ] ->
           (* one row: how many sockets this worker inherited or made *)
-          let row = ref (Some (Tuple.of_ints [ open_sockets () ])) in
-          fun _read_set () ->
-            let r = !row in
-            row := None;
-            r
+          fun _read_set -> one_row [ open_sockets () ]
+      | [ "count"; fail_at ] ->
+          (* one row: this process's resolves, and which application of
+             this opener the stream is; application [fail_at] fails *)
+          let fail_at = int_of_string fail_at and applied = ref 0 in
+          fun _read_set ->
+            incr applied;
+            if !applied = fail_at then failwith "planted failure on a kept site";
+            one_row [ !resolves; !applied ]
       | _ ->
           let env = Env.create ~frames:128 ~page_size:512 () in
           Remote.shard_pull env ~shard ~shards (parse_task task))
@@ -1342,6 +1360,167 @@ let test_release_idle () =
       Alcotest.(check bool) (Printf.sprintf "site %d reaped" pid) true (reaped pid))
     idle
 
+(* --- a site keeps its load --------------------------------------------- *)
+
+(* A worker keeps its last assignment, and the launcher hands each idle
+   site the shard it holds: a query that repeats the last one runs no
+   [resolve] at all.  The [count] task's row reports how many times its
+   process has resolved and which application of the kept opener the
+   stream is. *)
+
+let kept obs = counted obs "net.sites_kept"
+
+let count_plan ?(fail_at = 0) () =
+  remote
+    ~task:(Printf.sprintf "count:%d" fail_at)
+    (Plan.Generate_slice
+       { arity = 2; count = 2; gen = (fun i -> Tuple.of_ints [ i; i ]) })
+
+let counts ~resolves ~applied =
+  [ Tuple.of_ints [ resolves; applied ]; Tuple.of_ints [ resolves; applied ] ]
+
+let test_site_keeps_its_load () =
+  let env, obs, _ = lifecycle_env () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  for q = 1 to 5 do
+    expect_rows
+      ~what:(Printf.sprintf "query %d resolves once, applies %d times" q q)
+      (counts ~resolves:1 ~applied:q)
+      (run_with_timeout (fun () -> Runner.run env (count_plan ())))
+  done;
+  Alcotest.(check int) "every reuse kept its load" 8 (kept obs);
+  check_quiescent ~what:"a site keeps its load" env ~unjoined0 ~live0
+
+let test_shard_affinity () =
+  let env, obs, pids = lifecycle_env () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  let expected = Runner.run env (gen_plan 3000) in
+  let first = ref [] in
+  for q = 1 to 5 do
+    expect_rows ~what:(Printf.sprintf "query %d" q) expected
+      (run_with_timeout (fun () ->
+           Runner.run env (remote ~task:"gen:3000" (gen_plan 3000))));
+    if q = 1 then first := !pids
+    else
+      Alcotest.(check (list int))
+        (Printf.sprintf "query %d: each shard on the site that holds it" q)
+        !first !pids
+  done;
+  Alcotest.(check int) "5 queries spawn 2 sites" 2 (spawned obs);
+  Alcotest.(check int) "every reuse is kept" 8 (kept obs);
+  check_quiescent ~what:"shard affinity" env ~unjoined0 ~live0
+
+(* A kept site loads again when its Hello names another task or another
+   shard count, in either direction. *)
+let test_kept_site_reresolves () =
+  let env, obs, _ = lifecycle_env () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  let query ~what ~workers n =
+    expect_rows ~what
+      (Runner.run env (gen_plan n))
+      (run_with_timeout (fun () ->
+           Runner.run env
+             (remote ~workers ~task:(Printf.sprintf "gen:%d" n) (gen_plan n))))
+  in
+  query ~what:"task A" ~workers:2 3000;
+  query ~what:"task B" ~workers:2 2000;
+  query ~what:"task A again" ~workers:2 3000;
+  query ~what:"task A on 3 shards" ~workers:3 3000;
+  query ~what:"task A back on 2 shards" ~workers:2 3000;
+  Alcotest.(check int) "one site spawned for the third shard" 3 (spawned obs);
+  Alcotest.(check int) "every launch reused its idle sites" 8 (reused obs);
+  Alcotest.(check int) "no assignment repeated the last one" 0 (kept obs);
+  check_quiescent ~what:"kept site re-resolves" env ~unjoined0 ~live0
+
+(* The Hello's edge and the Narrow frame's read set are the query's own,
+   whatever the site keeps. *)
+let test_kept_site_takes_new_edge () =
+  let env, obs, _ = lifecycle_env () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  let task = "gen:5000" and n = 5000 in
+  expect_rows ~what:"merge edge"
+    (Runner.run env (gen_plan n))
+    (run_with_timeout (fun () -> Runner.run env (remote ~task (gen_plan n))));
+  expect_rows ~what:"repartitioning edge on kept sites"
+    (Runner.run env (gen_plan n))
+    (run_with_timeout (fun () ->
+         Runner.run env (routed_plan ~workers:2 ~task n)));
+  let narrowed input = Plan.Project_cols { cols = [ 1 ]; input } in
+  expect_rows ~what:"narrowed edge on kept sites"
+    (Runner.run env (narrowed (gen_plan n)))
+    (run_with_timeout (fun () ->
+         Runner.run env (narrowed (remote ~task (gen_plan n)))));
+  Alcotest.(check int) "both later launches kept both sites" 4 (kept obs);
+  check_quiescent ~what:"kept site, new edge" env ~unjoined0 ~live0
+
+(* A kept opener that fails fails its query once; its site is reaped,
+   and the next query spawns sites that load afresh. *)
+let test_kept_site_failure () =
+  let env, obs, pids = lifecycle_env () in
+  let unjoined0 = Exchange.unjoined_tasks () in
+  let live0 = Exchange.live_tasks () in
+  let plan = count_plan ~fail_at:2 () in
+  expect_rows ~what:"first run" (counts ~resolves:1 ~applied:1)
+    (run_with_timeout (fun () -> Runner.run env plan));
+  let warm = !pids in
+  (match run_with_timeout (fun () -> Runner.run env plan) with
+  | Raised (Exchange.Query_failed _) -> ()
+  | Raised exn ->
+      Alcotest.failf "a kept site's failure surfaced as %s"
+        (Printexc.to_string exn)
+  | Rows _ -> Alcotest.fail "the kept opener's planted failure never ran"
+  | Timeout -> Alcotest.fail "a kept site's failure hung the query");
+  Alcotest.(check int) "the failed run was on kept sites" 2 (kept obs);
+  List.iter
+    (fun pid ->
+      Alcotest.(check bool)
+        (Printf.sprintf "failed site %d reaped" pid)
+        true (reaped pid))
+    warm;
+  expect_rows ~what:"next run" (counts ~resolves:1 ~applied:1)
+    (run_with_timeout (fun () -> Runner.run env plan));
+  Alcotest.(check bool)
+    "on fresh sites" true
+    (List.for_all (fun pid -> not (List.mem pid warm)) !pids);
+  Alcotest.(check int) "spawned twice over" 4 (spawned obs);
+  check_quiescent ~what:"kept site failure" env ~unjoined0 ~live0
+
+(* --- the CLI into a closed pipe ------------------------------------------ *)
+
+(* The CLI, which the suite runs from its build directory (test/dune
+   depends on it). *)
+let cli = "../bin/volcano_cli.exe"
+
+(* A launch ignores SIGPIPE for its sockets' sake, so a CLI whose stdout
+   reader is gone sees a broken pipe on its next flush; it must end
+   quietly, not die of an uncaught [Sys_error].  The pipe's read end is
+   closed before the CLI starts, so its first flush fails, and the CLI
+   starts with SIGPIPE at its default, as from a shell. *)
+let test_cli_closed_stdout () =
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  Unix.close out_r;
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    let previous = Sys.signal Sys.sigpipe Sys.Signal_default in
+    Fun.protect
+      ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous)
+      (fun () ->
+        Unix.create_process cli
+          [| cli; "run"; "remote-scan"; "--rows"; "5000"; "--degree"; "2" |]
+          Unix.stdin out_w err_w)
+  in
+  Unix.close out_w;
+  Unix.close err_w;
+  let err = In_channel.input_all (Unix.in_channel_of_descr err_r) in
+  Unix.close err_r;
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check string) "nothing on stderr" "" err;
+  Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0)
+
 (* --- planlint: the VL7xx remote pass ---------------------------------- *)
 
 let vl_codes env ?batch_size plan =
@@ -1529,6 +1708,18 @@ let suite =
       test_killed_reused_site;
     Alcotest.test_case "release_idle reaps every idle site" `Slow
       test_release_idle;
+    Alcotest.test_case "a site keeps its load across queries" `Slow
+      test_site_keeps_its_load;
+    Alcotest.test_case "each shard returns to the site that holds it" `Slow
+      test_shard_affinity;
+    Alcotest.test_case "a kept site re-resolves a new task or shard count"
+      `Slow test_kept_site_reresolves;
+    Alcotest.test_case "a kept assignment takes its new edge and read set"
+      `Slow test_kept_site_takes_new_edge;
+    Alcotest.test_case "a kept site that fails is reaped, the next re-resolves"
+      `Slow test_kept_site_failure;
+    Alcotest.test_case "a CLI whose stdout reader is gone ends quietly" `Slow
+      test_cli_closed_stdout;
     Alcotest.test_case "planlint VL7xx remote pass" `Quick
       test_planlint_remote;
     Alcotest.test_case "serve: concurrent clients" `Quick

@@ -1019,6 +1019,57 @@ let test_site_allocates_read_set () =
   if words >= 16.0 then
     Alcotest.failf "%.1f minor words per record; the read set is not decoded at the scan" words
 
+(* A site keeps its opener and applies it once per query: each
+   application compiles, opens and drains a fresh iterator, and must
+   leave the site's env as it found it — no workspace page a sort run
+   took, no frame a scan, sort or aggregate fixed. *)
+let test_reopened_stream_env () =
+  let rows = 8000 and shards = 2 in
+  let env = Env.create ~frames:64 () in
+  Env.set_sort_run_capacity env 64;
+  ignore
+    (Partition.load_site env ~table ~schema:W.schema
+       ~spec:(Partition.hash_spec [ W.column "unique1" ])
+       ~parts:shards ~site:0 ~count:rows ~gen:(W.generator ~n:rows ()) ());
+  let plan =
+    Plan.Sort
+      {
+        key = [ (1, Volcano_tuple.Support.Desc); (0, Volcano_tuple.Support.Asc) ];
+        input =
+          Plan.Aggregate
+            {
+              algo = Plan.Sort_based;
+              group_by = [ W.column "one_percent" ];
+              aggs = [ Agg.Count ];
+              input = Plan.Scan_table_slice table;
+            };
+      }
+  in
+  let open_ = Remote.shard_pull env ~shard:0 ~shards plan in
+  let drain next =
+    let rec go acc = match next () with Some t -> go (t :: acc) | None -> List.rev acc in
+    go []
+  in
+  let pages () = Volcano_storage.Device.allocated_pages (Env.workspace env) in
+  let loaded = pages () in
+  let next = open_ None in
+  let head = Option.get (next ()) in
+  if pages () <= loaded then
+    Alcotest.fail "the sorts spilled no run: the check below would be idle";
+  let first = head :: drain next in
+  Alcotest.(check int) "a group per one_percent value" 100 (List.length first);
+  for k = 1 to 20 do
+    if drain (open_ None) <> first then
+      Alcotest.failf "application %d returned other rows" (k + 1);
+    Alcotest.(check int)
+      (Printf.sprintf "application %d: workspace pages" (k + 1))
+      loaded (pages ());
+    Alcotest.(check int)
+      (Printf.sprintf "application %d: pinned frames" (k + 1))
+      0
+      (Volcano_storage.Bufpool.leaked_fixes (Env.buffer env))
+  done
+
 (* A site's per-query load generates every row and keeps its share:
    the rows share their small values, the rng steps unboxed, and the
    kept half is encoded into one scratch buffer and copied onto pages.
@@ -1218,6 +1269,8 @@ let suite =
       test_narrowed_differentials;
     Alcotest.test_case "the site allocates only the read set" `Quick
       test_site_allocates_read_set;
+    Alcotest.test_case "a re-opened shard stream leaves its env as it found it"
+      `Quick test_reopened_stream_env;
     Alcotest.test_case "a site's load allocates under 40 words a row" `Quick
       test_load_site_allocation;
     Alcotest.test_case "a join narrows the edge below it" `Slow
