@@ -9,9 +9,9 @@ module Sched = Volcano_sched.Sched
 
    - flow control on: the lane is a bounded SPSC ring whose capacity IS
      the flow-control slack.  The uncontended send is one try_push (two
-     atomics), with no semaphore and no mutex; a full ring makes the
-     sender spin briefly, then park until the consumer frees a slot or
-     the port shuts down.
+     atomics), with no semaphore and no mutex; a full ring parks the
+     sender at once until the consumer frees a slot or the port shuts
+     down.
 
    - flow control off: producers must be able to run unboundedly ahead
      (the no-fork interchange relies on this: each process is both
@@ -27,12 +27,15 @@ module Sched = Volcano_sched.Sched
    after the push (both seq_cst), the classic Dekker handshake that makes
    a lost wakeup impossible.
 
-   Parking is Sched.suspend: a pool fiber yields its worker, any other
+   A blocked side never busy-waits: it parks at once through
+   Sched.suspend, where a pool fiber yields its worker and any other
    caller blocks on a gate made for that wait.  Either way the parked
    side leaves an idempotent waker in the lane's or sink's parked slot,
    registered under the slot's lock with the flag-up-then-recheck
    handshake, and every path that frees a slot, delivers a packet or
-   shuts the port down drains that slot. *)
+   shuts the port down drains that slot.  A parked producer is woken on
+   every slot its consumer frees, so the pipeline stays as full as the
+   ring allows. *)
 
 type lane = {
   ring : Packet.t Spsc.t option; (* Some = bounded (flow-controlled) *)
@@ -71,22 +74,6 @@ type t = {
   stall_ns : int Atomic.t; (* time blocked there; updated when [timed] *)
   timed : bool; (* profiling on: clock the full-ring waits *)
 }
-
-(* Parking is the slow path; before taking it, a blocked side burns a
-   short bounded spin in case the peer is actively draining/filling on
-   another core.  On a single-core host the peer cannot run while we
-   spin, so spinning is pure waste — park immediately. *)
-let spin_budget = if Domain.recommended_domain_count () > 1 then 150 else 0
-
-(* With real parallelism a parked producer is woken the moment a slot
-   frees, keeping the pipeline as full as the ring allows.  On a single
-   core the woken producer cannot run until the consumer yields anyway,
-   so per-slot wakeups cost a futex round trip per packet for nothing:
-   wake only when the lane drains, and the producer refills a whole ring
-   per wakeup.  (Deadlock-free either way: the consumer never parks
-   while any of its lanes holds a packet, so a full lane is always
-   drained to empty eventually.) *)
-let eager_wake = Domain.recommended_domain_count () > 1
 
 let make_lane flow_slack =
   {
@@ -172,27 +159,18 @@ let lane_occupied lane =
 
 let ring_has_space ring = Spsc.length ring < Spsc.capacity ring
 
-(* Full ring: spin briefly, then park.  The waiting flag goes up with
-   the waker in [parked_producer], then the ring (and shutdown) is
-   re-checked, so the consumer's pop-then-wake cannot slip between our
-   check and our sleep.  Returns false iff the port shut down before a
-   slot freed (the packet is dropped, as post-shutdown sends are). *)
+(* Full ring: park.  The waiting flag goes up with the waker in
+   [parked_producer], then the ring (and shutdown) is re-checked, so the
+   consumer's pop-then-wake cannot slip between our check and our sleep.
+   The [Sched_park] fault site fires once, before the first suspend.
+   Returns false iff the port shut down before a slot freed (the packet
+   is dropped, as post-shutdown sends are). *)
 let push_parking t lane ring packet =
-  let rec spin budget =
-    if Spsc.try_push ring packet then true
-    else if Atomic.get t.shut then false
-    else if budget = 0 then begin
-      Injector.hit t.faults Volcano_fault.Sched_park;
-      park ()
-    end
-    else begin
-      Domain.cpu_relax ();
-      spin (budget - 1)
-    end
-  and park () =
+  let rec park first =
     if Spsc.try_push ring packet then true
     else if Atomic.get t.shut then false
     else begin
+      if first then Injector.hit t.faults Volcano_fault.Sched_park;
       Sched.suspend (fun wake ->
           Mutex.lock lane.q_lock;
           lane.parked_producer <- Some wake;
@@ -206,10 +184,10 @@ let push_parking t lane ring packet =
           end;
           Mutex.unlock lane.q_lock;
           blocked);
-      park ()
+      park false
     end
   in
-  spin spin_budget
+  park true
 
 let send t ~producer ~consumer packet =
   Injector.hit t.faults Volcano_fault.Port_send;
@@ -265,10 +243,7 @@ let take_lane lane =
   | Some ring -> (
       match Spsc.try_pop ring with
       | Some _ as packet ->
-          if
-            Atomic.get lane.producer_waiting
-            && (eager_wake || Spsc.is_empty ring)
-          then begin
+          if Atomic.get lane.producer_waiting then begin
             Atomic.set lane.producer_waiting false;
             Mutex.lock lane.q_lock;
             let parked = lane.parked_producer in
@@ -307,55 +282,40 @@ let poll_any t ~consumer =
   in
   go 0
 
-(* Blocking receive around an arbitrary non-blocking [poll]: spin, then
-   park on the consumer's sink.  Shutdown is checked only after a failed
-   poll, so packets already queued survive a shutdown (drain-then-None
-   semantics).  [ready] is the non-mutating counterpart of [poll], used
-   to re-check for arrivals after the waker is registered. *)
+(* Blocking receive around an arbitrary non-blocking [poll]: park on the
+   consumer's sink until a poll succeeds.  Shutdown is checked only after
+   a failed poll, so packets already queued survive a shutdown
+   (drain-then-None semantics).  [ready] is the non-mutating counterpart
+   of [poll], used to re-check for arrivals after the waker is
+   registered.  The [Sched_park] fault site fires once, before the first
+   suspend. *)
 let receive_with t ~consumer ~ready poll =
   Injector.hit t.faults Volcano_fault.Port_receive;
-  match poll () with
-  | Some _ as packet ->
-      Atomic.incr t.received;
-      packet
-  | None ->
-      let sink = t.sinks.(consumer) in
-      let rec spin budget =
-        match poll () with
-        | Some _ as packet -> packet
-        | None ->
-            if Atomic.get t.shut then None
-            else if budget = 0 then begin
-              Injector.hit t.faults Volcano_fault.Sched_park;
-              park ()
-            end
-            else begin
-              Domain.cpu_relax ();
-              spin (budget - 1)
-            end
-      and park () =
-        match poll () with
-        | Some _ as packet -> packet
-        | None ->
-            if Atomic.get t.shut then None
-            else begin
-              Sched.suspend (fun wake ->
-                  Mutex.lock sink.s_lock;
-                  sink.parked_consumer <- Some wake;
-                  Atomic.set sink.consumer_waiting true;
-                  let blocked = not (ready () || Atomic.get t.shut) in
-                  if not blocked then begin
-                    sink.parked_consumer <- None;
-                    Atomic.set sink.consumer_waiting false
-                  end;
-                  Mutex.unlock sink.s_lock;
-                  blocked);
-              park ()
-            end
-      in
-      let packet = spin spin_budget in
-      (match packet with Some _ -> Atomic.incr t.received | None -> ());
-      packet
+  let sink = t.sinks.(consumer) in
+  let rec park first =
+    match poll () with
+    | Some _ as packet -> packet
+    | None ->
+        if Atomic.get t.shut then None
+        else begin
+          if first then Injector.hit t.faults Volcano_fault.Sched_park;
+          Sched.suspend (fun wake ->
+              Mutex.lock sink.s_lock;
+              sink.parked_consumer <- Some wake;
+              Atomic.set sink.consumer_waiting true;
+              let blocked = not (ready () || Atomic.get t.shut) in
+              if not blocked then begin
+                sink.parked_consumer <- None;
+                Atomic.set sink.consumer_waiting false
+              end;
+              Mutex.unlock sink.s_lock;
+              blocked);
+          park false
+        end
+  in
+  let packet = park true in
+  (match packet with Some _ -> Atomic.incr t.received | None -> ());
+  packet
 
 let any_lane_occupied t ~consumer =
   let n = t.n_producers in

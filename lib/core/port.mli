@@ -16,11 +16,12 @@
     {!receive} polls all of the consumer's lanes round-robin.
 
     Dataflow through a port is data-driven (eager): producers push without
-    request messages; consumers block on arrival.  Blocked parties spin
-    briefly (only on multi-core hosts), then park through
-    {!Volcano_sched.Sched.suspend} — a pool fiber yields its worker, any
-    other caller blocks on a gate of its own; wakeups on shutdown are
-    exact — each waiter's own waker is fired once. *)
+    request messages; consumers block on arrival.  A blocked party never
+    busy-waits: it parks at once through {!Volcano_sched.Sched.suspend} —
+    a pool fiber yields its worker, any other caller blocks on a gate of
+    its own.  A parked producer is woken on every slot its consumer
+    frees; wakeups on shutdown are exact — each waiter's own waker is
+    fired once. *)
 
 type t
 

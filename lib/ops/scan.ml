@@ -72,19 +72,6 @@ let heap_cursor ?slice ?cols file =
             cursor := None);
   }
 
-let heap_prefetched ~daemon file =
-  let inner = heap file in
-  Iterator.make
-    ~open_:(fun () ->
-      List.iter
-        (fun page ->
-          Volcano_storage.Daemon.submit daemon
-            (Volcano_storage.Daemon.Read_ahead (Heap_file.device file, page)))
-        (Heap_file.page_chain file);
-      Iterator.open_ inner)
-    ~next:(fun () -> Iterator.next inner)
-    ~close:(fun () -> Iterator.close inner)
-
 let btree tree ~lo ~hi =
   let cursor = ref None in
   Iterator.make

@@ -22,13 +22,6 @@ val heap_cursor :
     over the same records as {!heap}, stepped by every fused-chain
     consumer. *)
 
-val heap_prefetched :
-  daemon:Volcano_storage.Daemon.t ->
-  Volcano_storage.Heap_file.t ->
-  Volcano.Iterator.t
-(** Full scan that asks the read-ahead daemon to stage the file's pages
-    into the buffer pool at open time (paper, section 4.5). *)
-
 val heap_filtered :
   ?slice:int * int ->
   ?cols:int list ->

@@ -180,13 +180,7 @@ let rec fix_loop t dev page k ~fresh ~attempts =
              go back on the LRU with its descriptor lock released — a
              locked descriptor makes every later fix of its page spin in
              the restart loop forever. *)
-          (try
-             match f.device with
-             | Some odev when f.dirty ->
-                 Device.write odev ~page:f.page f.data;
-                 f.dirty <- false;
-                 Atomic.incr t.n_writebacks
-             | _ -> ()
+          (try write_back t f
            with exn ->
              Mutex.lock t.pool_lock;
              lru_append t f;
@@ -346,10 +340,6 @@ let flush_page t dev page =
           write_back t f);
       true
   | None -> false
-
-let prefetch t dev page =
-  let f = fix t dev page in
-  unfix t f
 
 let flush_all t =
   Array.iter

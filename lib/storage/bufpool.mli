@@ -52,11 +52,7 @@ val contains : t -> Device.t -> int -> bool
 
 val flush_page : t -> Device.t -> int -> bool
 (** Write the page back if resident and dirty; returns whether a write
-    happened.  Used by the write-behind daemon. *)
-
-val prefetch : t -> Device.t -> int -> unit
-(** Read a page into the pool and leave it unfixed on the LRU chain — the
-    read-ahead daemon's operation. *)
+    happened. *)
 
 val flush_all : t -> unit
 (** Write back every dirty frame. *)

@@ -71,8 +71,9 @@ let read_exact fd buf =
   let rec step pos =
     if pos < Bytes.length buf then begin
       (* conclint: allow CL003 -- page-sized read from a regular file:
-         disk I/O is the device's whole job, and the prefetch daemon
-         fiber exists precisely to absorb this stall off the scan path. *)
+         select reports a regular file always ready, so Sched.wait_fd has
+         nothing to wait on; the read holds its worker for one page of
+         disk I/O, which is the device's whole job. *)
       let n = Unix.read fd buf pos (Bytes.length buf - pos) in
       if n = 0 then
         (* Short read past EOF: the page was never written. *)
@@ -86,7 +87,8 @@ let write_exact fd buf =
   let rec step pos =
     if pos < Bytes.length buf then
       (* conclint: allow CL003 -- page-sized write to a regular file;
-         the write-back daemon fiber absorbs the stall by design. *)
+         as for the read, there is no readiness to wait on, and the write
+         holds its worker for one page of disk I/O. *)
       let n = Unix.write fd buf pos (Bytes.length buf - pos) in
       step (pos + n)
   in

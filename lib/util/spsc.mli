@@ -4,8 +4,8 @@
     per operation, plus a plain array access.  Exactly one domain may
     push and exactly one domain may pop; the two may differ and may run
     concurrently.  Blocking, parking, and shutdown wakeups are the
-    caller's concern ({!Volcano.Port} layers spin-then-park waits on
-    top) — the ring itself only offers non-blocking transfer.
+    caller's concern ({!Volcano.Port} parks a blocked side through
+    [Sched.suspend]) — the ring itself only offers non-blocking transfer.
 
     Capacity is enforced exactly as given (Port folds flow-control slack
     into it); only the backing array is rounded up to a power of two so

@@ -11,9 +11,6 @@ module Plan = Volcano_plan.Plan
 module Env = Volcano_plan.Env
 module Compile = Volcano_plan.Compile
 module Session = Volcano_plan.Session
-module Bufpool = Volcano_storage.Bufpool
-module Device = Volcano_storage.Device
-module Daemon = Volcano_storage.Daemon
 module Tuple = Volcano_tuple.Tuple
 
 let check = Alcotest.check
@@ -466,39 +463,6 @@ let test_narrow_vs_wide_differential () =
   done;
   Sched.assert_quiescent ~what:"wide pool" wide
 
-(* --- storage daemon on the pool --------------------------------------- *)
-
-let test_pooled_daemon () =
-  with_pool ~workers:2 (fun sched ->
-      let pool = Bufpool.create ~frames:8 ~page_size:128 () in
-      let dev = Device.create_virtual ~page_size:128 ~capacity:64 () in
-      let pages = Array.init 6 (fun _ -> Device.allocate dev) in
-      Array.iter
-        (fun p ->
-          let f = Bufpool.fix_new pool dev p in
-          Bufpool.mark_dirty f;
-          Bufpool.unfix pool f)
-        pages;
-      let daemon = Daemon.start ~sched ~buffer:pool () in
-      Array.iter (fun p -> Daemon.submit daemon (Daemon.Flush (dev, p))) pages;
-      Daemon.drain daemon;
-      check Alcotest.int "flushed on pool tasks" 6 (Daemon.flushes_done daemon);
-      Bufpool.purge_device pool dev;
-      Array.iter
-        (fun p -> Daemon.submit daemon (Daemon.Read_ahead (dev, p)))
-        pages;
-      Daemon.drain daemon;
-      check Alcotest.int "read ahead on pool tasks" 6 (Daemon.reads_done daemon);
-      Array.iter
-        (fun p ->
-          check Alcotest.bool "resident" true (Bufpool.contains pool dev p))
-        pages;
-      Daemon.stop daemon;
-      Alcotest.check_raises "submit after stop"
-        (Invalid_argument "Daemon.submit: daemon stopped") (fun () ->
-          Daemon.submit daemon (Daemon.Flush (dev, pages.(0))));
-      Bufpool.assert_quiescent ~what:"pooled daemon" pool)
-
 let suite =
   [
     Alcotest.test_case "fork and await on the pool" `Quick test_fork_await;
@@ -528,6 +492,4 @@ let suite =
       test_session_concurrent_submits;
     Alcotest.test_case "narrow vs wide pool differential" `Quick
       test_narrow_vs_wide_differential;
-    Alcotest.test_case "daemon requests as pool tasks" `Quick
-      test_pooled_daemon;
   ]

@@ -1,8 +1,8 @@
 (* Torture tests for the SPSC ring and the ring-based port hot path:
    wraparound and capacity edge cases, cross-domain FIFO and conservation,
    and a large shutdown/poison race matrix checking that no wakeup is ever
-   lost on the spin-then-park paths, with the blocked side both on a plain
-   domain and on a pool fiber. *)
+   lost on the park paths, with the blocked side both on a plain domain
+   and on a pool fiber. *)
 
 module Spsc = Volcano_util.Spsc
 module Tuple = Volcano_tuple.Tuple
@@ -109,36 +109,58 @@ let packet_of_int ~producer i =
 
 let int_of_packet p = Tuple.int_exn (Packet.get p 0) 0
 
-let test_port_lane_fifo () =
-  (* Two producers interleave into one consumer; each lane must stay FIFO
-     and nothing may be lost or duplicated. *)
+(* Two producers interleave into one consumer; each lane must stay FIFO
+   and nothing may be lost or duplicated.  [run producers consumer] runs
+   the three sides concurrently and returns once all are done. *)
+let lane_fifo ~flow_slack run =
   let per_producer = 20_000 in
-  let port = Port.create ~producers:2 ~consumers:1 ~flow_slack:3 () in
-  let producers =
-    List.init 2 (fun rank ->
-        Domain.spawn (fun () ->
-            for i = 0 to per_producer - 1 do
-              Port.send port ~producer:rank ~consumer:0
-                (packet_of_int ~producer:rank i)
-            done))
+  let port = Port.create ~producers:2 ~consumers:1 ~flow_slack () in
+  let produce rank () =
+    for i = 0 to per_producer - 1 do
+      Port.send port ~producer:rank ~consumer:0 (packet_of_int ~producer:rank i)
+    done
   in
   let last = [| -1; -1 |] in
-  let got = ref 0 in
-  while !got < 2 * per_producer do
-    match Port.receive port ~consumer:0 with
-    | None -> Alcotest.fail "port shut down unexpectedly"
-    | Some p ->
-        let rank = Packet.producer p in
-        let v = int_of_packet p in
-        if v <= last.(rank) then
-          Alcotest.failf "lane %d not FIFO: %d after %d" rank v last.(rank);
-        last.(rank) <- v;
-        incr got
-  done;
-  List.iter Domain.join producers;
+  let consume () =
+    for _ = 1 to 2 * per_producer do
+      match Port.receive port ~consumer:0 with
+      | None -> Alcotest.fail "port shut down unexpectedly"
+      | Some p ->
+          let rank = Packet.producer p in
+          let v = int_of_packet p in
+          if v <= last.(rank) then
+            Alcotest.failf "lane %d not FIFO: %d after %d" rank v last.(rank);
+          last.(rank) <- v
+    done
+  in
+  run [ produce 0; produce 1 ] consume;
   check Alcotest.int "lane 0 complete" (per_producer - 1) last.(0);
   check Alcotest.int "lane 1 complete" (per_producer - 1) last.(1);
   check Alcotest.int "conserved" (2 * per_producer) (Port.packets_received port)
+
+(* Producers on their own domains, the consumer on this one. *)
+let on_domains producers consume =
+  let domains = List.map Domain.spawn producers in
+  consume ();
+  List.iter Domain.join domains
+
+(* Every side a fiber on a 1-worker pool: a blocked side's peer can run
+   only once it parks. *)
+let on_one_worker producers consume =
+  let sched = Sched.create ~workers:1 () in
+  Fun.protect
+    ~finally:(fun () -> Sched.shutdown sched)
+    (fun () ->
+      let tasks = List.map (Sched.fork sched) (consume :: producers) in
+      List.iter
+        (fun task ->
+          match Sched.await task with Ok () -> () | Error e -> raise e)
+        tasks;
+      Sched.assert_quiescent ~what:"lane fifo pool" sched)
+
+let test_port_lane_fifo () =
+  lane_fifo ~flow_slack:3 on_domains;
+  lane_fifo ~flow_slack:1 on_one_worker
 
 (* ------------------------------------------------------------------ *)
 (* Shutdown/poison races: no lost wakeups                              *)

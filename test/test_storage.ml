@@ -7,7 +7,6 @@ module Device = Volcano_storage.Device
 module Vtoc = Volcano_storage.Vtoc
 module Bufpool = Volcano_storage.Bufpool
 module Heap_file = Volcano_storage.Heap_file
-module Daemon = Volcano_storage.Daemon
 module Rid = Volcano_storage.Rid
 
 let check = Alcotest.check
@@ -714,36 +713,6 @@ let test_sliced_scan_differential () =
   let batched = run None and records = run (Some 0) in
   check Alcotest.bool "batch_size 0 = default" true (batched = records)
 
-(* --- daemon --- *)
-
-let test_daemon_flush_and_readahead () =
-  let pool = Bufpool.create ~frames:8 ~page_size:128 () in
-  let dev = Device.create_virtual ~page_size:128 ~capacity:64 () in
-  let pages = Array.init 4 (fun _ -> Device.allocate dev) in
-  Array.iter
-    (fun p ->
-      let f = Bufpool.fix_new pool dev p in
-      Bufpool.mark_dirty f;
-      Bufpool.unfix pool f)
-    pages;
-  let daemon = Daemon.start ~buffer:pool () in
-  Array.iter (fun p -> Daemon.submit daemon (Daemon.Flush (dev, p))) pages;
-  Daemon.drain daemon;
-  check Alcotest.int "flushed" 4 (Daemon.flushes_done daemon);
-  (* After purging, read-ahead loads pages back into the pool. *)
-  Bufpool.purge_device pool dev;
-  Array.iter (fun p -> Daemon.submit daemon (Daemon.Read_ahead (dev, p))) pages;
-  Daemon.drain daemon;
-  check Alcotest.int "read ahead" 4 (Daemon.reads_done daemon);
-  Array.iter
-    (fun p -> check Alcotest.bool "resident" true (Bufpool.contains pool dev p))
-    pages;
-  Daemon.stop daemon;
-  Alcotest.check_raises "submit after stop"
-    (Invalid_argument "Daemon.submit: daemon stopped") (fun () ->
-      Daemon.submit daemon (Daemon.Flush (dev, pages.(0))));
-  Bufpool.assert_quiescent ~what:"daemon" pool
-
 let test_rid () =
   let a = Rid.make ~device:1 ~page:2 ~slot:3 in
   let b = Rid.make ~device:1 ~page:2 ~slot:4 in
@@ -787,7 +756,5 @@ let suite =
       test_slice_snapshot;
     Alcotest.test_case "sliced scan: batched = record path" `Quick
       test_sliced_scan_differential;
-    Alcotest.test_case "daemon flush + readahead" `Quick
-      test_daemon_flush_and_readahead;
     Alcotest.test_case "rid" `Quick test_rid;
   ]

@@ -1,6 +1,5 @@
-(* Additional storage tests: in-place updates, page chains, prefetched
-   scans through the read-ahead daemon, buffer statistics, and encode/
-   decode properties. *)
+(* Additional storage tests: in-place updates, page chains, cold scans,
+   buffer statistics, and encode/decode properties. *)
 
 module Page = Volcano_storage.Page
 module Bitmap = Volcano_storage.Bitmap
@@ -8,7 +7,6 @@ module Device = Volcano_storage.Device
 module Vtoc = Volcano_storage.Vtoc
 module Bufpool = Volcano_storage.Bufpool
 module Heap_file = Volcano_storage.Heap_file
-module Daemon = Volcano_storage.Daemon
 module Scan = Volcano_ops.Scan
 module Iterator = Volcano.Iterator
 module Tuple = Volcano_tuple.Tuple
@@ -66,7 +64,7 @@ let test_update_dead_rid () =
   check Alcotest.bool "dead rid" false (Heap_file.update file rid "new");
   Bufpool.assert_quiescent ~what:"update dead rid" buffer
 
-(* --- page chain + prefetched scan --- *)
+(* --- page chain + cold scan --- *)
 
 let test_page_chain () =
   let buffer, device = make_store () in
@@ -82,39 +80,30 @@ let test_page_chain () =
     (List.length (List.sort_uniq compare chain));
   Bufpool.assert_quiescent ~what:"page chain" buffer
 
-let test_prefetched_scan () =
+let test_cold_scan () =
   let buffer, device = make_store ~frames:64 () in
   let file = Heap_file.create ~buffer ~device ~name:"t" in
   let tuples = List.init 200 (fun i -> Tuple.of_ints [ i ]) in
   let _ = Scan.materialize (Iterator.of_list tuples) ~into:file in
-  (* Push everything out of the pool, then scan with read-ahead. *)
+  (* Push everything out of the pool: the scan must read each page back
+     from the device. *)
   Bufpool.flush_all buffer;
   Bufpool.purge_device buffer device;
-  let daemon = Daemon.start ~buffer () in
-  let it = Scan.heap_prefetched ~daemon file in
-  Iterator.open_ it;
-  Daemon.drain daemon;
-  (* Every page is now resident: the scan runs at buffer speed. *)
+  let chain = Heap_file.page_chain file in
   List.iter
     (fun page ->
       check Alcotest.bool
-        (Printf.sprintf "page %d staged" page)
-        true
+        (Printf.sprintf "page %d purged" page)
+        false
         (Bufpool.contains buffer device page))
-    (Heap_file.page_chain file);
-  let count = ref 0 in
-  let rec drain () =
-    match Iterator.next it with
-    | Some _ ->
-        incr count;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Iterator.close it;
-  Daemon.stop daemon;
-  check Alcotest.int "all rows" 200 !count;
-  Bufpool.assert_quiescent ~what:"prefetched scan" buffer
+    chain;
+  let misses_before = (Bufpool.stats buffer).misses in
+  let rows = Iterator.to_list (Scan.heap file) in
+  check Alcotest.int "all rows" 200 (List.length rows);
+  check Alcotest.bool "rows in order" true (List.for_all2 Tuple.equal tuples rows);
+  check Alcotest.bool "every page faulted in" true
+    ((Bufpool.stats buffer).misses - misses_before >= List.length chain);
+  Bufpool.assert_quiescent ~what:"cold scan" buffer
 
 (* --- buffer statistics sanity --- *)
 
@@ -256,7 +245,7 @@ let suite =
       test_update_too_big_fails_cleanly;
     Alcotest.test_case "update dead rid" `Quick test_update_dead_rid;
     Alcotest.test_case "page chain" `Quick test_page_chain;
-    Alcotest.test_case "prefetched scan via daemon" `Quick test_prefetched_scan;
+    Alcotest.test_case "cold scan after purge" `Quick test_cold_scan;
     Alcotest.test_case "buffer hit ratio" `Quick test_buffer_hit_ratio;
     Alcotest.test_case "flush_all persists dirty pages" `Quick
       test_flush_all_persists;
