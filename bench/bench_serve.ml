@@ -1,7 +1,7 @@
 (* Serving-plane load: hundreds of concurrent clients against one
    query-serving daemon over the framed Unix-socket protocol.
 
-   The server runs in-process (the transport and thread-per-connection
+   The server runs in-process (the transport and per-connection fiber
    costs are identical to the CLI daemon's; only process isolation is
    elided) with its handler wired to a [Session], so every request pays
    real admission control and query execution.  Clients all connect
@@ -24,8 +24,8 @@ let requests_per_client =
   | Some s -> int_of_string s
   | None -> 4
 
-(* Small per-request row count: the serving plane (framing, threads,
-   admission) is the thing under load, not the executor. *)
+(* Small per-request row count: the serving plane (framing, connection
+   fibers, admission) is the thing under load, not the executor. *)
 let serve_rows =
   match Sys.getenv_opt "VOLCANO_SERVE_ROWS" with
   | Some s -> int_of_string s

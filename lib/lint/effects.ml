@@ -34,9 +34,9 @@ let hard_roots =
 (* Socket and file-descriptor calls joined the set with the network
    subsystem: a fiber that blocks in [Unix.read] on a socket stalls its
    pool worker exactly as a sleep does.  Code run by a domain or thread
-   of its own (the poller, serve's connection threads) is [Domain_ctx]
-   and exempt; sites that block deliberately carry
-   [(* conclint: allow CL003 *)]. *)
+   of its own (the poller, a client's threads) is [Domain_ctx] and
+   exempt; sites that block deliberately, or call on a non-blocking
+   descriptor, carry [(* conclint: allow CL003 *)]. *)
 let blocking_roots =
   SS.of_list
     [

@@ -1,12 +1,15 @@
 module Obs = Volcano_obs.Obs
+module Sched = Volcano_sched.Sched
 
 (* The query-serving plane: a daemon wrapping a Session behind the same
-   framed protocol the data plane uses, a thread per connection (handler
-   threads spend their lives blocked in socket reads or in Session.await,
-   both safe off the fiber pool), and a tiny client.
+   framed protocol the data plane uses, one fiber per connection on the
+   process-wide pool, and a tiny client.
 
-   A connection is persistent: a client sends any number of Request
-   frames, each answered by exactly one Resp_ok/Resp_err, so a
+   The listener and every accepted connection are non-blocking: an
+   accept, read or write that would block waits on the scheduler's
+   poller ([Sched.wait_fd]), so an idle connection holds no pool worker
+   and no thread.  A connection is persistent: a client sends any number
+   of Request frames, each answered by exactly one Resp_ok/Resp_err, so a
    load-generating client measures per-request latency without paying a
    connection setup per query. *)
 
@@ -15,11 +18,12 @@ type handler = string -> (Volcano_tuple.Tuple.t list, string * string) result
 module Server = struct
   type t = {
     listener : Unix.file_descr;
+    mutable listening : bool; (* [listener] is open, under [lock] *)
     stopping : bool Atomic.t;
     lock : Mutex.t;
-    mutable conns : Unix.file_descr list;
-    mutable handlers : Thread.t list;
-    mutable acceptor : Thread.t option;
+    mutable conns : (Unix.file_descr * unit Sched.task) list;
+        (* live connections and their fibers, under [lock] *)
+    mutable acceptor : unit Sched.task option;
     requests : Obs.Counter.t;
     errors : Obs.Counter.t;
     latency : Obs.Histogram.t;
@@ -32,21 +36,26 @@ module Server = struct
   let requests t = Obs.Counter.value t.requests
   let errors t = Obs.Counter.value t.errors
 
+  (* Shut the descriptors down and no more: shutting the listener wakes
+     the acceptor, shutting a connection wakes its fiber.  Each connection
+     fiber closes its own descriptor under [lock] as it leaves [conns],
+     and [stop] closes the listener under [lock] once the acceptor is
+     done, so a number shut down here is never one that was reused. *)
   let initiate_stop t =
-    if not (Atomic.exchange t.stopping true) then begin
-      (* Closing the listener kicks the acceptor out of accept; shutting
-         the live connections kicks handlers out of their reads. *)
-      (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL with _ -> ());
-      (try Unix.close t.listener with _ -> ());
-      with_lock t (fun () -> t.conns)
-      |> List.iter (fun fd ->
-             try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-    end
+    if not (Atomic.exchange t.stopping true) then
+      with_lock t (fun () ->
+          if t.listening then (
+            try Unix.shutdown t.listener Unix.SHUTDOWN_ALL with _ -> ());
+          List.iter
+            (fun (fd, _) ->
+              try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
+            t.conns)
 
   let handle_conn t ~handle fd =
     let finally () =
-      with_lock t (fun () -> t.conns <- List.filter (fun c -> c <> fd) t.conns);
-      try Unix.close fd with _ -> ()
+      with_lock t (fun () ->
+          t.conns <- List.filter (fun (c, _) -> c <> fd) t.conns;
+          try Unix.close fd with _ -> ())
     in
     Fun.protect ~finally (fun () ->
         let conn = Wire.conn fd in
@@ -72,6 +81,30 @@ module Server = struct
         in
         loop ())
 
+  (* A connection joins [conns] under [lock], where [stopping] is
+     checked too, so [initiate_stop] either shuts it down or it is
+     refused here.  Its fiber's exit takes the same lock, so it cannot
+     leave [conns] before it has joined. *)
+  let rec accept_loop t ~handle =
+    match
+      (* conclint: allow CL003 -- the listener is non-blocking: an accept
+         that would block waits on the poller below. *)
+      Unix.accept ~cloexec:true t.listener
+    with
+    | fd, _ ->
+        Unix.set_nonblock fd;
+        with_lock t (fun () ->
+            if Atomic.get t.stopping then (try Unix.close fd with _ -> ())
+            else
+              let fiber () = handle_conn t ~handle fd in
+              t.conns <- (fd, Sched.fork (Sched.default ()) fiber) :: t.conns);
+        accept_loop t ~handle
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+      when not (Atomic.get t.stopping) ->
+        Sched.wait_fd `Read t.listener;
+        accept_loop t ~handle
+    | exception _ -> () (* the listener is shut down: stopping *)
+
   let start ?(obs = Obs.null) ~socket ~handle () =
     (* A client that vanished mid-response must cost one connection,
        not the whole server. *)
@@ -87,74 +120,47 @@ module Server = struct
     (* Hundreds of clients connect at once in the load bench: the backlog
        must absorb the burst, not reset it. *)
     Unix.listen listener 1024;
+    Unix.set_nonblock listener;
     let t =
       {
         listener;
+        listening = true;
         stopping = Atomic.make false;
         lock = Mutex.create ();
         conns = [];
-        handlers = [];
         acceptor = None;
         requests = Obs.counter obs "serve.requests";
         errors = Obs.counter obs "serve.errors";
         latency = Obs.histogram obs "serve.latency_s";
       }
     in
-    let acceptor =
-      (* conclint: allow CL004 -- serve's acceptor and connection threads
-         move onto the scheduler in ROADMAP item 9; until then each
-         blocks in accept or a socket read, off the pool. *)
-      Thread.create
-        (fun () ->
-          let rec loop () =
-            match
-              (* conclint: allow CL003 -- the acceptor is a dedicated
-                 systhread, never a pool fiber. *)
-              Unix.accept ~cloexec:true t.listener
-            with
-            | fd, _ ->
-                if Atomic.get t.stopping then (
-                  try Unix.close fd with _ -> ())
-                else begin
-                  with_lock t (fun () ->
-                      t.conns <- fd :: t.conns;
-                      t.handlers <-
-                        (* conclint: allow CL004 -- a connection thread;
-                           see the acceptor above (ROADMAP item 9). *)
-                        Thread.create (fun () -> handle_conn t ~handle fd) ()
-                        :: t.handlers)
-                end;
-                loop ()
-            | exception _ -> () (* listener closed: stopping *)
-          in
-          loop ())
-        ()
-    in
-    t.acceptor <- Some acceptor;
+    t.acceptor <-
+      Some (Sched.fork (Sched.default ()) (fun () -> accept_loop t ~handle));
     t
 
+  let await_acceptor t =
+    Option.iter (fun a -> ignore (Sched.await a)) t.acceptor
+
+  (* Once the acceptor is done nothing waits on the listener and no
+     connection joins [conns], so the fibers listed then are the last. *)
   let stop t =
     initiate_stop t;
-    (match t.acceptor with Some th -> Thread.join th | None -> ());
-    let rec drain () =
-      match with_lock t (fun () -> t.handlers) with
-      | [] -> ()
-      | handlers ->
-          with_lock t (fun () ->
-              t.handlers <-
-                List.filter
-                  (fun th -> not (List.memq th handlers))
-                  t.handlers);
-          List.iter Thread.join handlers;
-          drain ()
+    await_acceptor t;
+    let fibers =
+      with_lock t (fun () ->
+          if t.listening then begin
+            t.listening <- false;
+            try Unix.close t.listener with _ -> ()
+          end;
+          t.conns)
     in
-    drain ()
+    List.iter (fun (_, fiber) -> ignore (Sched.await fiber)) fibers
 
   (* Block until something stops the server (a [Shutdown] frame, or
      [stop] from another thread), then finish the teardown.  The daemon
      entry point's main loop. *)
   let wait t =
-    (match t.acceptor with Some th -> Thread.join th | None -> ());
+    await_acceptor t;
     stop t
 end
 

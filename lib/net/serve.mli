@@ -1,5 +1,6 @@
 (** The query-serving plane: a framed request/response protocol over a
-    Unix-domain socket, a thread-per-connection server, and a client.
+    Unix-domain socket, a server with one fiber per connection on
+    {!Volcano_sched.Sched.default}, and a client.
 
     The server is transport and policy only — [handle] owns query
     execution (the CLI wires it to a [Session] so admission control,
@@ -15,14 +16,19 @@ module Server : sig
   val start :
     ?obs:Volcano_obs.Obs.t -> socket:string -> handle:handler -> unit -> t
   (** Bind [socket] (an owned path; any stale file is replaced), start
-      the acceptor thread, and return.  Each connection gets a handler
-      thread.  With [obs], per-request latency lands in the ["serve.latency_s"]
-      histogram and counts in ["serve.requests"] / ["serve.errors"]. *)
+      the acceptor fiber, and return.  Each connection gets a fiber of its
+      own; the listener and the connections are non-blocking, so an idle
+      connection waits on the scheduler's poller and holds no pool worker.
+      [handle] runs on the connection's fiber.  With [obs], per-request
+      latency lands in the ["serve.latency_s"] histogram and counts in
+      ["serve.requests"] / ["serve.errors"]. *)
 
   val stop : t -> unit
-  (** Stop accepting, tear down live connections, and join every thread.
-      Also triggered remotely by a [Shutdown] frame — [stop] then merely
-      joins.  Idempotent. *)
+  (** Stop accepting, shut the live connections down, await the acceptor
+      and close the listener, then await every connection fiber, each of
+      which closes its own descriptor.  Also triggered remotely by a
+      [Shutdown] frame — [stop] then finishes the teardown.  Idempotent.  Call it off the connection
+      fibers (a handler that stops its own server would await itself). *)
 
   val wait : t -> unit
   (** Block until the server is stopped — by a client's [Shutdown] frame

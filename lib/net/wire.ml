@@ -78,12 +78,12 @@ let kind_of_code = function
    payload is one packet of 255 maximal tuples, far below 16 MiB. *)
 let max_frame = 1 lsl 24
 
-(* A parent-side connection is non-blocking (the launcher sets it after
-   the handshake): a call that would block waits in [Sched.wait_fd] and
-   retries, so a feeder fiber suspends mid-frame with its stack intact
-   and gives its pool worker back.  A blocking descriptor (a worker
-   process, a serve connection) never sees [EAGAIN], and its calls block
-   as before, off the pool. *)
+(* A connection read or written by a pool fiber is non-blocking (the
+   launcher sets it after the handshake, a server at accept): a call that
+   would block waits in [Sched.wait_fd] and retries, so the fiber
+   suspends mid-frame with its stack intact and gives its pool worker
+   back.  A blocking descriptor (a worker process, a serve client) never
+   sees [EAGAIN], and its calls block as before, off the pool. *)
 let rec write_exact fd buf pos len =
   if len > 0 then
     (* conclint: allow CL003 -- non-blocking on the pool (see above). *)
@@ -109,12 +109,21 @@ let rec read_exact fd buf pos len =
    ~12 KB at the default packet size) is past the minor heap's object
    limit, so a fresh one per frame would be a major-heap allocation
    every time.  The price is the ownership rule: a read's payload is a
-   view of the input buffer, valid until the next read. *)
+   view of the input buffer, valid until the next read.
+
+   A read takes whatever the socket holds, up to [ahead]'s size, so a
+   small frame (a request, a reply, a narrow data packet) costs one
+   system call, not one for its header and one for its payload.  Bytes
+   past the frame wait in [ahead] for the next read; a payload larger
+   than what arrived is read straight into the input buffer. *)
 type conn = {
   fd : Unix.file_descr;
   faults : Injector.t;
   mutable input : bytes;
   mutable output : bytes;
+  ahead : bytes;
+  mutable a_pos : int; (* [ahead]'s unread bytes are [a_pos, a_end) *)
+  mutable a_end : int;
 }
 
 let header_size = 5
@@ -133,24 +142,50 @@ let conn ?(faults = Injector.none) fd =
     faults;
     input = Bytes.create 256;
     output = Bytes.create 256;
+    ahead = Bytes.create 4096;
+    a_pos = 0;
+    a_end = 0;
   }
 
 let fd c = c.fd
 
+(* Until [ahead] holds [need] unread bytes; [need] fits in it. *)
+let rec fill c need =
+  if c.a_end - c.a_pos < need then begin
+    if c.a_pos > 0 then begin
+      Bytes.blit c.ahead c.a_pos c.ahead 0 (c.a_end - c.a_pos);
+      c.a_end <- c.a_end - c.a_pos;
+      c.a_pos <- 0
+    end;
+    (* conclint: allow CL003 -- non-blocking on the pool (see above). *)
+    match Unix.read c.fd c.ahead c.a_end (Bytes.length c.ahead - c.a_end) with
+    | 0 -> raise End_of_file
+    | n ->
+        c.a_end <- c.a_end + n;
+        fill c need
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Sched.wait_fd `Read c.fd;
+        fill c need
+  end
+
 let read c =
   Injector.hit c.faults Volcano_fault.Net_read;
-  read_exact c.fd c.input 0 header_size;
-  let len = Int32.to_int (Bytes.get_int32_le c.input 0) in
+  fill c header_size;
+  let len = Int32.to_int (Bytes.get_int32_le c.ahead c.a_pos) in
   if len < 0 || len > max_frame then
     raise (Corrupt (Printf.sprintf "bad frame length %d" len));
-  let kind = kind_of_code (Bytes.get_uint8 c.input 4) in
+  let kind = kind_of_code (Bytes.get_uint8 c.ahead (c.a_pos + 4)) in
+  c.a_pos <- c.a_pos + header_size;
   (* The frame-truncation site fires between header and payload — the
      reader has committed to a length it will never receive, exercising
      the same teardown a connection dropped mid-frame takes. *)
   Injector.hit c.faults Volcano_fault.Net_frame;
   if len > Bytes.length c.input then
     c.input <- Bytes.create (max len (2 * Bytes.length c.input));
-  read_exact c.fd c.input 0 len;
+  let buffered = min len (c.a_end - c.a_pos) in
+  Bytes.blit c.ahead c.a_pos c.input 0 buffered;
+  c.a_pos <- c.a_pos + buffered;
+  read_exact c.fd c.input buffered (len - buffered);
   (kind, len)
 
 let payload c = c.input
@@ -172,11 +207,7 @@ let write c kind payload =
   Bytes.blit payload 0 (reserve c (header_size + len)) header_size len;
   send c kind ~len
 
-let frame_ready c =
-  (* conclint: allow CL003 -- a zero-timeout poll, in a worker process. *)
-  match Unix.select [ c.fd ] [] [] 0.0 with
-  | [], _, _ -> false
-  | _ :: _, _, _ -> true
+let frame_ready c = c.a_pos < c.a_end || Sched.fd_ready `Read c.fd
 
 (* ------------------------------------------------------------------ *)
 (* Payload constructors and parsers                                    *)

@@ -62,7 +62,9 @@ val fd : conn -> Unix.file_descr
 
 val read : conn -> kind * int
 (** Read one frame; waits until it is fully read.  Returns its kind and
-    payload length; the payload is bytes [\[0, len)] of {!payload}.
+    payload length; the payload is bytes [\[0, len)] of {!payload}.  A
+    read may take bytes of the frames after it, which the next reads
+    through the same [conn] return.
     @raise End_of_file on a dropped connection
     @raise Corrupt on an unparseable header *)
 
@@ -94,7 +96,8 @@ val write : conn -> kind -> bytes -> unit
     the output buffer behind the header. *)
 
 val frame_ready : conn -> bool
-(** Non-blocking: is at least one byte readable right now?  Workers poll
+(** Non-blocking: is at least one byte readable right now, read ahead
+    or on the descriptor?  Workers poll
     this between packet writes to notice a [Cancel] frame. *)
 
 (** {2 Payloads} *)

@@ -16,9 +16,9 @@ module Obs = Volcano_obs.Obs
    later suspensions of the same fiber are handled identically.
 
    [suspend] is the engine's one blocking primitive.  Off the pool (the
-   main thread, serve connection threads) there is no fiber to unwind,
-   so the caller blocks on a one-shot gate made for that one wait, and
-   the gate's opener is the waker [register] stores.
+   main thread, a client's own threads) there is no fiber to unwind, so
+   the caller blocks on a one-shot gate made for that one wait, and the
+   gate's opener is the waker [register] stores.
    The gate is per wait, not per domain: systhreads share their domain,
    and a domain-wide gate would let one thread's waker release another
    thread's wait.  A wait for a file descriptor or a due time is one more
@@ -364,76 +364,135 @@ end
 (* ------------------------------------------------------------------ *)
 (* Readiness and timed waits                                           *)
 
-(* One poller per process selects over every descriptor a wait is
-   registered on, plus the read end of a self-pipe that a new
-   registration writes a byte to so the poller picks it up; the earliest
-   due time among the waits is the select's timeout.  It wakes each wait
-   whose descriptor turned ready or whose due time passed, and forgets
-   it.  A timer is a wait on no descriptor.  The poller is a domain of
-   its own: a systhread made on a pool worker would share that worker's
-   DLS and look like a fiber to [suspend].  It starts on the first wait,
-   so a process that never waits on a descriptor or a due time has
-   none. *)
-type wait = {
-  on : (Unix.file_descr * [ `Read | `Write ]) option;
-  due : float; (* [Clock.now] time; [infinity] for none *)
-  wake : unit -> unit;
-}
+(* One poller per process polls every descriptor a wait is registered
+   on, plus the read end of a self-pipe that a new registration writes a
+   byte to so the poller picks it up; the earliest due time among the
+   waits is the poll's timeout.  It wakes each wait whose descriptor
+   turned ready or whose due time passed, and forgets it.  [poll] reports
+   an error, a hang-up or a closed descriptor per descriptor, so such a
+   state wakes only the wait on that descriptor, whose own call then
+   fails or reads end of file.  A timer is a due time with no
+   descriptor.  The poller is a domain of its own: a systhread made on a
+   pool worker would share that worker's DLS and look like a fiber to
+   [suspend].  It starts on the first wait, so a process that never waits
+   on a descriptor or a due time has none.
+
+   The descriptor waits live in arrays only the poller touches, laid out
+   as [poll] takes them: a round moves the waits registered since the
+   last one to the end and fills each slot it frees with the last wait,
+   so a round allocates nothing for the waits it keeps.  Under hundreds
+   of connections a round runs thousands of times a second, and arrays
+   of hundreds of words go straight to the major heap. *)
+type wait = { due : float; (* [Clock.now] time; [infinity] for none *) wake : unit -> unit }
 
 type timer = wait
 
 type poller = {
   pl_lock : Mutex.t;
-  mutable waits : wait list;
+  mutable fresh : (Unix.file_descr * int * wait) list;
+      (* descriptor waits not yet in a slot, under [pl_lock] *)
+  mutable timers : timer list; (* under [pl_lock] *)
+  mutable kicked : bool;
+      (* under [pl_lock]: a byte is in the pipe since the round took
+         [fresh], so a registration need not write another *)
   kick_r : Unix.file_descr;
   kick_w : Unix.file_descr;
+  (* The poller's own: slot 0 is [kick_r], slots 1 to [n] the waits. *)
+  mutable waits : wait array;
+  mutable fds : Unix.file_descr array;
+  mutable wanted : int array;
+  mutable got : int array;
+  mutable n : int;
 }
+
+(* [poll fds wanted count timeout_ms got] (poll_stubs.c) polls the first
+   [count] descriptors with the runtime lock released and writes each
+   one's readiness into [got], in the bits below; [timeout_ms] is whole
+   milliseconds, -1 for none.  An error, a hang-up or a closed
+   descriptor is reported whether asked or not. *)
+external poll :
+  Unix.file_descr array -> int array -> int -> int -> int array -> unit
+  = "volcano_sched_poll"
+
+let want_read = 1
+let want_write = 2
+let got_error = 4
+let want = function `Read -> want_read | `Write -> want_write
+
+let fd_ready dir fd =
+  let got = [| 0 |] in
+  poll [| fd |] [| want dir |] 1 0 got;
+  got.(0) land (want dir lor got_error) <> 0
+
+(* Rounded up, so a wait is never woken before its due time and made to
+   poll again. *)
+let timeout_ms due =
+  if due = infinity then -1
+  else
+    let ms = Float.ceil ((due -. Clock.now ()) *. 1e3) in
+    int_of_float (Float.min 1e9 (Float.max 0.0 ms))
+
+let no_wait = { due = infinity; wake = ignore }
+
+let add_slot p (fd, wanted, w) =
+  if p.n + 1 = Array.length p.fds then begin
+    let grow a fill = Array.append a (Array.make (Array.length a) fill) in
+    p.waits <- grow p.waits no_wait;
+    p.fds <- grow p.fds p.kick_r;
+    p.wanted <- grow p.wanted 0;
+    p.got <- grow p.got 0
+  end;
+  p.n <- p.n + 1;
+  p.waits.(p.n) <- w;
+  p.fds.(p.n) <- fd;
+  p.wanted.(p.n) <- wanted
+
+(* The last slot moves into slot [i], its readiness with it. *)
+let drop_slot p i =
+  p.waits.(i) <- p.waits.(p.n);
+  p.fds.(i) <- p.fds.(p.n);
+  p.wanted.(i) <- p.wanted.(p.n);
+  p.got.(i) <- p.got.(p.n);
+  p.waits.(p.n) <- no_wait;
+  p.n <- p.n - 1
 
 let rec poll_loop p buf =
   Mutex.lock p.pl_lock;
-  let waits = p.waits in
+  let fresh = p.fresh and timers = p.timers in
+  p.fresh <- [];
+  p.kicked <- false;
   Mutex.unlock p.pl_lock;
-  let on dir =
-    List.filter_map
-      (fun w ->
-        match w.on with Some (fd, d) when d = dir -> Some fd | _ -> None)
-      waits
-  in
-  let due = List.fold_left (fun due w -> Float.min due w.due) infinity waits in
-  let timeout =
-    if due = infinity then -1.0 else Float.max 0.0 (due -. Clock.now ())
-  in
-  let ready =
-    match Unix.select (p.kick_r :: on `Read) (on `Write) [] timeout with
-    | r, w, _ -> Some (r, w)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> Some ([], [])
-    | exception Unix.Unix_error _ ->
-        (* A registered descriptor was closed under its wait: wake every
-           descriptor wait, and each retries its own call, which fails or
-           waits again. *)
-        None
-  in
+  List.iter (add_slot p) fresh;
+  let due = ref infinity in
+  List.iter (fun t -> due := Float.min !due t.due) timers;
+  for i = 1 to p.n do
+    due := Float.min !due p.waits.(i).due
+  done;
+  poll p.fds p.wanted (p.n + 1) (timeout_ms !due) p.got;
   (* Kicks past [buf]'s length stay readable for the next round. *)
-  (match ready with
-  | Some (r, _) when List.mem p.kick_r r -> (
-      try ignore (Unix.read p.kick_r buf 0 (Bytes.length buf))
-      with Unix.Unix_error _ -> ())
-  | _ -> ());
+  if p.got.(0) <> 0 then (
+    try ignore (Unix.read p.kick_r buf 0 (Bytes.length buf))
+    with Unix.Unix_error _ -> ());
   let now = Clock.now () in
-  let fires w =
-    w.due <= now
-    ||
-    match (w.on, ready) with
-    | None, _ -> false
-    | Some _, None -> true
-    | Some (fd, dir), Some (r, wr) ->
-        List.mem fd (if dir = `Read then r else wr)
-  in
-  Mutex.lock p.pl_lock;
-  let fire, keep = List.partition fires p.waits in
-  p.waits <- keep;
-  Mutex.unlock p.pl_lock;
-  List.iter (fun w -> try w.wake () with _ -> ()) fire;
+  let fire = ref [] in
+  let i = ref 1 in
+  while !i <= p.n do
+    let w = p.waits.(!i) in
+    if w.due <= now || p.got.(!i) land (p.wanted.(!i) lor got_error) <> 0
+    then begin
+      fire := w :: !fire;
+      drop_slot p !i
+    end
+    else incr i
+  done;
+  if List.exists (fun t -> t.due <= now) timers then begin
+    Mutex.lock p.pl_lock;
+    let due, keep = List.partition (fun t -> t.due <= now) p.timers in
+    p.timers <- keep;
+    Mutex.unlock p.pl_lock;
+    fire := List.rev_append due !fire
+  end;
+  List.iter (fun w -> try w.wake () with _ -> ()) !fire;
   poll_loop p buf
 
 let poller_lock = Mutex.create ()
@@ -448,8 +507,31 @@ let poller () =
         let kick_r, kick_w = Unix.pipe ~cloexec:true () in
         Unix.set_nonblock kick_r;
         Unix.set_nonblock kick_w;
-        let p = { pl_lock = Mutex.create (); waits = []; kick_r; kick_w } in
-        ignore (Domain.spawn (fun () -> poll_loop p (Bytes.create 64)));
+        let slots = 64 in
+        let p =
+          {
+            pl_lock = Mutex.create ();
+            fresh = [];
+            timers = [];
+            kicked = false;
+            kick_r;
+            kick_w;
+            waits = Array.make slots no_wait;
+            fds = Array.make slots kick_r;
+            wanted = Array.make slots want_read;
+            got = Array.make slots 0;
+            n = 0;
+          }
+        in
+        ignore
+          (Domain.spawn (fun () ->
+               (* [poll] fails only past a resource limit (memory, or
+                  more waits than RLIMIT_NOFILE): say so rather than
+                  end without a word. *)
+               try poll_loop p (Bytes.create 64)
+               with exn ->
+                 prerr_endline
+                   ("volcano_sched: poller stopped: " ^ Printexc.to_string exn)));
         the_poller := Some p;
         p
   in
@@ -458,40 +540,37 @@ let poller () =
 
 let kick = Bytes.make 1 '!'
 
-let register p w =
+(* [add] runs under [pl_lock].  The first registration since the round
+   took [fresh] writes a byte, which makes the poller poll again, now
+   over the new wait too; later ones find it there.  A full pipe already
+   holds a byte, so [EAGAIN] loses nothing. *)
+let register p add =
   Mutex.lock p.pl_lock;
-  p.waits <- w :: p.waits;
+  add ();
+  let first = not p.kicked in
+  p.kicked <- true;
   Mutex.unlock p.pl_lock;
-  (* After the push: the byte makes the poller select again, now over
-     this wait too.  A full pipe already holds a byte, so [EAGAIN] loses
-     nothing. *)
-  try ignore (Unix.single_write p.kick_w kick 0 1) with Unix.Unix_error _ -> ()
-
-(* [select] takes descriptors below [FD_SETSIZE] only, and fails the
-   whole call on any other.  A descriptor is an int on Unix. *)
-let fd_setsize = 1024
+  if first then
+    try ignore (Unix.single_write p.kick_w kick 0 1)
+    with Unix.Unix_error _ -> ()
 
 let wait_fd ?(until = infinity) dir fd =
-  let n : int = Obj.magic fd in
-  if n >= fd_setsize then
-    invalid_arg
-      (Printf.sprintf "Sched.wait_fd: descriptor %d is past the poller's %d" n
-         fd_setsize);
   let p = poller () in
   suspend (fun wake ->
-      register p { on = Some (fd, dir); due = until; wake };
+      register p (fun () ->
+          p.fresh <- (fd, want dir, { due = until; wake }) :: p.fresh);
       true)
 
 let at due fire =
   let p = poller () in
-  let t = { on = None; due; wake = fire } in
-  register p t;
+  let t = { due; wake = fire } in
+  register p (fun () -> p.timers <- t :: p.timers);
   t
 
 let cancel_timer t =
   let p = poller () in
   Mutex.lock p.pl_lock;
-  p.waits <- List.filter (fun w -> w != t) p.waits;
+  p.timers <- List.filter (fun w -> w != t) p.timers;
   Mutex.unlock p.pl_lock
 
 (* ------------------------------------------------------------------ *)

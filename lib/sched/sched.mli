@@ -88,9 +88,15 @@ val wait_fd : ?until:float -> [ `Read | `Write ] -> Unix.file_descr -> unit
     passed — a {!suspend} point.  Meant for a non-blocking descriptor
     whose call just failed with [EAGAIN]: retry the call in a loop, since
     a wake may be spurious.  One poller domain per process serves every
-    wait, started by the first.  [select] cannot watch a descriptor
-    numbered 1024 or higher: such a wait raises [Invalid_argument] at
-    once. *)
+    wait, started by the first, and watches them with [poll(2)], so any
+    descriptor number will do.  An error, a hang-up or a descriptor
+    closed under the wait wakes this wait alone: its retried call then
+    fails or reads end of file. *)
+
+val fd_ready : [ `Read | `Write ] -> Unix.file_descr -> bool
+(** [fd_ready dir fd] is whether a call on [fd] in direction [dir] would
+    not block now: [fd] is ready, at end of file, or failed.  A poll with
+    a zero timeout; it never waits. *)
 
 type timer
 

@@ -356,6 +356,63 @@ let test_short_frame_after_long () =
   Alcotest.(check bool) "exactly the short frame's rows" true
     (short_rows = short)
 
+(* Frames that reach the socket together are read one at a time: a read
+   takes what the socket holds, keeps the bytes past its frame for the
+   next read (which [frame_ready] counts while the socket is empty), and
+   a payload longer than what was read ahead is read partly from it and
+   the rest from the socket. *)
+let test_frames_read_ahead () =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+  @@ fun () ->
+  let writer = Wire.conn a and reader = Wire.conn b in
+  let read_all frames =
+    List.iteri
+      (fun i (kind, payload) ->
+        let got, len = Wire.read reader in
+        Alcotest.(check bool)
+          (Printf.sprintf "frame %d: its kind" i)
+          true (got = kind);
+        Alcotest.(check string)
+          (Printf.sprintf "frame %d: its payload" i)
+          (Bytes.to_string payload)
+          (Bytes.sub_string (Wire.payload reader) 0 len);
+        if i = 0 then begin
+          Alcotest.(check bool)
+            "the first read took the next frames too" false
+            (Sched.fd_ready `Read b);
+          Alcotest.(check bool)
+            "frame_ready counts the frames read ahead" true
+            (Wire.frame_ready reader)
+        end)
+      frames
+  in
+  let small =
+    [
+      (Wire.Request, Bytes.of_string "one");
+      (Wire.Resp_ok, Bytes.of_string "two");
+      (Wire.Eos, Bytes.empty);
+    ]
+  in
+  List.iter (fun (kind, payload) -> Wire.write writer kind payload) small;
+  read_all small;
+  (* A payload past the read-ahead, then one behind it. *)
+  let big = Bytes.init 10_000 (fun i -> Char.chr (i mod 251)) in
+  Wire.write writer Wire.Data big;
+  Wire.write writer Wire.Resp_err (Bytes.of_string "last");
+  let kind, len = Wire.read reader in
+  Alcotest.(check bool) "the long frame's kind" true (kind = Wire.Data);
+  Alcotest.(check bool)
+    "the long frame's payload" true
+    (Bytes.sub (Wire.payload reader) 0 len = big);
+  let kind, len = Wire.read reader in
+  Alcotest.(check bool) "the frame behind it" true
+    (kind = Wire.Resp_err
+    && Bytes.sub_string (Wire.payload reader) 0 len = "last");
+  Alcotest.(check bool) "nothing is left" false (Wire.frame_ready reader)
+
 (* Reading data frames allocates no frame: the payload lands in the
    connection's input buffer.  A fresh ~12 KB payload per frame is a
    major-heap allocation (past the minor heap's object limit) of ~1,500
@@ -1607,10 +1664,11 @@ let test_planlint_remote () =
 
 (* --- the serving plane ------------------------------------------------ *)
 
-let test_serve_concurrent_clients () =
-  (* An atomically created temp name, not a pid-derived one: pid reuse
-     after a crashed run could leave a stale socket file exactly where a
-     pid-named path would bind next. *)
+(* A server on a fresh socket path, stopped and removed after [f]: an
+   atomically created temp name, not a pid-derived one, since pid reuse
+   after a crashed run could leave a stale socket file exactly where a
+   pid-named path would bind next. *)
+let with_server f =
   let socket = Filename.temp_file "volcano-test-serve-" ".sock" in
   Unix.unlink socket;
   let handle task =
@@ -1619,6 +1677,14 @@ let test_serve_concurrent_clients () =
     | None -> Error ("serve-test", "bad task " ^ task)
   in
   let server = Serve.Server.start ~socket ~handle () in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop server;
+      try Sys.remove socket with _ -> ())
+    (fun () -> f socket server)
+
+let test_serve_concurrent_clients () =
+  with_server @@ fun socket server ->
   let failures = Atomic.make 0 in
   let client i =
     let c = Serve.Client.connect ~socket in
@@ -1642,13 +1708,89 @@ let test_serve_concurrent_clients () =
   Alcotest.(check int) "no failed requests" 0 (Atomic.get failures);
   Alcotest.(check int) "request count" 88 (Serve.Server.requests server);
   Alcotest.(check int) "error count" 8 (Serve.Server.errors server);
-  (* remote shutdown, then stop merely joins (and is idempotent) *)
+  (* remote shutdown, then stop merely awaits (and is idempotent) *)
   let c = Serve.Client.connect ~socket in
   Serve.Client.shutdown_server c;
   Serve.Client.close c;
   Serve.Server.stop server;
-  Serve.Server.stop server;
-  try Sys.remove socket with _ -> ()
+  Serve.Server.stop server
+
+(* The poller polls, so a connection numbered past 1024 is served like
+   any other: placeholders fill every lower descriptor first, so the
+   client's socket and the server's accepted connection both land above
+   it.  Skipped where the descriptor limit is lower. *)
+let test_serve_past_1024 () =
+  with_server @@ fun socket _ ->
+  let placeholders = ref [] in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close !placeholders)
+  @@ fun () ->
+  let rec fill () =
+    match Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+    | fd when (Obj.magic fd : int) < 1024 ->
+        placeholders := fd :: !placeholders;
+        fill ()
+    | fd -> Unix.close fd
+    | exception Unix.Unix_error (Unix.EMFILE, _, _) -> Alcotest.skip ()
+  in
+  fill ();
+  let c = Serve.Client.connect ~socket in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  for n = 0 to 3 do
+    match Serve.Client.query c (string_of_int n) with
+    | Ok rows ->
+        Alcotest.(check bool)
+          "rows past descriptor 1024" true
+          (rows = List.init n (fun i -> Tuple.of_ints [ i; i * 3 ]))
+    | Error (site, message) -> Alcotest.failf "%s: %s" site message
+  done
+
+(* [stop] with idle clients connected: each connection's fiber wakes from
+   its wait, closes its descriptor and ends, so [stop] returns, every
+   client reads end of file, and no fiber is left on the pool.  The
+   clients speak the frames by hand to be able to read after the server
+   has gone. *)
+let test_serve_stop_idle_clients () =
+  with_server @@ fun socket server ->
+  let clients =
+    List.init 8 (fun _ ->
+        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX socket);
+        Wire.conn fd)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun c -> try Unix.close (Wire.fd c) with _ -> ()) clients)
+  @@ fun () ->
+  (* One round trip each: every connection has a fiber, now idle. *)
+  List.iter
+    (fun c ->
+      Wire.write c Wire.Request (Bytes.of_string "2");
+      match Wire.read c with
+      | Wire.Resp_ok, _ -> ()
+      | _ -> Alcotest.fail "no response")
+    clients;
+  let stopped = Atomic.make false in
+  let stopper =
+    Thread.create
+      (fun () ->
+        Serve.Server.stop server;
+        Atomic.set stopped true)
+      ()
+  in
+  let give_up = Unix.gettimeofday () +. 5.0 in
+  while (not (Atomic.get stopped)) && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.002
+  done;
+  if not (Atomic.get stopped) then
+    Alcotest.fail "stop did not return with idle clients connected";
+  Thread.join stopper;
+  List.iteri
+    (fun i c ->
+      match Wire.read c with
+      | _ -> Alcotest.failf "client %d read a frame after stop" i
+      | exception End_of_file -> ())
+    clients;
+  Sched.assert_quiescent ~what:"serve stop" (Sched.default ())
 
 let suite =
   [
@@ -1724,4 +1866,10 @@ let suite =
       test_planlint_remote;
     Alcotest.test_case "serve: concurrent clients" `Quick
       test_serve_concurrent_clients;
+    Alcotest.test_case "serve: connections past descriptor 1024" `Quick
+      test_serve_past_1024;
+    Alcotest.test_case "serve: stop with idle clients connected" `Quick
+      test_serve_stop_idle_clients;
+    Alcotest.test_case "frames read ahead are read one at a time" `Quick
+      test_frames_read_ahead;
   ]

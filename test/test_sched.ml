@@ -153,12 +153,13 @@ let test_systhread_waits () =
   eventually "first thread returns" (fun () -> Atomic.get returned.(0));
   List.iter Thread.join threads
 
-(* [select] cannot watch a descriptor numbered 1024 or higher.  A wait on
-   one must fail alone, at once, and leave the poller serving every other
-   wait; a poller that took it in would fail every select round and wake
-   every wait on each.  One pipe end moved onto descriptor 1100 stands in
-   for a process with that many open. *)
-let test_wait_fd_past_select_limit () =
+(* The poller polls, so a descriptor's number does not matter: a wait on
+   descriptor 1100 (one pipe end moved there, standing in for a process
+   with that many open) completes once its pipe is written.  A wait whose
+   descriptor is closed under it wakes too, and alone: [poll] reports the
+   closed descriptor for its own wait only, and an unrelated wait sleeps
+   on through both. *)
+let test_wait_fd_past_1024 () =
   let r, w = Unix.pipe ~cloexec:true () in
   let high : Unix.file_descr = Obj.magic 1100 in
   (match Unix.dup2 ~cloexec:true r high with
@@ -168,44 +169,134 @@ let test_wait_fd_past_select_limit () =
       Unix.close w;
       Alcotest.skip ());
   let r2, w2 = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock r2;
-  Fun.protect ~finally:(fun () -> List.iter Unix.close [ high; r; w; r2; w2 ])
+  let r3, w3 = Unix.pipe ~cloexec:true () in
+  List.iter Unix.set_nonblock [ high; r2 ];
+  let r3_open = ref true in
+  Fun.protect ~finally:(fun () ->
+      List.iter Unix.close [ high; r; w; r2; w2; w3 ];
+      if !r3_open then Unix.close r3)
   @@ fun () ->
   with_pool ~workers:2 (fun sched ->
       let wakes = Atomic.make 0 in
-      let reader =
+      (* Retried the way [Wire]'s loops retry. *)
+      let reader ?(woke = ignore) fd =
         Sched.fork sched (fun () ->
             let buf = Bytes.create 1 in
             let rec go () =
-              match Unix.read r2 buf 0 1 with
+              match Unix.read fd buf 0 1 with
               | n -> n
               | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
                 ->
-                  Sched.wait_fd `Read r2;
-                  Atomic.incr wakes;
+                  Sched.wait_fd `Read fd;
+                  woke ();
                   go ()
             in
             go ())
       in
-      (* Retried the way [Wire]'s loops retry, for up to 0.3 s. *)
-      let refused =
-        Sched.fork sched (fun () ->
-            let give_up = Unix.gettimeofday () +. 0.3 in
-            let rec go () =
-              match Sched.wait_fd `Read high with
-              | () -> Unix.gettimeofday () < give_up && go ()
-              | exception Invalid_argument _ -> true
-            in
-            go ())
+      let read_one what task =
+        check Alcotest.(result int reject) what (Ok 1)
+          (match Sched.await task with Ok n -> Ok n | Error _ -> Ok (-1))
       in
-      check Alcotest.(result bool reject) "the wait is refused" (Ok true)
-        (match Sched.await refused with Ok v -> Ok v | Error _ -> Ok false);
-      Unix.sleepf 0.3;
+      let unrelated = reader ~woke:(fun () -> Atomic.incr wakes) r2 in
+      let past_1024 = reader high in
+      Unix.sleepf 0.05;
+      ignore (Unix.write_substring w "x" 0 1 : int);
+      read_one "the wait on descriptor 1100 reads its byte" past_1024;
+      (* A 5-s due time bounds the wait if the close is never reported. *)
+      let t0 = Unix.gettimeofday () in
+      let closed =
+        Sched.fork sched (fun () ->
+            Sched.wait_fd ~until:(Volcano_util.Clock.now () +. 5.0) `Read r3)
+      in
+      Unix.sleepf 0.05;
+      Unix.close r3;
+      r3_open := false;
+      (* Closing a descriptor does not end a poll already in progress;
+         the poller's next round, which this timer starts, reports it. *)
+      ignore (Sched.at (Volcano_util.Clock.now () +. 0.01) ignore : Sched.timer);
+      ignore (Sched.await closed : (unit, exn) result);
+      let waited = Unix.gettimeofday () -. t0 in
+      if waited > 2.0 then
+        Alcotest.failf "the wait on a closed descriptor woke after %.2f s" waited;
       ignore (Unix.write_substring w2 "x" 0 1 : int);
-      check Alcotest.(result int reject) "the other wait reads its byte" (Ok 1)
-        (match Sched.await reader with Ok n -> Ok n | Error _ -> Ok (-1));
+      read_one "the other wait reads its byte" unrelated;
       if Atomic.get wakes > 2 then
         Alcotest.failf "an unrelated wait woke %d times" (Atomic.get wakes))
+
+(* The poller keeps its waits in slots that it grows and refills as
+   waits leave: 200 descriptor waits (past the 64 slots it starts with),
+   woken in a shuffled order, each read their own byte well before their
+   due time, and a timer set among them fires.  A wait the poller lost
+   would never return, so the test counts returns before it awaits. *)
+let test_many_waits_any_order () =
+  let n = 200 in
+  let pipes = Array.init n (fun _ -> Unix.pipe ~cloexec:true ()) in
+  Fun.protect ~finally:(fun () ->
+      Array.iter
+        (fun (r, w) ->
+          Unix.close r;
+          Unix.close w)
+        pipes)
+  @@ fun () ->
+  Array.iter (fun (r, _) -> Unix.set_nonblock r) pipes;
+  let byte i = Char.chr (i mod 256) in
+  with_pool ~workers:2 (fun sched ->
+      let t0 = Unix.gettimeofday () in
+      let until = Volcano_util.Clock.now () +. 5.0 in
+      let returned = Atomic.make 0 in
+      let waits =
+        Array.map
+          (fun (r, _) ->
+            Sched.fork sched (fun () ->
+                let buf = Bytes.create 1 in
+                let rec go () =
+                  match Unix.read r buf 0 1 with
+                  | _ ->
+                      Atomic.incr returned;
+                      Some (Bytes.get buf 0)
+                  | exception
+                      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+                    ->
+                      if Volcano_util.Clock.now () >= until then None
+                      else begin
+                        Sched.wait_fd ~until `Read r;
+                        go ()
+                      end
+                in
+                go ()))
+          pipes
+      in
+      let fired = Atomic.make false in
+      ignore
+        (Sched.at
+           (Volcano_util.Clock.now () +. 0.02)
+           (fun () -> Atomic.set fired true)
+          : Sched.timer);
+      Unix.sleepf 0.05;
+      let order = Array.init n Fun.id in
+      let rng = Random.State.make [| 7 |] in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- x
+      done;
+      Array.iter
+        (fun i ->
+          ignore (Unix.write (snd pipes.(i)) (Bytes.make 1 (byte i)) 0 1 : int))
+        order;
+      eventually "every wait returns" (fun () -> Atomic.get returned = n);
+      Array.iteri
+        (fun i task ->
+          check
+            Alcotest.(option char)
+            (Printf.sprintf "wait %d reads its byte" i)
+            (Some (byte i))
+            (match Sched.await task with Ok c -> c | Error exn -> raise exn))
+        waits;
+      let waited = Unix.gettimeofday () -. t0 in
+      if waited > 2.0 then Alcotest.failf "the waits took %.2f s" waited;
+      eventually "the timer fires" (fun () -> Atomic.get fired))
 
 (* --- pool exhaustion -------------------------------------------------- *)
 
@@ -473,8 +564,8 @@ let suite =
       test_suspend_off_pool_blocks;
     Alcotest.test_case "systhreads wait on their own gates" `Quick
       test_systhread_waits;
-    Alcotest.test_case "a descriptor past select's limit is refused" `Quick
-      test_wait_fd_past_select_limit;
+    Alcotest.test_case "a descriptor past select's limit" `Quick
+      test_wait_fd_past_1024;
     Alcotest.test_case "pool exhaustion does not deadlock" `Quick
       test_pool_exhaustion_no_deadlock;
     Alcotest.test_case "admission gate" `Quick test_admission_gate;
@@ -492,4 +583,6 @@ let suite =
       test_session_concurrent_submits;
     Alcotest.test_case "narrow vs wide pool differential" `Quick
       test_narrow_vs_wide_differential;
+    Alcotest.test_case "many descriptor waits, woken in any order" `Quick
+      test_many_waits_any_order;
   ]

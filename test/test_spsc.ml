@@ -299,6 +299,61 @@ let blocked_producer_shutdown host =
 
 let test_blocked_producer_shutdown () = on_each_host blocked_producer_shutdown
 
+(* The registration window: a blocked side checks [shut], then registers
+   its waker and checks [shut] again under its slot's lock.  The
+   [Sched_park] site fires between the two; a 50 ms [Delay] there holds
+   the waiter inside the window while the port shuts down, so only the
+   second check can see the shutdown.  The wait must still return: a
+   lost wakeup fails the case after a bounded wait instead of hanging
+   it.  [run job] starts [job] on a pool fiber or off the pool. *)
+let shutdown_in_park_window side run =
+  let faults =
+    Volcano_fault.Injector.make
+      {
+        seed = 1L;
+        rules =
+          [ { site = Sched_park; trigger = At_hit 1; action = Delay 0.05 } ];
+      }
+  in
+  let port = Port.create ~producers:1 ~consumers:1 ~flow_slack:1 ~faults () in
+  let wait =
+    match side with
+    | `Producer ->
+        (* The lane's one slot is full: the next send parks. *)
+        Port.send port ~producer:0 ~consumer:0 (packet_of_int ~producer:0 0);
+        fun () ->
+          Port.send port ~producer:0 ~consumer:0 (packet_of_int ~producer:0 1)
+    | `Consumer -> fun () -> ignore (Port.receive port ~consumer:0)
+  in
+  let returned = Atomic.make false in
+  run (fun () ->
+      wait ();
+      Atomic.set returned true);
+  let within seconds what ok =
+    let give_up = Unix.gettimeofday () +. seconds in
+    while (not (ok ())) && Unix.gettimeofday () < give_up do
+      Unix.sleepf 0.001
+    done;
+    if not (ok ()) then Alcotest.failf "%s within %.0f s" what seconds
+  in
+  within 5.0 "the waiter reaches the park site" (fun () ->
+      Volcano_fault.Injector.hits faults > 0);
+  Port.shutdown port;
+  within 2.0 "the shutdown wakes the wait" (fun () -> Atomic.get returned)
+
+let test_shutdown_in_park_window () =
+  List.iter
+    (fun side ->
+      let sched = Sched.create ~workers:1 () in
+      Fun.protect
+        ~finally:(fun () -> Sched.shutdown sched)
+        (fun () ->
+          shutdown_in_park_window side (fun job ->
+              ignore (Sched.fork sched job : unit Sched.task)));
+      shutdown_in_park_window side (fun job ->
+          ignore (Thread.create job () : Thread.t)))
+    [ `Producer; `Consumer ]
+
 let suite =
   [
     Alcotest.test_case "ring basics and exact capacity" `Quick test_ring_basics;
@@ -312,4 +367,6 @@ let suite =
       test_shutdown_race_matrix;
     Alcotest.test_case "blocked producer woken by shutdown" `Slow
       test_blocked_producer_shutdown;
+    Alcotest.test_case "shutdown inside the park window" `Quick
+      test_shutdown_in_park_window;
   ]
