@@ -662,71 +662,54 @@ let remote_iterator ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
 
 (* Keep-separate variant: one stream per producer, so that "the merge
    iterator [can] distinguish the input records by their producer"
-   (section 4.4).  The streams share setup and teardown via refcounts. *)
+   (section 4.4).  The streams share setup and teardown: the first
+   [open_] wins [elected] and puts the port (or its failure) into
+   [shared]; the others read it, and the last [close] tears down.
+   [open_port] can suspend the opener (a non-master rank waits for the
+   master's port publication), so no lock may be held around it; in
+   practice all [degree] streams are opened by the one consumer fiber
+   that merges them, so no stream ever waits on [shared]. *)
 let producer_streams ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
     ?sched cfg ~group ~input =
   let id = match id with Some i -> i | None -> fresh_id () in
   let sched = match sched with Some s -> s | None -> Sched.default () in
-  let shared = ref None in
-  let open_count = ref 0 in
-  let close_count = ref 0 in
-  let lock = Mutex.create () in
-  let ready = Sched.Event.create () in
-  (* [open_port] can suspend the calling fiber (a non-master rank waits
-     for the master's port publication), so it must run OUTSIDE [lock]: a
-     suspension would unwind the fiber off its worker with the pthread
-     mutex still owned by that worker thread — later lockers would
-     deadlock against an idle worker, and the resumed fiber would unlock
-     from the wrong thread.  The counter mutex therefore only elects the
-     first opener; racers park on [ready] instead.  (In practice all
-     [degree] streams are opened by the one consumer fiber that merges
-     them, so the wait is never exercised — this is belt-and-braces for
-     exotic callers.) *)
+  let elected = Atomic.make false in
+  let shared = Sched.Ivar.create () in
+  let closed = Atomic.make 0 in
   let ensure_open () =
-    Mutex.lock lock;
-    let first = !open_count = 0 in
-    incr open_count;
-    Mutex.unlock lock;
-    if first then
-      Fun.protect
-        ~finally:(fun () -> Sched.Event.fire ready)
-        (fun () ->
-          shared :=
-            Some
-              (open_port ~keep_separate:true ?flow_slack:cfg.flow_slack
-                 ~start:
-                   (spawn_producers sched cfg faults (fun producer_group ->
-                        Batch.iterator_cursor (input producer_group)))
-                 ~faults ?parent_scope ?scope ?obs ~id ~group
-                 ~producers:cfg.degree ()))
-    else begin
-      Sched.Event.wait ready;
-      if !shared = None then
-        failwith "Exchange.producer_streams: shared setup failed"
-    end
+    if Atomic.compare_and_set elected false true then
+      ignore
+        (Sched.Ivar.fill shared
+           (match
+              open_port ~keep_separate:true ?flow_slack:cfg.flow_slack
+                ~start:
+                  (spawn_producers sched cfg faults (fun producer_group ->
+                       Batch.iterator_cursor (input producer_group)))
+                ~faults ?parent_scope ?scope ?obs ~id ~group
+                ~producers:cfg.degree ()
+            with
+           | opened -> Ok opened
+           | exception exn -> Error exn)
+          : bool);
+    match Sched.Ivar.read shared with
+    | Ok opened when Atomic.get closed < cfg.degree -> opened
+    | Ok _ -> invalid_arg "Exchange.producer_streams: re-opened after close"
+    | Error exn -> raise exn
   in
   let all_finished = Array.make cfg.degree false in
   let release () =
-    Mutex.lock lock;
-    incr close_count;
-    let last = !close_count = cfg.degree in
-    Mutex.unlock lock;
-    if last then
-      match !shared with
-      | Some (port, joiner) ->
+    if Atomic.fetch_and_add closed 1 = cfg.degree - 1 then
+      match Sched.Ivar.peek shared with
+      | Some (Ok (port, joiner)) ->
           if Array.exists not all_finished then Port.shutdown port;
-          Option.iter (fun join -> join ()) joiner;
-          shared := None
-      | None -> ()
+          Option.iter (fun join -> join ()) joiner
+      | Some (Error _) | None -> ()
   in
   Array.init cfg.degree (fun producer ->
       let stream = ref None in
       Iterator.make
         ~open_:(fun () ->
-          ensure_open ();
-          let port, _ =
-            match !shared with Some s -> s | None -> assert false
-          in
+          let port, _ = ensure_open () in
           let consumer = Group.rank group in
           (* Exactly one end-of-stream tag arrives on this producer's
              lane. *)

@@ -2,16 +2,15 @@ module Sched = Volcano_sched.Sched
 
 exception Cancelled
 
+(* Each port key has its own write-once cell: [Some port] once the master
+   publishes it, [None] once the group is cancelled first.  A lookup
+   waits on its own key's cell alone, so a publish wakes only the lookups
+   for that key. *)
 type shared = {
   group_size : int;
   lock : Mutex.t;
-  ports : (int, Port.t) Hashtbl.t;
+  ports : (int, Port.t option Sched.Ivar.t) Hashtbl.t;
   mutable dead : bool;
-  (* Wakers of blocked lookups, drained under [lock] by [publish_port]
-     and [cancel].  Wakers are idempotent and waiters re-register, so
-     waking on every publish is correct even when a lookup waits for a
-     different key. *)
-  mutable waiters : (unit -> unit) list;
 }
 
 type t = { rank : int; shared : shared }
@@ -23,7 +22,6 @@ let make_shared ~size =
     lock = Mutex.create ();
     ports = Hashtbl.create 8;
     dead = false;
-    waiters = [];
   }
 
 let attach shared ~rank =
@@ -36,48 +34,50 @@ let rank t = t.rank
 let size t = t.shared.group_size
 let is_master t = t.rank = 0
 
-let drain_waiters shared =
-  let wakers = shared.waiters in
-  shared.waiters <- [];
-  wakers
-
+(* A key published before (an exchange re-opened under a rescanning
+   parent) gets a new cell holding the new port; lookups from then on
+   find it. *)
 let publish_port t ~key port =
   if not (is_master t) then invalid_arg "Group.publish_port: not the master";
-  Mutex.lock t.shared.lock;
-  Hashtbl.replace t.shared.ports key port;
-  let wakers = drain_waiters t.shared in
-  Mutex.unlock t.shared.lock;
-  List.iter (fun wake -> wake ()) wakers
+  let s = t.shared in
+  Mutex.lock s.lock;
+  let cell =
+    match Hashtbl.find_opt s.ports key with
+    | Some cell when Option.is_none (Sched.Ivar.peek cell) -> cell
+    | Some _ | None ->
+        let cell = Sched.Ivar.create () in
+        Hashtbl.replace s.ports key cell;
+        cell
+  in
+  Mutex.unlock s.lock;
+  ignore (Sched.Ivar.fill cell (Some port) : bool)
 
 (* A member that dies may do so before publishing a port its siblings are
    waiting for — nothing would ever publish it, and the waiters (and the
    joiner behind them) would hang forever.  The failure handler marks the
-   whole group dead and wakes every waiter; a woken lookup that still
-   finds no port gives up. *)
+   whole group dead and fills every unpublished key's cell with [None];
+   a lookup that arrives later finds the group dead. *)
 let cancel t =
-  Mutex.lock t.shared.lock;
-  t.shared.dead <- true;
-  let wakers = drain_waiters t.shared in
-  Mutex.unlock t.shared.lock;
-  List.iter (fun wake -> wake ()) wakers
+  let s = t.shared in
+  Mutex.lock s.lock;
+  s.dead <- true;
+  let cells = Hashtbl.fold (fun _ cell cells -> cell :: cells) s.ports [] in
+  Mutex.unlock s.lock;
+  List.iter (fun cell -> ignore (Sched.Ivar.fill cell None : bool)) cells
 
-(* The waker is registered under the same lock that publish/cancel take,
-   so the found-nothing re-check inside [register] cannot race them. *)
-let rec lookup_port t ~key =
-  Mutex.lock t.shared.lock;
-  let found = Hashtbl.find_opt t.shared.ports key in
-  let dead = t.shared.dead in
-  Mutex.unlock t.shared.lock;
-  match found with
+let lookup_port t ~key =
+  let s = t.shared in
+  Mutex.lock s.lock;
+  let cell =
+    match Hashtbl.find_opt s.ports key with
+    | Some _ as cell -> cell
+    | None when s.dead -> None
+    | None ->
+        let cell = Sched.Ivar.create () in
+        Hashtbl.add s.ports key cell;
+        Some cell
+  in
+  Mutex.unlock s.lock;
+  match Option.bind cell Sched.Ivar.read with
   | Some port -> port
-  | None ->
-      if dead then raise Cancelled;
-      Sched.suspend (fun wake ->
-          Mutex.lock t.shared.lock;
-          let pending =
-            (not (Hashtbl.mem t.shared.ports key)) && not t.shared.dead
-          in
-          if pending then t.shared.waiters <- wake :: t.shared.waiters;
-          Mutex.unlock t.shared.lock;
-          pending);
-      lookup_port t ~key
+  | None -> raise Cancelled

@@ -6,7 +6,9 @@
     the group size, and shared state through which the group master
     publishes ports for the other members — the paper's "address known only
     to the BC processes" with its double synchronization around port
-    creation. *)
+    creation.  Each port key is one write-once cell ({!Volcano_sched.Sched.Ivar}):
+    the master's publish fills it, and a member's lookup reads it, so a
+    publish wakes only the lookups for its own key. *)
 
 type t
 
@@ -31,7 +33,8 @@ val is_master : t -> bool
 
 val publish_port : t -> key:int -> Port.t -> unit
 (** Master only: make a port visible to the whole group under an exchange
-    instance key. *)
+    instance key.  Publishing a key again (an exchange re-opened under a
+    rescanning parent) replaces its port for later lookups. *)
 
 val lookup_port : t -> key:int -> Port.t
 (** Block until the master has published the port for [key].  Raises
@@ -39,6 +42,7 @@ val lookup_port : t -> key:int -> Port.t
     dies may never publish, so waiting on would deadlock the joiner. *)
 
 val cancel : t -> unit
-(** Mark the group dead and wake every blocked {!lookup_port}.  Called by
-    the failure path when a member dies: a sibling waiting for a port the
-    dead member would have published must not wait forever. *)
+(** Mark the group dead: a {!lookup_port} of a key not yet published,
+    blocked or later, raises {!Cancelled}.  Called by the
+    failure path when a member dies: a sibling waiting for a port the dead
+    member would have published must not wait forever. *)

@@ -1,7 +1,7 @@
 (* Inter-module effect propagation over the shape IR.
 
    Seeds a may-suspend set from known roots (Sched.suspend and the
-   engine's waits built on it: Sched.await, Event.wait, Port.send and the
+   engine's waits built on it: Sched.await, Ivar.read, Port.send and the
    Port receives, Group.lookup_port; plus Condition.wait and raw
    Domain.join) and propagates it transitively over the call graph.
    Condition waits are tracked separately with the mutex they wait on:
@@ -23,7 +23,7 @@ let hard_roots =
     [
       "Sched.suspend";
       "Sched.await";
-      "Event.wait";
+      "Ivar.read";
       "Port.send";
       "Port.receive";
       "Port.receive_from";

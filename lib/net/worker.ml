@@ -52,41 +52,36 @@ let is_tcp address =
   && String.sub address 0 (String.length tcp_prefix) = tcp_prefix
 
 let connect address =
-  if is_tcp address then begin
-    let rest =
-      String.sub address (String.length tcp_prefix)
-        (String.length address - String.length tcp_prefix)
-    in
-    match String.rindex_opt rest ':' with
-    | None -> invalid_arg ("Worker.connect: bad tcp address " ^ address)
-    | Some i ->
-        let host = String.sub rest 0 i in
-        let port =
-          match int_of_string_opt (String.sub rest (i + 1) (String.length rest - i - 1)) with
-          | Some p when p > 0 && p < 65536 -> p
-          | Some _ | None ->
-              invalid_arg ("Worker.connect: bad tcp port in " ^ address)
-        in
-        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (* conclint: allow CL003 -- the worker process's main thread is a
-           dedicated transport context; there is no pool here at all. *)
-        (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-         with exn ->
-           (try Unix.close fd with _ -> ());
-           raise exn);
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
-        fd
-  end
-  else begin
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (* conclint: allow CL003 -- the worker process's main thread is a
-       dedicated transport context; there is no pool here at all. *)
-    (try Unix.connect fd (Unix.ADDR_UNIX address)
-     with exn ->
-       (try Unix.close fd with _ -> ());
-       raise exn);
-    fd
-  end
+  let domain, sockaddr =
+    if is_tcp address then begin
+      let rest =
+        String.sub address (String.length tcp_prefix)
+          (String.length address - String.length tcp_prefix)
+      in
+      match String.rindex_opt rest ':' with
+      | None -> invalid_arg ("Worker.connect: bad tcp address " ^ address)
+      | Some i ->
+          let host = String.sub rest 0 i in
+          let port =
+            match int_of_string_opt (String.sub rest (i + 1) (String.length rest - i - 1)) with
+            | Some p when p > 0 && p < 65536 -> p
+            | Some _ | None ->
+                invalid_arg ("Worker.connect: bad tcp port in " ^ address)
+          in
+          (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+    end
+    else (Unix.PF_UNIX, Unix.ADDR_UNIX address)
+  in
+  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+  (* conclint: allow CL003 -- the worker process's main thread is a
+     dedicated transport context; there is no pool here at all. *)
+  (try Unix.connect fd sockaddr
+   with exn ->
+     (try Unix.close fd with _ -> ());
+     raise exn);
+  if domain = Unix.PF_INET then (
+    try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
+  fd
 
 (* The one pump of both stream modes: one open shell per destination,
    [route] picks a record's shell, and [write] sends a non-empty shell as

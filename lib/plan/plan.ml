@@ -240,6 +240,39 @@ let children = function
   | Division { dividend; divisor; _ } -> [ dividend; divisor ]
   | Choose { alternatives; _ } -> alternatives
 
+let map_children f plan =
+  match plan with
+  | Scan_table _ | Scan_table_slice _ | Scan_index _ | Scan_list _ | Generate _
+  | Generate_slice _ | Generate_range _ ->
+      plan
+  | Filter r -> Filter { r with input = f r.input }
+  | Project_cols r -> Project_cols { r with input = f r.input }
+  | Project_exprs r -> Project_exprs { r with input = f r.input }
+  | Sort r -> Sort { r with input = f r.input }
+  | Aggregate r -> Aggregate { r with input = f r.input }
+  | Distinct r -> Distinct { r with input = f r.input }
+  | Limit r -> Limit { r with input = f r.input }
+  | Exchange r -> Exchange { r with input = f r.input }
+  | Exchange_merge r -> Exchange_merge { r with input = f r.input }
+  | Interchange r -> Interchange { r with input = f r.input }
+  | Remote r -> Remote { r with input = f r.input }
+  | Match r ->
+      let left = f r.left in
+      Match { r with left; right = f r.right }
+  | Cross { left; right } ->
+      let left = f left in
+      Cross { left; right = f right }
+  | Theta_join r ->
+      let left = f r.left in
+      Theta_join { r with left; right = f r.right }
+  | Union_all { left; right } ->
+      let left = f left in
+      Union_all { left; right = f right }
+  | Division r ->
+      let dividend = f r.dividend in
+      Division { r with dividend; divisor = f r.divisor }
+  | Choose r -> Choose { r with alternatives = List.map f r.alternatives }
+
 (* --- read sets ----------------------------------------------------------- *)
 
 (* The columns each node's consumer reads, worked top-down from the root,

@@ -137,6 +137,12 @@ val children : t -> t list
 (** Direct inputs in display order (left before right, dividend before
     divisor, alternatives in listed order). *)
 
+val map_children : (t -> t) -> t -> t
+(** [map_children f plan] is [plan] with each direct input [c] replaced
+    by [f c], applied in {!children}'s order; a leaf is returned as it
+    is.  The inverse of {!children}: [children (map_children f p)] is
+    [List.map f (children p)]. *)
+
 val narrow : Env.t -> t -> t
 (** Keep only what is read: the one rule that decides which columns a
     leaf produces and an edge ships.  Works read sets top-down from

@@ -13,8 +13,8 @@
      [Scan_list], [Scan_index]) are duplicated by workers too, unchanged;
    - recursion stops at nested [Exchange] / [Exchange_merge] / [Remote]
      boundaries — their own producer groups govern the leaves below, in
-     the worker exactly as locally — and continues through [Interchange],
-     which compiles in the same group. *)
+     the worker exactly as locally — and continues through every other
+     node ([Interchange] included, which compiles in the same group). *)
 
 let rec slice ~shard ~shards plan =
   if shards < 1 || shard < 0 || shard >= shards then
@@ -45,51 +45,7 @@ let rec slice ~shard ~shards plan =
     ->
       plan
   | Plan.Exchange _ | Plan.Exchange_merge _ | Plan.Remote _ -> plan
-  | Plan.Interchange { cfg; input } ->
-      Plan.Interchange { cfg; input = continue_ input }
-  | Plan.Filter { pred; mode; input } ->
-      Plan.Filter { pred; mode; input = continue_ input }
-  | Plan.Project_cols { cols; input } ->
-      Plan.Project_cols { cols; input = continue_ input }
-  | Plan.Project_exprs { exprs; input } ->
-      Plan.Project_exprs { exprs; input = continue_ input }
-  | Plan.Sort { key; input } -> Plan.Sort { key; input = continue_ input }
-  | Plan.Match { algo; kind; left_key; right_key; left; right } ->
-      Plan.Match
-        {
-          algo;
-          kind;
-          left_key;
-          right_key;
-          left = continue_ left;
-          right = continue_ right;
-        }
-  | Plan.Cross { left; right } ->
-      Plan.Cross { left = continue_ left; right = continue_ right }
-  | Plan.Union_all { left; right } ->
-      Plan.Union_all { left = continue_ left; right = continue_ right }
-  | Plan.Theta_join { pred; left; right } ->
-      Plan.Theta_join
-        { pred; left = continue_ left; right = continue_ right }
-  | Plan.Aggregate { algo; group_by; aggs; input } ->
-      Plan.Aggregate { algo; group_by; aggs; input = continue_ input }
-  | Plan.Distinct { algo; on; input } ->
-      Plan.Distinct { algo; on; input = continue_ input }
-  | Plan.Division { algo; quotient; divisor_attrs; divisor_key; dividend; divisor }
-    ->
-      Plan.Division
-        {
-          algo;
-          quotient;
-          divisor_attrs;
-          divisor_key;
-          dividend = continue_ dividend;
-          divisor = continue_ divisor;
-        }
-  | Plan.Limit { count; input } ->
-      Plan.Limit { count; input = continue_ input }
-  | Plan.Choose { decide; alternatives } ->
-      Plan.Choose { decide; alternatives = List.map continue_ alternatives }
+  | _ -> Plan.map_children continue_ plan
 
 (* The worker-side stream for [Worker.run]'s resolve: slice the subtree
    to this shard now, compile it once the read set is known.  A projection

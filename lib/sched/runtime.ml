@@ -22,20 +22,23 @@ type t = {
   rt_sched : Sched.t;
   rt_max : int;
   lock : Mutex.t;
-  mutable quiet : (unit -> unit) list; (* [close]'s wakers; fired at 0 *)
   pending : entry Queue.t;
   mutable running : int;
-  mutable active : int; (* submitted jobs not yet fully retired *)
+  mutable active : int; (* submitted jobs whose result is not yet in *)
   mutable shut : bool;
+  drained : unit Sched.Ivar.t; (* filled once [shut] and [active = 0] *)
 }
 
+(* [j_state] goes [`Done] under [j_lock] as the job's outcome is decided
+   (its closure returned, or it was cancelled while queued); the outcome
+   itself lands in [j_result] a little later, outside every lock. *)
 type 'a job = {
   j_label : string;
   j_lock : Mutex.t;
-  mutable j_state : [ `Queued | `Running | `Done of ('a, exn) result ];
+  mutable j_state : [ `Queued | `Running | `Done ];
   mutable j_cancel : exn option; (* first cancellation reason, if any *)
   j_on_cancel : exn -> unit;
-  j_done : Sched.Event.t;
+  j_result : ('a, exn) result Sched.Ivar.t;
   j_deadline : Sched.timer option Atomic.t;
 }
 
@@ -47,11 +50,11 @@ let create ?max_concurrent sched =
     rt_sched = sched;
     rt_max = max_c;
     lock = Mutex.create ();
-    quiet = [];
     pending = Queue.create ();
     running = 0;
     active = 0;
     shut = false;
+    drained = Sched.Ivar.create ();
   }
 
 let sched t = t.rt_sched
@@ -61,12 +64,11 @@ let label j = j.j_label
 let status j =
   Mutex.lock j.j_lock;
   let s =
-    match (j.j_state, j.j_cancel) with
-    | `Queued, _ -> Queued
-    | `Running, _ -> Running
-    | `Done (Ok _), _ -> Finished
-    | `Done (Error _), Some _ -> Aborted
-    | `Done (Error _), None -> Failed
+    match (Sched.Ivar.peek j.j_result, j.j_cancel) with
+    | Some (Ok _), _ -> Finished
+    | Some (Error _), Some _ -> Aborted
+    | Some (Error _), None -> Failed
+    | None, _ -> if j.j_state = `Queued then Queued else Running
   in
   Mutex.unlock j.j_lock;
   s
@@ -74,18 +76,17 @@ let status j =
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
 
-(* Under [t.lock]: once every job has retired, hand back [close]'s
-   wakers for the caller to fire after unlocking. *)
-let take_quiet t =
-  if t.active > 0 then []
-  else begin
-    let wakers = t.quiet in
-    t.quiet <- [];
-    wakers
-  end
+(* [n] jobs have their result in; the last one after [close] fills
+   [drained]. *)
+let retire t n =
+  Mutex.lock t.lock;
+  t.active <- t.active - n;
+  let drained = t.shut && t.active = 0 in
+  Mutex.unlock t.lock;
+  if drained then ignore (Sched.Ivar.fill t.drained () : bool)
 
-(* Launch queued entries into free slots.  Lock order: [t.lock] above
-   [j_lock] (e_skip peeks job state); forks happen outside both. *)
+(* Launch queued entries into free slots; forks happen outside the
+   lock. *)
 let pump t =
   Mutex.lock t.lock;
   let launches = ref [] in
@@ -108,79 +109,73 @@ let pump t =
           end
   in
   fill ();
-  t.active <- t.active - !retired;
-  let wakers = take_quiet t in
   Mutex.unlock t.lock;
-  List.iter (fun wake -> wake ()) wakers;
+  retire t !retired;
   List.iter (fun launch -> launch ()) !launches
 
 let release_slot t =
   Mutex.lock t.lock;
   t.running <- t.running - 1;
-  t.active <- t.active - 1;
-  let wakers = take_quiet t in
   Mutex.unlock t.lock;
-  List.iter (fun wake -> wake ()) wakers;
   pump t
 
 (* ------------------------------------------------------------------ *)
 (* Jobs                                                                *)
 
-(* A terminal job drops its deadline, so no timer outlives it. *)
-let retire j =
+(* A terminal job drops its deadline, so no timer outlives it.  The
+   first result in wins: a cancel and a launched job's own start may
+   both put in the same cancellation. *)
+let finish j r =
   Option.iter Sched.cancel_timer (Atomic.get j.j_deadline);
-  Sched.Event.fire j.j_done
+  ignore (Sched.Ivar.fill j.j_result r : bool)
 
 let cancel_with j reason =
   Mutex.lock j.j_lock;
   let action =
     match (j.j_state, j.j_cancel) with
-    | `Done _, _ | _, Some _ -> `Nothing
+    | `Done, _ | _, Some _ -> `Nothing
     | `Queued, None ->
         j.j_cancel <- Some reason;
-        j.j_state <- `Done (Error reason);
-        `Fire
+        j.j_state <- `Done;
+        `Finish
     | `Running, None ->
         j.j_cancel <- Some reason;
         `Hook
   in
   Mutex.unlock j.j_lock;
   match action with
-  | `Fire -> retire j
+  | `Finish -> finish j (Error reason)
   | `Hook -> ( try j.j_on_cancel reason with _ -> ())
   | `Nothing -> ()
 
 let cancel j = cancel_with j Cancelled
 
 let run_job t j run () =
-  let proceed =
-    Mutex.lock j.j_lock;
-    let p =
-      match j.j_state with
-      | `Queued -> (
-          match j.j_cancel with
-          | Some _ ->
-              (* Cancelled between admission and fiber start. *)
-              j.j_state <- `Done (Error (Option.get j.j_cancel));
-              false
-          | None ->
-              j.j_state <- `Running;
-              true)
-      | `Running | `Done _ -> false
-    in
-    Mutex.unlock j.j_lock;
-    p
+  Mutex.lock j.j_lock;
+  let proceed = j.j_state = `Queued in
+  if proceed then j.j_state <- `Running;
+  let cancelled = j.j_cancel in
+  Mutex.unlock j.j_lock;
+  let result =
+    if proceed then begin
+      let r = try Ok (run ()) with exn -> Error exn in
+      Mutex.lock j.j_lock;
+      j.j_state <- `Done;
+      Mutex.unlock j.j_lock;
+      r
+    end
+    else
+      (* Cancelled between admission and fiber start; the cancel may not
+         have put its result in yet. *)
+      Error (Option.get cancelled)
   in
-  if proceed then begin
-    let result = try Ok (run ()) with exn -> Error exn in
-    Mutex.lock j.j_lock;
-    j.j_state <- `Done result;
-    Mutex.unlock j.j_lock
-  end;
-  (* Release before firing: an awaiter that proceeds to tear the world
-     down must find the slot free and the queue pumped. *)
+  (* Release before filling: an awaiter that proceeds to tear the world
+     down must find the slot free and the queue pumped.  The job leaves
+     [active] only once its result is in, so [close] returns after every
+     result is. *)
   release_slot t;
-  retire j
+  finish j result;
+  retire t 1
 
 let submit t ?deadline_s ?(label = "") ?(on_cancel = fun _ -> ()) run =
   let j =
@@ -190,26 +185,22 @@ let submit t ?deadline_s ?(label = "") ?(on_cancel = fun _ -> ()) run =
       j_state = `Queued;
       j_cancel = None;
       j_on_cancel = on_cancel;
-      j_done = Sched.Event.create ();
+      j_result = Sched.Ivar.create ();
       j_deadline = Atomic.make None;
     }
   in
   let entry =
     {
-      e_skip =
-        (fun () ->
-          Mutex.lock j.j_lock;
-          let terminal =
-            match j.j_state with `Done _ -> true | `Queued | `Running -> false
-          in
-          Mutex.unlock j.j_lock;
-          terminal);
+      (* Cancelled while queued, and its result already in: it never
+         takes a slot.  A cancel whose result is not in yet launches it,
+         and [run_job] puts the same result in. *)
+      e_skip = (fun () -> Option.is_some (Sched.Ivar.peek j.j_result));
       e_launch =
         (fun () -> ignore (Sched.fork t.rt_sched (run_job t j run) : _ Sched.task));
     }
   in
   (* Expiry is an idempotent cancel request, run on the poller.  The
-     deadline is set before the job can launch, so the job's [retire]
+     deadline is set before the job can launch, so the job's [finish]
      always finds it. *)
   let deadline =
     Option.map
@@ -230,16 +221,7 @@ let submit t ?deadline_s ?(label = "") ?(on_cancel = fun _ -> ()) run =
   pump t;
   j
 
-let await j =
-  Sched.Event.wait j.j_done;
-  Mutex.lock j.j_lock;
-  let r =
-    match j.j_state with
-    | `Done r -> r
-    | `Queued | `Running -> assert false
-  in
-  Mutex.unlock j.j_lock;
-  r
+let await j = Sched.Ivar.read j.j_result
 
 let running t =
   Mutex.lock t.lock;
@@ -258,20 +240,7 @@ let close t =
   t.shut <- true;
   Mutex.unlock t.lock;
   (* Anything still queued and not yet cancelled gets to run; pump in
-     case no running job remains to trigger the next launch. *)
+     case no running job remains to trigger the next launch.  The pump
+     fills [drained] if no job is active. *)
   pump t;
-  let rec drain () =
-    Mutex.lock t.lock;
-    let busy = t.active > 0 in
-    Mutex.unlock t.lock;
-    if busy then begin
-      Sched.suspend (fun wake ->
-          Mutex.lock t.lock;
-          let busy = t.active > 0 in
-          if busy then t.quiet <- wake :: t.quiet;
-          Mutex.unlock t.lock;
-          busy);
-      drain ()
-    end
-  in
-  drain ()
+  Sched.Ivar.read t.drained

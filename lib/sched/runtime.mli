@@ -6,7 +6,12 @@
     cancellation and an optional deadline, both delivered through the
     job's [on_cancel] hook — for queries, the hook poisons the plan's root
     cancellation scope, riding the exchange poison/cancel chain, so a
-    cancelled query surfaces as [Query_failed] at its consumer. *)
+    cancelled query surfaces as [Query_failed] at its consumer.
+
+    Both waits are {!Sched.Ivar} reads: a job's result is a write-once
+    cell, filled after the job has given back its slot, and {!close}
+    reads one more cell, filled once the runtime is closed and every job's
+    result is in. *)
 
 type t
 

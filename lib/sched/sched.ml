@@ -9,8 +9,8 @@ module Obs = Volcano_obs.Obs
    Fibers run under a deep effect handler.  Performing [Suspend] unwinds
    the fiber off its worker; the handler hands an idempotent wake thunk to
    the suspender's [register] callback, which parks it wherever the
-   awaited event will fire (a lane's waker slot, a port sink, a group's
-   publish list, an event's waker list).  Waking re-enqueues the
+   awaited event will fire (a lane's waker slot, a port sink, a poller
+   slot, a cell's waker list).  Waking re-enqueues the
    continuation as an ordinary job, so the fiber resumes on whichever
    worker is free — the deep handler travels with the continuation, so
    later suspensions of the same fiber are handled identically.
@@ -48,12 +48,6 @@ type t = {
   mutable domains : unit Domain.t array;
 }
 
-type 'a task = {
-  t_lock : Mutex.t;
-  mutable t_result : ('a, exn) result option;
-  mutable t_wakers : (unit -> unit) list;
-}
-
 type _ Effect.t += Suspend : ((unit -> unit) -> bool) -> unit Effect.t
 
 (* Which pool (and which of its workers) the calling domain belongs to. *)
@@ -83,6 +77,53 @@ let suspend register =
   match Domain.DLS.get dls_key with
   | Some _ -> Effect.perform (Suspend register)
   | None -> block register
+
+(* ------------------------------------------------------------------ *)
+(* Write-once cells                                                    *)
+
+(* One atomic holds the cell's whole state, so filling and waiting take
+   no lock.  A reader that finds no value registers its waker with a
+   compare-and-set against the state it last saw: a fill between the
+   look and the registration makes the set fail, and the retry finds the
+   value and does not suspend.  That retry is the flag-then-recheck
+   handshake of every one-shot wait, written here once.  A fill swaps
+   the value in for the waker list and wakes each waker, so no waker
+   outlives its wait and no wait is woken for another. *)
+module Ivar = struct
+  type 'a state = Empty of (unit -> unit) list | Full of 'a
+  type 'a t = 'a state Atomic.t
+
+  let create () = Atomic.make (Empty [])
+
+  let rec fill t v =
+    match Atomic.get t with
+    | Full _ -> false
+    | Empty wakers as seen ->
+        if Atomic.compare_and_set t seen (Full v) then begin
+          List.iter (fun wake -> wake ()) wakers;
+          true
+        end
+        else fill t v
+
+  let peek t = match Atomic.get t with Full v -> Some v | Empty _ -> None
+
+  let rec read t =
+    match Atomic.get t with
+    | Full v -> v
+    | Empty _ ->
+        suspend (fun wake ->
+            let rec register () =
+              match Atomic.get t with
+              | Full _ -> false
+              | Empty wakers as seen ->
+                  Atomic.compare_and_set t seen (Empty (wake :: wakers))
+                  || register ()
+            in
+            register ());
+        read t
+end
+
+type 'a task = ('a, exn) result Ivar.t
 
 (* ------------------------------------------------------------------ *)
 (* Run queues                                                          *)
@@ -273,16 +314,6 @@ let shutdown pool =
 (* ------------------------------------------------------------------ *)
 (* Tasks                                                               *)
 
-let make_task () = { t_lock = Mutex.create (); t_result = None; t_wakers = [] }
-
-let complete task r =
-  Mutex.lock task.t_lock;
-  task.t_result <- Some r;
-  let wakers = task.t_wakers in
-  task.t_wakers <- [];
-  Mutex.unlock task.t_lock;
-  List.iter (fun wake -> wake ()) wakers
-
 let record_latency pool dt =
   Mutex.lock pool.lat_lock;
   Statx.add pool.lat dt;
@@ -292,7 +323,7 @@ let record_latency pool dt =
   Mutex.unlock pool.lat_lock
 
 let fork pool f =
-  let task = make_task () in
+  let task = Ivar.create () in
   Atomic.incr pool.submitted;
   let forked_at = Clock.now () in
   let fiber () =
@@ -302,64 +333,12 @@ let fork pool f =
        read as completed before any awaiter can observe the result and
        tear the world down. *)
     Atomic.incr pool.completed;
-    complete task r
+    ignore (Ivar.fill task r : bool)
   in
   enqueue pool (fun () -> exec_fiber pool fiber);
   task
 
-let peek task =
-  Mutex.lock task.t_lock;
-  let r = task.t_result in
-  Mutex.unlock task.t_lock;
-  r
-
-let rec await task =
-  match peek task with
-  | Some r -> r
-  | None ->
-      suspend (fun wake ->
-          Mutex.lock task.t_lock;
-          let pending = Option.is_none task.t_result in
-          if pending then task.t_wakers <- wake :: task.t_wakers;
-          Mutex.unlock task.t_lock;
-          pending);
-      await task
-
-(* ------------------------------------------------------------------ *)
-(* Events                                                              *)
-
-module Event = struct
-  type t = {
-    e_fired : bool Atomic.t;
-    e_lock : Mutex.t;
-    mutable e_wakers : (unit -> unit) list;
-  }
-
-  let create () =
-    { e_fired = Atomic.make false; e_lock = Mutex.create (); e_wakers = [] }
-
-  let fired e = Atomic.get e.e_fired
-
-  let fire e =
-    if not (Atomic.exchange e.e_fired true) then begin
-      Mutex.lock e.e_lock;
-      let wakers = e.e_wakers in
-      e.e_wakers <- [];
-      Mutex.unlock e.e_lock;
-      List.iter (fun wake -> wake ()) wakers
-    end
-
-  let rec wait e =
-    if not (fired e) then begin
-      suspend (fun wake ->
-          Mutex.lock e.e_lock;
-          let pending = not (Atomic.get e.e_fired) in
-          if pending then e.e_wakers <- wake :: e.e_wakers;
-          Mutex.unlock e.e_lock;
-          pending);
-      wait e
-    end
-end
+let await = Ivar.read
 
 (* ------------------------------------------------------------------ *)
 (* Readiness and timed waits                                           *)

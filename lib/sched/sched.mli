@@ -11,10 +11,11 @@
 
     A task is a closure.  [fork] enqueues it and returns a handle; [await]
     blocks until it completes and returns its result (or the exception it
-    died with).  Tasks run as {e fibers} under an effect handler: a task
-    that must wait for another task's progress — a full flow-control ring,
-    an unpublished port, an unfired event — performs {!suspend} and gives
-    its worker back to the pool instead of occupying a domain.  The waker
+    died with); the handle is the task's result cell ({!Ivar}).  Tasks run
+    as {e fibers} under an effect handler: a task that must wait for
+    another task's progress — a full flow-control ring, an unpublished
+    port, an unfilled cell — performs {!suspend} and gives its worker back
+    to the pool instead of occupying a domain.  The waker
     it registers is resumed on whatever worker is free, so a pool of [W]
     workers executes arbitrarily deep producer trees without deadlock:
     blocking edges between tasks are suspension points, never parked
@@ -55,6 +56,31 @@ val shutdown : t -> unit
 (** Stop and join the pool's workers.  Call only when quiescent (no live
     or queued tasks); the process-wide {!default} pool is normally left
     running.  No-op on a pool already shut down. *)
+
+(** {2 Write-once cells} *)
+
+(** A cell that is filled once and read by any number of waiters: the
+    engine's one-shot wait.  A task's result, a runtime job's result and
+    its drain, a group's published port and a merge network's shared
+    setup are each one.  It takes no lock: one atomic holds either the
+    waiters or the value. *)
+module Ivar : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val fill : 'a t -> 'a -> bool
+  (** [fill c v] stores [v] and wakes every waiting {!read}, unless [c]
+      already holds a value: the first fill wins and returns [true],
+      every later one changes nothing and returns [false].  It never
+      waits, and may be called from any domain or thread. *)
+
+  val peek : 'a t -> 'a option
+  (** [peek c] is the value, if [c] holds one.  Never waits. *)
+
+  val read : 'a t -> 'a
+  (** [read c] is the value, once [c] holds one (a {!suspend} point). *)
+end
 
 (** {2 Tasks} *)
 
@@ -107,17 +133,6 @@ val at : float -> (unit -> unit) -> timer
 
 val cancel_timer : timer -> unit
 (** [fire] will not run unless it already has.  Idempotent. *)
-
-(** One-shot broadcast gate: [wait] returns once [fire] has been called.
-    Waiting is a {!suspend} point.  A runtime job's completion is one. *)
-module Event : sig
-  type t
-
-  val create : unit -> t
-  val fired : t -> bool
-  val fire : t -> unit
-  val wait : t -> unit
-end
 
 (** {2 Introspection} *)
 

@@ -1,14 +1,14 @@
 (* conclint-fixture expect: none *)
 (* The shape of the PR-5 fix: the refcount mutex only elects a first
    opener; the suspending work (consumer setup) happens after the lock
-   is released, and racers wait on an event with nothing held. *)
+   is released, and racers wait on a write-once cell with nothing held. *)
 
 type stream = {
   lock : Mutex.t;
   mutable opened : int;
   mutable port : int option;
   group : int;
-  ready : Sched.Event.t;
+  ready : unit Sched.Ivar.t;
 }
 
 let setup_consumer s =
@@ -22,6 +22,6 @@ let ensure_open s =
   Mutex.unlock s.lock;
   if first then begin
     setup_consumer s;
-    Sched.Event.fire s.ready
+    ignore (Sched.Ivar.fill s.ready () : bool)
   end
-  else Sched.Event.wait s.ready
+  else Sched.Ivar.read s.ready

@@ -511,6 +511,83 @@ let test_narrow_read_sets () =
   check Alcotest.bool "custom partitioning reads everything" true
     (Plan.narrow e custom == custom)
 
+(* [map_children] rebuilds a node of every constructor around new inputs
+   that [children] then returns, in order; a leaf comes back as it is. *)
+let test_map_children () =
+  let leaf i = Plan.Generate_range { start = i; count = 1 } in
+  let cfg = Exchange.config ~degree:2 () in
+  let one = leaf 0 and two = leaf 1 in
+  let nodes =
+    [
+      Plan.Scan_table "t";
+      Plan.Scan_table_slice "t";
+      Plan.Scan_index { index = "i"; lo = Plan.Ix_unbounded; hi = Plan.Ix_unbounded };
+      Plan.Scan_list { arity = 1; tuples = [] };
+      Plan.Generate { arity = 1; count = 1; gen = (fun i -> Tuple.of_ints [ i ]) };
+      Plan.Generate_slice
+        { arity = 1; count = 1; gen = (fun i -> Tuple.of_ints [ i ]) };
+      one;
+      Plan.Filter { pred = Expr.True; mode = `Compiled; input = one };
+      Plan.Project_cols { cols = [ 0 ]; input = one };
+      Plan.Project_exprs { exprs = [ Expr.col 0 ]; input = one };
+      Plan.Sort { key = [ (0, Support.Asc) ]; input = one };
+      Plan.Match
+        {
+          algo = Plan.Hash_based;
+          kind = Volcano_ops.Match_op.Join;
+          left_key = [ 0 ];
+          right_key = [ 0 ];
+          left = one;
+          right = two;
+        };
+      Plan.Cross { left = one; right = two };
+      Plan.Theta_join { pred = Expr.True; left = one; right = two };
+      Plan.Aggregate { algo = Plan.Hash_based; group_by = [ 0 ]; aggs = []; input = one };
+      Plan.Distinct { algo = Plan.Hash_based; on = [ 0 ]; input = one };
+      Plan.Division
+        {
+          algo = `Hash;
+          quotient = [ 0 ];
+          divisor_attrs = [ 0 ];
+          divisor_key = [ 0 ];
+          dividend = one;
+          divisor = two;
+        };
+      Plan.Limit { count = 1; input = one };
+      Plan.Union_all { left = one; right = two };
+      Plan.Choose { decide = (fun () -> 0); alternatives = [ one; two; one ] };
+      Plan.Exchange { cfg; input = one };
+      Plan.Exchange_merge { cfg; key = [ (0, Support.Asc) ]; input = one };
+      Plan.Interchange { cfg; input = one };
+      Plan.Remote { cfg; workers = 2; task = "t"; input = one };
+    ]
+  in
+  List.iter
+    (fun node ->
+      let what = Plan.label node in
+      let wrapped = ref [] in
+      let wrap c =
+        let w = Plan.Limit { count = 9; input = c } in
+        wrapped := w :: !wrapped;
+        w
+      in
+      let mapped = Plan.map_children wrap node in
+      let expect = List.rev !wrapped in
+      check Alcotest.int (what ^ ": one call per input")
+        (List.length (Plan.children node))
+        (List.length expect);
+      check Alcotest.bool (what ^ ": children are the new inputs, in order") true
+        (List.equal ( == ) (Plan.children mapped) expect);
+      check Alcotest.bool (what ^ ": each wraps the old input") true
+        (List.equal
+           (fun w c ->
+             match w with Plan.Limit { input; _ } -> input == c | _ -> false)
+           expect (Plan.children node));
+      if Plan.children node = [] then
+        check Alcotest.bool (what ^ ": a leaf is returned as it is") true
+          (mapped == node))
+    nodes
+
 let suite =
   [
     Alcotest.test_case "scan table" `Quick test_scan_table;
@@ -533,4 +610,5 @@ let suite =
     Alcotest.test_case "deep pipeline" `Quick test_deep_pipeline;
     Alcotest.test_case "remote edges ship only what is read" `Quick
       test_narrow_read_sets;
+    Alcotest.test_case "map_children inverts children" `Quick test_map_children;
   ]

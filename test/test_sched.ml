@@ -1,5 +1,6 @@
 (* The worker-pool scheduler and the multi-query runtime on top of it:
-   fork/await/steal mechanics, fiber suspension (events, blocked ports),
+   fork/await/steal mechanics, fiber suspension (write-once cells, group
+   port lookups, blocked ports),
    pool exhaustion (more producers than workers must not deadlock),
    admission gating, queued-task cancellation, deadlines, and the Session
    facade tying them together. *)
@@ -12,6 +13,8 @@ module Env = Volcano_plan.Env
 module Compile = Volcano_plan.Compile
 module Session = Volcano_plan.Session
 module Tuple = Volcano_tuple.Tuple
+module Group = Volcano.Group
+module Port = Volcano.Port
 
 let check = Alcotest.check
 
@@ -61,24 +64,6 @@ let test_task_failure () =
       | Error (Failure msg) -> check Alcotest.string "message" "boom" msg
       | Error exn -> Alcotest.failf "wrong exn: %s" (Printexc.to_string exn))
 
-let test_event () =
-  with_pool (fun sched ->
-      let gate = Sched.Event.create () in
-      check Alcotest.bool "not fired" false (Sched.Event.fired gate);
-      (* Waiters both on-pool (fiber suspends) and off-pool (blocks on
-         its gate) must wake on one fire. *)
-      let waiter = Sched.fork sched (fun () -> Sched.Event.wait gate; 7) in
-      let firer =
-        Sched.fork sched (fun () ->
-            Unix.sleepf 0.005;
-            Sched.Event.fire gate)
-      in
-      check Alcotest.(result int reject) "pool waiter" (Ok 7)
-        (match Sched.await waiter with Ok v -> Ok v | Error _ -> Ok (-1));
-      Sched.Event.wait gate;
-      ignore (Sched.await firer : (unit, exn) result);
-      Sched.Event.fire gate (* idempotent *))
-
 (* Poll [cond] for up to 5 s: a lost wakeup fails the case instead of
    hanging the suite. *)
 let eventually what cond =
@@ -87,6 +72,30 @@ let eventually what cond =
     Unix.sleepf 0.001
   done;
   if not (cond ()) then Alcotest.failf "%s: never happened" what
+
+(* Readers both on-pool (the fiber suspends) and off-pool (the thread
+   blocks on its gate) wake on one fill, and only the first fill counts.
+   The readers report through atomics, so a lost wake fails [eventually];
+   [with_pool] checks that the fiber finished. *)
+let test_event () =
+  with_pool (fun sched ->
+      let gate = Sched.Ivar.create () in
+      check Alcotest.(option int) "not filled" None (Sched.Ivar.peek gate);
+      let on_pool = Atomic.make 0 and off_pool = Atomic.make 0 in
+      ignore
+        (Sched.fork sched (fun () -> Atomic.set on_pool (Sched.Ivar.read gate))
+          : unit Sched.task);
+      let thread =
+        Thread.create (fun () -> Atomic.set off_pool (Sched.Ivar.read gate)) ()
+      in
+      Unix.sleepf 0.005;
+      check Alcotest.bool "the first fill wins" true (Sched.Ivar.fill gate 7);
+      eventually "both readers return" (fun () ->
+          Atomic.get on_pool = 7 && Atomic.get off_pool = 7);
+      Thread.join thread;
+      check Alcotest.bool "a second fill loses" false (Sched.Ivar.fill gate 8);
+      check Alcotest.(option int) "and changes nothing" (Some 7)
+        (Sched.Ivar.peek gate))
 
 (* Off the pool, [suspend] blocks the calling thread on a gate made for
    that one wait.  [wakes] is how many times the other domain fires the
@@ -126,12 +135,12 @@ let test_suspend_off_pool_blocks () =
   let third = suspend_until_fired ~stale:[ first; second ] ~wakes:1 () in
   ignore (third : unit -> unit)
 
-(* Systhreads share their domain: two of them blocked in [Event.wait] on
-   their own events, fired in reverse order, must each be released by
-   their own event alone.  A gate shared by the domain would let one
+(* Systhreads share their domain: two of them blocked in [Ivar.read] on
+   their own cells, filled in reverse order, must each be released by
+   their own cell alone.  A gate shared by the domain would let one
    thread's waker stand in for the other's. *)
 let test_systhread_waits () =
-  let events = Array.init 2 (fun _ -> Sched.Event.create ()) in
+  let cells = Array.init 2 (fun _ -> Sched.Ivar.create ()) in
   let returned = Array.init 2 (fun _ -> Atomic.make false) in
   let threads =
     Array.to_list
@@ -139,17 +148,17 @@ let test_systhread_waits () =
          (fun i e ->
            Thread.create
              (fun () ->
-               Sched.Event.wait e;
+               Sched.Ivar.read e;
                Atomic.set returned.(i) true)
              ())
-         events)
+         cells)
   in
   Unix.sleepf 0.02;
-  Sched.Event.fire events.(1);
+  ignore (Sched.Ivar.fill cells.(1) () : bool);
   eventually "second thread returns" (fun () -> Atomic.get returned.(1));
   check Alcotest.bool "first thread still waits" false
     (Atomic.get returned.(0));
-  Sched.Event.fire events.(0);
+  ignore (Sched.Ivar.fill cells.(0) () : bool);
   eventually "first thread returns" (fun () -> Atomic.get returned.(0));
   List.iter Thread.join threads
 
@@ -336,9 +345,9 @@ let test_pool_exhaustion_no_deadlock () =
 let test_admission_gate () =
   with_pool ~workers:4 (fun sched ->
       let rt = Runtime.create ~max_concurrent:2 sched in
-      let gate = Sched.Event.create () in
-      let a = Runtime.submit rt (fun () -> Sched.Event.wait gate; "a") in
-      let b = Runtime.submit rt (fun () -> Sched.Event.wait gate; "b") in
+      let gate = Sched.Ivar.create () in
+      let a = Runtime.submit rt (fun () -> Sched.Ivar.read gate; "a") in
+      let b = Runtime.submit rt (fun () -> Sched.Ivar.read gate; "b") in
       let c = Runtime.submit rt (fun () -> "c") in
       (* a and b hold both slots; c must stay queued. *)
       let rec wait_running n =
@@ -347,7 +356,7 @@ let test_admission_gate () =
       wait_running 2;
       check Alcotest.int "queued behind the gate" 1 (Runtime.queued rt);
       check Alcotest.bool "c not started" true (Runtime.status c = Runtime.Queued);
-      Sched.Event.fire gate;
+      ignore (Sched.Ivar.fill gate () : bool);
       check Alcotest.(result string reject) "c runs after release" (Ok "c")
         (match Runtime.await c with Ok v -> Ok v | Error _ -> Ok "?");
       ignore (Runtime.await a : (string, exn) result);
@@ -357,13 +366,13 @@ let test_admission_gate () =
 let test_queued_cancel_never_runs () =
   with_pool ~workers:2 (fun sched ->
       let rt = Runtime.create ~max_concurrent:1 sched in
-      let gate = Sched.Event.create () in
+      let gate = Sched.Ivar.create () in
       let ran = Atomic.make false in
-      let a = Runtime.submit rt (fun () -> Sched.Event.wait gate) in
+      let a = Runtime.submit rt (fun () -> Sched.Ivar.read gate) in
       let b = Runtime.submit rt (fun () -> Atomic.set ran true) in
       check Alcotest.bool "b queued" true (Runtime.status b = Runtime.Queued);
       Runtime.cancel b;
-      Sched.Event.fire gate;
+      ignore (Sched.Ivar.fill gate () : bool);
       (match Runtime.await b with
       | Error Runtime.Cancelled -> ()
       | Error exn -> Alcotest.failf "wrong exn: %s" (Printexc.to_string exn)
@@ -397,14 +406,10 @@ let test_earlier_deadline_fires () =
   with_pool ~workers:2 (fun sched ->
       let rt = Runtime.create sched in
       let job deadline_s =
-        let stop = Sched.Event.create () and why = ref Runtime.Cancelled in
-        let on_cancel reason =
-          why := reason;
-          Sched.Event.fire stop
-        in
+        let stop = Sched.Ivar.create () in
+        let on_cancel reason = ignore (Sched.Ivar.fill stop reason : bool) in
         Runtime.submit rt ~deadline_s ~on_cancel (fun () ->
-            Sched.Event.wait stop;
-            raise !why)
+            raise (Sched.Ivar.read stop))
       in
       let late = job 30.0 in
       let t0 = Unix.gettimeofday () in
@@ -554,6 +559,166 @@ let test_narrow_vs_wide_differential () =
   done;
   Sched.assert_quiescent ~what:"wide pool" wide
 
+(* --- write-once cells and their users --------------------------------- *)
+
+(* Two domains race to fill each of 20,000 cells, in order, while two
+   pool fibers, a systhread and a domain read them in the same order.  A
+   reader that catches up with the fillers reads a cell at the moment it
+   is filled, so hundreds of reads per run find it empty at their first
+   look and filled by the time they register.  Every cell has exactly
+   one winning fill, and every reader returns the winner's value.  A
+   reader whose wake is lost fails [eventually] instead of hanging the
+   suite. *)
+let test_cell_races () =
+  let n = 20_000 and readers = 4 in
+  with_pool ~workers:2 (fun sched ->
+      let cells = Array.init n (fun _ -> Sched.Ivar.create ()) in
+      let wins = Array.init n (fun _ -> Atomic.make 0) in
+      let got = Array.make_matrix readers n (-1) in
+      let progress = Array.init readers (fun _ -> Atomic.make 0) in
+      let read r () =
+        Array.iteri
+          (fun i cell ->
+            got.(r).(i) <- Sched.Ivar.read cell;
+            Atomic.incr progress.(r))
+          cells
+      in
+      for r = 0 to 1 do
+        ignore (Sched.fork sched (read r) : unit Sched.task)
+      done;
+      let thread = Thread.create (read 2) () in
+      let domain = Domain.spawn (read 3) in
+      let fillers =
+        List.init 2 (fun k ->
+            Domain.spawn (fun () ->
+                Array.iteri
+                  (fun i cell ->
+                    (* Uneven pacing, so readers catch up and fall behind. *)
+                    for _ = 1 to i * (k + 3) mod 97 do
+                      Domain.cpu_relax ()
+                    done;
+                    if Sched.Ivar.fill cell k then Atomic.incr wins.(i))
+                  cells))
+      in
+      List.iter Domain.join fillers;
+      eventually "every reader reads every cell" (fun () ->
+          Array.for_all (fun p -> Atomic.get p = n) progress);
+      Thread.join thread;
+      Domain.join domain;
+      Array.iteri
+        (fun i w ->
+          if Atomic.get w <> 1 then
+            Alcotest.failf "cell %d: %d fills won" i (Atomic.get w);
+          let winner = Option.get (Sched.Ivar.peek cells.(i)) in
+          Array.iteri
+            (fun r g ->
+              if g.(i) <> winner then
+                Alcotest.failf "cell %d: reader %d read %d, the winner filled %d"
+                  i r g.(i) winner)
+            got)
+        wins)
+
+(* Each port key is a cell of its own: a lookup waits for its key alone
+   (publishing another key resumes no fiber), a re-publish replaces the
+   port, and a cancel fails every lookup of an unpublished key, blocked
+   or later, on the pool or off it. *)
+let test_group_ports () =
+  with_pool ~workers:2 (fun sched ->
+      let shared = Group.make_shared ~size:3 in
+      let master = Group.attach shared ~rank:0 in
+      let member = Group.attach shared ~rank:1 in
+      let port () = Port.create ~producers:1 ~consumers:3 () in
+      (* Each lookup reports what it got through an atomic, so a lost
+         wake fails [eventually]; [with_pool] checks the fibers ended. *)
+      let lookup key () =
+        try Ok (Group.lookup_port member ~key) with exn -> Error exn
+      in
+      let lookup_on_pool key =
+        let got = Atomic.make None in
+        ignore
+          (Sched.fork sched (fun () -> Atomic.set got (Some (lookup key ())))
+            : unit Sched.task);
+        got
+      in
+      let returned what got =
+        eventually what (fun () -> Option.is_some (Atomic.get got));
+        Option.get (Atomic.get got)
+      in
+      let first = lookup_on_pool 1 and other = lookup_on_pool 2 in
+      eventually "both lookups wait" (fun () -> Sched.suspended_tasks sched = 2);
+      let resumed = (Sched.stats sched).Sched.resumptions in
+      let p1 = port () in
+      Group.publish_port master ~key:1 p1;
+      check Alcotest.bool "the lookup before publish gets the port" true
+        (match returned "the key-1 lookup returns" first with
+        | Ok p -> p == p1
+        | Error _ -> false);
+      check Alcotest.int "only that lookup was resumed" (resumed + 1)
+        (Sched.stats sched).Sched.resumptions;
+      check Alcotest.int "the other key's lookup still waits" 1
+        (Sched.suspended_tasks sched);
+      let p1' = port () in
+      Group.publish_port master ~key:1 p1';
+      check Alcotest.bool "a re-publish replaces the port" true
+        (Group.lookup_port member ~key:1 == p1');
+      let off_pool = Atomic.make None in
+      let thread =
+        Thread.create (fun () -> Atomic.set off_pool (Some (lookup 3 ()))) ()
+      in
+      let on_pool = lookup_on_pool 3 in
+      eventually "the fiber's key-3 lookup waits" (fun () ->
+          Sched.suspended_tasks sched = 2);
+      Group.cancel member;
+      let cancelled what got =
+        check Alcotest.bool what true
+          (match returned what got with
+          | Error Group.Cancelled -> true
+          | Ok _ | Error _ -> false)
+      in
+      cancelled "a fiber waiting for key 2 raises Cancelled" other;
+      cancelled "so does a fiber waiting for key 3" on_pool;
+      cancelled "and a thread waiting for key 3" off_pool;
+      Thread.join thread;
+      Alcotest.check_raises "a lookup after cancel fails at once"
+        Group.Cancelled (fun () -> ignore (Group.lookup_port member ~key:4 : Port.t));
+      check Alcotest.bool "a published port survives the cancel" true
+        (Group.lookup_port member ~key:1 == p1'))
+
+(* [close] with one job running and one queued behind it returns only
+   once both results are in, to a closer on the pool and one off it. *)
+let test_close_running_and_queued () =
+  with_pool ~workers:2 (fun sched ->
+      let rt = Runtime.create ~max_concurrent:1 sched in
+      let gate = Sched.Ivar.create () in
+      let a = Runtime.submit rt (fun () -> Sched.Ivar.read gate; "a") in
+      let b = Runtime.submit rt (fun () -> "b") in
+      eventually "a runs" (fun () -> Runtime.running rt = 1);
+      check Alcotest.int "b is queued" 1 (Runtime.queued rt);
+      let on_pool = Atomic.make false and off_pool = Atomic.make false in
+      ignore
+        (Sched.fork sched (fun () ->
+             Runtime.close rt;
+             Atomic.set on_pool true)
+          : unit Sched.task);
+      let thread =
+        Thread.create (fun () -> Runtime.close rt; Atomic.set off_pool true) ()
+      in
+      Unix.sleepf 0.02;
+      check Alcotest.(pair bool bool) "close waits for the running job"
+        (false, false)
+        (Atomic.get on_pool, Atomic.get off_pool);
+      ignore (Sched.Ivar.fill gate () : bool);
+      eventually "both closes return" (fun () ->
+          Atomic.get on_pool && Atomic.get off_pool);
+      Thread.join thread;
+      List.iter
+        (fun (name, j) ->
+          check Alcotest.bool (name ^ " finished") true
+            (Runtime.status j = Runtime.Finished);
+          check Alcotest.(result string reject) (name ^ "'s result") (Ok name)
+            (match Runtime.await j with Ok v -> Ok v | Error _ -> Ok "?"))
+        [ ("a", a); ("b", b) ])
+
 let suite =
   [
     Alcotest.test_case "fork and await on the pool" `Quick test_fork_await;
@@ -585,4 +750,9 @@ let suite =
       test_narrow_vs_wide_differential;
     Alcotest.test_case "many descriptor waits, woken in any order" `Quick
       test_many_waits_any_order;
+    Alcotest.test_case "a cell's first fill wins against racing reads" `Quick
+      test_cell_races;
+    Alcotest.test_case "group ports wait per key" `Quick test_group_ports;
+    Alcotest.test_case "close waits for a running and a queued job" `Quick
+      test_close_running_and_queued;
   ]
