@@ -36,39 +36,40 @@ let as_query_failed ~fallback origin =
    producer blocked in a descendant port's receive or full flow-control
    lane would never observe that its output port was shut. *)
 module Scope = struct
-  type t = {
-    lock : Mutex.t;
-    mutable fired : bool;
-    mutable reason : exn option; (* Some: poisoned, not merely cancelled *)
-    mutable ports : Port.t list;
-  }
+  (* Open with its registered ports, or fired with its first poison
+     reason ([None]: only cancelled); every change is a compare-and-set,
+     retried on a race. *)
+  type state = Open of Port.t list | Fired of exn option
+  type t = state Atomic.t
 
-  let create () =
-    { lock = Mutex.create (); fired = false; reason = None; ports = [] }
+  let create () = Atomic.make (Open [])
 
-  let register t port =
-    Mutex.lock t.lock;
-    let already = if t.fired then Some t.reason else None in
-    (match already with None -> t.ports <- port :: t.ports | Some _ -> ());
-    Mutex.unlock t.lock;
-    (* Born cancelled: the subtree is already being torn down. *)
-    match already with
-    | Some (Some exn) -> Port.poison port exn
-    | Some None -> Port.shutdown port
-    | None -> ()
-
-  let fire t reason =
-    Mutex.lock t.lock;
-    let ports = if t.fired then [] else t.ports in
-    t.fired <- true;
-    if Option.is_none t.reason then t.reason <- reason;
-    t.ports <- [];
-    Mutex.unlock t.lock;
-    (* Each shutdown chains into that port's own scope via its
-       [on_shutdown] hook, cancelling the tree recursively. *)
+  let close reason port =
     match reason with
-    | None -> List.iter Port.shutdown ports
-    | Some exn -> List.iter (fun port -> Port.poison port exn) ports
+    | None -> Port.shutdown port
+    | Some exn -> Port.poison port exn
+
+  let rec register t port =
+    match Atomic.get t with
+    | Open ports as seen ->
+        if not (Atomic.compare_and_set t seen (Open (port :: ports))) then
+          register t port
+    (* Born cancelled: the subtree is already being torn down. *)
+    | Fired reason -> close reason port
+
+  (* Each shutdown chains into that port's own scope via its
+     [on_shutdown] hook, cancelling the tree recursively. *)
+  let rec fire t reason =
+    match Atomic.get t with
+    | Open ports as seen ->
+        if Atomic.compare_and_set t seen (Fired reason) then
+          List.iter (close reason) ports
+        else fire t reason
+    | Fired None as seen when Option.is_some reason ->
+        (* A poisoning after a cancel: later registrants are poisoned. *)
+        if not (Atomic.compare_and_set t seen (Fired reason)) then
+          fire t reason
+    | Fired _ -> ()
 
   let cancel t = fire t None
 
@@ -77,12 +78,6 @@ module Scope = struct
      let the query "succeed" truncated.  Poisoning records the reason so
      the consumer's next raises [Query_failed] instead. *)
   let poison t exn = fire t (Some exn)
-
-  let cancelled t =
-    Mutex.lock t.lock;
-    let fired = t.fired in
-    Mutex.unlock t.lock;
-    fired
 end
 
 type partition_spec =

@@ -77,8 +77,6 @@ module Scope : sig
       [exn] (as {!Query_failed}) instead of ending their streams quietly —
       the entry point for runtime-initiated cancellation of a whole query.
       Ports registered after the poisoning are poisoned on arrival. *)
-
-  val cancelled : t -> bool
 end
 
 type partition_spec =

@@ -20,38 +20,30 @@ module Sched = Volcano_sched.Sched
      producers never contend with each other, only pairwise with their
      consumer.
 
-   Consumers park on one per-consumer sink (a waiting flag plus a waker
-   slot) covering all of that consumer's lanes; producers signal it only
-   when the flag is up, so the uncontended receive path takes no lock
-   either.  The flag is set before the final empty re-check and read
-   after the push (both seq_cst), the classic Dekker handshake that makes
-   a lost wakeup impossible.
-
-   A blocked side never busy-waits: it parks at once through
-   Sched.suspend, where a pool fiber yields its worker and any other
-   caller blocks on a gate made for that wait.  Either way the parked
-   side leaves an idempotent waker in the lane's or sink's parked slot,
-   registered under the slot's lock with the flag-up-then-recheck
-   handshake, and every path that frees a slot, delivers a packet or
-   shuts the port down drains that slot.  A parked producer is woken on
-   every slot its consumer frees, so the pipeline stays as full as the
-   ring allows. *)
+   A blocked side never busy-waits: it parks at once on a [Sched.Slot],
+   a lock-free one-waiter slot.  A producer parks on its lane's slot
+   when the ring is full, a consumer on its sink's slot (one per
+   consumer, covering all of its lanes) when every lane is empty; the
+   one-waiter rule holds because a lane has one producer and a sink one
+   consumer.  Every path that frees a slot, delivers a packet or shuts
+   the port down first changes what the parked side re-checks, then
+   wakes the slot, which costs one atomic read when nobody is parked.
+   No park or wake takes a lock; [q_lock] guards only the unbounded
+   queue.  A parked producer is woken on every slot its consumer frees,
+   so the pipeline stays as full as the ring allows. *)
 
 type lane = {
   ring : Packet.t Spsc.t option; (* Some = bounded (flow-controlled) *)
-  q_lock : Mutex.t; (* unbounded queue; doubles as the producer's park *)
+  q_lock : Mutex.t; (* guards [items] *)
   items : Packet.t Queue.t; (* unbounded fallback, empty in ring mode *)
   q_count : int Atomic.t; (* occupancy of [items], for lock-free polls *)
-  producer_waiting : bool Atomic.t;
-  mutable parked_producer : (unit -> unit) option; (* under [q_lock] *)
+  producer : Sched.Slot.t; (* where a full ring parks the producer *)
   pool : Packet.Pool.t; (* recycled packets, consumer back to producer *)
   peak : int Atomic.t; (* producer-side high-water occupancy *)
 }
 
 type sink = {
-  s_lock : Mutex.t;
-  consumer_waiting : bool Atomic.t;
-  mutable parked_consumer : (unit -> unit) option; (* under [s_lock] *)
+  consumer : Sched.Slot.t; (* where an empty poll parks the consumer *)
   mutable rr : int; (* next producer lane to poll; consumer-local *)
 }
 
@@ -86,21 +78,14 @@ let make_lane flow_slack =
     q_lock = Mutex.create ();
     items = Queue.create ();
     q_count = Atomic.make 0;
-    producer_waiting = Atomic.make false;
-    parked_producer = None;
+    producer = Sched.Slot.create ();
     pool =
       Packet.Pool.create
         ~slots:(match flow_slack with Some slack -> slack + 2 | None -> 8);
     peak = Atomic.make 0;
   }
 
-let make_sink () =
-  {
-    s_lock = Mutex.create ();
-    consumer_waiting = Atomic.make false;
-    parked_consumer = None;
-    rr = 0;
-  }
+let make_sink () = { consumer = Sched.Slot.create (); rr = 0 }
 
 let create ~producers ~consumers ?flow_slack ?(keep_separate = false)
     ?(faults = Injector.none) ?(on_shutdown = fun () -> ()) ?(timed = false) () =
@@ -139,19 +124,8 @@ let bump_peak lane occupancy =
 (* ------------------------------------------------------------------ *)
 (* Producer side                                                       *)
 
-let wake_consumer t ~consumer =
-  let sink = t.sinks.(consumer) in
-  if Atomic.get sink.consumer_waiting then begin
-    Atomic.set sink.consumer_waiting false;
-    Mutex.lock sink.s_lock;
-    let parked = sink.parked_consumer in
-    sink.parked_consumer <- None;
-    Mutex.unlock sink.s_lock;
-    match parked with Some wake -> wake () | None -> ()
-  end
-
-(* Non-mutating occupancy checks, used as the post-registration re-check
-   of the suspension paths (the polls themselves mutate: they pop). *)
+(* Non-mutating occupancy checks, the parks' re-checks (the polls
+   themselves mutate: they pop). *)
 let lane_occupied lane =
   match lane.ring with
   | Some ring -> not (Spsc.is_empty ring)
@@ -159,31 +133,20 @@ let lane_occupied lane =
 
 let ring_has_space ring = Spsc.length ring < Spsc.capacity ring
 
-(* Full ring: park.  The waiting flag goes up with the waker in
-   [parked_producer], then the ring (and shutdown) is re-checked, so the
+(* Full ring: park on the lane's slot until the consumer frees a slot
+   or the port shuts down; the slot's re-check covers both, so the
    consumer's pop-then-wake cannot slip between our check and our sleep.
    The [Sched_park] fault site fires once, before the first suspend.
    Returns false iff the port shut down before a slot freed (the packet
    is dropped, as post-shutdown sends are). *)
 let push_parking t lane ring packet =
+  let ready () = ring_has_space ring || Atomic.get t.shut in
   let rec park first =
     if Spsc.try_push ring packet then true
     else if Atomic.get t.shut then false
     else begin
       if first then Injector.hit t.faults Volcano_fault.Sched_park;
-      Sched.suspend (fun wake ->
-          Mutex.lock lane.q_lock;
-          lane.parked_producer <- Some wake;
-          Atomic.set lane.producer_waiting true;
-          let blocked =
-            (not (ring_has_space ring)) && not (Atomic.get t.shut)
-          in
-          if not blocked then begin
-            lane.parked_producer <- None;
-            Atomic.set lane.producer_waiting false
-          end;
-          Mutex.unlock lane.q_lock;
-          blocked);
+      Sched.Slot.park lane.producer ~ready;
       park false
     end
   in
@@ -229,7 +192,7 @@ let send t ~producer ~consumer packet =
       Atomic.incr t.sent;
       Atomic.incr t.sent_by.(producer);
       let _ = Atomic.fetch_and_add t.records (Packet.length packet) in
-      wake_consumer t ~consumer
+      Sched.Slot.wake t.sinks.(consumer).consumer
     end
   end
 
@@ -243,14 +206,7 @@ let take_lane lane =
   | Some ring -> (
       match Spsc.try_pop ring with
       | Some _ as packet ->
-          if Atomic.get lane.producer_waiting then begin
-            Atomic.set lane.producer_waiting false;
-            Mutex.lock lane.q_lock;
-            let parked = lane.parked_producer in
-            lane.parked_producer <- None;
-            Mutex.unlock lane.q_lock;
-            match parked with Some wake -> wake () | None -> ()
-          end;
+          Sched.Slot.wake lane.producer;
           packet
       | None -> None)
   | None ->
@@ -286,12 +242,11 @@ let poll_any t ~consumer =
    consumer's sink until a poll succeeds.  Shutdown is checked only after
    a failed poll, so packets already queued survive a shutdown
    (drain-then-None semantics).  [ready] is the non-mutating counterpart
-   of [poll], used to re-check for arrivals after the waker is
-   registered.  The [Sched_park] fault site fires once, before the first
-   suspend. *)
+   of [poll], the slot's re-check for arrivals.  The [Sched_park] fault
+   site fires once, before the first suspend. *)
 let receive_with t ~consumer ~ready poll =
   Injector.hit t.faults Volcano_fault.Port_receive;
-  let sink = t.sinks.(consumer) in
+  let slot = t.sinks.(consumer).consumer in
   let rec park first =
     match poll () with
     | Some _ as packet -> packet
@@ -299,17 +254,8 @@ let receive_with t ~consumer ~ready poll =
         if Atomic.get t.shut then None
         else begin
           if first then Injector.hit t.faults Volcano_fault.Sched_park;
-          Sched.suspend (fun wake ->
-              Mutex.lock sink.s_lock;
-              sink.parked_consumer <- Some wake;
-              Atomic.set sink.consumer_waiting true;
-              let blocked = not (ready () || Atomic.get t.shut) in
-              if not blocked then begin
-                sink.parked_consumer <- None;
-                Atomic.set sink.consumer_waiting false
-              end;
-              Mutex.unlock sink.s_lock;
-              blocked);
+          Sched.Slot.park slot ~ready:(fun () ->
+              ready () || Atomic.get t.shut);
           park false
         end
   in
@@ -372,27 +318,13 @@ let pool_recycled t =
 
 let shutdown t =
   Atomic.set t.shut true;
-  (* Exact wakeups: every parked consumer has its waker in its sink and
-     every parked producer in its lane, so draining each slot reaches
-     precisely the waiters (no semaphore flooding).  A registering side
-     re-checks [shut] under the slot's lock, so the flag-then-drain order
-     cannot strand a late sleeper. *)
-  Array.iter
-    (fun sink ->
-      Mutex.lock sink.s_lock;
-      let parked = sink.parked_consumer in
-      sink.parked_consumer <- None;
-      Mutex.unlock sink.s_lock;
-      match parked with Some wake -> wake () | None -> ())
-    t.sinks;
-  Array.iter
-    (fun lane ->
-      Mutex.lock lane.q_lock;
-      let parked = lane.parked_producer in
-      lane.parked_producer <- None;
-      Mutex.unlock lane.q_lock;
-      match parked with Some wake -> wake () | None -> ())
-    t.lanes;
+  (* Exact wakeups: every parked consumer waits on its sink's slot and
+     every parked producer on its lane's, so waking each slot reaches
+     precisely the waiters (no semaphore flooding).  A parking side
+     re-checks [shut] after storing its waker, so the flag-then-wake
+     order cannot strand a late sleeper. *)
+  Array.iter (fun sink -> Sched.Slot.wake sink.consumer) t.sinks;
+  Array.iter (fun lane -> Sched.Slot.wake lane.producer) t.lanes;
   (* Chain the cancellation downwards exactly once: ports created below
      this exchange must also wake their blocked producers and consumers,
      or a producer stuck in a descendant's receive would never observe

@@ -1,9 +1,10 @@
 (* Inter-module effect propagation over the shape IR.
 
    Seeds a may-suspend set from known roots (Sched.suspend and the
-   engine's waits built on it: Sched.await, Ivar.read, Port.send and the
-   Port receives, Group.lookup_port; plus Condition.wait and raw
-   Domain.join) and propagates it transitively over the call graph.
+   engine's waits built on it: Sched.await, Ivar.read, Slot.park,
+   Port.send and the Port receives, Group.lookup_port; plus
+   Condition.wait and raw Domain.join) and propagates it transitively
+   over the call graph.
    Condition waits are tracked separately with the mutex they wait on:
    a CV wait under its *own* mutex is the correct monitor idiom and is
    only a hazard when some other lock is also held.  Spawned closures
@@ -24,6 +25,7 @@ let hard_roots =
       "Sched.suspend";
       "Sched.await";
       "Ivar.read";
+      "Slot.park";
       "Port.send";
       "Port.receive";
       "Port.receive_from";

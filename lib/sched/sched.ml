@@ -9,11 +9,11 @@ module Obs = Volcano_obs.Obs
    Fibers run under a deep effect handler.  Performing [Suspend] unwinds
    the fiber off its worker; the handler hands an idempotent wake thunk to
    the suspender's [register] callback, which parks it wherever the
-   awaited event will fire (a lane's waker slot, a port sink, a poller
-   slot, a cell's waker list).  Waking re-enqueues the
-   continuation as an ordinary job, so the fiber resumes on whichever
-   worker is free — the deep handler travels with the continuation, so
-   later suspensions of the same fiber are handled identically.
+   awaited event will fire (a park slot, a poller slot, a cell's waker
+   list).  Waking re-enqueues the continuation as an ordinary job, so
+   the fiber resumes on whichever worker is free — the deep handler
+   travels with the continuation, so later suspensions of the same fiber
+   are handled identically.
 
    [suspend] is the engine's one blocking primitive.  Off the pool (the
    main thread, a client's own threads) there is no fiber to unwind, so
@@ -121,6 +121,35 @@ module Ivar = struct
             in
             register ());
         read t
+end
+
+(* ------------------------------------------------------------------ *)
+(* Park slots                                                          *)
+
+(* [park] stores its waker, then re-checks [ready]; a signaler makes
+   [ready] true, then looks at the slot.  Both are seq_cst atomics, so
+   the re-check sees the signal or the signaler sees the waker (the
+   Dekker handshake).  A passing re-check takes the waker back with a
+   compare-and-set, which fails only if a wake took it first, and the
+   waker is idempotent. *)
+module Slot = struct
+  type t = (unit -> unit) option Atomic.t
+
+  let create () = Atomic.make None
+
+  let park t ~ready =
+    suspend (fun wake ->
+        let mine = Some wake in
+        Atomic.set t mine;
+        if ready () then begin
+          ignore (Atomic.compare_and_set t mine None : bool);
+          false
+        end
+        else true)
+
+  let wake t =
+    if Option.is_some (Atomic.get t) then
+      match Atomic.exchange t None with Some wake -> wake () | None -> ()
 end
 
 type 'a task = ('a, exn) result Ivar.t

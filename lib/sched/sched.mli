@@ -13,13 +13,13 @@
     blocks until it completes and returns its result (or the exception it
     died with); the handle is the task's result cell ({!Ivar}).  Tasks run
     as {e fibers} under an effect handler: a task that must wait for
-    another task's progress — a full flow-control ring, an unpublished
-    port, an unfilled cell — performs {!suspend} and gives its worker back
-    to the pool instead of occupying a domain.  The waker
-    it registers is resumed on whatever worker is free, so a pool of [W]
-    workers executes arbitrarily deep producer trees without deadlock:
-    blocking edges between tasks are suspension points, never parked
-    domains.
+    another task's progress — a full flow-control ring or an empty port
+    ({!Slot}), an unpublished port or an unfilled cell ({!Ivar}) — waits
+    through {!suspend} and gives its worker back to the pool instead of
+    occupying a domain.  The waker it registers is resumed on whatever
+    worker is free, so a pool of [W] workers executes arbitrarily deep
+    producer trees without deadlock: blocking edges between tasks are
+    suspension points, never parked domains.
 
     A wait on a non-blocking socket is task-shaped too ({!wait_fd}).
     Waits that are not task-shaped (page I/O, buffer-pool frame waits)
@@ -63,7 +63,8 @@ val shutdown : t -> unit
     engine's one-shot wait.  A task's result, a runtime job's result and
     its drain, a group's published port and a merge network's shared
     setup are each one.  It takes no lock: one atomic holds either the
-    waiters or the value. *)
+    waiters or the value.  A wait that recurs on one side, such as a
+    port's full ring or empty sink, parks on a {!Slot} instead. *)
 module Ivar : sig
   type 'a t
 
@@ -80,6 +81,34 @@ module Ivar : sig
 
   val read : 'a t -> 'a
   (** [read c] is the value, once [c] holds one (a {!suspend} point). *)
+end
+
+(** {2 Park slots} *)
+
+(** A place where one waiter parks until a condition holds: the
+    engine's recurring wait, where a port's producer waits on a full
+    ring and its consumer on empty lanes.  It takes no lock: one atomic
+    holds the parked waker or nothing.
+
+    {b One waiter at a time}: a second {!park} on the same slot would
+    overwrite the first's waker and strand it.  The port keeps the rule
+    with one producer per lane and one consumer per sink.  Anyone may
+    {!wake}. *)
+module Slot : sig
+  type t
+
+  val create : unit -> t
+
+  val park : t -> ready:(unit -> bool) -> unit
+  (** [park s ~ready] stores the caller's waker in [s] and re-checks
+      [ready]: if it holds, [park] takes the waker back and returns,
+      otherwise it waits for a {!wake} (a {!suspend} point).  Call it in
+      a loop over the condition; a signaler makes [ready] true before it
+      wakes. *)
+
+  val wake : t -> unit
+  (** [wake s] wakes the waiter parked on [s], if any — one atomic read
+      when there is none.  Never waits. *)
 end
 
 (** {2 Tasks} *)
@@ -106,7 +135,8 @@ val suspend : ((unit -> unit) -> bool) -> unit
     opens it.  Either way [wake] is idempotent and may be called from any
     domain, so registrations may be left behind in wake lists; spurious
     wakes are harmless provided the caller re-checks its condition in a
-    loop. *)
+    loop.  Code outside this module waits through the three waits built
+    on it: {!Ivar.read}, {!Slot.park} and {!wait_fd}. *)
 
 val wait_fd : ?until:float -> [ `Read | `Write ] -> Unix.file_descr -> unit
 (** [wait_fd dir fd] waits until [fd] is readable ([`Read]) or writable

@@ -1,3 +1,16 @@
+(* Each case's deadline in the tier-1 run.  The slowest case, the sql
+   suite's 1000-seed optimizer differential, measured 4.9 s on a 2-core
+   host; 60 s gives it twelve times that on a loaded host, and a hung
+   case fails within a minute.  The chaos matrix grows with CHAOS_SEEDS,
+   so its cases' deadline grows with it. *)
+let deadline = function
+  | "chaos" ->
+      60.0
+      *. Float.max 1.0
+           (float_of_int (Test_chaos.cases ())
+           /. float_of_int Test_chaos.default_cases)
+  | _ -> 60.0
+
 (* The net suite re-executes this binary as its worker processes;
    dispatch before Alcotest ever parses argv. *)
 let () =
@@ -20,6 +33,7 @@ let () =
   else begin
     Runner.announce_seed ();
     Alcotest.run "volcano"
+    @@ Watchdog.suites ~seconds:deadline
     [
       ("util", Test_util.suite);
       ("spsc", Test_spsc.suite);

@@ -352,6 +352,62 @@ let test_propagation_tree_children () =
       done)
     [ 1; 2; 3; 5; 8; 13; 16 ]
 
+(* A cancellation scope's rules: the first fire takes the ports
+   registered so far; a port registered on a fired scope is shut on
+   arrival, or poisoned if the scope was poisoned; and a poisoning after
+   a cancel poisons the ports registered after it.  Then registrations
+   from two domains race a cancel, and every port ends shut. *)
+let test_scope_rules () =
+  let port () = Port.create ~producers:1 ~consumers:1 ~flow_slack:1 () in
+  let failure p = Option.map Printexc.to_string (Port.failure p) in
+  let scope = Exchange.Scope.create () in
+  let before = port () in
+  Exchange.Scope.register scope before;
+  check Alcotest.bool "an open scope leaves a port open" false
+    (Port.is_shut_down before);
+  Exchange.Scope.cancel scope;
+  check Alcotest.bool "cancel shuts a registered port" true
+    (Port.is_shut_down before);
+  let late = port () in
+  Exchange.Scope.register scope late;
+  check Alcotest.bool "a port registered after a cancel is shut" true
+    (Port.is_shut_down late);
+  check Alcotest.(option string) "and not poisoned" None (failure late);
+  Exchange.Scope.poison scope (Failure "late");
+  check Alcotest.(option string) "a poison after the cancel spares the taken"
+    None (failure before);
+  let poisoned = port () in
+  Exchange.Scope.register scope poisoned;
+  check Alcotest.(option string) "and poisons later ports"
+    (Some (Printexc.to_string (Failure "late")))
+    (failure poisoned);
+  let scope = Exchange.Scope.create () in
+  Exchange.Scope.poison scope (Failure "first");
+  Exchange.Scope.poison scope (Failure "second");
+  Exchange.Scope.cancel scope;
+  let p = port () in
+  Exchange.Scope.register scope p;
+  check Alcotest.(option string) "the first poisoning's reason stays"
+    (Some (Printexc.to_string (Failure "first")))
+    (failure p);
+  for _ = 1 to 200 do
+    let scope = Exchange.Scope.create () in
+    let ports = Array.init 2 (fun _ -> Array.init 50 (fun _ -> port ())) in
+    let registrars =
+      Array.map
+        (fun mine ->
+          Domain.spawn (fun () -> Array.iter (Exchange.Scope.register scope) mine))
+        ports
+    in
+    Exchange.Scope.cancel scope;
+    Array.iter Domain.join registrars;
+    Array.iter
+      (Array.iter (fun p ->
+           if not (Port.is_shut_down p) then
+             Alcotest.fail "a port registered around a cancel stayed open"))
+      ports
+  done
+
 let suite =
   [
     Alcotest.test_case "vertical pipeline preserves order" `Quick
@@ -375,4 +431,6 @@ let suite =
       test_flow_control_bounds_depth;
     Alcotest.test_case "propagation tree covers all ranks" `Quick
       test_propagation_tree_children;
+    Alcotest.test_case "a scope shuts what it holds and what comes late"
+      `Quick test_scope_rules;
   ]

@@ -1,6 +1,6 @@
 (* The worker-pool scheduler and the multi-query runtime on top of it:
-   fork/await/steal mechanics, fiber suspension (write-once cells, group
-   port lookups, blocked ports),
+   fork/await/steal mechanics, fiber suspension (write-once cells, park
+   slots, group port lookups, blocked ports),
    pool exhaustion (more producers than workers must not deadlock),
    admission gating, queued-task cancellation, deadlines, and the Session
    facade tying them together. *)
@@ -684,6 +684,111 @@ let test_group_ports () =
       check Alcotest.bool "a published port survives the cancel" true
         (Group.lookup_port member ~key:1 == p1'))
 
+(* --- park slots ----------------------------------------------------- *)
+
+(* Two slots carry a bounded hand-off of [n] items, the shape of a port's
+   lane: the producer parks on its slot when it is [slack] items ahead,
+   the consumer on its own when it has taken everything sent, and each
+   wakes the other's slot after every step.  [run producer consumer]
+   starts both sides; a lost wake strands one side and fails
+   [eventually]. *)
+let slot_handoff run =
+  let n = 20_000 and slack = 2 in
+  let sent = Atomic.make 0 and taken = Atomic.make 0 in
+  let to_producer = Sched.Slot.create () and to_consumer = Sched.Slot.create () in
+  let producer () =
+    for i = 1 to n do
+      let ready () = i - Atomic.get taken <= slack in
+      while not (ready ()) do
+        Sched.Slot.park to_producer ~ready
+      done;
+      Atomic.set sent i;
+      Sched.Slot.wake to_consumer
+    done
+  in
+  let consumer () =
+    for i = 1 to n do
+      let ready () = Atomic.get sent >= i in
+      while not (ready ()) do
+        Sched.Slot.park to_consumer ~ready
+      done;
+      Atomic.set taken i;
+      Sched.Slot.wake to_producer
+    done
+  in
+  run producer consumer;
+  eventually "every item is taken" (fun () -> Atomic.get taken = n)
+
+let test_slot_races_wake () =
+  with_pool ~workers:2 (fun sched ->
+      let fork f = ignore (Sched.fork sched f : unit Sched.task) in
+      let thread f = ignore (Thread.create f () : Thread.t) in
+      (* One side a pool fiber, the other a systhread, both ways round. *)
+      slot_handoff (fun producer consumer ->
+          fork consumer;
+          thread producer);
+      slot_handoff (fun producer consumer ->
+          thread consumer;
+          fork producer));
+  (* Both sides fibers on one worker: a side runs only once the other
+     parks. *)
+  with_pool ~workers:1 (fun sched ->
+      slot_handoff (fun producer consumer ->
+          List.iter
+            (fun f -> ignore (Sched.fork sched f : unit Sched.task))
+            [ consumer; producer ]))
+
+(* The signal lands between the waiter's own check and its park: the
+   flag is up, and the wake found nobody.  Only [park]'s re-check can
+   see it; nothing will ever wake the slot. *)
+let test_slot_recheck_passes () =
+  let wait_passes start =
+    let slot = Sched.Slot.create () and flag = Atomic.make false in
+    let returned = Atomic.make false in
+    start (fun () ->
+        if not (Atomic.get flag) then begin
+          Atomic.set flag true;
+          Sched.Slot.wake slot;
+          Sched.Slot.park slot ~ready:(fun () -> Atomic.get flag)
+        end;
+        Atomic.set returned true);
+    eventually "a park whose re-check passes returns" (fun () ->
+        Atomic.get returned)
+  in
+  with_pool ~workers:1 (fun sched ->
+      wait_passes (fun f -> ignore (Sched.fork sched f : unit Sched.task)));
+  wait_passes (fun f -> ignore (Thread.create f () : Thread.t))
+
+(* A waiter parked until a slot's owner shuts it (a flag, then a wake),
+   thousands of times, on a plain domain and on a pool fiber.  The
+   shutdown comes at once, after the waiter has had time to park, or
+   from inside the waiter's re-check — after its waker is stored, so the
+   wake takes the waker and the re-check passes too. *)
+let slot_shutdown_races (host : Test_spsc.host) =
+  for round = 1 to 3_000 do
+    let slot = Sched.Slot.create () and shut = Atomic.make false in
+    let shut_down () =
+      Atomic.set shut true;
+      Sched.Slot.wake slot
+    in
+    let in_recheck = round mod 3 = 2 in
+    let ready () =
+      if in_recheck && not (Atomic.get shut) then shut_down ();
+      Atomic.get shut
+    in
+    let join =
+      host.start (fun () ->
+          while not (Atomic.get shut) do
+            Sched.Slot.park slot ~ready
+          done)
+    in
+    if round mod 3 = 1 then Unix.sleepf 1e-4;
+    if not in_recheck then shut_down ();
+    join ()
+  done
+
+let test_slot_shutdown_races () = Test_spsc.on_each_host slot_shutdown_races
+
 (* [close] with one job running and one queued behind it returns only
    once both results are in, to a closer on the pool and one off it. *)
 let test_close_running_and_queued () =
@@ -755,4 +860,10 @@ let suite =
     Alcotest.test_case "group ports wait per key" `Quick test_group_ports;
     Alcotest.test_case "close waits for a running and a queued job" `Quick
       test_close_running_and_queued;
+    Alcotest.test_case "a slot's park races its wake" `Quick
+      test_slot_races_wake;
+    Alcotest.test_case "a slot's park returns on a passing re-check" `Quick
+      test_slot_recheck_passes;
+    Alcotest.test_case "a slot's park races a shutdown" `Quick
+      test_slot_shutdown_races;
   ]

@@ -243,11 +243,12 @@ let on_each_host race =
     [ domain_host; pool_host ]
 
 (* A consumer blocked in [receive] races a shutdown (or poison) from
-   another thread, thousands of times.  A lost wakeup hangs the test, so
-   the whole suite doubles as a liveness check. *)
-let shutdown_race_matrix host =
-  for round = 1 to 10_000 do
-    let port = Port.create ~producers:1 ~consumers:1 ~flow_slack:2 () in
+   another thread, [rounds] times, on a ring port ([flow_slack] 2) or an
+   unbounded one ([None]).  A lost wakeup hangs the case until the
+   runner's deadline names it. *)
+let shutdown_race_matrix ~rounds ~flow_slack host =
+  for round = 1 to rounds do
+    let port = Port.create ~producers:1 ~consumers:1 ?flow_slack () in
     let join =
       host.start (fun () ->
           (* Block until a packet or the shutdown arrives; either way
@@ -273,12 +274,14 @@ let shutdown_race_matrix host =
     join ()
   done
 
-let test_shutdown_race_matrix () = on_each_host shutdown_race_matrix
+let test_shutdown_race_matrix () =
+  on_each_host (shutdown_race_matrix ~rounds:10_000 ~flow_slack:(Some 2));
+  on_each_host (shutdown_race_matrix ~rounds:2_000 ~flow_slack:None)
 
 (* The mirror race: a producer blocked on a full lane ring must be woken
    by shutdown (and its packet dropped), never stranded. *)
 let blocked_producer_shutdown host =
-  for _ = 1 to 1_000 do
+  for round = 1 to 1_000 do
     let port = Port.create ~producers:1 ~consumers:1 ~flow_slack:1 () in
     Port.send port ~producer:0 ~consumer:0 (packet_of_int ~producer:0 0);
     let join =
@@ -286,6 +289,9 @@ let blocked_producer_shutdown host =
           (* The lane is full: this blocks until the shutdown below. *)
           Port.send port ~producer:0 ~consumer:0 (packet_of_int ~producer:0 1))
     in
+    (* Now and then give the producer time to park, so that only the
+       shutdown's wake can release it. *)
+    if round mod 10 = 0 then Unix.sleepf 1e-3;
     Port.shutdown port;
     join ();
     (* The queued packet survives the shutdown (drain-then-None); the
@@ -299,13 +305,14 @@ let blocked_producer_shutdown host =
 
 let test_blocked_producer_shutdown () = on_each_host blocked_producer_shutdown
 
-(* The registration window: a blocked side checks [shut], then registers
-   its waker and checks [shut] again under its slot's lock.  The
+(* The registration window: a blocked side checks [shut], then parks on
+   its slot, which stores its waker and checks [shut] again.  The
    [Sched_park] site fires between the two; a 50 ms [Delay] there holds
    the waiter inside the window while the port shuts down, so only the
    second check can see the shutdown.  The wait must still return: a
    lost wakeup fails the case after a bounded wait instead of hanging
-   it.  [run job] starts [job] on a pool fiber or off the pool. *)
+   it.  [run job] starts [job] on a pool fiber or off the pool; the
+   consumer side runs on a ring port and on an unbounded one. *)
 let shutdown_in_park_window side run =
   let faults =
     Volcano_fault.Injector.make
@@ -315,7 +322,8 @@ let shutdown_in_park_window side run =
           [ { site = Sched_park; trigger = At_hit 1; action = Delay 0.05 } ];
       }
   in
-  let port = Port.create ~producers:1 ~consumers:1 ~flow_slack:1 ~faults () in
+  let flow_slack = match side with `Unbounded_consumer -> None | _ -> Some 1 in
+  let port = Port.create ~producers:1 ~consumers:1 ?flow_slack ~faults () in
   let wait =
     match side with
     | `Producer ->
@@ -323,7 +331,8 @@ let shutdown_in_park_window side run =
         Port.send port ~producer:0 ~consumer:0 (packet_of_int ~producer:0 0);
         fun () ->
           Port.send port ~producer:0 ~consumer:0 (packet_of_int ~producer:0 1)
-    | `Consumer -> fun () -> ignore (Port.receive port ~consumer:0)
+    | `Consumer | `Unbounded_consumer ->
+        fun () -> ignore (Port.receive port ~consumer:0)
   in
   let returned = Atomic.make false in
   run (fun () ->
@@ -352,7 +361,7 @@ let test_shutdown_in_park_window () =
               ignore (Sched.fork sched job : unit Sched.task)));
       shutdown_in_park_window side (fun job ->
           ignore (Thread.create job () : Thread.t)))
-    [ `Producer; `Consumer ]
+    [ `Producer; `Consumer; `Unbounded_consumer ]
 
 let suite =
   [
