@@ -1,8 +1,7 @@
 module Exchange = Volcano.Exchange
 
-let cfg ?(packet_size = Volcano.Packet.default_capacity)
-    ?(flow_slack = Some 4) ?(partition = Exchange.Round_robin) ~degree () =
-  Exchange.config ~degree ~packet_size ~flow_slack ~partition ()
+(* every default (packet size, flow slack, round-robin) is the exchange's *)
+let cfg = Exchange.config
 
 let pipeline ?packet_size ?flow_slack input =
   Plan.Exchange { cfg = cfg ?packet_size ?flow_slack ~degree:1 (); input }

@@ -41,15 +41,7 @@ let pos_of cols g =
 
 let remap_num cols e = Expr.subst (fun g -> Expr.Col (pos_of cols g)) e
 
-let rec remap_pred cols p =
-  match p with
-  | Expr.True | Expr.False -> p
-  | Expr.Cmp (op, a, b) -> Expr.Cmp (op, remap_num cols a, remap_num cols b)
-  | Expr.And (a, b) -> Expr.And (remap_pred cols a, remap_pred cols b)
-  | Expr.Or (a, b) -> Expr.Or (remap_pred cols a, remap_pred cols b)
-  | Expr.Not a -> Expr.Not (remap_pred cols a)
-  | Expr.Is_null e -> Expr.Is_null (remap_num cols e)
-  | Expr.Str_prefix (s, e) -> Expr.Str_prefix (s, remap_num cols e)
+let remap_pred cols p = Expr.subst_pred (fun g -> Expr.Col (pos_of cols g)) p
 
 let remap_agg cols = function
   | Agg.Count -> Agg.Count
@@ -184,13 +176,18 @@ type prop =
   | P_hash of int list  (* partitioned by hash of these global columns *)
   | P_range of int * Value.t array
 
+(* A candidate of degree [d] runs its region on [d] members; every stream
+   below the gather is [d] members' shares, partitioned by [prop].  Degree 1
+   is the serial candidate, built by the same rules: its streams are solo
+   (one member produces them), so every edge on them is the identity. *)
 type stream = {
   plan : Plan.t;
   cols : int array;
   rows : float;  (* global row estimate (all members together) *)
   work : float;  (* serial-equivalent operator work *)
-  ovh : float;  (* exchange overhead (parallel candidates only) *)
+  ovh : float;  (* exchange overhead *)
   prop : prop;
+  solo : bool;  (* one member produces the stream *)
 }
 
 let prop_of_spec offset = function
@@ -198,62 +195,64 @@ let prop_of_spec offset = function
   | Shard.Range (c, bounds) ->
       P_range (offset + c, Array.map Partition.decode_bound bounds)
 
-let xchg ~packet ~degree ?partition st =
-  let cfg =
-    Exchange.config ~degree ~packet_size:packet ~flow_slack:(Some 4)
-      ?partition ()
-  in
-  {
-    st with
-    plan = Plan.Exchange { cfg; input = st.plan };
-    ovh = st.ovh +. (40.0 *. float_of_int degree) +. (0.3 *. st.rows);
-  }
+(* Every exchange the optimizer places: its config and its overhead.  With
+   [partition] the edge repartitions the members' streams; without, it
+   gathers them at one consumer (merging on [merge] when given), so the
+   result is solo.  On a solo stream an edge is the identity. *)
+let edge ~packet ~degree ?partition ?merge st =
+  if st.solo then st
+  else
+    let cfg = Exchange.config ~degree ~packet_size:packet ?partition () in
+    let plan =
+      match merge with
+      | None -> Plan.Exchange { cfg; input = st.plan }
+      | Some key -> Plan.Exchange_merge { cfg; key; input = st.plan }
+    in
+    {
+      st with
+      plan;
+      ovh = st.ovh +. (40.0 *. float_of_int degree) +. (0.3 *. st.rows);
+      solo = partition = None;
+    }
 
-let leaf ~parallel ~degree (s : B.select) singles eff i =
+let leaf ~degree (s : B.select) singles eff i =
   let src = s.sources.(i) in
+  let solo = degree = 1 in
   let plan, prop =
-    match src.kind with
-    | B.K_table name ->
-        if not parallel then (Plan.Scan_table name, P_none)
-        else (
-          match src.parts with
-          | Some (spec, p) when p = degree ->
-              (* shard-aligned: member r reads partition file r *)
-              (Plan.Scan_table_slice name, prop_of_spec src.offset spec)
-          | Some _ ->
-              (* degree selection guarantees d = parts for sharded scans *)
-              assert false
-          | None -> (Plan.Scan_table_slice name, P_none))
-    | B.K_range count -> (Plan.Generate_range { start = 0; count }, P_none)
-    | B.K_wisconsin { rows; seed } ->
-        if parallel then (W.plan_slice ?seed ~n:rows (), P_none)
-        else (W.plan ?seed ~n:rows (), P_none)
+    match (src.kind, src.parts) with
+    | B.K_table name, _ when solo -> (Plan.Scan_table name, P_none)
+    | B.K_table name, Some (spec, p) when p = degree ->
+        (* shard-aligned: member r reads partition file r *)
+        (Plan.Scan_table_slice name, prop_of_spec src.offset spec)
+    | B.K_table _, Some _ ->
+        (* degree selection guarantees d = parts for sharded scans *)
+        assert false
+    | B.K_table name, None -> (Plan.Scan_table_slice name, P_none)
+    | B.K_range count, _ -> (Plan.Generate_range { start = 0; count }, P_none)
+    | B.K_wisconsin { rows; seed }, _ ->
+        ((if solo then W.plan else W.plan_slice) ?seed ~n:rows (), P_none)
   in
   (* full width: [Plan.narrow] cuts the leaf to what the query reads *)
   let cols = Array.init (Array.length src.schema) (fun j -> src.offset + j) in
   let raw = float_of_int src.rows in
+  let st =
+    { plan; cols; rows = max 1.0 raw; work = raw; ovh = 0.0; prop; solo }
+  in
   match singles.(i) with
-  | [] -> { plan; cols; rows = max 1.0 raw; work = raw; ovh = 0.0; prop }
+  | [] -> st
   | cjs ->
       let pred =
         conj (List.map (fun (cj : B.conjunct) -> remap_pred cols cj.pred) cjs)
       in
       {
+        st with
         plan = Plan.Filter { pred; mode = `Compiled; input = plan };
-        cols;
         rows = eff.(i);
         work = raw +. (0.1 *. raw);
-        ovh = 0.0;
-        prop;
       }
 
-(* Which exchanges does a parallel join edge need?  A side whose stream
-   is already partitioned compatibly with the join keys (a shard-aligned
-   scan, or the residue of an earlier repartitioning) stays in place and
-   the other side is partitioned {e with the same function} on the
-   paired columns — the catalog spec and local exchange share one
-   router, so equal keys land on the same group member.  Only when
-   neither side helps do both get the classic GAMMA hash repartition. *)
+(* Which partitioning of a stream the columns [own] cover: a shard-aligned
+   scan, or the residue of an earlier repartitioning. *)
 let covered prop own =
   match prop with
   | P_hash cl when cl <> [] && List.for_all (fun c -> List.mem c own) cl ->
@@ -261,64 +260,40 @@ let covered prop own =
   | P_range (c, b) when List.mem c own -> Some (`R (c, b))
   | P_hash _ | P_range _ | P_none -> None
 
+(* Which exchanges does a join edge need?  A side whose partitioning the
+   join keys cover stays in place, and the other side is partitioned {e
+   with the same function} on the partner columns — the catalog spec and
+   local exchange share one router, so equal keys land on the same group
+   member.  Only when neither side helps do both get the classic GAMMA
+   hash repartition. *)
 let place ~packet ~degree l r pairs =
   let lcols = List.map fst pairs and rcols = List.map snd pairs in
-  let partner_l c = List.assoc c pairs in
-  let partner_r c = fst (List.find (fun (_, b) -> b = c) pairs) in
+  let to_r c = List.assoc c pairs in
+  let to_l c = fst (List.find (fun (_, b) -> b = c) pairs) in
+  (* [other] partitioned as [cov] is, on the [partner] columns *)
+  let align cov partner other =
+    let prop, partition =
+      match cov with
+      | `H cl ->
+          let ps = List.map partner cl in
+          (P_hash ps, Exchange.Hash_on (List.map (pos_of other.cols) ps))
+      | `R (c, b) ->
+          let p = partner c in
+          (P_range (p, b), Exchange.Range_on (pos_of other.cols p, b))
+    in
+    if other.prop = prop then other else edge ~packet ~degree ~partition other
+  in
+  let hash st cols =
+    edge ~packet ~degree
+      ~partition:(Exchange.Hash_on (List.map (pos_of st.cols) cols))
+      st
+  in
   match (covered l.prop lcols, covered r.prop rcols) with
-  | Some (`H cl), rcov -> (
-      let partners = List.map partner_l cl in
-      match rcov with
-      | Some (`H cr) when cr = partners -> (l, r, l.prop)
-      | _ ->
-          let r' =
-            xchg ~packet ~degree
-              ~partition:
-                (Exchange.Hash_on (List.map (pos_of r.cols) partners))
-              r
-          in
-          (l, r', l.prop))
-  | Some (`R (c, b)), rcov -> (
-      let rc = partner_l c in
-      match rcov with
-      | Some (`R (c2, b2)) when c2 = rc && b2 = b -> (l, r, l.prop)
-      | _ ->
-          let r' =
-            xchg ~packet ~degree
-              ~partition:(Exchange.Range_on (pos_of r.cols rc, b))
-              r
-          in
-          (l, r', l.prop))
-  | None, Some (`H cr) ->
-      let partners = List.map partner_r cr in
-      let l' =
-        xchg ~packet ~degree
-          ~partition:(Exchange.Hash_on (List.map (pos_of l.cols) partners))
-          l
-      in
-      (l', r, r.prop)
-  | None, Some (`R (c, b)) ->
-      let lc = partner_r c in
-      let l' =
-        xchg ~packet ~degree
-          ~partition:(Exchange.Range_on (pos_of l.cols lc, b))
-          l
-      in
-      (l', r, r.prop)
-  | None, None ->
-      let l' =
-        xchg ~packet ~degree
-          ~partition:(Exchange.Hash_on (List.map (pos_of l.cols) lcols))
-          l
-      in
-      let r' =
-        xchg ~packet ~degree
-          ~partition:(Exchange.Hash_on (List.map (pos_of r.cols) rcols))
-          r
-      in
-      (l', r', P_hash lcols)
+  | Some cov, _ -> (l, align cov to_r r, l.prop)
+  | None, Some cov -> (align cov to_l l, r, r.prop)
+  | None, None -> (hash l lcols, hash r rcols, P_hash lcols)
 
-let join ~parallel ~packet ~degree env l r (st : step) =
+let join ~packet ~degree env l r (st : step) =
   let cols = Array.append l.cols r.cols in
   match st.pairs with
   | [] ->
@@ -332,6 +307,7 @@ let join ~parallel ~packet ~degree env l r (st : step) =
         | ps -> Plan.Theta_join { pred = conj ps; left = l.plan; right = r.plan }
       in
       {
+        l with
         plan;
         cols;
         rows = st.est;
@@ -340,9 +316,7 @@ let join ~parallel ~packet ~degree env l r (st : step) =
         prop = P_none;
       }
   | pairs ->
-      let l, r, prop =
-        if parallel then place ~packet ~degree l r pairs else (l, r, P_none)
-      in
+      let l, r, prop = place ~packet ~degree l r pairs in
       let lkey = List.map (fun (a, _) -> pos_of l.cols a) pairs in
       let rkey = List.map (fun (_, b) -> pos_of r.cols b) pairs in
       let small = min l.rows r.rows and big = max l.rows r.rows in
@@ -386,6 +360,7 @@ let join ~parallel ~packet ~degree env l r (st : step) =
               0.1 *. st.est )
       in
       {
+        l with
         plan;
         cols;
         rows = st.est;
@@ -399,12 +374,6 @@ let join ~parallel ~packet ~degree env l r (st : step) =
 let is_identity_over cols exprs =
   List.length exprs = Array.length cols
   && List.for_all2 (fun e g -> e = Expr.Col g) exprs (Array.to_list cols)
-
-let is_layout_identity arity post =
-  List.length post = arity
-  && List.for_all Fun.id (List.mapi (fun i e -> e = Expr.Col i) post)
-
-let sort_node key input = Plan.Sort { key; input }
 
 (* The select list over the stream.  It costs only if it survives
    [Plan.narrow]: a list that picks the columns the leaves are cut to, in
@@ -421,261 +390,82 @@ let select_list env st exprs =
         { st with plan; work = st.work +. (0.05 *. st.rows) }
     | _ -> { st with plan }
 
-let serial_tail env st (s : B.select) =
-  let st, arity =
-    match s.shape with
-    | B.Flat exprs -> (select_list env st exprs, List.length exprs)
-    | B.Grouped { keys; aggs; post } ->
-        let key_pos = List.map (pos_of st.cols) keys in
-        let aggs' = List.map (remap_agg st.cols) aggs in
-        let groups =
-          if keys = [] then 1.0 else max 1.0 (st.rows /. 10.0)
-        in
-        let plan =
-          Plan.Aggregate
-            {
-              algo = Plan.Hash_based;
-              group_by = key_pos;
-              aggs = aggs';
-              input = st.plan;
-            }
-        in
-        let layout = List.length keys + List.length aggs in
-        let plan =
-          if is_layout_identity layout post then plan
-          else Plan.Project_exprs { exprs = post; input = plan }
-        in
-        ( {
-            st with
-            plan;
-            rows = groups;
-            work = st.work +. (1.5 *. st.rows);
-          },
-          List.length post )
-  in
-  let st =
-    if s.distinct then
-      {
-        st with
-        plan =
-          Plan.Distinct
-            {
-              algo = Plan.Hash_based;
-              on = List.init arity Fun.id;
-              input = st.plan;
-            };
-        rows = max 1.0 (st.rows *. 0.5);
-        work = st.work +. st.rows;
-      }
-    else st
-  in
-  let st =
-    if s.order_by = [] then st
-    else
-      {
-        st with
-        plan = sort_node s.order_by st.plan;
-        work = st.work +. (0.4 *. st.rows *. lg st.rows);
-      }
-  in
-  match s.limit with
-  | None -> st
-  | Some count -> { st with plan = Plan.Limit { count; input = st.plan } }
-
-(* Gather the per-member stream at the region root: a merge network when
-   the query orders its output (each member sorts its share), a plain
-   round-robin exchange otherwise. *)
-let gather ~packet ~degree st (s : B.select) =
-  if s.order_by = [] then xchg ~packet ~degree st
-  else
-    let cfg =
-      Exchange.config ~degree ~packet_size:packet ~flow_slack:(Some 4) ()
-    in
+(* Aggregation runs in one phase where each group's rows are already
+   together: on a solo stream, or one whose partitioning the keys cover.
+   Elsewhere each member pre-aggregates its share, a repartition on the
+   keys (a gather when there are none) brings each group's partials
+   together, and a global phase combines them.  The aggregate's output is
+   laid out keys first, then one column per aggregate. *)
+let aggregate ~packet ~degree st keys aggs =
+  let key_pos = List.map (pos_of st.cols) keys in
+  let aggs = List.map (remap_agg st.cols) aggs in
+  let groups = if keys = [] then 1.0 else max 1.0 (st.rows /. 10.0) in
+  let phase ~group_by ~aggs ~rows st =
     {
       st with
       plan =
-        Plan.Exchange_merge
-          { cfg; key = s.order_by; input = sort_node s.order_by st.plan };
-      work = st.work +. (0.4 *. st.rows *. lg st.rows);
-      ovh = st.ovh +. (40.0 *. float_of_int degree) +. (0.3 *. st.rows);
+        Plan.Aggregate
+          { algo = Plan.Hash_based; group_by; aggs; input = st.plan };
+      rows;
+      work = st.work +. (1.5 *. st.rows);
     }
+  in
+  if st.solo || covered st.prop keys <> None then
+    phase ~group_by:key_pos ~aggs ~rows:groups st
+  else
+    let local_aggs, global_aggs, projection =
+      Parallel.two_phase_decomposition ~group_by:key_pos ~aggs
+    in
+    (* the binder decomposes AVG itself, so no Avg reaches this point
+       and the decomposition never needs its own projection *)
+    assert (projection = None);
+    let k = List.init (List.length keys) Fun.id in
+    let partition = if keys = [] then None else Some (Exchange.Hash_on k) in
+    phase ~group_by:key_pos ~aggs:local_aggs
+      ~rows:(min st.rows (groups *. float_of_int degree))
+      st
+    |> edge ~packet ~degree ?partition
+    |> phase ~group_by:k ~aggs:global_aggs ~rows:groups
 
-let parallel_tail env ~packet ~degree st (s : B.select) =
-  let finish_root st arity =
-    (* solo-consumer steps after the gather *)
-    let st =
-      if s.distinct then
+(* The one tail: every candidate, the serial one included, finishes its
+   stream by these rules.  The gather brings the stream to the root — in
+   ORDER BY order when the query has one, each member sorting its share
+   for a merge network — and on a solo stream it is just that sort.
+   DISTINCT runs where duplicates are together: a flat row is hashed whole
+   onto one member before the gather, grouped output is deduplicated after
+   it. *)
+let tail env ~packet ~degree st (s : B.select) =
+  let edge = edge ~packet ~degree in
+  let distinct arity st =
+    let on = List.init arity Fun.id in
+    let st = edge ~partition:(Exchange.Hash_on on) st in
+    {
+      st with
+      plan = Plan.Distinct { algo = Plan.Hash_based; on; input = st.plan };
+      rows = max 1.0 (st.rows *. 0.5);
+      work = st.work +. st.rows;
+    }
+  in
+  let gather st =
+    if s.order_by = [] then edge st
+    else
+      edge ~merge:s.order_by
         {
           st with
-          plan =
-            Plan.Distinct
-              {
-                algo = Plan.Hash_based;
-                on = List.init arity Fun.id;
-                input = st.plan;
-              };
-          rows = max 1.0 (st.rows *. 0.5);
-          work = st.work +. st.rows;
+          plan = Plan.Sort { key = s.order_by; input = st.plan };
+          work = st.work +. (0.4 *. st.rows *. lg st.rows);
         }
-      else st
-    in
-    match s.limit with
-    | None -> st
-    | Some count -> { st with plan = Plan.Limit { count; input = st.plan } }
   in
-  match s.shape with
-  | B.Flat exprs ->
-      let arity = List.length exprs in
-      let st = select_list env st exprs in
-      let st =
-        if not s.distinct then st
-        else
-          (* duplicates agree on every column, so hashing the whole row
-             co-locates them; each member then deduplicates its share *)
-          let st =
-            xchg ~packet ~degree
-              ~partition:(Exchange.Hash_on (List.init arity Fun.id))
-              st
-          in
-          {
-            st with
-            plan =
-              Plan.Distinct
-                {
-                  algo = Plan.Hash_based;
-                  on = List.init arity Fun.id;
-                  input = st.plan;
-                };
-            rows = max 1.0 (st.rows *. 0.5);
-            work = st.work +. st.rows;
-          }
-      in
-      let st = gather ~packet ~degree st s in
-      (* distinct already ran inside the region *)
-      let st =
-        match s.limit with
-        | None -> st
-        | Some count -> { st with plan = Plan.Limit { count; input = st.plan } }
-      in
-      st
-  | B.Grouped { keys; aggs; post } ->
-      let key_pos = List.map (pos_of st.cols) keys in
-      let aggs' = List.map (remap_agg st.cols) aggs in
-      let k = List.length keys in
-      let local_aggs, global_aggs, projection =
-        Parallel.two_phase_decomposition ~group_by:key_pos ~aggs:aggs'
-      in
-      (* the binder decomposes AVG itself, so no Avg reaches this point
-         and the decomposition never needs its own projection *)
-      assert (projection = None);
-      let layout = k + List.length aggs in
-      let groups = if keys = [] then 1.0 else max 1.0 (st.rows /. 10.0) in
-      if keys = [] then begin
-        (* scalar aggregate: local phase per member, gathered and
-           combined at the solo consumer — Hash_on [] would be a
-           planlint warning, so no repartitioning is even attempted *)
+  let st =
+    match s.shape with
+    | B.Flat exprs ->
+        let st = select_list env st exprs in
+        gather (if s.distinct then distinct (List.length exprs) st else st)
+    | B.Grouped { keys; aggs; post } ->
+        let st = aggregate ~packet ~degree st keys aggs in
+        let layout = List.length keys + List.length aggs in
         let st =
-          {
-            st with
-            plan =
-              Plan.Aggregate
-                {
-                  algo = Plan.Hash_based;
-                  group_by = [];
-                  aggs = local_aggs;
-                  input = st.plan;
-                };
-            rows = float_of_int degree;
-            work = st.work +. (1.5 *. st.rows);
-          }
-        in
-        let st = xchg ~packet ~degree st in
-        let st =
-          {
-            st with
-            plan =
-              Plan.Aggregate
-                {
-                  algo = Plan.Hash_based;
-                  group_by = [];
-                  aggs = global_aggs;
-                  input = st.plan;
-                };
-            rows = 1.0;
-          }
-        in
-        let st =
-          if is_layout_identity layout post then st
-          else { st with plan = Plan.Project_exprs { exprs = post; input = st.plan } }
-        in
-        let st =
-          if s.order_by = [] then st
-          else { st with plan = sort_node s.order_by st.plan }
-        in
-        finish_root st (List.length post)
-      end
-      else begin
-        let covered_by_keys =
-          match st.prop with
-          | P_hash cl -> cl <> [] && List.for_all (fun c -> List.mem c keys) cl
-          | P_range (c, _) -> List.mem c keys
-          | P_none -> false
-        in
-        let st =
-          if covered_by_keys then
-            (* shard-aligned grouping: every group is wholly local to
-               one member, so one aggregation pass suffices and no
-               repartitioning edge is placed at all *)
-            {
-              st with
-              plan =
-                Plan.Aggregate
-                  {
-                    algo = Plan.Hash_based;
-                    group_by = key_pos;
-                    aggs = aggs';
-                    input = st.plan;
-                  };
-              rows = groups;
-              work = st.work +. (1.5 *. st.rows);
-            }
-          else
-            let local =
-              {
-                st with
-                plan =
-                  Plan.Aggregate
-                    {
-                      algo = Plan.Hash_based;
-                      group_by = key_pos;
-                      aggs = local_aggs;
-                      input = st.plan;
-                    };
-                rows = min st.rows (groups *. float_of_int degree);
-                work = st.work +. (1.5 *. st.rows);
-              }
-            in
-            let rep =
-              xchg ~packet ~degree
-                ~partition:(Exchange.Hash_on (List.init k Fun.id))
-                local
-            in
-            {
-              rep with
-              plan =
-                Plan.Aggregate
-                  {
-                    algo = Plan.Hash_based;
-                    group_by = List.init k Fun.id;
-                    aggs = global_aggs;
-                    input = rep.plan;
-                  };
-              rows = groups;
-              work = rep.work +. (1.5 *. rep.rows);
-            }
-        in
-        let st =
-          if is_layout_identity layout post then st
+          if is_identity_over (Array.init layout Fun.id) post then st
           else
             {
               st with
@@ -683,9 +473,12 @@ let parallel_tail env ~packet ~degree st (s : B.select) =
               work = st.work +. (0.05 *. st.rows);
             }
         in
-        let st = gather ~packet ~degree st s in
-        finish_root st (List.length post)
-      end
+        let st = gather st in
+        if s.distinct then distinct (List.length post) st else st
+  in
+  match s.limit with
+  | None -> st
+  | Some count -> { st with plan = Plan.Limit { count; input = st.plan } }
 
 (* --- candidates -------------------------------------------------------- *)
 
@@ -695,28 +488,22 @@ let packet_for env =
   min 255 (max Volcano.Packet.default_capacity (Env.batch_size env))
 
 let build env (s : B.select) (first, steps) singles eff ~workers ~degree =
-  let parallel = degree > 1 in
   let packet = packet_for env in
-  let l0 = leaf ~parallel ~degree s singles eff first in
-  let stream =
+  let leaf = leaf ~degree s singles eff in
+  let st =
     List.fold_left
-      (fun l st ->
-        let r = leaf ~parallel ~degree s singles eff st.src in
-        join ~parallel ~packet ~degree env l r st)
-      l0 steps
+      (fun l st -> join ~packet ~degree env l (leaf st.src) st)
+      (leaf first) steps
   in
-  if parallel then
-    let st = parallel_tail env ~packet ~degree stream s in
-    (* the pool prices the degree: [degree] members share [workers]
-       domains, so only [min degree workers] of them run at once *)
-    {
-      label = Printf.sprintf "degree %d" degree;
-      cost = (st.work /. float_of_int (min degree workers)) +. st.ovh;
-      cplan = Plan.narrow env st.plan;
-    }
-  else
-    let st = serial_tail env stream s in
-    { label = "serial"; cost = st.work; cplan = Plan.narrow env st.plan }
+  let st = tail env ~packet ~degree st s in
+  (* the pool prices the degree: [degree] members share [workers]
+     domains, so only [min degree workers] of them run at once *)
+  {
+    label =
+      (if degree = 1 then "serial" else Printf.sprintf "degree %d" degree);
+    cost = (st.work /. float_of_int (min degree workers)) +. st.ovh;
+    cplan = Plan.narrow env st.plan;
+  }
 
 let allowed_degrees ~workers (s : B.select) steps =
   (* theta/cross steps have no partitioning key, and a pool of fewer

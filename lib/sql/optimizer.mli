@@ -23,7 +23,10 @@
     oversubscription advisory wins.  Candidates that trip any other
     diagnostic — errors and warnings alike — are pruned, never patched,
     and the pruning is recorded in the choice's notes.  The serial plan
-    is always a candidate, so a legal plan always exists.
+    is always a candidate, so a legal plan always exists: it is the
+    degree-1 candidate, built by the same rules as every other degree
+    (its streams are solo, so every exchange edge on them is the
+    identity and the gather is just the ORDER BY sort).
 
     The optimizer does not prune columns: its leaves read whole rows,
     and each candidate is {!Volcano_plan.Plan.narrow} of the plan it

@@ -312,6 +312,39 @@ let test_optimizer_acceptance_shape () =
   check Alcotest.bool "same result" true
     (sorted (Runner.run env c.plan) = sorted (Runner.run env hand))
 
+(* The chosen plan of the acceptance query, pinned: its shape is the
+   benchmark's join + group-by, so a plan change shows here first.  The
+   degree-3 plan wins on a 2-worker pool too (VL501 is priced). *)
+let test_optimizer_acceptance_golden () =
+  let sql =
+    "SELECT h.ten, COUNT(*), SUM(e.unique1) FROM hemp AS h INNER JOIN emp \
+     AS e ON (h.unique1 = e.unique1) GROUP BY h.ten"
+  in
+  let golden =
+    String.concat "\n"
+      [
+        "exchange (degree=3 packet=83 flow=4 partition=round-robin)";
+        "  hash-aggregate by [0] (2 aggs)";
+        "    exchange (degree=3 packet=83 flow=4 partition=hash[0])";
+        "      hash-aggregate by [1] (2 aggs)";
+        "        hash-join on [0]=[0]";
+        "          exchange (degree=3 packet=83 flow=4 partition=hash[0])";
+        "            project [0,4]";
+        "              scan-slice hemp";
+        "          exchange (degree=3 packet=83 flow=4 partition=hash[0])";
+        "            project [0]";
+        "              scan-slice emp";
+        "";
+      ]
+  in
+  List.iter
+    (fun workers ->
+      check Alcotest.string
+        (Printf.sprintf "chosen plan, %d workers" workers)
+        golden
+        (Format.asprintf "%a" Plan.pp (optimize ~workers sql).plan))
+    [ 2; parts ]
+
 let test_optimizer_small_pool_priced () =
   (* the acceptance query on a pool smaller than hemp's shard width: the
      degree-3 plan oversubscribes 2 workers, which VL501 still reports,
@@ -661,6 +694,15 @@ let shape rng =
 
 let sorted_run env plan = List.sort Tuple.compare (Runner.run env plan)
 
+(* A hand plan that sorts at its root fixes the row order, and the
+   optimizer's plan must return its rows in that order; any other is
+   compared up to row order. *)
+let same_rows env plan hand =
+  match hand with
+  | Plan.Sort _ | Plan.Limit { input = Plan.Sort _; _ } ->
+      Runner.run env plan = Runner.run env hand
+  | _ -> sorted_run env plan = sorted_run env hand
+
 let prop_optimizer_differential =
   QCheck.Test.make
     ~name:"optimizer matches hand plans across 1000 seeds" ~count:1000
@@ -676,9 +718,75 @@ let prop_optimizer_differential =
           let choice = Sql.plan ~workers env sql in
           pruning (Compile.analyze ~workers env choice.Volcano_sql.Optimizer.plan)
           = []
-          && sorted_run env choice.Volcano_sql.Optimizer.plan
-             = sorted_run env hand)
+          && same_rows env choice.Volcano_sql.Optimizer.plan hand)
         envs)
+
+(* The shapes where ORDER BY meets DISTINCT, LIMIT and aggregation.  Each
+   runs at every width on both batch modes and must return the hand
+   plan's rows in its order.  One worker picks the serial candidate and
+   wider pools a parallel one, so both ends of the tail are checked. *)
+let ordered_shapes =
+  let asc = [ (0, Support.Asc) ] in
+  let scan = Plan.Scan_table "emp" in
+  let agg group_by aggs =
+    Plan.Aggregate { algo = Plan.Hash_based; group_by; aggs; input = scan }
+  in
+  [
+    ( "SELECT ten, COUNT(*) FROM emp GROUP BY ten ORDER BY ten LIMIT 3",
+      Plan.Limit
+        {
+          count = 3;
+          input = Plan.Sort { key = asc; input = agg [ ten ] [ Agg.Count ] };
+        } );
+    ( "SELECT unique1 FROM emp WHERE (unique1 < 500) ORDER BY unique1 LIMIT 5",
+      Plan.Limit
+        {
+          count = 5;
+          input =
+            Plan.Sort
+              {
+                key = asc;
+                input =
+                  Plan.Project_exprs
+                    { exprs = [ Expr.Col u1 ]; input = filt u1 500 scan };
+              };
+        } );
+    ( "SELECT DISTINCT two FROM emp GROUP BY two, four ORDER BY two",
+      Plan.Sort
+        {
+          key = asc;
+          input =
+            Plan.Distinct
+              {
+                algo = Plan.Hash_based;
+                on = [ 0 ];
+                input =
+                  Plan.Project_exprs
+                    { exprs = [ Expr.Col 0 ]; input = agg [ two; four ] [] };
+              };
+        } );
+    ( "SELECT DISTINCT COUNT(*) FROM emp ORDER BY 1",
+      Plan.Sort { key = asc; input = agg [] [ Agg.Count ] } );
+  ]
+
+let test_optimizer_ordered_shapes () =
+  List.iter
+    (fun (sql, hand) ->
+      List.iter
+        (fun env ->
+          List.iter
+            (fun workers ->
+              let c = Sql.plan ~workers env sql in
+              let what = Printf.sprintf "%s, %d workers" sql workers in
+              check Alcotest.bool (what ^ ": parallel iff workers > 1")
+                (workers > 1)
+                (exchanges c.plan <> []);
+              check Alcotest.bool (what ^ ": the hand plan's rows in order")
+                true
+                (Runner.run env c.plan = Runner.run env hand))
+            [ 1; 2; parts ])
+        [ Lazy.force env_plain; Lazy.force env_batched ])
+    ordered_shapes
 
 let suite =
   [
@@ -695,6 +803,8 @@ let suite =
     Alcotest.test_case "sharded scan alignment" `Quick
       test_optimizer_sharded_scan_alignment;
     Alcotest.test_case "acceptance shape" `Quick test_optimizer_acceptance_shape;
+    Alcotest.test_case "acceptance plan golden" `Quick
+      test_optimizer_acceptance_golden;
     Alcotest.test_case "small pool priced, not vetoed" `Quick
       test_optimizer_small_pool_priced;
     Alcotest.test_case "range alignment" `Quick test_optimizer_range_alignment;
@@ -707,5 +817,7 @@ let suite =
     Alcotest.test_case "pruning: filter columns kept" `Quick
       test_pruning_keeps_filter_columns;
     Alcotest.test_case "session front door" `Quick test_session_front_door;
+    Alcotest.test_case "ordered shapes in order" `Quick
+      test_optimizer_ordered_shapes;
     Runner.qcheck ~long:false prop_optimizer_differential;
   ]
