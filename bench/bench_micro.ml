@@ -2,7 +2,8 @@
    record creation/consumption, the procedure-call exchange boundary, the
    buffer manager's fix/unfix pair, packet filling, the interpreted vs
    compiled predicate paths, a hash join's per-row build and probe, and
-   the record decode floors a scanned row pays. *)
+   the record decode floors a scanned row pays, and a cursor's cost per
+   page when every page misses. *)
 
 open Bechamel
 open Toolkit
@@ -138,6 +139,35 @@ let heap_insert =
   in
   fun () -> ignore (Heap_file.delete file (Heap_file.insert file record))
 
+(* A cursor over a virtual-device file four times a 64-frame pool, so
+   every page it reaches misses: the per-page-miss floor (fix a run,
+   step its records in the frame, unfix the run), reported per page. *)
+let scan_pool_frames = 64
+let scan_pages = 4 * scan_pool_frames
+
+let buffer_scan_out_of_pool =
+  let page_size = 4096 in
+  let buffer = Bufpool.create ~frames:scan_pool_frames ~page_size () in
+  let device =
+    Device.create_virtual ~page_size ~capacity:(scan_pages + 2) ()
+  in
+  let file = Heap_file.create ~buffer ~device ~name:"scan" in
+  let record =
+    Serial.encode_string (Volcano_wisconsin.Wisconsin.generator ~n:1000 () 7)
+  in
+  while Heap_file.page_count file < scan_pages do
+    ignore (Heap_file.insert file record)
+  done;
+  fun () ->
+    let cursor = Heap_file.scan file in
+    while Heap_file.advance cursor do
+      ()
+    done
+
+(* Tests whose one call covers many units: the printed figure is per
+   unit. *)
+let per_unit = [ ("buffer-scan-out-of-pool", (scan_pages, "page")) ]
+
 let tests =
   let interpreted, compiled = predicate_paths in
   let projected, slice = decode_paths in
@@ -156,6 +186,8 @@ let tests =
       Test.make ~name:"encode-16" (Staged.stage encode_16);
       Test.make ~name:"codec-packet-83" (Staged.stage codec_packet_83);
       Test.make ~name:"heap-insert" (Staged.stage heap_insert);
+      Test.make ~name:"buffer-scan-out-of-pool"
+        (Staged.stage buffer_scan_out_of_pool);
     ]
 
 let run () =
@@ -171,7 +203,17 @@ let run () =
   List.iter
     (fun name ->
       let result = Hashtbl.find results name in
+      let units, unit =
+        match
+          List.find_opt
+            (fun (test, _) -> String.ends_with ~suffix:("/" ^ test) name)
+            per_unit
+        with
+        | Some (_, (n, unit)) -> (float_of_int n, " per " ^ unit)
+        | None -> (1.0, "")
+      in
       match Analyze.OLS.estimates result with
-      | Some (est :: _) -> Printf.printf "%-36s %14.1f ns\n" name est
+      | Some (est :: _) ->
+          Printf.printf "%-36s %14.1f ns%s\n" name (est /. units) unit
       | _ -> Printf.printf "%-36s %14s\n" name "n/a")
     (List.sort compare names)

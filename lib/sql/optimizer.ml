@@ -184,7 +184,8 @@ type stream = {
   plan : Plan.t;
   cols : int array;
   rows : float;  (* global row estimate (all members together) *)
-  work : float;  (* serial-equivalent operator work *)
+  work : float;  (* operator work the members share *)
+  root : float;  (* operator work on a solo stream: one member does it *)
   ovh : float;  (* exchange overhead *)
   prop : prop;
   solo : bool;  (* one member produces the stream *)
@@ -215,6 +216,11 @@ let edge ~packet ~degree ?partition ?merge st =
       solo = partition = None;
     }
 
+(* Add operator work to a stream: shared by its members, or undivided on
+   a solo stream. *)
+let charge w st =
+  if st.solo then { st with root = st.root +. w } else { st with work = st.work +. w }
+
 let leaf ~degree (s : B.select) singles eff i =
   let src = s.sources.(i) in
   let solo = degree = 1 in
@@ -236,7 +242,8 @@ let leaf ~degree (s : B.select) singles eff i =
   let cols = Array.init (Array.length src.schema) (fun j -> src.offset + j) in
   let raw = float_of_int src.rows in
   let st =
-    { plan; cols; rows = max 1.0 raw; work = raw; ovh = 0.0; prop; solo }
+    charge raw
+      { plan; cols; rows = max 1.0 raw; work = 0.0; root = 0.0; ovh = 0.0; prop; solo }
   in
   match singles.(i) with
   | [] -> st
@@ -244,12 +251,12 @@ let leaf ~degree (s : B.select) singles eff i =
       let pred =
         conj (List.map (fun (cj : B.conjunct) -> remap_pred cols cj.pred) cjs)
       in
-      {
-        st with
-        plan = Plan.Filter { pred; mode = `Compiled; input = plan };
-        rows = eff.(i);
-        work = raw +. (0.1 *. raw);
-      }
+      charge (0.1 *. raw)
+        {
+          st with
+          plan = Plan.Filter { pred; mode = `Compiled; input = plan };
+          rows = eff.(i);
+        }
 
 (* Which partitioning of a stream the columns [own] cover: a shard-aligned
    scan, or the residue of an earlier repartitioning. *)
@@ -306,15 +313,17 @@ let join ~packet ~degree env l r (st : step) =
         | [] -> Plan.Cross { left = l.plan; right = r.plan }
         | ps -> Plan.Theta_join { pred = conj ps; left = l.plan; right = r.plan }
       in
-      {
-        l with
-        plan;
-        cols;
-        rows = st.est;
-        work = l.work +. r.work +. (l.rows *. r.rows);
-        ovh = l.ovh +. r.ovh;
-        prop = P_none;
-      }
+      charge (l.rows *. r.rows)
+        {
+          l with
+          plan;
+          cols;
+          rows = st.est;
+          work = l.work +. r.work;
+          root = l.root +. r.root;
+          ovh = l.ovh +. r.ovh;
+          prop = P_none;
+        }
   | pairs ->
       let l, r, prop = place ~packet ~degree l r pairs in
       let lkey = List.map (fun (a, _) -> pos_of l.cols a) pairs in
@@ -359,15 +368,17 @@ let join ~packet ~degree env l r (st : step) =
                 },
               0.1 *. st.est )
       in
-      {
-        l with
-        plan;
-        cols;
-        rows = st.est;
-        work = l.work +. r.work +. jcost +. fcost;
-        ovh = l.ovh +. r.ovh;
-        prop;
-      }
+      charge (jcost +. fcost)
+        {
+          l with
+          plan;
+          cols;
+          rows = st.est;
+          work = l.work +. r.work;
+          root = l.root +. r.root;
+          ovh = l.ovh +. r.ovh;
+          prop;
+        }
 
 (* --- output shape ------------------------------------------------------ *)
 
@@ -386,8 +397,7 @@ let select_list env st exprs =
         { exprs = List.map (remap_num st.cols) exprs; input = st.plan }
     in
     match Plan.narrow env plan with
-    | Plan.Project_exprs _ ->
-        { st with plan; work = st.work +. (0.05 *. st.rows) }
+    | Plan.Project_exprs _ -> charge (0.05 *. st.rows) { st with plan }
     | _ -> { st with plan }
 
 (* Aggregation runs in one phase where each group's rows are already
@@ -401,14 +411,14 @@ let aggregate ~packet ~degree st keys aggs =
   let aggs = List.map (remap_agg st.cols) aggs in
   let groups = if keys = [] then 1.0 else max 1.0 (st.rows /. 10.0) in
   let phase ~group_by ~aggs ~rows st =
-    {
-      st with
-      plan =
-        Plan.Aggregate
-          { algo = Plan.Hash_based; group_by; aggs; input = st.plan };
-      rows;
-      work = st.work +. (1.5 *. st.rows);
-    }
+    charge (1.5 *. st.rows)
+      {
+        st with
+        plan =
+          Plan.Aggregate
+            { algo = Plan.Hash_based; group_by; aggs; input = st.plan };
+        rows;
+      }
   in
   if st.solo || covered st.prop keys <> None then
     phase ~group_by:key_pos ~aggs ~rows:groups st
@@ -439,22 +449,20 @@ let tail env ~packet ~degree st (s : B.select) =
   let distinct arity st =
     let on = List.init arity Fun.id in
     let st = edge ~partition:(Exchange.Hash_on on) st in
-    {
-      st with
-      plan = Plan.Distinct { algo = Plan.Hash_based; on; input = st.plan };
-      rows = max 1.0 (st.rows *. 0.5);
-      work = st.work +. st.rows;
-    }
+    charge st.rows
+      {
+        st with
+        plan = Plan.Distinct { algo = Plan.Hash_based; on; input = st.plan };
+        rows = max 1.0 (st.rows *. 0.5);
+      }
   in
   let gather st =
     if s.order_by = [] then edge st
     else
       edge ~merge:s.order_by
-        {
-          st with
-          plan = Plan.Sort { key = s.order_by; input = st.plan };
-          work = st.work +. (0.4 *. st.rows *. lg st.rows);
-        }
+        (charge
+           (0.4 *. st.rows *. lg st.rows)
+           { st with plan = Plan.Sort { key = s.order_by; input = st.plan } })
   in
   let st =
     match s.shape with
@@ -467,11 +475,11 @@ let tail env ~packet ~degree st (s : B.select) =
         let st =
           if is_identity_over (Array.init layout Fun.id) post then st
           else
-            {
-              st with
-              plan = Plan.Project_exprs { exprs = post; input = st.plan };
-              work = st.work +. (0.05 *. st.rows);
-            }
+            charge (0.05 *. st.rows)
+              {
+                st with
+                plan = Plan.Project_exprs { exprs = post; input = st.plan };
+              }
         in
         let st = gather st in
         if s.distinct then distinct (List.length post) st else st
@@ -497,11 +505,12 @@ let build env (s : B.select) (first, steps) singles eff ~workers ~degree =
   in
   let st = tail env ~packet ~degree st s in
   (* the pool prices the degree: [degree] members share [workers]
-     domains, so only [min degree workers] of them run at once *)
+     domains, so only [min degree workers] of them run at once; work on a
+     solo stream (after the gather) runs on one of them *)
   {
     label =
       (if degree = 1 then "serial" else Printf.sprintf "degree %d" degree);
-    cost = (st.work /. float_of_int (min degree workers)) +. st.ovh;
+    cost = (st.work /. float_of_int (min degree workers)) +. st.root +. st.ovh;
     cplan = Plan.narrow env st.plan;
   }
 

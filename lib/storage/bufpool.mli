@@ -13,8 +13,9 @@
     This restart scheme has no hold-and-wait and therefore cannot deadlock.
 
     For the locking ablation (DESIGN.md A4) a [`Single_global] mode
-    serializes every operation, I/O included, under one lock — the
-    alternative the paper rejected for "decreased concurrency". *)
+    serializes every fix and unfix, I/O included, under one lock around
+    the same path — the alternative the paper rejected for "decreased
+    concurrency". *)
 
 type t
 type frame
@@ -27,7 +28,10 @@ exception Buffer_exhausted
 val create : ?mode:mode -> frames:int -> page_size:int -> unit -> t
 
 val fix : t -> Device.t -> int -> frame
-(** Pin a page, reading it from the device on a miss. *)
+(** Pin a page, loading it on a miss: a virtual page's frame maps the
+    device's own block ({!Device.map}), a real page is read into the
+    frame's private block.  A clean victim is remapped in the same
+    pool-lock section that claimed it. *)
 
 val fix_new : t -> Device.t -> int -> frame
 (** Pin a freshly-allocated page without reading; the frame arrives dirty,
@@ -38,10 +42,40 @@ val fix_new : t -> Device.t -> int -> frame
 val unfix : t -> frame -> unit
 (** Release one pin.  @raise Invalid_argument if the frame is not fixed. *)
 
+(** {2 Page runs}
+
+    A sequential reader fixes a run of pages with one pool-lock section
+    and unfixes it with one; {!fix} is the run of one page.  A run is at
+    most {!run_length} pages, [max 1 (min 8 (frames / 32))], so a reader
+    holds at most 1/32 of the pool. *)
+
+val run_length : t -> int
+
+val run_buffer : t -> frame array
+(** An array of {!run_length} slots for {!fix_run} to fill. *)
+
+val fix_run : t -> Device.t -> int array -> pos:int -> len:int -> frame array -> unit
+(** [fix_run t dev pages ~pos ~len run] pins [pages.(pos .. pos + len - 1)]
+    into [run.(0 .. len - 1)].  Each page is fixed as {!fix} fixes it, and
+    the [Bufpool_fix] and [Device_read] fault sites fire per page; a page
+    the first section cannot finish (a busy descriptor, a dirty victim)
+    goes the general way and the next section starts after it.  If any
+    page fails, the pages before it are unpinned and the failure is
+    raised once.
+    @raise Invalid_argument unless [0 <= len <= run_length t] and the
+    ranges lie inside the arrays *)
+
+val unfix_run : t -> frame array -> len:int -> unit
+(** Release one pin on each of [run.(0 .. len - 1)], in one pool-lock
+    section.  @raise Invalid_argument, unpinning nothing, if one is not
+    fixed. *)
+
 val mark_dirty : frame -> unit
 
 val bytes : frame -> bytes
-(** The page contents.  Valid only while the frame is fixed. *)
+(** The page contents, writable (call {!mark_dirty}).  Valid only while
+    the frame is fixed.  For a virtual page these are the device's own
+    block, mapped (DESIGN.md "Frame ownership"). *)
 
 val frame_device : frame -> Device.t
 val frame_page : frame -> int
@@ -59,7 +93,9 @@ val flush_all : t -> unit
 
 val purge_device : t -> Device.t -> unit
 (** Drop all resident pages of a device without write-back (used when
-    dropping virtual devices).  Pages must be unfixed. *)
+    dropping virtual devices).  Pages must be unfixed.  A virtual page's
+    frame lets go of the device's block, which already holds every change
+    made through it. *)
 
 type stats = {
   hits : int;

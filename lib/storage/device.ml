@@ -2,7 +2,11 @@ module Injector = Volcano_fault.Injector
 
 type backing =
   | Real of Unix.file_descr
-  | Virtual of (int, Bytes.t) Hashtbl.t (* spilled pages *)
+  | Virtual of Bytes.t array
+      (* each page's own block, indexed by page number; [Bytes.empty] for
+         a page never written.  Read without a lock: a frame maps the
+         block, and the pool's locks order a page's stores before the
+         next fix of it. *)
 
 type t = {
   id : int;
@@ -10,7 +14,7 @@ type t = {
   page_size : int;
   capacity : int;
   backing : backing;
-  device_busy : Mutex.t; (* held across seek + transfer *)
+  device_busy : Mutex.t; (* held across seek + transfer (real devices) *)
   map_busy : Mutex.t; (* held across bitmap search/update *)
   mutable map : Bitmap.t;
   mutable table : Vtoc.t;
@@ -56,7 +60,7 @@ let create_real ~path ~page_size ~capacity =
   make ~name:path ~page_size ~capacity (Real fd)
 
 let create_virtual ?(name = "<virtual>") ~page_size ~capacity () =
-  make ~name ~page_size ~capacity (Virtual (Hashtbl.create 64))
+  make ~name ~page_size ~capacity (Virtual (Array.make capacity Bytes.empty))
 
 let id t = t.id
 let name t = t.name
@@ -66,6 +70,14 @@ let is_virtual t = match t.backing with Virtual _ -> true | Real _ -> false
 let vtoc t = t.table
 let reads t = Atomic.get t.reads
 let writes t = Atomic.get t.writes
+
+(* A virtual page's block; a never-written page has none. *)
+let block t blocks page =
+  let b = blocks.(page) in
+  if b == Bytes.empty then
+    invalid_arg
+      (Printf.sprintf "Device %s: virtual page %d is not resident" t.name page);
+  b
 
 let read_exact fd buf =
   let rec step pos =
@@ -107,15 +119,32 @@ let read t ~page buf =
         (fun () ->
           let _ = Unix.lseek fd (page * t.page_size) Unix.SEEK_SET in
           read_exact fd buf)
-  | Virtual spilled -> (
-      Mutex.lock t.device_busy;
-      let copy = Hashtbl.find_opt spilled page in
-      Mutex.unlock t.device_busy;
-      match copy with
-      | Some data -> Bytes.blit data 0 buf 0 t.page_size
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Device %s: virtual page %d is not resident" t.name page))
+  | Virtual blocks -> Bytes.blit (block t blocks page) 0 buf 0 t.page_size
+
+let map t ~page =
+  check_page t page;
+  match t.backing with
+  | Real _ -> invalid_arg "Device.map: a real device has no blocks to map"
+  | Virtual blocks ->
+      Injector.hit t.faults Volcano_fault.Device_read;
+      Atomic.incr t.reads;
+      block t blocks page
+
+let map_new t ~page =
+  check_page t page;
+  match t.backing with
+  | Real _ -> invalid_arg "Device.map_new: a real device has no blocks to map"
+  | Virtual blocks ->
+      let held = blocks.(page) in
+      if held == Bytes.empty then begin
+        let fresh = Bytes.make t.page_size '\000' in
+        blocks.(page) <- fresh;
+        fresh
+      end
+      else begin
+        Bytes.fill held 0 t.page_size '\000';
+        held
+      end
 
 let write t ~page buf =
   check_page t page;
@@ -130,10 +159,13 @@ let write t ~page buf =
         (fun () ->
           let _ = Unix.lseek fd (page * t.page_size) Unix.SEEK_SET in
           write_exact fd buf)
-  | Virtual spilled ->
-      Mutex.lock t.device_busy;
-      Hashtbl.replace spilled page (Bytes.copy buf);
-      Mutex.unlock t.device_busy
+  | Virtual blocks ->
+      (* A frame that maps the page's own block has already written it;
+         a foreign buffer is copied, into the page's block if it has one. *)
+      let held = blocks.(page) in
+      if held == buf then ()
+      else if held == Bytes.empty then blocks.(page) <- Bytes.copy buf
+      else Bytes.blit buf 0 held 0 t.page_size
 
 let allocate t =
   Mutex.lock t.map_busy;
@@ -150,10 +182,7 @@ let free t page =
   Mutex.unlock t.map_busy;
   match t.backing with
   | Real _ -> ()
-  | Virtual spilled ->
-      Mutex.lock t.device_busy;
-      Hashtbl.remove spilled page;
-      Mutex.unlock t.device_busy
+  | Virtual blocks -> blocks.(page) <- Bytes.empty
 
 let allocated_pages t =
   Mutex.lock t.map_busy;

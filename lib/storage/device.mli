@@ -6,11 +6,13 @@
     seek and transfer) and the {e map busy} lock around the free-space
     bitmap (section 4.5).
 
-    A {e virtual} device has no backing store: its pages "exist only in the
-    buffer, and are discarded when unfixed" (section 3).  Virtual devices
-    give intermediate results real RIDs.  Ours additionally accept spilled
-    pages (evicted while dirty) into an in-memory side table so that
-    operators such as external sort can overflow the buffer pool. *)
+    A {e virtual} device has no backing store.  In the paper its pages
+    "exist only in the buffer, and are discarded when unfixed" (section 3)
+    and hold intermediate results only.  Ours holds every page in memory,
+    one block per page in an array indexed by page number, and holds base
+    tables too: the buffer pool's frames {e map} these blocks instead of
+    copying them (see DESIGN.md "Frame ownership"), so a virtual read
+    takes no lock and copies nothing. *)
 
 type t
 
@@ -34,18 +36,35 @@ val is_virtual : t -> bool
 val vtoc : t -> Vtoc.t
 
 val read : t -> page:int -> bytes -> unit
-(** Read a page into a frame.  Unwritten real pages read as zeros; reading a
-    virtual page that was never spilled raises [Invalid_argument] (it can
-    only live in the buffer pool). *)
+(** Copy a page into a buffer.  Unwritten real pages read as zeros; reading
+    a virtual page that was never written raises [Invalid_argument]. *)
+
+val map : t -> page:int -> bytes
+(** A virtual page's own block, for a frame to map instead of a copy.  It
+    is a read: the [Device_read] fault site fires and {!reads} counts it.
+    Whoever holds the block writes the page through it.
+    @raise Invalid_argument on a real device, or for a virtual page that
+    was never written *)
+
+val map_new : t -> page:int -> bytes
+(** A freshly allocated virtual page's block, zeroed.  The device owns it
+    from now on, so a later {!write} of it copies nothing.  Not a read: no
+    fault site fires and no counter moves.
+    @raise Invalid_argument on a real device *)
 
 val write : t -> page:int -> bytes -> unit
+(** Write a page.  On a virtual device, writing the page's own block (a
+    frame that maps it) copies and allocates nothing; any other buffer is
+    copied into the page's block, or into a fresh one if the page has
+    none. *)
 
 val allocate : t -> int
 (** Allocate a free page.  @raise Failure when the device is full. *)
 
 val free : t -> int -> unit
-(** Return a page to the free map.  On a virtual device the spilled copy, if
-    any, is discarded — this is the "discard on unfix" behaviour. *)
+(** Return a page to the free map.  On a virtual device the page's block
+    is dropped: a frame that still maps it keeps the bytes, which are
+    then no longer the device's (a later write-back copies them). *)
 
 val allocated_pages : t -> int
 

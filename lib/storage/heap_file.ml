@@ -100,7 +100,9 @@ let sync_vtoc t =
       e.pages <- t.pages;
       e.records <- t.records
 
-let add_page t =
+(* Add a page after the tail [prev] — the frame the appender holds fixed
+   ([None] on an empty file) — linking it through that frame. *)
+let add_page t prev =
   let page_no = Device.allocate t.device in
   let frame =
     try Bufpool.fix_new t.buffer t.device page_no
@@ -108,25 +110,14 @@ let add_page t =
       Device.free t.device page_no;
       raise exn
   in
-  (* Self-clean on failure: if linking the previous tail fails (e.g. an
-     injected fix denial), the new frame must not stay fixed and the file
-     must be left unchanged. *)
-  (try
-     (* The frame arrives dirty; [init] writes the header, which is all
-        an empty page reads, so the frame is zeroed at most once. *)
-     Page.init (Bufpool.bytes frame) ~kind:page_kind_heap;
-     if t.first_page <> -1 then begin
-       (* Link the previous tail to the new page. *)
-       let prev = Bufpool.fix t.buffer t.device t.last_page in
-       Page.set_next_page (Bufpool.bytes prev) page_no;
-       Bufpool.mark_dirty prev;
-       Bufpool.unfix t.buffer prev
-     end
-   with exn ->
-     Bufpool.unfix t.buffer frame;
-     Device.free t.device page_no;
-     raise exn);
-  if t.first_page = -1 then t.first_page <- page_no;
+  (* The frame arrives dirty; [init] writes the header, which is all an
+     empty page reads. *)
+  Page.init (Bufpool.bytes frame) ~kind:page_kind_heap;
+  (match prev with
+  | Some prev ->
+      Page.set_next_page (Bufpool.bytes prev) page_no;
+      Bufpool.mark_dirty prev
+  | None -> t.first_page <- page_no);
   t.last_page <- page_no;
   if t.pages = Array.length t.directory then begin
     let grown = Array.make (max 8 (2 * t.pages)) (-1) in
@@ -142,8 +133,9 @@ let add_page t =
    which [a] fixes once and keeps fixed, or onto a new page when it does
    not fit; it returns the slot, and [a.page] is the record's page.
    Caller holds [lock], for one record: nothing else may change the page
-   under the copy.  A tail another appender moved past is let go first.
-   Nothing allocates per record but a page change. *)
+   under the copy.  A tail another appender moved past is let go first,
+   and a new page is linked through the tail [a] holds.  Nothing
+   allocates per record but a page change. *)
 let release a =
   match a.tail with
   | Some frame when a.page <> -1 ->
@@ -179,8 +171,9 @@ let append_locked a src ~off ~len =
   in
   if slot >= 0 then slot
   else begin
+    (* [a] holds the tail fixed whenever the file has one *)
+    let page, frame = add_page t (if a.page <> -1 then a.tail else None) in
     release a;
-    let page, frame = add_page t in
     hold a ~page frame;
     let slot = place t frame src ~off ~len in
     if slot < 0 then
@@ -283,8 +276,12 @@ type cursor = {
   directory : int array;
   mutable index : int;  (* directory entry of the current page *)
   stop : int;  (* one past this cursor's last directory entry *)
-  mutable frame : Bufpool.frame option; (* currently pinned page *)
-  mutable data : bytes;  (* the pinned frame's bytes *)
+  run : Bufpool.frame array;
+      (* the fixed run: [held] frames, directory entries
+         [\[index - at, index - at + held)] *)
+  mutable held : int;
+  mutable at : int;  (* the current page's place in [run] *)
+  mutable data : bytes;  (* the current page's bytes *)
   mutable slot : int;  (* the next slot to look at *)
   mutable off : int;  (* the current record's range in [data] *)
   mutable len : int;
@@ -299,7 +296,9 @@ let slice t ~rank ~ranks =
     directory;
     index = rank * pages / ranks;
     stop = (rank + 1) * pages / ranks;
-    frame = None;
+    run = Bufpool.run_buffer t.buffer;
+    held = 0;
+    at = 0;
     data = Bytes.empty;
     slot = 0;
     off = 0;
@@ -309,53 +308,58 @@ let slice t ~rank ~ranks =
 let scan t = slice t ~rank:0 ~ranks:1
 
 let release cursor =
-  match cursor.frame with
-  | Some f ->
-      Bufpool.unfix cursor.file.buffer f;
-      cursor.frame <- None;
-      cursor.data <- Bytes.empty
-  | None -> ()
+  if cursor.held > 0 then begin
+    Bufpool.unfix_run cursor.file.buffer cursor.run ~len:cursor.held;
+    cursor.held <- 0;
+    cursor.data <- Bytes.empty
+  end
 
 let close_cursor cursor =
   release cursor;
   cursor.index <- cursor.stop
 
 (* Step to the next live slot, leaving its range in [off, len] of the
-   still-pinned frame; [false] at the end of the cursor's pages.  The
-   frame stays fixed until the cursor moves past it, so a record is
-   decoded where it lies — the paper's ownership protocol (section 3)
-   with the cursor as the owner. *)
+   still-pinned frame; [false] at the end of the cursor's pages.  Pages
+   are fixed a run at a time — up to {!Bufpool.run_length} contiguous
+   directory entries, one pool-lock section — and the run stays fixed
+   until the cursor moves past its last page, so a record is decoded where
+   it lies: the paper's ownership protocol (section 3) with the cursor as
+   the owner. *)
 let rec advance cursor =
-  match cursor.frame with
-  | None ->
-      if cursor.index >= cursor.stop then false
+  if cursor.held = 0 then
+    if cursor.index >= cursor.stop then false
+    else begin
+      let len = min (Array.length cursor.run) (cursor.stop - cursor.index) in
+      Bufpool.fix_run cursor.file.buffer cursor.file.device cursor.directory
+        ~pos:cursor.index ~len cursor.run;
+      cursor.held <- len;
+      cursor.at <- 0;
+      cursor.data <- Bufpool.bytes cursor.run.(0);
+      cursor.slot <- 0;
+      advance cursor
+    end
+  else
+    let slot = cursor.slot in
+    if slot >= Page.n_slots cursor.data then begin
+      cursor.index <- cursor.index + 1;
+      if cursor.at + 1 < cursor.held then begin
+        cursor.at <- cursor.at + 1;
+        cursor.data <- Bufpool.bytes cursor.run.(cursor.at);
+        cursor.slot <- 0
+      end
+      else release cursor;
+      advance cursor
+    end
+    else begin
+      cursor.slot <- slot + 1;
+      let len = Page.slot_len cursor.data slot in
+      if len = 0 then advance cursor
       else begin
-        let frame =
-          Bufpool.fix cursor.file.buffer cursor.file.device
-            cursor.directory.(cursor.index)
-        in
-        cursor.frame <- Some frame;
-        cursor.data <- Bufpool.bytes frame;
-        cursor.slot <- 0;
-        advance cursor
+        cursor.off <- Page.slot_off cursor.data slot;
+        cursor.len <- len;
+        true
       end
-  | Some _ ->
-      let slot = cursor.slot in
-      if slot >= Page.n_slots cursor.data then begin
-        release cursor;
-        cursor.index <- cursor.index + 1;
-        advance cursor
-      end
-      else begin
-        cursor.slot <- slot + 1;
-        let len = Page.slot_len cursor.data slot in
-        if len = 0 then advance cursor
-        else begin
-          cursor.off <- Page.slot_off cursor.data slot;
-          cursor.len <- len;
-          true
-        end
-      end
+    end
 
 let next cursor =
   if not (advance cursor) then None

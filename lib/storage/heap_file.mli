@@ -81,7 +81,9 @@ val next : cursor -> (Rid.t * string) option
 (** {2 Stepping in the frame}
 
     The cursor's one in-frame step.  [advance] moves to the next live
-    record, fixing the next page when the current one is spent, and
+    record, fixing the next run of pages ({!Bufpool.fix_run}, up to
+    {!Bufpool.run_length} contiguous directory entries in one pool-lock
+    section) when the current run is spent, and
     leaves the record where it lies: it is the range
     [\[off c, off c + len c)] of [data c], the bytes of the still-pinned
     frame.  Nothing is copied and nothing is allocated per record.  The
@@ -93,7 +95,8 @@ val next : cursor -> (Rid.t * string) option
 
 val advance : cursor -> bool
 (** Step to the next live record; [false] at the end of the cursor's
-    pages, with no page left pinned. *)
+    pages, with no page left pinned.  If fixing a run fails, the
+    failure is raised once and the cursor holds no page. *)
 
 val data : cursor -> bytes
 (** The pinned frame's bytes; [Bytes.empty] when no page is pinned. *)
@@ -111,7 +114,7 @@ val next_in_frame :
     record-at-a-time paths; [decode] must not keep the bytes. *)
 
 val close_cursor : cursor -> unit
-(** Release the cursor's pinned page, if any.  Safe to call twice. *)
+(** Release the cursor's pinned run, if any.  Safe to call twice. *)
 
 val iter : t -> (Rid.t -> string -> unit) -> unit
 

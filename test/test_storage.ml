@@ -713,6 +713,208 @@ let test_sliced_scan_differential () =
   let batched = run None and records = run (Some 0) in
   check Alcotest.bool "batch_size 0 = default" true (batched = records)
 
+(* --- page runs and mapped frames --- *)
+
+(* A file four times the pool, on a pool whose runs are 8 pages long. *)
+let big_file ?(mode = Bufpool.Two_level) () =
+  let pool = Bufpool.create ~mode ~frames:256 ~page_size:128 () in
+  let dev = Device.create_virtual ~page_size:128 ~capacity:2048 () in
+  let file = Heap_file.create ~buffer:pool ~device:dev ~name:"big" in
+  let n = ref 0 in
+  while Heap_file.page_count file < 4 * Bufpool.frames_total pool do
+    ignore (Heap_file.insert file (Printf.sprintf "r%06d" !n));
+    incr n
+  done;
+  (pool, dev, file, !n)
+
+let expected_records n = List.init n (Printf.sprintf "r%06d")
+
+let test_run_scan_out_of_pool mode () =
+  let pool, _dev, file, n = big_file ~mode () in
+  check Alcotest.int "runs of 8" 8 (Bufpool.run_length pool);
+  let records cursor = List.map snd (drain_cursor cursor) in
+  let pages = Heap_file.page_count file in
+  for round = 1 to 2 do
+    let misses = (Bufpool.stats pool).misses in
+    check (Alcotest.list Alcotest.string)
+      (Printf.sprintf "round %d: every record once, in order" round)
+      (expected_records n)
+      (records (Heap_file.scan file));
+    check Alcotest.bool
+      (Printf.sprintf "round %d: the pages came from the device" round)
+      true
+      ((Bufpool.stats pool).misses - misses >= pages - Bufpool.frames_total pool);
+    Bufpool.assert_quiescent ~what:"out-of-pool scan" pool
+  done;
+  let sliced =
+    List.concat
+      (List.init 3 (fun rank -> records (Heap_file.slice file ~rank ~ranks:3)))
+  in
+  check (Alcotest.list Alcotest.string) "three slices" (expected_records n) sliced;
+  Bufpool.assert_quiescent ~what:"out-of-pool slices" pool
+
+(* A [Device_read] failure on the first, a middle or the last page of a
+   cold run raises once and unpins the pages fixed before it; the page
+   fixes again afterwards, and the next scan reads everything. *)
+let test_run_read_fault () =
+  let module Fault = Volcano_fault in
+  List.iter
+    (fun hit ->
+      let pool, dev, file, n = big_file () in
+      Bufpool.flush_all pool;
+      Bufpool.purge_device pool dev;
+      let inj =
+        Fault.Injector.make
+          {
+            Fault.seed = 1L;
+            rules =
+              [ { Fault.site = Fault.Device_read; trigger = Fault.At_hit hit; action = Fault.Fail } ];
+          }
+      in
+      Device.set_faults dev inj;
+      let cursor = Heap_file.scan file in
+      (match Heap_file.advance cursor with
+      | _ -> Alcotest.failf "hit %d: the run did not fail" hit
+      | exception Fault.Injected { site = Fault.Device_read; _ } -> ());
+      check Alcotest.int (Printf.sprintf "hit %d: fired once" hit) 1
+        (Fault.Injector.fired inj);
+      check Alcotest.int (Printf.sprintf "hit %d: no leaked fix" hit) 0
+        (Bufpool.leaked_fixes pool);
+      Heap_file.close_cursor cursor;
+      let page = List.nth (Heap_file.page_chain file) (hit - 1) in
+      let f = Bufpool.fix pool dev page in
+      check Alcotest.bool (Printf.sprintf "hit %d: the page fixes again" hit) true
+        (Page.n_slots (Bufpool.bytes f) > 0);
+      Bufpool.unfix pool f;
+      check (Alcotest.list Alcotest.string)
+        (Printf.sprintf "hit %d: a later scan reads everything" hit)
+        (expected_records n)
+        (List.map snd (drain_cursor (Heap_file.scan file)));
+      Bufpool.assert_quiescent ~what:"run read fault" pool)
+    [ 1; 4; 8 ]
+
+(* A change made through a fixed frame survives the frame's eviction, on
+   a virtual device (the frame maps the device's block) and on a real one
+   (the write-back copies it out). *)
+let test_changed_page_survives_eviction () =
+  let run what dev =
+    let pool = Bufpool.create ~frames:2 ~page_size:128 () in
+    let pages = Array.init 4 (fun _ -> Device.allocate dev) in
+    Array.iter
+      (fun p ->
+        let f = Bufpool.fix_new pool dev p in
+        Bytes.set (Bufpool.bytes f) 0 'a';
+        Bufpool.unfix pool f)
+      pages;
+    Array.iteri
+      (fun i p ->
+        let f = Bufpool.fix pool dev p in
+        Bytes.set (Bufpool.bytes f) 1 (Char.chr (Char.code 'k' + i));
+        Bufpool.mark_dirty f;
+        Bufpool.unfix pool f)
+      pages;
+    Array.iteri
+      (fun i p ->
+        check Alcotest.bool (Printf.sprintf "%s: page %d evicted" what i) false
+          (Bufpool.contains pool dev p);
+        let f = Bufpool.fix pool dev p in
+        check Alcotest.string
+          (Printf.sprintf "%s: page %d reads back" what i)
+          (Printf.sprintf "a%c" (Char.chr (Char.code 'k' + i)))
+          (Bytes.sub_string (Bufpool.bytes f) 0 2);
+        Bufpool.unfix pool f)
+      pages;
+    Bufpool.assert_quiescent ~what pool
+  in
+  run "virtual" (Device.create_virtual ~page_size:128 ~capacity:16 ());
+  with_temp_path (fun path ->
+      let dev = Device.create_real ~path ~page_size:128 ~capacity:16 in
+      run "real" dev;
+      Device.close dev)
+
+(* A dirty frame that maps its virtual page's block is written back with
+   no copy: evicting it allocates no 4-KB block. *)
+let test_mapped_writeback_allocates_no_block () =
+  let page_size = 4096 in
+  let pool = Bufpool.create ~frames:2 ~page_size () in
+  let dev = Device.create_virtual ~page_size ~capacity:16 () in
+  let pages = Array.init 3 (fun _ -> Device.allocate dev) in
+  let touch p =
+    let f = Bufpool.fix pool dev p in
+    Bytes.set (Bufpool.bytes f) 0 'w';
+    Bufpool.mark_dirty f;
+    Bufpool.unfix pool f
+  in
+  Array.iter (fun p -> Bufpool.unfix pool (Bufpool.fix_new pool dev p)) pages;
+  Array.iter touch pages;
+  let writes = Device.writes dev in
+  let rounds = 100 in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for i = 0 to (3 * rounds) - 1 do
+    touch pages.(i mod 3)
+  done;
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  check Alcotest.bool "every touch evicted a dirty page" true
+    (Device.writes dev - writes >= 3 * rounds);
+  check Alcotest.bool
+    (Printf.sprintf "%.0f major words for %d write-backs: under one block" words
+       (3 * rounds))
+    true
+    (words < float_of_int (page_size / 8));
+  Bufpool.assert_quiescent ~what:"mapped write-back" pool
+
+(* Two domains scan while a third appends to the same file and so
+   evicts: each scan reads exactly the records there when it opened, in
+   order, and after them only later records, still in order (a record
+   placed on the tail page during the scan may or may not be seen). *)
+let test_scans_beside_an_appender () =
+  let pool = Bufpool.create ~frames:128 ~page_size:128 () in
+  let dev = Device.create_virtual ~page_size:128 ~capacity:4096 () in
+  let file = Heap_file.create ~buffer:pool ~device:dev ~name:"t" in
+  let record i = Printf.sprintf "r%06d" i in
+  let initial = 1000 and appended = 6000 in
+  for i = 0 to initial - 1 do
+    ignore (Heap_file.insert file (record i))
+  done;
+  let done_ = Atomic.make false in
+  let appender =
+    Domain.spawn (fun () ->
+        let a = Heap_file.appender file in
+        for i = initial to initial + appended - 1 do
+          let r = Bytes.of_string (record i) in
+          Heap_file.append a r ~off:0 ~len:(Bytes.length r)
+        done;
+        Heap_file.close_appender a;
+        Atomic.set done_ true)
+  in
+  let scanner () =
+    let failures = ref [] and scans = ref 0 in
+    while (not (Atomic.get done_)) || !scans < 2 do
+      let at_open = Heap_file.record_count file in
+      let seen = List.map snd (drain_cursor (Heap_file.scan file)) in
+      incr scans;
+      let rec ok i = function
+        | [] -> i >= at_open
+        | r :: rest when i < at_open -> r = record i && ok (i + 1) rest
+        | r :: rest -> (
+            match Scanf.sscanf_opt r "r%06d%!" Fun.id with
+            | Some j when j >= i && j < initial + appended -> ok (j + 1) rest
+            | _ -> false)
+      in
+      if not (ok 0 seen) then
+        failures := Printf.sprintf "scan of %d records (%d at open)" (List.length seen) at_open :: !failures
+    done;
+    !failures
+  in
+  let scanners = List.init 2 (fun _ -> Domain.spawn scanner) in
+  let failures = List.concat_map Domain.join scanners in
+  Domain.join appender;
+  check (Alcotest.list Alcotest.string) "every scan matches the model" [] failures;
+  check (Alcotest.list Alcotest.string) "the final file"
+    (List.init (initial + appended) record)
+    (List.map snd (drain_cursor (Heap_file.scan file)));
+  Bufpool.assert_quiescent ~what:"scans beside an appender" pool
+
 let test_rid () =
   let a = Rid.make ~device:1 ~page:2 ~slot:3 in
   let b = Rid.make ~device:1 ~page:2 ~slot:4 in
@@ -757,4 +959,16 @@ let suite =
     Alcotest.test_case "sliced scan: batched = record path" `Quick
       test_sliced_scan_differential;
     Alcotest.test_case "rid" `Quick test_rid;
+    Alcotest.test_case "an out-of-pool scan reads every record once (two-level)"
+      `Quick (test_run_scan_out_of_pool Bufpool.Two_level);
+    Alcotest.test_case "an out-of-pool scan reads every record once (global)"
+      `Quick (test_run_scan_out_of_pool Bufpool.Single_global);
+    Alcotest.test_case "a read fault in a run raises once and leaks nothing"
+      `Quick test_run_read_fault;
+    Alcotest.test_case "a changed page survives its eviction" `Quick
+      test_changed_page_survives_eviction;
+    Alcotest.test_case "a mapped write-back allocates no block" `Quick
+      test_mapped_writeback_allocates_no_block;
+    Alcotest.test_case "scans beside an appender match the model" `Quick
+      test_scans_beside_an_appender;
   ]
