@@ -1,9 +1,10 @@
 (* Bechamel micro-benchmarks: per-call costs underlying the T1 table —
    record creation/consumption, the procedure-call exchange boundary, the
    buffer manager's fix/unfix pair, packet filling, the interpreted vs
-   compiled predicate paths, a hash join's per-row build and probe, and
-   the record decode floors a scanned row pays, and a cursor's cost per
-   page when every page misses. *)
+   compiled predicate paths, a hash join's build and probe (per 1k-row
+   call, and per row of a 40k-row call), the record decode floors a
+   scanned row pays, and a cursor's cost per page when every page
+   misses. *)
 
 open Bechamel
 open Toolkit
@@ -74,19 +75,34 @@ let predicate_paths =
   in
   (interpreted, compiled_fn)
 
+let hash_join probe build =
+  ignore
+    (Iterator.consume
+       (Volcano_ops.Hash_match.iterator ~kind:Volcano_ops.Match_op.Join
+          ~left_key:[ 0 ] ~right_key:[ 0 ] ~left_arity:4 ~right_arity:4 probe
+          build))
+
+let reversed rows =
+  Array.init rows (fun i -> Bench_common.four_int_tuple (rows - 1 - i))
+
 (* One in-memory hash join: build a table of [batch] distinct int keys,
    then probe it with [batch] matching tuples. *)
 let hash_join_build_probe =
   let build = Array.init batch Bench_common.four_int_tuple in
-  let probe =
-    Array.init batch (fun i -> Bench_common.four_int_tuple (batch - 1 - i))
-  in
+  let probe = reversed batch in
+  fun () -> hash_join (Iterator.of_array probe) (Iterator.of_array build)
+
+(* The same join over 40k rows, its build rows made in the call, as a
+   scan or an exchange hands a build side fresh rows.  A 1k call never
+   meets a minor collection; this one meets several, and each promotes
+   whatever the table keeps of its young build rows. *)
+let join_rows = 40_000
+
+let hash_join_build_probe_40k =
+  let probe = reversed join_rows in
   fun () ->
-    ignore
-      (Iterator.consume
-         (Volcano_ops.Hash_match.iterator ~kind:Volcano_ops.Match_op.Join
-            ~left_key:[ 0 ] ~right_key:[ 0 ] ~left_arity:4 ~right_arity:4
-            (Iterator.of_array probe) (Iterator.of_array build)))
+    hash_join (Iterator.of_array probe)
+      (Iterator.generate ~count:join_rows ~f:Bench_common.four_int_tuple)
 
 (* One stored 16-field Wisconsin record decoded in place: the projected
    decode of one int column steps over the other 15 fields, the slice
@@ -166,7 +182,11 @@ let buffer_scan_out_of_pool =
 
 (* Tests whose one call covers many units: the printed figure is per
    unit. *)
-let per_unit = [ ("buffer-scan-out-of-pool", (scan_pages, "page")) ]
+let per_unit =
+  [
+    ("buffer-scan-out-of-pool", (scan_pages, "page"));
+    ("hash-join-build-probe-40k", (join_rows, "row"));
+  ]
 
 let tests =
   let interpreted, compiled = predicate_paths in
@@ -181,6 +201,8 @@ let tests =
       Test.make ~name:"pred-compiled-1k" (Staged.stage compiled);
       Test.make ~name:"hash-join-build-probe-1k"
         (Staged.stage hash_join_build_probe);
+      Test.make ~name:"hash-join-build-probe-40k"
+        (Staged.stage hash_join_build_probe_40k);
       Test.make ~name:"decode-projected-1of16" (Staged.stage projected);
       Test.make ~name:"decode-slice-16" (Staged.stage slice);
       Test.make ~name:"encode-16" (Staged.stage encode_16);

@@ -8,19 +8,41 @@ module Heap_file = Volcano_storage.Heap_file
 
 let match_tag = Atomic.make 0
 
-(* The key table, built in two passes: [collect] appends the build rows
-   to one growable array, then [index] sizes every other array from the
-   exact row count, once.  Rows are numbered by arrival.  A key lives at
-   its first row: the bucket chain links key rows only, and each key row
-   heads a [dup] chain of the rows sharing its key, in arrival order.
-   Keys are compared in place on the stored rows, so the table holds no
-   block per row or per key — a handful of flat [int] arrays. *)
+(* A build column: an unboxed [int array] while every value stored in it
+   is an [Int].  Its first other value demotes it, once, to a [Value.t
+   array] holding its prefix boxed.  Slots [0, n) of a table are live. *)
+type column = Ints of int array | Boxed of Value.t array
+
+let get column i =
+  match column with
+  | Ints a -> Value.Int (Array.unsafe_get a i)
+  | Boxed a -> Array.unsafe_get a i
+
+(* Build row [i] of [data] after [lead] leading [Null]s (outer-join
+   padding).  An int column's value is boxed fresh. *)
+let row data ~lead i =
+  let w = Array.length data in
+  let out = Array.make (lead + w) Value.Null in
+  for c = 0 to w - 1 do
+    Array.unsafe_set out (lead + c) (get (Array.unsafe_get data c) i)
+  done;
+  out
+
+(* The key table, built in two passes: [collect] splits the build rows
+   into columns, then [index] sizes every other array from the exact row
+   count, once.  Rows are numbered by arrival.  A key lives at its first
+   row: the bucket chain links key rows only, and each key row heads a
+   [dup] chain of the rows sharing its key, in arrival order.  Keys are
+   hashed and compared in place on the columns, so the table holds no
+   block per row or per key — a handful of flat arrays. *)
 type table = {
   cols : int array; (* the key columns of a build row *)
-  rows : Tuple.t array; (* [0, n) live, in arrival order *)
+  data : column array; (* one per build column, in row order *)
+  share : int array;
+      (* per build column: the probe column equal to it at a match, or -1 *)
   n : int;
   heads : int array; (* bucket -> its first key row, or -1 *)
-  hash : int array; (* per row: [Key_hash.cols_hash] of its key *)
+  hash : int array; (* per row: its key's [Key_hash.cols_hash] *)
   next : int array; (* per key row: the next key row in its bucket, or -1 *)
   dup : int array; (* per row: the next row with the same key, or -1 *)
   count : int array; (* per key row: rows with its key; 0 at other rows *)
@@ -28,29 +50,71 @@ type table = {
   last : int array; (* per key row: the tail of its [dup] chain *)
 }
 
-(* The key row whose key equals [tuple]'s [cols] (hashed [h]), or -1.
-   Reads both keys in place: a lookup allocates nothing. *)
-let find t h cols tuple =
+(* [Key_hash.cols_hash] of build row [i]'s key, read from the columns. *)
+let row_hash t i =
+  let h = ref 17 in
+  for j = 0 to Array.length t.cols - 1 do
+    h :=
+      (!h * 31)
+      +
+      match t.data.(Array.unsafe_get t.cols j) with
+      | Ints a -> Key_hash.int_mix a.(i)
+      | Boxed a -> Key_hash.slot_hash a.(i)
+  done;
+  !h
+
+(* Top-level recursions, not closures over the keys: these run once per
+   visited bucket entry.  Slot equality is [Key_hash.slot_equal]'s; an
+   int column holds only [Int]s, so no other value equals its slot. *)
+let rec probe_equal t pcols tuple i j =
+  j >= Array.length pcols
+  || (match t.data.(Array.unsafe_get t.cols j) with
+     | Ints a -> (
+         match tuple.(Array.unsafe_get pcols j) with
+         | Value.Int x -> x = a.(i)
+         | _ -> false)
+     | Boxed a -> Key_hash.slot_equal tuple.(Array.unsafe_get pcols j) a.(i))
+     && probe_equal t pcols tuple i (j + 1)
+
+let rec rows_equal t i k j =
+  j >= Array.length t.cols
+  || (match t.data.(Array.unsafe_get t.cols j) with
+     | Ints a -> a.(i) = a.(k)
+     | Boxed a -> Key_hash.slot_equal a.(i) a.(k))
+     && rows_equal t i k (j + 1)
+
+(* The key row whose key equals [tuple]'s [pcols] (hashed [h]), or -1.
+   A lookup allocates nothing. *)
+let find t h pcols tuple =
   let k = ref (Array.unsafe_get t.heads (h land (Array.length t.heads - 1))) in
-  while
-    !k >= 0
-    && not
-         (t.hash.(!k) = h
-         && Key_hash.cols_equal cols tuple t.cols t.rows.(!k))
-  do
+  while !k >= 0 && not (t.hash.(!k) = h && probe_equal t pcols tuple !k 0) do
+    k := t.next.(!k)
+  done;
+  !k
+
+(* The same, for the key of build row [i]. *)
+let find_row t h i =
+  let k = ref (Array.unsafe_get t.heads (h land (Array.length t.heads - 1))) in
+  while !k >= 0 && not (t.hash.(!k) = h && rows_equal t i !k 0) do
     k := t.next.(!k)
   done;
   !k
 
 let rec slots_for n s = if s >= n then s else slots_for n (2 * s)
 
-(* The second pass: every array sized from [n], no growth, no rehash. *)
-let index cols rows n =
+(* The second pass: every array sized from [n], no growth, no rehash.
+   [pcols] are the probe's key columns, pairwise with [cols]. *)
+let index ~pcols ~cols data n =
   let slots = slots_for n 1024 in
+  let share = Array.make (Array.length data) (-1) in
+  Array.iteri
+    (fun j c -> if c < Array.length share then share.(c) <- pcols.(j))
+    cols;
   let t =
     {
       cols;
-      rows;
+      data;
+      share;
       n;
       heads = Array.make slots (-1);
       hash = Array.make n 0;
@@ -62,10 +126,9 @@ let index cols rows n =
     }
   in
   for i = 0 to n - 1 do
-    let row = rows.(i) in
-    let h = Key_hash.cols_hash cols row in
+    let h = row_hash t i in
     t.hash.(i) <- h;
-    let k = find t h cols row in
+    let k = find_row t h i in
     if k < 0 then begin
       let b = h land (slots - 1) in
       t.next.(i) <- t.heads.(b);
@@ -82,7 +145,7 @@ let index cols rows n =
   t
 
 (* A closed match's table: no rows, and nothing a probe could write. *)
-let empty = index [||] [||] 0
+let empty = index ~pcols:[||] ~cols:[||] [||] 0
 
 (* ------------------------------------------------------------------ *)
 (* The build/probe/drain core                                          *)
@@ -95,7 +158,7 @@ type core = {
   kind : Match_op.kind;
   left_cols : int array;
   right_cols : int array;
-  left_nulls : Tuple.t; (* outer-join padding *)
+  left_arity : int; (* outer-join padding *)
   right_nulls : Tuple.t;
   mutable table : table;
   mutable drain_at : int; (* the next row the drain visits *)
@@ -111,6 +174,22 @@ let push core tuple =
   end
   else Queue.push tuple core.parked
 
+(* A match: [tuple]'s values, then build row [i].  At a key column the
+   probe's value equals the build key, and at an int column it is an
+   [Int], so the output shares the probe's box there. *)
+let joined t tuple i =
+  let lw = Array.length tuple in
+  let out = Array.make (lw + Array.length t.data) Value.Null in
+  Array.blit tuple 0 out 0 lw;
+  for c = 0 to Array.length t.data - 1 do
+    let p = Array.unsafe_get t.share c in
+    Array.unsafe_set out (lw + c)
+      (match Array.unsafe_get t.data c with
+      | Ints _ when p >= 0 -> tuple.(p)
+      | column -> get column i)
+  done;
+  out
+
 let probe core tuple =
   let t = core.table in
   let k =
@@ -124,7 +203,7 @@ let probe core tuple =
       if hit then begin
         let i = ref k in
         while !i >= 0 do
-          push core (Tuple.concat tuple (Array.unsafe_get t.rows !i));
+          push core (joined t tuple !i);
           i := t.dup.(!i)
         done
       end
@@ -143,20 +222,19 @@ let probe core tuple =
    accounted for. *)
 let drain_key core k =
   let t = core.table in
-  let emit_first m f =
+  let emit_first m ~lead =
     let i = ref k and m = ref m in
     while !m > 0 do
-      push core (f t.rows.(!i));
+      push core (row t.data ~lead !i);
       i := t.dup.(!i);
       decr m
     done
   in
   match core.kind with
   | Match_op.Right_outer | Match_op.Full_outer ->
-      if t.probes.(k) = 0 then
-        emit_first t.count.(k) (Tuple.concat core.left_nulls)
+      if t.probes.(k) = 0 then emit_first t.count.(k) ~lead:core.left_arity
   | Match_op.Union | Match_op.Anti_difference ->
-      emit_first (t.count.(k) - t.probes.(k)) Fun.id
+      emit_first (t.count.(k) - t.probes.(k)) ~lead:0
   | Match_op.Join | Match_op.Left_outer | Match_op.Semi | Match_op.Anti
   | Match_op.Intersection | Match_op.Difference ->
       ()
@@ -169,32 +247,72 @@ let has_leftovers = function
   | Match_op.Intersection | Match_op.Difference ->
       false
 
-(* The first pass: append the build side to one growable array.  Returns
-   the rows, their count, and [None] when it fit ([build] is closed), or
-   [Some t] when the capacity was exceeded at [t], which is not among the
-   rows ([build] is still open). *)
+(* Store [v] at row [i] of column [c].  An int column's first other
+   value boxes its prefix into a [Value.t array] of the same capacity. *)
+let store data c i v =
+  match (Array.unsafe_get data c, v) with
+  | Ints a, Value.Int x -> Array.unsafe_set a i x
+  | Boxed a, v -> Array.unsafe_set a i v
+  | Ints a, v ->
+      let b = Array.make (Array.length a) Value.Null in
+      for j = 0 to i - 1 do
+        Array.unsafe_set b j (Value.Int (Array.unsafe_get a j))
+      done;
+      Array.unsafe_set b i v;
+      Array.unsafe_set data c (Boxed b)
+
+(* A column at twice its capacity.  An int column copies with plain
+   stores: a blit into the major heap would run the write barrier per
+   slot. *)
+let grow = function
+  | Ints a ->
+      let b = Array.make (2 * Array.length a) 0 in
+      for j = 0 to Array.length a - 1 do
+        Array.unsafe_set b j (Array.unsafe_get a j)
+      done;
+      Ints b
+  | Boxed a ->
+      let b = Array.make (2 * Array.length a) Value.Null in
+      Array.blit a 0 b 0 (Array.length a);
+      Boxed b
+
+(* The first pass: split the build side into columns, as wide as its
+   first row, each growing by doubling.  A row is dropped once split, so
+   the columns keep no tuple alive.  Returns the columns, the row count,
+   and [None] when it fit ([build] is closed), or [Some t] when the
+   capacity was exceeded at [t], which is not among the rows ([build] is
+   still open). *)
 let collect build ~capacity =
   Iterator.open_ build;
-  let rows = ref (Array.make 64 [||]) and n = ref 0 in
+  let data = ref [||] and cap = ref 0 and n = ref 0 in
   let rec go () =
     match Iterator.next build with
     | None -> None
     | Some tuple when !n >= capacity -> Some tuple
     | Some tuple ->
-        if !n = Array.length !rows then begin
-          let grown = Array.make (2 * !n) [||] in
-          Array.blit !rows 0 grown 0 !n;
-          rows := grown
+        if !cap = 0 then begin
+          cap := 64;
+          data :=
+            Array.init (Array.length tuple) (fun _ -> Ints (Array.make 64 0))
+        end
+        else if !n = !cap then begin
+          cap := 2 * !cap;
+          data := Array.map grow !data
         end;
-        Array.unsafe_set !rows !n tuple;
+        let data = !data in
+        if Array.length tuple <> Array.length data then
+          invalid_arg "Hash_match: build rows of different widths";
+        for c = 0 to Array.length data - 1 do
+          store data c !n (Array.unsafe_get tuple c)
+        done;
         incr n;
         go ()
   in
   match go () with
   | None ->
       Iterator.close build;
-      (!rows, !n, None)
-  | Some _ as overflow -> (!rows, !n, overflow)
+      (!data, !n, None)
+  | Some _ as overflow -> (!data, !n, overflow)
   | exception exn ->
       (* A failing build input must not stay open: the consumer's close
          has no open state to release yet. *)
@@ -202,11 +320,12 @@ let collect build ~capacity =
       raise exn
 
 (* The build side the Grace path re-reads after an overflow: rows
-   [0, n) in arrival order, the tuple that overflowed, then whatever
-   [build] still holds.  [build] is already open; closing the replay
-   closes it, once, and lets go of the rows. *)
-let replay rows n overflow build =
-  let rows = ref rows and pos = ref 0 and live = ref true in
+   [0, n) in arrival order, rebuilt from the columns, the tuple that
+   overflowed, then whatever [build] still holds.  [build] is already
+   open; closing the replay closes it, once, and lets go of the
+   columns. *)
+let replay data n overflow build =
+  let data = ref data and pos = ref 0 and live = ref true in
   Iterator.make
     ~open_:(fun () -> pos := 0)
     ~next:(fun () ->
@@ -214,12 +333,12 @@ let replay rows n overflow build =
       if i > n then Iterator.next build
       else begin
         pos := i + 1;
-        Some (if i < n then !rows.(i) else overflow)
+        Some (if i < n then row !data ~lead:0 i else overflow)
       end)
     ~close:(fun () ->
       if !live then begin
         live := false;
-        rows := [||];
+        data := [||];
         Iterator.close build
       end)
 
@@ -316,7 +435,7 @@ and cursor ?(build_capacity = max_int) ?(partitions = 16) ?spill
       kind;
       left_cols = Array.of_list left_key;
       right_cols = Array.of_list right_key;
-      left_nulls = Array.make left_arity Value.Null;
+      left_arity;
       right_nulls = Array.make right_arity Value.Null;
       table = empty;
       drain_at = 0;
@@ -350,9 +469,10 @@ and cursor ?(build_capacity = max_int) ?(partitions = 16) ?spill
   in
   let reset () =
     match collect build ~capacity with
-    | rows, n, Some overflow -> grace (replay rows n overflow build)
-    | rows, n, None ->
-        core.table <- index core.right_cols rows n;
+    | data, n, Some overflow -> grace (replay data n overflow build)
+    | data, n, None ->
+        core.table <-
+          index ~pcols:core.left_cols ~cols:core.right_cols data n;
         (try probe_side.Batch.reset ()
          with exn ->
            release ();

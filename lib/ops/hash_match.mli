@@ -13,18 +13,24 @@
     set kinds in first-seen build-key order.
 
     The key table is built in two passes.  The build rows are first
-    collected into one growable array, numbered by arrival; then every
-    other array is allocated once from the exact row count, with no
-    growth and no rehash:
+    split into columns, numbered by arrival, and dropped: a column is an
+    unboxed [int array] while every value in it is an [Int], and its
+    first other value demotes it, once, to a boxed [Value.t array].
+    Then every other array is allocated once from the exact row count,
+    with no growth and no rehash:
     - [heads]: one slot per bucket (a power of two at least the row
       count, and at least 1024), holding the bucket's first key row;
     - per row, as [int]s: the key hash, a bucket-chain link and a
       same-key [dup] link, which chains a key's rows in arrival order;
     - per key, stored at the key's first row: the row count, the number
       of probes seen, and the last row of its [dup] chain.
-    Lookups compare the key columns of the stored row in place, so the
-    table holds no heap block per row or per key.  The leftovers walk
-    rows in ascending order and visit key rows: first-seen key order. *)
+    Lookups hash and compare keys in place on the columns, with
+    [Key_hash]'s slot hash and equality, so the table holds no heap block
+    per row or per key.  A match, a leftover and a Grace replay rebuild
+    the build row from the columns, boxing an int column's value afresh
+    (a match shares the probe's box at a key column).  The leftovers
+    walk rows in ascending order and visit key rows: first-seen key
+    order. *)
 
 val cursor :
   ?build_capacity:int ->

@@ -34,15 +34,3 @@ let cols_hash cols tuple =
     h := (!h * 31) + slot_hash tuple.(Array.unsafe_get cols i)
   done;
   !h
-
-let cols_equal acols a bcols b =
-  let n = Array.length acols and i = ref 0 in
-  while
-    !i < n
-    && slot_equal
-         a.(Array.unsafe_get acols !i)
-         b.(Array.unsafe_get bcols !i)
-  do
-    incr i
-  done;
-  !i = n

@@ -10,6 +10,12 @@
 val int_mix : int -> int
 (** The hash of one [Value.Int x] slot; non-negative. *)
 
+val slot_hash : Volcano_tuple.Value.t -> int
+(** The hash of one slot: [int_mix] for an [Int], [Value.hash] else. *)
+
+val slot_equal : Volcano_tuple.Value.t -> Volcano_tuple.Value.t -> bool
+(** [Value.equal], with a direct compare for two ints. *)
+
 val key_hash : Volcano_tuple.Value.t array -> int
 (** Combines the slot hashes of a key, [17 * 31 + ...] like [Tuple.hash]. *)
 
@@ -20,11 +26,3 @@ val key_matches : Volcano_tuple.Value.t array -> Volcano_tuple.Value.t array -> 
 val cols_hash : int array -> Volcano_tuple.Tuple.t -> int
 (** [cols_hash cols t = key_hash (Tuple.project t cols)] without building
     the key: a probe reads its key columns in place. *)
-
-val cols_equal :
-  int array -> Volcano_tuple.Tuple.t -> int array -> Volcano_tuple.Tuple.t -> bool
-(** [cols_equal acols a bcols b]: [a]'s key columns [acols] equal [b]'s
-    [bcols] slot for slot, as [key_matches (Tuple.project a acols)
-    (Tuple.project b bcols)] would say, without building either key — a
-    hash-join lookup compares a probe or build row with a stored row in
-    place.  [acols] and [bcols] have the same length. *)

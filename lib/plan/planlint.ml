@@ -3,6 +3,7 @@ module Match_op = Volcano_ops.Match_op
 module Support = Volcano_tuple.Support
 module Expr = Volcano_tuple.Expr
 module Agg = Volcano_ops.Aggregate
+module Bufpool = Volcano_storage.Bufpool
 
 (* ------------------------------------------------------------------ *)
 (* Paths and the visitor                                               *)
@@ -411,18 +412,19 @@ let rec domains = function
       List.fold_left (fun acc child -> acc + domains child) 0
         (Plan.children node)
 
-(* Concurrently fixed buffer pages, coarsely: a heap scan pins one page at
-   a time, an index scan a root-to-leaf path (~3), an external sort or
-   spilling hash table ~8 (runs being written plus the merge fan-in) —
-   each per group member.  Sort-based binary operators sort both inputs
-   themselves. *)
-let rec pages members node =
+(* Concurrently fixed buffer pages, coarsely: a heap scan pins one run of
+   [run] pages at a time ([Bufpool.run_length_for]), an index scan a
+   root-to-leaf path (~3), an external sort or spilling hash table ~8
+   (runs being written plus the merge fan-in) — each per group member.
+   Sort-based binary operators sort both inputs themselves. *)
+let rec pages ~run members node =
+  let pages = pages ~run in
   let inputs () =
     List.fold_left (fun acc child -> acc + pages members child) 0
       (Plan.children node)
   in
   match node with
-  | Plan.Scan_table _ | Plan.Scan_table_slice _ -> members
+  | Plan.Scan_table _ | Plan.Scan_table_slice _ -> run * members
   | Plan.Scan_index _ -> 3 * members
   | Plan.Sort _
   | Plan.Aggregate { algo = Plan.Sort_based; _ }
@@ -447,7 +449,7 @@ let resource_pass emit ~domains:d ~frames root =
          "plan forks %d producer domains, over the limit of %d; consider \
           lower degrees or the no-fork interchange"
          d max_domains);
-  let p = pages 1 root in
+  let p = pages ~run:(Bufpool.run_length_for ~frames) 1 root in
   if p > frames then
     warn "resource-bufpool"
       (Printf.sprintf

@@ -60,6 +60,10 @@ type stats = {
   restarts : int;
 }
 
+(* A run takes at most 1/32 of the pool, so a few concurrent readers
+   cannot starve the rest of it. *)
+let run_length_for ~frames = max 1 (min 8 (frames / 32))
+
 let create ?(mode = Two_level) ~frames ~page_size () =
   assert (frames > 0);
   let make_frame index =
@@ -83,9 +87,7 @@ let create ?(mode = Two_level) ~frames ~page_size () =
     frames = Array.init frames make_frame;
     table = Table.create (frames * 2);
     page_size;
-    (* a run takes at most 1/32 of the pool, so a few concurrent readers
-       cannot starve the rest of it *)
-    run = max 1 (min 8 (frames / 32));
+    run = run_length_for ~frames;
     lru_head = 0;
     lru_tail = frames - 1;
     md = mode;

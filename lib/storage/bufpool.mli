@@ -46,10 +46,16 @@ val unfix : t -> frame -> unit
 
     A sequential reader fixes a run of pages with one pool-lock section
     and unfixes it with one; {!fix} is the run of one page.  A run is at
-    most {!run_length} pages, [max 1 (min 8 (frames / 32))], so a reader
-    holds at most 1/32 of the pool. *)
+    most {!run_length} pages, so a reader holds at most 1/32 of the
+    pool. *)
+
+val run_length_for : frames:int -> int
+(** The run length of a pool of [frames] frames: [max 1 (min 8 (frames /
+    32))].  planlint's buffer estimate counts a heap scan at this many
+    fixed pages. *)
 
 val run_length : t -> int
+(** [run_length_for] of the pool's frame count. *)
 
 val run_buffer : t -> frame array
 (** An array of {!run_length} slots for {!fix_run} to fill. *)

@@ -297,6 +297,26 @@ let test_resource_bufpool () =
   if not (has ~severity:Diag.Warning "resource-bufpool" diags) then
     Alcotest.failf "expected resource-bufpool among [%s]" (codes diags)
 
+let test_resource_bufpool_scan_runs () =
+  (* A heap-scan member pins a run of [Bufpool.run_length_for] pages: 2 on
+     the 64-frame pool of [env ()].  Forty members need 80 pages, twenty
+     need 40; counted at one page a member, both fit. *)
+  let e = env () in
+  ignore
+    (Env.create_table e ~name:"t"
+       ~schema:
+         (Volcano_tuple.Schema.of_names
+            [ ("a", Volcano_tuple.Value.Tint); ("b", Volcano_tuple.Value.Tint) ]));
+  check Alcotest.int "run length" 2
+    (Volcano_storage.Bufpool.run_length_for ~frames:64);
+  let scan degree =
+    Plan.Exchange
+      { cfg = Exchange.config ~degree (); input = Plan.Scan_table_slice "t" }
+  in
+  let flagged degree = has "resource-bufpool" (Compile.analyze e (scan degree)) in
+  check Alcotest.bool "40 members draw VL402" true (flagged 40);
+  check Alcotest.bool "20 members do not" false (flagged 20)
+
 (* --- passes 5/6: scheduler placement, flow-control memory ------------ *)
 
 let test_sched_dop () =
@@ -528,6 +548,8 @@ let suite =
       test_deadlock_broadcast_flow;
     Alcotest.test_case "resource: domains" `Quick test_resource_domains;
     Alcotest.test_case "resource: buffer pool" `Quick test_resource_bufpool;
+    Alcotest.test_case "resource: a scan member pins a page run" `Quick
+      test_resource_bufpool_scan_runs;
     Alcotest.test_case "scheduler: degree-of-parallelism advisory" `Quick
       test_sched_dop;
     Alcotest.test_case "memory: flow-slack bound" `Quick test_mem_flow_slack;

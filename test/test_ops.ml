@@ -453,6 +453,86 @@ let prop_hash_match_exact_order =
                   ~left_arity:3 ~right_arity:3 left2 right2))
         kinds)
 
+(* [model_hash_order] for the Grace path: both sides are routed to
+   [partitions] partitions by their key's [Support.hash_on], and each
+   partition pair is matched in memory, in partition order. *)
+let model_grace_order kind ~partitions ~left_key ~right_key ~left_arity
+    ~right_arity left right =
+  let part key t = Support.hash_on key t mod partitions in
+  List.concat
+    (List.init partitions (fun p ->
+         model_hash_order kind ~left_key ~right_key ~left_arity ~right_arity
+           (List.filter (fun t -> part left_key t = p) left)
+           (List.filter (fun t -> part right_key t = p) right)))
+
+(* Build rows are (id, a, b), all ints but for one [odd] value in column
+   [col] at row [at]; probe rows are (a, b, id) over values that include
+   [odd], [Int 1] and [Float 1.0].  A column's demotion at the first, a
+   middle and the last build row, under one- and two-column keys that mix
+   it with an int column, and as a non-key column, all match the model in
+   exact order, in memory and under a forced Grace switch (8 build rows
+   in memory, so the demoted rows are replayed from the columns). *)
+let test_hash_match_demotes_a_column () =
+  let nb = 9 and partitions = 4 in
+  let probe_values odd =
+    [ Value.Int 0; Value.Int 1; Value.Int 3; Value.Float 1.0; odd ]
+  in
+  List.iter
+    (fun odd ->
+      List.iter
+        (fun at ->
+          List.iter
+            (fun col ->
+              let right =
+                List.init nb (fun i ->
+                    let r = [| Value.Int (2000 + i); Value.Int (i mod 4);
+                               Value.Int (i mod 3) |] in
+                    if i = at then r.(col) <- odd;
+                    r)
+              in
+              let left =
+                List.concat_map
+                  (fun a ->
+                    List.mapi
+                      (fun j b -> [| a; b; Value.Int (1000 + j) |])
+                      [ Value.Int 0; Value.Int 1; odd; Value.Int 1 ])
+                  (probe_values odd)
+              in
+              List.iter
+                (fun (left_key, right_key) ->
+                  List.iter
+                    (fun kind ->
+                      let name =
+                        Printf.sprintf "%s, %s at row %d of column %d, key [%s]"
+                          (Ops.Match_op.to_string kind) (Value.to_string odd) at
+                          col
+                          (String.concat ";"
+                             (List.map string_of_int right_key))
+                      in
+                      let expected, via_iterator, via_cursor =
+                        hash_exact_order kind ~left_key ~right_key
+                          ~left_arity:3 ~right_arity:3 left right
+                      in
+                      check tuple_list (name ^ " iterator") expected
+                        via_iterator;
+                      check tuple_list (name ^ " cursor") expected via_cursor;
+                      let grace =
+                        Ops.Hash_match.iterator ~build_capacity:8 ~partitions
+                          ~spill:(make_spill ()) ~kind ~left_key ~right_key
+                          ~left_arity:3 ~right_arity:3 (Iterator.of_list left)
+                          (Iterator.of_list right)
+                      in
+                      check tuple_list (name ^ " grace")
+                        (model_grace_order kind ~partitions ~left_key
+                           ~right_key ~left_arity:3 ~right_arity:3 left right)
+                        (Iterator.to_list grace))
+                    kinds)
+                [ ([ 0 ], [ 1 ]); ([ 1 ], [ 2 ]); ([ 0; 1 ], [ 1; 2 ]);
+                  ([ 1; 0 ], [ 2; 1 ]) ])
+            [ 1; 2 ])
+        [ 0; nb / 2; nb - 1 ])
+    [ Value.Null; Value.Float 1.0; Value.Str "1" ]
+
 (* Minor words per item around [f], which runs [n] items. *)
 let words_per ~n f =
   let before = Gc.minor_words () in
@@ -475,6 +555,33 @@ let test_hash_match_build_allocation () =
   Iterator.close it;
   if per_row >= bound then
     Alcotest.failf "%.1f minor words per build row, bound %.1f" per_row bound
+
+(* Promoted words per item: what [f], which runs [n] items, leaves
+   reachable from the young heap, promoted by a minor collection right
+   after it.  [Gc.counters] reads the calling domain's counters. *)
+let promoted_per ~n f =
+  let _, before, _ = Gc.counters () in
+  f ();
+  Gc.minor ();
+  let _, after, _ = Gc.counters () in
+  (after -. before) /. float_of_int n
+
+(* The build side keeps no tuple: 40k int rows, each made young by the
+   build input as the table takes it, are split into unboxed int columns
+   and die young (0.02 words a row).  A table of stored tuples promotes
+   every row it holds at a minor collection: 2.6 words a row. *)
+let test_hash_match_build_promotion () =
+  let n = 40_000 and bound = 1.0 in
+  let it =
+    Ops.Hash_match.iterator ~kind:Ops.Match_op.Join ~left_key:[ 0 ]
+      ~right_key:[ 0 ] ~left_arity:2 ~right_arity:2 (Iterator.of_list [])
+      (Iterator.generate ~count:n ~f:(fun i -> Tuple.of_ints [ i; i ]))
+  in
+  let per_row = promoted_per ~n (fun () -> Iterator.open_ it) in
+  Iterator.close it;
+  if per_row >= bound then
+    Alcotest.failf "%.2f promoted words per build row, bound %.1f" per_row
+      bound
 
 (* The int-keyed aggregate probe allocates nothing per row: a bucket
    walk or key comparison defined inside the per-row probe would be a
@@ -849,8 +956,12 @@ let suite =
     Alcotest.test_case "division empty divisor" `Quick test_division_empty_divisor;
     Alcotest.test_case "hash match exact order" `Quick test_hash_match_exact_order;
     Runner.qcheck prop_hash_match_exact_order;
+    Alcotest.test_case "hash match demotes a column once" `Quick
+      test_hash_match_demotes_a_column;
     Alcotest.test_case "hash match build allocation" `Quick
       test_hash_match_build_allocation;
+    Alcotest.test_case "hash match build promotes no row" `Quick
+      test_hash_match_build_promotion;
     Alcotest.test_case "hash aggregate build allocation" `Quick
       test_hash_aggregate_build_allocation;
     Alcotest.test_case "record aggregate build allocation" `Quick
